@@ -583,18 +583,22 @@ STORE_RECORDS = scaled(10_000, floor=2_000)
 
 def run_store_perf():
     from repro.experiments.spec import point_key
-    from repro.experiments.store import ResultStore, StoredResult
-    from repro.fabric.store import ShardedResultStore
+    from repro.fabric.io import append_record
+    from repro.fabric.store import (
+        ShardedResultStore,
+        StoredResult,
+        read_flat_store,
+    )
 
     n = STORE_RECORDS
     studies = ["office", "kernels", "media", "mixed"]
     with tempfile.TemporaryDirectory() as tmp:
         flat_path = os.path.join(tmp, "store.jsonl")
-        flat = ResultStore(flat_path)
+        records = []
         for i in range(n):
             study = studies[i % len(studies)]
             params = {"i": i, "ratio": (i % 10) / 10.0}
-            flat.put_record(StoredResult(
+            records.append(StoredResult(
                 key=point_key(study, params),
                 study=study,
                 params=params,
@@ -602,15 +606,20 @@ def run_store_perf():
                 elapsed=0.001,
                 created=float(i),
             ))
-        probe = flat.records("office")[len(flat.records("office")) // 2].key
+        append_record(flat_path, "".join(
+            r.to_json() + "\n" for r in records).encode("utf-8"))
+        office = [r for r in records if r.study == "office"]
+        probe = office[len(office) // 2].key
         flat_bytes = os.path.getsize(flat_path)
 
-        # Flat store: every open is a full-file rescan.
+        # Flat import reader: every lookup is a full-file parse.
         def flat_open_get():
-            assert ResultStore(flat_path).get(probe) is not None
+            latest = {r.key: r for r in read_flat_store(flat_path)}
+            assert latest.get(probe) is not None
 
         def flat_open_query():
-            return len(ResultStore(flat_path).records("office"))
+            latest = {r.key: r for r in read_flat_store(flat_path)}
+            return sum(r.study == "office" for r in latest.values())
 
         flat_get = _best_of(3, flat_open_get)
         flat_query = _best_of(3, flat_open_query)
@@ -645,7 +654,7 @@ def run_store_perf():
         sharded_query = _best_of(3, sharded_open_query)
 
         # Correctness rides along: migration preserved every record.
-        assert expect_office == len(ResultStore(flat_path).records("office"))
+        assert expect_office == flat_open_query()
     return {
         "records": n,
         "migrated": migrated,

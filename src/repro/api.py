@@ -368,8 +368,8 @@ def run_study(spec: StudySpec, *, store=None, workers: Optional[int] = None,
     is the typed :class:`~repro.metrics.stats.MetricSet` (Ratio /
     Derived stats intact on fresh executions, value-typed on cache
     hits).  ``store=None`` disables result caching (pass a
-    :class:`~repro.experiments.store.ResultStore` to enable it);
-    ``workers`` defaults to ``spec.workers``.
+    :class:`~repro.fabric.store.ShardedResultStore` or a store
+    directory to enable it); ``workers`` defaults to ``spec.workers``.
     """
     from repro.experiments import SweepRunner
 

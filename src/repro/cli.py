@@ -6,12 +6,12 @@ Examples
 
     python -m repro.cli physics --duty 0.7
     python -m repro.cli adder --utilization 0.21
-    python -m repro.cli regfile --suites specint2000 office
-    python -m repro.cli caches --size-kb 16 --ways 8
-    python -m repro.cli penelope --length 5000
     python -m repro.cli list-suites
+    python -m repro.cli sweep regfile --suites specint2000 office
+    python -m repro.cli sweep penelope --suites kernels --length 5000
     python -m repro.cli sweep caches --grid ratio=0.4,0.5,0.6 \\
         --grid ways=4,8 --workers 4
+    python -m repro.cli sweep --resume RUN_ID
     python -m repro.cli results --study caches
     python -m repro.cli show-config --study penelope > study.json
     python -m repro.cli run --config study.json --verbose
@@ -44,16 +44,6 @@ def _add_observability_arguments(parser: argparse.ArgumentParser) -> None:
         "--quiet", action="store_true",
         help="suppress plan, progress, summary and footer output",
     )
-
-
-def _add_workload_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--suites", nargs="+", default=["specint2000", "office"],
-        choices=suite_names(), help="Table 1 suites to simulate",
-    )
-    parser.add_argument("--length", type=int, default=5000,
-                        help="uops per trace")
-    parser.add_argument("--seed", type=int, default=0)
 
 
 def cmd_physics(args: argparse.Namespace) -> int:
@@ -93,104 +83,6 @@ def cmd_adder(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_regfile(args: argparse.Namespace) -> int:
-    from repro import api
-    from repro.config import MechanismSpec, ProtectionSpec
-    from repro.workloads import TraceGenerator
-
-    # ISV on both register files only; everything else unprotected.
-    protection = ProtectionSpec(
-        adder=MechanismSpec("none"),
-        scheduler=MechanismSpec("none"),
-        dl0=MechanismSpec("none"),
-        dtlb=MechanismSpec("none"),
-    )
-    generator = TraceGenerator(seed=args.seed)
-    rows = []
-    for suite in args.suites:
-        trace = generator.generate(suite, length=args.length)
-        base = api.build_core().run(trace)
-        prot = api.build_core(hooks=api.build_hooks(protection)).run(trace)
-        rows.append([
-            suite,
-            f"{base.int_rf.worst_bias:.1%}",
-            f"{prot.int_rf.worst_bias:.1%}",
-            f"{base.int_rf.free_fraction:.0%}",
-        ])
-    print(format_table(
-        ["suite", "worst bias (base)", "worst bias (ISV)", "free time"],
-        rows, title="register-file ISV study (paper: 89.9% -> 48.5%)",
-    ))
-    return 0
-
-
-def cmd_caches(args: argparse.Namespace) -> int:
-    from repro import api
-    from repro.config import (
-        CacheGeometrySpec,
-        MechanismSpec,
-        SpecError,
-        WorkloadSpec,
-    )
-    from repro.core.cache_like import run_cache_study
-
-    try:
-        config = CacheGeometrySpec(
-            size_kb=args.size_kb, ways=args.ways
-        ).to_cache_config()
-    except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    streams = api.build_address_streams(WorkloadSpec(
-        suites=tuple(args.suites), length=args.length * 3, seed=args.seed,
-    ))
-    rows = []
-    for mechanism in (
-        MechanismSpec("set_fixed", {"ratio": 0.5}),
-        MechanismSpec("line_fixed", {"ratio": 0.5}),
-        MechanismSpec("line_dynamic", {"ratio": 0.6, "warmup": 1000,
-                                       "test_window": 1000,
-                                       "period": 6000}),
-    ):
-        study = run_cache_study(
-            config, lambda: api.build_scheme(mechanism), streams
-        )
-        rows.append([study.scheme_name, f"{study.mean_loss:.2%}",
-                     f"{study.mean_inverted_ratio:.0%}"])
-    print(format_table(
-        ["scheme", "mean perf loss", "achieved invert ratio"],
-        rows, title=f"cache inversion study on {config.name}",
-    ))
-    return 0
-
-
-def cmd_penelope(args: argparse.Namespace) -> int:
-    from repro import api
-    from repro.config import WorkloadSpec
-
-    workload_spec = WorkloadSpec(
-        suites=tuple(args.suites), length=args.length,
-        traces_per_suite=1, seed=args.seed,
-    )
-    workload = api.build_workload(workload_spec)
-    report = api.build_penelope(seed=args.seed).evaluate(workload)
-    rows = [
-        [b.name, f"{b.guardband:.1%}", f"{b.efficiency:.2f}"]
-        for b in report.block_costs
-    ]
-    rows.append(["penelope processor",
-                 f"{report.processor.guardband:.1%}",
-                 f"{report.efficiency:.2f}"])
-    rows.append(["baseline (full guardband)", "20.0%",
-                 f"{report.baseline_efficiency:.2f}"])
-    print(format_table(["block", "guardband", "NBTIefficiency"], rows,
-                       title="Penelope whole-processor study"))
-    print(f"combined CPI {report.combined_cpi:.4f}; "
-          f"INT bias {report.int_rf_bias[0]:.2f}->"
-          f"{report.int_rf_bias[1]:.2f}")
-    return 0
-
-
 def cmd_list_suites(args: argparse.Namespace) -> int:
     from repro.workloads import SUITE_PROFILES, TABLE1_TRACE_COUNTS
 
@@ -205,27 +97,28 @@ def cmd_list_suites(args: argparse.Namespace) -> int:
     return 0
 
 
-def _fabric_store_dir(path: Optional[str]) -> str:
-    """Sharded-store directory: ``--store`` or the default fabric dir."""
+def _store_dir(path: Optional[str]) -> str:
+    """Store directory: ``--store`` or the default one."""
     from repro.experiments import default_store_path
 
-    if path:
-        return path
-    return os.path.join(os.path.dirname(default_store_path()), "fabric")
+    return path or default_store_path()
+
+
+def _open_store(path: Optional[str]):
+    """The result store at ``--store`` (raises ValueError on a flat file)."""
+    from repro.fabric.store import ShardedResultStore
+
+    return ShardedResultStore(_store_dir(path))
 
 
 def _run_sweep_and_report(spec, *, workers, store, verbose, group_by,
                           metrics_arg, agg, intro, title,
                           progress_mode=None, quiet=False,
-                          trace=False, fabric=False, resume=None,
+                          trace=False, resume=None,
                           batch_size=None, lease_ttl=5.0) -> int:
     """Execute an expanded sweep and print plan, progress, summary,
     and footer — shared by ``sweep`` and ``run``."""
-    from repro.experiments import (
-        SweepRunner,
-        default_store_path,
-        format_summary,
-    )
+    from repro.experiments import SweepRunner, format_summary
     from repro.obs.progress import SweepProgress
 
     # --quiet beats everything; otherwise an explicit --progress mode
@@ -233,12 +126,11 @@ def _run_sweep_and_report(spec, *, workers, store, verbose, group_by,
     mode = ("none" if quiet
             else progress_mode or ("line" if verbose else "none"))
     progress = SweepProgress(spec.size, mode=mode)
-    # Trace artefacts land next to the store (the run's natural output
-    # directory), or next to the default store for --no-store runs.
-    # `is not None`, not truthiness: an empty ResultStore is falsy
-    # (it has __len__), but its path is still where artefacts belong.
-    obs_dir = os.path.dirname(
-        store.path if store is not None else default_store_path()) or "."
+    # Trace artefacts land in the store directory (the run's natural
+    # output directory), or the default one for --no-store runs.
+    # `is not None`, not truthiness: an empty store is falsy (it has
+    # __len__), but its directory is still where artefacts belong.
+    obs_dir = store.directory if store is not None else _store_dir(None)
     trace_json = os.path.join(obs_dir, "trace.json")
     spans_path = os.path.join(obs_dir, "spans.jsonl")
     if trace:
@@ -247,24 +139,13 @@ def _run_sweep_and_report(spec, *, workers, store, verbose, group_by,
         TRACER.enable()
     human = not quiet and mode != "json"
 
-    if fabric:
-        from repro.fabric.runner import FabricRunner
-
-        # CLI fabric sweeps always spawn worker processes: the whole
-        # point is that any single worker can die without taking the
-        # run's progress with it.
-        runner = FabricRunner(
-            store, workers=workers, batch_size=batch_size,
-            lease_ttl=lease_ttl, progress=progress.update,
-            spawn_workers=True,
-        )
-    else:
-        runner = SweepRunner(store=store, workers=workers,
-                             progress=progress.update,
-                             trace_path=trace_json if trace else None)
+    runner = SweepRunner(store=store, workers=workers,
+                         progress=progress.update,
+                         trace_path=trace_json if trace else None,
+                         batch_size=batch_size, lease_ttl=lease_ttl)
     progress.begin(
         run_id=resume if resume is not None else runner.run_id,
-        store=store.path if store is not None else None)
+        store=store.directory if store is not None else None)
     if human:
         print(f"{intro}: {spec.size} points over axes "
               f"{', '.join(spec.axis_names())} ({workers} worker"
@@ -332,12 +213,11 @@ def _run_sweep_and_report(spec, *, workers, store, verbose, group_by,
 def cmd_sweep(args: argparse.Namespace) -> int:
     from repro.experiments import (
         PointExecutionError,
-        ResultStore,
+        SweepIncompleteError,
         SweepSpec,
         get_study,
         parse_grid_option,
     )
-    from repro.fabric.runner import FabricIncompleteError
 
     if args.resume is not None:
         return _cmd_sweep_resume(args)
@@ -419,17 +299,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 f"available: {', '.join(sorted(known_params))}"
             )
 
-        if args.fabric:
-            if args.no_store:
-                raise ValueError(
-                    "--fabric needs the result store (it IS the "
-                    "store); drop --no-store"
-                )
-            from repro.fabric.store import ShardedResultStore
-
-            store = ShardedResultStore(_fabric_store_dir(args.store))
-        else:
-            store = None if args.no_store else ResultStore(args.store)
+        store = None if args.no_store else _open_store(args.store)
         return _run_sweep_and_report(
             spec,
             workers=args.workers,
@@ -443,11 +313,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             progress_mode=args.progress,
             quiet=args.quiet,
             trace=args.trace,
-            fabric=args.fabric,
             batch_size=args.batch_size,
             lease_ttl=args.lease_ttl,
         )
-    except FabricIncompleteError as exc:
+    except SweepIncompleteError as exc:
         # The run stopped with durable state behind it — distinct exit
         # code so scripts can branch straight to `sweep --resume`.
         print(f"error: {exc}", file=sys.stderr)
@@ -462,13 +331,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep_resume(args: argparse.Namespace) -> int:
-    """``repro sweep --resume RUN_ID``: re-drive an interrupted run."""
-    from repro.experiments import PointExecutionError, get_study
+    """``repro sweep --resume RUN_ID``: finish an interrupted run."""
+    from repro.experiments import (
+        PointExecutionError,
+        SweepIncompleteError,
+        get_study,
+    )
     from repro.fabric.journal import load_journal
-    from repro.fabric.runner import FabricIncompleteError
-    from repro.fabric.store import ShardedResultStore
 
-    directory = _fabric_store_dir(args.store)
+    directory = _store_dir(args.store)
     try:
         journal = load_journal(directory, args.resume)
         study = get_study(journal.study)
@@ -478,11 +349,10 @@ def _cmd_sweep_resume(args: argparse.Namespace) -> int:
                 f"--resume {args.resume} was planned for study "
                 f"{journal.study!r}, not {args.study!r}"
             )
-        store = ShardedResultStore(directory)
         return _run_sweep_and_report(
             spec,
             workers=args.workers,
-            store=store,
+            store=_open_store(directory),
             verbose=args.verbose,
             group_by=spec.axis_names(),
             metrics_arg=args.metrics,
@@ -493,12 +363,11 @@ def _cmd_sweep_resume(args: argparse.Namespace) -> int:
             progress_mode=args.progress,
             quiet=args.quiet,
             trace=args.trace,
-            fabric=True,
             resume=args.resume,
             batch_size=args.batch_size,
             lease_ttl=args.lease_ttl,
         )
-    except FabricIncompleteError as exc:
+    except SweepIncompleteError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (FileNotFoundError, ValueError, KeyError,
@@ -514,7 +383,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     from repro.config import SpecError
     from repro.experiments import (
         PointExecutionError,
-        ResultStore,
+        SweepIncompleteError,
         get_study,
     )
 
@@ -539,7 +408,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             )
         study = get_study(spec.study)
         sweep = api.study_sweep_spec(spec)
-        store = None if args.no_store else ResultStore(args.store)
+        store = None if args.no_store else _open_store(args.store)
         return _run_sweep_and_report(
             sweep,
             workers=args.workers if args.workers else spec.workers,
@@ -554,17 +423,14 @@ def cmd_run(args: argparse.Namespace) -> int:
             quiet=args.quiet,
             trace=args.trace,
         )
+    except SweepIncompleteError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except (SpecError, ValueError, KeyError,
             PointExecutionError) as exc:
         message = exc.args[0] if exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return 2
-
-
-def _default_obs_dir() -> str:
-    from repro.experiments import default_store_path
-
-    return os.path.dirname(default_store_path()) or "."
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
@@ -584,7 +450,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
                   "run.trace.json", file=sys.stderr)
             return 2
         spans_path = args.spans or os.path.join(
-            _default_obs_dir(), "spans.jsonl")
+            _store_dir(None), "spans.jsonl")
         try:
             records = load_spans(spans_path)
         except OSError as exc:
@@ -607,7 +473,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs.log import read_events, render_event
 
     events_path = args.events or os.path.join(
-        _default_obs_dir(), "events.jsonl")
+        _store_dir(None), "events.jsonl")
     if getattr(args, "follow", False):
         # Follow mode tails forever (the file may not exist *yet* —
         # e.g. watching a directory a sweep is about to write into),
@@ -649,15 +515,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
     token = args.token
     if token is None and args.token_env:
         token = os.environ.get(args.token_env) or None
-    directory = _fabric_store_dir(args.store)
     service = SweepService(
-        directory,
+        _store_dir(args.store),
         host=args.host,
         port=args.port,
         token=token,
         max_jobs=args.max_jobs,
         default_workers=args.workers,
-        default_fabric=args.fabric,
         drain_grace=args.drain_grace,
         ready_file=args.ready_file,
         quiet=args.quiet,
@@ -802,14 +666,15 @@ def cmd_report(args: argparse.Namespace) -> int:
         format_summary,
         metric_names,
     )
-    from repro.experiments import default_store_path
-    from repro.fabric import open_result_store
-
-    store = open_result_store(args.store or default_store_path())
+    try:
+        store = _open_store(args.store)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     records = store.records(study=args.study)
     if not records:
         print(f"no stored results for study {args.study!r} in "
-              f"{store.path}", file=sys.stderr)
+              f"{store.directory}", file=sys.stderr)
         return 1
     _print_provenance(store.path)
     results = [
@@ -844,7 +709,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     print(format_summary(
         results, group_by=group_by, metrics=metrics, agg=args.agg,
         title=f"report {args.study}: {len(results)} stored points "
-              f"({store.path})",
+              f"({store.directory})",
     ))
     return 0
 
@@ -860,15 +725,16 @@ def _varying_params(results) -> List[str]:
 
 
 def cmd_results(args: argparse.Namespace) -> int:
-    from repro.experiments import default_store_path
-    from repro.fabric import open_result_store
-
-    store = open_result_store(args.store or default_store_path())
+    try:
+        store = _open_store(args.store)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     records = store.records(study=args.study)
     if args.limit > 0:
         records = records[-args.limit:]
     if not records:
-        print(f"no stored results in {store.path}")
+        print(f"no stored results in {store.directory}")
         return 0
     _print_provenance(store.path)
     rows = []
@@ -883,7 +749,7 @@ def cmd_results(args: argparse.Namespace) -> int:
         rows.append([record.key[:10], record.study, params, metrics])
     print(format_table(
         ["key", "study", "params", "metrics"], rows,
-        title=f"{len(records)} stored results ({store.path})",
+        title=f"{len(records)} stored results ({store.directory})",
     ))
     return 0
 
@@ -925,7 +791,7 @@ def cmd_store_info(args: argparse.Namespace) -> int:
     """Describe a sharded store: counts, layout, known runs."""
     from repro.fabric import ShardedResultStore, list_runs
 
-    directory = _fabric_store_dir(args.store)
+    directory = _store_dir(args.store)
     try:
         store = ShardedResultStore(directory)
     except (OSError, ValueError) as exc:
@@ -953,7 +819,7 @@ def cmd_store_compact(args: argparse.Namespace) -> int:
     """Rewrite shards keeping only the live record per key."""
     from repro.fabric import ShardedResultStore
 
-    directory = _fabric_store_dir(args.store)
+    directory = _store_dir(args.store)
     try:
         store = ShardedResultStore(directory)
     except (OSError, ValueError) as exc:
@@ -1020,21 +886,6 @@ def build_parser() -> argparse.ArgumentParser:
     adder.add_argument("--utilization", type=float, default=0.21)
     adder.set_defaults(func=cmd_adder)
 
-    regfile = commands.add_parser("regfile", help="register-file ISV study")
-    _add_workload_arguments(regfile)
-    regfile.set_defaults(func=cmd_regfile)
-
-    caches = commands.add_parser("caches", help="cache inversion study")
-    _add_workload_arguments(caches)
-    caches.add_argument("--size-kb", type=int, default=16)
-    caches.add_argument("--ways", type=int, default=8)
-    caches.set_defaults(func=cmd_caches)
-
-    penelope = commands.add_parser("penelope",
-                                   help="whole-processor study")
-    _add_workload_arguments(penelope)
-    penelope.set_defaults(func=cmd_penelope)
-
     list_suites = commands.add_parser(
         "list-suites", help="list the Table 1 benchmark suites")
     list_suites.set_defaults(func=cmd_list_suites)
@@ -1074,10 +925,12 @@ def build_parser() -> argparse.ArgumentParser:
                             "or vectorized; default: the study's "
                             "default, reference)")
     sweep.add_argument("--workers", type=int, default=1,
-                       help="process count (1 = serial)")
-    sweep.add_argument("--store", default=None, metavar="PATH",
-                       help="result store path (default: "
-                            "benchmarks/results/store.jsonl)")
+                       help="1 (default) runs in this process; more "
+                            "starts that many worker processes leasing "
+                            "batches off the store's lease board")
+    sweep.add_argument("--store", default=None, metavar="DIR",
+                       help="result store directory (default: "
+                            "benchmarks/results/fabric)")
     sweep.add_argument("--no-store", action="store_true",
                        help="disable the result cache for this sweep")
     sweep.add_argument("--group-by", default=None, metavar="K1,K2",
@@ -1089,23 +942,18 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--verbose", action="store_true",
                        help="print one progress line per point")
     sweep.add_argument(
-        "--fabric", action="store_true",
-        help="run through the resumable sweep fabric: sharded indexed "
-             "store, journaled plan, lease-based worker processes "
-             "(--store names the store DIRECTORY; default: "
-             "benchmarks/results/fabric)")
-    sweep.add_argument(
         "--resume", default=None, metavar="RUN_ID",
-        help="resume an interrupted fabric run from its journal "
-             "(re-executes only unfinished batches; implies --fabric)")
+        help="finish an interrupted run from its journal in the store "
+             "(re-executes only points the store is missing)")
     sweep.add_argument("--batch-size", type=int, default=None,
                        metavar="N",
-                       help="points per fabric lease batch (default: "
-                            "~4 batches per worker)")
+                       help="points per lease batch with --workers > 1 "
+                            "(default: ~4 batches per worker)")
     sweep.add_argument("--lease-ttl", type=float, default=5.0,
                        metavar="SECONDS",
-                       help="fabric lease TTL before an unheartbeated "
-                            "batch can be stolen (default: 5)")
+                       help="seconds a worker's lease outlives its last "
+                            "heartbeat before a sibling may steal the "
+                            "batch (default: 5)")
     _add_observability_arguments(sweep)
     sweep.set_defaults(func=cmd_sweep)
 
@@ -1122,11 +970,11 @@ def build_parser() -> argparse.ArgumentParser:
                      help="override the spec's processor.backend "
                           "(reference or vectorized)")
     run.add_argument("--workers", type=int, default=0,
-                     help="process count (default: the spec's "
+                     help="worker processes (default: the spec's "
                           "`workers` field)")
-    run.add_argument("--store", default=None, metavar="PATH",
-                     help="result store path (default: "
-                          "benchmarks/results/store.jsonl)")
+    run.add_argument("--store", default=None, metavar="DIR",
+                     help="result store directory (default: "
+                          "benchmarks/results/fabric)")
     run.add_argument("--no-store", action="store_true",
                      help="disable the result cache for this run")
     run.add_argument("--metrics", default=None, metavar="M1,M2",
@@ -1206,7 +1054,9 @@ def build_parser() -> argparse.ArgumentParser:
         "results", help="list cached sweep results")
     results.add_argument("--study", default=None,
                          help="only this study's records")
-    results.add_argument("--store", default=None, metavar="PATH")
+    results.add_argument("--store", default=None, metavar="DIR",
+                         help="result store directory (default: "
+                              "benchmarks/results/fabric)")
     results.add_argument("--limit", type=int, default=0,
                          help="show only the newest N records")
     results.set_defaults(func=cmd_results)
@@ -1221,9 +1071,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report.add_argument("--study", default=None,
                         help="render this study's stored records")
-    report.add_argument("--store", default=None, metavar="PATH",
-                        help="result store path (default: "
-                             "benchmarks/results/store.jsonl)")
+    report.add_argument("--store", default=None, metavar="DIR",
+                        help="result store directory (default: "
+                             "benchmarks/results/fabric)")
     report.add_argument("--group-by", default=None, metavar="K1,K2",
                         help="grouping axes (default: every parameter "
                              "that varies across the records)")
@@ -1275,7 +1125,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bind port; 0 picks an ephemeral port "
                             "(default: 8765)")
     serve.add_argument("--store", default=None, metavar="DIR",
-                       help="sharded store directory (default: "
+                       help="result store directory (default: "
                             "benchmarks/results/fabric)")
     serve.add_argument("--workers", type=int, default=1,
                        help="default workers per job (default: 1)")
@@ -1290,9 +1140,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="read the bearer token from this "
                             "environment variable when --token is "
                             "not given (default: REPRO_SERVICE_TOKEN)")
-    serve.add_argument("--fabric", action="store_true",
-                       help="run jobs under the fabric runner by "
-                            "default (journaled, resumable)")
     serve.add_argument("--drain-grace", type=float, default=30.0,
                        dest="drain_grace", metavar="SECONDS",
                        help="how long SIGTERM waits for running jobs "
@@ -1307,7 +1154,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     store_cmd = commands.add_parser(
         "store",
-        help="inspect and maintain result stores (flat or sharded)",
+        help="inspect, maintain and import result stores",
         epilog="examples: repro store info; repro store migrate "
                "benchmarks/results/store.jsonl benchmarks/results/fabric; "
                "repro store compact",
@@ -1317,14 +1164,14 @@ def build_parser() -> argparse.ArgumentParser:
     store_info = store_actions.add_parser(
         "info", help="record counts, shard layout, known runs")
     store_info.add_argument("--store", default=None, metavar="DIR",
-                            help="sharded store directory (default: "
+                            help="result store directory (default: "
                                  "benchmarks/results/fabric)")
     store_info.set_defaults(func=cmd_store_info)
     store_compact = store_actions.add_parser(
         "compact",
         help="rewrite shards keeping only the live record per key")
     store_compact.add_argument("--store", default=None, metavar="DIR",
-                               help="sharded store directory (default: "
+                               help="result store directory (default: "
                                     "benchmarks/results/fabric)")
     store_compact.set_defaults(func=cmd_store_compact)
     store_migrate = store_actions.add_parser(

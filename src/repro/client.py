@@ -111,11 +111,10 @@ class ServiceClient:
 
         ``deduplicated=True`` in the response means an identical spec
         was already queued/running/done and this submission attached to
-        it — no new execution.
+        it — no new execution.  ``workers`` picks the executor; ``fabric``
+        is accepted for older callers and selects nothing.
         """
         body: Dict[str, Any] = {"spec": _spec_payload(spec)}
-        if fabric is not None:
-            body["fabric"] = bool(fabric)
         if workers is not None:
             body["workers"] = int(workers)
         return self._request("POST", "/v1/jobs", body)

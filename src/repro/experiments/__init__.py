@@ -19,20 +19,23 @@ to live in ``cli.py``, ``benchmarks/bench_ablation_*.py`` and
   the legacy flat metric dict (bit-identical — store rows and point
   hashes are unchanged).  Workloads are memoised per worker so points
   sharing a trace only generate it once.
-- :mod:`repro.experiments.runner` — :class:`SweepRunner` consults the
-  store, then fans cache misses out over ``multiprocessing`` workers
-  (serial for ``workers=1``); results return in spec order, so
-  parallel and serial sweeps are bit-identical.
-- :mod:`repro.experiments.store` — :class:`ResultStore`, an
-  append-only JSONL cache under ``benchmarks/results/`` keyed by point
-  hash; rerunning an unchanged sweep is pure cache hits.
+- :mod:`repro.experiments.runner` — :class:`SweepRunner`, the one
+  sweep engine.  Its planner serves stored points as cache hits,
+  dedupes the rest by key and journals every store-backed run; the
+  misses then run in this process (``workers=1``) or on lease-board
+  worker processes.  Results return in spec order, so parallel and
+  serial sweeps are bit-identical, and an interrupted run resumes from
+  its journal.
+- :mod:`repro.fabric.store` — the result store it caches into (a
+  sharded directory under ``benchmarks/results/fabric/`` keyed by point
+  hash); rerunning an unchanged sweep is pure cache hits.
 - :mod:`repro.experiments.summary` — group-by/mean-min-max reduction
   feeding :func:`repro.analysis.format_table`.
 
 Quick start::
 
     from repro.experiments import (
-        ResultStore, SweepRunner, SweepSpec, format_summary,
+        SweepRunner, SweepSpec, default_store_path, format_summary,
     )
 
     spec = SweepSpec(
@@ -41,7 +44,7 @@ Quick start::
         grid={"ratio": [0.4, 0.5, 0.6], "ways": [4, 8],
               "suite": ["specint2000", "office"]},
     )
-    outcome = SweepRunner(store=ResultStore(), workers=4).run(spec)
+    outcome = SweepRunner(store=default_store_path(), workers=4).run(spec)
     print(format_summary(outcome.results, group_by=["ratio", "ways"],
                          metrics=["mean_loss", "inverted_ratio"]))
 
@@ -67,6 +70,7 @@ from repro.experiments.registry import (
 from repro.experiments.runner import (
     PointExecutionError,
     PointResult,
+    SweepIncompleteError,
     SweepResult,
     SweepRunner,
     run_sweep,
@@ -78,11 +82,6 @@ from repro.experiments.spec import (
     parse_grid_option,
     point_key,
 )
-from repro.experiments.store import (
-    ResultStore,
-    StoredResult,
-    default_store_path,
-)
 from repro.experiments.summary import (
     MIXED,
     aggregate_metric,
@@ -91,6 +90,7 @@ from repro.experiments.summary import (
     metric_names,
     summarize,
 )
+from repro.fabric.store import StoredResult, default_store_path
 
 __all__ = [
     "MIXED",
@@ -100,6 +100,7 @@ __all__ = [
     "study_names",
     "PointExecutionError",
     "PointResult",
+    "SweepIncompleteError",
     "SweepResult",
     "SweepRunner",
     "run_sweep",
@@ -108,7 +109,6 @@ __all__ = [
     "coerce_scalar",
     "parse_grid_option",
     "point_key",
-    "ResultStore",
     "StoredResult",
     "default_store_path",
     "aggregate_metric",

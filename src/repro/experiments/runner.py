@@ -1,47 +1,85 @@
-"""Sweep execution: cache lookup, then serial or multiprocessing fan-out.
+"""Sweep execution: one planner feeding one of two executors.
 
-The runner expands a :class:`~repro.experiments.spec.SweepSpec`, checks
-each point against the :class:`~repro.experiments.store.ResultStore`,
-dedupes points with identical content hashes, and executes only the
-distinct misses — serially for ``workers=1``, over a
-``multiprocessing`` pool otherwise.  Results come back in spec order
-regardless of completion order, so parallel and serial sweeps produce
-identical output (a property the test suite asserts).
+:class:`SweepRunner` is the only sweep engine.  Every run goes through:
 
-Observability (PR 6): every run carries a ``run_id``; workers emit
-``worker_heartbeat`` / ``point_error`` events and per-point
-``sweep.queue_wait`` / ``sweep.execute`` / ``sweep.store_write`` spans
-(shipped back through the pool and merged into the parent tracer ring);
-and every store-backed sweep writes a provenance ``manifest.json`` next
-to the store — git revision, spec hash, environment, per-point wall
-times — plus an ``events.jsonl`` structured log.  All of it is inert
-unless enabled (tracer off, log auto-created only with a store), and
-none of it touches the computation: results are bit-identical with
-observability on or off (differential-tested).
+1. **Plan** — expand and bind the spec (:func:`bind_spec_points`), serve
+   points already in the store as cache hits, dedupe the rest by
+   content hash and — for every run that has a store — write
+   ``journal-<run_id>.json`` (:mod:`repro.fabric.journal`) before
+   executing anything.
+2. **Execute** — ``workers=1`` runs the pending points in this process,
+   in spec order, with no lease board.  ``workers>1`` starts worker
+   processes that lease hash-range batches off the
+   :class:`~repro.fabric.lease.LeaseBoard` in the store directory (a
+   temporary one when ``store=None``), keep each lease alive from a
+   heartbeat thread, and append results to the shards.  A worker that
+   dies loses only its lease: a sibling steals the batch.
+3. **Resume** — :meth:`SweepRunner.resume` reloads the journal, checks
+   its spec hash and plans again against the store, so whatever the
+   stopped or killed run stored comes back as cache hits and the
+   resumed sweep is bit-identical to an uninterrupted one.
+
+Both executors share :meth:`SweepRunner.request_stop`, the per-point
+timeout and retry settings (:class:`RunSettings`), the event log, the
+spans and the provenance manifest.  Results come back in spec order
+whichever executor ran them, so parallel and serial sweeps are
+bit-identical (differential-tested).
+
+Observability: every run carries a ``run_id``; store-backed runs append
+to ``events.jsonl`` and write ``manifest.json`` next to the store.
+Each point slot gets exactly one ``point_done`` event: executed points
+are logged by whoever ran them, cached and duplicate slots by the
+planner.  With the tracer on, worker processes write their span rings
+through :mod:`repro.fabric.io` and the parent merges them after join,
+adding one ``sweep.queue_wait`` span per executed point.  None of it
+touches the computation: results are bit-identical with observability
+on or off.
 """
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
+import shutil
+import signal
+import tempfile
+import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.experiments.registry import get_study
 from repro.experiments.spec import ExperimentPoint, SweepSpec
-from repro.experiments.store import ResultStore
+from repro.fabric.io import atomic_write_text
+from repro.fabric.journal import (
+    SweepJournal,
+    journal_path,
+    load_journal,
+    plan_batches,
+)
+from repro.fabric.lease import LEASES_NAME, Lease, LeaseBoard
+from repro.fabric.store import ShardedResultStore
 from repro.metrics import MetricSet
 from repro.obs.log import EventLog, new_run_id
 from repro.obs.provenance import (
     build_manifest,
     manifest_path_for,
+    spec_hash,
     write_manifest,
 )
-from repro.obs.trace import TRACER
+from repro.obs.trace import TRACER, load_spans, spans_text
 
 #: Event-log filename written next to a sweep's result store.
 EVENTS_NAME = "events.jsonl"
+
+#: Env-var fault hook: set to ``kill-worker`` to make the first process
+#: that stores a point into a store directory SIGKILL itself right
+#: after the write — a deterministic mid-run death for the crash/resume
+#: tests and CI's resume-smoke, without racing on pids.
+FAULT_ENV = "REPRO_FABRIC_FAULT"
+FAULT_MARKER = ".fault-fired"
 
 
 class PointExecutionError(RuntimeError):
@@ -49,8 +87,8 @@ class PointExecutionError(RuntimeError):
 
     Wraps the original error with the point's content hash and bound
     parameters, so a sweep failure names *which* point died instead of
-    surfacing a bare worker traceback.  Picklable across pool workers
-    (``__reduce__`` re-carries the structured fields).
+    surfacing a bare worker traceback.  Picklable (``__reduce__``
+    re-carries the structured fields).
     """
 
     def __init__(self, message: str, key: str = "", study: str = "",
@@ -75,6 +113,18 @@ class PointExecutionError(RuntimeError):
                 (self.args[0], self.key, self.study, self.params))
 
 
+class SweepIncompleteError(RuntimeError):
+    """A run stopped with work remaining; ``resume(run_id)`` finishes it."""
+
+    def __init__(self, message: str, run_id: str,
+                 counts: Optional[Dict[str, int]] = None,
+                 failed: Optional[List[Dict[str, str]]] = None) -> None:
+        super().__init__(message)
+        self.run_id = run_id
+        self.counts = dict(counts or {})
+        self.failed = list(failed or [])
+
+
 def bind_spec_points(spec: SweepSpec) -> List[ExperimentPoint]:
     """Expand a spec into fully-bound, cache-keyed points.
 
@@ -82,9 +132,7 @@ def bind_spec_points(spec: SweepSpec) -> List[ExperimentPoint]:
     cache key must cover the *full* parameterisation of the
     computation, or a later change to a registry default would silently
     serve stale results.  Binding also unifies the keys of explicit and
-    defaulted spellings of the same point.  Shared by the in-process
-    :class:`SweepRunner` and the fabric scheduler so both plan the
-    identical key set for the same spec.
+    defaulted spellings of the same point.
     """
     study = get_study(spec.study)
     # Every study parametrizes exclusively through its defaults, so a
@@ -106,13 +154,12 @@ def bind_spec_points(spec: SweepSpec) -> List[ExperimentPoint]:
 def execute_point(
     point: ExperimentPoint,
 ) -> Tuple[str, MetricSet, float]:
-    """Run one point; module-level so worker pools can pickle it.
+    """Run one point; the step both executors share.
 
-    Returns the study's typed :class:`MetricSet` (study sets are
-    value-backed, so they pickle back from pool workers); callers
-    needing the legacy flat dict take ``metric_set.flatten()``.
-    Study errors surface as :class:`PointExecutionError` naming the
-    point's content hash and parameters.
+    Returns the study's typed :class:`MetricSet`; callers needing the
+    legacy flat dict take ``metric_set.flatten()``.  Study errors
+    surface as :class:`PointExecutionError` naming the point's content
+    hash and parameters.
     """
     started = time.perf_counter()
     try:
@@ -126,58 +173,108 @@ def execute_point(
 
 
 @dataclass(frozen=True)
-class _ObsContext:
-    """Picklable observability context shipped to pool workers."""
+class RunSettings:
+    """Timeout, retry and lease knobs, shared by both executors and
+    pickled to every worker process."""
 
-    run_id: str
-    log_path: Optional[str]
-    log_level: str
-    trace: bool
-
-    def worker_log(self) -> Optional[EventLog]:
-        if self.log_path is None:
-            return None
-        return EventLog(path=self.log_path, run_id=self.run_id,
-                        level=self.log_level)
+    lease_ttl: float = 5.0
+    max_batch_attempts: int = 3
+    point_timeout: Optional[float] = None
+    point_retries: int = 1
+    log_level: str = "info"
 
 
-def _execute_indexed(
-    task: Tuple[int, ExperimentPoint, Optional[_ObsContext]],
-) -> Tuple[int, MetricSet, float, float, List[Dict[str, Any]]]:
-    """Pool task keyed by slot index, so duplicate points (identical
-    content hash) still fill distinct result slots.
+class _PointTimeout(Exception):
+    pass
 
-    Besides the metric set it returns the worker-side execution start
-    (epoch seconds, for parent-side queue-wait spans) and the span
-    records the worker traced, to be merged into the parent's ring.
+
+@contextmanager
+def _alarm(seconds: Optional[float]) -> Iterator[None]:
+    """Raise ``_PointTimeout`` after ``seconds`` of wall clock.
+
+    SIGALRM-based, so it only arms in a main thread on POSIX; elsewhere
+    (the sweep service runs jobs in threads) the timeout is advisory
+    rather than wrong.
     """
-    index, point, ctx = task
-    if ctx is not None and ctx.trace and not TRACER.enabled:
-        # spawn-started worker: globals were re-imported, re-enable.
-        TRACER.enable()
-    if TRACER.enabled:
-        # fork-started workers inherit the parent's pre-fork ring;
-        # drop it so drain() ships only this task's spans.
-        TRACER.clear()
-    log = ctx.worker_log() if ctx is not None else None
-    if log is not None:
-        log.info("worker_heartbeat", worker=os.getpid(),
-                 key=point.key, point=point.describe())
-    started_wall = time.time()
-    _t = TRACER.begin()
+    if (
+        not seconds
+        or not hasattr(signal, "SIGALRM")
+        or threading.current_thread() is not threading.main_thread()
+    ):
+        yield
+        return
+
+    def _handler(signum, frame):
+        raise _PointTimeout()
+
+    old = signal.signal(signal.SIGALRM, _handler)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
     try:
-        __, metric_set, elapsed = execute_point(point)
-    except PointExecutionError as exc:
-        if log is not None:
-            log.error("point_error", key=exc.key, study=exc.study,
-                      params=exc.params, error=str(exc),
-                      worker=os.getpid())
-        raise
-    if _t is not None:
-        TRACER.end(_t, "sweep.execute", key=point.key,
-                   study=point.study, worker=os.getpid())
-    spans = TRACER.drain() if TRACER.enabled else []
-    return index, metric_set, elapsed, started_wall, spans
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def _execute_with_retry(point: ExperimentPoint, settings: RunSettings,
+                        log: Optional[EventLog],
+                        **where: Any) -> Tuple[MetricSet, float]:
+    """One point under the per-point timeout and bounded retries.
+
+    ``where`` (batch, owner) tags the retry and error events of lease
+    workers.
+    """
+    attempt = 0
+    while True:
+        try:
+            with _alarm(settings.point_timeout):
+                __, metric_set, elapsed = execute_point(point)
+            return metric_set, elapsed
+        except (_PointTimeout, PointExecutionError) as exc:
+            attempt += 1
+            # The alarm usually fires *inside* execute_point, which
+            # wraps every study exception — look through to the cause
+            # so timeouts are classified (and messaged) as timeouts.
+            timed_out = (isinstance(exc, _PointTimeout)
+                         or isinstance(exc.__cause__, _PointTimeout))
+            reason = "timeout" if timed_out else "error"
+            if attempt <= settings.point_retries:
+                if log is not None:
+                    log.warning("point_retry", key=point.key,
+                                attempt=attempt, reason=reason,
+                                error=str(exc), **where)
+                continue
+            if log is not None:
+                log.error("point_error", key=point.key, study=point.study,
+                          params=point.as_dict(), reason=reason,
+                          attempts=attempt, error=str(exc),
+                          worker=os.getpid(), **where)
+            if timed_out:
+                raise PointExecutionError(
+                    f"point {point.key} timed out after "
+                    f"{settings.point_timeout}s x{attempt} attempts",
+                    key=point.key, study=point.study,
+                    params=point.as_dict(),
+                ) from exc
+            raise
+
+
+def _maybe_fault(directory: str) -> None:
+    """Honour the env-var fault hook (test/CI crash injection).
+
+    The marker file is claimed with ``O_CREAT | O_EXCL`` so exactly one
+    process dies per store directory no matter how many race, and a
+    resumed run (marker already present) proceeds unharmed.
+    """
+    if os.environ.get(FAULT_ENV) != "kill-worker":
+        return
+    marker = os.path.join(directory, FAULT_MARKER)
+    try:
+        fd = os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+    except FileExistsError:
+        return
+    os.close(fd)
+    os.kill(os.getpid(), signal.SIGKILL)
 
 
 @dataclass
@@ -188,8 +285,9 @@ class PointResult:
     metrics: Dict[str, Any]
     cached: bool
     elapsed: float
-    #: The typed stat tree of a freshly executed point; ``None`` for
-    #: store cache hits (the JSONL rows only keep the flat view).
+    #: The typed stat tree of a point executed in this process; ``None``
+    #: for store cache hits and worker-process results (the store only
+    #: keeps the flat view).
     metric_set: Optional[MetricSet] = None
 
     @property
@@ -200,9 +298,9 @@ class PointResult:
     def metric_tree(self) -> MetricSet:
         """The typed tree view of this point's metrics.
 
-        Fresh executions return the study's own set (Ratio/Derived
-        stats intact); cached results are lifted from the flat row with
-        value-derived kinds, so both views always exist.
+        Fresh in-process executions return the study's own set
+        (Ratio/Derived stats intact); other results are lifted from the
+        flat row with value-derived kinds, so both views always exist.
         """
         if self.metric_set is not None:
             return self.metric_set
@@ -250,27 +348,191 @@ class SweepResult:
         return {r.point.key: r.metrics for r in self.results}
 
 
+def _run_point(point: ExperimentPoint,
+               store: Optional[ShardedResultStore],
+               log: Optional[EventLog], settings: RunSettings,
+               **where: Any) -> PointResult:
+    """Execute, store and log one point — the step both executors share."""
+    _t = TRACER.begin()
+    metric_set, elapsed = _execute_with_retry(point, settings, log,
+                                              **where)
+    if _t is not None:
+        TRACER.end(_t, "sweep.execute", key=point.key,
+                   study=point.study, worker=os.getpid())
+    result = PointResult(point=point, metrics=metric_set.flatten(),
+                         cached=False, elapsed=elapsed,
+                         metric_set=metric_set)
+    if store is not None:
+        _t = TRACER.begin()
+        store.put(point, result.metrics, elapsed)
+        if _t is not None:
+            TRACER.end(_t, "sweep.store_write", key=point.key)
+    if log is not None:
+        log.info("point_done", key=point.key, point=point.describe(),
+                 cached=False, elapsed=elapsed, worker=os.getpid(),
+                 **where)
+    if store is not None:
+        _maybe_fault(store.directory)
+    return result
+
+
+@contextmanager
+def _heartbeat(board_path: str, lease: Lease, ttl: float) -> Iterator[None]:
+    """Renew ``lease`` every ``ttl / 3`` for as long as the block runs.
+
+    The heartbeat tracks liveness, not progress: it runs on its own
+    thread with its own board connection, so a point longer than the
+    TTL is never stolen from a live worker.  Setting the stop event
+    wakes the thread at once, so finishing a batch never waits out a
+    heartbeat period.
+    """
+    stop = threading.Event()
+
+    def beat() -> None:
+        board = LeaseBoard(board_path)
+        try:
+            while not stop.wait(ttl / 3.0):
+                board.heartbeat(lease.run_id, lease.batch_id, lease.owner,
+                                ttl)
+        finally:
+            board.close()
+
+    thread = threading.Thread(target=beat, name="lease-heartbeat",
+                              daemon=True)
+    thread.start()
+    try:
+        yield
+    finally:
+        stop.set()
+        thread.join()
+
+
+def _drain_board(store: ShardedResultStore, journal: SweepJournal,
+                 board: LeaseBoard, log: Optional[EventLog],
+                 settings: RunSettings, worker_tag: str) -> None:
+    """Lease/execute loop — the body of every worker process.
+
+    Returns when the board has nothing left that can make progress
+    (all done, or all remaining attempts exhausted).
+    """
+    run_id = journal.run_id
+    batch_by_id = {b.batch_id: b for b in journal.batches}
+    while True:
+        lease = board.acquire(run_id, worker_tag, settings.lease_ttl,
+                              settings.max_batch_attempts)
+        if lease is None:
+            if board.remaining(run_id, settings.max_batch_attempts) == 0:
+                return
+            # Someone else holds a live lease; wake up around the time
+            # it could expire so a death is noticed promptly.
+            time.sleep(min(0.2, max(settings.lease_ttl / 4.0, 0.01)))
+            continue
+        batch = batch_by_id[lease.batch_id]
+        if lease.stolen:
+            # The previous owner may have stored part of the batch.
+            store.refresh()
+        if log is not None:
+            if lease.stolen:
+                log.warning(
+                    "lease_stolen", batch=batch.batch_id,
+                    owner=worker_tag, prev_owner=lease.prev_owner,
+                    attempts=lease.attempts, points=len(batch),
+                )
+            log.info("batch_leased", batch=batch.batch_id,
+                     owner=worker_tag, attempts=lease.attempts,
+                     points=len(batch), deadline=lease.deadline)
+        try:
+            with _heartbeat(board.path, lease, settings.lease_ttl):
+                for key, params in zip(batch.keys, batch.params):
+                    if store.get(key) is not None:
+                        # Stored by a dead owner of this batch, or by
+                        # another run: resume re-executes only what is
+                        # genuinely missing.
+                        if log is not None:
+                            log.debug("point_skipped", key=key,
+                                      batch=batch.batch_id,
+                                      owner=worker_tag)
+                        continue
+                    if lease.attempts > 1 and log is not None:
+                        log.warning(
+                            "point_retry", key=key, batch=batch.batch_id,
+                            attempt=lease.attempts, owner=worker_tag,
+                            reason="lease re-run",
+                        )
+                    point = ExperimentPoint.from_dict(journal.study,
+                                                      dict(params))
+                    _run_point(point, store, log, settings,
+                               batch=batch.batch_id, owner=worker_tag)
+            board.complete(run_id, batch.batch_id, worker_tag)
+            if log is not None:
+                log.info("batch_done", batch=batch.batch_id,
+                         owner=worker_tag, attempts=lease.attempts)
+        except Exception as exc:
+            board.fail(run_id, batch.batch_id, worker_tag,
+                       f"{type(exc).__name__}: {exc}")
+            if log is not None:
+                log.error("batch_failed", batch=batch.batch_id,
+                          owner=worker_tag, attempts=lease.attempts,
+                          error=f"{type(exc).__name__}: {exc}")
+            # Keep draining other batches; the failed one is either
+            # retried (attempts left) or reported exhausted by the
+            # parent once the board drains.
+
+
+def _worker_main(directory: str, shards: int, run_id: str,
+                 worker_tag: str, settings: RunSettings,
+                 log_path: Optional[str],
+                 spans_path: Optional[str]) -> None:
+    """Entry point of a worker process.
+
+    Opens its *own* store handle (append-only: the parent is the sole
+    index writer), lease board and event log — the only thing shared
+    with the parent is the store directory.  With ``spans_path`` set it
+    traces its points and writes its span ring there on exit, for the
+    parent to merge.
+    """
+    if spans_path is not None:
+        # Fork-started workers inherit the parent's ring (drop it);
+        # spawn-started ones re-import a disabled tracer.
+        TRACER.enable()
+        TRACER.clear()
+    store = ShardedResultStore(directory, shards=shards,
+                               index_writes=False, refresh_on_open=False)
+    board = LeaseBoard(os.path.join(directory, LEASES_NAME))
+    log = None
+    if log_path is not None:
+        log = EventLog(path=log_path, run_id=run_id,
+                       level=settings.log_level)
+    try:
+        _drain_board(store, load_journal(directory, run_id), board, log,
+                     settings, worker_tag)
+    finally:
+        board.close()
+        store.close()
+    if spans_path is not None:
+        atomic_write_text(spans_path, spans_text(TRACER.drain()))
+
+
 class SweepRunner:
-    """Fans a sweep out over workers, short-circuiting cached points.
+    """Runs sweeps: plans against the store, then executes the misses.
 
     Parameters
     ----------
     store:
-        Result cache; ``None`` disables caching entirely (every point
-        executes — what benchmarks want so timings stay honest).
+        A :class:`~repro.fabric.store.ShardedResultStore`, or a store
+        directory path opened as one.  ``None`` disables caching: every
+        point executes, and with ``workers=1`` nothing is written to
+        disk (what benchmarks want so timings stay honest).
     workers:
-        Process count.  ``1`` runs in-process; higher counts use a
-        ``multiprocessing`` pool and fall back to serial execution when
-        the platform cannot start one.
+        ``1`` runs pending points in this process; more starts that
+        many lease-board worker processes.
     progress:
         Optional callback invoked with each finished
         :class:`PointResult` (CLI progress lines).
     log:
         Structured :class:`~repro.obs.log.EventLog`.  When ``None`` and
         a store is present, a file-only log is created next to the
-        store (``events.jsonl``); pass an explicit log to control path,
-        level or console rendering, or ``manifest=False`` plus
-        ``log=EventLog()`` shapes to keep a sweep fully quiet.
+        store (``events.jsonl``).
     run_id:
         Provenance id; freshly generated when omitted.
     manifest:
@@ -279,108 +541,176 @@ class SweepRunner:
     trace_path:
         Where the caller intends to export this run's trace — recorded
         in the manifest so stored results can name their trace file.
+    batch_size:
+        Points per lease batch; default about four batches per worker.
+    lease_ttl / max_batch_attempts / point_timeout / point_retries:
+        See :class:`RunSettings`.  The point timeout and retries apply
+        to both executors; the lease knobs only to worker processes.
     """
 
     def __init__(
         self,
-        store: Optional[ResultStore] = None,
+        store: Union[ShardedResultStore, str, None] = None,
         workers: int = 1,
         progress: Optional[Callable[[PointResult], None]] = None,
         log: Optional[EventLog] = None,
         run_id: Optional[str] = None,
         manifest: bool = True,
         trace_path: Optional[str] = None,
+        batch_size: Optional[int] = None,
+        lease_ttl: float = 5.0,
+        max_batch_attempts: int = 3,
+        point_timeout: Optional[float] = None,
+        point_retries: int = 1,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
+        if isinstance(store, str):
+            store = ShardedResultStore(store)
         self.store = store
         self.workers = workers
         self.progress = progress
         self.run_id = run_id or new_run_id()
         self.manifest = manifest
         self.trace_path = trace_path
+        self.batch_size = batch_size
+        self.settings = RunSettings(
+            lease_ttl=lease_ttl,
+            max_batch_attempts=max_batch_attempts,
+            point_timeout=point_timeout,
+            point_retries=point_retries,
+            log_level=log.level if log is not None else "info",
+        )
         if log is None and store is not None:
             log = EventLog(path=self._events_path(), run_id=self.run_id)
         elif log is not None:
             log.run_id = self.run_id
         self.log = log
+        self._stop = threading.Event()
 
     def _events_path(self) -> Optional[str]:
         if self.store is None:
             return None
-        return os.path.join(
-            os.path.dirname(self.store.path) or ".", EVENTS_NAME)
+        return os.path.join(self.store.directory, EVENTS_NAME)
+
+    def request_stop(self) -> None:
+        """Ask a running sweep to stop early (graceful drain).
+
+        Thread-safe and idempotent.  The in-process executor stops at
+        the next point boundary; worker processes are terminated at the
+        next poll tick.  The journal stays on disk, so the run raises
+        :class:`SweepIncompleteError` and :meth:`resume` (``repro sweep
+        --resume RUN_ID``) finishes it bit-identically — this is what
+        the sweep service calls on SIGTERM.
+        """
+        self._stop.set()
 
     # ------------------------------------------------------------------
     def run(self, spec: SweepSpec) -> SweepResult:
+        """Plan, journal (with a store) and execute a fresh run."""
+        return self._drive(spec, journal=None)
+
+    def resume(self, run_id: str,
+               spec: Optional[SweepSpec] = None) -> SweepResult:
+        """Finish an interrupted run from its journal.
+
+        Verifies the journal's spec hash (and, when a spec is supplied,
+        that it hashes to the same identity) before touching anything:
+        resuming the wrong journal would label stored points with
+        another run's provenance.
+        """
+        if self.store is None:
+            raise ValueError("resume needs the store the run was "
+                             "planned in")
+        journal = load_journal(self.store.directory, run_id)
+        if spec is None:
+            spec = journal.spec()
+        else:
+            supplied = spec_hash(spec.payload())
+            if supplied != journal.spec_hash:
+                raise ValueError(
+                    f"spec hash mismatch: run {run_id} was planned for "
+                    f"{journal.spec_hash}, supplied spec hashes to "
+                    f"{supplied}"
+                )
+        self.run_id = run_id
+        if self.log is not None:
+            self.log.run_id = run_id
+            self.log.info("run_resumed", study=journal.study,
+                          batches=len(journal.batches),
+                          workers=self.workers)
+        return self._drive(spec, journal=journal)
+
+    # ------------------------------------------------------------------
+    def _drive(self, spec: SweepSpec,
+               journal: Optional[SweepJournal]) -> SweepResult:
         started = time.perf_counter()
         started_wall = time.time()
+        resumed = journal is not None
         _t = TRACER.begin()
         points = bind_spec_points(spec)
-        if self.log is not None:
-            self.log.info("run_start", study=spec.study,
-                          points=len(points), workers=self.workers,
-                          axes=spec.axis_names())
-        slots: List[Optional[PointResult]] = [None] * len(points)
-        pending: List[Tuple[int, ExperimentPoint]] = []
-
-        for index, point in enumerate(points):
-            record = self.store.get_point(point) if self.store else None
-            if record is not None:
-                slots[index] = PointResult(
+        slots: List[Optional[PointResult]] = []
+        pending: Dict[str, ExperimentPoint] = {}
+        for point in points:
+            record = (self.store.get(point.key)
+                      if self.store is not None else None)
+            if record is None:
+                pending.setdefault(point.key, point)
+                slots.append(None)
+            else:
+                slots.append(PointResult(
                     point=point, metrics=dict(record.metrics),
                     cached=True, elapsed=record.elapsed,
-                )
-                self._report(slots[index])
-            else:
-                pending.append((index, point))
+                ))
+        cached = sum(slot is not None for slot in slots)
+        if journal is None and self.store is not None:
+            journal = self._write_journal(spec, self.store, pending, cached)
+        if self.log is not None:
+            self.log.info("run_start", study=spec.study,
+                          points=len(points), cached=cached,
+                          pending=len(pending), workers=self.workers,
+                          resumed=resumed, axes=spec.axis_names())
+        for slot in slots:
+            if slot is not None:
+                self._report(slot)
 
+        executed: Dict[str, PointResult] = {}
+
+        def deliver(result: PointResult) -> None:
+            executed[result.point.key] = result
+            if self.progress is not None:
+                self.progress(result)
+
+        counts = None
         if pending:
-            # Duplicate grid points (identical content hash at different
-            # slots — repeated grid values, collapsed axes) used to
-            # execute once per slot and double-write the store.  Execute
-            # each distinct key once and fan the result back out; the
-            # extra slots report cached=True since they cost nothing.
-            first_slot: Dict[str, int] = {}
-            duplicates: Dict[int, List[int]] = {}
-            unique: List[Tuple[int, ExperimentPoint]] = []
-            for index, point in pending:
-                key = point.key
-                if key in first_slot:
-                    duplicates.setdefault(first_slot[key], []).append(index)
-                else:
-                    first_slot[key] = index
-                    unique.append((index, point))
-            for index, result in self._execute(unique):
-                slots[index] = result
-                if self.store is not None:
-                    _tw = TRACER.begin()
-                    self.store.put(result.point, result.metrics,
-                                   result.elapsed)
-                    if _tw is not None:
-                        TRACER.end(_tw, "sweep.store_write",
-                                   key=result.point.key)
-                self._report(result)
-                for dup_index in duplicates.get(index, ()):
-                    duplicate = PointResult(
-                        point=points[dup_index],
-                        metrics=dict(result.metrics),
-                        cached=True,
-                        elapsed=result.elapsed,
-                        metric_set=result.metric_set,
-                    )
-                    slots[dup_index] = duplicate
-                    self._report(duplicate)
+            if self.workers == 1:
+                self._run_inline(pending, deliver)
+            else:
+                counts = self._run_processes(spec, pending, journal,
+                                             deliver)
 
-        assert all(slot is not None for slot in slots)
+        results: List[PointResult] = []
+        for point, slot in zip(points, slots):
+            if slot is None:
+                slot = executed[point.key]
+                # Only the first slot of a key was executed (it carries
+                # that very point object); later slots with the same
+                # key share its result at no cost.
+                if slot.point is not point:
+                    slot = PointResult(
+                        point=point, metrics=dict(slot.metrics),
+                        cached=True, elapsed=slot.elapsed,
+                        metric_set=slot.metric_set,
+                    )
+                    self._report(slot)
+            results.append(slot)
         outcome = SweepResult(
-            spec=spec,
-            results=[slot for slot in slots if slot is not None],
+            spec=spec, results=results,
             wall_time=time.perf_counter() - started,
             run_id=self.run_id,
         )
         outcome.manifest_path = self._write_manifest(
-            spec, outcome, started_wall)
+            spec, outcome, started_wall, journal, counts, resumed)
         if self.log is not None:
             self.log.info("run_end", study=spec.study,
                           points=len(outcome),
@@ -393,15 +723,239 @@ class SweepRunner:
                        cache_hits=outcome.cache_hits)
         return outcome
 
+    def _report(self, result: PointResult) -> None:
+        """The planner's ``point_done`` for a cached or duplicate slot."""
+        if self.log is not None:
+            self.log.info("point_done", key=result.point.key,
+                          point=result.point.describe(), cached=True,
+                          elapsed=result.elapsed)
+        if self.progress is not None:
+            self.progress(result)
+
+    def _write_journal(self, spec: SweepSpec, store: ShardedResultStore,
+                       pending: Dict[str, ExperimentPoint],
+                       cached: int) -> SweepJournal:
+        batch_size = self.batch_size or _auto_batch_size(
+            len(pending), self.workers)
+        payload = spec.payload()
+        journal = SweepJournal(
+            run_id=self.run_id,
+            study=spec.study,
+            spec_payload=payload,
+            spec_hash=spec_hash(payload),
+            store_dir=store.directory,
+            batches=plan_batches(
+                [(key, point.as_dict()) for key, point in pending.items()],
+                batch_size),
+            cached=cached,
+            workers=self.workers,
+            batch_size=batch_size,
+            created=time.time(),
+        )
+        journal.save()
+        return journal
+
+    def _incomplete(self, reason: str,
+                    **details: Any) -> SweepIncompleteError:
+        message = f"run {self.run_id} incomplete: {reason}"
+        if self.store is not None:
+            message += (f"; resume with `repro sweep --resume "
+                        f"{self.run_id} --store {self.store.directory}`")
+        return SweepIncompleteError(message, run_id=self.run_id, **details)
+
+    # -- workers=1 ------------------------------------------------------
+    def _run_inline(self, pending: Dict[str, ExperimentPoint],
+                    deliver: Callable[[PointResult], None]) -> None:
+        """The pending points in spec order, in this process.
+
+        No lease board: nothing else can claim these points, and a
+        commit per batch would only slow short points down (DESIGN.md
+        §9).  A stop request takes effect between points.
+        """
+        for done, point in enumerate(pending.values()):
+            if self._stop.is_set():
+                left = len(pending) - done
+                if self.log is not None:
+                    self.log.warning("run_draining", run_id=self.run_id,
+                                     remaining=left, workers=1)
+                raise self._incomplete(
+                    f"stopped with {left} point(s) not run")
+            if self.log is not None:
+                self.log.info("worker_heartbeat", worker=os.getpid(),
+                              key=point.key, point=point.describe())
+            deliver(_run_point(point, self.store, self.log,
+                               self.settings))
+
+    # -- workers>1 ------------------------------------------------------
+    def _run_processes(self, spec: SweepSpec,
+                       pending: Dict[str, ExperimentPoint],
+                       journal: Optional[SweepJournal],
+                       deliver: Callable[[PointResult], None],
+                       ) -> Dict[str, int]:
+        """Lease-board worker processes sharing the store directory.
+
+        Returns the board's batch counts for the manifest.
+        """
+        store, scratch = self.store, None
+        if store is None:
+            # Workers share nothing but a store directory: lend them a
+            # private one for the length of the run.
+            scratch = tempfile.mkdtemp(prefix="repro-sweep-")
+            store = ShardedResultStore(scratch)
+            journal = self._write_journal(spec, store, pending, cached=0)
+        assert journal is not None
+        board = LeaseBoard(os.path.join(store.directory, LEASES_NAME))
+        try:
+            self._drive_workers(store, board, journal, dict(pending),
+                                deliver)
+            return board.counts(journal.run_id)
+        finally:
+            board.close()
+            if scratch is not None:
+                store.close()
+                shutil.rmtree(scratch, ignore_errors=True)
+
+    def _drive_workers(self, store: ShardedResultStore, board: LeaseBoard,
+                       journal: SweepJournal,
+                       waiting: Dict[str, ExperimentPoint],
+                       deliver: Callable[[PointResult], None]) -> None:
+        run_id = journal.run_id
+        settings = self.settings
+        board.register(run_id, [b.batch_id for b in journal.batches])
+        done = set(board.done_batches(run_id))
+        count = min(self.workers, max(1, sum(
+            b.batch_id not in done for b in journal.batches)))
+        log_path = self.log.path if self.log is not None else None
+        spans = [os.path.join(store.directory, f".spans-{run_id}-w{i}.jsonl")
+                 if TRACER.enabled else None for i in range(count)]
+        launched = time.time()
+        procs: List[Any] = []
+        exited: set = set()
+        finished = False
+        try:
+            for i, spans_path in enumerate(spans):
+                proc = multiprocessing.Process(
+                    target=_worker_main,
+                    args=(store.directory, store.shards, run_id,
+                          f"{run_id}-w{i}", settings, log_path,
+                          spans_path),
+                    daemon=True,
+                )
+                proc.start()
+                procs.append(proc)
+            while True:
+                self._collect(store, waiting, deliver, store.refresh())
+                self._report_lost(procs, exited, board, run_id)
+                remaining = board.remaining(run_id,
+                                            settings.max_batch_attempts)
+                if remaining == 0:
+                    break
+                alive = [p for p in procs if p.is_alive()]
+                if self._stop.is_set():
+                    if self.log is not None:
+                        self.log.warning("run_draining", run_id=run_id,
+                                         remaining=remaining,
+                                         workers=len(alive))
+                    for proc in alive:
+                        proc.terminate()
+                    break
+                if not alive:
+                    break
+                time.sleep(0.05)
+            finished = True
+        finally:
+            for proc in procs:
+                if not finished:
+                    proc.terminate()
+                proc.join(timeout=max(5.0, settings.lease_ttl * 2))
+        if not self._stop.is_set():
+            self._report_lost(procs, exited, board, run_id)
+        self._merge_spans(spans, launched)
+        store.refresh()
+        self._collect(store, waiting, deliver, list(waiting))
+        exhausted = board.exhausted(run_id, settings.max_batch_attempts)
+        remaining = board.remaining(run_id, settings.max_batch_attempts)
+        if exhausted or remaining or waiting:
+            raise self._incomplete(
+                f"{remaining} batch(es) unfinished, {len(exhausted)} "
+                f"exhausted {[e['batch'] for e in exhausted]}, "
+                f"{len(waiting)} point(s) not stored",
+                counts=board.counts(run_id), failed=exhausted,
+            )
+
+    @staticmethod
+    def _collect(store: ShardedResultStore,
+                 waiting: Dict[str, ExperimentPoint],
+                 deliver: Callable[[PointResult], None],
+                 keys: List[str]) -> None:
+        """Deliver each waiting point among ``keys`` the workers stored."""
+        for key in keys:
+            record = store.get(key) if key in waiting else None
+            if record is not None:
+                deliver(PointResult(
+                    point=waiting.pop(key), metrics=dict(record.metrics),
+                    cached=False, elapsed=record.elapsed,
+                ))
+
+    def _report_lost(self, procs: List[Any], exited: set,
+                     board: LeaseBoard, run_id: str) -> None:
+        for proc in procs:
+            if proc.is_alive() or proc.pid in exited:
+                continue
+            exited.add(proc.pid)
+            if proc.exitcode != 0 and self.log is not None:
+                self.log.error(
+                    "worker_lost", run_id=run_id, worker=proc.pid,
+                    exitcode=proc.exitcode,
+                    last_heartbeat=board.last_heartbeat(run_id),
+                )
+
+    def _merge_spans(self, paths: List[Optional[str]],
+                     launched: float) -> None:
+        """Fold worker span files into this process's ring.
+
+        Adds one ``sweep.queue_wait`` span per executed point: worker
+        pickup minus launch time, comparable across processes because
+        spans carry epoch timestamps.
+        """
+        for path in paths:
+            if path is None:
+                continue
+            try:
+                records = load_spans(path)
+                os.remove(path)
+            except (OSError, ValueError):
+                continue  # a killed worker writes no span file
+            TRACER.extend(records)
+            for record in records:
+                if record["name"] == "sweep.execute":
+                    TRACER.record_span(
+                        "sweep.queue_wait", launched,
+                        max(0.0, record["ts"] - launched),
+                        key=record["args"].get("key"),
+                    )
+
     # ------------------------------------------------------------------
     def _write_manifest(self, spec: SweepSpec, outcome: SweepResult,
-                        started_wall: float) -> Optional[str]:
-        if self.store is None or not self.manifest:
+                        started_wall: float,
+                        journal: Optional[SweepJournal],
+                        counts: Optional[Dict[str, int]],
+                        resumed: bool) -> Optional[str]:
+        if self.store is None or journal is None or not self.manifest:
             return None
-        spec_payload = spec.payload()
+        plan: Dict[str, Any] = {
+            "journal": journal_path(self.store.directory, self.run_id),
+            "batches": len(journal.batches),
+            "batch_size": journal.batch_size,
+            "lease_ttl": self.settings.lease_ttl,
+            "max_batch_attempts": self.settings.max_batch_attempts,
+            "resumed": resumed,
+        }
+        if counts is not None:
+            plan["counts"] = counts
         manifest = build_manifest(
             run_id=self.run_id,
-            spec_payload=spec_payload,
+            spec_payload=spec.payload(),
             points=[{
                 "key": r.point.key,
                 "params": r.point.as_dict(),
@@ -414,6 +968,8 @@ class SweepRunner:
             store_path=self.store.path,
             trace_path=self.trace_path,
             events_path=self._events_path(),
+            fabric=plan,
+            resumed_from=self.run_id if resumed else None,
         )
         path = manifest_path_for(self.store.path)
         try:
@@ -427,119 +983,10 @@ class SweepRunner:
             return None
         return path
 
-    # ------------------------------------------------------------------
-    def _report(self, result: PointResult) -> None:
-        if self.log is not None:
-            self.log.info("point_done", key=result.point.key,
-                          point=result.point.describe(),
-                          cached=result.cached, elapsed=result.elapsed)
-        if self.progress is not None:
-            self.progress(result)
-
-    def _obs_context(self) -> Optional[_ObsContext]:
-        if self.log is None and not TRACER.enabled:
-            return None
-        return _ObsContext(
-            run_id=self.run_id,
-            log_path=self.log.path if self.log is not None else None,
-            log_level=self.log.level if self.log is not None else "info",
-            trace=TRACER.enabled,
-        )
-
-    def _execute(self, pending):
-        pool = None
-        if self.workers > 1 and len(pending) > 1:
-            # Only pool *creation* is allowed to fall back to serial
-            # (sandboxes/platforms without process support).  A failure
-            # mid-iteration must propagate: falling back then would
-            # re-execute points the pool already yielded, duplicating
-            # store writes and progress reports.
-            try:
-                pool = multiprocessing.Pool(
-                    processes=min(self.workers, len(pending))
-                )
-            except (OSError, ImportError, PermissionError):
-                pool = None
-        if pool is None:
-            yield from self._execute_serial(pending)
-            return
-        with pool:
-            yield from self._execute_pool(pool, pending)
-
-    def _execute_serial(self, pending):
-        log = self.log
-        for index, point in pending:
-            if log is not None:
-                log.info("worker_heartbeat", worker=os.getpid(),
-                         key=point.key, point=point.describe())
-            _t = TRACER.begin()
-            try:
-                key, metric_set, elapsed = execute_point(point)
-            except PointExecutionError as exc:
-                if log is not None:
-                    log.error("point_error", key=exc.key,
-                              study=exc.study, params=exc.params,
-                              error=str(exc), worker=os.getpid())
-                raise
-            if _t is not None:
-                TRACER.end(_t, "sweep.execute", key=point.key,
-                           study=point.study, worker=os.getpid())
-            assert key == point.key
-            yield index, PointResult(point=point,
-                                     metrics=metric_set.flatten(),
-                                     cached=False, elapsed=elapsed,
-                                     metric_set=metric_set)
-
-    def _execute_pool(self, pool, pending):
-        point_by_index = dict(pending)
-        ctx = self._obs_context()
-        submitted = time.time()
-        last_heartbeat = submitted
-        tasks = [(index, point, ctx) for index, point in pending]
-        try:
-            for index, metric_set, elapsed, exec_started, spans in (
-                pool.imap_unordered(_execute_indexed, tasks)
-            ):
-                last_heartbeat = time.time()
-                if spans:
-                    TRACER.extend(spans)
-                # Queue wait = worker pickup time minus submission time:
-                # the span every "why is my sweep slow" question needs
-                # (workers starved vs points genuinely expensive).
-                TRACER.record_span(
-                    "sweep.queue_wait", submitted,
-                    max(0.0, exec_started - submitted),
-                    key=point_by_index[index].key,
-                )
-                yield index, PointResult(
-                    point=point_by_index[index],
-                    metrics=metric_set.flatten(),
-                    cached=False, elapsed=elapsed, metric_set=metric_set,
-                )
-        except PointExecutionError:
-            # A study raising is the *point* failing, not the pool: the
-            # worker is alive and already logged point_error.
-            raise
-        except Exception as exc:
-            # Anything else escaping imap_unordered means the pool
-            # machinery itself broke — typically a worker hard-killed
-            # (SIGKILL/OOM) mid-task.  Leave a structured trace naming
-            # the run and the last time a worker produced anything, so
-            # the fabric (or an operator) knows what to retry, then
-            # re-raise: results so far are already in the store.
-            if self.log is not None:
-                self.log.error(
-                    "worker_lost", run_id=self.run_id,
-                    error=f"{type(exc).__name__}: {exc}",
-                    last_heartbeat=last_heartbeat,
-                    workers=self.workers,
-                )
-            raise
-
 
 def run_sweep(
     spec: SweepSpec,
-    store: Optional[ResultStore] = None,
+    store: Union[ShardedResultStore, str, None] = None,
     workers: int = 1,
     progress: Optional[Callable[[PointResult], None]] = None,
     **runner_options: Any,
@@ -547,3 +994,10 @@ def run_sweep(
     """One-call convenience wrapper around :class:`SweepRunner`."""
     return SweepRunner(store=store, workers=workers,
                        progress=progress, **runner_options).run(spec)
+
+
+def _auto_batch_size(pending: int, workers: int) -> int:
+    """About four lease batches per worker, clamped to [1, 64]."""
+    if pending == 0:
+        return 1
+    return max(1, min(64, math.ceil(pending / max(workers * 4, 1))))

@@ -5,7 +5,7 @@ ordered mapping of parameter name to the values that axis takes.  The
 spec expands into the cartesian product of all grid axes, each point a
 frozen :class:`ExperimentPoint` with a stable content hash so results
 can be cached and re-identified across runs (see
-:mod:`repro.experiments.store`).
+:mod:`repro.fabric.store`).
 
 Grid axes can also be parsed from CLI strings (``ratio=0.4,0.5,0.6``)
 with automatic scalar coercion — see :func:`parse_grid_option`.
@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Mapping, Sequence, Tuple
+
+from repro.fabric.io import canonical_json
 
 #: Scalars allowed as parameter values (must survive a JSON round-trip).
 SCALAR_TYPES = (str, int, float, bool, type(None))
@@ -33,11 +34,6 @@ def _normalise(value: Any) -> Any:
         f"experiment parameters must be JSON scalars or sequences, "
         f"got {type(value).__name__}: {value!r}"
     )
-
-
-def canonical_json(payload: Any) -> str:
-    """Deterministic JSON: sorted keys, no whitespace drift."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def point_key(study: str, params: Mapping[str, Any]) -> str:

@@ -1,23 +1,23 @@
-"""Distributed, resumable sweep fabric.
+"""Durable state under the sweep engine: store, leases, journal.
 
-Generalises the flat JSONL :class:`~repro.experiments.store.ResultStore`
-and single-pool :class:`~repro.experiments.runner.SweepRunner` into a
-job fabric that survives crashes and scales past a single rescan-able
-file:
+:class:`~repro.experiments.runner.SweepRunner` is the one sweep engine;
+this package holds everything it keeps on disk, all of it in one store
+directory:
 
-* :mod:`repro.fabric.store` — results sharded into JSONL files by
-  key-hash range with a SQLite index (lookups and study queries stop
-  being O(whole-file)); ``compact`` and flat-store migration included.
-* :mod:`repro.fabric.lease` — pending batches leased by workers with a
-  TTL + heartbeat; expired leases are stolen so a killed worker's batch
-  is re-run, not lost.
-* :mod:`repro.fabric.journal` — atomic per-run sweep journal enabling
+* :mod:`repro.fabric.store` — the only writable result store: records
+  sharded into JSONL files by key-hash range with a rebuildable SQLite
+  index (lookups and study queries are not O(whole-file)), ``compact``,
+  and the import of flat ``store.jsonl`` files, read only as input.
+* :mod:`repro.fabric.lease` — the board that worker processes lease
+  batches from, with a TTL kept alive by heartbeats; an expired lease is
+  stolen, so a killed worker's batch is re-run, not lost.
+* :mod:`repro.fabric.journal` — the atomic per-run plan behind
   ``repro sweep --resume RUN_ID``.
-* :mod:`repro.fabric.runner` — the scheduler that ties them together.
+* :mod:`repro.fabric.io` — the two crash-safe write idioms every byte
+  above goes through (lint rule FAB001).
 
-Submodules import ``repro.experiments``, which itself uses
-:mod:`repro.fabric.io`; attribute access is lazy (PEP 562) so importing
-either package never recurses into the other mid-initialisation.
+Attribute access is lazy (PEP 562): ``import repro.fabric`` loads no
+submodule until one of its names is used.
 """
 
 from __future__ import annotations
@@ -28,9 +28,11 @@ _EXPORTS = {
     "append_record": "repro.fabric.io",
     "atomic_write_text": "repro.fabric.io",
     "atomic_write_json": "repro.fabric.io",
+    "canonical_json": "repro.fabric.io",
     "StoreIndex": "repro.fabric.index",
     "ShardedResultStore": "repro.fabric.store",
-    "open_result_store": "repro.fabric.store",
+    "StoredResult": "repro.fabric.store",
+    "read_flat_store": "repro.fabric.store",
     "LeaseBoard": "repro.fabric.lease",
     "Lease": "repro.fabric.lease",
     "SweepJournal": "repro.fabric.journal",
@@ -38,8 +40,6 @@ _EXPORTS = {
     "load_journal": "repro.fabric.journal",
     "journal_path": "repro.fabric.journal",
     "list_runs": "repro.fabric.journal",
-    "FabricRunner": "repro.fabric.runner",
-    "FabricIncompleteError": "repro.fabric.runner",
 }
 
 __all__ = sorted(_EXPORTS)

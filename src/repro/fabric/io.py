@@ -12,7 +12,7 @@ Every durable byte the fabric writes goes through one of two idioms:
   Readers see either the old journal or the new one, never a torn mix.
 
 Lint rule FAB001 flags any other write path inside ``repro/fabric/``
-and ``experiments/store.py``; this module is the sanctioned exception.
+and ``experiments/runner.py``; this module is the sanctioned exception.
 """
 
 from __future__ import annotations
@@ -21,7 +21,15 @@ import json
 import os
 from typing import Any, Tuple
 
-__all__ = ["append_record", "atomic_write_text", "atomic_write_json"]
+__all__ = ["append_record", "atomic_write_text", "atomic_write_json",
+           "canonical_json"]
+
+
+def canonical_json(payload: Any) -> str:
+    """Deterministic JSON: sorted keys, no whitespace drift.
+
+    The byte form of every store record, and what point keys hash."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def append_record(path: str, data: bytes) -> Tuple[int, int]:

@@ -8,12 +8,13 @@ than no journal at all.
 
 The journal records the run's identity (``run_id``, the canonical spec
 payload and its hash) and the batch plan (hash-range batches of point
-keys with their fully-bound params).  Batch *state* deliberately lives
-in the :class:`~repro.fabric.lease.LeaseBoard` — it changes thousands
-of times per run and SQLite commits are durable; the journal is written
-once at plan time, so ``repro sweep --resume RUN_ID`` re-plans from the
-journal, verifies the spec hash, and asks the board which batches still
-need work.
+keys with their fully-bound params).  Every run with a store writes
+one, whichever executor runs it.  Progress deliberately lives
+elsewhere: in the store (which points exist) and, for worker
+processes, in the :class:`~repro.fabric.lease.LeaseBoard` (which
+batches are done) — both change thousands of times per run; the
+journal is written once at plan time, so ``repro sweep --resume
+RUN_ID`` verifies the spec hash and plans the rest against them.
 """
 
 from __future__ import annotations
@@ -22,11 +23,13 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from typing import Any, Dict, List, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Tuple
 
-from repro.experiments.spec import SweepSpec
 from repro.fabric.io import atomic_write_json
 from repro.obs.provenance import spec_hash
+
+if TYPE_CHECKING:
+    from repro.experiments.spec import SweepSpec
 
 __all__ = [
     "JOURNAL_SCHEMA",
@@ -69,8 +72,12 @@ class SweepJournal:
     created: float = 0.0
     schema: str = JOURNAL_SCHEMA
 
-    def spec(self) -> SweepSpec:
+    def spec(self) -> "SweepSpec":
         """Reconstruct the sweep spec this run was planned from."""
+        # Imported here: the runner that writes journals imports this
+        # module, and importing repro.experiments loads that runner.
+        from repro.experiments.spec import SweepSpec
+
         return SweepSpec.from_payload(self.spec_payload)
 
     def batch(self, batch_id: str) -> BatchPlan:

@@ -1,4 +1,4 @@
-"""Sharded, indexed result store (same record format, O(1) lookups).
+"""The result store: sharded, indexed, and the only writable format.
 
 Layout of a store directory::
 
@@ -8,19 +8,25 @@ Layout of a store directory::
     <dir>/shards/shard-001.jsonl
     ...
 
-Records are byte-identical to the flat :class:`~repro.experiments.
-store.ResultStore` lines — one canonical-JSON object per line — but
-partitioned by key-hash range (``int(key[:4], 16) % shards``), so a
-shard never needs locking beyond the ``O_APPEND`` single-write
-discipline and a million-record store opens without parsing a single
-record: the SQLite index remembers how far each shard was indexed and
-``refresh`` reads only appended tails.
+Each record is one self-contained canonical-JSON line::
 
-Existing flat stores migrate transparently: opening a directory that
-contains a ``store.jsonl`` imports any bytes not yet imported, so
-``ShardedResultStore(os.path.dirname(flat.path))`` picks up where the
-flat store left off.  ``compact`` rewrites each shard keeping only the
-last record per key (atomic temp+rename per shard).
+    {"key": "...", "study": "caches", "params": {...},
+     "metrics": {...}, "elapsed": 0.12, "created": 1690000000.0}
+
+Records are partitioned by key-hash range (``int(key[:4], 16) %
+shards``), so a shard never needs locking beyond the ``O_APPEND``
+single-write discipline, and a million-record store opens without
+parsing a single record: the SQLite index remembers how far each shard
+was indexed and ``refresh`` reads only appended tails.  The last record
+per key wins, so reruns are idempotent; ``compact`` rewrites each shard
+keeping only that record (atomic temp+rename per shard).
+
+Flat single-file ``store.jsonl`` stores are read only as input:
+``repro store migrate`` imports one (:meth:`ShardedResultStore.
+import_flat_store`), and opening a directory that contains a
+``store.jsonl`` imports any bytes not yet imported.  Both go through
+:func:`read_flat_store`, which skips a torn final line and rejects
+corruption anywhere else.
 """
 
 from __future__ import annotations
@@ -28,26 +34,141 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import time
 import warnings
-from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+)
 
-from repro.experiments.spec import ExperimentPoint, canonical_json
-from repro.experiments.store import ResultStore, StoredResult, _plain
 from repro.fabric.index import IndexRow, StoreIndex
-from repro.fabric.io import append_record, atomic_write_json, atomic_write_text
+from repro.fabric.io import (
+    append_record,
+    atomic_write_json,
+    atomic_write_text,
+    canonical_json,
+)
+
+if TYPE_CHECKING:
+    from repro.experiments.spec import ExperimentPoint
 
 __all__ = [
     "STORE_SCHEMA",
     "CompactStats",
     "ShardedResultStore",
-    "open_result_store",
+    "StoredResult",
+    "default_store_path",
+    "read_flat_store",
 ]
 
 STORE_SCHEMA = "repro.fabric-store/1"
 META_NAME = "fabric.json"
 DEFAULT_SHARDS = 16
 FLAT_NAME = "store.jsonl"
+
+
+def default_store_path() -> str:
+    """``benchmarks/results/fabric`` anchored at the repo root.
+
+    Falls back to the current working directory when the package is
+    installed outside a checkout (no ``benchmarks/`` sibling).
+    """
+    here = os.path.dirname(os.path.abspath(__file__))
+    root = os.path.dirname(os.path.dirname(os.path.dirname(here)))
+    candidate = os.path.join(root, "benchmarks")
+    if not os.path.isdir(candidate):
+        candidate = os.path.join(os.getcwd(), "benchmarks")
+    return os.path.join(candidate, "results", "fabric")
+
+
+@dataclass
+class StoredResult:
+    """One cached design-point outcome."""
+
+    key: str
+    study: str
+    params: Dict[str, Any]
+    metrics: Dict[str, Any]
+    elapsed: float = 0.0
+    created: float = field(default_factory=time.time)
+
+    def to_json(self) -> str:
+        return canonical_json({
+            "key": self.key,
+            "study": self.study,
+            "params": self.params,
+            "metrics": self.metrics,
+            "elapsed": self.elapsed,
+            "created": self.created,
+        })
+
+    @classmethod
+    def from_json(cls, line: str) -> "StoredResult":
+        payload = json.loads(line)
+        if not isinstance(payload, dict):
+            raise ValueError(
+                f"store record is {type(payload).__name__}, not an object"
+            )
+        missing = [f for f in ("key", "study") if f not in payload]
+        if missing:
+            raise ValueError(
+                "store record missing field(s): " + ", ".join(missing)
+            )
+        return cls(
+            key=payload["key"],
+            study=payload["study"],
+            params=payload.get("params", {}),
+            metrics=payload.get("metrics", {}),
+            elapsed=payload.get("elapsed", 0.0),
+            created=payload.get("created", 0.0),
+        )
+
+
+def read_flat_store(path: str) -> List[StoredResult]:
+    """Every record of a flat ``store.jsonl`` file, in file order.
+
+    A torn *final* line (a crash mid-append) is skipped with a warning —
+    the only corruption the append discipline can produce.  An invalid
+    line anywhere else means the file was damaged by something other
+    than a crash, so raise a ``ValueError`` naming the file and line
+    rather than silently dropping records.
+    """
+    with open(path, encoding="utf-8") as handle:
+        lines = handle.readlines()
+    records: List[StoredResult] = []
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            records.append(StoredResult.from_json(line))
+        except ValueError as exc:
+            if lineno == len(lines):
+                warnings.warn(
+                    f"{path}: skipping torn final line {lineno} ({exc})",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+                continue
+            raise ValueError(
+                f"{path}:{lineno}: corrupt store record ({exc})"
+            ) from exc
+    return records
+
+
+def _plain(params: Mapping[str, Any]) -> Dict[str, Any]:
+    """Tuples -> lists so params survive the JSON round-trip unchanged."""
+    out: Dict[str, Any] = {}
+    for key, value in params.items():
+        out[key] = list(value) if isinstance(value, tuple) else value
+    return out
 
 
 def params_digest(params: Mapping[str, Any]) -> str:
@@ -71,19 +192,19 @@ class CompactStats:
 
 
 class ShardedResultStore:
-    """Duck-type of ``ResultStore`` backed by shards + SQLite index.
+    """The result store: JSONL shards plus a SQLite location index.
 
     ``index_writes=False`` opens the store append-only *and* opens the
     SQLite index read-only: ``put`` writes shard lines but never
     touches SQLite, and index reads retry/degrade instead of raising
     when the owner process is mid-write (a reader must never delete or
     rebuild the owner's index — see :class:`~repro.fabric.index.
-    StoreIndex`).  Fabric workers and the sweep service's second-process
-    readers use this mode; :meth:`refresh` then folds appended shard
-    tails into an in-memory *overlay* instead of SQLite, so a reader
-    still sees records the owner has appended but not yet indexed —
-    and stays fully functional even when the index file is unreadable
-    the whole time (worst case: one full shard reparse).
+    StoreIndex`).  Sweep worker processes and the sweep service's
+    second-process readers use this mode; :meth:`refresh` then folds
+    appended shard tails into an in-memory *overlay* instead of SQLite,
+    so a reader still sees records the owner has appended but not yet
+    indexed — and stays fully functional even when the index file is
+    unreadable the whole time (worst case: one full shard reparse).
     """
 
     def __init__(
@@ -94,6 +215,12 @@ class ShardedResultStore:
         refresh_on_open: bool = True,
     ) -> None:
         self.directory = os.path.abspath(directory)
+        if os.path.isfile(self.directory):
+            raise ValueError(
+                f"{self.directory} is a file, not a store directory; "
+                f"flat JSONL stores are import-only: repro store "
+                f"migrate {self.directory} DIR"
+            )
         self.path = os.path.join(self.directory, META_NAME)
         self.shard_dir = os.path.join(self.directory, "shards")
         self.index_writes = index_writes
@@ -163,15 +290,18 @@ class ShardedResultStore:
         return imported
 
     def import_flat_store(self, flat_path: str) -> int:
-        """Copy every record of a flat JSONL store into the shards."""
-        flat = ResultStore(flat_path)
-        records = sorted(flat, key=lambda r: (r.created, r.key))
+        """Copy every live record of a flat JSONL store into the shards."""
+        latest = {r.key: r for r in read_flat_store(flat_path)}
+        records = sorted(latest.values(), key=lambda r: (r.created, r.key))
         self.put_many(records)
         return len(records)
 
     # -- reading --------------------------------------------------------
-    def refresh(self) -> None:
+    def refresh(self) -> List[str]:
         """Index shard bytes appended since the last refresh.
+
+        Returns the keys of the records it indexed, in shard order (how
+        a sweep's parent process notices its workers' results).
 
         Only complete lines (ending in ``\\n``) are consumed; a torn
         final line — crash mid-append — stays beyond the watermark and
@@ -224,9 +354,9 @@ class ShardedResultStore:
             for row in rows:
                 self._overlay[row[0]] = IndexRow(*row)
             self._overlay_marks.update(new_marks)
-            return
-        if rows or new_marks:
+        elif rows or new_marks:
             self.index.upsert(rows, new_marks)
+        return [row[0] for row in rows]
 
     def _read_at(self, shard: int, offset: int, length: int) -> StoredResult:
         with open(self.shard_path(shard), "rb") as handle:
@@ -287,7 +417,7 @@ class ShardedResultStore:
             record = self._read_at(row.shard, row.offset, row.length)
         return record
 
-    def get_point(self, point: ExperimentPoint) -> Optional[StoredResult]:
+    def get_point(self, point: "ExperimentPoint") -> Optional[StoredResult]:
         return self.get(point.key)
 
     def __contains__(self, key: str) -> bool:
@@ -320,7 +450,7 @@ class ShardedResultStore:
     # -- writing --------------------------------------------------------
     def put(
         self,
-        point: ExperimentPoint,
+        point: "ExperimentPoint",
         metrics: Mapping[str, Any],
         elapsed: float = 0.0,
     ) -> StoredResult:
@@ -467,18 +597,3 @@ class ShardedResultStore:
 
     def close(self) -> None:
         self.index.close()
-
-
-def open_result_store(path: str) -> Any:
-    """Open ``path`` as whichever store format lives there.
-
-    Directories (or paths ending with the OS separator) open as
-    :class:`ShardedResultStore` — including directories holding only a
-    legacy flat ``store.jsonl``, which migrates on first open.  A file
-    path opens as the flat :class:`ResultStore`.
-    """
-    if path.endswith(os.sep) or os.path.isdir(path) or (
-        not os.path.exists(path) and not path.endswith(".jsonl")
-    ):
-        return ShardedResultStore(path)
-    return ResultStore(path)

@@ -17,7 +17,7 @@ REG001      every ``spec_paths`` binding in the experiments registry
             resolves against the spec classes in ``config/specs.py``
 OBS001      the tracer's disabled paths allocate nothing before the
             enabled-check (calls / comprehensions / f-strings)
-FAB001      fabric store/journal modules write only through the
+FAB001      fabric modules and the sweep runner write only through the
             crash-safe helpers in ``fabric/io.py`` (single-``os.write``
             O_APPEND append or temp+rename), never via ``open(.., "a")``
             / buffered ``.write()``
@@ -684,6 +684,9 @@ class TraceAllocationRule(Rule):
 #: old or new, never partial).  Both live in ``fabric/io.py``; any other
 #: write in these files silently re-introduces torn-record windows.
 FAB_EXEMPT_FILES = ("fabric/io.py",)
+#: Writers outside ``fabric/`` held to the same discipline: the sweep
+#: runner writes the journal and the worker span files.
+FAB_SCOPED_FILES = ("experiments/runner.py",)
 
 _WRITE_MODE_CHARS = frozenset("awx+")
 
@@ -718,7 +721,7 @@ class FabricWriteRule(Rule):
             return False
         parts = ctx.relpath.split("/")
         return ("fabric" in parts
-                or ctx.relpath.endswith("experiments/store.py"))
+                or ctx.relpath.endswith(FAB_SCOPED_FILES))
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         assert ctx.tree is not None

@@ -23,8 +23,8 @@ the shared vocabulary all of them now speak:
 
 Stats live in a :class:`MetricSet` — a tree addressed by dotted paths
 (``penelope.dl0.inverted_frac``) that can :meth:`~MetricSet.flatten` to
-the flat JSON-serialisable dicts the :class:`~repro.experiments.store.
-ResultStore` has always persisted, and :meth:`~MetricSet.snapshot` for
+the flat JSON-serialisable dicts the result store
+(:mod:`repro.fabric.store`) has always persisted, and :meth:`~MetricSet.snapshot` for
 the bounded-memory interval telemetry in
 :mod:`repro.metrics.telemetry`.
 
@@ -461,8 +461,7 @@ class MetricSet:
     def flatten(self, include_internal: bool = False) -> Dict[str, Any]:
         """Flat ``{dotted path: current value}`` dict.
 
-        This is the JSONL-row view the :class:`~repro.experiments.
-        store.ResultStore` persists; study sets keep their stats at the
+        This is the JSONL-row view the result store persists; study sets keep their stats at the
         top level, so their flatten() output is key-for-key identical
         to the legacy flat dicts (differential-tested).
         """

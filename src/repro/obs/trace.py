@@ -27,9 +27,9 @@ Design constraints (DESIGN.md §7):
   capacity)`` ring: a multi-year simulated run keeps the most recent
   ``capacity`` spans instead of growing without bound.
 - **Cross-process mergeable.**  Records are plain dicts with epoch
-  timestamps and the recording pid/tid, so sweep workers can ship their
-  spans back through the multiprocessing pool and the parent's ring
-  holds one coherent timeline (:meth:`Tracer.extend`).
+  timestamps and the recording pid/tid, so sweep worker processes can
+  hand their spans back in a span file and the parent's ring holds one
+  coherent timeline (:meth:`Tracer.extend`).
 
 Export targets the Chrome trace-event JSON format (``"X"`` complete
 events), loadable in Perfetto / ``about://tracing`` — see
@@ -219,7 +219,7 @@ class Tracer:
         return list(self._ring)
 
     def drain(self) -> List[Dict[str, Any]]:
-        """Pop every record (how pool workers ship spans back)."""
+        """Pop every record (how sweep workers ship spans back)."""
         records = list(self._ring)
         self._ring.clear()
         return records
@@ -266,21 +266,27 @@ def traced(name: Optional[str] = None, **attrs: Any) -> Callable:
 # ----------------------------------------------------------------------
 # Persistence: raw span JSONL <-> Chrome trace-event JSON
 # ----------------------------------------------------------------------
+def spans_text(records: Iterable[Dict[str, Any]]) -> str:
+    """The body of a span file: one header line + one line per span."""
+    records = list(records)
+    lines = [json.dumps({"schema": SPANS_SCHEMA, "spans": len(records)})]
+    lines += [json.dumps(record, sort_keys=True) for record in records]
+    return "\n".join(lines) + "\n"
+
+
 def save_spans(path: str, records: Iterable[Dict[str, Any]]) -> int:
-    """Write records as JSONL (one header line + one line per span).
+    """Write records as JSONL (:func:`spans_text`).
 
     Returns the number of spans written.  The raw form (not Chrome
     JSON) is what sweeps persist: it keeps span/parent ids and epoch
     timestamps, so later exports can filter, merge, or re-anchor.
     """
     records = list(records)
-    lines = [json.dumps({"schema": SPANS_SCHEMA, "spans": len(records)})]
-    lines += [json.dumps(record, sort_keys=True) for record in records]
     directory = os.path.dirname(path)
     if directory:
         os.makedirs(directory, exist_ok=True)
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write(spans_text(records))
     return len(records)
 
 

@@ -15,8 +15,10 @@ stdlib-only asyncio server —
 - :mod:`repro.service.hub` — bounded fan-out of job messages to any
   number of WS subscribers (slow consumers are dropped, never block);
 - :mod:`repro.service.jobs` — spec-hash job dedup and execution via
-  ``SweepRunner``/``FabricRunner`` in an executor;
-- :mod:`repro.service.app` — routing, signal handling, graceful drain.
+  ``SweepRunner`` in an executor thread per job;
+- :mod:`repro.service.app` — routing, signal handling, graceful drain:
+  SIGTERM stops every job at a point boundary, journaled for
+  ``repro sweep --resume``.
 
 Run it with ``repro serve``; talk to it with
 :class:`repro.client.ServiceClient` or plain ``curl``.

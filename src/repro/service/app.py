@@ -11,10 +11,13 @@ Routes (all JSON, all under ``/v1``)::
     GET  /v1/ws/jobs/{id}       WebSocket: telemetry + event stream
 
 Submit bodies are either a bare spec payload or ``{"spec": …,
-"fabric": bool, "workers": n}``.  The lifecycle is deliberately
-boring: one process, one store directory, jobs deduplicated by spec
-hash (HTTP 200 on a dedup hit, 202 on a fresh launch), SIGTERM → stop
-accepting, ask fabric runs to journal out, drain, exit 0.
+"workers": n}``; ``workers`` picks the executor (1: in the job's
+thread; more: lease-board worker processes), and a ``fabric`` field
+from older clients is accepted and ignored.  The lifecycle is
+deliberately boring: one process, one store directory, jobs
+deduplicated by spec hash (HTTP 200 on a dedup hit, 202 on a fresh
+launch), SIGTERM → stop accepting, stop every running job at a point
+boundary with its journal on disk, drain, exit 0.
 """
 
 from __future__ import annotations
@@ -55,7 +58,6 @@ class SweepService:
         token: Optional[str] = None,
         max_jobs: int = 2,
         default_workers: int = 1,
-        default_fabric: bool = False,
         drain_grace: float = 30.0,
         ready_file: Optional[str] = None,
         quiet: bool = False,
@@ -66,7 +68,6 @@ class SweepService:
         self.auth = TokenAuth(token)
         self.max_jobs = max_jobs
         self.default_workers = default_workers
-        self.default_fabric = default_fabric
         self.drain_grace = drain_grace
         self.ready_file = ready_file
         self.quiet = quiet
@@ -246,14 +247,13 @@ class SweepService:
         if not isinstance(body, dict):
             raise HTTPError(400, "submit body must be a JSON object")
         spec_payload = body.get("spec", body)
-        fabric = body.get("fabric", self.default_fabric)
         workers = body.get("workers")
         if workers is not None and (
                 not isinstance(workers, int) or workers < 1):
             raise HTTPError(400, "workers must be a positive integer")
         try:
             job, deduplicated = self.manager.submit(
-                spec_payload, fabric=bool(fabric), workers=workers)
+                spec_payload, workers=workers)
         except (SpecError, KeyError, ValueError, TypeError) as exc:
             message = exc.args[0] if exc.args else str(exc)
             raise HTTPError(400, f"bad spec: {message}") from exc

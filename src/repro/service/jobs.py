@@ -17,7 +17,9 @@ Threading model (the part that has to be right):
   identical submits naturally race-free;
 - each job's sweep runs in a ``ThreadPoolExecutor`` slot, opening its
   *own* store handle over the shared directory (SQLite connections are
-  thread-affine);
+  thread-affine), under one :class:`~repro.experiments.runner.
+  SweepRunner` — in the thread for ``workers=1``, on lease-board worker
+  processes otherwise;
 - the only executor→loop traffic is plain-int counter updates (GIL
   atomic) plus terminal-state flags; the per-job pump task on the loop
   turns those, and the tailed ``events.jsonl``, into hub messages.
@@ -32,9 +34,13 @@ import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro import api
-from repro.experiments.runner import EVENTS_NAME, SweepRunner, SweepResult
+from repro.experiments.runner import (
+    EVENTS_NAME,
+    SweepIncompleteError,
+    SweepResult,
+    SweepRunner,
+)
 from repro.experiments.spec import SweepSpec
-from repro.fabric.runner import FabricIncompleteError, FabricRunner
 from repro.fabric.store import ShardedResultStore
 from repro.metrics.stats import MetricSet
 from repro.metrics.telemetry import IntervalTelemetry
@@ -59,13 +65,13 @@ class Job:
     """One deduplicated sweep execution and its streaming state."""
 
     def __init__(self, run_id: str, spec: SweepSpec, digest: str,
-                 fabric: bool, workers: int,
+                 workers: int, directory: str,
                  loop: asyncio.AbstractEventLoop) -> None:
         self.run_id = run_id
         self.spec = spec
         self.spec_hash = digest
-        self.fabric = fabric
         self.workers = workers
+        self.directory = directory
         self.state = QUEUED
         self.error: Optional[str] = None
         self.created = time.time()
@@ -79,7 +85,7 @@ class Job:
         self.manifest_path: Optional[str] = None
         self.results: List[Dict[str, Any]] = []
         self.hub = Hub(loop)
-        self._runner: Optional[Any] = None
+        self._runner: Optional[SweepRunner] = None
         # Job-level telemetry: read-backed stats over the live counters,
         # snapshotted by the pump whenever progress moved.
         metrics = MetricSet()
@@ -105,7 +111,6 @@ class Job:
             "state": self.state,
             "study": self.spec.study,
             "spec_hash": self.spec_hash,
-            "fabric": self.fabric,
             "workers": self.workers,
             "submissions": self.submissions,
             "total": self.total,
@@ -120,8 +125,8 @@ class Job:
             "telemetry_snapshots": len(self.telemetry.snapshots),
         }
         if self.state == INCOMPLETE:
-            payload["resume"] = (
-                f"repro sweep --resume {self.run_id} --fabric")
+            payload["resume"] = (f"repro sweep --resume {self.run_id} "
+                                 f"--store {self.directory}")
         return payload
 
 
@@ -150,7 +155,7 @@ class JobManager:
         self.store = ShardedResultStore(self.directory)
 
     # -- submission -----------------------------------------------------
-    def submit(self, payload: Any, fabric: Optional[bool] = None,
+    def submit(self, payload: Any,
                workers: Optional[int] = None) -> Tuple[Job, bool]:
         """Resolve, dedupe and (if new) launch a job.
 
@@ -174,8 +179,8 @@ class JobManager:
             run_id=new_run_id(),
             spec=spec,
             digest=digest,
-            fabric=bool(fabric),
             workers=max(1, workers or self.default_workers),
+            directory=self.directory,
             loop=self._loop,
         )
         self._jobs[job.run_id] = job
@@ -183,8 +188,7 @@ class JobManager:
         if self.log is not None:
             self.log.info("job_submitted", job=job.run_id,
                           study=job.spec.study, points=job.total,
-                          spec_hash=digest, fabric=job.fabric,
-                          workers=job.workers)
+                          spec_hash=digest, workers=job.workers)
         # Capture the event-log watermark *before* the job thread can
         # write run_start: the pump must not start tailing "at the end"
         # of a file the runner already appended to.
@@ -210,22 +214,19 @@ class JobManager:
         job.started = time.time()
         job.state = RUNNING
         store = ShardedResultStore(self.directory)
-        runner: Any = None
         try:
-            if job.fabric:
-                runner = FabricRunner(
-                    store, workers=job.workers, run_id=job.run_id,
-                    progress=job.note_point)
-            else:
-                runner = SweepRunner(
-                    store=store, workers=job.workers,
-                    run_id=job.run_id, progress=job.note_point)
+            runner = SweepRunner(store=store, workers=job.workers,
+                                 run_id=job.run_id, progress=job.note_point)
             job._runner = runner
+            if self.draining:
+                # The drain may have looked for runners before this one
+                # existed; it still leaves a journal to resume from.
+                runner.request_stop()
             outcome = runner.run(job.spec)
             job.results = _result_rows(outcome)
             job.manifest_path = outcome.manifest_path
             job.state = DONE
-        except FabricIncompleteError as exc:
+        except SweepIncompleteError as exc:
             job.error = str(exc)
             job.state = INCOMPLETE
         except Exception as exc:  # surfaced via status, never raised
@@ -234,8 +235,6 @@ class JobManager:
         finally:
             job.finished = time.time()
             job._runner = None
-            if isinstance(runner, FabricRunner):
-                runner.close()
             store.close()
 
     # -- streaming (event loop) -----------------------------------------
@@ -283,16 +282,17 @@ class JobManager:
     async def drain(self, grace: float = 30.0) -> Dict[str, Any]:
         """Stop accepting work; wind down what is running.
 
-        Fabric jobs are asked to stop cooperatively (their journals
-        make ``--resume`` bit-identical later); in-process sweep jobs
-        are awaited up to ``grace`` seconds.  Counts what happened so
-        the caller can log it.
+        Every running job is asked to stop — at its next point boundary,
+        or by terminating its worker processes — and waited for up to
+        ``grace`` seconds.  Each leaves its journal behind, so ``repro
+        sweep --resume`` finishes it bit-identically later.  Counts what
+        happened so the caller can log it.
         """
         self.draining = True
         stopped = 0
         for job in self._jobs.values():
             runner = job._runner
-            if isinstance(runner, FabricRunner):
+            if runner is not None:
                 runner.request_stop()
                 stopped += 1
         pending = [f for f in self._futures.values() if not f.done()]
@@ -307,7 +307,7 @@ class JobManager:
         self._executor.shutdown(wait=False)
         unfinished = [j.run_id for j in self._jobs.values()
                       if j.state not in TERMINAL_STATES]
-        return {"stopped_fabric": stopped, "unfinished": unfinished}
+        return {"stopped": stopped, "unfinished": unfinished}
 
     def close(self) -> None:
         self.store.close()

@@ -11,9 +11,6 @@ class TestParser:
         invocations = {
             "physics": ["physics"],
             "adder": ["adder"],
-            "regfile": ["regfile", "--length", "100"],
-            "caches": ["caches", "--length", "100"],
-            "penelope": ["penelope", "--length", "100"],
             "list-suites": ["list-suites"],
             "sweep": ["sweep", "caches"],
             "results": ["results"],
@@ -37,7 +34,19 @@ class TestParser:
 
     def test_rejects_unknown_suite(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["regfile", "--suites", "bogus"])
+            build_parser().parse_args(["sweep", "regfile",
+                                       "--suites", "bogus"])
+
+    @pytest.mark.parametrize("argv", [
+        ["regfile"], ["caches"], ["penelope"],
+        ["sweep", "caches", "--fabric"], ["serve", "--fabric"],
+    ])
+    def test_removed_commands_and_flags(self, argv, capsys):
+        # `repro sweep` covers the studies; the executor follows from
+        # --workers alone.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+        capsys.readouterr()
 
 
 class TestCommands:
@@ -54,22 +63,25 @@ class TestCommands:
         assert "(1, 8)" in out
 
     def test_regfile(self, capsys):
-        assert main(["regfile", "--suites", "kernels",
-                     "--length", "800"]) == 0
+        assert main(["sweep", "regfile", "--suites", "kernels",
+                     "--length", "800", "--no-store"]) == 0
         out = capsys.readouterr().out
-        assert "worst bias" in out
+        assert "base_worst_bias" in out and "isv_worst_bias" in out
 
     def test_caches(self, capsys):
-        assert main(["caches", "--suites", "office",
-                     "--length", "800"]) == 0
+        assert main(["sweep", "caches", "--suites", "office",
+                     "--length", "800", "--grid",
+                     "scheme=set_fixed,line_fixed,line_dynamic",
+                     "--metrics", "scheme_name,mean_loss",
+                     "--no-store"]) == 0
         out = capsys.readouterr().out
-        assert "LineDynamic60%" in out
+        assert "LineDynamic50%" in out and "mean_loss" in out
 
     def test_penelope(self, capsys):
-        assert main(["penelope", "--suites", "kernels",
-                     "--length", "800"]) == 0
+        assert main(["sweep", "penelope", "--suites", "kernels",
+                     "--length", "800", "--no-store"]) == 0
         out = capsys.readouterr().out
-        assert "penelope processor" in out
+        assert "efficiency" in out and "adder_guardband" in out
 
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -85,7 +97,7 @@ class TestCommands:
         assert "531" in out  # Table 1 total trace count
 
     def test_sweep_and_results(self, capsys, tmp_path):
-        store = str(tmp_path / "store.jsonl")
+        store = str(tmp_path / "store")
         argv = ["sweep", "caches", "--grid", "ratio=0.4,0.6",
                 "--suites", "office", "kernels", "--length", "600",
                 "--store", store, "--verbose"]
@@ -110,7 +122,7 @@ class TestCommands:
         assert "no stored results" in capsys.readouterr().out
 
     def test_report_renders_stored_sweep(self, capsys, tmp_path):
-        store = str(tmp_path / "store.jsonl")
+        store = str(tmp_path / "store")
         assert main(["sweep", "caches", "--grid", "ratio=0.4,0.6",
                      "--suites", "office", "kernels", "--length", "600",
                      "--store", store]) == 0
@@ -132,7 +144,7 @@ class TestCommands:
         assert "(mixed)" in out
 
     def test_report_bad_inputs_exit_cleanly(self, capsys, tmp_path):
-        store = str(tmp_path / "store.jsonl")
+        store = str(tmp_path / "store")
         assert main(["report", "--store", store]) == 2
         assert "--study" in capsys.readouterr().err
 
@@ -233,7 +245,7 @@ class TestCommands:
             sweep={"protection.dl0.params.ratio": [0.4, 0.6]})
         config = tmp_path / "study.json"
         config.write_text(spec.to_json())
-        store = str(tmp_path / "store.jsonl")
+        store = str(tmp_path / "store")
 
         argv = ["run", "--config", str(config), "--store", store,
                 "--verbose"]
@@ -305,7 +317,7 @@ class TestCommands:
         assert "does not consume" in capsys.readouterr().err
 
     def test_sweep_study_option_alias(self, capsys, tmp_path):
-        store = str(tmp_path / "store.jsonl")
+        store = str(tmp_path / "store")
         assert main(["sweep", "--study", "caches", "--grid",
                      "ratio=0.4", "--suites", "office", "--length",
                      "400", "--store", store]) == 0
@@ -321,7 +333,7 @@ class TestCommands:
         assert "pass a study" in capsys.readouterr().err
 
     def test_sweep_quiet_suppresses_output(self, capsys, tmp_path):
-        store = str(tmp_path / "store.jsonl")
+        store = str(tmp_path / "store")
         assert main(["sweep", "caches", "--grid", "ratio=0.4",
                      "--suites", "office", "--length", "400",
                      "--store", store, "--quiet"]) == 0
@@ -331,7 +343,7 @@ class TestCommands:
     def test_sweep_json_progress(self, capsys, tmp_path):
         import json
 
-        store = str(tmp_path / "store.jsonl")
+        store = str(tmp_path / "store")
         assert main(["sweep", "caches", "--grid", "ratio=0.4,0.6",
                      "--suites", "office", "--length", "400",
                      "--store", store, "--progress", "json"]) == 0
@@ -350,7 +362,7 @@ class TestCommands:
         assert events[-1]["run_id"]
 
     def test_sweep_footer_names_slowest_point(self, capsys, tmp_path):
-        store = str(tmp_path / "store.jsonl")
+        store = str(tmp_path / "store")
         assert main(["sweep", "caches", "--grid", "ratio=0.4,0.6",
                      "--suites", "office", "--length", "400",
                      "--store", store]) == 0
@@ -371,7 +383,7 @@ class TestCommands:
 
         from repro.obs.trace import TRACER
 
-        store = str(tmp_path / "store.jsonl")
+        store = str(tmp_path / "store")
         try:
             assert main(["sweep", "--study", "caches", "--trace",
                          "--grid", "ratio=0.4,0.6", "--suites",
@@ -383,22 +395,22 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "trace:" in out
 
-        manifest = json.load(open(tmp_path / "manifest.json"))
+        manifest = json.load(open(tmp_path / "store" / "manifest.json"))
         assert manifest["schema"] == "repro.manifest/1"
-        assert manifest["trace"] == str(tmp_path / "trace.json")
-        chrome = json.load(open(tmp_path / "trace.json"))
+        assert manifest["trace"] == str(tmp_path / "store" / "trace.json")
+        chrome = json.load(open(tmp_path / "store" / "trace.json"))
         names = {e["name"] for e in chrome["traceEvents"]}
         assert {"sweep.run", "sweep.execute", "study.caches",
                 "cache.replay", "scheme.replay"} <= names
 
         exported = str(tmp_path / "out.trace.json")
         assert main(["trace", "export", exported, "--spans",
-                     str(tmp_path / "spans.jsonl")]) == 0
+                     str(tmp_path / "store" / "spans.jsonl")]) == 0
         assert "Perfetto" in capsys.readouterr().out
         assert json.load(open(exported))["traceEvents"]
 
         assert main(["trace", "events", "--events",
-                     str(tmp_path / "events.jsonl")]) == 0
+                     str(tmp_path / "store" / "events.jsonl")]) == 0
         out = capsys.readouterr().out
         assert "run_start" in out and "point_done" in out
 
@@ -417,9 +429,20 @@ class TestCommands:
                      str(tmp_path / "missing.jsonl")]) == 2
         assert "cannot read" in capsys.readouterr().err
 
+    def test_flat_store_file_is_refused_with_migrate_hint(
+            self, capsys, tmp_path):
+        flat = tmp_path / "store.jsonl"
+        flat.write_text("")
+        for argv in (["results", "--store", str(flat)],
+                     ["report", "--study", "caches", "--store", str(flat)],
+                     ["sweep", "caches", "--suites", "office",
+                      "--store", str(flat)]):
+            assert main(argv) == 2, argv
+            assert "repro store migrate" in capsys.readouterr().err
+
     def test_results_and_report_show_provenance_header(self, capsys,
                                                        tmp_path):
-        store = str(tmp_path / "store.jsonl")
+        store = str(tmp_path / "store")
         assert main(["sweep", "caches", "--grid", "ratio=0.4",
                      "--suites", "office", "--length", "400",
                      "--store", store, "--quiet"]) == 0

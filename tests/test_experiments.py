@@ -7,7 +7,6 @@ import pytest
 
 from repro.experiments import (
     ExperimentPoint,
-    ResultStore,
     SweepRunner,
     SweepSpec,
     aggregate_metric,
@@ -21,6 +20,11 @@ from repro.experiments import (
     run_sweep,
     study_names,
     summarize,
+)
+from repro.fabric.store import (
+    ShardedResultStore,
+    StoredResult,
+    read_flat_store,
 )
 
 #: A grid small enough to execute many times per test run.
@@ -82,63 +86,87 @@ class TestSpec:
             parse_grid_option("empty=")
 
 
-class TestStore:
-    def test_round_trip(self, tmp_path):
-        path = str(tmp_path / "store.jsonl")
-        store = ResultStore(path)
-        point = ExperimentPoint.from_dict("caches", {"ratio": 0.5})
-        store.put(point, {"mean_loss": 0.01}, elapsed=0.5)
-        assert point.key in store
-        assert store.get_point(point).metrics == {"mean_loss": 0.01}
+def flat_record(ratio, metrics):
+    point = ExperimentPoint.from_dict("caches", {"ratio": ratio})
+    return StoredResult(key=point.key, study="caches",
+                        params=point.as_dict(), metrics=dict(metrics),
+                        elapsed=0.5)
 
-        reloaded = ResultStore(path)
+
+def write_flat(path, records):
+    with open(path, "a") as handle:
+        for record in records:
+            handle.write(record.to_json() + "\n")
+
+
+def shard_lines(store):
+    lines = []
+    for shard in range(store.shards):
+        try:
+            with open(store.shard_path(shard)) as handle:
+                lines += handle.readlines()
+        except OSError:
+            pass
+    return lines
+
+
+class TestStore:
+    """The flat import reader and the store's write path."""
+
+    def test_round_trip(self, tmp_path):
+        flat = str(tmp_path / "store.jsonl")
+        write_flat(flat, [flat_record(0.5, {"mean_loss": 0.01})])
+        store = ShardedResultStore(str(tmp_path / "store"))
+        assert store.import_flat_store(flat) == 1
+        store.close()
+
+        reloaded = ShardedResultStore(str(tmp_path / "store"))
         assert len(reloaded) == 1
-        record = reloaded.get(point.key)
+        record = reloaded.get(flat_record(0.5, {}).key)
         assert record.metrics == {"mean_loss": 0.01}
         assert record.params == {"ratio": 0.5}
         assert record.elapsed == 0.5
+        reloaded.close()
 
     def test_last_record_wins(self, tmp_path):
-        path = str(tmp_path / "store.jsonl")
-        store = ResultStore(path)
-        point = ExperimentPoint.from_dict("caches", {"ratio": 0.5})
-        store.put(point, {"mean_loss": 0.01})
-        store.put(point, {"mean_loss": 0.02})
+        flat = str(tmp_path / "store.jsonl")
+        write_flat(flat, [flat_record(0.5, {"mean_loss": 0.01}),
+                          flat_record(0.5, {"mean_loss": 0.02})])
+        store = ShardedResultStore(str(tmp_path))  # imports store.jsonl
         assert len(store) == 1
-        assert ResultStore(path).get(point.key).metrics == {
+        assert store.get(flat_record(0.5, {}).key).metrics == {
             "mean_loss": 0.02
         }
+        store.close()
 
     def test_torn_final_line_warns_and_is_skipped(self, tmp_path):
         path = str(tmp_path / "store.jsonl")
-        store = ResultStore(path)
-        point = ExperimentPoint.from_dict("caches", {"ratio": 0.5})
-        store.put(point, {"mean_loss": 0.01})
+        record = flat_record(0.5, {"mean_loss": 0.01})
+        write_flat(path, [record])
         # Simulate a crash mid-append: the final line is truncated
         # partway through the record.
         with open(path, "r+") as handle:
             full = handle.read()
-            extra = store.get(point.key).to_json()
+            extra = record.to_json()
             handle.write(extra[: len(extra) // 2])
         with pytest.warns(RuntimeWarning, match="torn final line"):
-            reloaded = ResultStore(path)
-        assert len(reloaded) == 1
-        assert reloaded.get(point.key).metrics == {"mean_loss": 0.01}
+            records = read_flat_store(path)
+        assert [r.metrics for r in records] == [{"mean_loss": 0.01}]
         assert full in open(path).read()
 
     def test_mid_file_corruption_raises_with_location(self, tmp_path):
         path = str(tmp_path / "store.jsonl")
-        store = ResultStore(path)
-        a = ExperimentPoint.from_dict("caches", {"ratio": 0.4})
-        b = ExperimentPoint.from_dict("caches", {"ratio": 0.6})
-        store.put(a, {"mean_loss": 0.01})
-        store.put(b, {"mean_loss": 0.02})
+        write_flat(path, [flat_record(0.4, {"mean_loss": 0.01}),
+                          flat_record(0.6, {"mean_loss": 0.02})])
         lines = open(path).read().splitlines()
         lines[0] = "not json"
         with open(path, "w") as handle:
             handle.write("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=r"store\.jsonl:1: corrupt"):
-            ResultStore(path)
+            read_flat_store(path)
+        # Opening the directory imports the same file: same error.
+        with pytest.raises(ValueError, match=r"store\.jsonl:1: corrupt"):
+            ShardedResultStore(str(tmp_path))
 
     @pytest.mark.parametrize("line,match", [
         ("null", "not an object"),
@@ -147,73 +175,76 @@ class TestStore:
         ('{"key": "k"}', "missing field.*study"),
     ])
     def test_from_json_rejects_malformed_records(self, line, match):
-        from repro.experiments.store import StoredResult
-
         with pytest.raises(ValueError, match=match):
             StoredResult.from_json(line)
 
     def test_duplicates_counted_last_wins(self, tmp_path):
         path = str(tmp_path / "store.jsonl")
-        store = ResultStore(path)
-        point = ExperimentPoint.from_dict("caches", {"ratio": 0.5})
-        store.put(point, {"mean_loss": 0.01})
-        store.put(point, {"mean_loss": 0.02})
-        reloaded = ResultStore(path)
-        assert reloaded.duplicates == 1
-        assert reloaded.get(point.key).metrics == {"mean_loss": 0.02}
+        write_flat(path, [flat_record(0.5, {"mean_loss": 0.01}),
+                          flat_record(0.5, {"mean_loss": 0.02})])
+        records = read_flat_store(path)
+        assert len(records) - len({r.key for r in records}) == 1
+        store = ShardedResultStore(str(tmp_path / "store"))
+        assert store.import_flat_store(path) == 1
+        assert store.get(records[0].key).metrics == {"mean_loss": 0.02}
+        store.close()
 
     def test_concurrent_appends_never_interleave(self, tmp_path):
         """put() is one O_APPEND write per record: hammering one store
-        file from many threads must yield only whole, parseable lines."""
+        from many threads must yield only whole, parseable lines."""
         import threading
 
-        path = str(tmp_path / "store.jsonl")
+        directory = str(tmp_path / "store")
+        ShardedResultStore(directory, shards=2).close()
         n_threads, per_thread = 8, 25
         # Bulky metrics so a buffered writer would plausibly split the
         # line across flushes.
         padding = "x" * 512
 
         def writer(worker):
-            store = ResultStore(path)
+            store = ShardedResultStore(directory, index_writes=False,
+                                       refresh_on_open=False)
             for i in range(per_thread):
                 point = ExperimentPoint.from_dict(
                     "caches", {"worker": worker, "i": i})
                 store.put(point, {"value": worker * 1000 + i,
                                   "padding": padding})
+            store.close()
 
         threads = [threading.Thread(target=writer, args=(w,))
                    for w in range(n_threads)]
         for thread in threads:
             thread.start()
         for thread in threads:
-            thread.join()
+            thread.join(timeout=60)
+            assert not thread.is_alive()
 
-        with open(path) as handle:
-            lines = handle.readlines()
+        merged = ShardedResultStore(directory)
+        lines = shard_lines(merged)
         assert len(lines) == n_threads * per_thread
         for line in lines:
             record = json.loads(line)  # no interleaved partial lines
             assert record["metrics"]["padding"] == padding
-        merged = ResultStore(path)
         assert len(merged) == n_threads * per_thread
+        merged.close()
 
     def test_clear(self, tmp_path):
-        path = str(tmp_path / "store.jsonl")
-        store = ResultStore(path)
+        store = ShardedResultStore(str(tmp_path))
         store.put(ExperimentPoint.from_dict("caches", {}), {"m": 1.0})
         store.clear()
         assert len(store) == 0
-        assert not os.path.exists(path)
+        assert shard_lines(store) == []
+        store.close()
 
 
 class TestRunner:
     def test_cache_hits_on_rerun(self, tmp_path):
-        store = ResultStore(str(tmp_path / "store.jsonl"))
+        store = ShardedResultStore(str(tmp_path))
         first = SweepRunner(store=store, workers=1).run(tiny_spec())
         assert first.executed == 4 and first.cache_hits == 0
 
         rerun = SweepRunner(
-            store=ResultStore(str(tmp_path / "store.jsonl")), workers=1
+            store=ShardedResultStore(str(tmp_path)), workers=1
         ).run(tiny_spec())
         assert rerun.cache_hits == 4 and rerun.executed == 0
         assert rerun.metrics_by_key() == first.metrics_by_key()
@@ -244,7 +275,7 @@ class TestRunner:
 
         explicit_spec = tiny_spec()
         explicit_spec.base["ways"] = 8
-        store = ResultStore(str(tmp_path / "store.jsonl"))
+        store = ShardedResultStore(str(tmp_path))
         SweepRunner(store=store).run(tiny_spec())
         rerun = SweepRunner(store=store).run(explicit_spec)
         assert rerun.cache_hits == len(rerun) == 4
@@ -269,7 +300,7 @@ class TestRunner:
             base=dict(TINY_BASE),
             grid={"ratio": [0.5, 0.5, 0.5], "suite": ["office"]},
         )
-        store = ResultStore(str(tmp_path / "store.jsonl"))
+        store = ShardedResultStore(str(tmp_path))
         seen = []
         outcome = SweepRunner(store=store, workers=1,
                               progress=seen.append).run(spec)
@@ -278,8 +309,7 @@ class TestRunner:
         assert outcome.executed == 1 and outcome.cache_hits == 2
         assert len({r.point.key for r in outcome}) == 1
         assert [r.metrics for r in outcome] == [outcome.results[0].metrics] * 3
-        with open(store.path) as handle:
-            assert len(handle.readlines()) == 1
+        assert len(shard_lines(store)) == 1
 
     def test_unknown_study_raises(self):
         with pytest.raises(KeyError):
@@ -299,33 +329,53 @@ class TestRunner:
         run_sweep(tiny_spec(), progress=seen.append)
         assert len(seen) == 4
 
-    def test_pool_breakage_emits_worker_lost(self, tmp_path):
-        """A non-point exception escaping the pool (worker SIGKILLed,
-        OOMed) leaves a structured worker_lost event naming the run and
-        the last heartbeat, then re-raises."""
-        from repro.obs.log import EventLog
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_slot_logs_exactly_one_point_done(self, tmp_path,
+                                                   workers):
+        """Executed points are logged by whoever ran them; cached and
+        duplicate slots by the planner — one point_done per slot."""
+        store = ShardedResultStore(str(tmp_path))
+        SweepRunner(store=store).run(SweepSpec(
+            "caches", base=dict(TINY_BASE),
+            grid={"ratio": [0.4], "suite": ["office"]}))
+        spec = SweepSpec(
+            "caches", base=dict(TINY_BASE),
+            grid={"ratio": [0.4, 0.6, 0.6], "suite": ["office"]})
+        outcome = SweepRunner(store=store, workers=workers).run(spec)
+        assert [r.cached for r in outcome] == [True, False, True]
+        with open(tmp_path / "events.jsonl") as handle:
+            events = [json.loads(line) for line in handle]
+        done = [e["payload"] for e in events
+                if e["event"] == "point_done"
+                and e["run_id"] == outcome.run_id]
+        assert len(done) == 3
+        assert sorted(d["cached"] for d in done) == [False, True, True]
 
-        class BrokenPool:
-            def imap_unordered(self, func, tasks):
-                raise RuntimeError("worker died unexpectedly")
-                yield  # pragma: no cover
+    def test_run_study_on_workers_matches_serial_without_temp_dirs(
+            self, tmp_path, monkeypatch):
+        """store=None with workers>1 lends the workers a temporary
+        store directory; results match workers=1, which writes nothing,
+        and nothing is left behind."""
+        import tempfile
 
-        log_path = str(tmp_path / "events.jsonl")
-        runner = SweepRunner(
-            store=None, workers=2, run_id="testrun",
-            log=EventLog(path=log_path, run_id="testrun"),
-        )
-        pending = list(enumerate(tiny_spec().expand()))
-        with pytest.raises(RuntimeError, match="worker died"):
-            list(runner._execute_pool(BrokenPool(), pending))
-        events = [json.loads(line) for line in open(log_path)]
-        lost = [e for e in events if e["event"] == "worker_lost"]
-        assert len(lost) == 1
-        payload = lost[0]["payload"]
-        assert lost[0]["run_id"] == "testrun"
-        assert "RuntimeError" in payload["error"]
-        assert payload["workers"] == 2
-        assert payload["last_heartbeat"] > 0
+        from repro import api
+        from repro.config import with_path
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        monkeypatch.chdir(tmp_path)
+        spec = api.default_study_spec("caches")
+        spec = with_path(spec, "workload.suites", ("office",))
+        spec = with_path(spec, "workload.length", 400)
+        spec = spec.replace(sweep={
+            "protection.dl0.params.ratio": [0.4, 0.5, 0.6]})
+        serial = api.run_study(spec, store=None, workers=1)
+        assert os.listdir(tmp_path) == []
+        parallel = api.run_study(spec, store=None, workers=2)
+        assert [r.point.key for r in serial] == [
+            r.point.key for r in parallel]
+        assert serial.metrics_by_key() == parallel.metrics_by_key()
+        assert parallel.executed == 3
+        assert os.listdir(tmp_path) == []
 
 
 class TestRegistry:
@@ -419,7 +469,7 @@ class TestAcceptance:
             },
         )
         assert spec.size == 24
-        store = ResultStore(str(tmp_path / "store.jsonl"))
+        store = ShardedResultStore(str(tmp_path))
         first = SweepRunner(store=store, workers=4).run(spec)
         assert len(first) == 24 and first.executed == 24
 

@@ -1,35 +1,40 @@
-"""Tests for the resumable sweep fabric.
+"""Tests for the sweep fabric: the store, leases and journal, and the
+runs of :class:`SweepRunner` that use them.
 
-Covers the three tentpole layers (sharded indexed store, lease board,
+Covers the three layers (sharded indexed store, lease board,
 journal/checkpoint-resume) plus the differential acceptance criteria:
-a killed-and-resumed fabric sweep must be bit-identical to an
-uninterrupted serial run, re-executing only the genuinely missing
-points.
+a killed-and-resumed sweep must be bit-identical to an uninterrupted
+serial run, re-executing only the genuinely missing points.
 """
 
 import json
 import os
+import subprocess
+import sys
 import time
 from contextlib import contextmanager
 
 import pytest
 
-from repro.experiments import ResultStore, SweepRunner, SweepSpec
+from repro.experiments import (
+    PointExecutionError,
+    SweepIncompleteError,
+    SweepRunner,
+    SweepSpec,
+)
 from repro.experiments.registry import _STUDIES, register_study
+from repro.experiments.runner import FAULT_ENV
 from repro.experiments.spec import ExperimentPoint
-from repro.experiments.store import StoredResult
 from repro.fabric import (
-    FabricIncompleteError,
-    FabricRunner,
     LeaseBoard,
     ShardedResultStore,
+    StoredResult,
     SweepJournal,
     load_journal,
-    open_result_store,
 )
 from repro.fabric.journal import list_runs, plan_batches
-from repro.fabric.runner import FAULT_ENV
 from repro.obs.provenance import load_manifest, manifest_path_for, spec_hash
+from repro.obs.trace import TRACER
 
 TINY_BASE = {"length": 600, "seed": 3}
 TINY_GRID = {"ratio": [0.4, 0.6], "suite": ["office", "kernels"]}
@@ -60,6 +65,22 @@ def events_of(directory, kind):
     with open(path) as handle:
         return [json.loads(line) for line in handle
                 if json.loads(line)["event"] == kind]
+
+
+def shard_keys(directory):
+    """The key of every line in every shard (duplicates included)."""
+    shard_dir = os.path.join(directory, "shards")
+    keys = []
+    for name in sorted(os.listdir(shard_dir)):
+        with open(os.path.join(shard_dir, name)) as handle:
+            keys += [json.loads(line)["key"] for line in handle]
+    return keys
+
+
+def write_flat_store(path, records):
+    with open(path, "a") as handle:
+        for record in records:
+            handle.write(record.to_json() + "\n")
 
 
 # ----------------------------------------------------------------------
@@ -189,19 +210,19 @@ class TestShardedStore:
         reopened.close()
 
     def test_flat_store_migrates_transparently(self, tmp_path):
-        flat = ResultStore(str(tmp_path / "store.jsonl"))
-        point = ExperimentPoint.from_dict("caches", {"ratio": 0.5})
-        flat.put(point, {"mean_loss": 0.01})
+        flat = str(tmp_path / "store.jsonl")
+        first = make_record(0.5, {"mean_loss": 0.01})
+        write_flat_store(flat, [first])
 
         sharded = ShardedResultStore(str(tmp_path))
         assert len(sharded) == 1
-        assert sharded.get(point.key).metrics == {"mean_loss": 0.01}
+        assert sharded.get(first.key).metrics == {"mean_loss": 0.01}
         sharded.close()
 
         # Appends made to the flat file *after* migration are imported
         # incrementally on the next open.
-        other = ExperimentPoint.from_dict("caches", {"ratio": 0.7})
-        flat.put(other, {"mean_loss": 0.02})
+        other = make_record(0.7, {"mean_loss": 0.02})
+        write_flat_store(flat, [other])
         reopened = ShardedResultStore(str(tmp_path))
         assert len(reopened) == 2
         assert reopened.get(other.key).metrics == {"mean_loss": 0.02}
@@ -209,14 +230,16 @@ class TestShardedStore:
         reopened.close()
         assert len(ShardedResultStore(str(tmp_path))) == 2
 
-    def test_open_result_store_dispatch(self, tmp_path):
-        flat_path = str(tmp_path / "flat.jsonl")
-        ResultStore(flat_path)
-        assert isinstance(open_result_store(flat_path), ResultStore)
-        assert isinstance(open_result_store(str(tmp_path)),
-                          ShardedResultStore)
-        fresh = str(tmp_path / "newdir")
-        assert isinstance(open_result_store(fresh), ShardedResultStore)
+    def test_flat_file_is_import_only(self, tmp_path):
+        flat = str(tmp_path / "flat.jsonl")
+        write_flat_store(flat, [make_record(0.5)])
+        # A flat file is never opened as a store, only imported.
+        with pytest.raises(ValueError, match="import-only"):
+            ShardedResultStore(flat)
+        store = ShardedResultStore(str(tmp_path / "newdir"))
+        assert store.import_flat_store(flat) == 1
+        assert store.get(make_record(0.5).key) is not None
+        store.close()
 
     def test_rejects_foreign_schema(self, tmp_path):
         (tmp_path / "fabric.json").write_text('{"schema": "nope/9"}')
@@ -358,7 +381,8 @@ class TestJournal:
 
 
 # ----------------------------------------------------------------------
-# Fabric runner: differential against the in-process SweepRunner
+# SweepRunner over a store: journal, leases, resume — differential
+# against an uninterrupted serial run without a store
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def serial_oracle():
@@ -372,29 +396,34 @@ def assert_bit_identical(outcome, oracle):
     assert outcome.metrics_by_key() == oracle.metrics_by_key()
 
 
+def cli_env(**extra):
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])), **extra)
+
+
 class TestFabricRunner:
     def test_serial_in_process_matches_sweep_runner(self, tmp_path,
                                                     serial_oracle):
-        runner = FabricRunner(str(tmp_path), workers=1)
-        outcome = runner.run(tiny_spec())
-        runner.close()
+        outcome = SweepRunner(str(tmp_path), workers=1).run(tiny_spec())
         assert outcome.executed == 4 and outcome.cache_hits == 0
         assert_bit_identical(outcome, serial_oracle)
+        # Every store-backed run is journaled, even in-process.
+        assert list_runs(str(tmp_path)) == [outcome.run_id]
+        # The in-process executor takes no leases.
+        assert not os.path.exists(tmp_path / "leases.sqlite")
 
         # Rerun over the same store: every point a cache hit, values
         # unchanged.
-        rerun = FabricRunner(str(tmp_path), workers=1)
-        again = rerun.run(tiny_spec())
-        rerun.close()
+        again = SweepRunner(str(tmp_path), workers=1).run(tiny_spec())
         assert again.cache_hits == 4 and again.executed == 0
         assert_bit_identical(again, serial_oracle)
 
     def test_spawned_workers_match_sweep_runner(self, tmp_path,
                                                 serial_oracle):
-        runner = FabricRunner(str(tmp_path), workers=2, batch_size=1,
-                              spawn_workers=True)
+        runner = SweepRunner(str(tmp_path), workers=2, batch_size=1)
         outcome = runner.run(tiny_spec())
-        runner.close()
         assert outcome.executed == 4
         assert_bit_identical(outcome, serial_oracle)
         kinds = event_kinds(str(tmp_path))
@@ -404,18 +433,15 @@ class TestFabricRunner:
     def test_duplicate_grid_values_fan_out(self, tmp_path):
         spec = SweepSpec("caches", base=dict(TINY_BASE),
                          grid={"ratio": [0.5, 0.5], "suite": ["office"]})
-        runner = FabricRunner(str(tmp_path), workers=1)
-        outcome = runner.run(spec)
-        runner.close()
+        outcome = SweepRunner(str(tmp_path), workers=1).run(spec)
         assert len(outcome) == 2
         assert outcome.executed == 1 and outcome.cache_hits == 1
         assert outcome.results[0].metrics == outcome.results[1].metrics
         assert len(ShardedResultStore(str(tmp_path))) == 1
 
     def test_manifest_records_fabric_plan(self, tmp_path):
-        runner = FabricRunner(str(tmp_path), workers=1, batch_size=2)
-        outcome = runner.run(tiny_spec())
-        runner.close()
+        outcome = SweepRunner(str(tmp_path), workers=2,
+                              batch_size=2).run(tiny_spec())
         manifest = load_manifest(outcome.manifest_path)
         fabric = manifest["fabric"]
         assert fabric["batches"] == 2 and fabric["batch_size"] == 2
@@ -426,62 +452,43 @@ class TestFabricRunner:
         assert manifest["totals"]["points"] == 4
 
     def test_resume_rejects_mismatched_spec(self, tmp_path):
-        runner = FabricRunner(str(tmp_path), workers=1)
+        runner = SweepRunner(str(tmp_path), workers=1)
         runner.run(tiny_spec())
-        run_id = runner.run_id
-        runner.close()
         other = SweepSpec("caches", base=dict(TINY_BASE),
                           grid={"ratio": [0.9]})
-        resumer = FabricRunner(str(tmp_path), workers=1)
+        resumer = SweepRunner(str(tmp_path), workers=1)
         with pytest.raises(ValueError, match="spec hash mismatch"):
-            resumer.resume(run_id, spec=other)
-        resumer.close()
+            resumer.resume(runner.run_id, spec=other)
 
     def test_kill_and_resume_is_bit_identical(self, tmp_path,
-                                              monkeypatch,
                                               serial_oracle):
-        """The crash/resume acceptance test: hard-kill (SIGKILL) a
-        worker mid-batch, resume, and require the final store to be
-        bit-identical to an uninterrupted serial run with only the
-        missing points re-executed."""
+        """The crash/resume acceptance test: SIGKILL an in-process run
+        right after its first stored point, resume it on two worker
+        processes, and require results bit-identical to an
+        uninterrupted serial run with only the missing points
+        re-executed and one shard line per key."""
         directory = str(tmp_path)
-        monkeypatch.setenv(FAULT_ENV, "kill-worker")
-        runner = FabricRunner(directory, workers=1, batch_size=2,
-                              lease_ttl=0.5, spawn_workers=True)
-        with pytest.raises(FabricIncompleteError) as excinfo:
-            runner.run(tiny_spec())
-        run_id = runner.run_id
-        runner.close()
-        assert excinfo.value.run_id == run_id
-        assert f"--resume {run_id}" in str(excinfo.value)
+        crashed = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "sweep", "caches",
+             "--store", directory, "--workers", "1", "--quiet",
+             "--grid", "ratio=0.4,0.6", "--suites", "office", "kernels",
+             "--length", "600", "--seed", "3"],
+            env=cli_env(**{FAULT_ENV: "kill-worker"}),
+            capture_output=True, timeout=120)
+        assert crashed.returncode == -9, crashed.stderr.decode()
         assert os.path.exists(os.path.join(directory, ".fault-fired"))
+        (run_id,) = list_runs(directory)
 
-        # The dead worker stored at least its first point; not all.
-        survivors = ShardedResultStore(directory)
-        stored_before = len(survivors)
-        survivors.close()
-        assert 1 <= stored_before < 4
-
-        monkeypatch.delenv(FAULT_ENV)
-        time.sleep(0.6)  # let the dead worker's lease expire
-        resumer = FabricRunner(directory, workers=2, lease_ttl=0.5,
-                               spawn_workers=True)
-        outcome = resumer.resume(run_id)
-        resumer.close()
-
+        resumed = SweepRunner(directory, workers=2, lease_ttl=0.5)
+        outcome = resumed.resume(run_id)
         assert_bit_identical(outcome, serial_oracle)
         assert outcome.run_id == run_id
-        assert outcome.cache_hits == stored_before
-        assert outcome.executed == 4 - stored_before
+        assert outcome.cache_hits == 1 and outcome.executed == 3
+        keys = shard_keys(directory)
+        assert sorted(keys) == sorted(set(keys)) and len(keys) == 4
 
         kinds = event_kinds(directory)
-        assert "worker_lost" in kinds
-        assert "lease_stolen" in kinds
         assert "run_resumed" in kinds
-        retried = events_of(directory, "point_retry")
-        assert any(e["payload"]["reason"] == "lease re-run"
-                   for e in retried)
-
         manifest = load_manifest(manifest_path_for(
             os.path.join(directory, "fabric.json")))
         assert manifest["resumed_from"] == run_id
@@ -491,15 +498,21 @@ class TestFabricRunner:
             self, tmp_path, monkeypatch, serial_oracle):
         directory = str(tmp_path)
         monkeypatch.setenv(FAULT_ENV, "kill-worker")
-        runner = FabricRunner(directory, workers=2, batch_size=1,
-                              lease_ttl=0.5, spawn_workers=True)
+        runner = SweepRunner(directory, workers=2, batch_size=2,
+                             lease_ttl=0.5)
         outcome = runner.run(tiny_spec())
-        runner.close()
-        # One worker died, but the run still completed in one go.
+        # One worker died after its first point, but the run still
+        # completed in one go: the survivor stole the dead worker's
+        # batch, skipped the stored point and re-ran the other.
         assert_bit_identical(outcome, serial_oracle)
         kinds = event_kinds(directory)
         assert "worker_lost" in kinds
+        assert "lease_stolen" in kinds
         assert "run_end" in kinds
+        retried = events_of(directory, "point_retry")
+        assert [e["payload"]["reason"] for e in retried] == ["lease re-run"]
+        keys = shard_keys(directory)
+        assert sorted(keys) == sorted(set(keys)) and len(keys) == 4
 
 
 # ----------------------------------------------------------------------
@@ -525,14 +538,12 @@ class TestPointTimeout:
         with temporary_study("fabric_sleepy"):
             spec = SweepSpec("fabric_sleepy",
                              grid={"duration": [30.0]})
-            runner = FabricRunner(
-                str(tmp_path), workers=1, point_timeout=0.05,
+            runner = SweepRunner(
+                str(tmp_path), workers=2, point_timeout=0.05,
                 point_retries=1, max_batch_attempts=1,
-                spawn_workers=False,
             )
-            with pytest.raises(FabricIncompleteError) as excinfo:
+            with pytest.raises(SweepIncompleteError) as excinfo:
                 runner.run(spec)
-            runner.close()
         assert excinfo.value.failed  # batch reported exhausted
         retried = events_of(str(tmp_path), "point_retry")
         assert any(e["payload"]["reason"] == "timeout" for e in retried)
@@ -541,17 +552,73 @@ class TestPointTimeout:
         failed = events_of(str(tmp_path), "batch_failed")
         assert failed and "timed out" in failed[0]["payload"]["error"]
 
+    def test_in_process_timeout_names_the_point(self, tmp_path):
+        with temporary_study("fabric_sleepy"):
+            spec = SweepSpec("fabric_sleepy",
+                             grid={"duration": [30.0]})
+            runner = SweepRunner(str(tmp_path), workers=1,
+                                 point_timeout=0.05, point_retries=1)
+            with pytest.raises(PointExecutionError, match="timed out"):
+                runner.run(spec)
+        retried = events_of(str(tmp_path), "point_retry")
+        assert [e["payload"]["reason"] for e in retried] == ["timeout"]
+        (error,) = events_of(str(tmp_path), "point_error")
+        assert error["payload"]["reason"] == "timeout"
+
     def test_fast_points_unaffected_by_timeout(self, tmp_path):
         with temporary_study("fabric_sleepy"):
             spec = SweepSpec("fabric_sleepy",
                              grid={"duration": [0.0, 0.001]})
-            runner = FabricRunner(str(tmp_path), workers=1,
-                                  point_timeout=10.0,
-                                  spawn_workers=False)
+            runner = SweepRunner(str(tmp_path), workers=1,
+                                 point_timeout=10.0)
             outcome = runner.run(spec)
-            runner.close()
         assert outcome.executed == 2
         assert [r.metrics["slept"] for r in outcome] == [0.0, 0.001]
+
+
+# ----------------------------------------------------------------------
+# Leases track liveness; worker spans reach the parent
+# ----------------------------------------------------------------------
+class TestWorkerProcesses:
+    def test_points_longer_than_the_ttl_keep_their_lease(self, tmp_path):
+        """A heartbeat thread keeps a live worker's lease: points of
+        over twice the TTL are neither stolen nor run twice."""
+        with temporary_study("fabric_sleepy"):
+            spec = SweepSpec("fabric_sleepy", grid={
+                "duration": [1.2, 1.2001, 1.2002, 1.2003]})
+            outcome = SweepRunner(str(tmp_path), workers=2, batch_size=1,
+                                  lease_ttl=0.5).run(spec)
+        assert outcome.executed == 4
+        kinds = event_kinds(str(tmp_path))
+        assert kinds.count("lease_stolen") == 0
+        assert kinds.count("point_done") == 4
+        keys = shard_keys(str(tmp_path))
+        assert sorted(keys) == sorted(set(keys)) and len(keys) == 4
+
+    def test_traced_workers_ship_one_execute_span_per_point(
+            self, tmp_path):
+        TRACER.enable()
+        TRACER.clear()
+        try:
+            outcome = SweepRunner(str(tmp_path), workers=2,
+                                  batch_size=1).run(tiny_spec())
+            records = TRACER.records()
+        finally:
+            TRACER.disable()
+            TRACER.clear()
+        executes = [r for r in records if r["name"] == "sweep.execute"]
+        assert sorted(r["args"]["key"] for r in executes) == sorted(
+            r.point.key for r in outcome)
+        for record in executes:
+            assert record["pid"] == record["args"]["worker"]
+            assert record["pid"] != os.getpid()
+        waits = [r for r in records if r["name"] == "sweep.queue_wait"]
+        assert len(waits) == 4
+        assert {"sweep.run", "study.caches", "cache.replay"} <= {
+            r["name"] for r in records}
+        # The span files were merged and removed.
+        assert not [n for n in os.listdir(tmp_path)
+                    if n.startswith(".spans-")]
 
 
 # ----------------------------------------------------------------------
@@ -660,19 +727,18 @@ class TestRequestStop:
             oracle = SweepRunner(store=None, workers=1).run(spec)
 
             store = ShardedResultStore(str(tmp_path))
-            runner = FabricRunner(store, workers=1, batch_size=1)
+            runner = SweepRunner(store, workers=1)
             run_id = runner.run_id
             stopper = threading.Timer(0.3, runner.request_stop)
             stopper.start()
             try:
-                with pytest.raises(FabricIncompleteError):
+                with pytest.raises(SweepIncompleteError):
                     runner.run(spec)
             finally:
                 stopper.cancel()
-            runner.close()
             assert 0 < len(store) < 4
 
-            resumed = FabricRunner(store, workers=1).resume(run_id)
+            resumed = SweepRunner(store, workers=1).resume(run_id)
             assert {r.point.key: r.metrics for r in resumed.results} \
                 == {r.point.key: r.metrics for r in oracle.results}
             store.close()

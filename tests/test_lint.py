@@ -451,8 +451,9 @@ class TestFab001:
         assert "append_record" in report.findings[0].message
 
     def test_flags_write_mode_keyword_and_writelines(self, tmp_path):
+        # The sweep runner writes the journal: held to the same rule.
         report = lint_snippet(
-            tmp_path, "experiments/store.py",
+            tmp_path, "experiments/runner.py",
             "def dump(path, lines):\n"
             "    handle = open(path, mode='w')\n"
             "    handle.writelines(lines)\n",

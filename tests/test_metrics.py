@@ -449,15 +449,12 @@ class TestStudyMetricSets:
             assert clone.flatten() == tree.flatten(), study
 
     def test_point_results_expose_tree_and_flat_views(self, tmp_path):
-        from repro.experiments import (
-            ResultStore,
-            SweepRunner,
-            SweepSpec,
-        )
+        from repro.experiments import SweepRunner, SweepSpec
+        from repro.fabric import ShardedResultStore
 
         spec = SweepSpec("caches", base={"length": 300},
                          grid={"ratio": [0.4, 0.5]})
-        store = ResultStore(str(tmp_path / "store.jsonl"))
+        store = ShardedResultStore(str(tmp_path))
         fresh = SweepRunner(store=store).run(spec)
         for result in fresh:
             assert result.metric_set is not None

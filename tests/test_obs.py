@@ -524,9 +524,10 @@ class TestRunnerObservability:
 
     def test_store_backed_sweep_writes_manifest_and_events(
             self, tmp_path):
-        from repro.experiments import ResultStore, run_sweep
+        from repro.experiments import run_sweep
+        from repro.fabric import ShardedResultStore
 
-        store = ResultStore(str(tmp_path / "store.jsonl"))
+        store = ShardedResultStore(str(tmp_path))
         outcome = run_sweep(_tiny_spec(), store=store)
         assert outcome.run_id
         assert outcome.manifest_path == str(tmp_path / "manifest.json")
@@ -556,7 +557,6 @@ class TestRunnerObservability:
         hash and parameters, and emit a structured point_error event."""
         from repro.experiments import (
             PointExecutionError,
-            ResultStore,
             SweepSpec,
             run_sweep,
         )
@@ -566,9 +566,8 @@ class TestRunnerObservability:
             base={"length": 400, "seed": 0, "suite": "bogus"},
             grid={"ratio": [0.4]},
         )
-        store = ResultStore(str(tmp_path / "store.jsonl"))
         with pytest.raises(PointExecutionError) as excinfo:
-            run_sweep(spec, store=store)
+            run_sweep(spec, store=str(tmp_path))
         error = excinfo.value
         assert error.study == "caches"
         assert error.key and len(error.key) == 20
@@ -606,10 +605,9 @@ class TestRunnerObservability:
             [r.metrics for r in parallel]
         names = {r["name"] for r in TRACER.records()}
         assert "sweep.run" in names
-        # Pool path ships worker spans + queue waits back; the serial
-        # fallback (platforms without multiprocessing) records the same
-        # sweep.execute spans directly.
-        assert "sweep.execute" in names
+        # Worker processes ship their spans back; the parent adds the
+        # queue waits.
+        assert {"sweep.execute", "sweep.queue_wait"} <= names
 
 
 # ----------------------------------------------------------------------

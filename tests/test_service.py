@@ -8,8 +8,8 @@ Three layers, matching the module split:
   :class:`repro.client.ServiceClient` over real TCP;
 - the ISSUE acceptance criteria: concurrent identical submits share
   one execution and one store write per point, every stream sees
-  run_start + ≥1 telemetry + run_end, and a drained fabric job
-  resumes bit-identically.
+  run_start + ≥1 telemetry + run_end, and a drained job resumes
+  bit-identically.
 """
 
 import asyncio
@@ -489,23 +489,25 @@ class TestLiveService:
                     "state"] == "done"
                 assert len(client.result(job["job"])["rows"]) == 2
 
-    def test_drain_journals_fabric_job_then_resume_matches(
-            self, tmp_path):
-        """SIGTERM-path drain: a running fabric job is stopped
-        cooperatively, reported incomplete with a resume hint, and
-        ``FabricRunner.resume`` finishes it bit-identically."""
-        from repro.fabric import FabricRunner, ShardedResultStore
+    def test_drain_stops_in_process_job_then_resume_matches(
+            self, tmp_path, capsys):
+        """SIGTERM-path drain: a running workers=1 job stops at a point
+        boundary, is reported incomplete with a resume hint, and
+        ``repro sweep --resume`` finishes it bit-identically."""
+        from repro.cli import main
+        from repro.fabric import ShardedResultStore
 
         directory = tmp_path / "svc"
         with sleepy_study() as study:
             spec = SweepSpec(study, grid={
-                "duration": [0.4, 0.4001, 0.4002, 0.4003]})
+                "duration": [0.5, 0.5001, 0.5002, 0.5003]})
             payload = {"study": study, "grid": dict(spec.grid)}
             oracle = SweepRunner(store=None, workers=1).run(spec)
 
             with live_service(directory, drain_grace=30.0) as \
                     (port, service):
                 client = ServiceClient(f"http://127.0.0.1:{port}")
+                # ``fabric`` is still accepted, and selects nothing.
                 job = client.submit(payload, fabric=True)
                 job_id = job["job"]
                 deadline = time.monotonic() + 30
@@ -514,21 +516,16 @@ class TestLiveService:
                     time.sleep(0.02)
                 # Context exit sends the stop; shutdown drains.
             final = service.manager.get(job_id)
-            assert final is not None
+            assert final.state == "incomplete"
+            assert f"--resume {job_id}" in final.status()["resume"]
+            assert 1 <= final.done < 4
 
+            assert main(["sweep", "--resume", job_id, "--store",
+                         str(directory), "--quiet"]) == 0
             store = ShardedResultStore(str(directory))
             try:
-                if final.state == "incomplete":
-                    assert job_id in final.status()["resume"]
-                    outcome = FabricRunner(
-                        store, workers=1).resume(job_id)
-                    rows = {r.point.key: r.metrics
-                            for r in outcome.results}
-                else:
-                    # The job beat the drain; its rows stand alone.
-                    assert final.state == "done"
-                    rows = {r["key"]: r["metrics"]
-                            for r in final.results}
+                rows = {r.point.key: store.get(r.point.key).metrics
+                        for r in oracle.results}
             finally:
                 store.close()
             assert rows == {r.point.key: r.metrics
