@@ -91,23 +91,34 @@ class AgingSimulator:
     # ------------------------------------------------------------------
     def apply(self, input_values: Mapping[str, int], duration: float = 1.0) -> None:
         """Hold one input vector for ``duration`` time units."""
-        if duration < 0.0:
-            raise ValueError("duration must be non-negative")
-        if duration == 0.0:
-            return
-        values = self.circuit.evaluate(input_values)
-        for node, value in values.items():
-            self.ledger.observe(node, value, duration)
-        self._elapsed += duration
+        self.apply_sequence([input_values], duration)
 
     def apply_sequence(
         self,
         vectors: Iterable[Mapping[str, int]],
         duration_each: float = 1.0,
     ) -> None:
-        """Hold each vector of a sequence for the same duration."""
-        for vector in vectors:
-            self.apply(vector, duration_each)
+        """Hold each vector of a sequence for the same duration.
+
+        The whole sequence is evaluated in one bit-sliced gate walk; each
+        node's lane popcount gives how many vectors drive it to "1".  The
+        ledger and :attr:`elapsed` end bit-identical to applying the
+        vectors one at a time (see :meth:`StressLedger.observe_counts`).
+        """
+        if duration_each < 0.0:
+            raise ValueError("duration must be non-negative")
+        vectors = list(vectors)
+        if duration_each == 0.0 or not vectors:
+            return
+        count = len(vectors)
+        packed = self.circuit.evaluate_packed(vectors)
+        self.ledger.observe_counts(
+            ((node, count - lanes.bit_count(), lanes.bit_count())
+             for node, lanes in packed.items()),
+            duration_each,
+        )
+        for __ in range(count):
+            self._elapsed += duration_each
 
     def apply_weighted(
         self, weighted_vectors: Iterable[Tuple[Mapping[str, int], float]]

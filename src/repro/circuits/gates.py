@@ -38,10 +38,12 @@ class GateKind(enum.Enum):
         return 1 if self is GateKind.INV else 2
 
 
-_EVALUATORS: Dict[GateKind, Callable[..., int]] = {
-    GateKind.INV: lambda a: 1 - a,
-    GateKind.NAND2: lambda a, b: 1 - (a & b),
-    GateKind.NOR2: lambda a, b: 1 - (a | b),
+#: Bit-sliced gate functions: each operand packs one logic value per
+#: lane, and ``full`` has one set bit per lane (1 for a single vector).
+LANE_EVALUATORS: Dict[GateKind, Callable[..., int]] = {
+    GateKind.INV: lambda full, a: full ^ a,
+    GateKind.NAND2: lambda full, a, b: full ^ (a & b),
+    GateKind.NOR2: lambda full, a, b: full ^ (a | b),
 }
 
 
@@ -95,7 +97,7 @@ class Gate:
         for value in values:
             if value not in (0, 1):
                 raise ValueError(f"gate inputs must be 0/1, got {value!r}")
-        return _EVALUATORS[self.kind](*values)
+        return LANE_EVALUATORS[self.kind](1, *values)
 
     @property
     def transistor_count(self) -> int:

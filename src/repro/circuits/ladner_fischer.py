@@ -25,6 +25,7 @@ NBTI analysis of Section 4.3 of the paper):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Tuple
 
 from repro.circuits.netlist import Circuit, CircuitBuilder
@@ -98,10 +99,10 @@ class LadnerFischerAdder:
             )
         if cin not in (0, 1):
             raise ValueError(f"cin must be 0 or 1, got {cin!r}")
+        a_pins, b_pins = _operand_pins(self.width)
         vector = {self.cin_pin: cin}
-        for bit in range(self.width):
-            vector[self.a_pin(bit)] = (a >> bit) & 1
-            vector[self.b_pin(bit)] = (b >> bit) & 1
+        vector.update(zip(a_pins, [(a >> bit) & 1 for bit in range(self.width)]))
+        vector.update(zip(b_pins, [(b >> bit) & 1 for bit in range(self.width)]))
         return vector
 
     def add(self, a: int, b: int, cin: int = 0) -> Tuple[int, int]:
@@ -131,6 +132,13 @@ class LadnerFischerAdder:
     @property
     def narrow_pmos_count(self) -> int:
         return len(self.circuit.narrow_pmos())
+
+
+@lru_cache(maxsize=8)
+def _operand_pins(width: int) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
+    """Input pin names ``a0..`` and ``b0..`` of a ``width``-bit adder."""
+    return (tuple(f"a{bit}" for bit in range(width)),
+            tuple(f"b{bit}" for bit in range(width)))
 
 
 def build_ladner_fischer_adder(

@@ -2,17 +2,26 @@
 
 :class:`Circuit` holds named nodes and primitive gates, computes a
 topological evaluation order once, and then evaluates input vectors into
-full node-value maps.  :class:`CircuitBuilder` provides composite-function
-helpers (AND, OR, XOR, ...) that expand into primitives so that every
-internal node is visible to the aging simulator.
+full node-value maps.  Evaluation is bit-sliced: a batch of vectors is
+packed into Python ints, one bit (lane) per vector, so one gate walk
+evaluates every vector of the batch.  :class:`CircuitBuilder` provides
+composite-function helpers (AND, OR, XOR, ...) that expand into
+primitives so that every internal node is visible to the aging
+simulator.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.circuits.gates import Gate, GateKind
+from repro.circuits.gates import LANE_EVALUATORS, Gate, GateKind
 from repro.nbti.transistor import PMOSTransistor, WidthClass
+
+_BITS = frozenset((0, 1))
+
+#: Bytes 0/1 -> ASCII "0"/"1".
+_NUMERAL = bytes.maketrans(b"\x00\x01", b"01")
 
 
 class Circuit:
@@ -29,6 +38,8 @@ class Circuit:
         self._inputs: List[str] = []
         self._outputs: List[str] = []
         self._order: Optional[List[Gate]] = None
+        #: (order it was built from, per gate: (lane op, output, inputs))
+        self._steps: Tuple[Optional[List[Gate]], List[tuple]] = (None, [])
 
     # ------------------------------------------------------------------
     # Construction
@@ -137,20 +148,51 @@ class Circuit:
         dict
             Logic value of *every* node (inputs and gate outputs).
         """
-        missing = [n for n in self._inputs if n not in input_values]
-        if missing:
-            raise ValueError(f"missing values for inputs: {missing[:8]}")
-        values: Dict[str, int] = {}
-        for node in self._inputs:
-            value = input_values[node]
-            if value not in (0, 1):
+        return self.evaluate_packed([input_values])
+
+    def evaluate_packed(
+        self, vectors: Sequence[Mapping[str, int]]
+    ) -> Dict[str, int]:
+        """Evaluate a batch of input vectors in one gate walk.
+
+        Bit ``j`` of each returned value is the node's logic value under
+        ``vectors[j]``.  Nodes come in :meth:`evaluate` order: primary
+        inputs, then gate outputs in topological order.  Raises the
+        :meth:`evaluate` errors for the first vector that has one.
+        """
+        inputs = self._inputs
+        required = set(inputs)
+        rows = []
+        for vector in vectors:
+            if not vector.keys() >= required:
+                missing = [n for n in inputs if n not in vector]
+                raise ValueError(f"missing values for inputs: {missing[:8]}")
+            row = [vector[node] for node in inputs]
+            if not _BITS.issuperset(row):
+                node, value = next((n, v) for n, v in zip(inputs, row)
+                                   if v not in (0, 1))
                 raise ValueError(f"input {node!r} must be 0/1, got {value!r}")
-            values[node] = value
-        for gate in self.topological_order():
-            values[gate.output] = gate.evaluate(
-                [values[node] for node in gate.inputs]
-            )
+            rows.append(row)
+        # Lane j of an input is bit j of an int: write each column as a
+        # binary numeral, lane 0 last.
+        lanes = [int(bytes(map(int, reversed(column))).translate(_NUMERAL), 2)
+                 for column in zip(*rows)] or [0] * len(inputs)
+        full = (1 << len(rows)) - 1
+        values = dict(zip(inputs, lanes))
+        for op, output, pins in self._gate_steps():
+            if len(pins) == 1:
+                values[output] = op(full, values[pins[0]])
+            else:
+                values[output] = op(full, values[pins[0]], values[pins[1]])
         return values
+
+    def _gate_steps(self) -> List[tuple]:
+        """The topological order as ``(lane op, output, inputs)``."""
+        order = self.topological_order()
+        if self._steps[0] is not order:
+            self._steps = (order, [(LANE_EVALUATORS[gate.kind], gate.output,
+                                    gate.inputs) for gate in order])
+        return self._steps[1]
 
     def output_values(self, input_values: Mapping[str, int]) -> Dict[str, int]:
         """Evaluate and return only the declared primary outputs."""
@@ -196,10 +238,11 @@ class Circuit:
         """
         if wide_threshold <= 0:
             raise ValueError("wide_threshold must be positive")
+        pins = Counter(node for gate in self._gates for node in gate.inputs)
         heavy = [
             gate.name
             for gate in self._gates
-            if self.fanout(gate.output) >= wide_threshold
+            if pins[gate.output] >= wide_threshold
         ]
         return self.resize_gates(heavy, WidthClass.WIDE)
 

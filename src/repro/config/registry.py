@@ -254,10 +254,9 @@ def _build_idle_injection(
 ) -> Dict[str, Any]:
     """Settings for idle-input injection: the synthetic input pair to
     alternate during idle cycles (Section 4.3's best pair by default)."""
-    pair = tuple(pair)
-    if len(pair) != 2:
-        raise ValueError(f"pair must have two entries, got {pair!r}")
-    return {"pair": pair, "inject": True}
+    from repro.core.combinational import check_input_pair
+
+    return {"pair": check_input_pair(pair), "inject": True}
 
 
 _STRUCTURE_REGISTRIES: Mapping[str, ComponentRegistry] = {

@@ -45,6 +45,17 @@ def input_pairs(width: int) -> List[Tuple[int, int]]:
     return list(itertools.combinations(range(1, 9), 2))
 
 
+def check_input_pair(pair: Sequence[int]) -> Tuple[int, int]:
+    """``pair`` as a tuple, or ValueError unless it names two distinct
+    synthetic inputs (1-based indices in 1..8)."""
+    pair = tuple(pair)
+    if (len(pair) != 2 or pair[0] == pair[1]
+            or not all(isinstance(index, int) and 1 <= index <= 8
+                       for index in pair)):
+        raise ValueError(f"pair must be two distinct indices in 1..8: {pair}")
+    return pair[0], pair[1]
+
+
 def evaluate_input_pair(
     adder: LadnerFischerAdder,
     pair: Tuple[int, int],
@@ -57,9 +68,7 @@ def evaluate_input_pair(
     ``narrow_fully_stressed_fraction`` is the Figure 4 metric.
     """
     inputs = synthetic_inputs(adder.width)
-    first, second = pair
-    if not 1 <= first <= 8 or not 1 <= second <= 8 or first == second:
-        raise ValueError(f"pair must be two distinct indices in 1..8: {pair}")
+    first, second = check_input_pair(pair)
     simulator = AgingSimulator(adder.circuit, guardband_model)
     simulator.apply(adder.input_vector(*inputs[first - 1]), 1.0)
     simulator.apply(adder.input_vector(*inputs[second - 1]), 1.0)
@@ -117,6 +126,9 @@ class IdleInputInjector:
     pair: Tuple[int, int] = (1, 8)
     guardband_model: GuardbandModel = DEFAULT_GUARDBAND_MODEL
 
+    def __post_init__(self) -> None:
+        self.pair = check_input_pair(self.pair)
+
     def age(
         self,
         real_vectors: Sequence[RealVector],
@@ -143,9 +155,10 @@ class IdleInputInjector:
             raise ValueError("need at least one real vector")
         simulator = AgingSimulator(self.adder.circuit, self.guardband_model)
         busy_share = utilization if inject else 1.0
-        weight = busy_share / len(real_vectors)
-        for vector in real_vectors:
-            simulator.apply(self.adder.input_vector(*vector), weight)
+        simulator.apply_sequence(
+            [self.adder.input_vector(*vector) for vector in real_vectors],
+            busy_share / len(real_vectors),
+        )
         if inject and utilization < 1.0:
             inputs = synthetic_inputs(self.adder.width)
             idle_each = (1.0 - utilization) / 2.0

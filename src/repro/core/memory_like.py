@@ -24,7 +24,7 @@ registered by name in :data:`repro.config.registry.RF_PROTECTORS`
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.core.policy import BitDirective, Technique, choose_technique, repair_bit
 from repro.uarch.core import CoreHooks
@@ -39,6 +39,11 @@ DEFAULT_SAMPLE_PERIOD = 512.0
 
 #: Resolution of the K-duty phase counter for ALL1-K% techniques.
 K_PHASE_STEPS = 20
+
+#: Distinct values one field of a :class:`SchedulerProfiler` counts
+#: before it unpacks them into per-bit counts; bounds its memory on
+#: long profiling traces.
+PROFILE_FOLD_VALUES = 4096
 
 
 class RINVRegister:
@@ -207,6 +212,45 @@ _ISV_SOURCES = {
 }
 
 
+def _repair_tables(
+    policy: SchedulerPolicy, isv_fields: Iterable[str]
+) -> Tuple[List[Dict[str, int]], Dict[str, int]]:
+    """The RINV contents of a policy, as tables built once.
+
+    Returns, per phase step, the constant value of every repaired field
+    (ALL1/ALL0 and K-duty bits, from :func:`repair_bit`), and, per field
+    with an RINV register, the mask of its ISV bits.  A release writes
+    ``constants[step][field] | (rinv.value & isv_mask[field])``.  Bits a
+    directive leaves untouched read 0 in a repaired field; a field with
+    no repaired bit is not written at all.
+    """
+    isv_fields = set(isv_fields)
+    constants: List[Dict[str, int]] = [{} for _ in range(K_PHASE_STEPS)]
+    isv_masks: Dict[str, int] = {}
+    for fieldname, directives in policy.items():
+        isv_mask = 0
+        if fieldname in isv_fields:
+            for bit_index, directive in enumerate(directives):
+                if directive.technique is Technique.ISV:
+                    isv_mask |= 1 << bit_index
+        repaired = isv_mask != 0
+        for step, values in enumerate(constants):
+            phase = step / K_PHASE_STEPS
+            composed = 0
+            for bit_index, directive in enumerate(directives):
+                bit = repair_bit(directive, phase)
+                if bit is not None:
+                    repaired = True
+                    composed |= bit << bit_index
+            values[fieldname] = composed
+        if not repaired:
+            for values in constants:
+                del values[fieldname]
+        elif isv_mask:
+            isv_masks[fieldname] = isv_mask
+    return constants, isv_masks
+
+
 class SchedulerProtector(CoreHooks):
     """Applies a :data:`SchedulerPolicy` at slot release (Section 4.5)."""
 
@@ -223,6 +267,8 @@ class SchedulerProtector(CoreHooks):
             for name, width in layout.items()
             if name in _ISV_SOURCES
         }
+        self._constants, self._isv_masks = _repair_tables(self.policy,
+                                                          self.rinv)
         self._last_sample = -sample_period
         self._phase_counter = 0
         self.updates_written = 0
@@ -242,37 +288,22 @@ class SchedulerProtector(CoreHooks):
 
     def on_scheduler_release(self, sched: Scheduler, slot: int,
                              now: float) -> None:
-        values = self._compose_repair_values(sched)
-        if not values:
+        if not self._constants[0]:
             return
-        if sched.write_special(slot, values, now):
+        if sched.write_special(slot, self.repair_values(), now):
             self.updates_written += 1
         else:
             self.updates_skipped += 1
         self._phase_counter += 1
 
-    # -- internals ------------------------------------------------------
-    def _compose_repair_values(self, sched: Scheduler) -> Dict[str, int]:
-        phase = (self._phase_counter % K_PHASE_STEPS) / K_PHASE_STEPS
-        values: Dict[str, int] = {}
-        for fieldname, directives in self.policy.items():
-            rinv = self.rinv.get(fieldname)
-            inverted_sample = rinv.value if rinv is not None else None
-            composed = 0
-            any_bit = False
-            for bit_index, directive in enumerate(directives):
-                sampled_bit = None
-                if inverted_sample is not None:
-                    # RINV already stores the inversion; undo it here
-                    # because repair_bit() inverts sampled bits itself.
-                    sampled_bit = 1 - ((inverted_sample >> bit_index) & 1)
-                bit = repair_bit(directive, phase, sampled_bit)
-                if bit is None:
-                    continue
-                any_bit = True
-                composed |= bit << bit_index
-            if any_bit:
-                values[fieldname] = composed
+    def repair_values(self) -> Dict[str, int]:
+        """Field values the next release writes into its slot.
+
+        ISV bits copy RINV, which already holds the inverted sample.
+        """
+        values = dict(self._constants[self._phase_counter % K_PHASE_STEPS])
+        for fieldname, mask in self._isv_masks.items():
+            values[fieldname] |= self.rinv[fieldname].value & mask
         return values
 
 
@@ -292,24 +323,31 @@ class SchedulerProfiler(CoreHooks):
             name: [0] * width for name, width in layout.fields().items()
         }
         self._field_fills = {name: 0 for name in layout.fields()}
+        #: field -> dispatched value -> fills carrying it, not yet
+        #: unpacked into ``_ones``
+        self._seen: Dict[str, Dict[int, int]] = {
+            name: {} for name in layout.fields()
+        }
 
     def on_scheduler_fill(self, sched: Scheduler, slot: int, uop: Uop,
                           now: float) -> None:
         self.fills += 1
         mob_id = 0 if uop.uop_class.is_memory else None
-        values = sched.field_values(uop, mob_id=mob_id)
-        for name, counts in self._ones.items():
-            if name not in values:
-                continue
-            self._field_fills[name] += 1
-            value = values[name]
-            for bit_index in range(len(counts)):
-                counts[bit_index] += (value >> bit_index) & 1
+        for name, value in sched.field_values(uop, mob_id=mob_id).items():
+            seen = self._seen[name]
+            if value in seen:
+                seen[value] += 1
+            else:
+                seen[value] = 1
+                if len(seen) >= PROFILE_FOLD_VALUES:
+                    self._fold(name)
 
     def busy_bias_to_zero(self) -> Dict[str, List[float]]:
         """Per-field, per-bit fraction of dispatched payloads with a 0."""
         if self.fills == 0:
             raise ValueError("no fills profiled yet")
+        for name in self._seen:
+            self._fold(name)
         return {
             name: [
                 1.0 - ones / max(1, self._field_fills[name])
@@ -317,6 +355,17 @@ class SchedulerProfiler(CoreHooks):
             ]
             for name, counts in self._ones.items()
         }
+
+    def _fold(self, name: str) -> None:
+        """Unpack the counted values of one field into per-bit counts."""
+        ones = self._ones[name]
+        seen = self._seen[name]
+        for value, fills in seen.items():
+            self._field_fills[name] += fills
+            for bit_index in range(len(ones)):
+                if (value >> bit_index) & 1:
+                    ones[bit_index] += fills
+        seen.clear()
 
 
 def derive_scheduler_policy(

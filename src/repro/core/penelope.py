@@ -43,6 +43,7 @@ from repro.uarch.backends import get_backend
 from repro.uarch.core import (
     CompositeHooks,
     CoreConfig,
+    CoreHooks,
     CoreResult,
     TraceDrivenCore,
 )
@@ -150,9 +151,11 @@ class PenelopeProcessor:
         return LineFixedScheme(self.invert_ratio)
 
     # ------------------------------------------------------------------
-    def run_baseline(self, trace: Trace) -> CoreResult:
-        """One unprotected run."""
-        return TraceDrivenCore(self.config).run(trace)
+    def run_baseline(
+        self, trace: Trace, hooks: Optional[CoreHooks] = None
+    ) -> CoreResult:
+        """One unprotected run; ``hooks`` may observe it, not change it."""
+        return TraceDrivenCore(self.config, hooks).run(trace)
 
     def derive_policy(self, profiling_trace: Trace) -> SchedulerPolicy:
         """Profile one trace and derive the scheduler policy (Sec. 4.5).
@@ -203,9 +206,16 @@ class PenelopeProcessor:
         if not workload:
             raise ValueError("workload must contain at least one trace")
         policy = self.scheduler_policy
-        if policy is None:
-            policy = self.derive_policy(workload[0])
-        baseline = [self.run_baseline(trace) for trace in workload]
+        # Without a fixed policy, the first baseline run doubles as the
+        # profiling run of derive_policy(): the profiler only observes,
+        # so that run is the same as an unobserved one.
+        profiler = SchedulerProfiler() if policy is None else None
+        baseline = [self.run_baseline(trace, None if index else profiler)
+                    for index, trace in enumerate(workload)]
+        if profiler is not None:
+            policy = derive_scheduler_policy(
+                profiler, baseline[0].scheduler.occupancy
+            )
         protected = [self.run_protected(trace, policy) for trace in workload]
 
         # -- adder: idle injection at the measured utilisation ----------

@@ -16,7 +16,7 @@ uses to measure that:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Dict, Iterable, List, Mapping, Tuple
 
 
 @dataclass
@@ -76,6 +76,38 @@ class StressLedger:
     def observe(self, node: object, value: int, duration: float = 1.0) -> None:
         """Record ``node`` holding ``value`` for ``duration`` time units."""
         self._node(node).observe(value, duration)
+
+    def observe_counts(
+        self, counts: Iterable[Tuple[object, int, int]], duration: float
+    ) -> None:
+        """Record ``(node, zeros, ones)`` observations of equal duration.
+
+        Each node holds "0" for ``zeros`` observations and "1" for
+        ``ones``, each lasting ``duration``.  The result is bit-identical
+        to calling :meth:`observe` once per observation, in node order:
+        a residency grows by adding ``duration`` once per observation,
+        left to right, however the observations interleave.  Those
+        repeated sums are memoised per start value, so nodes that share
+        a start (a fresh ledger's 0.0) share the work.
+        """
+        if duration < 0.0:
+            raise ValueError("duration must be non-negative")
+        chains: Dict[float, List[float]] = {}
+
+        def grown(start: float, count: int) -> float:
+            if not count:
+                return start
+            chain = chains.get(start)
+            if chain is None:
+                chain = chains[start] = [start]
+            while len(chain) <= count:
+                chain.append(chain[-1] + duration)
+            return chain[count]
+
+        for node, zeros, ones in counts:
+            stress = self._node(node)
+            stress.time_at_zero = grown(stress.time_at_zero, zeros)
+            stress.time_at_one = grown(stress.time_at_one, ones)
 
     def observe_word(
         self, prefix: object, word: int, width: int, duration: float = 1.0

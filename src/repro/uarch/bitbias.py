@@ -3,21 +3,28 @@
 Storage structures accrue NBTI stress according to *how long* each bit
 cell holds "0" vs "1" (Section 3.2).  Accounting naively (every cell,
 every cycle) is prohibitively slow; instead :class:`BitBiasAccumulator`
-closes a residency interval only when a cell's value changes:
+closes a residency interval only when an entry's value changes, and
+records it *by value*, as one scalar add with no bit unpacking:
 
-    entries x width matrices ``time_zero`` / ``time_one`` accumulate
-    ``(now - since[entry]) * bit`` on each value change of ``entry``.
+    pending[(entry, value)] += now - since[entry]
 
-Values are unpacked to bit vectors with numpy, so a write costs O(width)
-vectorised work instead of O(width) Python loop iterations.  When numpy
-is not installed (the ``fast`` extra), a pure-Python branch keeps the
-accounting available at reduced speed; the numpy path is unchanged.
+Pending durations are folded into the ``entries x width`` matrices
+``time_zero`` / ``time_one`` in batches of at most :data:`FOLD_KEYS`
+keys: whenever ``pending`` fills up, and before every read.  That keeps
+memory bounded on long streams.  The fold unpacks a whole batch at once
+with numpy; without numpy (the ``fast`` extra) a pure-Python fold builds
+the same matrices.
+
+Regrouping the additions is exact: the trace-driven core closes
+intervals at whole cycles, so every duration and every partial sum is
+an integer below 2**53, where float64 addition is associative.  The
+matrices are therefore bit-identical to adding each interval to each of
+its bits as it closes (DESIGN.md, "Bias accounting").
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import Tuple
+from typing import Dict, List, Tuple
 
 try:
     import numpy as np
@@ -26,15 +33,24 @@ except ImportError:  # pragma: no cover - exercised on the no-numpy leg
 
 from repro.metrics import MetricSet
 
+#: Pending ``(entry, value)`` keys that trigger a fold; also the largest
+#: batch one fold unpacks, which bounds its scratch memory.
+FOLD_KEYS = 256
 
-@lru_cache(maxsize=1 << 16)
-def _unpack_small(value: int, width: int):
-    """Cached unpack for the narrow fields that dominate the hot path.
+#: Closed intervals awaiting a fold: ``((entry, value), duration)``.
+Pending = List[Tuple[Tuple[int, int], float]]
 
-    The returned array is shared across callers and must be treated as
-    read-only; :class:`BitBiasAccumulator` only copy-assigns it into its
-    state matrix.
-    """
+
+def _check_fits(value: int, width: int) -> None:
+    if value < 0:
+        raise ValueError("value must be non-negative")
+    if value >> width:
+        raise ValueError(f"value {value!r} does not fit in {width} bits")
+
+
+def unpack_bits(value: int, width: int):
+    """Little-endian bit vector (uint8 array, or tuple without numpy)."""
+    _check_fits(value, width)
     if np is None:
         return tuple((value >> i) & 1 for i in range(width))
     raw = np.frombuffer(value.to_bytes((width + 7) // 8, "little"),
@@ -42,29 +58,54 @@ def _unpack_small(value: int, width: int):
     return np.unpackbits(raw, bitorder="little")[:width]
 
 
-def unpack_bits(value: int, width: int):
-    """Little-endian bit vector (uint8 array, or tuple without numpy)."""
-    if value < 0:
-        raise ValueError("value must be non-negative")
-    nbytes = (width + 7) // 8
-    if value >> (nbytes * 8):
-        raise ValueError(f"value {value!r} does not fit in {width} bits")
-    if width <= 16:
-        return _unpack_small(value, width)
-    if np is None:
-        return tuple((value >> i) & 1 for i in range(width))
-    raw = np.frombuffer(value.to_bytes(nbytes, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, bitorder="little")[:width]
-
-
 def pack_bits(bits) -> int:
     """Inverse of :func:`unpack_bits`."""
+    return sum(int(b) << i for i, b in enumerate(bits))
+
+
+def fold_numpy(zero, one, items: Pending, width: int) -> None:
+    """Add a batch of closed intervals to float64 ``zero``/``one``."""
+    count = len(items)
+    entries = np.fromiter((key[0] for key, __ in items), dtype=np.intp,
+                          count=count)
+    durations = np.fromiter((held for __, held in items),
+                            dtype=np.float64, count=count)
+    nbytes = (width + 7) // 8
+    raw = np.frombuffer(
+        b"".join(key[1].to_bytes(nbytes, "little") for key, __ in items),
+        dtype=np.uint8).reshape(count, nbytes)
+    bits = np.unpackbits(raw, axis=1, bitorder="little")[:, :width]
+    at_one = bits * durations[:, None]
+    np.add.at(one, entries, at_one)
+    np.add.at(zero, entries, durations[:, None] - at_one)
+
+
+def fold_python(zero, one, items: Pending, width: int) -> None:
+    """:func:`fold_numpy` on nested lists, for hosts without numpy."""
+    for (entry, value), held in items:
+        zero_row, one_row = zero[entry], one[entry]
+        for bit in range(width):
+            if (value >> bit) & 1:
+                one_row[bit] += held
+            else:
+                zero_row[bit] += held
+
+
+_fold_batch = fold_python if np is None else fold_numpy
+
+
+def _matrix(entries: int, width: int):
     if np is None:
-        return sum(int(b) << i for i, b in enumerate(bits))
-    padded = np.zeros(((bits.size + 7) // 8) * 8, dtype=np.uint8)
-    padded[: bits.size] = bits
-    return int.from_bytes(np.packbits(padded, bitorder="little").tobytes(),
-                          "little")
+        return [[0.0] * width for _ in range(entries)]
+    return np.zeros((entries, width), dtype=np.float64)
+
+
+def _rows(matrix) -> List[List[float]]:
+    return matrix if isinstance(matrix, list) else matrix.tolist()
+
+
+def _vector(values):
+    return values if np is None else np.array(values, dtype=np.float64)
 
 
 class BitBiasAccumulator:
@@ -85,47 +126,35 @@ class BitBiasAccumulator:
     def __init__(self, entries: int, width: int, initial_value: int = 0) -> None:
         if entries <= 0 or width <= 0:
             raise ValueError("entries and width must be positive")
+        _check_fits(initial_value, width)
         self.entries = entries
         self.width = width
         self.initial_value = initial_value
-        if np is None:
-            row = unpack_bits(initial_value, width)
-            self.time_zero = [[0.0] * width for _ in range(entries)]
-            self.time_one = [[0.0] * width for _ in range(entries)]
-            self._bits = [row] * entries
-            self._since = [0.0] * entries
-        else:
-            self.time_zero = np.zeros((entries, width), dtype=np.float64)
-            self.time_one = np.zeros((entries, width), dtype=np.float64)
-            self._bits = np.tile(unpack_bits(initial_value, width),
-                                 (entries, 1))
-            self._since = np.zeros(entries, dtype=np.float64)
+        self._init_state()
+
+    def _init_state(self) -> None:
+        self._zero = _matrix(self.entries, self.width)
+        self._one = _matrix(self.entries, self.width)
+        self._values = [self.initial_value] * self.entries
+        self._since = [0.0] * self.entries
+        self._pending: Dict[Tuple[int, int], float] = {}
 
     def reset(self) -> None:
         """Discard all residency history and restart at time zero."""
-        if np is None:
-            row = unpack_bits(self.initial_value, self.width)
-            self.time_zero = [[0.0] * self.width for _ in range(self.entries)]
-            self.time_one = [[0.0] * self.width for _ in range(self.entries)]
-            self._bits = [row] * self.entries
-            self._since = [0.0] * self.entries
-            return
-        self.time_zero.fill(0.0)
-        self.time_one.fill(0.0)
-        self._bits = np.tile(unpack_bits(self.initial_value, self.width),
-                             (self.entries, 1))
-        self._since.fill(0.0)
+        self._init_state()
 
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
     def set_value(self, entry: int, value: int, now: float) -> None:
         """Record that ``entry`` changes to ``value`` at time ``now``."""
+        if value < 0 or value >> self.width:
+            _check_fits(value, self.width)
         self._close(entry, now)
-        self._bits[entry] = unpack_bits(value, self.width)
+        self._values[entry] = value
 
     def current_value(self, entry: int) -> int:
-        return pack_bits(self._bits[entry])
+        return self._values[entry]
 
     def finalize(self, now: float) -> None:
         """Close all open intervals at time ``now`` (end of simulation)."""
@@ -133,30 +162,43 @@ class BitBiasAccumulator:
             self._close(entry, now)
 
     def _close(self, entry: int, now: float) -> None:
-        duration = now - self._since[entry]
-        if duration < 0.0:
-            raise ValueError(
-                f"time went backwards for entry {entry}: "
-                f"{self._since[entry]} -> {now}"
-            )
-        if duration > 0.0:
-            bits = self._bits[entry]
-            if np is None:
-                one = self.time_one[entry]
-                zero = self.time_zero[entry]
-                for i, bit in enumerate(bits):
-                    if bit:
-                        one[i] += duration
-                    else:
-                        zero[i] += duration
+        since = self._since[entry]
+        if now > since:
+            key = (entry, self._values[entry])
+            pending = self._pending
+            if key in pending:
+                pending[key] += now - since
             else:
-                self.time_one[entry] += duration * bits
-                self.time_zero[entry] += duration * (1 - bits)
+                pending[key] = now - since
+                if len(pending) >= FOLD_KEYS:
+                    self._fold()
+        elif now < since:
+            raise ValueError(
+                f"time went backwards for entry {entry}: {since} -> {now}"
+            )
         self._since[entry] = now
+
+    def _fold(self) -> None:
+        if self._pending:
+            _fold_batch(self._zero, self._one, list(self._pending.items()),
+                        self.width)
+            self._pending.clear()
 
     # ------------------------------------------------------------------
     # Analysis
     # ------------------------------------------------------------------
+    @property
+    def time_zero(self):
+        """Closed time each cell held "0" (entries x width)."""
+        self._fold()
+        return self._zero
+
+    @property
+    def time_one(self):
+        """Closed time each cell held "1" (entries x width)."""
+        self._fold()
+        return self._one
+
     def bias_to_zero(self):
         """Per-bit-position bias towards "0", aggregated over entries.
 
@@ -164,31 +206,19 @@ class BitBiasAccumulator:
         Positions never exercised report 0.5 (no stress information).
         Returns a float64 array, or a list without numpy.
         """
-        if np is None:
-            zero = [sum(row[j] for row in self.time_zero)
-                    for j in range(self.width)]
-            one = [sum(row[j] for row in self.time_one)
-                   for j in range(self.width)]
-            return [z / (z + o) if z + o > 0.0 else 0.5
-                    for z, o in zip(zero, one)]
-        zero = self.time_zero.sum(axis=0)
-        total = zero + self.time_one.sum(axis=0)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            bias = np.where(total > 0.0, zero / np.maximum(total, 1e-300), 0.5)
-        return bias
+        zero = [sum(column) for column in zip(*_rows(self.time_zero))]
+        one = [sum(column) for column in zip(*_rows(self.time_one))]
+        return _vector([z / (z + o) if z + o > 0.0 else 0.5
+                        for z, o in zip(zero, one)])
 
     def cell_bias_to_zero(self):
         """Per-cell (entries x width) bias towards "0"."""
-        if np is None:
-            return [
-                [z / (z + o) if z + o > 0.0 else 0.5
-                 for z, o in zip(zrow, orow)]
-                for zrow, orow in zip(self.time_zero, self.time_one)
-            ]
-        total = self.time_zero + self.time_one
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(total > 0.0,
-                            self.time_zero / np.maximum(total, 1e-300), 0.5)
+        return _vector([
+            [z / (z + o) if z + o > 0.0 else 0.5
+             for z, o in zip(zero_row, one_row)]
+            for zero_row, one_row in zip(_rows(self.time_zero),
+                                         _rows(self.time_one))
+        ])
 
     def worst_bias(self) -> float:
         """Worst per-bit-position imbalance, as max(bias, 1-bias)."""
@@ -206,10 +236,8 @@ class BitBiasAccumulator:
         return best_index, float(bias[best_index])
 
     def total_observed_time(self) -> float:
-        if np is None:
-            return (sum(map(sum, self.time_zero))
-                    + sum(map(sum, self.time_one)))
-        return float(self.time_zero.sum() + self.time_one.sum())
+        return float(sum(map(sum, _rows(self.time_zero)))
+                     + sum(map(sum, _rows(self.time_one))))
 
     # ------------------------------------------------------------------
     # Telemetry (MetricSource)
@@ -217,9 +245,10 @@ class BitBiasAccumulator:
     def metrics(self) -> MetricSet:
         """Live metric tree over the residency accounting.
 
-        Bias reads aggregate only *closed* intervals (the matrices);
-        intervals still open at snapshot time contribute after the next
-        value change or :meth:`finalize` — reading never mutates.
+        Bias reads aggregate only *closed* intervals; intervals still
+        open at snapshot time contribute after the next value change or
+        :meth:`finalize`.  Reading folds pending intervals into the
+        matrices but never changes what any later read reports.
         """
         ms = MetricSet()
         ms.counter("observed_time", read=self.total_observed_time,

@@ -3,8 +3,8 @@
 Each of the (by default 32) scheduler slots stores one uop as the field
 bundle of Table 2 of the paper.  Internally a slot is one flattened
 144-bit row of a single :class:`~repro.uarch.bitbias.BitBiasAccumulator`
-(per-field accumulators would cost ~18x more numpy round-trips per
-dispatch); field views are recovered by slicing with the layout offsets.
+(per-field accumulators would record ~18x more intervals per dispatch);
+field views are recovered by slicing with the layout offsets.
 Conceptually each field still behaves as "an independent structure"
 (Section 3.2.2): mechanisms address fields by name and the statistics
 report per-field bias.
@@ -93,6 +93,11 @@ class Scheduler:
         self.layout = layout
         self.alloc_ports = alloc_ports
         self._offsets = layout.bit_offsets()
+        #: field -> (first bit, value mask, mask clearing the field)
+        self._spans = {
+            field: (start, (1 << width) - 1, ~(((1 << width) - 1) << start))
+            for field, (start, width) in self._offsets.items()
+        }
         self.bias = BitBiasAccumulator(entries, layout.total_bits)
         self._init_run_state()
 
@@ -318,17 +323,20 @@ class Scheduler:
         self, slot: int, values: Mapping[str, int], now: float
     ) -> None:
         composed = self._slot_value[slot]
+        spans = self._spans
         for field, value in values.items():
-            start, width = self._field_span(field)
-            mask = (1 << width) - 1
+            if field not in spans:
+                raise KeyError(f"unknown scheduler field {field!r}")
+            start, mask, clear = spans[field]
             if value < 0 or value > mask:
                 raise ValueError(
                     f"value {value!r} does not fit field {field!r}"
                 )
-            composed = (composed & ~(mask << start)) | (value << start)
+            composed = (composed & clear) | (value << start)
         self._slot_value[slot] = composed
         self.bias.set_value(slot, composed, now)
-        self._horizon = max(self._horizon, now)
+        if now > self._horizon:
+            self._horizon = now
 
     def _field_span(self, field: str) -> Tuple[int, int]:
         try:

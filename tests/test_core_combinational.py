@@ -1,5 +1,7 @@
 """Tests for idle-input injection and the adder case study."""
 
+import json
+
 import pytest
 
 from repro.core.combinational import (
@@ -87,6 +89,43 @@ class TestIdleInputInjector:
             injector.age([], utilization=0.2)
         with pytest.raises(ValueError):
             injector.age([(0, 0, 0)], utilization=1.5)
+
+    @pytest.mark.parametrize("pair", [(0, 8), (1, 9), (8, 8), (1, 2, 3),
+                                      (1,), ("1", 8)])
+    def test_invalid_pair_rejected_at_construction(self, adder8, pair):
+        # (0, 8) used to age silently as (8, 8): inputs[-1] is input 8.
+        with pytest.raises(ValueError,
+                           match="pair must be two distinct indices in 1..8"):
+            IdleInputInjector(adder8, pair)
+
+    def test_pair_normalised_to_tuple(self, adder8):
+        assert IdleInputInjector(adder8, [8, 1]).pair == (8, 1)
+
+
+class TestIdleInjectionConfig:
+    @pytest.mark.parametrize("pair", [[0, 8], [1, 9], [4, 4]])
+    def test_bad_pair_in_json_config_is_a_spec_error(self, pair):
+        from repro import api
+        from repro.config import SpecError, StudySpec
+
+        spec = StudySpec.from_json(json.dumps({
+            "study": "penelope",
+            "protection": {"adder": {"name": "idle_injection",
+                                     "params": {"pair": pair}}},
+        }))
+        with pytest.raises(SpecError, match="two distinct indices in 1..8"):
+            api.build_penelope(spec)
+
+    def test_good_pair_reaches_the_processor(self):
+        from repro import api
+        from repro.config import StudySpec
+
+        spec = StudySpec.from_json(json.dumps({
+            "study": "penelope",
+            "protection": {"adder": {"name": "idle_injection",
+                                     "params": {"pair": [2, 7]}}},
+        }))
+        assert api.build_penelope(spec).injector_pair == (2, 7)
 
 
 class TestAdderGuardbandStudy:

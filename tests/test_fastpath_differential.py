@@ -1,0 +1,563 @@
+"""Differential tests of the Penelope fast paths against reference oracles.
+
+Each fast path replaces a per-vector or per-bit inner loop and must stay
+bit-identical to it.  The oracles below are those loops, kept small and
+obviously correct:
+
+- bit-sliced adder aging vs one gate walk and one ``observe`` per vector;
+- one-pass fanout sizing vs per-gate ``Circuit.fanout`` counts;
+- by-value bias accounting vs adding every interval to every bit;
+- table-driven scheduler repair vs composing ``repair_bit`` per bit;
+- value-counting scheduler profiling vs per-bit one counts;
+- the profiling pass fused into the first baseline run vs a separate one.
+
+Every comparison is exact (``==`` on floats), with and without numpy.
+"""
+
+import random
+
+import pytest
+
+from repro.circuits import build_ladner_fischer_adder
+from repro.circuits.aging import (
+    FULL_STRESS_THRESHOLD,
+    AgingReport,
+    AgingSimulator,
+)
+from repro.circuits.netlist import CircuitBuilder
+from repro.core.combinational import IdleInputInjector, synthetic_inputs
+from repro.core.memory_like import (
+    K_PHASE_STEPS,
+    PAPER_SCHEDULER_POLICY,
+    SchedulerProfiler,
+    SchedulerProtector,
+    derive_scheduler_policy,
+)
+from repro.core.penelope import PenelopeProcessor
+from repro.core.policy import BitDirective, Technique, repair_bit
+from repro.nbti.guardband import DEFAULT_GUARDBAND_MODEL
+from repro.nbti.stress import StressLedger
+from repro.uarch import TraceDrivenCore
+from repro.uarch.bitbias import (
+    FOLD_KEYS,
+    BitBiasAccumulator,
+    fold_python,
+)
+from repro.uarch.core import CompositeHooks, CoreHooks
+from repro.uarch.uop import SCHEDULER_LAYOUT
+from repro.workloads import TraceGenerator
+
+
+def rows(matrix):
+    """A matrix (numpy array or nested lists) as nested float lists."""
+    return [[float(x) for x in row] for row in matrix]
+
+
+def floats(vector):
+    return [float(x) for x in vector]
+
+
+# ----------------------------------------------------------------------
+# (d) Bit-sliced adder aging
+# ----------------------------------------------------------------------
+_TRUTH = {
+    "inv": lambda a: 1 - a,
+    "nand2": lambda a, b: 1 - (a & b),
+    "nor2": lambda a, b: 1 - (a | b),
+}
+
+
+class PerVectorAging:
+    """Reference aging: one gate walk and one observe per node per vector."""
+
+    def __init__(self, circuit):
+        self.circuit = circuit
+        self.ledger = StressLedger()
+        self.elapsed = 0.0
+
+    def evaluate(self, vector):
+        inputs = self.circuit.inputs
+        missing = [n for n in inputs if n not in vector]
+        if missing:
+            raise ValueError(f"missing values for inputs: {missing[:8]}")
+        values = {}
+        for node in inputs:
+            value = vector[node]
+            if value not in (0, 1):
+                raise ValueError(f"input {node!r} must be 0/1, got {value!r}")
+            values[node] = value
+        for gate in self.circuit.topological_order():
+            values[gate.output] = _TRUTH[gate.kind.value](
+                *[values[n] for n in gate.inputs])
+        return values
+
+    def apply(self, vector, duration):
+        if duration < 0.0:
+            raise ValueError("duration must be non-negative")
+        if duration == 0.0:
+            return
+        for node, value in self.evaluate(vector).items():
+            self.ledger.observe(node, value, duration)
+        self.elapsed += duration
+
+    def report(self, threshold=FULL_STRESS_THRESHOLD):
+        duties = [(p, self.ledger.duty(p.gate_node))
+                  for p in self.circuit.pmos_transistors()]
+        stressed = [p for p, duty in duties if duty >= threshold]
+        narrow_stressed = sum(1 for p in stressed if p.is_narrow)
+        worst = max((duty for p, duty in duties if p.is_narrow), default=0.0)
+        return AgingReport(
+            total_transistors=2 * len(duties),
+            narrow_count=sum(1 for p, __ in duties if p.is_narrow),
+            narrow_fully_stressed=narrow_stressed,
+            wide_fully_stressed=len(stressed) - narrow_stressed,
+            worst_narrow_duty=worst,
+            guardband=DEFAULT_GUARDBAND_MODEL.guardband_for_duty(worst),
+        )
+
+
+def ledger_state(ledger):
+    """Every node in insertion order with its exact residencies."""
+    return [(node, stress.time_at_zero, stress.time_at_one)
+            for node, stress in ledger._nodes.items()]
+
+
+@pytest.fixture(scope="module")
+def adder():
+    return build_ladner_fischer_adder(width=8)
+
+
+def random_vectors(adder, rng, count):
+    top = (1 << adder.width) - 1
+    return [adder.input_vector(rng.randint(0, top), rng.randint(0, top),
+                               rng.randint(0, 1)) for __ in range(count)]
+
+
+class TestPackedAging:
+    #: durations whose repeated sums round differently from products
+    DURATIONS = (1.0, 0.3 / 256, 1.0 / 3.0, 0.1, 2.5e-7)
+
+    @pytest.mark.parametrize("duration", DURATIONS)
+    def test_fresh_ledger(self, adder, duration):
+        vectors = random_vectors(adder, random.Random(1), 200)
+        packed = AgingSimulator(adder.circuit)
+        packed.apply_sequence(vectors, duration)
+        oracle = PerVectorAging(adder.circuit)
+        for vector in vectors:
+            oracle.apply(vector, duration)
+        assert ledger_state(packed.ledger) == ledger_state(oracle.ledger)
+        assert packed.elapsed == oracle.elapsed
+
+    def test_non_fresh_ledger(self, adder):
+        rng = random.Random(2)
+        packed = AgingSimulator(adder.circuit)
+        oracle = PerVectorAging(adder.circuit)
+        for count, duration in ((37, 0.7 / 37), (1, 0.15), (64, 1.0 / 7.0),
+                                (2, 0.15), (5, 0.0), (9, 3.0)):
+            vectors = random_vectors(adder, rng, count)
+            if count == 1:
+                packed.apply(vectors[0], duration)
+            else:
+                packed.apply_sequence(vectors, duration)
+            for vector in vectors:
+                oracle.apply(vector, duration)
+        assert ledger_state(packed.ledger) == ledger_state(oracle.ledger)
+        assert packed.elapsed == oracle.elapsed
+        assert packed.report() == oracle.report()
+
+    def test_zero_duration_is_a_no_op(self, adder):
+        packed = AgingSimulator(adder.circuit)
+        packed.apply_sequence([{"not": "an input"}], 0.0)
+        packed.apply({}, 0.0)
+        assert len(packed.ledger) == 0 and packed.elapsed == 0.0
+
+    def test_negative_duration_rejected(self, adder):
+        vectors = random_vectors(adder, random.Random(3), 3)
+        with pytest.raises(ValueError) as oracle_error:
+            PerVectorAging(adder.circuit).apply(vectors[0], -1.0)
+        with pytest.raises(ValueError) as packed_error:
+            AgingSimulator(adder.circuit).apply_sequence(vectors, -1.0)
+        assert str(packed_error.value) == str(oracle_error.value)
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda v: v.pop("b3"),
+        lambda v: (v.pop("a7"), v.pop("cin")),
+        lambda v: v.update(a2=2),
+        lambda v: v.update(b0="1"),
+        lambda v: v.update(cin=None),
+    ])
+    def test_same_input_errors(self, adder, corrupt):
+        vectors = random_vectors(adder, random.Random(4), 6)
+        corrupt(vectors[3])
+        oracle = PerVectorAging(adder.circuit)
+        with pytest.raises(ValueError) as oracle_error:
+            for vector in vectors:
+                oracle.apply(vector, 1.0)
+        with pytest.raises(ValueError) as packed_error:
+            AgingSimulator(adder.circuit).apply_sequence(vectors, 1.0)
+        assert str(packed_error.value) == str(oracle_error.value)
+
+    def test_one_lane_evaluate_matches_truth_tables(self):
+        builder = CircuitBuilder("mix")
+        a, b, c = builder.input("a"), builder.input("b"), builder.input("c")
+        builder.mark_output(builder.aoi21(a, b, builder.xnor2(b, c), "out"))
+        oracle = PerVectorAging(builder.circuit)
+        for bits in range(8):
+            vector = {"a": bits & 1, "b": (bits >> 1) & 1, "c": bits >> 2}
+            values = builder.circuit.evaluate(vector)
+            assert list(values.items()) == list(oracle.evaluate(vector).items())
+
+    def test_injector_matches_per_vector_aging(self):
+        adder32 = build_ladner_fischer_adder()
+        rng = random.Random(5)
+        real = [(rng.getrandbits(32), rng.getrandbits(32), rng.getrandbits(1))
+                for __ in range(256)]
+        for utilization, inject in ((0.3, True), (1.0, False), (0.0, True)):
+            report = IdleInputInjector(adder32, (1, 8)).age(
+                real, utilization, inject=inject)
+            oracle = PerVectorAging(adder32.circuit)
+            weight = (utilization if inject else 1.0) / len(real)
+            for vector in real:
+                oracle.apply(adder32.input_vector(*vector), weight)
+            if inject and utilization < 1.0:
+                inputs = synthetic_inputs(32)
+                for index in (1, 8):
+                    oracle.apply(adder32.input_vector(*inputs[index - 1]),
+                                 (1.0 - utilization) / 2.0)
+            assert report == oracle.report()
+
+
+@pytest.mark.parametrize("width,threshold", [(8, 4), (32, 4), (32, 2)])
+def test_linear_fanout_sizing_matches_per_gate_fanout(width, threshold):
+    from repro.nbti.transistor import WidthClass
+
+    circuit = build_ladner_fischer_adder(
+        width=width, wide_fanout=threshold, output_stage_depth=0).circuit
+    wide = {g.name for g in circuit.gates
+            if g.width_class is WidthClass.WIDE}
+    assert wide == {g.name for g in circuit.gates
+                    if circuit.fanout(g.output) >= threshold}
+
+
+# ----------------------------------------------------------------------
+# (a) By-value bias accounting
+# ----------------------------------------------------------------------
+class PerBitAccumulator:
+    """Reference accounting: each closed interval added to every bit."""
+
+    def __init__(self, entries, width, initial_value=0):
+        self.width = width
+        self.zero = [[0.0] * width for __ in range(entries)]
+        self.one = [[0.0] * width for __ in range(entries)]
+        self.values = [initial_value] * entries
+        self.since = [0.0] * entries
+
+    def set_value(self, entry, value, now):
+        self._close(entry, now)
+        self.values[entry] = value
+
+    def finalize(self, now):
+        for entry in range(len(self.values)):
+            self._close(entry, now)
+
+    def _close(self, entry, now):
+        duration = now - self.since[entry]
+        if duration > 0.0:
+            for bit in range(self.width):
+                if (self.values[entry] >> bit) & 1:
+                    self.one[entry][bit] += duration
+                else:
+                    self.zero[entry][bit] += duration
+        self.since[entry] = now
+
+    def bias_to_zero(self):
+        zero = [sum(column) for column in zip(*self.zero)]
+        one = [sum(column) for column in zip(*self.one)]
+        return [z / (z + o) if z + o > 0.0 else 0.5 for z, o in zip(zero, one)]
+
+    def cell_bias_to_zero(self):
+        return [[z / (z + o) if z + o > 0.0 else 0.5 for z, o in zip(zr, orow)]
+                for zr, orow in zip(self.zero, self.one)]
+
+
+def whole_cycle_stream(seed, entries, width, events):
+    """Per-entry monotonic whole-cycle events, globally out of order like
+    the core's, over values that repeat often enough to merge keys and
+    vary often enough to force several folds."""
+    rng = random.Random(seed)
+    pool = [rng.getrandbits(width) for __ in range(8)]
+    clock = [0.0] * entries
+    stream = []
+    for __ in range(events):
+        entry = rng.randrange(entries)
+        clock[entry] += float(rng.choice((0, 1, 1, 2, 3, 17)))
+        value = (rng.choice(pool) if rng.random() < 0.6
+                 else rng.getrandbits(width))
+        stream.append((entry, value, clock[entry]))
+    return stream, max(clock) + 5.0
+
+
+def assert_same_accounting(acc, oracle):
+    assert rows(acc.time_zero) == oracle.zero
+    assert rows(acc.time_one) == oracle.one
+    assert floats(acc.bias_to_zero()) == oracle.bias_to_zero()
+    assert rows(acc.cell_bias_to_zero()) == oracle.cell_bias_to_zero()
+
+
+class TestByValueAccounting:
+    @pytest.mark.parametrize("entries,width,initial", [
+        (32, 144, 0), (128, 32, 0), (8, 12, 0xABC), (4, 2, 1),
+    ])
+    def test_matches_per_bit_accounting(self, entries, width, initial):
+        stream, end = whole_cycle_stream(entries * width, entries, width,
+                                         4 * FOLD_KEYS + 37)
+        acc = BitBiasAccumulator(entries, width, initial)
+        oracle = PerBitAccumulator(entries, width, initial)
+        for index, (entry, value, now) in enumerate(stream):
+            acc.set_value(entry, value, now)
+            oracle.set_value(entry, value, now)
+            if index % 301 == 0:  # mid-run reads fold a partial batch
+                assert_same_accounting(acc, oracle)
+        acc.finalize(end)
+        oracle.finalize(end)
+        assert_same_accounting(acc, oracle)
+        assert acc.total_observed_time() == float(
+            sum(map(sum, oracle.zero)) + sum(map(sum, oracle.one)))
+
+    def test_reset_and_rerun_is_identical(self):
+        stream, end = whole_cycle_stream(7, 16, 40, 3 * FOLD_KEYS)
+        acc = BitBiasAccumulator(16, 40)
+        runs = []
+        for __ in range(2):
+            for entry, value, now in stream:
+                acc.set_value(entry, value, now)
+            acc.finalize(end)
+            runs.append((rows(acc.time_zero), rows(acc.time_one),
+                         floats(acc.bias_to_zero())))
+            acc.reset()
+        assert runs[0] == runs[1]
+        assert acc.total_observed_time() == 0.0
+
+    def test_python_fold_matches_numpy_fold(self):
+        np = pytest.importorskip("numpy")
+        from repro.uarch.bitbias import fold_numpy
+
+        rng = random.Random(8)
+        entries, width = 12, 80
+        zero_np = np.zeros((entries, width))
+        one_np = np.zeros((entries, width))
+        zero_py = [[0.0] * width for __ in range(entries)]
+        one_py = [[0.0] * width for __ in range(entries)]
+        for __ in range(3):  # non-fresh matrices from the second batch on
+            items = [((rng.randrange(entries), rng.getrandbits(width)),
+                      float(rng.randint(1, 1000)))
+                     for __ in range(FOLD_KEYS)]
+            fold_numpy(zero_np, one_np, items, width)
+            fold_python(zero_py, one_py, items, width)
+        assert zero_np.tolist() == zero_py
+        assert one_np.tolist() == one_py
+
+    @pytest.mark.parametrize("width", [4, 12])
+    def test_oversize_values_rejected(self, width):
+        from repro.uarch.bitbias import pack_bits, unpack_bits
+
+        top = (1 << width) - 1
+        assert pack_bits(unpack_bits(top, width)) == top
+        message = f"does not fit in {width} bits"
+        with pytest.raises(ValueError, match=message):
+            unpack_bits(top + 1, width)
+        acc = BitBiasAccumulator(2, width)
+        acc.set_value(0, top, 1.0)
+        with pytest.raises(ValueError, match=message):
+            acc.set_value(0, 0xABCD, 2.0)
+        with pytest.raises(ValueError, match="non-negative"):
+            acc.set_value(1, -1, 2.0)
+        assert acc.current_value(0) == top
+
+    def test_register_file_rejects_oversize_write(self):
+        from repro.uarch.regfile import RegisterFile
+
+        rf = RegisterFile(entries=2, width=12)
+        rf.write(0, 0xBCD, 1.0)
+        with pytest.raises(ValueError, match="does not fit in 12 bits"):
+            rf.write(0, 0xABCD, 2.0)
+        assert rf.read(0) == 0xBCD
+
+
+# ----------------------------------------------------------------------
+# (b) Table-driven scheduler repair, (c) value-counting profiler
+# ----------------------------------------------------------------------
+def composed_repair_values(policy, rinv, step):
+    """Reference repair: one ``repair_bit`` call per bit per release."""
+    phase = (step % K_PHASE_STEPS) / K_PHASE_STEPS
+    values = {}
+    for fieldname, directives in policy.items():
+        register = rinv.get(fieldname)
+        composed, any_bit = 0, False
+        for bit_index, directive in enumerate(directives):
+            sampled = None
+            if register is not None:
+                sampled = 1 - ((register.value >> bit_index) & 1)
+            bit = repair_bit(directive, phase, sampled)
+            if bit is not None:
+                any_bit = True
+                composed |= bit << bit_index
+        if any_bit:
+            values[fieldname] = composed
+    return values
+
+
+class RecordingScheduler:
+    """Accepts every special write and records it."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write_special(self, slot, values, now):
+        self.writes.append(dict(values))
+        return True
+
+
+def mixed_policy():
+    """Every technique in every field, K-duty bits at assorted K."""
+    cycle = [BitDirective(Technique.ALL1), BitDirective(Technique.ISV),
+             BitDirective(Technique.ALL0_K, 0.35),
+             BitDirective(Technique.SELF_BALANCED),
+             BitDirective(Technique.ALL1_K, 0.8), BitDirective(Technique.ALL0),
+             BitDirective(Technique.UNPROTECTED)]
+    policy = {}
+    for offset, (name, width) in enumerate(SCHEDULER_LAYOUT.fields().items()):
+        if name != "valid":
+            policy[name] = [cycle[(offset + bit) % len(cycle)]
+                            for bit in range(width)]
+    return policy
+
+
+@pytest.fixture(scope="module")
+def profiled():
+    trace = TraceGenerator(seed=9).generate("specint2000", length=1500)
+    profiler = SchedulerProfiler()
+    result = TraceDrivenCore(hooks=profiler).run(trace)
+    return profiler, result
+
+
+class TestTableDrivenRepair:
+    @pytest.mark.parametrize("which", ["paper", "derived", "mixed"])
+    def test_matches_repair_bit_composition(self, which, profiled):
+        profiler, result = profiled
+        policy = {
+            "paper": PAPER_SCHEDULER_POLICY,
+            "derived": derive_scheduler_policy(
+                profiler, result.scheduler.occupancy),
+            "mixed": mixed_policy(),
+        }[which]
+        protector = SchedulerProtector(policy)
+        rng = random.Random(len(which))
+        sched = RecordingScheduler()
+        for step in range(2 * K_PHASE_STEPS):
+            if step % 7 == 0:
+                for register in protector.rinv.values():
+                    register.update_from_sample(
+                        rng.getrandbits(register.width))
+            expected = composed_repair_values(policy, protector.rinv, step)
+            protector.on_scheduler_release(sched, 0, float(step))
+            assert sched.writes[-1] == expected
+            assert list(sched.writes[-1]) == list(expected)
+        assert protector.updates_written == 2 * K_PHASE_STEPS
+
+    def test_policy_with_nothing_to_repair_writes_nothing(self):
+        policy = {name: [BitDirective(Technique.SELF_BALANCED)] * width
+                  for name, width in SCHEDULER_LAYOUT.fields().items()}
+        protector = SchedulerProtector(policy)
+        sched = RecordingScheduler()
+        protector.on_scheduler_release(sched, 0, 1.0)
+        assert sched.writes == [] and protector.updates_written == 0
+
+
+class PerBitProfiler(CoreHooks):
+    """Reference profiler: per-bit one counts at every fill."""
+
+    def __init__(self):
+        self.ones = {name: [0] * width
+                     for name, width in SCHEDULER_LAYOUT.fields().items()}
+        self.fills = {name: 0 for name in SCHEDULER_LAYOUT.fields()}
+
+    def on_scheduler_fill(self, sched, slot, uop, now):
+        mob_id = 0 if uop.uop_class.is_memory else None
+        values = sched.field_values(uop, mob_id=mob_id)
+        for name, counts in self.ones.items():
+            if name in values:
+                self.fills[name] += 1
+                for bit in range(len(counts)):
+                    counts[bit] += (values[name] >> bit) & 1
+
+    def busy_bias_to_zero(self):
+        return {name: [1.0 - ones / max(1, self.fills[name])
+                       for ones in counts]
+                for name, counts in self.ones.items()}
+
+
+@pytest.mark.parametrize("fold_values", [None, 8])
+def test_value_counting_profiler_matches_per_bit_counts(monkeypatch,
+                                                        fold_values):
+    from repro.core import memory_like
+
+    if fold_values is not None:  # force many mid-run folds
+        monkeypatch.setattr(memory_like, "PROFILE_FOLD_VALUES", fold_values)
+    trace = TraceGenerator(seed=3).generate("office", length=1200)
+    profiler, oracle = SchedulerProfiler(), PerBitProfiler()
+    core = TraceDrivenCore(hooks=CompositeHooks([profiler, oracle]))
+    core.run(trace[:500])
+    assert profiler.busy_bias_to_zero() == oracle.busy_bias_to_zero()
+    core.run(trace[500:])
+    assert profiler.busy_bias_to_zero() == oracle.busy_bias_to_zero()
+
+
+# ----------------------------------------------------------------------
+# (e) Profiling fused into the first baseline run
+# ----------------------------------------------------------------------
+def core_result_view(result):
+    return (
+        result.uops, result.cycles,
+        floats(result.int_rf.bias_to_zero), result.int_rf.worst_bias,
+        floats(result.fp_rf.bias_to_zero), result.fp_rf.worst_bias,
+        result.scheduler.occupancy, result.scheduler.allocations,
+        floats(result.scheduler.flattened_bias(include_opcode=True)),
+        (result.dl0.hits, result.dl0.misses),
+        (result.dtlb.hits, result.dtlb.misses),
+        result.adder_utilization, result.adder_samples,
+    )
+
+
+def report_view(report):
+    return (
+        [core_result_view(r) for r in report.baseline + report.protected],
+        report.block_costs, report.adder_guardband, report.int_rf_bias,
+        report.fp_rf_bias, report.scheduler_bias, report.combined_cpi,
+        report.efficiency, report.baseline_efficiency,
+    )
+
+
+class TestFusedProfiling:
+    @pytest.fixture(scope="class")
+    def workload(self):
+        return [TraceGenerator(seed=12).generate(suite, length=1200)
+                for suite in ("office", "specfp2000")]
+
+    def test_same_policy_and_core_result(self, workload):
+        processor = PenelopeProcessor()
+        separate_policy = processor.derive_policy(workload[0])
+        separate = processor.run_baseline(workload[0])
+        profiler = SchedulerProfiler()
+        fused = processor.run_baseline(workload[0], profiler)
+        fused_policy = derive_scheduler_policy(profiler,
+                                               fused.scheduler.occupancy)
+        assert fused_policy == separate_policy
+        assert core_result_view(fused) == core_result_view(separate)
+
+    def test_evaluate_matches_separately_derived_policy(self, workload):
+        policy = PenelopeProcessor().derive_policy(workload[0])
+        fused = PenelopeProcessor(seed=5).evaluate(workload)
+        pinned = PenelopeProcessor(scheduler_policy=policy,
+                                   seed=5).evaluate(workload)
+        assert report_view(fused) == report_view(pinned)
