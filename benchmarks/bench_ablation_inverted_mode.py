@@ -15,7 +15,7 @@ from repro.core.inverted_mode import (
     inverted_mode_block_cost,
 )
 from repro.core.metric import nbti_efficiency
-from repro.uarch.cache import CacheConfig
+from repro.uarch.backends import CacheConfig
 from repro.workloads import generate_address_stream, suite_names
 
 from conftest import SMOKE, scaled, write_result

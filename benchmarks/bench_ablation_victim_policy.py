@@ -13,7 +13,7 @@ import pytest
 
 from repro.analysis import format_table
 from repro.core.cache_like import LineFixedScheme, run_cache_study
-from repro.uarch.cache import Cache, CacheConfig, LineState
+from repro.uarch.backends import Cache, CacheConfig, LineState
 from repro.workloads import generate_address_stream, suite_names
 
 from conftest import SMOKE, scaled

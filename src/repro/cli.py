@@ -841,7 +841,7 @@ def cmd_store_compact(args: argparse.Namespace) -> int:
 
 
 def cmd_store_migrate(args: argparse.Namespace) -> int:
-    """Import a flat JSONL store into a sharded indexed store."""
+    """Import a flat JSONL store into a sharded store."""
     from repro.fabric import ShardedResultStore
 
     if not os.path.exists(args.source):
@@ -1176,7 +1176,7 @@ def build_parser() -> argparse.ArgumentParser:
     store_compact.set_defaults(func=cmd_store_compact)
     store_migrate = store_actions.add_parser(
         "migrate",
-        help="import a flat JSONL store into a sharded indexed store")
+        help="import a flat JSONL store into a sharded store")
     store_migrate.add_argument("source", metavar="FLAT_JSONL",
                                help="flat store file to import")
     store_migrate.add_argument("dest", metavar="DIR",

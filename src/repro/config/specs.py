@@ -37,7 +37,7 @@ from typing import (
 if TYPE_CHECKING:
     from repro.uarch.core import CoreConfig
 
-from repro.uarch.cache import CacheConfig
+from repro.uarch.backends import CacheConfig
 from repro.uarch.ports import AdderPolicy
 from repro.uarch.tlb import TLBConfig
 from repro.workloads import suite_names

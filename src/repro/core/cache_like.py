@@ -34,7 +34,7 @@ from typing import Iterable, List, Mapping, Sequence, Tuple
 
 from repro.obs.trace import TRACER as _TRACER
 from repro.uarch.backends import get_backend
-from repro.uarch.cache import Cache, CacheConfig, LineState
+from repro.uarch.backends import Cache, CacheConfig, LineState
 
 #: Default fraction of lines kept inverted (perfect balancing needs 50%).
 DEFAULT_INVERT_RATIO = 0.5

@@ -25,7 +25,7 @@ from repro.core.metric import (
     INVERT_MODE_DELAY,
     MIN_GUARDBAND,
 )
-from repro.uarch.cache import Cache
+from repro.uarch.backends import Cache
 
 
 class PeriodicInversionScheme(InversionScheme):

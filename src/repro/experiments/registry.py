@@ -212,7 +212,7 @@ def study_names() -> List[str]:
 # Cache-like studies
 # ----------------------------------------------------------------------
 def _cache_config(params: Mapping[str, Any]):
-    from repro.uarch.cache import CacheConfig
+    from repro.uarch.backends import CacheConfig
 
     size_kb = int(params["size_kb"])
     ways = int(params["ways"])

@@ -428,9 +428,6 @@ def _drain_board(store: ShardedResultStore, journal: SweepJournal,
             time.sleep(min(0.2, max(settings.lease_ttl / 4.0, 0.01)))
             continue
         batch = batch_by_id[lease.batch_id]
-        if lease.stolen:
-            # The previous owner may have stored part of the batch.
-            store.refresh()
         if log is not None:
             if lease.stolen:
                 log.warning(
@@ -485,19 +482,17 @@ def _worker_main(directory: str, shards: int, run_id: str,
                  spans_path: Optional[str]) -> None:
     """Entry point of a worker process.
 
-    Opens its *own* store handle (append-only: the parent is the sole
-    index writer), lease board and event log — the only thing shared
-    with the parent is the store directory.  With ``spans_path`` set it
-    traces its points and writes its span ring there on exit, for the
-    parent to merge.
+    Opens its *own* store handle, lease board and event log — the only
+    thing shared with the parent is the store directory.  With
+    ``spans_path`` set it traces its points and writes its span ring
+    there on exit, for the parent to merge.
     """
     if spans_path is not None:
         # Fork-started workers inherit the parent's ring (drop it);
         # spawn-started ones re-import a disabled tracer.
         TRACER.enable()
         TRACER.clear()
-    store = ShardedResultStore(directory, shards=shards,
-                               index_writes=False, refresh_on_open=False)
+    store = ShardedResultStore(directory, shards=shards)
     board = LeaseBoard(os.path.join(directory, LEASES_NAME))
     log = None
     if log_path is not None:
@@ -871,7 +866,6 @@ class SweepRunner:
         if not self._stop.is_set():
             self._report_lost(procs, exited, board, run_id)
         self._merge_spans(spans, launched)
-        store.refresh()
         self._collect(store, waiting, deliver, list(waiting))
         exhausted = board.exhausted(run_id, settings.max_batch_attempts)
         remaining = board.remaining(run_id, settings.max_batch_attempts)

@@ -5,9 +5,9 @@ this package holds everything it keeps on disk, all of it in one store
 directory:
 
 * :mod:`repro.fabric.store` — the only writable result store: records
-  sharded into JSONL files by key-hash range with a rebuildable SQLite
-  index (lookups and study queries are not O(whole-file)), ``compact``,
-  and the import of flat ``store.jsonl`` files, read only as input.
+  sharded into JSONL files by key-hash range, which are its only state
+  (a lookup reads one shard), ``compact``, and the import of flat
+  ``store.jsonl`` files, read only as input.
 * :mod:`repro.fabric.lease` — the board that worker processes lease
   batches from, with a TTL kept alive by heartbeats; an expired lease is
   stolen, so a killed worker's batch is re-run, not lost.
@@ -29,7 +29,6 @@ _EXPORTS = {
     "atomic_write_text": "repro.fabric.io",
     "atomic_write_json": "repro.fabric.io",
     "canonical_json": "repro.fabric.io",
-    "StoreIndex": "repro.fabric.index",
     "ShardedResultStore": "repro.fabric.store",
     "StoredResult": "repro.fabric.store",
     "read_flat_store": "repro.fabric.store",

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Tuple
+from typing import Any
 
 __all__ = ["append_record", "atomic_write_text", "atomic_write_json",
            "canonical_json"]
@@ -32,17 +32,13 @@ def canonical_json(payload: Any) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def append_record(path: str, data: bytes) -> Tuple[int, int]:
+def append_record(path: str, data: bytes) -> None:
     """Append ``data`` to ``path`` with a single atomic ``os.write``.
 
-    Returns ``(offset, end)`` — the byte range the record occupies.
-    With ``O_APPEND`` the kernel picks the offset at write time, so the
-    range is exact even when other processes append concurrently: the
-    file position after the write is ``end`` and our bytes are the
-    ``len(data)`` immediately before it.
-
-    Raises ``OSError`` on a short write (the caller's record would be
-    torn; better to fail loudly than index a half-line).
+    With ``O_APPEND`` the kernel picks the offset at write time, so
+    concurrent appenders never overwrite each other.  Raises
+    ``OSError`` on a short write (the caller's record would be torn;
+    better to fail loudly than leave a half-line behind).
     """
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
     try:
@@ -51,10 +47,8 @@ def append_record(path: str, data: bytes) -> Tuple[int, int]:
             raise OSError(
                 f"short write to {path}: {written} of {len(data)} bytes"
             )
-        end = os.lseek(fd, 0, os.SEEK_CUR)
     finally:
         os.close(fd)
-    return end - len(data), end
 
 
 def atomic_write_text(path: str, text: str) -> None:

@@ -19,9 +19,9 @@ State machine per ``(run_id, batch_id)`` row::
            = steal)
 
 Claims run under ``BEGIN IMMEDIATE`` so concurrent workers serialise on
-SQLite's file lock; unlike the result shards (append-only, rebuildable
-index) the board needs real transactional writes, which is exactly what
-stdlib SQLite provides without a server.
+SQLite's file lock; unlike the result shards (append-only) the board
+needs real transactional writes, which is exactly what stdlib SQLite
+provides without a server.
 """
 
 from __future__ import annotations

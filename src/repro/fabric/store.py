@@ -1,9 +1,8 @@
-"""The result store: sharded, indexed, and the only writable format.
+"""The result store: JSONL shards, and the only writable format.
 
 Layout of a store directory::
 
     <dir>/fabric.json            # store meta (schema tag, shard count)
-    <dir>/index.sqlite           # rebuildable location index
     <dir>/shards/shard-000.jsonl # records whose key-hash lands in range
     <dir>/shards/shard-001.jsonl
     ...
@@ -15,23 +14,24 @@ Each record is one self-contained canonical-JSON line::
 
 Records are partitioned by key-hash range (``int(key[:4], 16) %
 shards``), so a shard never needs locking beyond the ``O_APPEND``
-single-write discipline, and a million-record store opens without
-parsing a single record: the SQLite index remembers how far each shard
-was indexed and ``refresh`` reads only appended tails.  The last record
-per key wins, so reruns are idempotent; ``compact`` rewrites each shard
-keeping only that record (atomic temp+rename per shard).
+single-write discipline.  The shards are the store's only state: there
+is no index to keep in step with them, so every handle — the sweep's
+parent, its worker processes, the service's per-job runners — reads
+the same way.  :meth:`ShardedResultStore.get` reads the key's shard and
+searches it backwards for the key's bytes; study queries parse whole
+shards.  Only complete lines (ending in ``\\n``) count: a torn
+in-flight append stays invisible.  The last record per key wins, so
+reruns are idempotent; ``compact`` rewrites each shard keeping only
+that record (atomic temp+rename per shard).
 
 Flat single-file ``store.jsonl`` stores are read only as input:
 ``repro store migrate`` imports one (:meth:`ShardedResultStore.
-import_flat_store`), and opening a directory that contains a
-``store.jsonl`` imports any bytes not yet imported.  Both go through
-:func:`read_flat_store`, which skips a torn final line and rejects
-corruption anywhere else.
+import_flat_store`) through :func:`read_flat_store`, which skips a torn
+final line and rejects corruption anywhere else.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import time
@@ -41,6 +41,7 @@ from typing import (
     TYPE_CHECKING,
     Any,
     Dict,
+    Iterable,
     Iterator,
     List,
     Mapping,
@@ -48,7 +49,6 @@ from typing import (
     Tuple,
 )
 
-from repro.fabric.index import IndexRow, StoreIndex
 from repro.fabric.io import (
     append_record,
     atomic_write_json,
@@ -71,7 +71,6 @@ __all__ = [
 STORE_SCHEMA = "repro.fabric-store/1"
 META_NAME = "fabric.json"
 DEFAULT_SHARDS = 16
-FLAT_NAME = "store.jsonl"
 
 
 def default_store_path() -> str:
@@ -171,10 +170,43 @@ def _plain(params: Mapping[str, Any]) -> Dict[str, Any]:
     return out
 
 
-def params_digest(params: Mapping[str, Any]) -> str:
-    """Content digest of a record's params (index query column)."""
-    blob = canonical_json(dict(params)).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()[:20]
+def _parse(line: bytes) -> Optional[StoredResult]:
+    """The record on one shard line, or ``None`` if it does not parse."""
+    try:
+        return StoredResult.from_json(line.decode("utf-8"))
+    except (ValueError, UnicodeDecodeError):
+        return None
+
+
+def _complete_lines(blob: bytes) -> List[bytes]:
+    """The newline-terminated lines of ``blob``; a torn tail is dropped."""
+    lines = blob.split(b"\n")
+    lines.pop()  # the torn tail, or b"" after the final newline
+    return lines
+
+
+def _live(blob: bytes, needle: Optional[bytes] = None
+          ) -> Tuple[Dict[str, StoredResult], int]:
+    """``(last record per key, unparseable lines)`` in one shard's bytes.
+
+    Lines lacking ``needle`` are skipped unparsed.
+    """
+    latest: Dict[str, StoredResult] = {}
+    skipped = 0
+    for line in _complete_lines(blob):
+        if needle is not None and needle not in line:
+            continue
+        record = _parse(line)
+        if record is None:
+            skipped += 1
+        else:
+            latest[record.key] = record
+    return latest, skipped
+
+
+def _in_order(records: Iterable[StoredResult]) -> List[StoredResult]:
+    """The store's listing order: by creation time, then key."""
+    return sorted(records, key=lambda r: (r.created, r.key))
 
 
 @dataclass(frozen=True)
@@ -192,19 +224,12 @@ class CompactStats:
 
 
 class ShardedResultStore:
-    """The result store: JSONL shards plus a SQLite location index.
+    """The result store: a directory of JSONL shards.
 
-    ``index_writes=False`` opens the store append-only *and* opens the
-    SQLite index read-only: ``put`` writes shard lines but never
-    touches SQLite, and index reads retry/degrade instead of raising
-    when the owner process is mid-write (a reader must never delete or
-    rebuild the owner's index — see :class:`~repro.fabric.index.
-    StoreIndex`).  Sweep worker processes and the sweep service's
-    second-process readers use this mode; :meth:`refresh` then folds
-    appended shard tails into an in-memory *overlay* instead of SQLite,
-    so a reader still sees records the owner has appended but not yet
-    indexed — and stays fully functional even when the index file is
-    unreadable the whole time (worst case: one full shard reparse).
+    Any number of handles, in any number of processes, may read and
+    append at once; none keeps state another depends on.
+    ``index_writes=False`` only stops this handle from creating
+    ``fabric.json`` when the directory has none.
     """
 
     def __init__(
@@ -212,7 +237,6 @@ class ShardedResultStore:
         directory: str,
         shards: int = DEFAULT_SHARDS,
         index_writes: bool = True,
-        refresh_on_open: bool = True,
     ) -> None:
         self.directory = os.path.abspath(directory)
         if os.path.isfile(self.directory):
@@ -223,31 +247,18 @@ class ShardedResultStore:
             )
         self.path = os.path.join(self.directory, META_NAME)
         self.shard_dir = os.path.join(self.directory, "shards")
-        self.index_writes = index_writes
-        self.skipped_lines = 0
         os.makedirs(self.shard_dir, exist_ok=True)
         meta = self._load_meta()
         if meta is None:
             self.shards = shards
-            meta = {"schema": STORE_SCHEMA, "shards": shards,
-                    "flat_imported_bytes": 0}
             if index_writes:
-                atomic_write_json(self.path, meta)
+                atomic_write_json(self.path, {"schema": STORE_SCHEMA,
+                                              "shards": shards})
         else:
             self.shards = int(meta["shards"])
-        self._meta = meta
-        self.index = StoreIndex(
-            os.path.join(self.directory, "index.sqlite"),
-            read_only=not index_writes,
-        )
-        #: Read-only mode's view of rows beyond the index watermarks
-        #: (and of this handle's own appends).
-        self._overlay: Dict[str, IndexRow] = {}
-        self._overlay_marks: Dict[int, int] = {}
-        if index_writes:
-            self._import_flat()
-        if refresh_on_open:
-            self.refresh()
+        #: Per shard, the bytes :meth:`refresh` has already looked at.
+        self._marks = {shard: self._size(shard)
+                       for shard in range(self.shards)}
 
     # -- layout ---------------------------------------------------------
     def shard_of(self, key: str) -> int:
@@ -269,183 +280,106 @@ class ShardedResultStore:
             )
         return dict(payload)
 
+    def _size(self, shard: int) -> int:
+        try:
+            return os.path.getsize(self.shard_path(shard))
+        except FileNotFoundError:
+            return 0
+
+    def _read(self, shard: int) -> bytes:
+        try:
+            with open(self.shard_path(shard), "rb") as handle:
+                return handle.read()
+        except FileNotFoundError:
+            return b""
+
     # -- migration ------------------------------------------------------
-    def _import_flat(self) -> int:
-        """Fold an adjacent flat ``store.jsonl`` into the shards.
-
-        Tracks how many flat bytes were already imported, so reopening
-        is free and appends made to the flat file *after* a migration
-        are picked up incrementally on the next open.
-        """
-        flat = os.path.join(self.directory, FLAT_NAME)
-        if not os.path.exists(flat):
-            return 0
-        size = os.path.getsize(flat)
-        done = int(self._meta.get("flat_imported_bytes", 0))
-        if size <= done:
-            return 0
-        imported = self.import_flat_store(flat)
-        self._meta["flat_imported_bytes"] = size
-        atomic_write_json(self.path, self._meta)
-        return imported
-
     def import_flat_store(self, flat_path: str) -> int:
         """Copy every live record of a flat JSONL store into the shards."""
         latest = {r.key: r for r in read_flat_store(flat_path)}
-        records = sorted(latest.values(), key=lambda r: (r.created, r.key))
-        self.put_many(records)
-        return len(records)
+        self.put_many(_in_order(latest.values()))
+        return len(latest)
 
     # -- reading --------------------------------------------------------
     def refresh(self) -> List[str]:
-        """Index shard bytes appended since the last refresh.
+        """Keys of the complete lines appended since the last call.
 
-        Returns the keys of the records it indexed, in shard order (how
-        a sweep's parent process notices its workers' results).
-
-        Only complete lines (ending in ``\\n``) are consumed; a torn
-        final line — crash mid-append — stays beyond the watermark and
-        is retried (then superseded or compacted away) later.  Complete
-        lines that fail to parse are counted and skipped; compaction
-        drops them for good.
-
-        The owner (``index_writes=True``) folds the tails into SQLite.
-        A read-only handle folds them into its in-memory overlay
-        instead, starting from wherever the owner's watermarks stood at
-        this poll — second processes see fresh appends without ever
-        writing the index.
+        This handle's watermarks start at the shard sizes seen at open;
+        it is how a sweep's parent notices its workers' results.  A
+        torn final line stays beyond the watermark until it completes.
         """
-        rows: List[Tuple[str, int, int, int, str, str, float]] = []
-        marks = self.index.watermarks()
-        if not self.index_writes:
-            for shard, done in self._overlay_marks.items():
-                marks[shard] = max(marks.get(shard, 0), done)
-        new_marks: Dict[int, int] = {}
+        keys: List[str] = []
         for shard in range(self.shards):
-            path = self.shard_path(shard)
-            try:
-                size = os.path.getsize(path)
-            except OSError:
+            done = self._marks[shard]
+            if self._size(shard) <= done:
                 continue
-            done = marks.get(shard, 0)
-            if size <= done:
-                continue
-            with open(path, "rb") as handle:
+            with open(self.shard_path(shard), "rb") as handle:
                 handle.seek(done)
                 tail = handle.read()
-            offset = done
-            for raw in tail.splitlines(keepends=True):
-                if not raw.endswith(b"\n"):
-                    break  # torn final line: leave for the next refresh
-                length = len(raw)
-                try:
-                    record = StoredResult.from_json(
-                        raw.decode("utf-8").strip()
-                    )
-                    rows.append((
-                        record.key, shard, offset, length, record.study,
-                        params_digest(record.params), record.created,
-                    ))
-                except (ValueError, UnicodeDecodeError):
-                    self.skipped_lines += 1
-                offset += length
-            new_marks[shard] = offset
-        if not self.index_writes:
-            for row in rows:
-                self._overlay[row[0]] = IndexRow(*row)
-            self._overlay_marks.update(new_marks)
-        elif rows or new_marks:
-            self.index.upsert(rows, new_marks)
-        return [row[0] for row in rows]
-
-    def _read_at(self, shard: int, offset: int, length: int) -> StoredResult:
-        with open(self.shard_path(shard), "rb") as handle:
-            handle.seek(offset)
-            blob = handle.read(length)
-        return StoredResult.from_json(blob.decode("utf-8").strip())
-
-    def _read_rows(self, rows: List[Any]) -> Iterator[StoredResult]:
-        """Bulk point reads: one open handle per shard, not per record."""
-        handles: Dict[int, Any] = {}
-        try:
-            for row in rows:
-                handle = handles.get(row.shard)
-                if handle is None:
-                    handle = open(self.shard_path(row.shard), "rb")
-                    handles[row.shard] = handle
-                handle.seek(row.offset)
-                blob = handle.read(row.length)
-                yield StoredResult.from_json(blob.decode("utf-8").strip())
-        finally:
-            for handle in handles.values():
-                handle.close()
-
-    def _locate(self, key: str) -> Optional[IndexRow]:
-        """Index row for ``key``, preferring the newer of index/overlay.
-
-        Same key always lands in the same shard, so a larger byte
-        offset is strictly the later append — the live record.
-        """
-        row = self.index.lookup(key)
-        over = self._overlay.get(key)
-        if over is not None and (row is None or over.offset >= row.offset):
-            return over
-        return row
+            for line in _complete_lines(tail):
+                record = _parse(line)
+                if record is not None:
+                    keys.append(record.key)
+            self._marks[shard] = done + tail.rfind(b"\n") + 1
+        return keys
 
     def get(self, key: str) -> Optional[StoredResult]:
-        row = self._locate(key)
-        if row is None:
+        """The live record for ``key``: the last complete line holding it.
+
+        Searches the key's shard backwards for the bytes
+        ``"key":"<key>"`` and parses only the line each hit lands in.
+        Anything that is not a point key is a miss, never an error.
+        """
+        try:
+            shard = self.shard_of(key)
+        except ValueError:
             return None
-        record = self._read_at(row.shard, row.offset, row.length)
-        if record.key != key:
-            if not self.index_writes:
-                # A reader must not rewrite the owner's index; treat
-                # drift as a miss (always correct for a cache).
-                return None
-            # Index drifted from the shard (e.g. shard rewritten behind
-            # our back): rebuild rather than serve the wrong record.
-            warnings.warn(
-                f"{self.directory}: index row for {key} pointed at "
-                f"{record.key}; reindexing",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            self.reindex()
-            row = self.index.lookup(key)
-            if row is None:
-                return None
-            record = self._read_at(row.shard, row.offset, row.length)
-        return record
+        blob = self._read(shard)
+        needle = b'"key":' + json.dumps(key).encode("utf-8")
+        hit = blob.rfind(needle, 0, blob.rfind(b"\n") + 1)
+        while hit >= 0:
+            start = blob.rfind(b"\n", 0, hit) + 1
+            record = _parse(blob[start:blob.find(b"\n", hit)])
+            if record is not None and record.key == key:
+                return record
+            hit = blob.rfind(needle, 0, start)
+        return None
 
     def get_point(self, point: "ExperimentPoint") -> Optional[StoredResult]:
         return self.get(point.key)
 
     def __contains__(self, key: str) -> bool:
-        return self._locate(key) is not None
+        return self.get(key) is not None
 
-    def __len__(self) -> int:
-        count = self.index.count()
-        count += sum(1 for key in self._overlay
-                     if self.index.lookup(key) is None)
-        return count
+    def _scan(self, study: Optional[str] = None
+              ) -> Tuple[Dict[str, StoredResult], int]:
+        """``(live record per key, unparseable lines)`` over all shards.
 
-    def _all_rows(self, study: Optional[str]) -> List[IndexRow]:
-        """Merged index + overlay rows in (created, key) order."""
-        merged = {row.key: row for row in self.index.by_study(study)}
-        for key, row in self._overlay.items():
-            if study is not None and row.study != study:
-                continue
-            old = merged.get(key)
-            if old is None or row.offset >= old.offset:
-                merged[key] = row
-        return sorted(merged.values(),
-                      key=lambda r: (r.created, r.key))
-
-    def __iter__(self) -> Iterator[StoredResult]:
-        yield from self._read_rows(self._all_rows(None))
+        With ``study``, lines lacking ``"study":"<study>"`` are skipped
+        unparsed: canonical JSON puts those bytes in every record of it.
+        """
+        needle = (None if study is None
+                  else b'"study":' + json.dumps(study).encode("utf-8"))
+        latest: Dict[str, StoredResult] = {}
+        skipped = 0
+        for shard in range(self.shards):
+            live, bad = _live(self._read(shard), needle)
+            latest.update(live)
+            skipped += bad
+        if study is not None:
+            latest = {key: record for key, record in latest.items()
+                      if record.study == study}
+        return latest, skipped
 
     def records(self, study: Optional[str] = None) -> List[StoredResult]:
-        return list(self._read_rows(self._all_rows(study)))
+        """Live records (of ``study``, if given) in (created, key) order."""
+        return _in_order(self._scan(study)[0].values())
+
+    def __iter__(self) -> Iterator[StoredResult]:
+        return iter(self.records())
+
+    def __len__(self) -> int:
+        return len(self._scan()[0])
 
     # -- writing --------------------------------------------------------
     def put(
@@ -465,43 +399,18 @@ class ShardedResultStore:
         return record
 
     def put_record(self, record: StoredResult) -> None:
-        shard = self.shard_of(record.key)
-        payload = (record.to_json() + "\n").encode("utf-8")
-        offset, end = append_record(self.shard_path(shard), payload)
-        if self.index_writes:
-            self.index.upsert(
-                [(record.key, shard, offset, len(payload), record.study,
-                  params_digest(record.params), record.created)],
-                {shard: end},
-            )
-        else:
-            # Append-only handles remember their own writes so a
-            # subsequent get() on this handle is not an index miss.
-            self._overlay[record.key] = IndexRow(
-                record.key, shard, offset, len(payload), record.study,
-                params_digest(record.params), record.created)
+        append_record(self.shard_path(self.shard_of(record.key)),
+                      (record.to_json() + "\n").encode("utf-8"))
 
     def put_many(self, records: List[StoredResult]) -> None:
-        """Bulk append: one ``os.write`` and one index transaction per
-        shard instead of per record (migration / compaction path)."""
+        """Bulk append: one ``os.write`` per shard instead of per record
+        (migration path)."""
         by_shard: Dict[int, List[StoredResult]] = {}
         for record in records:
             by_shard.setdefault(self.shard_of(record.key), []).append(record)
-        rows: List[Tuple[str, int, int, int, str, str, float]] = []
-        marks: Dict[int, int] = {}
         for shard, group in sorted(by_shard.items()):
-            lines = [(r.to_json() + "\n").encode("utf-8") for r in group]
-            blob = b"".join(lines)
-            offset, end = append_record(self.shard_path(shard), blob)
-            for record, line in zip(group, lines):
-                rows.append((
-                    record.key, shard, offset, len(line), record.study,
-                    params_digest(record.params), record.created,
-                ))
-                offset += len(line)
-            marks[shard] = end
-        if self.index_writes and (rows or marks):
-            self.index.upsert(rows, marks)
+            blob = "".join(r.to_json() + "\n" for r in group)
+            append_record(self.shard_path(shard), blob.encode("utf-8"))
 
     # -- maintenance ----------------------------------------------------
     def compact(self) -> CompactStats:
@@ -509,91 +418,58 @@ class ShardedResultStore:
 
         Each shard is replaced atomically (temp+rename), so a reader —
         or a crash — mid-compact sees either the old shard or the new
-        one, never a partial rewrite.
+        one, never a partial rewrite.  Unparseable lines and a torn
+        final line are dropped.
         """
-        self.refresh()
         records_total = 0
         before = 0
         after = 0
         dropped = 0
         for shard in range(self.shards):
             path = self.shard_path(shard)
-            try:
-                with open(path, "rb") as handle:
-                    old_blob = handle.read()
-            except OSError:
+            if not os.path.exists(path):
                 continue
-            rows = self.index.by_shard(shard)
-            kept = [self._read_at(r.shard, r.offset, r.length)
-                    for r in rows]
-            lines = [r.to_json() + "\n" for r in kept]
-            text = "".join(lines)
+            old_blob = self._read(shard)
+            kept = _in_order(_live(old_blob)[0].values())
+            text = "".join(r.to_json() + "\n" for r in kept)
             atomic_write_text(path, text)
-            self.index.drop_shard(shard)
-            new_rows: List[Tuple[str, int, int, int, str, str, float]] = []
-            offset = 0
-            for record, line in zip(kept, lines):
-                length = len(line.encode("utf-8"))
-                new_rows.append((
-                    record.key, shard, offset, length, record.study,
-                    params_digest(record.params), record.created,
-                ))
-                offset += length
-            self.index.upsert(new_rows, {shard: offset})
+            size = len(text.encode("utf-8"))
+            self._marks[shard] = size
             records_total += len(kept)
             before += len(old_blob)
-            after += offset
+            after += size
             dropped += max(0, old_blob.count(b"\n") - len(kept))
-        stats = CompactStats(
+        return CompactStats(
             records=records_total,
             bytes_before=before,
             bytes_after=after,
             dropped_lines=dropped,
         )
-        return stats
-
-    def reindex(self) -> None:
-        """Drop the index and rebuild it from the shard files.
-
-        Read-only handles rebuild their overlay instead — the owner's
-        SQLite file is never touched.
-        """
-        if not self.index_writes:
-            self._overlay.clear()
-            self._overlay_marks = {shard: 0
-                                   for shard in range(self.shards)}
-            self.skipped_lines = 0
-            self.refresh()
-            return
-        self.index.reset()
-        self.skipped_lines = 0
-        self.refresh()
 
     def clear(self) -> None:
-        """Drop every record (shards and index)."""
+        """Drop every record."""
         for shard in range(self.shards):
             try:
                 os.remove(self.shard_path(shard))
             except OSError:
                 pass
-        self.index.reset()
+            self._marks[shard] = 0
 
     def stats(self) -> Dict[str, Any]:
-        shard_bytes = {}
-        for shard in range(self.shards):
-            try:
-                shard_bytes[shard] = os.path.getsize(self.shard_path(shard))
-            except OSError:
-                shard_bytes[shard] = 0
+        """Counts from one scan of the shards: records, bytes, and the
+        complete lines that fail to parse (``skipped_lines``)."""
+        shard_bytes = {shard: self._size(shard)
+                       for shard in range(self.shards)}
+        latest, skipped = self._scan()
         return {
             "schema": STORE_SCHEMA,
             "directory": self.directory,
-            "records": len(self),
+            "records": len(latest),
             "shards": self.shards,
             "bytes": sum(shard_bytes.values()),
             "shard_bytes": shard_bytes,
-            "skipped_lines": self.skipped_lines,
+            "skipped_lines": skipped,
         }
 
     def close(self) -> None:
-        self.index.close()
+        """Nothing to release: a handle holds no open files."""

@@ -277,7 +277,6 @@ class SetIterationRule(Rule):
 #: per-access object traffic where instance dicts cost real time and
 #: memory (see benchmarks/bench_perf_kernel.py).
 HOT_MODULES = (
-    "uarch/cache.py",
     "uarch/core.py",
     "uarch/tlb.py",
     "uarch/uop.py",

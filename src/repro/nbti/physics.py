@@ -80,11 +80,10 @@ class StressPhase(enum.Enum):
 # ----------------------------------------------------------------------
 # The exact per-interval exponential update is split into one transcendental
 # step (the decay factor, always evaluated through scalar ``math.exp``) and
-# IEEE-exact multiply/subtract steps.  The kernel backends
-# (:mod:`repro.uarch.backends`) batch the second half across many nodes
-# while reusing the same scalar decay factor, which keeps them
-# bit-identical to this module: ``exp`` is the only operation whose
-# last-ulp rounding could differ between libm and an array library.
+# IEEE-exact multiply/subtract steps, so a batched caller that reuses the
+# scalar decay factor stays bit-identical to this module: ``exp`` is the
+# only operation whose last-ulp rounding could differ between libm and an
+# array library.
 def stress_decay(k_stress: float, duration: float) -> float:
     """Exponential decay factor ``exp(-k_s * t)`` of one stress interval."""
     return math.exp(-k_stress * duration)

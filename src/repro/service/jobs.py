@@ -16,10 +16,10 @@ Threading model (the part that has to be right):
   loop — the asyncio server is single-threaded, which makes concurrent
   identical submits naturally race-free;
 - each job's sweep runs in a ``ThreadPoolExecutor`` slot, opening its
-  *own* store handle over the shared directory (SQLite connections are
-  thread-affine), under one :class:`~repro.experiments.runner.
-  SweepRunner` — in the thread for ``workers=1``, on lease-board worker
-  processes otherwise;
+  *own* store handle over the shared directory (each runner's
+  ``refresh()`` watermarks are its own), under one
+  :class:`~repro.experiments.runner.SweepRunner` — in the thread for
+  ``workers=1``, on lease-board worker processes otherwise;
 - the only executor→loop traffic is plain-int counter updates (GIL
   atomic) plus terminal-state flags; the per-job pump task on the loop
   turns those, and the tailed ``events.jsonl``, into hub messages.
@@ -271,7 +271,6 @@ class JobManager:
                       study: Optional[str] = None,
                       limit: int = 100) -> List[Dict[str, Any]]:
         """Store rows by key or study (the ``/v1/results`` endpoint)."""
-        self.store.refresh()
         if key:
             record = self.store.get(key)
             return [_record_row(record)] if record is not None else []

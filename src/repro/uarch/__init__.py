@@ -11,8 +11,9 @@ protects, driven by value-carrying uop traces.
   and per-bit-cell residency accounting.
 - :mod:`repro.uarch.scheduler` — the reservation-station scheduler with
   the exact Table 2 field layout.
-- :mod:`repro.uarch.cache` — set-associative caches with the
-  valid/inverted line states the cache-like mechanisms need.
+- :mod:`repro.uarch.backends` — set-associative caches with the
+  valid/inverted line states the cache-like mechanisms need, behind
+  pluggable kernel backends.
 - :mod:`repro.uarch.tlb` — the data TLB.
 - :mod:`repro.uarch.mob` — Memory Order Buffer id allocation.
 - :mod:`repro.uarch.ports` — issue ports and adder-allocation policies.
@@ -23,7 +24,7 @@ from repro.uarch.uop import Uop, UopClass, SchedulerLayout, SCHEDULER_LAYOUT
 from repro.uarch.trace import Trace, TraceStats
 from repro.uarch.regfile import RegisterFile, RegisterFileStats
 from repro.uarch.scheduler import Scheduler, SchedulerStats
-from repro.uarch.cache import Cache, CacheConfig, CacheStats, LineState
+from repro.uarch.backends import Cache, CacheConfig, CacheStats, LineState
 from repro.uarch.tlb import TLB, TLBConfig
 from repro.uarch.mob import MemoryOrderBuffer
 from repro.uarch.ports import AdderPool, AdderPolicy

@@ -1,36 +1,26 @@
 """The kernel-backend contract: how simulation engines plug in.
 
-A *kernel backend* owns the innermost simulation loops — cache/TLB tag
-replay and the NBTI stress/recovery arithmetic — behind a small factory
-surface, so the rest of the stack (cores, schemes, studies, sweeps) can
-select an engine per run without knowing its data layout.
+A *kernel backend* owns the innermost simulation loop — cache/TLB tag
+replay — behind a small factory surface, so the rest of the stack
+(cores, schemes, studies, sweeps) can select an engine per run without
+knowing its data layout.
 
-The contract has two halves:
-
-- **Structure factories** (:meth:`KernelBackend.make_cache`,
-  :meth:`KernelBackend.make_tlb`) return objects implementing the full
-  scalar :class:`~repro.uarch.backends.reference.Cache` surface:
-  geometry setup, per-access ``access``/``probe``, batched ``replay``,
-  the victim/invert/shadow queries the inversion schemes drive
-  (``victim_way`` / ``invert_candidate`` / ``shadow_candidate`` /
-  ``invert_line`` / ``set_shadow`` / counters), plus ``reset()`` and
-  the ``metrics()`` tree.  A backend may accelerate any subset of that
-  surface, but every operation must stay **bit-identical** to the
-  reference backend — the differential oracle
-  (``tests/test_backends.py``) compares ``metrics().flatten()`` and
-  full line-state snapshots, not tolerances.
-
-- **Batched NBTI kernels** (:meth:`KernelBackend.nbti_stress`,
-  :meth:`KernelBackend.nbti_relax`,
-  :meth:`KernelBackend.steady_state_fill_many`) evaluate the
-  reaction-diffusion update for many nodes at once.  Bit-exactness is
-  achieved by construction: the scalar ``exp`` decay factor is computed
-  once (``math.exp``, never an elementwise libm variant) and the
-  remaining per-node arithmetic is two IEEE-exact multiply/subtract
-  steps identical in both backends.
+The contract is two **structure factories**
+(:meth:`KernelBackend.make_cache`, :meth:`KernelBackend.make_tlb`).
+They return objects implementing the full scalar
+:class:`~repro.uarch.backends.reference.Cache` surface: geometry setup,
+per-access ``access``/``probe``, batched ``replay``, the
+victim/invert/shadow queries the inversion schemes drive
+(``victim_way`` / ``invert_candidate`` / ``shadow_candidate`` /
+``invert_line`` / ``set_shadow`` / counters), plus ``reset()`` and the
+``metrics()`` tree.  A backend may accelerate any subset of that
+surface, but every operation must stay **bit-identical** to the
+reference backend — the differential oracle (``tests/test_backends.py``)
+compares ``metrics().flatten()`` and full line-state snapshots, not
+tolerances.
 
 Batch-granularity rule: backends may reorder *work* inside one
-``replay``/kernel call (e.g. process the k-th access of every set in
+``replay`` call (e.g. process the k-th access of every set in
 one array op) but never the *observable effects* — per-set access
 order, LRU movement, and counter totals must match a scalar in-order
 execution of the same call.  Anything coupled to the global access
@@ -41,7 +31,7 @@ the scalar path; see DESIGN.md section 10.
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, ClassVar, List, Sequence
+from typing import TYPE_CHECKING, ClassVar
 
 if TYPE_CHECKING:  # imports for annotations only: avoids import cycles
     from repro.uarch.backends.reference import Cache, CacheConfig
@@ -64,20 +54,3 @@ class KernelBackend(abc.ABC):
     @abc.abstractmethod
     def make_tlb(self, config: "TLBConfig") -> "TLB":
         """A TLB instance for ``config`` (full scalar surface)."""
-
-    # -- batched NBTI kernels ------------------------------------------
-    @abc.abstractmethod
-    def nbti_stress(self, nits: Sequence[float], n_max: float,
-                    k_stress: float, duration: float) -> List[float]:
-        """Interface-trap counts after ``duration`` of stress, per node."""
-
-    @abc.abstractmethod
-    def nbti_relax(self, nits: Sequence[float], k_relax: float,
-                   duration: float) -> List[float]:
-        """Interface-trap counts after ``duration`` of recovery, per node."""
-
-    @abc.abstractmethod
-    def steady_state_fill_many(
-        self, duties: Sequence[float], recovery_ratio: float = 9.0,
-    ) -> List[float]:
-        """Steady-state trap fill fraction for each duty factor."""

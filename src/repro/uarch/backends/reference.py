@@ -2,8 +2,7 @@
 
 This module is the semantic ground truth of the simulator.  Every other
 backend (see :mod:`repro.uarch.backends.vectorized`) must reproduce its
-observable behaviour bit-for-bit; the classes here are re-exported
-unchanged through :mod:`repro.uarch.cache` for compatibility.
+observable behaviour bit-for-bit.
 
 Set-associative cache with the line states the inversion schemes need.
 
@@ -481,7 +480,7 @@ class Cache:
 
 
 # ----------------------------------------------------------------------
-# The backend wrapper: scalar structures + scalar NBTI kernels
+# The backend wrapper: the scalar structures
 # ----------------------------------------------------------------------
 class ReferenceBackend(KernelBackend):
     """The always-available scalar engine (pure Python, no numpy)."""
@@ -497,25 +496,3 @@ class ReferenceBackend(KernelBackend):
         from repro.uarch.tlb import TLB  # deferred: tlb.py imports us
 
         return TLB(config)
-
-    def nbti_stress(self, nits: Iterable[float], n_max: float,
-                    k_stress: float, duration: float) -> List[float]:
-        from repro.nbti.physics import apply_stress, stress_decay
-
-        decay = stress_decay(k_stress, duration)
-        return [apply_stress(nit, n_max, decay) for nit in nits]
-
-    def nbti_relax(self, nits: Iterable[float], k_relax: float,
-                   duration: float) -> List[float]:
-        from repro.nbti.physics import apply_relax, relax_decay
-
-        decay = relax_decay(k_relax, duration)
-        return [apply_relax(nit, decay) for nit in nits]
-
-    def steady_state_fill_many(
-        self, duties: Iterable[float], recovery_ratio: float = 9.0,
-    ) -> List[float]:
-        from repro.nbti.physics import steady_state_fill
-
-        return [steady_state_fill(duty, recovery_ratio)
-                for duty in duties]

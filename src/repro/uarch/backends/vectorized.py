@@ -49,7 +49,7 @@ geometries, schemes and stream lengths.
 from __future__ import annotations
 
 from itertools import islice
-from typing import Any, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Iterable, List, Optional, Tuple
 
 try:
     import numpy as np
@@ -430,7 +430,7 @@ class VectorTLB(_VectorReplayMixin, TLB):
 
 
 # ----------------------------------------------------------------------
-# The backend wrapper: SoA structures + batched NBTI kernels
+# The backend wrapper: the SoA structures
 # ----------------------------------------------------------------------
 class VectorizedBackend(KernelBackend):
     """The numpy engine (requires the ``fast`` optional dependency)."""
@@ -455,46 +455,3 @@ class VectorizedBackend(KernelBackend):
 
     def make_tlb(self, config: TLBConfig) -> TLB:
         return VectorTLB(config)
-
-    # The decay factor stays scalar ``math.exp`` (one call per kernel
-    # invocation): elementwise ``np.exp`` may round differently from
-    # libm in the last ulp, while the remaining multiply/subtract steps
-    # are exact-rounded and therefore bit-identical per element.
-    def nbti_stress(self, nits: Sequence[float], n_max: float,
-                    k_stress: float, duration: float) -> List[float]:
-        from repro.nbti.physics import stress_decay
-
-        decay = stress_decay(k_stress, duration)
-        nit = np.asarray(nits, dtype=np.float64)
-        out: List[float] = (n_max - (n_max - nit) * decay).tolist()
-        return out
-
-    def nbti_relax(self, nits: Sequence[float], k_relax: float,
-                   duration: float) -> List[float]:
-        from repro.nbti.physics import relax_decay
-
-        decay = relax_decay(k_relax, duration)
-        nit = np.asarray(nits, dtype=np.float64)
-        out: List[float] = (nit * decay).tolist()
-        return out
-
-    def steady_state_fill_many(
-        self, duties: Sequence[float], recovery_ratio: float = 9.0,
-    ) -> List[float]:
-        duty = np.asarray(duties, dtype=np.float64)
-        if duty.size == 0:
-            return []
-        bad = ~((duty >= 0.0) & (duty <= 1.0))
-        if bad.any():
-            offender = float(duty[int(np.argmax(bad))])
-            raise ValueError(
-                f"duty must be within [0, 1], got {offender!r}"
-            )
-        if recovery_ratio <= 0.0:
-            raise ValueError("recovery_ratio must be positive")
-        relax = (1.0 - duty) * recovery_ratio
-        denominator = np.where(duty == 0.0, 1.0, duty + relax)
-        out: List[float] = np.where(
-            duty == 0.0, 0.0, duty / denominator
-        ).tolist()
-        return out

@@ -31,7 +31,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from repro.metrics import MetricSet
 from repro.obs.trace import TRACER as _TRACER
 from repro.uarch.backends import get_backend
-from repro.uarch.cache import CacheConfig, CacheStats
+from repro.uarch.backends import CacheConfig, CacheStats
 from repro.uarch.mob import MemoryOrderBuffer
 from repro.uarch.ports import AdderPolicy, AdderPool
 from repro.uarch.regfile import RegisterFile, RegisterFileStats

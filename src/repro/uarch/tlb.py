@@ -2,15 +2,15 @@
 
 The DTLB is architecturally a small, page-granular cache-like structure
 (Section 4.6 treats it with the same inversion mechanisms as the DL0), so
-the model specialises :class:`~repro.uarch.cache.Cache` with page-sized
-lines and an entry-count geometry.
+the model specialises :class:`~repro.uarch.backends.reference.Cache` with
+page-sized lines and an entry-count geometry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.uarch.cache import Cache, CacheConfig
+from repro.uarch.backends import Cache, CacheConfig
 
 DEFAULT_PAGE_BYTES = 4096
 

@@ -192,7 +192,7 @@ def iter_address_stream(
 
     Yields the bit-identical address sequence without materialising the
     list, so paper-scale streams replay through
-    :meth:`~repro.uarch.cache.Cache.replay` in bounded memory.
+    :meth:`~repro.uarch.backends.reference.Cache.replay` in bounded memory.
     """
     if length <= 0:
         raise ValueError("length must be positive")

@@ -49,7 +49,7 @@ class TestBuildCore:
 
     def test_custom_geometry_bit_identical_to_legacy(self, small_trace):
         from repro.uarch import TraceDrivenCore
-        from repro.uarch.cache import CacheConfig
+        from repro.uarch.backends import CacheConfig
         from repro.uarch.core import CoreConfig
         from repro.uarch.ports import AdderPolicy
         from repro.uarch.tlb import TLBConfig

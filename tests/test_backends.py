@@ -32,7 +32,7 @@ from repro.core.cache_like import (
     WayFixedScheme,
 )
 from repro.uarch.backends import backend_names, get_backend
-from repro.uarch.cache import Cache, CacheConfig
+from repro.uarch.backends import Cache, CacheConfig
 from repro.uarch.tlb import TLBConfig
 
 def _require_numpy():
@@ -260,42 +260,3 @@ class TestStudyDifferential:
             assert study.defaults.get("backend") == "reference", name
             assert study.spec_paths.get("backend") == \
                 "processor.backend", name
-
-
-class TestNbtiKernels:
-    def test_stress_relax_match_scalar_model(self):
-        _require_numpy()
-        from repro.nbti.physics import ReactionDiffusionModel
-
-        ref_engine = get_backend("reference")
-        vec_engine = get_backend("vectorized")
-        nits = [0.0, 0.1, 0.5, 0.93, 1.0]
-        for duration in (0.5, 1e3, 1e6):
-            expected = []
-            for nit in nits:
-                model = ReactionDiffusionModel(nit=nit)
-                model.stress(duration)
-                model.relax(duration / 3)
-                expected.append(model.nit)
-            k_s = ReactionDiffusionModel().effective_k_stress
-            k_r = ReactionDiffusionModel().k_relax
-            for engine in (ref_engine, vec_engine):
-                stressed = engine.nbti_stress(nits, 1.0, k_s, duration)
-                relaxed = engine.nbti_relax(stressed, k_r, duration / 3)
-                assert relaxed == expected, engine.name
-
-    def test_steady_state_fill_many(self):
-        _require_numpy()
-        from repro.nbti.physics import steady_state_fill
-
-        duties = [0.0, 0.1, 0.5, 0.9, 1.0]
-        expected = [steady_state_fill(d) for d in duties]
-        for name in ("reference", "vectorized"):
-            assert get_backend(name).steady_state_fill_many(duties) == \
-                expected, name
-        assert get_backend("vectorized").steady_state_fill_many([]) == []
-
-    def test_steady_state_fill_rejects_bad_duty(self):
-        _require_numpy()
-        with pytest.raises(ValueError, match="1.5"):
-            get_backend("vectorized").steady_state_fill_many([0.2, 1.5])

@@ -171,7 +171,7 @@ class TestCommands:
         import random
 
         from repro.metrics import IntervalTelemetry
-        from repro.uarch.cache import Cache, CacheConfig
+        from repro.uarch.backends import Cache, CacheConfig
 
         cache = Cache(CacheConfig(name="DL0-4K-4w",
                                   size_bytes=4 * 1024, ways=4))
@@ -190,6 +190,19 @@ class TestCommands:
         assert main(["report", "--intervals", str(path),
                      "--metrics", "bogus"]) == 2
         assert "unknown or non-numeric" in capsys.readouterr().err
+
+    def test_store_info_reports_skipped_lines_on_every_open(
+            self, capsys, tmp_path):
+        from repro.fabric import ShardedResultStore
+
+        store = str(tmp_path / "store")
+        opened = ShardedResultStore(store)
+        with open(opened.shard_path(0), "ab") as handle:
+            handle.write(b"not json\n")
+        for __ in range(2):
+            ShardedResultStore(store).close()
+        assert main(["store", "info", "--store", store]) == 0
+        assert "skipped lines: 1" in capsys.readouterr().out
 
     def test_sweep_help_epilog_in_sync_with_registry(self, capsys):
         from repro.experiments import study_names

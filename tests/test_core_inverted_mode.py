@@ -7,7 +7,7 @@ from repro.core.inverted_mode import (
     inverted_mode_block_cost,
 )
 from repro.core.cache_like import ProtectedCache
-from repro.uarch.cache import Cache, CacheConfig
+from repro.uarch.backends import Cache, CacheConfig
 
 CONFIG = CacheConfig(name="L2ish", size_bytes=8 * 1024, ways=4)
 

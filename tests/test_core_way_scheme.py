@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.core.cache_like import ProtectedCache, WayFixedScheme
-from repro.uarch.cache import Cache, CacheConfig, LineState
+from repro.uarch.backends import Cache, CacheConfig, LineState
 
 CONFIG = CacheConfig(name="DL0-8K-4w", size_bytes=8 * 1024, ways=4)
 

@@ -132,7 +132,8 @@ class TestStore:
         flat = str(tmp_path / "store.jsonl")
         write_flat(flat, [flat_record(0.5, {"mean_loss": 0.01}),
                           flat_record(0.5, {"mean_loss": 0.02})])
-        store = ShardedResultStore(str(tmp_path))  # imports store.jsonl
+        store = ShardedResultStore(str(tmp_path / "store"))
+        assert store.import_flat_store(flat) == 1
         assert len(store) == 1
         assert store.get(flat_record(0.5, {}).key).metrics == {
             "mean_loss": 0.02
@@ -164,9 +165,10 @@ class TestStore:
             handle.write("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=r"store\.jsonl:1: corrupt"):
             read_flat_store(path)
-        # Opening the directory imports the same file: same error.
+        # Importing it into a store: same error.
+        store = ShardedResultStore(str(tmp_path / "store"))
         with pytest.raises(ValueError, match=r"store\.jsonl:1: corrupt"):
-            ShardedResultStore(str(tmp_path))
+            store.import_flat_store(path)
 
     @pytest.mark.parametrize("line,match", [
         ("null", "not an object"),
@@ -202,8 +204,7 @@ class TestStore:
         padding = "x" * 512
 
         def writer(worker):
-            store = ShardedResultStore(directory, index_writes=False,
-                                       refresh_on_open=False)
+            store = ShardedResultStore(directory)
             for i in range(per_thread):
                 point = ExperimentPoint.from_dict(
                     "caches", {"worker": worker, "i": i})

@@ -1,7 +1,7 @@
 """Tests for the sweep fabric: the store, leases and journal, and the
 runs of :class:`SweepRunner` that use them.
 
-Covers the three layers (sharded indexed store, lease board,
+Covers the three layers (sharded store, lease board,
 journal/checkpoint-resume) plus the differential acceptance criteria:
 a killed-and-resumed sweep must be bit-identical to an uninterrupted
 serial run, re-executing only the genuinely missing points.
@@ -84,7 +84,7 @@ def write_flat_store(path, records):
 
 
 # ----------------------------------------------------------------------
-# Sharded indexed store
+# Sharded store
 # ----------------------------------------------------------------------
 class TestShardedStore:
     def test_round_trip_and_reopen(self, tmp_path):
@@ -99,7 +99,6 @@ class TestShardedStore:
             assert got.params == record.params
         store.close()
 
-        # Reopen: the index remembers its watermarks, nothing re-parsed.
         reopened = ShardedResultStore(str(tmp_path))
         assert reopened.shards == 4  # shard count comes from meta
         assert len(reopened) == 8
@@ -134,19 +133,22 @@ class TestShardedStore:
 
     def test_worker_appends_fold_in_on_refresh(self, tmp_path):
         parent = ShardedResultStore(str(tmp_path))
-        worker = ShardedResultStore(str(tmp_path), index_writes=False,
-                                    refresh_on_open=False)
-        worker.put_record(make_record(0.3))
-        worker.close()
-        assert len(parent) == 0  # not yet indexed
-        parent.refresh()
-        assert len(parent) == 1
-        parent.close()
+        worker = ShardedResultStore(str(tmp_path))
+        record = make_record(0.3)
+        worker.put_record(record)
+        # Visible to the parent's lookups at once, no refresh needed.
+        assert parent.get(record.key).metrics == record.metrics
+        assert record.key in parent
+        # refresh() names the appended key exactly once.
+        assert parent.refresh() == [record.key]
+        assert parent.refresh() == []
+        assert worker.refresh() == [record.key]  # its own watermarks
 
     def test_torn_shard_line_waits_for_completion(self, tmp_path):
         store = ShardedResultStore(str(tmp_path))
         record = make_record(0.7)
         store.put_record(record)
+        assert store.refresh() == [record.key]
         # Crash mid-append: half a record, no newline, on some shard.
         torn = make_record(0.9)
         line = (torn.to_json() + "\n").encode()
@@ -154,14 +156,15 @@ class TestShardedStore:
         fd = os.open(shard_path, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
         os.write(fd, line[: len(line) // 2])
         os.close(fd)
-        store.refresh()
+        assert store.refresh() == []
         assert len(store) == 1  # torn tail not consumed, not an error
-        assert store.skipped_lines == 0
-        # The writer completes the line: the next refresh picks it up.
+        assert store.get(torn.key) is None
+        assert store.stats()["skipped_lines"] == 0
+        # The writer completes the line: it counts from then on.
         fd = os.open(shard_path, os.O_WRONLY | os.O_APPEND)
         os.write(fd, line[len(line) // 2:])
         os.close(fd)
-        store.refresh()
+        assert store.refresh() == [torn.key]
         assert len(store) == 2
         assert store.get(torn.key).metrics == torn.metrics
         store.close()
@@ -172,9 +175,13 @@ class TestShardedStore:
                      os.O_WRONLY | os.O_CREAT | os.O_APPEND)
         os.write(fd, b"not json\n")
         os.close(fd)
-        store.refresh()
+        assert store.refresh() == []
         assert len(store) == 0
-        assert store.skipped_lines == 1
+        assert store.stats()["skipped_lines"] == 1
+        # The count comes from each scan, not from whichever handle
+        # first read past the line.
+        assert ShardedResultStore(str(tmp_path)).stats()[
+            "skipped_lines"] == 1
         store.close()
 
     def test_compact_drops_dead_and_garbage_lines(self, tmp_path):
@@ -199,36 +206,27 @@ class TestShardedStore:
         assert total_lines == 2
         store.close()
 
-    def test_index_is_rebuildable_cache(self, tmp_path):
-        store = ShardedResultStore(str(tmp_path))
-        record = make_record(0.4)
-        store.put_record(record)
-        store.close()
-        os.remove(str(tmp_path / "index.sqlite"))
-        reopened = ShardedResultStore(str(tmp_path))
-        assert reopened.get(record.key).metrics == record.metrics
-        reopened.close()
-
-    def test_flat_store_migrates_transparently(self, tmp_path):
-        flat = str(tmp_path / "store.jsonl")
+    def test_flat_store_in_directory_is_import_only(self, tmp_path):
+        flat = tmp_path / "store.jsonl"
         first = make_record(0.5, {"mean_loss": 0.01})
-        write_flat_store(flat, [first])
+        write_flat_store(str(flat), [first])
+        before = flat.read_text()
 
-        sharded = ShardedResultStore(str(tmp_path))
-        assert len(sharded) == 1
-        assert sharded.get(first.key).metrics == {"mean_loss": 0.01}
-        sharded.close()
+        # Opening the directory leaves the flat file alone, however
+        # often it is reopened.
+        for __ in range(2):
+            store = ShardedResultStore(str(tmp_path))
+            assert len(store) == 0
+            store.close()
+        assert flat.read_text() == before
+        assert shard_keys(str(tmp_path)) == []
 
-        # Appends made to the flat file *after* migration are imported
-        # incrementally on the next open.
-        other = make_record(0.7, {"mean_loss": 0.02})
-        write_flat_store(flat, [other])
-        reopened = ShardedResultStore(str(tmp_path))
-        assert len(reopened) == 2
-        assert reopened.get(other.key).metrics == {"mean_loss": 0.02}
-        # ... and re-opening again imports nothing new.
-        reopened.close()
-        assert len(ShardedResultStore(str(tmp_path))) == 2
+        # repro store migrate's import path brings its records in.
+        store = ShardedResultStore(str(tmp_path))
+        assert store.import_flat_store(str(flat)) == 1
+        assert store.get(first.key).metrics == {"mean_loss": 0.01}
+        assert shard_keys(str(tmp_path)) == [first.key]
+        store.close()
 
     def test_flat_file_is_import_only(self, tmp_path):
         flat = str(tmp_path / "flat.jsonl")
@@ -245,6 +243,80 @@ class TestShardedStore:
         (tmp_path / "fabric.json").write_text('{"schema": "nope/9"}')
         with pytest.raises(ValueError, match="unsupported store schema"):
             ShardedResultStore(str(tmp_path))
+
+    def test_opens_indexed_layout_and_ignores_stale_index(self, tmp_path):
+        """A directory written when the store kept a SQLite location
+        index beside its shards opens as it is: every record is
+        served, and the leftover index is neither read nor touched."""
+        import sqlite3
+
+        (tmp_path / "fabric.json").write_text(json.dumps({
+            "schema": "repro.fabric-store/1", "shards": 4,
+            "flat_imported_bytes": 0}))
+        (tmp_path / "shards").mkdir()
+        records = [make_record(r / 10) for r in range(8)]
+        for record in records:
+            name = f"shard-{int(record.key[:4], 16) % 4:03d}.jsonl"
+            with open(tmp_path / "shards" / name, "a") as handle:
+                handle.write(record.to_json() + "\n")
+        # Stale: a row pointing at the wrong bytes, and watermarks that
+        # claim every shard was read to far beyond its end.
+        index = sqlite3.connect(str(tmp_path / "index.sqlite"))
+        index.executescript(
+            "CREATE TABLE records (key TEXT PRIMARY KEY, shard INTEGER,"
+            " offset INTEGER, length INTEGER, study TEXT,"
+            " params_digest TEXT, created REAL);"
+            "CREATE TABLE shard_watermarks (shard INTEGER PRIMARY KEY,"
+            " indexed_bytes INTEGER);")
+        index.execute("INSERT INTO records VALUES (?,?,?,?,?,?,?)",
+                      (records[0].key, 0, 7, 3, "caches", "x", 0.0))
+        index.executemany("INSERT INTO shard_watermarks VALUES (?,?)",
+                          [(shard, 10 ** 6) for shard in range(4)])
+        index.commit()
+        index.close()
+        stale = (tmp_path / "index.sqlite").read_bytes()
+
+        store = ShardedResultStore(str(tmp_path))
+        assert store.shards == 4
+        assert len(store) == 8
+        for record in records:
+            assert store.get(record.key).metrics == record.metrics
+        assert [r.key for r in store.records("caches")] == [
+            r.key for r in records]
+        store.put_record(make_record(0.95))
+        assert len(store) == 9
+        store.close()
+        assert (tmp_path / "index.sqlite").read_bytes() == stale
+
+    def test_half_appended_newer_record_stays_invisible(self, tmp_path):
+        store = ShardedResultStore(str(tmp_path))
+        old = make_record(0.5, {"mean_loss": 0.1})
+        new = make_record(0.5, {"mean_loss": 0.2})
+        store.put_record(old)
+        line = (new.to_json() + "\n").encode()
+        fd = os.open(store.shard_path(store.shard_of(new.key)),
+                     os.O_WRONLY | os.O_APPEND)
+        try:
+            os.write(fd, line[:len(line) // 2])
+            assert store.get(new.key).metrics == old.metrics
+            # Every byte but the newline: the key is all there, yet the
+            # line is still in flight.
+            os.write(fd, line[len(line) // 2:-1])
+            assert store.get(new.key).metrics == old.metrics
+            os.write(fd, line[-1:])
+        finally:
+            os.close(fd)
+        assert store.get(new.key).metrics == new.metrics
+        assert len(store) == 1
+        store.close()
+
+    @pytest.mark.parametrize("key", ["", "zz", "z" * 20, "abcd" + "z" * 16])
+    def test_non_key_strings_are_misses(self, tmp_path, key):
+        store = ShardedResultStore(str(tmp_path))
+        store.put_record(make_record(0.5))
+        assert store.get(key) is None
+        assert key not in store
+        store.close()
 
 
 # ----------------------------------------------------------------------
@@ -622,66 +694,9 @@ class TestWorkerProcesses:
 
 
 # ----------------------------------------------------------------------
-# Read-only index concurrency (second-process readers during a run)
+# Concurrent readers (second handles during a run)
 # ----------------------------------------------------------------------
 class TestReadOnlyIndex:
-    def test_reader_survives_exclusively_locked_index(self, tmp_path):
-        import sqlite3
-
-        owner = ShardedResultStore(str(tmp_path))
-        record = make_record(0.4)
-        owner.put_record(record)
-
-        # A writer holds the index hostage mid-transaction — exactly
-        # what a reader refreshing during a fabric run can hit.
-        lock = sqlite3.connect(str(tmp_path / "index.sqlite"))
-        lock.execute("BEGIN EXCLUSIVE")
-        try:
-            reader = ShardedResultStore(str(tmp_path),
-                                        index_writes=False)
-            # Never raises; the shard-tail overlay serves the read.
-            assert reader.get(record.key).metrics == record.metrics
-            assert record.key in reader
-            assert len(reader) >= 1
-            reader.refresh()
-            reader.close()
-        finally:
-            lock.rollback()
-            lock.close()
-        owner.close()
-
-    def test_reader_tolerates_corrupt_index_file(self, tmp_path):
-        owner = ShardedResultStore(str(tmp_path))
-        record = make_record(0.6)
-        owner.put_record(record)
-        owner.close()
-
-        index_path = tmp_path / "index.sqlite"
-        index_path.write_bytes(b"this is not a sqlite database")
-        before = index_path.read_bytes()
-
-        reader = ShardedResultStore(str(tmp_path), index_writes=False)
-        assert reader.get(record.key).metrics == record.metrics
-        assert [r.key for r in reader.records()] == [record.key]
-        reader.reindex()  # read-only reindex = overlay rebuild
-        assert reader.get(record.key).metrics == record.metrics
-        reader.close()
-        # A read-only handle must never repair-by-delete someone
-        # else's index file.
-        assert index_path.read_bytes() == before
-
-    def test_read_only_handle_rejects_index_writes(self, tmp_path):
-        ShardedResultStore(str(tmp_path)).close()
-        from repro.fabric.index import StoreIndex
-
-        index = StoreIndex(str(tmp_path / "index.sqlite"),
-                           read_only=True)
-        with pytest.raises(RuntimeError):
-            index.upsert([], watermarks={0: 10})
-        with pytest.raises(RuntimeError):
-            index.reset()
-        index.close()
-
     def test_reader_refresh_races_live_writer(self, tmp_path):
         import threading
 

@@ -14,7 +14,7 @@ from repro.core import (
 from repro.core.cache_like import PAPER_DYNAMIC_THRESHOLDS
 from repro.core.memory_like import ISVRegisterFileProtector
 from repro.uarch import CoreConfig, TraceDrivenCore
-from repro.uarch.cache import CacheConfig
+from repro.uarch.backends import CacheConfig
 from repro.uarch.ports import AdderPolicy
 from repro.uarch.uop import INT_WIDTH
 from repro.workloads import TraceGenerator, generate_address_stream

@@ -25,7 +25,7 @@ from repro.core.cache_like import (
     SetFixedScheme,
     WayFixedScheme,
 )
-from repro.uarch.cache import Cache, CacheConfig, LineState
+from repro.uarch.backends import Cache, CacheConfig, LineState
 
 CONFIG = CacheConfig(name="diff-2K-4w", size_bytes=2 * 1024, ways=4)
 

@@ -168,7 +168,7 @@ class TestDet002:
 class TestHot001:
     def test_flags_plain_class(self, tmp_path):
         report = lint_snippet(
-            tmp_path, "uarch/cache.py",
+            tmp_path, "uarch/backends/reference.py",
             "class Line:\n"
             "    def __init__(self):\n"
             "        self.tag = None\n",
@@ -179,7 +179,7 @@ class TestHot001:
 
     def test_clean_slots_dataclass_enum_exception(self, tmp_path):
         report = lint_snippet(
-            tmp_path, "uarch/cache.py",
+            tmp_path, "uarch/backends/reference.py",
             "import enum\n"
             "from dataclasses import dataclass\n"
             "class Line:\n"

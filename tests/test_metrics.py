@@ -21,7 +21,7 @@ from repro.metrics import (
     payload_deltas,
 )
 from repro.uarch import TraceDrivenCore
-from repro.uarch.cache import Cache, CacheConfig
+from repro.uarch.backends import Cache, CacheConfig
 from repro.workloads import TraceGenerator
 
 CONFIG = CacheConfig(name="DL0-4K-4w", size_bytes=4 * 1024, ways=4)

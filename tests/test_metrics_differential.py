@@ -79,7 +79,7 @@ def oracle_victim_policy(bound):
         _suite_index,
         cached_address_stream,
     )
-    from repro.uarch.cache import Cache
+    from repro.uarch.backends import Cache
 
     config = _cache_config(bound)
     stream = cached_address_stream(
@@ -146,7 +146,7 @@ def oracle_multiprog(bound):
         performance_loss,
     )
     from repro.experiments.registry import _cache_config, _scheme_factory
-    from repro.uarch.cache import Cache
+    from repro.uarch.backends import Cache
     from repro.workloads.multiprog import multiprog_address_stream
 
     raw_suites = bound["suites"]

@@ -3,7 +3,7 @@ register file) — the invariants every mechanism relies on."""
 
 from hypothesis import given, settings, strategies as st
 
-from repro.uarch.cache import Cache, CacheConfig, LineState
+from repro.uarch.backends import Cache, CacheConfig, LineState
 from repro.uarch.regfile import RegisterFile
 from repro.uarch.scheduler import Scheduler
 from repro.uarch.uop import SCHEDULER_LAYOUT

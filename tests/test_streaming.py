@@ -13,7 +13,7 @@ import pytest
 
 from repro.config import SpecError, WorkloadSpec
 from repro.uarch import TraceDrivenCore
-from repro.uarch.cache import Cache, CacheConfig
+from repro.uarch.backends import Cache, CacheConfig
 from repro.workloads import (
     TraceGenerator,
     generate_address_stream,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.uarch.cache import Cache, CacheConfig, LineState
+from repro.uarch.backends import Cache, CacheConfig, LineState
 from repro.uarch.tlb import TLB, TLBConfig
 
 
