@@ -759,13 +759,16 @@ def run_penelope_perf():
     trace = TraceGenerator(seed=7).generate("specint2000",
                                             length=PENELOPE_LENGTH)
     evaluate_s = _best_of(1, PenelopeProcessor().evaluate, [trace])
-    return reports, elapsed, evaluate_s * 1e6 / len(trace)
+    core_s = _best_of(3, TraceDrivenCore().run, trace)
+    return reports, elapsed, {"evaluate": evaluate_s * 1e6 / len(trace),
+                              "core": core_s * 1e6 / len(trace)}
 
 
 def test_perf_penelope(benchmark):
     """Bit-sliced adder aging must beat the per-vector gate walk by
     :data:`MIN_PACKED_AGING_SPEEDUP` with an identical report; one
-    whole Penelope evaluation is recorded in µs per trace uop."""
+    whole Penelope evaluation and one hook-free core pass are recorded
+    in µs per trace uop."""
     reports, elapsed, us_per_uop = benchmark.pedantic(
         run_penelope_perf, rounds=1, iterations=1
     )
@@ -780,7 +783,10 @@ def test_perf_penelope(benchmark):
         ["per-vector aging", f"{elapsed['per_vector'] * 1e3:.1f} ms", "1.00x"],
         ["bit-sliced aging", f"{elapsed['packed'] * 1e3:.1f} ms",
          f"{speedup:.1f}x"],
-        ["PenelopeProcessor.evaluate", f"{us_per_uop:.1f} us/uop", "-"],
+        ["PenelopeProcessor.evaluate", f"{us_per_uop['evaluate']:.1f} "
+         "us/uop", "-"],
+        ["TraceDrivenCore.run (no hooks)", f"{us_per_uop['core']:.1f} "
+         "us/uop", "-"],
     ]
     text = format_table(
         ["target", "time", "speedup"], rows,
@@ -796,6 +802,7 @@ def test_perf_penelope(benchmark):
         "elapsed_s": elapsed,
         "speedup": speedup,
         "min_required_speedup": MIN_PACKED_AGING_SPEEDUP,
-        "evaluate_us_per_uop": us_per_uop,
+        "evaluate_us_per_uop": us_per_uop["evaluate"],
+        "core_us_per_uop": us_per_uop["core"],
         "smoke": SMOKE,
     })

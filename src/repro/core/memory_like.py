@@ -27,9 +27,10 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.core.policy import BitDirective, Technique, choose_technique, repair_bit
+from repro.uarch import bitbias
 from repro.uarch.core import CoreHooks
 from repro.uarch.regfile import RegisterFile
-from repro.uarch.scheduler import Scheduler
+from repro.uarch.scheduler import Scheduler, row_patch
 from repro.uarch.uop import SCHEDULER_LAYOUT, Uop
 
 #: Default RINV sampling period in cycles ("we can update RINV with the
@@ -40,10 +41,10 @@ DEFAULT_SAMPLE_PERIOD = 512.0
 #: Resolution of the K-duty phase counter for ALL1-K% techniques.
 K_PHASE_STEPS = 20
 
-#: Distinct values one field of a :class:`SchedulerProfiler` counts
-#: before it unpacks them into per-bit counts; bounds its memory on
-#: long profiling traces.
-PROFILE_FOLD_VALUES = 4096
+#: Distinct rows a :class:`SchedulerProfiler` counts before it unpacks
+#: them into per-bit counts (one fold batch); bounds its memory on long
+#: profiling traces.
+PROFILE_FOLD_VALUES = bitbias.FOLD_KEYS
 
 
 class RINVRegister:
@@ -267,8 +268,15 @@ class SchedulerProtector(CoreHooks):
             for name, width in layout.items()
             if name in _ISV_SOURCES
         }
-        self._constants, self._isv_masks = _repair_tables(self.policy,
-                                                          self.rinv)
+        constants, isv_masks = _repair_tables(self.policy, self.rinv)
+        offsets = SCHEDULER_LAYOUT.bit_offsets()
+        #: per phase step, the row patch of the constant bits (none
+        #: when the policy repairs no field)
+        self._patches = ([row_patch(offsets, values) for values in constants]
+                         if constants[0] else [])
+        #: (RINV register, ISV bit mask, first row bit) per ISV field
+        self._isv = [(self.rinv[name], mask, offsets[name][0])
+                     for name, mask in isv_masks.items()]
         self._last_sample = -sample_period
         self._phase_counter = 0
         self.updates_written = 0
@@ -288,23 +296,18 @@ class SchedulerProtector(CoreHooks):
 
     def on_scheduler_release(self, sched: Scheduler, slot: int,
                              now: float) -> None:
-        if not self._constants[0]:
+        """Write the phase step's patch; ISV bits copy RINV, which
+        already holds the inverted sample."""
+        if not self._patches:
             return
-        if sched.write_special(slot, self.repair_values(), now):
+        keep, bits = self._patches[self._phase_counter % K_PHASE_STEPS]
+        for register, mask, start in self._isv:
+            bits |= (register.value & mask) << start
+        if sched.write_patch(slot, keep, bits, now):
             self.updates_written += 1
         else:
             self.updates_skipped += 1
         self._phase_counter += 1
-
-    def repair_values(self) -> Dict[str, int]:
-        """Field values the next release writes into its slot.
-
-        ISV bits copy RINV, which already holds the inverted sample.
-        """
-        values = dict(self._constants[self._phase_counter % K_PHASE_STEPS])
-        for fieldname, mask in self._isv_masks.items():
-            values[fieldname] |= self.rinv[fieldname].value & mask
-        return values
 
 
 class SchedulerProfiler(CoreHooks):
@@ -313,59 +316,52 @@ class SchedulerProfiler(CoreHooks):
     The paper derives K for each field from 100 profiling traces
     (Section 4.5); this hook accumulates the per-bit one-frequency of
     dispatched payloads, which :func:`derive_scheduler_policy` combines
-    with the measured occupancy.
+    with the measured occupancy.  A fill counts one ``(is_memory, row)``
+    key (tags 0, a memory uop's MOB id 0).
     """
 
     def __init__(self) -> None:
-        layout = SCHEDULER_LAYOUT
         self.fills = 0
-        self._ones = {
-            name: [0] * width for name, width in layout.fields().items()
-        }
-        self._field_fills = {name: 0 for name in layout.fields()}
-        #: field -> dispatched value -> fills carrying it, not yet
-        #: unpacked into ``_ones``
-        self._seen: Dict[str, Dict[int, int]] = {
-            name: {} for name in layout.fields()
-        }
+        width = SCHEDULER_LAYOUT.total_bits
+        #: fills holding 0 / 1 per row bit; row 1 counts memory uops
+        self._zero = bitbias.matrix(2, width)
+        self._one = bitbias.matrix(2, width)
+        #: (is_memory, dispatched row) -> fills, not yet unpacked
+        self._seen: Dict[Tuple[bool, int], int] = {}
 
     def on_scheduler_fill(self, sched: Scheduler, slot: int, uop: Uop,
                           now: float) -> None:
         self.fills += 1
-        mob_id = 0 if uop.uop_class.is_memory else None
-        for name, value in sched.field_values(uop, mob_id=mob_id).items():
-            seen = self._seen[name]
-            if value in seen:
-                seen[value] += 1
-            else:
-                seen[value] = 1
-                if len(seen) >= PROFILE_FOLD_VALUES:
-                    self._fold(name)
+        is_memory = uop.uop_class.is_memory
+        key = (is_memory, sched.compose_row(uop, 0 if is_memory else None))
+        seen = self._seen
+        if key in seen:
+            seen[key] += 1
+        else:
+            seen[key] = 1
+            if len(seen) >= PROFILE_FOLD_VALUES:
+                self._fold()
 
     def busy_bias_to_zero(self) -> Dict[str, List[float]]:
-        """Per-field, per-bit fraction of dispatched payloads with a 0."""
+        """Per-field, per-bit fraction of dispatched payloads with a 0
+        (``mob_id`` over memory uops only)."""
         if self.fills == 0:
             raise ValueError("no fills profiled yet")
-        for name in self._seen:
-            self._fold(name)
+        self._fold()
+        zero, one = bitbias.rows(self._zero), bitbias.rows(self._one)
+        memory_fills = zero[1][0] + one[1][0]
         return {
-            name: [
-                1.0 - ones / max(1, self._field_fills[name])
-                for ones in counts
-            ]
-            for name, counts in self._ones.items()
+            name: [1.0 - (one[0][bit] + one[1][bit]) / max(
+                1, memory_fills if name == "mob_id" else self.fills)
+                for bit in range(start, start + width)]
+            for name, (start, width) in SCHEDULER_LAYOUT.bit_offsets().items()
         }
 
-    def _fold(self, name: str) -> None:
-        """Unpack the counted values of one field into per-bit counts."""
-        ones = self._ones[name]
-        seen = self._seen[name]
-        for value, fills in seen.items():
-            self._field_fills[name] += fills
-            for bit_index in range(len(ones)):
-                if (value >> bit_index) & 1:
-                    ones[bit_index] += fills
-        seen.clear()
+    def _fold(self) -> None:
+        if self._seen:
+            bitbias.fold(self._zero, self._one, list(self._seen.items()),
+                         SCHEDULER_LAYOUT.total_bits)
+        self._seen.clear()
 
 
 def derive_scheduler_policy(

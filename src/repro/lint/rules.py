@@ -278,6 +278,10 @@ class SetIterationRule(Rule):
 #: memory (see benchmarks/bench_perf_kernel.py).
 HOT_MODULES = (
     "uarch/core.py",
+    "uarch/scheduler.py",
+    "uarch/regfile.py",
+    "uarch/bitbias.py",
+    "uarch/ports.py",
     "uarch/tlb.py",
     "uarch/uop.py",
     "uarch/backends/base.py",

@@ -12,8 +12,8 @@ Pending durations are folded into the ``entries x width`` matrices
 ``time_zero`` / ``time_one`` in batches of at most :data:`FOLD_KEYS`
 keys: whenever ``pending`` fills up, and before every read.  That keeps
 memory bounded on long streams.  The fold unpacks a whole batch at once
-with numpy; without numpy (the ``fast`` extra) a pure-Python fold builds
-the same matrices.
+with numpy and sums it per entry; without numpy (the ``fast`` extra) a
+pure-Python fold builds the same matrices.
 
 Regrouping the additions is exact: the trace-driven core closes
 intervals at whole cycles, so every duration and every partial sum is
@@ -41,7 +41,7 @@ FOLD_KEYS = 256
 Pending = List[Tuple[Tuple[int, int], float]]
 
 
-def _check_fits(value: int, width: int) -> None:
+def check_fits(value: int, width: int) -> None:
     if value < 0:
         raise ValueError("value must be non-negative")
     if value >> width:
@@ -50,7 +50,7 @@ def _check_fits(value: int, width: int) -> None:
 
 def unpack_bits(value: int, width: int):
     """Little-endian bit vector (uint8 array, or tuple without numpy)."""
-    _check_fits(value, width)
+    check_fits(value, width)
     if np is None:
         return tuple((value >> i) & 1 for i in range(width))
     raw = np.frombuffer(value.to_bytes((width + 7) // 8, "little"),
@@ -64,7 +64,9 @@ def pack_bits(bits) -> int:
 
 
 def fold_numpy(zero, one, items: Pending, width: int) -> None:
-    """Add a batch of closed intervals to float64 ``zero``/``one``."""
+    """Add a batch of closed intervals to float64 ``zero``/``one``: a
+    stable sort by entry and ``np.add.reduceat`` sum each entry's keys,
+    exactly (module docstring), so each touched row takes one add."""
     count = len(items)
     entries = np.fromiter((key[0] for key, __ in items), dtype=np.intp,
                           count=count)
@@ -74,10 +76,15 @@ def fold_numpy(zero, one, items: Pending, width: int) -> None:
     raw = np.frombuffer(
         b"".join(key[1].to_bytes(nbytes, "little") for key, __ in items),
         dtype=np.uint8).reshape(count, nbytes)
-    bits = np.unpackbits(raw, axis=1, bitorder="little")[:, :width]
-    at_one = bits * durations[:, None]
-    np.add.at(one, entries, at_one)
-    np.add.at(zero, entries, durations[:, None] - at_one)
+    order = np.argsort(entries, kind="stable")
+    entries, durations = entries[order], durations[order]
+    bits = np.unpackbits(raw[order], axis=1, bitorder="little")[:, :width]
+    starts = np.flatnonzero(np.diff(entries, prepend=-1))
+    touched = entries[starts]
+    at_one = np.add.reduceat(bits * durations[:, None], starts, axis=0)
+    held = np.add.reduceat(durations, starts)
+    one[touched] += at_one
+    zero[touched] += held[:, None] - at_one
 
 
 def fold_python(zero, one, items: Pending, width: int) -> None:
@@ -91,17 +98,20 @@ def fold_python(zero, one, items: Pending, width: int) -> None:
                 zero_row[bit] += held
 
 
-_fold_batch = fold_python if np is None else fold_numpy
+#: The fold of this host: numpy, or pure Python without numpy.
+fold = fold_python if np is None else fold_numpy
 
 
-def _matrix(entries: int, width: int):
+def matrix(entries: int, width: int):
+    """A zeroed ``entries x width`` float matrix for :func:`fold`."""
     if np is None:
         return [[0.0] * width for _ in range(entries)]
     return np.zeros((entries, width), dtype=np.float64)
 
 
-def _rows(matrix) -> List[List[float]]:
-    return matrix if isinstance(matrix, list) else matrix.tolist()
+def rows(cells) -> List[List[float]]:
+    """A :func:`matrix` as nested lists of Python floats."""
+    return cells if isinstance(cells, list) else cells.tolist()
 
 
 def _vector(values):
@@ -123,18 +133,21 @@ class BitBiasAccumulator:
         initial non-inverted content).
     """
 
+    __slots__ = ("entries", "width", "initial_value", "_zero", "_one",
+                 "_values", "_since", "_pending")
+
     def __init__(self, entries: int, width: int, initial_value: int = 0) -> None:
         if entries <= 0 or width <= 0:
             raise ValueError("entries and width must be positive")
-        _check_fits(initial_value, width)
+        check_fits(initial_value, width)
         self.entries = entries
         self.width = width
         self.initial_value = initial_value
         self._init_state()
 
     def _init_state(self) -> None:
-        self._zero = _matrix(self.entries, self.width)
-        self._one = _matrix(self.entries, self.width)
+        self._zero = matrix(self.entries, self.width)
+        self._one = matrix(self.entries, self.width)
         self._values = [self.initial_value] * self.entries
         self._since = [0.0] * self.entries
         self._pending: Dict[Tuple[int, int], float] = {}
@@ -149,7 +162,7 @@ class BitBiasAccumulator:
     def set_value(self, entry: int, value: int, now: float) -> None:
         """Record that ``entry`` changes to ``value`` at time ``now``."""
         if value < 0 or value >> self.width:
-            _check_fits(value, self.width)
+            check_fits(value, self.width)
         self._close(entry, now)
         self._values[entry] = value
 
@@ -180,8 +193,8 @@ class BitBiasAccumulator:
 
     def _fold(self) -> None:
         if self._pending:
-            _fold_batch(self._zero, self._one, list(self._pending.items()),
-                        self.width)
+            fold(self._zero, self._one, list(self._pending.items()),
+                 self.width)
             self._pending.clear()
 
     # ------------------------------------------------------------------
@@ -206,8 +219,8 @@ class BitBiasAccumulator:
         Positions never exercised report 0.5 (no stress information).
         Returns a float64 array, or a list without numpy.
         """
-        zero = [sum(column) for column in zip(*_rows(self.time_zero))]
-        one = [sum(column) for column in zip(*_rows(self.time_one))]
+        zero = [sum(column) for column in zip(*rows(self.time_zero))]
+        one = [sum(column) for column in zip(*rows(self.time_one))]
         return _vector([z / (z + o) if z + o > 0.0 else 0.5
                         for z, o in zip(zero, one)])
 
@@ -216,8 +229,8 @@ class BitBiasAccumulator:
         return _vector([
             [z / (z + o) if z + o > 0.0 else 0.5
              for z, o in zip(zero_row, one_row)]
-            for zero_row, one_row in zip(_rows(self.time_zero),
-                                         _rows(self.time_one))
+            for zero_row, one_row in zip(rows(self.time_zero),
+                                         rows(self.time_one))
         ])
 
     def worst_bias(self) -> float:
@@ -236,8 +249,8 @@ class BitBiasAccumulator:
         return best_index, float(bias[best_index])
 
     def total_observed_time(self) -> float:
-        return float(sum(map(sum, _rows(self.time_zero)))
-                     + sum(map(sum, _rows(self.time_one))))
+        return float(sum(map(sum, rows(self.time_zero)))
+                     + sum(map(sum, rows(self.time_one))))
 
     # ------------------------------------------------------------------
     # Telemetry (MetricSource)

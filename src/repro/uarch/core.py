@@ -26,7 +26,7 @@ the substrate stays mechanism-free.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.metrics import MetricSet
 from repro.obs.trace import TRACER as _TRACER
@@ -46,6 +46,10 @@ class CoreHooks:
     Subclass and override the callbacks of interest; every callback is a
     no-op by default.  ``rf`` is the :class:`RegisterFile` involved,
     ``sched`` the :class:`Scheduler`.
+
+    :meth:`TraceDrivenCore.run` resolves the callbacks once, at its
+    start: one inherited unchanged from this class is never called, and
+    a hook swapped in mid-run is not seen until the next run.
 
     The base class is slotted (the callbacks run per uop event);
     subclasses declare their own ``__slots__`` — or none, at the cost
@@ -94,6 +98,17 @@ class CompositeHooks(CoreHooks):
     def on_scheduler_release(self, sched, slot, now):
         for hook in self.hooks:
             hook.on_scheduler_release(sched, slot, now)
+
+
+def _bind(hooks, name: str) -> Tuple[Callable[..., None], ...]:
+    """The callables a ``name`` event reaches, in call order: a
+    :class:`CompositeHooks` gives its hooks' callbacks, and no-ops
+    inherited from :class:`CoreHooks` are left out."""
+    if type(hooks) is CompositeHooks:
+        return tuple(call for hook in hooks.hooks for call in _bind(hook, name))
+    method = getattr(hooks, name)
+    inherited = getattr(method, "__func__", None) is getattr(CoreHooks, name)
+    return () if inherited else (method,)
 
 
 @dataclass(frozen=True, slots=True)
@@ -296,14 +311,20 @@ class TraceDrivenCore:
         dl0_miss_penalty = config.dl0_miss_penalty
         rob = config.rob_entries
         scheduler = self.scheduler
-        hooks = self.hooks
+        set_ready = scheduler.set_ready
+        on_fill, on_sched_release, on_rf_write, on_rf_release = (
+            _bind(self.hooks, name) for name in (
+                "on_scheduler_fill", "on_scheduler_release",
+                "on_regfile_write", "on_regfile_release"))
         int_rf, fp_rf = self.int_rf, self.fp_rf
         mob_allocate = self.mob.allocate
         dtlb_translate = self.dtlb.translate
         dl0_access = self.dl0.access
         ready_times = self._ready
         mapping = self._mapping
-        issue_use = self._issue_use
+        port_use = (self._issue_use, scheduler.port_use, int_rf.port_use,
+                    fp_rf.port_use)
+        prune_at = 1024.0
         stall_for_space = self._stall_for_space
         find_issue_cycle = self._find_issue_cycle
 
@@ -340,18 +361,20 @@ class TraceDrivenCore:
                 alloc_cycle = alloc_t
                 allocs_this_cycle = 0
             allocs_this_cycle += 1
-            if len(issue_use) > 1024:
-                # Issue lookups never fall behind the allocation front:
-                # drop the dead cycles so the window stays bounded.
+            if alloc_cycle >= prune_at:
+                # Port lookups never fall behind the allocation front
+                # (issue, fills, repairs, writes, retirement): drop the
+                # dead cycles so the counters stay bounded.
                 floor = int(alloc_cycle)
-                for cycle in [c for c in issue_use if c < floor]:
-                    del issue_use[cycle]
+                for use in port_use:
+                    for cycle in [c for c in use if c < floor]:
+                        del use[cycle]
+                prune_at = alloc_cycle + 1024.0
 
             slot = scheduler.allocate(alloc_t)
             assert slot is not None  # _stall_for_space guaranteed room
-            mob_id = (
-                mob_allocate() if uop.uop_class.is_memory else None
-            )
+            is_memory = uop.uop_class.is_memory
+            mob_id = mob_allocate() if is_memory else None
             is_fp = uop.is_fp
             rf = fp_rf if is_fp else int_rf
             dst_entry: Optional[int] = None
@@ -362,35 +385,39 @@ class TraceDrivenCore:
             src2 = uop.src2
             src1_tag = mapping.get((is_fp, src1), 0) if src1 is not None else 0
             src2_tag = mapping.get((is_fp, src2), 0) if src2 is not None else 0
-            scheduler.fill(slot, uop, mob_id, alloc_t,
-                           dst_tag=dst_entry or 0,
-                           src1_tag=src1_tag, src2_tag=src2_tag)
-            hooks.on_scheduler_fill(scheduler, slot, uop, alloc_t)
+            scheduler.fill(slot, uop, mob_id, alloc_t, dst_entry or 0,
+                           src1_tag, src2_tag)
+            for callback in on_fill:
+                callback(scheduler, slot, uop, alloc_t)
 
             # --- source readiness ---------------------------------------
             ready_t = alloc_t + 1.0
-            arrivals: List[Tuple[float, str]] = []
-            for source, ready_field in ((src1, "ready1"),
-                                        (src2, "ready2")):
-                if source is None:
-                    continue
-                source_ready = ready_times.get((is_fp, source), 0.0)
-                arrivals.append((max(alloc_t, source_ready), ready_field))
-                if source_ready > ready_t:
-                    ready_t = source_ready
-            # Apply in time order: a slot's residency intervals must close
-            # monotonically even when src2 arrives before src1.
-            for arrival, ready_field in sorted(arrivals):
-                scheduler.set_field(slot, ready_field, 1, arrival)
+            ready1 = ready2 = None
+            if src1 is not None:
+                ready1 = max(alloc_t, ready_times.get((is_fp, src1), 0.0))
+                ready_t = max(ready_t, ready1)
+            if src2 is not None:
+                ready2 = max(alloc_t, ready_times.get((is_fp, src2), 0.0))
+                ready_t = max(ready_t, ready2)
+            # Apply in time order, ready1 first on a tie: a slot's residency
+            # intervals must close monotonically even when src2 is first.
+            if ready1 is not None:
+                if ready2 is not None and ready2 < ready1:
+                    set_ready(slot, 2, ready2)
+                    ready2 = None
+                set_ready(slot, 1, ready1)
+            if ready2 is not None:
+                set_ready(slot, 2, ready2)
 
             # --- issue ---------------------------------------------------
             issue_t = find_issue_cycle(uop, ready_t)
             scheduler.release(slot, issue_t + 1.0)
-            hooks.on_scheduler_release(scheduler, slot, issue_t + 1.0)
+            for callback in on_sched_release:
+                callback(scheduler, slot, issue_t + 1.0)
 
             # --- execute -------------------------------------------------
             latency = float(uop.latency)
-            if uop.uop_class.is_memory:
+            if is_memory:
                 assert uop.address is not None
                 if not dtlb_translate(uop.address):
                     latency += dtlb_miss_penalty
@@ -419,13 +446,14 @@ class TraceDrivenCore:
             # --- writeback / retire -------------------------------------
             if uop.dst is not None and dst_entry is not None:
                 rf.write(dst_entry, uop.result_value, complete_t)
-                hooks.on_regfile_write(rf, dst_entry,
-                                       uop.result_value, complete_t)
+                for callback in on_rf_write:
+                    callback(rf, dst_entry, uop.result_value, complete_t)
                 namespace = (is_fp, uop.dst)
                 previous = mapping.get(namespace)
                 if previous is not None:
                     rf.release(previous, retire_t)
-                    hooks.on_regfile_release(rf, previous, retire_t)
+                    for callback in on_rf_release:
+                        callback(rf, previous, retire_t)
                 mapping[namespace] = dst_entry
                 ready_times[namespace] = complete_t
 

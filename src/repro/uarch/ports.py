@@ -57,6 +57,9 @@ class AdderPool:
         Reservoir size for sampled operand vectors, per adder.
     """
 
+    __slots__ = ("policy", "sample_capacity", "_n_adders", "_seed",
+                 "adders", "_samples", "_seen", "_rng", "_rr", "_horizon")
+
     def __init__(
         self,
         n_adders: int = 4,

@@ -36,10 +36,10 @@ if TYPE_CHECKING:
     import numpy as np
 
 from repro.metrics import MetricSet
-from repro.uarch.bitbias import BitBiasAccumulator
+from repro.uarch.bitbias import BitBiasAccumulator, check_fits
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RegisterFileStats:
     """End-of-run statistics of a register file."""
 
@@ -73,6 +73,12 @@ class RegisterFile:
         Number of write ports; mechanism writes may only use a port left
         idle by the workload in the same cycle.
     """
+
+    __slots__ = ("name", "entries", "width", "write_ports", "bias",
+                 "port_use", "_free", "_counter", "_busy", "_busy_since",
+                 "_busy_time", "_allocations", "_releases",
+                 "_special_writes", "_discarded_special", "_port_checks",
+                 "_port_free_hits", "_horizon")
 
     def __init__(
         self,
@@ -108,8 +114,8 @@ class RegisterFile:
         self._releases = 0
         self._special_writes = 0
         self._discarded_special = 0
-        #: cycle -> number of workload writes performed in that cycle
-        self._port_use: Dict[int, int] = {}
+        #: cycle -> write ports used in it (workload and special writes)
+        self.port_use: Dict[int, int] = {}
         self._port_checks = 0
         self._port_free_hits = 0
         self._horizon = 0.0
@@ -168,7 +174,7 @@ class RegisterFile:
     def port_available(self, now: float) -> bool:
         """Whether a write port is idle in the cycle containing ``now``."""
         self._port_checks += 1
-        free = self._port_use.get(int(now), 0) < self.write_ports
+        free = self.port_use.get(int(now), 0) < self.write_ports
         if free:
             self._port_free_hits += 1
         return free
@@ -177,9 +183,11 @@ class RegisterFile:
         """Mechanism write into a *free* entry through an idle port.
 
         Returns False (and discards the update, as Section 4.4 allows)
-        when no port is available or the entry is busy.
+        when no port is available or the entry is busy.  A value that
+        does not fit raises before any port is looked at.
         """
         self._check_entry(entry)
+        check_fits(value, self.width)
         if self._busy[entry] or not self.port_available(now):
             self._discarded_special += 1
             return False
@@ -248,7 +256,7 @@ class RegisterFile:
     # ------------------------------------------------------------------
     def _use_port(self, now: float) -> None:
         cycle = int(now)
-        self._port_use[cycle] = self._port_use.get(cycle, 0) + 1
+        self.port_use[cycle] = self.port_use.get(cycle, 0) + 1
 
     def _check_entry(self, entry: int) -> None:
         if not 0 <= entry < self.entries:

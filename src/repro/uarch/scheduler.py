@@ -2,9 +2,9 @@
 
 Each of the (by default 32) scheduler slots stores one uop as the field
 bundle of Table 2 of the paper.  Internally a slot is one flattened
-144-bit row of a single :class:`~repro.uarch.bitbias.BitBiasAccumulator`
+144-bit row, one int, of a single :class:`~repro.uarch.bitbias.BitBiasAccumulator`
 (per-field accumulators would record ~18x more intervals per dispatch);
-field views are recovered by slicing with the layout offsets.
+field views decode the row (DESIGN.md, "Scheduler rows").
 Conceptually each field still behaves as "an independent structure"
 (Section 3.2.2): mechanisms address fields by name and the statistics
 report per-field bias.
@@ -31,7 +31,24 @@ from repro.uarch.bitbias import BitBiasAccumulator
 from repro.uarch.uop import SCHEDULER_LAYOUT, SchedulerLayout, Uop
 
 
-@dataclass(frozen=True)
+def row_patch(offsets: Mapping[str, Tuple[int, int]],
+              values: Mapping[str, int]) -> Tuple[int, int]:
+    """The ``(keep_mask, bits)`` patch writing field ``values`` into a
+    row laid out by ``offsets`` as ``(row & keep_mask) | bits``; raises
+    KeyError for an unknown field, ValueError for an oversize value."""
+    cleared = bits = 0
+    for field, value in values.items():
+        if field not in offsets:
+            raise KeyError(f"unknown scheduler field {field!r}")
+        start, width = offsets[field]
+        if value < 0 or value >> width:
+            raise ValueError(f"value {value!r} does not fit field {field!r}")
+        cleared |= ((1 << width) - 1) << start
+        bits |= value << start
+    return ~cleared, bits
+
+
+@dataclass(frozen=True, slots=True)
 class SchedulerStats:
     """End-of-run statistics of the scheduler."""
 
@@ -77,6 +94,13 @@ class SchedulerStats:
 class Scheduler:
     """The scheduler structure (explicitly managed, short idle time)."""
 
+    __slots__ = ("name", "entries", "layout", "alloc_ports", "bias",
+                 "port_use", "_offsets", "_at", "_mask", "_valid_bit",
+                 "_ready_bits", "_rows", "_free", "_counter", "_busy",
+                 "_busy_since", "_busy_time", "_allocations", "_horizon",
+                 "_special_writes", "_discarded_special", "_port_checks",
+                 "_port_free_hits")
+
     def __init__(
         self,
         entries: int = 32,
@@ -93,17 +117,18 @@ class Scheduler:
         self.layout = layout
         self.alloc_ports = alloc_ports
         self._offsets = layout.bit_offsets()
-        #: field -> (first bit, value mask, mask clearing the field)
-        self._spans = {
-            field: (start, (1 << width) - 1, ~(((1 << width) - 1) << start))
-            for field, (start, width) in self._offsets.items()
-        }
+        #: field -> first bit, and field -> value mask
+        self._at = {f: at for f, (at, __) in self._offsets.items()}
+        self._mask = {f: (1 << w) - 1 for f, (__, w) in self._offsets.items()}
+        self._valid_bit = 1 << self._at["valid"]
+        self._ready_bits = (0, 1 << self._at["ready1"],
+                            1 << self._at["ready2"])
         self.bias = BitBiasAccumulator(entries, layout.total_bits)
         self._init_run_state()
 
     def _init_run_state(self) -> None:
         entries = self.entries
-        self._slot_value: List[int] = [0] * entries
+        self._rows: List[int] = [0] * entries
         self._free: List[Tuple[float, int, int]] = [
             (0.0, i, i) for i in range(entries)
         ]
@@ -115,7 +140,8 @@ class Scheduler:
         self._allocations = 0
         self._special_writes = 0
         self._discarded_special = 0
-        self._port_use: Dict[int, int] = {}
+        #: cycle -> allocate ports used in it (fills and special writes)
+        self.port_use: Dict[int, int] = {}
         self._port_checks = 0
         self._port_free_hits = 0
         self._horizon = 0.0
@@ -162,20 +188,29 @@ class Scheduler:
         """
         self._check_slot(slot)
         self._use_port(now)
-        values = self.field_values(uop, mob_id, dst_tag, src1_tag, src2_tag)
-        self._write_fields(slot, values, now)
+        row = self.compose_row(uop, mob_id, dst_tag, src1_tag, src2_tag)
+        if mob_id is None:  # keep the stale MOB id
+            row |= self._rows[slot] & (self._mask["mob_id"]
+                                       << self._at["mob_id"])
+        self._write_row(slot, row, now)
+
+    def set_ready(self, slot: int, operand: int, now: float) -> None:
+        """Raise the ready bit of source ``operand`` (1 or 2)."""
+        self._write_row(slot, self._rows[slot] | self._ready_bits[operand],
+                        now)
 
     def set_field(self, slot: int, field: str, value: int, now: float) -> None:
         """Update one field during residency (ready bits, data capture)."""
         self._check_slot(slot)
-        self._write_fields(slot, {field: value}, now)
+        keep, bits = row_patch(self._offsets, {field: value})
+        self._write_row(slot, (self._rows[slot] & keep) | bits, now)
 
     def release(self, slot: int, now: float) -> None:
         """Free a slot at issue; payload stays stale, valid drops to 0."""
         self._check_slot(slot)
         if not self._busy[slot]:
             raise ValueError(f"slot {slot} is not busy")
-        self._write_fields(slot, {"valid": 0}, now)
+        self._write_row(slot, self._rows[slot] & ~self._valid_bit, now)
         self._busy[slot] = False
         self._busy_time += now - self._busy_since[slot]
         self._counter += 1
@@ -187,7 +222,7 @@ class Scheduler:
     def port_available(self, now: float) -> bool:
         """Whether an allocate port is idle in this cycle (77% on avg)."""
         self._port_checks += 1
-        free = self._port_use.get(int(now), 0) < self.alloc_ports
+        free = self.port_use.get(int(now), 0) < self.alloc_ports
         if free:
             self._port_free_hits += 1
         return free
@@ -196,14 +231,20 @@ class Scheduler:
         self, slot: int, values: Mapping[str, int], now: float
     ) -> bool:
         """Mechanism write of selected fields into a *free* slot."""
+        keep, bits = row_patch(self._offsets, values)
+        return self.write_patch(slot, keep, bits, now)
+
+    def write_patch(self, slot: int, keep: int, bits: int,
+                    now: float) -> bool:
+        """:meth:`write_special` of a precomposed :func:`row_patch`."""
         self._check_slot(slot)
-        if "valid" in values:
+        if not keep & self._valid_bit:
             raise ValueError("the valid bit cannot hold repair data")
         if self._busy[slot] or not self.port_available(now):
             self._discarded_special += 1
             return False
         self._use_port(now)
-        self._write_fields(slot, values, now)
+        self._write_row(slot, (self._rows[slot] & keep) | bits, now)
         self._special_writes += 1
         return True
 
@@ -214,12 +255,37 @@ class Scheduler:
     def field_value(self, slot: int, field: str) -> int:
         """Current value of one field of a slot."""
         self._check_slot(slot)
-        start, width = self._field_span(field)
-        return (self._slot_value[slot] >> start) & ((1 << width) - 1)
+        if field not in self._at:
+            raise KeyError(f"unknown scheduler field {field!r}")
+        return (self._rows[slot] >> self._at[field]) & self._mask[field]
 
     # ------------------------------------------------------------------
     # Payload decoding
     # ------------------------------------------------------------------
+    def compose_row(self, uop: Uop, mob_id: Optional[int], dst_tag: int = 0,
+                    src1_tag: int = 0, src2_tag: int = 0) -> int:
+        """Table 2 row of a dispatched uop; the MOB bits are 0 when
+        ``mob_id`` is None (:meth:`fill` keeps the stale ones)."""
+        at, mask = self._at, self._mask
+        row = (self._valid_bit
+               | min(uop.latency, mask["latency"]) << at["latency"]
+               | ((1 << uop.port) & mask["port"]) << at["port"]
+               | uop.taken << at["taken"]
+               | (uop.tos & mask["tos"]) << at["tos"]
+               | (uop.flags & mask["flags"]) << at["flags"]
+               | uop.shift1 << at["shift1"]
+               | uop.shift2 << at["shift2"]
+               | (dst_tag & mask["dst_tag"]) << at["dst_tag"]
+               | (src1_tag & mask["src1_tag"]) << at["src1_tag"]
+               | (src2_tag & mask["src2_tag"]) << at["src2_tag"]
+               | (uop.src1_value & mask["src1_data"]) << at["src1_data"]
+               | (uop.src2_value & mask["src2_data"]) << at["src2_data"]
+               | (uop.immediate & mask["immediate"]) << at["immediate"]
+               | (uop.opcode & mask["opcode"]) << at["opcode"])
+        if mob_id is not None:
+            row |= (mob_id & mask["mob_id"]) << at["mob_id"]
+        return row
+
     def field_values(
         self,
         uop: Uop,
@@ -228,39 +294,20 @@ class Scheduler:
         src1_tag: int = 0,
         src2_tag: int = 0,
     ) -> Dict[str, int]:
-        """Table 2 payload for a dispatched uop.
+        """Table 2 payload for a dispatched uop, decoded from
+        :meth:`compose_row`.
 
         ``ready1``/``ready2`` start at 0 and are raised by
-        :meth:`set_field` when operands arrive; ``src*_data`` capture the
+        :meth:`set_ready` when operands arrive; ``src*_data`` capture the
         operand values (data-capture scheduler); the tags are physical
         register ids.  ``mob_id`` is None for non-memory uops: the field
         keeps its stale contents, so its residency reflects only the
         evenly-used MOB slot ids (the paper's self-balancing argument).
         """
-        layout = self.layout
-        data_mask = (1 << layout.src1_data) - 1
-        values = {
-            "valid": 1,
-            "latency": min(uop.latency, (1 << layout.latency) - 1),
-            "port": (1 << uop.port) & ((1 << layout.port) - 1),
-            "taken": int(uop.taken),
-            "tos": uop.tos & ((1 << layout.tos) - 1),
-            "flags": uop.flags & ((1 << layout.flags) - 1),
-            "shift1": int(uop.shift1),
-            "shift2": int(uop.shift2),
-            "dst_tag": dst_tag & ((1 << layout.dst_tag) - 1),
-            "src1_tag": src1_tag & ((1 << layout.src1_tag) - 1),
-            "src2_tag": src2_tag & ((1 << layout.src2_tag) - 1),
-            "ready1": 0,
-            "ready2": 0,
-            "src1_data": uop.src1_value & data_mask,
-            "src2_data": uop.src2_value & data_mask,
-            "immediate": uop.immediate & ((1 << layout.immediate) - 1),
-            "opcode": uop.opcode & ((1 << layout.opcode) - 1),
-        }
-        if mob_id is not None:
-            values["mob_id"] = mob_id & ((1 << layout.mob_id) - 1)
-        return values
+        row = self.compose_row(uop, mob_id, dst_tag, src1_tag, src2_tag)
+        return {field: (row >> at) & self._mask[field]
+                for field, at in self._at.items()
+                if field != "mob_id" or mob_id is not None}
 
     # ------------------------------------------------------------------
     # Statistics
@@ -319,34 +366,16 @@ class Scheduler:
         return ms
 
     # ------------------------------------------------------------------
-    def _write_fields(
-        self, slot: int, values: Mapping[str, int], now: float
-    ) -> None:
-        composed = self._slot_value[slot]
-        spans = self._spans
-        for field, value in values.items():
-            if field not in spans:
-                raise KeyError(f"unknown scheduler field {field!r}")
-            start, mask, clear = spans[field]
-            if value < 0 or value > mask:
-                raise ValueError(
-                    f"value {value!r} does not fit field {field!r}"
-                )
-            composed = (composed & clear) | (value << start)
-        self._slot_value[slot] = composed
-        self.bias.set_value(slot, composed, now)
+    def _write_row(self, slot: int, row: int, now: float) -> None:
+        """The one write: store the row, close its residency interval."""
+        self._rows[slot] = row
+        self.bias.set_value(slot, row, now)
         if now > self._horizon:
             self._horizon = now
 
-    def _field_span(self, field: str) -> Tuple[int, int]:
-        try:
-            return self._offsets[field]
-        except KeyError:
-            raise KeyError(f"unknown scheduler field {field!r}") from None
-
     def _use_port(self, now: float) -> None:
         cycle = int(now)
-        self._port_use[cycle] = self._port_use.get(cycle, 0) + 1
+        self.port_use[cycle] = self.port_use.get(cycle, 0) + 1
 
     def _check_slot(self, slot: int) -> None:
         if not 0 <= slot < self.entries:

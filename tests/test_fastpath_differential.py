@@ -6,10 +6,14 @@ obviously correct:
 
 - bit-sliced adder aging vs one gate walk and one ``observe`` per vector;
 - one-pass fanout sizing vs per-gate ``Circuit.fanout`` counts;
-- by-value bias accounting vs adding every interval to every bit;
-- table-driven scheduler repair vs composing ``repair_bit`` per bit;
-- value-counting scheduler profiling vs per-bit one counts;
-- the profiling pass fused into the first baseline run vs a separate one.
+- by-value bias accounting vs adding every interval to every bit, and
+  the sort-and-``reduceat`` fold vs the same per-bit sums;
+- table-driven scheduler repair vs composing ``repair_bit`` per bit,
+  with the precomposed row patches vs writing the fields one by one;
+- row-counting scheduler profiling vs per-bit one counts;
+- the profiling pass fused into the first baseline run vs a separate one;
+- scheduler rows composed as one int vs the per-field Table 2 payload;
+- hook callbacks bound once per run vs the ``CompositeHooks`` fan-out.
 
 Every comparison is exact (``==`` on floats), with and without numpy.
 """
@@ -44,6 +48,7 @@ from repro.uarch.bitbias import (
     fold_python,
 )
 from repro.uarch.core import CompositeHooks, CoreHooks
+from repro.uarch.scheduler import Scheduler
 from repro.uarch.uop import SCHEDULER_LAYOUT
 from repro.workloads import TraceGenerator
 
@@ -357,6 +362,30 @@ class TestByValueAccounting:
         assert zero_np.tolist() == zero_py
         assert one_np.tolist() == one_py
 
+    @pytest.mark.parametrize("entries,live", [(12, (1, 5, 6)), (4, (3,)),
+                                              (32, tuple(range(0, 32, 3)))])
+    def test_grouped_numpy_fold_matches_per_bit_sums(self, entries, live):
+        np = pytest.importorskip("numpy")
+        from repro.uarch.bitbias import fold_numpy
+
+        rng = random.Random(entries)
+        width = 144
+        zero, one = np.zeros((entries, width)), np.zeros((entries, width))
+        oracle = PerBitAccumulator(entries, width)
+        for __ in range(3):  # non-fresh matrices from the second batch on
+            # Many keys per entry, interleaved; entries outside ``live``
+            # are absent from every batch and must stay untouched.
+            items = [((rng.choice(live), rng.getrandbits(width)),
+                      float(rng.randint(1, 1000)))
+                     for __ in range(FOLD_KEYS)]
+            fold_numpy(zero, one, items, width)
+            for (entry, value), held in items:  # per bit, in batch order
+                for bit in range(width):
+                    cells = oracle.one if (value >> bit) & 1 else oracle.zero
+                    cells[entry][bit] += held
+        assert zero.tolist() == oracle.zero
+        assert one.tolist() == oracle.one
+
     @pytest.mark.parametrize("width", [4, 12])
     def test_oversize_values_rejected(self, width):
         from repro.uarch.bitbias import pack_bits, unpack_bits
@@ -385,7 +414,7 @@ class TestByValueAccounting:
 
 
 # ----------------------------------------------------------------------
-# (b) Table-driven scheduler repair, (c) value-counting profiler
+# (b) Table-driven scheduler repair, (c) row-counting profiler
 # ----------------------------------------------------------------------
 def composed_repair_values(policy, rinv, step):
     """Reference repair: one ``repair_bit`` call per bit per release."""
@@ -408,14 +437,23 @@ def composed_repair_values(policy, rinv, step):
 
 
 class RecordingScheduler:
-    """Accepts every special write and records it."""
+    """Accepts every row patch and records it."""
 
     def __init__(self):
         self.writes = []
 
-    def write_special(self, slot, values, now):
-        self.writes.append(dict(values))
+    def write_patch(self, slot, keep, bits, now):
+        self.writes.append((keep, bits))
         return True
+
+
+def write_fields(row, values):
+    """Write field ``values`` into a row one field at a time."""
+    for fieldname, value in values.items():
+        start, width = SCHEDULER_LAYOUT.bit_offsets()[fieldname]
+        row &= ~(((1 << width) - 1) << start)
+        row |= value << start
+    return row
 
 
 def mixed_policy():
@@ -454,6 +492,7 @@ class TestTableDrivenRepair:
         protector = SchedulerProtector(policy)
         rng = random.Random(len(which))
         sched = RecordingScheduler()
+        width = SCHEDULER_LAYOUT.total_bits
         for step in range(2 * K_PHASE_STEPS):
             if step % 7 == 0:
                 for register in protector.rinv.values():
@@ -461,9 +500,14 @@ class TestTableDrivenRepair:
                         rng.getrandbits(register.width))
             expected = composed_repair_values(policy, protector.rinv, step)
             protector.on_scheduler_release(sched, 0, float(step))
-            assert sched.writes[-1] == expected
-            assert list(sched.writes[-1]) == list(expected)
-        assert protector.updates_written == 2 * K_PHASE_STEPS
+            keep, bits = sched.writes[-1]
+            # All-zero and all-one rows expose any stray set or cleared
+            # bit; random rows mix both.
+            for prior in [0, (1 << width) - 1] + [rng.getrandbits(width)
+                                                  for __ in range(4)]:
+                assert (prior & keep) | bits == write_fields(prior, expected)
+        assert len(sched.writes) == protector.updates_written == \
+            2 * K_PHASE_STEPS
 
     def test_policy_with_nothing_to_repair_writes_nothing(self):
         policy = {name: [BitDirective(Technique.SELF_BALANCED)] * width
@@ -561,3 +605,139 @@ class TestFusedProfiling:
         pinned = PenelopeProcessor(scheduler_policy=policy,
                                    seed=5).evaluate(workload)
         assert report_view(fused) == report_view(pinned)
+
+
+# ----------------------------------------------------------------------
+# (f) Scheduler rows as one int
+# ----------------------------------------------------------------------
+def table2_fields(layout, uop, mob_id, dst_tag=0, src1_tag=0, src2_tag=0):
+    """Reference Table 2 payload: one dict entry per field."""
+    data_mask = (1 << layout.src1_data) - 1
+    values = {
+        "valid": 1,
+        "latency": min(uop.latency, (1 << layout.latency) - 1),
+        "port": (1 << uop.port) & ((1 << layout.port) - 1),
+        "taken": int(uop.taken),
+        "tos": uop.tos & ((1 << layout.tos) - 1),
+        "flags": uop.flags & ((1 << layout.flags) - 1),
+        "shift1": int(uop.shift1),
+        "shift2": int(uop.shift2),
+        "dst_tag": dst_tag & ((1 << layout.dst_tag) - 1),
+        "src1_tag": src1_tag & ((1 << layout.src1_tag) - 1),
+        "src2_tag": src2_tag & ((1 << layout.src2_tag) - 1),
+        "ready1": 0,
+        "ready2": 0,
+        "src1_data": uop.src1_value & data_mask,
+        "src2_data": uop.src2_value & data_mask,
+        "immediate": uop.immediate & ((1 << layout.immediate) - 1),
+        "opcode": uop.opcode & ((1 << layout.opcode) - 1),
+    }
+    if mob_id is not None:
+        values["mob_id"] = mob_id & ((1 << layout.mob_id) - 1)
+    return values
+
+
+@pytest.mark.parametrize("suite", ["specint2000", "office", "specfp2000"])
+def test_row_decode_matches_per_field_payload(suite):
+    rng = random.Random(suite)
+    trace = TraceGenerator(seed=4).generate(suite, length=600)
+    sched = Scheduler(entries=1)
+    layout = sched.layout
+    stale_mob = 0
+    now = 0.0
+    for uop in trace:
+        mob_id = rng.getrandbits(8) if rng.random() < 0.5 else None
+        tags = [rng.getrandbits(9) for __ in range(3)]
+        expected = table2_fields(layout, uop, mob_id, *tags)
+        assert sched.field_values(uop, mob_id, *tags) == expected
+        slot = sched.allocate(now)
+        sched.fill(slot, uop, mob_id, now, *tags)
+        if mob_id is not None:
+            stale_mob = expected["mob_id"]
+        # A fill without a MOB id keeps the previous MOB bits.
+        expected["mob_id"] = stale_mob
+        assert {name: sched.field_value(slot, name)
+                for name in layout.fields()} == expected
+        sched.release(slot, now + 1.0)
+        now += 2.0
+
+
+# ----------------------------------------------------------------------
+# (g) Hook callbacks bound once per run
+# ----------------------------------------------------------------------
+class Recorder(CoreHooks):
+    """Logs every callback it overrides, tagged with its name."""
+
+    def __init__(self, name, log):
+        self.name = name
+        self.log = log
+
+
+class FillsOnly(Recorder):
+    def on_scheduler_fill(self, sched, slot, uop, now):
+        self.log.append((self.name, "fill", slot, uop.seq, now))
+
+
+class Releases(Recorder):
+    def on_scheduler_release(self, sched, slot, now):
+        self.log.append((self.name, "sched_release", slot, now))
+
+    def on_regfile_release(self, rf, entry, now):
+        self.log.append((self.name, "rf_release", rf.name, entry, now))
+
+
+class Everything(FillsOnly, Releases):
+    def on_regfile_write(self, rf, entry, value, now):
+        self.log.append((self.name, "rf_write", rf.name, entry, value, now))
+
+
+class Unbound(CoreHooks):
+    """Calls every callback of ``inner`` by hand, so a run reaches the
+    hooks through the ``CompositeHooks`` fan-out."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def on_regfile_write(self, rf, entry, value, now):
+        self.inner.on_regfile_write(rf, entry, value, now)
+
+    def on_regfile_release(self, rf, entry, now):
+        self.inner.on_regfile_release(rf, entry, now)
+
+    def on_scheduler_fill(self, sched, slot, uop, now):
+        self.inner.on_scheduler_fill(sched, slot, uop, now)
+
+    def on_scheduler_release(self, sched, slot, now):
+        self.inner.on_scheduler_release(sched, slot, now)
+
+
+def recorders(log):
+    return CompositeHooks([
+        FillsOnly("a", log), CoreHooks(), Everything("b", log),
+        CompositeHooks([Releases("c", log), FillsOnly("d", log),
+                        CompositeHooks([])]),
+        Releases("e", log),
+    ])
+
+
+def test_bound_callbacks_see_the_fan_out_events():
+    from repro.uarch.core import _bind
+
+    trace = TraceGenerator(seed=6).generate("specfp2000", length=800)
+    bound_log, unbound_log = [], []
+    TraceDrivenCore(hooks=recorders(bound_log)).run(trace)
+    TraceDrivenCore(hooks=Unbound(recorders(unbound_log))).run(trace)
+    assert bound_log == unbound_log
+    kinds = {(entry[0], entry[1]) for entry in bound_log}
+    assert kinds == {("a", "fill"), ("b", "fill"), ("b", "sched_release"),
+                     ("b", "rf_write"), ("b", "rf_release"), ("d", "fill"),
+                     ("c", "sched_release"), ("c", "rf_release"),
+                     ("e", "sched_release"), ("e", "rf_release")}
+    # Callbacks inherited unchanged from CoreHooks are never bound.
+    for name in ("on_scheduler_fill", "on_scheduler_release",
+                 "on_regfile_write", "on_regfile_release"):
+        assert _bind(CompositeHooks([CoreHooks(), CompositeHooks([])]),
+                     name) == ()
+    assert [cb.__self__.name
+            for cb in _bind(recorders([]), "on_scheduler_fill")] == \
+        ["a", "b", "d"]

@@ -211,6 +211,53 @@ class TestHooks:
         assert dtlb.calls > 0
 
 
+class PortCounterSizes(CoreHooks):
+    """Samples the largest per-cycle port counter of a core."""
+
+    def __init__(self):
+        self.core = None
+        self.fills = 0
+        self.largest = 0
+
+    def on_scheduler_fill(self, sched, slot, uop, now):
+        self.fills += 1
+        if self.fills % 256 == 0:
+            core = self.core
+            self.largest = max(self.largest, len(core._issue_use),
+                               len(core.scheduler.port_use),
+                               len(core.int_rf.port_use),
+                               len(core.fp_rf.port_use))
+
+
+class TestPortCounters:
+    @pytest.mark.parametrize("suite,length,pinned", [
+        # port_free_fraction of scheduler, int_rf and fp_rf, recorded
+        # before the counters were pruned.
+        ("specint2000", 80_000, (0.959625, 0.9372890645282257, 1.0)),
+        ("specfp2000", 10_000,
+         (0.9588, 0.9972677595628415, 0.9871508379888269)),
+    ])
+    def test_bounded_on_long_streams(self, suite, length, pinned):
+        from repro.core.memory_like import (
+            ISVRegisterFileProtector,
+            SchedulerProtector,
+        )
+        from repro.uarch.uop import FP_WIDTH, INT_WIDTH
+
+        sizes = PortCounterSizes()
+        core = TraceDrivenCore(hooks=CompositeHooks([
+            ISVRegisterFileProtector("int_rf", INT_WIDTH),
+            ISVRegisterFileProtector("fp_rf", FP_WIDTH),
+            SchedulerProtector(), sizes,
+        ]))
+        sizes.core = core
+        result = core.run(TraceGenerator(seed=7).stream(suite, length=length))
+        assert 0 < sizes.largest <= 2048
+        assert (result.scheduler.port_free_fraction,
+                result.int_rf.port_free_fraction,
+                result.fp_rf.port_free_fraction) == pinned
+
+
 class TestConfigValidation:
     def test_rejects_bad_widths(self):
         with pytest.raises(ValueError):

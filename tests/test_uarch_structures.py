@@ -113,6 +113,19 @@ class TestRegisterFile:
         assert not rf.write_special(b, 0xFF, 5.2)
         assert rf.write_special(b, 0xFF, 6.0)
 
+    def test_rejected_special_write_takes_no_port(self):
+        rf = RegisterFile(entries=2, width=8, write_ports=1)
+        entry = rf.allocate(0.0)
+        rf.release(entry, 1.0)
+        for bad in (0x1FF, -1):
+            with pytest.raises(ValueError):
+                rf.write_special(entry, bad, 2.0)
+        assert rf.write_special(entry, 0xFF, 2.0)
+        counts = rf.metrics().flatten()
+        assert (counts["port_checks"], counts["port_free_hits"],
+                counts["special_writes"]) == (1, 1, 1)
+        assert rf.port_use == {2: 1}
+
     def test_stale_contents_accrue_bias(self):
         rf = RegisterFile(entries=1, width=4)
         entry = rf.allocate(0.0)
@@ -188,6 +201,20 @@ class TestScheduler:
         sched.release(slot, 1.0)
         with pytest.raises(ValueError):
             sched.write_special(slot, {"valid": 1}, 2.0)
+
+    def test_rejected_special_write_takes_no_port(self):
+        sched = Scheduler(entries=2, alloc_ports=1)
+        slot = sched.allocate(0.0)
+        sched.release(slot, 1.0)
+        for bad in ({"flags": 64}, {"bogus": 1}, {"valid": 1}):
+            with pytest.raises((KeyError, ValueError)):
+                sched.write_special(slot, bad, 2.0)
+        assert sched.write_special(slot, {"flags": 63}, 2.0)
+        counts = sched.metrics().flatten()
+        assert (counts["port_checks"], counts["port_free_hits"],
+                counts["special_writes"]) == (1, 1, 1)
+        assert sched.port_use == {2: 1}
+        assert sched.field_value(slot, "flags") == 63
 
     def test_field_value_range_checked(self):
         sched = Scheduler(entries=1)
