@@ -316,29 +316,31 @@ class SchedulerProfiler(CoreHooks):
     The paper derives K for each field from 100 profiling traces
     (Section 4.5); this hook accumulates the per-bit one-frequency of
     dispatched payloads, which :func:`derive_scheduler_policy` combines
-    with the measured occupancy.  A fill counts one ``(is_memory, row)``
-    key (tags 0, a memory uop's MOB id 0).
+    with the measured occupancy.  A fill counts its composed row (tags
+    and MOB id 0) and, for a memory uop, one memory fill.
     """
 
     def __init__(self) -> None:
         self.fills = 0
+        self.memory_fills = 0
         width = SCHEDULER_LAYOUT.total_bits
-        #: fills holding 0 / 1 per row bit; row 1 counts memory uops
-        self._zero = bitbias.matrix(2, width)
-        self._one = bitbias.matrix(2, width)
-        #: (is_memory, dispatched row) -> fills, not yet unpacked
-        self._seen: Dict[Tuple[bool, int], int] = {}
+        #: fills holding 0 / 1 per row bit
+        self._zero = bitbias.totals(width)
+        self._one = bitbias.totals(width)
+        #: dispatched row -> fills, not yet folded
+        self._seen: Dict[int, int] = {}
 
     def on_scheduler_fill(self, sched: Scheduler, slot: int, uop: Uop,
                           now: float) -> None:
         self.fills += 1
-        is_memory = uop.uop_class.is_memory
-        key = (is_memory, sched.compose_row(uop, 0 if is_memory else None))
+        if uop.uop_class.is_memory:
+            self.memory_fills += 1
+        row = sched.compose_row(uop, None)
         seen = self._seen
-        if key in seen:
-            seen[key] += 1
+        if row in seen:
+            seen[row] += 1
         else:
-            seen[key] = 1
+            seen[row] = 1
             if len(seen) >= PROFILE_FOLD_VALUES:
                 self._fold()
 
@@ -348,11 +350,10 @@ class SchedulerProfiler(CoreHooks):
         if self.fills == 0:
             raise ValueError("no fills profiled yet")
         self._fold()
-        zero, one = bitbias.rows(self._zero), bitbias.rows(self._one)
-        memory_fills = zero[1][0] + one[1][0]
+        one = bitbias.as_list(self._one)
         return {
-            name: [1.0 - (one[0][bit] + one[1][bit]) / max(
-                1, memory_fills if name == "mob_id" else self.fills)
+            name: [1.0 - one[bit] / max(
+                1, self.memory_fills if name == "mob_id" else self.fills)
                 for bit in range(start, start + width)]
             for name, (start, width) in SCHEDULER_LAYOUT.bit_offsets().items()
         }

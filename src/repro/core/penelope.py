@@ -15,7 +15,7 @@ the full guardband (inverting periodically cannot even cover the adder).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 
 from repro.circuits.ladner_fischer import (
@@ -237,12 +237,12 @@ class PenelopeProcessor:
         )
 
         # -- storage blocks: bias -> guardband ---------------------------
-        int_base = _merged_rf_bias(baseline, fp=False)
-        int_prot = _merged_rf_bias(protected, fp=False)
-        fp_base = _merged_rf_bias(baseline, fp=True)
-        fp_prot = _merged_rf_bias(protected, fp=True)
-        sched_base = _merged_scheduler_bias(baseline)
-        sched_prot = _merged_scheduler_bias(protected)
+        int_base, int_prot, fp_base, fp_prot, sched_base, sched_prot = (
+            _merged_bias(results, bias_of)
+            for bias_of in (lambda res: res.int_rf.bias_to_zero,
+                            lambda res: res.fp_rf.bias_to_zero,
+                            lambda res: res.scheduler.flattened_bias())
+            for results in (baseline, protected))
 
         gb = self.guardband_model.guardband_for_bias
         block_costs = [
@@ -341,27 +341,14 @@ def _cost_metrics(ms: MetricSet, cost) -> MetricSet:
 
 
 
-def _merged_rf_bias(results: Sequence[CoreResult], fp: bool) -> float:
-    """Worst per-bit bias aggregated over traces (cycle-weighted)."""
+def _merged_bias(results: Sequence[CoreResult],
+                 bias_of: Callable[[CoreResult], Any]) -> float:
+    """Worst per-bit bias aggregated over traces (cycle-weighted);
+    ``bias_of(result)`` is one structure's per-bit bias vector."""
     total: Optional[List[float]] = None
     weight = 0.0
     for res in results:
-        stats = res.fp_rf if fp else res.int_rf
-        contribution = [float(b) * res.cycles for b in stats.bias_to_zero]
-        total = (contribution if total is None
-                 else [t + c for t, c in zip(total, contribution)])
-        weight += res.cycles
-    bias = [t / weight for t in total]
-    return float(max(max(b, 1.0 - b) for b in bias))
-
-
-def _merged_scheduler_bias(results: Sequence[CoreResult]) -> float:
-    total: Optional[List[float]] = None
-    weight = 0.0
-    for res in results:
-        contribution = [
-            float(b) * res.cycles for b in res.scheduler.flattened_bias()
-        ]
+        contribution = [float(b) * res.cycles for b in bias_of(res)]
         total = (contribution if total is None
                  else [t + c for t, c in zip(total, contribution)])
         weight += res.cycles

@@ -280,6 +280,7 @@ HOT_MODULES = (
     "uarch/core.py",
     "uarch/scheduler.py",
     "uarch/regfile.py",
+    "uarch/entries.py",
     "uarch/bitbias.py",
     "uarch/ports.py",
     "uarch/tlb.py",

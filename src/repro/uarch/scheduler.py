@@ -1,10 +1,10 @@
 """Reservation-station scheduler with the Table 2 field layout.
 
 Each of the (by default 32) scheduler slots stores one uop as the field
-bundle of Table 2 of the paper.  Internally a slot is one flattened
-144-bit row, one int, of a single :class:`~repro.uarch.bitbias.BitBiasAccumulator`
-(per-field accumulators would record ~18x more intervals per dispatch);
-field views decode the row (DESIGN.md, "Scheduler rows").
+bundle of Table 2 of the paper.  Internally a slot is one entry of an
+:class:`~repro.uarch.entries.EntryArray`: one flattened 144-bit row,
+one int (per-field accumulators would record ~18x more intervals per
+dispatch); field views decode the row (DESIGN.md, "Scheduler rows").
 Conceptually each field still behaves as "an independent structure"
 (Section 3.2.2): mechanisms address fields by name and the statistics
 report per-field bias.
@@ -17,17 +17,15 @@ be protected.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 try:
     import numpy as np
 except ImportError:  # pragma: no cover - exercised on the no-numpy leg
     np = None  # type: ignore[assignment]
 
-from repro.metrics import MetricSet
-from repro.uarch.bitbias import BitBiasAccumulator
+from repro.uarch.entries import EntryArray
 from repro.uarch.uop import SCHEDULER_LAYOUT, SchedulerLayout, Uop
 
 
@@ -91,15 +89,19 @@ class SchedulerStats:
         return worst_name, worst_value
 
 
-class Scheduler:
-    """The scheduler structure (explicitly managed, short idle time)."""
+class Scheduler(EntryArray):
+    """The scheduler structure (explicitly managed, short idle time).
 
-    __slots__ = ("name", "entries", "layout", "alloc_ports", "bias",
-                 "port_use", "_offsets", "_at", "_mask", "_valid_bit",
-                 "_ready_bits", "_rows", "_free", "_counter", "_busy",
-                 "_busy_since", "_busy_time", "_allocations", "_horizon",
-                 "_special_writes", "_discarded_special", "_port_checks",
-                 "_port_free_hits")
+    A slot's entry value is its 144-bit row.  ``alloc_ports`` are the
+    ports fills and mechanism writes share (idle 77% of the time on
+    average).  The ``bias.worst_bias`` metric covers the whole row
+    (valid and opcode bits included), unlike
+    :meth:`SchedulerStats.worst_bias`, which follows Figure 8 in
+    omitting the opcode field.
+    """
+
+    __slots__ = ("layout", "_offsets", "_at", "_mask", "_valid_bit",
+                 "_ready_bits")
 
     def __init__(
         self,
@@ -108,68 +110,19 @@ class Scheduler:
         alloc_ports: int = 4,
         name: str = "scheduler",
     ) -> None:
-        if entries <= 0:
-            raise ValueError("entries must be positive")
-        if alloc_ports <= 0:
-            raise ValueError("alloc_ports must be positive")
-        self.name = name
-        self.entries = entries
+        super().__init__(entries, layout.total_bits, alloc_ports, name)
         self.layout = layout
-        self.alloc_ports = alloc_ports
         self._offsets = layout.bit_offsets()
         #: field -> first bit, and field -> value mask
         self._at = {f: at for f, (at, __) in self._offsets.items()}
         self._mask = {f: (1 << w) - 1 for f, (__, w) in self._offsets.items()}
         self._valid_bit = 1 << self._at["valid"]
-        self._ready_bits = (0, 1 << self._at["ready1"],
-                            1 << self._at["ready2"])
-        self.bias = BitBiasAccumulator(entries, layout.total_bits)
-        self._init_run_state()
-
-    def _init_run_state(self) -> None:
-        entries = self.entries
-        self._rows: List[int] = [0] * entries
-        self._free: List[Tuple[float, int, int]] = [
-            (0.0, i, i) for i in range(entries)
-        ]
-        heapq.heapify(self._free)
-        self._counter = entries
-        self._busy = [False] * entries
-        self._busy_since = [0.0] * entries
-        self._busy_time = 0.0
-        self._allocations = 0
-        self._special_writes = 0
-        self._discarded_special = 0
-        #: cycle -> allocate ports used in it (fills and special writes)
-        self.port_use: Dict[int, int] = {}
-        self._port_checks = 0
-        self._port_free_hits = 0
-        self._horizon = 0.0
-
-    def reset(self) -> None:
-        """Restore the freshly-constructed state (reusable across runs)."""
-        self.bias.reset()
-        self._init_run_state()
+        self._ready_bits = {1: 1 << self._at["ready1"],
+                            2: 1 << self._at["ready2"]}
 
     # ------------------------------------------------------------------
     # Workload interface
     # ------------------------------------------------------------------
-    def allocate(self, now: float) -> Optional[int]:
-        """Take a slot free at time ``now`` (None when none is)."""
-        if not self._free or self._free[0][0] > now:
-            return None
-        __, __, slot = heapq.heappop(self._free)
-        self._busy[slot] = True
-        self._busy_since[slot] = now
-        self._allocations += 1
-        self._horizon = max(self._horizon, now)
-        return slot
-
-    def next_free_time(self) -> Optional[float]:
-        if not self._free:
-            return None
-        return self._free[0][0]
-
     def fill(
         self,
         slot: int,
@@ -186,47 +139,35 @@ class Scheduler:
         paper relies on their even usage making the tag fields
         self-balanced (Section 4.5).
         """
-        self._check_slot(slot)
-        self._use_port(now)
+        self._check_entry(slot)
         row = self.compose_row(uop, mob_id, dst_tag, src1_tag, src2_tag)
         if mob_id is None:  # keep the stale MOB id
-            row |= self._rows[slot] & (self._mask["mob_id"]
-                                       << self._at["mob_id"])
-        self._write_row(slot, row, now)
+            row |= self._values[slot] & (self._mask["mob_id"]
+                                         << self._at["mob_id"])
+        self._write(slot, row, now)
 
     def set_ready(self, slot: int, operand: int, now: float) -> None:
         """Raise the ready bit of source ``operand`` (1 or 2)."""
-        self._write_row(slot, self._rows[slot] | self._ready_bits[operand],
-                        now)
+        bit = self._ready_bits.get(operand)
+        if bit is None:
+            raise ValueError(f"operand must be 1 or 2, not {operand!r}")
+        self._check_entry(slot)
+        self._set(slot, self._values[slot] | bit, now)
 
     def set_field(self, slot: int, field: str, value: int, now: float) -> None:
         """Update one field during residency (ready bits, data capture)."""
-        self._check_slot(slot)
+        self._check_entry(slot)
         keep, bits = row_patch(self._offsets, {field: value})
-        self._write_row(slot, (self._rows[slot] & keep) | bits, now)
+        self._set(slot, (self._values[slot] & keep) | bits, now)
 
     def release(self, slot: int, now: float) -> None:
         """Free a slot at issue; payload stays stale, valid drops to 0."""
-        self._check_slot(slot)
-        if not self._busy[slot]:
-            raise ValueError(f"slot {slot} is not busy")
-        self._write_row(slot, self._rows[slot] & ~self._valid_bit, now)
-        self._busy[slot] = False
-        self._busy_time += now - self._busy_since[slot]
-        self._counter += 1
-        heapq.heappush(self._free, (now, self._counter, slot))
+        super().release(slot, now)
+        self._set(slot, self._values[slot] & ~self._valid_bit, now)
 
     # ------------------------------------------------------------------
     # Mechanism interface
     # ------------------------------------------------------------------
-    def port_available(self, now: float) -> bool:
-        """Whether an allocate port is idle in this cycle (77% on avg)."""
-        self._port_checks += 1
-        free = self.port_use.get(int(now), 0) < self.alloc_ports
-        if free:
-            self._port_free_hits += 1
-        return free
-
     def write_special(
         self, slot: int, values: Mapping[str, int], now: float
     ) -> bool:
@@ -237,27 +178,18 @@ class Scheduler:
     def write_patch(self, slot: int, keep: int, bits: int,
                     now: float) -> bool:
         """:meth:`write_special` of a precomposed :func:`row_patch`."""
-        self._check_slot(slot)
+        self._check_entry(slot)
         if not keep & self._valid_bit:
             raise ValueError("the valid bit cannot hold repair data")
-        if self._busy[slot] or not self.port_available(now):
-            self._discarded_special += 1
-            return False
-        self._use_port(now)
-        self._write_row(slot, (self._rows[slot] & keep) | bits, now)
-        self._special_writes += 1
-        return True
-
-    def is_busy(self, slot: int) -> bool:
-        self._check_slot(slot)
-        return self._busy[slot]
+        return self._write_special(slot, (self._values[slot] & keep) | bits,
+                                   now)
 
     def field_value(self, slot: int, field: str) -> int:
         """Current value of one field of a slot."""
-        self._check_slot(slot)
+        self._check_entry(slot)
         if field not in self._at:
             raise KeyError(f"unknown scheduler field {field!r}")
-        return (self._rows[slot] >> self._at[field]) & self._mask[field]
+        return (self._values[slot] >> self._at[field]) & self._mask[field]
 
     # ------------------------------------------------------------------
     # Payload decoding
@@ -313,18 +245,7 @@ class Scheduler:
     # Statistics
     # ------------------------------------------------------------------
     def finalize(self, now: Optional[float] = None) -> SchedulerStats:
-        end = max(now if now is not None else 0.0, self._horizon)
-        for slot in range(self.entries):
-            if self._busy[slot]:
-                self._busy_time += end - self._busy_since[slot]
-                self._busy_since[slot] = end
-        self.bias.finalize(end)
-        total_time = end * self.entries
-        occupancy = self._busy_time / total_time if total_time > 0.0 else 0.0
-        port_free = (
-            self._port_free_hits / self._port_checks
-            if self._port_checks else 1.0
-        )
+        occupancy, port_free = self._finish(now)
         flat_bias = self.bias.bias_to_zero()
         field_bias = {
             field: flat_bias[start:start + width]
@@ -340,43 +261,3 @@ class Scheduler:
             special_writes=self._special_writes,
             discarded_special_writes=self._discarded_special,
         )
-
-    # ------------------------------------------------------------------
-    # Telemetry (MetricSource)
-    # ------------------------------------------------------------------
-    def metrics(self) -> MetricSet:
-        """Live metric tree over the scheduler's counters.
-
-        ``bias.worst_bias`` covers the whole 144-bit row (valid and
-        opcode bits included), unlike ``SchedulerStats.worst_bias``
-        which follows Figure 8 in omitting the opcode field.
-        """
-        ms = MetricSet()
-        ms.counter("allocations", read=lambda: self._allocations)
-        ms.counter("special_writes", read=lambda: self._special_writes)
-        ms.counter("discarded_special_writes",
-                   read=lambda: self._discarded_special)
-        ms.counter("port_checks", read=lambda: self._port_checks)
-        ms.counter("port_free_hits", read=lambda: self._port_free_hits)
-        ms.ratio("port_free_fraction", numerator="port_free_hits",
-                 denominator="port_checks", zero=1.0,
-                 help="no checks yet means every port is free "
-                      "(finalize()'s convention)")
-        ms.child("bias", self.bias.metrics())
-        return ms
-
-    # ------------------------------------------------------------------
-    def _write_row(self, slot: int, row: int, now: float) -> None:
-        """The one write: store the row, close its residency interval."""
-        self._rows[slot] = row
-        self.bias.set_value(slot, row, now)
-        if now > self._horizon:
-            self._horizon = now
-
-    def _use_port(self, now: float) -> None:
-        cycle = int(now)
-        self.port_use[cycle] = self.port_use.get(cycle, 0) + 1
-
-    def _check_slot(self, slot: int) -> None:
-        if not 0 <= slot < self.entries:
-            raise IndexError(f"slot index out of range: {slot}")

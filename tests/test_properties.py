@@ -9,7 +9,7 @@ from repro.core.metric import nbti_efficiency
 from repro.core.policy import BitDirective, Technique, ideal_k, repair_bit
 from repro.nbti.guardband import GuardbandModel
 from repro.nbti.physics import ReactionDiffusionModel, steady_state_fill
-from repro.uarch.bitbias import BitBiasAccumulator, pack_bits, unpack_bits
+from repro.uarch.bitbias import BitBiasAccumulator
 
 # A shared small adder: building it inside every example is wasteful.
 _ADDER = build_ladner_fischer_adder(width=16)
@@ -127,7 +127,11 @@ class TestPolicyProperties:
 class TestBitPackingProperties:
     @given(value=st.integers(min_value=0, max_value=(1 << 80) - 1))
     def test_unpack_pack_roundtrip(self, value):
-        assert pack_bits(unpack_bits(value, 80)) == value
+        # The fold unpacks a held value into its positions, little-endian.
+        acc = BitBiasAccumulator(entries=1, width=80, initial_value=value)
+        acc.finalize(1.0)
+        assert sum(1 << bit for bit, bias in enumerate(acc.bias_to_zero())
+                   if bias == 0.0) == value
 
     @given(
         values=st.lists(

@@ -1,36 +1,58 @@
-"""Unit tests for interval-based bit-cell residency accounting."""
+"""Unit tests for interval-based residency accounting per bit position."""
 
 import pytest
 
 np = pytest.importorskip("numpy")
 
-from repro.uarch.bitbias import BitBiasAccumulator, pack_bits, unpack_bits
+from repro.uarch.bitbias import BitBiasAccumulator
+
+
+def held_bits(value, width):
+    """Hold ``value`` in one entry for one unit; returns the positions
+    read back as always one, packed into an int (little-endian)."""
+    acc = BitBiasAccumulator(entries=1, width=width, initial_value=value)
+    acc.finalize(1.0)
+    return sum(1 << bit for bit, bias in enumerate(acc.bias_to_zero())
+               if bias == 0.0)
 
 
 class TestUnpackPack:
+    """The fold unpacks each value into its bit positions, little-endian."""
+
     @pytest.mark.parametrize("value,width", [
         (0, 8), (1, 8), (255, 8), (0b1010, 4), (1 << 79, 80), (12345, 16),
     ])
     def test_roundtrip(self, value, width):
-        assert pack_bits(unpack_bits(value, width)) == value
+        assert held_bits(value, width) == value
 
     def test_little_endian_order(self):
-        bits = unpack_bits(0b110, 3)
-        assert list(bits) == [0, 1, 1]
+        acc = BitBiasAccumulator(entries=1, width=3, initial_value=0b110)
+        acc.finalize(1.0)
+        assert list(acc.bias_to_zero()) == [1.0, 0.0, 0.0]
 
     def test_width_overflow_rejected(self):
+        acc = BitBiasAccumulator(entries=1, width=8)
         with pytest.raises(ValueError):
-            unpack_bits(256, 8)
+            acc.set_value(0, 256, 1.0)
 
     def test_negative_rejected(self):
+        acc = BitBiasAccumulator(entries=1, width=8)
         with pytest.raises(ValueError):
-            unpack_bits(-1, 8)
+            acc.set_value(0, -1, 1.0)
 
     def test_cached_small_width_consistent(self):
-        # width <= 16 goes through the lru_cache path.
-        a = unpack_bits(5, 8)
-        b = unpack_bits(5, 8)
-        assert np.array_equal(a, b)
+        # Closed intervals wait in a cache keyed by value; a read folds
+        # them early, which must not change any later read.
+        read, unread = (BitBiasAccumulator(entries=2, width=8)
+                        for __ in range(2))
+        for acc in (read, unread):
+            acc.set_value(0, 5, 1.0)
+            acc.set_value(1, 5, 2.0)
+        read.bias_to_zero()
+        for acc in (read, unread):
+            acc.set_value(0, 0xF0, 4.0)
+            acc.finalize(6.0)
+        assert np.array_equal(read.bias_to_zero(), unread.bias_to_zero())
 
 
 class TestBitBiasAccumulator:
@@ -45,14 +67,6 @@ class TestBitBiasAccumulator:
         acc = BitBiasAccumulator(entries=2, width=2, initial_value=0b11)
         acc.finalize(1.0)
         assert np.allclose(acc.bias_to_zero(), [0.0, 0.0])
-
-    def test_per_entry_independence(self):
-        acc = BitBiasAccumulator(entries=2, width=1)
-        acc.set_value(0, 1, now=0.0)
-        acc.finalize(10.0)
-        cell = acc.cell_bias_to_zero()
-        assert cell[0, 0] == pytest.approx(0.0)
-        assert cell[1, 0] == pytest.approx(1.0)
 
     def test_aggregated_bias_weights_by_time(self):
         acc = BitBiasAccumulator(entries=2, width=1)

@@ -245,6 +245,38 @@ class TestScheduler:
         assert 0.5 <= value <= 1.0
 
 
+class TestEntryArray:
+    """What the register files and the scheduler share."""
+
+    @pytest.mark.parametrize("make,value", [
+        (lambda: RegisterFile(entries=4, width=8), 5),
+        (lambda: Scheduler(entries=4), {"flags": 5}),
+    ], ids=["regfile", "scheduler"])
+    def test_finalize_after_special_write(self, make, value):
+        structure = make()
+        assert structure.write_special(0, value, 100.0)
+        stats = structure.finalize()  # closes at the write, not at 0
+        assert stats.special_writes == 1
+        assert structure.bias.total_observed_time() == (
+            100.0 * structure.entries * structure.bias.width)
+
+    def test_set_ready_checks_slot_and_operand(self):
+        sched = Scheduler(entries=2)
+        slot = sched.allocate(0.0)
+        sched.fill(slot, make_uop(), mob_id=None, now=0.0)
+        for bad_slot in (-1, 2):
+            with pytest.raises(IndexError):
+                sched.set_ready(bad_slot, 1, 1.0)
+        for operand in (0, -1, 3):
+            with pytest.raises(ValueError, match=f"operand.*{operand}"):
+                sched.set_ready(slot, operand, 1.0)
+        assert sched.field_value(1, "ready1") == 0
+        assert sched.field_value(slot, "ready2") == 0
+        sched.set_ready(slot, 2, 1.0)
+        assert sched.field_value(slot, "ready2") == 1
+        assert sched.field_value(slot, "ready1") == 0
+
+
 class TestMemoryOrderBuffer:
     def test_round_robin(self):
         mob = MemoryOrderBuffer(entries=4)
