@@ -15,6 +15,8 @@ try:
 except ImportError:  # pragma: no cover - exercised on the no-numpy leg
     np = None  # type: ignore[assignment]
 
+from repro.metrics import ordered_sum
+
 
 def merge_bias_arrays(
     arrays: Sequence["np.ndarray"],
@@ -34,7 +36,7 @@ def merge_bias_arrays(
         weights = [1.0] * len(arrays)
     if len(weights) != len(arrays):
         raise ValueError("weights and arrays must have the same length")
-    total_weight = float(sum(weights))
+    total_weight = float(ordered_sum(weights))
     if total_weight <= 0.0:
         raise ValueError("weights must sum to a positive value")
     if np is not None:

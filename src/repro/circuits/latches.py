@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Mapping, Sequence, Tuple
 
+from repro.metrics import ordered_sum
 from repro.nbti.guardband import DEFAULT_GUARDBAND_MODEL, GuardbandModel
 from repro.nbti.stress import BitCellStress
 
@@ -103,5 +104,5 @@ def study_latch_bank(
         worst_duty=duty,
         worst_pin=pin,
         guardband=bank.guardband(model),
-        mean_imbalance=sum(imbalances.values()) / len(imbalances),
+        mean_imbalance=ordered_sum(imbalances.values()) / len(imbalances),
     )

@@ -32,6 +32,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, List, Mapping, Sequence, Tuple
 
+from repro.metrics import ordered_sum
 from repro.obs.trace import TRACER as _TRACER
 from repro.uarch.backends import get_backend
 from repro.uarch.backends import Cache, CacheConfig, LineState
@@ -659,12 +660,12 @@ def run_cache_study(
     return CacheStudyResult(
         config_name=config.name,
         scheme_name=scheme_name,
-        mean_loss=sum(losses) / n,
+        mean_loss=ordered_sum(losses) / n,
         per_stream_loss=tuple(losses),
-        baseline_miss_rate=sum(base_rates) / n,
-        scheme_miss_rate=sum(scheme_rates) / n,
+        baseline_miss_rate=ordered_sum(base_rates) / n,
+        scheme_miss_rate=ordered_sum(scheme_rates) / n,
         mean_inverted_ratio=(
-            sum(inverted_ratios) / len(inverted_ratios)
+            ordered_sum(inverted_ratios) / len(inverted_ratios)
             if inverted_ratios else 0.0
         ),
     )

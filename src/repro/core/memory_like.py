@@ -50,6 +50,8 @@ PROFILE_FOLD_VALUES = bitbias.FOLD_KEYS
 class RINVRegister:
     """The special register holding inverted sampled values."""
 
+    __slots__ = ("width", "_mask", "value", "updates")
+
     def __init__(self, width: int) -> None:
         if width <= 0:
             raise ValueError("width must be positive")
@@ -75,6 +77,10 @@ class ISVRegisterFileProtector(CoreHooks):
     will spend the same time inverted ... we choose a fixed entry for the
     sake of simplicity").
     """
+
+    __slots__ = ("rf_name", "rinv", "sample_period", "_last_sample",
+                 "_entries", "_inverted", "_inv_integral", "_total_integral",
+                 "_last_event", "updates_written", "updates_skipped")
 
     def __init__(
         self,
@@ -255,6 +261,10 @@ def _repair_tables(
 class SchedulerProtector(CoreHooks):
     """Applies a :data:`SchedulerPolicy` at slot release (Section 4.5)."""
 
+    __slots__ = ("policy", "sample_period", "rinv", "_patches", "_isv",
+                 "_last_sample", "_phase_counter", "updates_written",
+                 "updates_skipped")
+
     def __init__(
         self,
         policy: Optional[SchedulerPolicy] = None,
@@ -316,13 +326,21 @@ class SchedulerProfiler(CoreHooks):
     The paper derives K for each field from 100 profiling traces
     (Section 4.5); this hook accumulates the per-bit one-frequency of
     dispatched payloads, which :func:`derive_scheduler_policy` combines
-    with the measured occupancy.  A fill counts its composed row (tags
-    and MOB id 0) and, for a memory uop, one memory fill.
+    with the measured occupancy.  A fill counts the filled row with the
+    tag and MOB fields cleared, which is ``compose_row(uop, None)``, and,
+    for a memory uop, one memory fill; so the hook must see each fill
+    before any ready bit is set, as the trace-driven core calls it.
     """
+
+    __slots__ = ("fills", "memory_fills", "_keep", "_zero", "_one", "_seen")
 
     def __init__(self) -> None:
         self.fills = 0
         self.memory_fills = 0
+        #: clears the fields a fill writes from its arguments
+        self._keep, __ = row_patch(
+            SCHEDULER_LAYOUT.bit_offsets(),
+            dict.fromkeys(("dst_tag", "src1_tag", "src2_tag", "mob_id"), 0))
         width = SCHEDULER_LAYOUT.total_bits
         #: fills holding 0 / 1 per row bit
         self._zero = bitbias.totals(width)
@@ -335,7 +353,7 @@ class SchedulerProfiler(CoreHooks):
         self.fills += 1
         if uop.uop_class.is_memory:
             self.memory_fills += 1
-        row = sched.compose_row(uop, None)
+        row = sched.values[slot] & self._keep
         seen = self._seen
         if row in seen:
             seen[row] += 1

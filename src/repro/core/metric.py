@@ -22,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from repro.metrics import ordered_sum
+
 #: The whole NBTI guardband paid by an unprotected design (Section 4.2).
 BASELINE_GUARDBAND = 0.20
 
@@ -106,8 +108,9 @@ class ProcessorCost:
     @property
     def tdp(self) -> float:
         """Eq. (3): TDP-weight-normalised accumulation."""
-        total_weight = sum(b.tdp_weight for b in self.blocks)
-        return sum(b.tdp * b.tdp_weight for b in self.blocks) / total_weight
+        total_weight = ordered_sum(b.tdp_weight for b in self.blocks)
+        return ordered_sum(b.tdp * b.tdp_weight
+                           for b in self.blocks) / total_weight
 
     @property
     def guardband(self) -> float:

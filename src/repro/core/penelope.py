@@ -37,7 +37,7 @@ from repro.core.metric import (
     baseline_block_cost,
     nbti_efficiency,
 )
-from repro.metrics import MetricSet
+from repro.metrics import MetricSet, ordered_sum
 from repro.nbti.guardband import DEFAULT_GUARDBAND_MODEL, GuardbandModel
 from repro.uarch.backends import get_backend
 from repro.uarch.core import (
@@ -224,10 +224,11 @@ class PenelopeProcessor:
         if not vectors:
             vectors = [(0, 0, 0)]
         per_trace = [
-            sum(res.adder_utilization) / max(1, len(res.adder_utilization))
+            ordered_sum(res.adder_utilization)
+            / max(1, len(res.adder_utilization))
             for res in baseline
         ]
-        utilization = sum(per_trace) / max(1, len(per_trace))
+        utilization = ordered_sum(per_trace) / max(1, len(per_trace))
         injector = IdleInputInjector(adder, self.injector_pair,
                                      self.guardband_model)
         adder_report = injector.age(vectors[:256], min(1.0, utilization),
@@ -360,10 +361,10 @@ def _combined_cpi(
     baseline: Sequence[CoreResult], protected: Sequence[CoreResult]
 ) -> float:
     """Normalised CPI of the protected runs vs the baseline (eq. 2)."""
-    base = sum(r.cycles for r in baseline) / max(
+    base = ordered_sum(r.cycles for r in baseline) / max(
         1, sum(r.uops for r in baseline)
     )
-    prot = sum(r.cycles for r in protected) / max(
+    prot = ordered_sum(r.cycles for r in protected) / max(
         1, sum(r.uops for r in protected)
     )
     if base <= 0.0:

@@ -22,10 +22,10 @@ from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 from repro.analysis import format_table
 from repro.experiments.runner import PointResult
-from repro.metrics import NUMERIC_KINDS, kind_of_value
+from repro.metrics import NUMERIC_KINDS, kind_of_value, ordered_sum
 
 AGGREGATORS = {
-    "mean": lambda values: sum(values) / len(values),
+    "mean": lambda values: ordered_sum(values) / len(values),
     "min": min,
     "max": max,
 }

@@ -290,6 +290,7 @@ HOT_MODULES = (
     "uarch/backends/vectorized.py",
     "core/cache_like.py",
     "core/inverted_mode.py",
+    "core/memory_like.py",
 )
 
 _SLOTS_EXEMPT_BASES = {"Enum", "IntEnum", "Flag", "IntFlag", "StrEnum",

@@ -38,6 +38,7 @@ from repro.metrics.stats import (
     Text,
     delta_values,
     kind_of_value,
+    ordered_sum,
 )
 from repro.metrics.telemetry import (
     IntervalTelemetry,
@@ -62,5 +63,6 @@ __all__ = [
     "delta_values",
     "kind_of_value",
     "load_interval_payload",
+    "ordered_sum",
     "payload_deltas",
 ]

@@ -45,6 +45,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    Iterable,
     Iterator,
     List,
     Mapping,
@@ -65,6 +66,16 @@ NUMERIC_KINDS = frozenset({"counter", "gauge", "ratio", "derived"})
 #: for distributions).  This is THE authority consulted by
 #: :func:`delta_values` — keep new accumulating kinds in sync here.
 CUMULATIVE_KINDS = frozenset({"counter", "distribution"})
+
+
+def ordered_sum(values: Iterable[float]) -> float:
+    """``sum(values)`` added left to right, as the builtin did before
+    Python 3.12, whose ``sum`` compensates float rounding; result paths
+    sum floats here, so results do not depend on the Python version."""
+    total: float = 0
+    for value in values:
+        total += value
+    return total
 
 
 def kind_of_value(value: Any) -> str:

@@ -33,7 +33,7 @@ try:
 except ImportError:  # pragma: no cover - exercised on the no-numpy leg
     np = None  # type: ignore[assignment]
 
-from repro.metrics import MetricSet
+from repro.metrics import MetricSet, ordered_sum
 
 #: Pending values that trigger a fold; also the largest batch one fold
 #: unpacks, which bounds its scratch memory.
@@ -110,11 +110,12 @@ class BitBiasAccumulator:
         initial non-inverted content).
 
     ``values`` holds each entry's current value; change it only through
-    :meth:`set_value`.
+    :meth:`set_value`.  ``latest`` is the latest time a write or
+    :meth:`finalize` has seen.
     """
 
-    __slots__ = ("entries", "width", "initial_value", "values", "_since",
-                 "_pending", "_zero", "_one")
+    __slots__ = ("entries", "width", "initial_value", "values", "latest",
+                 "_since", "_pending", "_zero", "_one")
 
     def __init__(self, entries: int, width: int, initial_value: int = 0) -> None:
         if entries <= 0 or width <= 0:
@@ -127,6 +128,7 @@ class BitBiasAccumulator:
 
     def _init_state(self) -> None:
         self.values = [self.initial_value] * self.entries
+        self.latest = 0.0
         self._since = [0.0] * self.entries
         self._pending: Dict[int, float] = {}
         #: closed time any entry held "0" / "1", per bit position
@@ -141,10 +143,29 @@ class BitBiasAccumulator:
     # Mutation
     # ------------------------------------------------------------------
     def set_value(self, entry: int, value: int, now: float) -> None:
-        """Record that ``entry`` changes to ``value`` at time ``now``."""
+        """Record that ``entry`` changes to ``value`` at time ``now``:
+        close its open interval, store the value and advance ``latest``,
+        in one body (~10 writes per simulated uop).  No since-time is
+        later than ``latest``, so only a closing interval advances it."""
         if value < 0 or value >> self.width:
             check_fits(value, self.width)
-        self._close(entry, now)
+        since = self._since[entry]
+        if now > since:
+            held = self.values[entry]
+            pending = self._pending
+            if held in pending:
+                pending[held] += now - since
+            else:
+                pending[held] = now - since
+                if len(pending) >= FOLD_KEYS:
+                    self._fold()
+            if now > self.latest:
+                self.latest = now
+        elif now < since:
+            raise ValueError(
+                f"time went backwards for entry {entry}: {since} -> {now}"
+            )
+        self._since[entry] = now
         self.values[entry] = value
 
     def current_value(self, entry: int) -> int:
@@ -152,25 +173,8 @@ class BitBiasAccumulator:
 
     def finalize(self, now: float) -> None:
         """Close all open intervals at time ``now`` (end of simulation)."""
-        for entry in range(self.entries):
-            self._close(entry, now)
-
-    def _close(self, entry: int, now: float) -> None:
-        since = self._since[entry]
-        if now > since:
-            value = self.values[entry]
-            pending = self._pending
-            if value in pending:
-                pending[value] += now - since
-            else:
-                pending[value] = now - since
-                if len(pending) >= FOLD_KEYS:
-                    self._fold()
-        elif now < since:
-            raise ValueError(
-                f"time went backwards for entry {entry}: {since} -> {now}"
-            )
-        self._since[entry] = now
+        for entry, value in enumerate(self.values):
+            self.set_value(entry, value, now)
 
     def _fold(self) -> None:
         if self._pending:
@@ -210,7 +214,8 @@ class BitBiasAccumulator:
 
     def total_observed_time(self) -> float:
         self._fold()
-        return float(sum(as_list(self._zero)) + sum(as_list(self._one)))
+        return float(ordered_sum(as_list(self._zero))
+                     + ordered_sum(as_list(self._one)))
 
     # ------------------------------------------------------------------
     # Telemetry (MetricSource)

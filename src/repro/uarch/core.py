@@ -25,6 +25,7 @@ the substrate stays mechanism-free.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -312,6 +313,7 @@ class TraceDrivenCore:
         rob = config.rob_entries
         scheduler = self.scheduler
         set_ready = scheduler.set_ready
+        sched_next_free = scheduler.next_free_time
         on_fill, on_sched_release, on_rf_write, on_rf_release = (
             _bind(self.hooks, name) for name in (
                 "on_scheduler_fill", "on_scheduler_release",
@@ -325,7 +327,6 @@ class TraceDrivenCore:
         port_use = (self._issue_use, scheduler.port_use, int_rf.port_use,
                     fp_rf.port_use)
         prune_at = 1024.0
-        stall_for_space = self._stall_for_space
         find_issue_cycle = self._find_issue_cycle
 
         alloc_cycle = 0.0
@@ -350,7 +351,21 @@ class TraceDrivenCore:
             if allocs_this_cycle >= alloc_width:
                 alloc_cycle += 1.0
                 allocs_this_cycle = 0
-            alloc_t = stall_for_space(uop, alloc_cycle)
+            # Stall until the scheduler and the register file have room.
+            is_fp = uop.is_fp
+            rf = fp_rf if is_fp else int_rf
+            alloc_t = sched_next_free()
+            if alloc_t is None:
+                raise RuntimeError("scheduler free list exhausted permanently")
+            if alloc_cycle > alloc_t:
+                alloc_t = alloc_cycle
+            if uop.dst is not None:
+                rf_free = rf.next_free_time()
+                if rf_free is None:
+                    raise RuntimeError(f"{rf.name} exhausted: trace holds "
+                                       f"too many live values")
+                if rf_free > alloc_t:
+                    alloc_t = rf_free
             if index >= rob:
                 # The ROB entry of the (index - rob)-th uop must retire
                 # before this uop can allocate.
@@ -372,11 +387,9 @@ class TraceDrivenCore:
                 prune_at = alloc_cycle + 1024.0
 
             slot = scheduler.allocate(alloc_t)
-            assert slot is not None  # _stall_for_space guaranteed room
+            assert slot is not None  # the stall above guaranteed room
             is_memory = uop.uop_class.is_memory
             mob_id = mob_allocate() if is_memory else None
-            is_fp = uop.is_fp
-            rf = fp_rf if is_fp else int_rf
             dst_entry: Optional[int] = None
             if uop.dst is not None:
                 dst_entry = rf.allocate(alloc_t)
@@ -482,36 +495,17 @@ class TraceDrivenCore:
         )
 
     # ------------------------------------------------------------------
-    def _stall_for_space(self, uop: Uop, alloc_cycle: float) -> float:
-        """Earliest cycle >= ``alloc_cycle`` with scheduler and RF room."""
-        t = alloc_cycle
-        sched_free = self.scheduler.next_free_time()
-        if sched_free is None:
-            raise RuntimeError("scheduler free list exhausted permanently")
-        t = max(t, sched_free)
-        if uop.dst is not None:
-            rf = self.fp_rf if uop.is_fp else self.int_rf
-            rf_free = rf.next_free_time()
-            if rf_free is None:
-                raise RuntimeError(
-                    f"{rf.name} exhausted: trace holds too many live values"
-                )
-            t = max(t, rf_free)
-        return t
-
     def _find_issue_cycle(self, uop: Uop, ready_t: float) -> float:
         """First cycle >= ``ready_t`` with an issue slot (and adder)."""
-        t = float(int(ready_t)) if ready_t == int(ready_t) else float(
-            int(ready_t) + 1
-        )
-        t = max(t, ready_t)
+        issue_use = self._issue_use
+        issue_width = self.config.issue_width
+        adder_issue = self.adders.issue if uop.uop_class.uses_adder else None
+        cycle = math.ceil(ready_t)
         while True:
-            cycle = int(t)
-            if self._issue_use.get(cycle, 0) < self.config.issue_width:
-                if uop.uses_adder:
-                    if self.adders.issue(uop, t) is None:
-                        t += 1.0
-                        continue
-                self._issue_use[cycle] = self._issue_use.get(cycle, 0) + 1
-                return t
-            t += 1.0
+            used = issue_use.get(cycle, 0)
+            if used < issue_width and (
+                    adder_issue is None
+                    or adder_issue(uop, float(cycle)) is not None):
+                issue_use[cycle] = used + 1
+                return float(cycle)
+            cycle += 1

@@ -30,17 +30,18 @@ class EntryArray:
     therefore a heap keyed by the time each entry becomes available:
     :meth:`allocate` only hands out entries already free at the
     requested time, and :meth:`next_free_time` tells a stalled caller
-    how far to advance.  Every allocation, release and write advances
-    the horizon, the latest time seen; :meth:`_finish` closes every
-    interval no earlier than it.
+    how far to advance.  Allocations and releases advance the horizon,
+    writes the accumulator's ``latest``; :meth:`_finish` closes every
+    interval no earlier than either.
 
-    Every value enters through :meth:`_set`.  :meth:`_write`, the write
-    through a port, books the port first; :meth:`_write_special` is the
-    mechanism's gate in front of it.
+    Every value enters through ``bias.set_value``, called directly (one
+    call per residency write).  :meth:`_write` is the write through a
+    port, which it books first; :meth:`_write_special` is the
+    mechanism's gate, busy and port checks and booking in one body.
     """
 
     __slots__ = ("name", "entries", "width", "ports", "bias", "port_use",
-                 "_values", "_free", "_counter", "_busy", "_busy_since",
+                 "values", "_free", "_counter", "_busy", "_busy_since",
                  "_busy_time", "_allocations", "_releases",
                  "_special_writes", "_discarded_special", "_port_checks",
                  "_port_free_hits", "_horizon")
@@ -60,8 +61,8 @@ class EntryArray:
 
     def _init_run_state(self) -> None:
         entries = self.entries
-        #: current value of each entry (the accumulator's list)
-        self._values = self.bias.values
+        #: current value of each entry (the accumulator's list, read-only)
+        self.values = self.bias.values
         # (available_time, tiebreak, entry); FIFO tiebreak keeps reuse fair.
         self._free: List[Tuple[float, int, int]] = [
             (0.0, i, i) for i in range(entries)
@@ -97,7 +98,8 @@ class EntryArray:
         self._busy[entry] = True
         self._busy_since[entry] = now
         self._allocations += 1
-        self._horizon = max(self._horizon, now)
+        if now > self._horizon:
+            self._horizon = now
         return entry
 
     def next_free_time(self) -> Optional[float]:
@@ -111,12 +113,18 @@ class EntryArray:
         self._check_entry(entry)
         if not self._busy[entry]:
             raise ValueError(f"{self.name} entry {entry} is not busy")
+        busy = now - self._busy_since[entry]
+        if busy < 0.0:
+            raise ValueError(
+                f"{self.name} entry {entry} released at {now}, before its "
+                f"allocation at {self._busy_since[entry]}")
         self._busy[entry] = False
-        self._busy_time += now - self._busy_since[entry]
+        self._busy_time += busy
         self._counter += 1
         heapq.heappush(self._free, (now, self._counter, entry))
         self._releases += 1
-        self._horizon = max(self._horizon, now)
+        if now > self._horizon:
+            self._horizon = now
 
     def is_busy(self, entry: int) -> bool:
         self._check_entry(entry)
@@ -125,21 +133,23 @@ class EntryArray:
     # ------------------------------------------------------------------
     # Mechanism interface
     # ------------------------------------------------------------------
-    def port_available(self, now: float) -> bool:
-        """Whether a port is idle in the cycle containing ``now``."""
-        self._port_checks += 1
-        free = self.port_use.get(int(now), 0) < self.ports
-        if free:
-            self._port_free_hits += 1
-        return free
-
     def _write_special(self, entry: int, value: int, now: float) -> bool:
-        """The special-write gate: a busy entry or no idle port discards
-        the update (Section 4.4 allows it) and returns False."""
-        if self._busy[entry] or not self.port_available(now):
+        """The special-write gate: a busy entry, or no port idle in the
+        cycle containing ``now``, discards the update (Section 4.4
+        allows it) and returns False; otherwise the write books the
+        port.  Only a free entry counts as a port check."""
+        if self._busy[entry]:
             self._discarded_special += 1
             return False
-        self._write(entry, value, now)
+        self._port_checks += 1
+        cycle = int(now)
+        used = self.port_use.get(cycle, 0)
+        if used >= self.ports:
+            self._discarded_special += 1
+            return False
+        self._port_free_hits += 1
+        self.port_use[cycle] = used + 1
+        self.bias.set_value(entry, value, now)
         self._special_writes += 1
         return True
 
@@ -147,16 +157,10 @@ class EntryArray:
     # Writes
     # ------------------------------------------------------------------
     def _write(self, entry: int, value: int, now: float) -> None:
-        """A write through a port: book the port, then :meth:`_set`."""
+        """A write through a port: book the port, then store the value."""
         cycle = int(now)
         self.port_use[cycle] = self.port_use.get(cycle, 0) + 1
-        self._set(entry, value, now)
-
-    def _set(self, entry: int, value: int, now: float) -> None:
-        """The one write: ``entry`` holds ``value`` from ``now`` on."""
         self.bias.set_value(entry, value, now)
-        if now > self._horizon:
-            self._horizon = now
 
     def _check_entry(self, entry: int) -> None:
         if not 0 <= entry < self.entries:
@@ -166,10 +170,11 @@ class EntryArray:
     # Statistics
     # ------------------------------------------------------------------
     def _finish(self, now: Optional[float]) -> Tuple[float, float]:
-        """Close every interval at ``now`` (the horizon at the earliest);
-        returns the busy fraction of entry-time and the fraction of
-        port checks that found a port free."""
-        end = max(now if now is not None else 0.0, self._horizon)
+        """Close every interval at ``now`` (the horizon and the latest
+        write at the earliest); returns the busy fraction of entry-time
+        and the fraction of port checks that found a port free."""
+        end = max(now if now is not None else 0.0, self._horizon,
+                  self.bias.latest)
         for entry in range(self.entries):
             if self._busy[entry]:
                 self._busy_time += end - self._busy_since[entry]

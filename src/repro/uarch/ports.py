@@ -17,6 +17,7 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+from repro.metrics import ordered_sum
 from repro.uarch.uop import Uop
 
 #: (input_a, input_b, carry_in) as presented to an adder.
@@ -95,44 +96,40 @@ class AdderPool:
         """Issue an adder-using uop at ``cycle``; returns the adder index.
 
         Returns None when every adder is busy (the caller retries next
-        cycle).  The chosen adder records utilisation and samples the
-        operand vector.
+        cycle).  The chosen adder records utilisation and adds the
+        operand vector to its reservoir sample.
         """
-        adder = self._select(cycle)
-        if adder is None:
+        adders = self.adders
+        n = len(adders)
+        # PRIORITY scans from the lowest-numbered adder; UNIFORM rotates
+        # the starting point each issue.
+        uniform = self.policy is AdderPolicy.UNIFORM
+        start = self._rr if uniform else 0
+        for offset in range(n):
+            adder = adders[(start + offset) % n]
+            if adder.busy_until <= cycle:
+                break
+        else:
             return None
-        adder.busy_until = cycle + duration
+        index = adder.index
+        if uniform:
+            self._rr = (index + 1) % n
+        end = cycle + duration
+        adder.busy_until = end
         adder.busy_cycles += duration
         adder.operations += 1
-        self._sample(adder.index, uop.adder_operands())
-        self._horizon = max(self._horizon, cycle + duration)
-        return adder.index
-
-    def _select(self, cycle: float) -> Optional[AdderSlot]:
-        if self.policy is AdderPolicy.PRIORITY:
-            for adder in self.adders:
-                if adder.busy_until <= cycle:
-                    return adder
-            return None
-        # UNIFORM: rotate the starting point each issue.
-        n = len(self.adders)
-        for offset in range(n):
-            adder = self.adders[(self._rr + offset) % n]
-            if adder.busy_until <= cycle:
-                self._rr = (adder.index + 1) % n
-                return adder
-        return None
-
-    def _sample(self, index: int, vector: AdderVector) -> None:
-        """Reservoir-sample the operand stream of one adder."""
-        self._seen[index] += 1
+        if end > self._horizon:
+            self._horizon = end
+        seen = self._seen[index] + 1
+        self._seen[index] = seen
         samples = self._samples[index]
         if len(samples) < self.sample_capacity:
-            samples.append(vector)
-            return
-        slot = self._rng.randrange(self._seen[index])
-        if slot < self.sample_capacity:
-            samples[slot] = vector
+            samples.append(uop.adder_operands())
+        else:
+            slot = self._rng.randrange(seen)
+            if slot < self.sample_capacity:
+                samples[slot] = uop.adder_operands()
+        return index
 
     # ------------------------------------------------------------------
     # Statistics
@@ -153,7 +150,7 @@ class AdderPool:
 
     def mean_utilization(self, total_cycles: Optional[float] = None) -> float:
         utils = self.utilization(total_cycles)
-        return sum(utils) / len(utils)
+        return ordered_sum(utils) / len(utils)
 
     def sampled_vectors(self, index: int) -> Sequence[AdderVector]:
         """Reservoir sample of operand vectors seen by one adder."""

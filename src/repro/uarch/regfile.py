@@ -84,7 +84,7 @@ class RegisterFile(EntryArray):
 
     def read(self, entry: int) -> int:
         self._check_entry(entry)
-        return self._values[entry]
+        return self.values[entry]
 
     def write_special(self, entry: int, value: int, now: float) -> bool:
         """Mechanism write into a *free* entry through an idle port.

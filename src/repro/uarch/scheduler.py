@@ -101,7 +101,7 @@ class Scheduler(EntryArray):
     """
 
     __slots__ = ("layout", "_offsets", "_at", "_mask", "_valid_bit",
-                 "_ready_bits")
+                 "_ready_bits", "_mob_bits", "_row_constants")
 
     def __init__(
         self,
@@ -116,9 +116,21 @@ class Scheduler(EntryArray):
         #: field -> first bit, and field -> value mask
         self._at = {f: at for f, (at, __) in self._offsets.items()}
         self._mask = {f: (1 << w) - 1 for f, (__, w) in self._offsets.items()}
-        self._valid_bit = 1 << self._at["valid"]
-        self._ready_bits = {1: 1 << self._at["ready1"],
-                            2: 1 << self._at["ready2"]}
+        at, mask = self._at, self._mask
+        self._valid_bit = 1 << at["valid"]
+        self._ready_bits = {1: 1 << at["ready1"], 2: 1 << at["ready2"]}
+        self._mob_bits = mask["mob_id"] << at["mob_id"]
+        #: :meth:`compose_row`'s masks and shifts, in the order it reads
+        #: them: one tuple unpack per row instead of a lookup per field
+        self._row_constants = (
+            self._valid_bit, mask["latency"], at["latency"], mask["port"],
+            at["port"], at["taken"], mask["tos"], at["tos"], mask["flags"],
+            at["flags"], at["shift1"], at["shift2"], mask["dst_tag"],
+            at["dst_tag"], mask["src1_tag"], at["src1_tag"],
+            mask["src2_tag"], at["src2_tag"], mask["src1_data"],
+            at["src1_data"], mask["src2_data"], at["src2_data"],
+            mask["immediate"], at["immediate"], mask["opcode"],
+            at["opcode"], mask["mob_id"], at["mob_id"])
 
     # ------------------------------------------------------------------
     # Workload interface
@@ -142,9 +154,10 @@ class Scheduler(EntryArray):
         self._check_entry(slot)
         row = self.compose_row(uop, mob_id, dst_tag, src1_tag, src2_tag)
         if mob_id is None:  # keep the stale MOB id
-            row |= self._values[slot] & (self._mask["mob_id"]
-                                         << self._at["mob_id"])
-        self._write(slot, row, now)
+            row |= self.values[slot] & self._mob_bits
+        cycle = int(now)
+        self.port_use[cycle] = self.port_use.get(cycle, 0) + 1
+        self.bias.set_value(slot, row, now)
 
     def set_ready(self, slot: int, operand: int, now: float) -> None:
         """Raise the ready bit of source ``operand`` (1 or 2)."""
@@ -152,18 +165,18 @@ class Scheduler(EntryArray):
         if bit is None:
             raise ValueError(f"operand must be 1 or 2, not {operand!r}")
         self._check_entry(slot)
-        self._set(slot, self._values[slot] | bit, now)
+        self.bias.set_value(slot, self.values[slot] | bit, now)
 
     def set_field(self, slot: int, field: str, value: int, now: float) -> None:
         """Update one field during residency (ready bits, data capture)."""
         self._check_entry(slot)
         keep, bits = row_patch(self._offsets, {field: value})
-        self._set(slot, (self._values[slot] & keep) | bits, now)
+        self.bias.set_value(slot, (self.values[slot] & keep) | bits, now)
 
     def release(self, slot: int, now: float) -> None:
         """Free a slot at issue; payload stays stale, valid drops to 0."""
         super().release(slot, now)
-        self._set(slot, self._values[slot] & ~self._valid_bit, now)
+        self.bias.set_value(slot, self.values[slot] & ~self._valid_bit, now)
 
     # ------------------------------------------------------------------
     # Mechanism interface
@@ -177,11 +190,13 @@ class Scheduler(EntryArray):
 
     def write_patch(self, slot: int, keep: int, bits: int,
                     now: float) -> bool:
-        """:meth:`write_special` of a precomposed :func:`row_patch`."""
+        """:meth:`write_special` of a precomposed :func:`row_patch`; a
+        patch that clears or sets the valid bit raises ValueError
+        before any port is looked at."""
         self._check_entry(slot)
-        if not keep & self._valid_bit:
+        if not keep & self._valid_bit or bits & self._valid_bit:
             raise ValueError("the valid bit cannot hold repair data")
-        return self._write_special(slot, (self._values[slot] & keep) | bits,
+        return self._write_special(slot, (self.values[slot] & keep) | bits,
                                    now)
 
     def field_value(self, slot: int, field: str) -> int:
@@ -189,7 +204,7 @@ class Scheduler(EntryArray):
         self._check_entry(slot)
         if field not in self._at:
             raise KeyError(f"unknown scheduler field {field!r}")
-        return (self._values[slot] >> self._at[field]) & self._mask[field]
+        return (self.values[slot] >> self._at[field]) & self._mask[field]
 
     # ------------------------------------------------------------------
     # Payload decoding
@@ -198,24 +213,29 @@ class Scheduler(EntryArray):
                     src1_tag: int = 0, src2_tag: int = 0) -> int:
         """Table 2 row of a dispatched uop; the MOB bits are 0 when
         ``mob_id`` is None (:meth:`fill` keeps the stale ones)."""
-        at, mask = self._at, self._mask
-        row = (self._valid_bit
-               | min(uop.latency, mask["latency"]) << at["latency"]
-               | ((1 << uop.port) & mask["port"]) << at["port"]
-               | uop.taken << at["taken"]
-               | (uop.tos & mask["tos"]) << at["tos"]
-               | (uop.flags & mask["flags"]) << at["flags"]
-               | uop.shift1 << at["shift1"]
-               | uop.shift2 << at["shift2"]
-               | (dst_tag & mask["dst_tag"]) << at["dst_tag"]
-               | (src1_tag & mask["src1_tag"]) << at["src1_tag"]
-               | (src2_tag & mask["src2_tag"]) << at["src2_tag"]
-               | (uop.src1_value & mask["src1_data"]) << at["src1_data"]
-               | (uop.src2_value & mask["src2_data"]) << at["src2_data"]
-               | (uop.immediate & mask["immediate"]) << at["immediate"]
-               | (uop.opcode & mask["opcode"]) << at["opcode"])
+        (valid, latency_mask, latency_at, port_mask, port_at, taken_at,
+         tos_mask, tos_at, flags_mask, flags_at, shift1_at, shift2_at,
+         dst_mask, dst_at, src1_mask, src1_at, src2_mask, src2_at,
+         data1_mask, data1_at, data2_mask, data2_at, immediate_mask,
+         immediate_at, opcode_mask, opcode_at, mob_mask,
+         mob_at) = self._row_constants
+        row = (valid
+               | min(uop.latency, latency_mask) << latency_at
+               | ((1 << uop.port) & port_mask) << port_at
+               | uop.taken << taken_at
+               | (uop.tos & tos_mask) << tos_at
+               | (uop.flags & flags_mask) << flags_at
+               | uop.shift1 << shift1_at
+               | uop.shift2 << shift2_at
+               | (dst_tag & dst_mask) << dst_at
+               | (src1_tag & src1_mask) << src1_at
+               | (src2_tag & src2_mask) << src2_at
+               | (uop.src1_value & data1_mask) << data1_at
+               | (uop.src2_value & data2_mask) << data2_at
+               | (uop.immediate & immediate_mask) << immediate_at
+               | (uop.opcode & opcode_mask) << opcode_at)
         if mob_id is not None:
-            row |= (mob_id & mask["mob_id"]) << at["mob_id"]
+            row |= (mob_id & mob_mask) << mob_at
         return row
 
     def field_values(

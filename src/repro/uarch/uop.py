@@ -31,9 +31,13 @@ class UopClass(enum.Enum):
     BRANCH = "branch"    # control
     NOP = "nop"          # no-op / other
 
-    @property
-    def is_memory(self) -> bool:
-        return self in (UopClass.LOAD, UopClass.STORE)
+    def __init__(self, value: str) -> None:
+        # Plain member attributes, not properties: the core reads them
+        # for every uop.
+        #: loads and stores (DL0 + DTLB, a MOB entry)
+        self.is_memory = value in ("load", "store")
+        #: ALU ops and address generation occupy an adder
+        self.uses_adder = value in ("alu", "load", "store")
 
 
 @dataclass(frozen=True, slots=True)
@@ -171,7 +175,7 @@ class Uop:
     @property
     def uses_adder(self) -> bool:
         """Whether the uop occupies an adder (ALU op or address generation)."""
-        return self.uop_class in (UopClass.ALU, UopClass.LOAD, UopClass.STORE)
+        return self.uop_class.uses_adder
 
     def adder_operands(self) -> Tuple[int, int, int]:
         """(input_a, input_b, carry_in) presented to the adder.

@@ -23,6 +23,7 @@ import struct
 from dataclasses import dataclass
 from typing import List
 
+from repro.metrics import ordered_sum
 from repro.uarch.uop import FP_WIDTH, INT_WIDTH
 
 _INT_MASK = (1 << INT_WIDTH) - 1
@@ -81,9 +82,9 @@ class BiasedIntGenerator:
             self.medium_weight,
             self.random_weight,
         ]
-        if any(w < 0 for w in weights) or sum(weights) <= 0:
+        total = ordered_sum(weights)
+        if any(w < 0 for w in weights) or total <= 0:
             raise ValueError("mixture weights must be non-negative, sum > 0")
-        total = sum(weights)
         self._cdf: List[float] = []
         acc = 0.0
         for weight in weights:
@@ -208,7 +209,7 @@ class AddressGenerator:
         # sacrifices the rarely-touched tail regions (this is what keeps
         # the paper's Table 3 losses under ~2%).
         weights = [0.6 ** i for i in range(len(self._bases))]
-        total = sum(weights)
+        total = ordered_sum(weights)
         self._region_cdf = []
         acc = 0.0
         for weight in weights:

@@ -13,6 +13,7 @@ profiling traces out of 531) are stable.
 
 from __future__ import annotations
 
+import itertools
 import random
 from typing import Iterator, List, Optional, Sequence
 
@@ -238,7 +239,8 @@ def _synthesise_uops(
     )
     classes = [UopClass.ALU, UopClass.MUL, UopClass.FP, UopClass.LOAD,
                UopClass.STORE, UopClass.BRANCH, UopClass.NOP]
-    mix = list(profile.uop_mix)
+    # choices() accumulates plain weights the same way on every call.
+    cum_mix = list(itertools.accumulate(profile.uop_mix))
 
     int_reg_values: List[int] = [int_values.next() for _ in range(ARCH_INT_REGS)]
     fp_reg_values: List[int] = [fp_values.next() for _ in range(ARCH_FP_REGS)]
@@ -247,7 +249,7 @@ def _synthesise_uops(
     tos = 0
 
     for seq in range(length):
-        kind = rng.choices(classes, weights=mix)[0]
+        kind = rng.choices(classes, cum_weights=cum_mix)[0]
         is_fp = kind is UopClass.FP
         uop = _make_uop(
             seq, kind, profile, rng,

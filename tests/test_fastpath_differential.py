@@ -13,12 +13,17 @@ obviously correct:
 - row-counting scheduler profiling vs per-bit one counts;
 - the profiling pass fused into the first baseline run vs a separate one;
 - scheduler rows composed as one int vs the per-field Table 2 payload;
-- hook callbacks bound once per run vs the ``CompositeHooks`` fan-out.
+- hook callbacks bound once per run vs the ``CompositeHooks`` fan-out;
+- one call per residency write vs the three-level write path, the
+  profiler's masked filled row vs a second composition, the uop-class
+  flags vs tuple membership, and the int-cycle issue search (with the
+  inlined adder pick) vs the float walk.
 
 Every comparison is exact (``==`` on floats), with and without numpy,
 except on fractional durations, where only float rounding may differ.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -46,11 +51,15 @@ from repro.uarch import TraceDrivenCore
 from repro.uarch.bitbias import (
     FOLD_KEYS,
     BitBiasAccumulator,
+    check_fits,
     fold_python,
 )
-from repro.uarch.core import CompositeHooks, CoreHooks
-from repro.uarch.scheduler import Scheduler
-from repro.uarch.uop import SCHEDULER_LAYOUT
+from repro.uarch.core import CompositeHooks, CoreConfig, CoreHooks
+from repro.uarch.entries import EntryArray
+from repro.uarch.ports import AdderPolicy
+from repro.uarch.regfile import RegisterFile
+from repro.uarch.scheduler import Scheduler, row_patch
+from repro.uarch.uop import SCHEDULER_LAYOUT, Uop, UopClass
 from repro.workloads import TraceGenerator
 
 
@@ -756,3 +765,345 @@ def test_bound_callbacks_see_the_fan_out_events():
     assert [cb.__self__.name
             for cb in _bind(recorders([]), "on_scheduler_fill")] == \
         ["a", "b", "d"]
+
+
+# ----------------------------------------------------------------------
+# (h) One call per residency write
+# ----------------------------------------------------------------------
+class ThreeLevelAccumulator(BitBiasAccumulator):
+    """The accumulator's write before it was fused: ``set_value``
+    checks the value and calls ``_close``, which closes the interval;
+    ``latest`` is never advanced."""
+
+    def set_value(self, entry, value, now):
+        if value < 0 or value >> self.width:
+            check_fits(value, self.width)
+        self._close(entry, now)
+        self.values[entry] = value
+
+    def finalize(self, now):
+        for entry in range(self.entries):
+            self._close(entry, now)
+
+    def _close(self, entry, now):
+        since = self._since[entry]
+        if now > since:
+            value = self.values[entry]
+            pending = self._pending
+            if value in pending:
+                pending[value] += now - since
+            else:
+                pending[value] = now - since
+                if len(pending) >= FOLD_KEYS:
+                    self._fold()
+        elif now < since:
+            raise ValueError(
+                f"time went backwards for entry {entry}: {since} -> {now}")
+        self._since[entry] = now
+
+
+def field_bits(*names):
+    """The row bits of the named scheduler fields."""
+    bits = 0
+    for name in names:
+        start, width = SCHEDULER_LAYOUT.bit_offsets()[name]
+        bits |= ((1 << width) - 1) << start
+    return bits
+
+
+class ThreeLevelWrites:
+    """The entry write path before it was fused: ``_write`` books a
+    port and calls ``_set``, which calls the accumulator and advances
+    the horizon; the special-write gate asks ``port_available``."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.bias = ThreeLevelAccumulator(self.entries, self.width,
+                                          self.bias.initial_value)
+        self._init_run_state()
+
+    def _set(self, entry, value, now):
+        self.bias.set_value(entry, value, now)
+        if now > self._horizon:
+            self._horizon = now
+
+    def _write(self, entry, value, now):
+        cycle = int(now)
+        self.port_use[cycle] = self.port_use.get(cycle, 0) + 1
+        self._set(entry, value, now)
+
+    def port_available(self, now):
+        self._port_checks += 1
+        free = self.port_use.get(int(now), 0) < self.ports
+        if free:
+            self._port_free_hits += 1
+        return free
+
+    def _write_special(self, entry, value, now):
+        if self._busy[entry] or not self.port_available(now):
+            self._discarded_special += 1
+            return False
+        self._write(entry, value, now)
+        self._special_writes += 1
+        return True
+
+
+class ThreeLevelRegisterFile(ThreeLevelWrites, RegisterFile):
+    pass
+
+
+class ThreeLevelScheduler(ThreeLevelWrites, Scheduler):
+    def fill(self, slot, uop, mob_id, now, dst_tag=0, src1_tag=0,
+             src2_tag=0):
+        row = self.compose_row(uop, mob_id, dst_tag, src1_tag, src2_tag)
+        if mob_id is None:
+            row |= self.values[slot] & field_bits("mob_id")
+        self._write(slot, row, now)
+
+    def set_ready(self, slot, operand, now):
+        self._set(slot, self.values[slot] | field_bits(f"ready{operand}"),
+                  now)
+
+    def release(self, slot, now):
+        EntryArray.release(self, slot, now)
+        self._set(slot, self.values[slot] & ~field_bits("valid"), now)
+
+    def write_patch(self, slot, keep, bits, now):
+        return self._write_special(slot, (self.values[slot] & keep) | bits,
+                                   now)
+
+
+def stats_view(stats):
+    view = {}
+    for field in dataclasses.fields(stats):
+        value = getattr(stats, field.name)
+        if field.name == "bias_to_zero":
+            value = floats(value)
+        elif field.name == "field_bias":
+            value = {name: floats(bias) for name, bias in value.items()}
+        view[field.name] = value
+    return view
+
+
+def assert_same_structure(fused, oracle):
+    assert floats(fused.bias.bias_to_zero()) == \
+        floats(oracle.bias.bias_to_zero())
+    assert fused.bias.total_observed_time() == \
+        oracle.bias.total_observed_time()
+    assert fused.port_use == oracle.port_use
+    assert fused.metrics().flatten() == oracle.metrics().flatten()
+
+
+def lockstep(fused, oracle, seed, events, fill, write, special):
+    """Drive both structures through one seeded whole-cycle stream:
+    allocations (with ``fill``), workload writes (``write``), releases
+    followed by a special write (``special``) at the release time,
+    special writes into busy entries (always discarded), and mid-run
+    reads.  Times are monotonic per entry, not globally, as in the core;
+    several releases share a cycle, so some special writes find no
+    port."""
+    rng = random.Random(seed)
+    clock = [0.0] * fused.entries
+    busy = []
+    now = 0.0
+    for index in range(events):
+        now += rng.choice((0.0, 0.0, 1.0, 2.0))
+        op = rng.random()
+        if op < 0.3:
+            entry = fused.allocate(now)
+            assert oracle.allocate(now) == entry
+            if entry is not None:
+                busy.append(entry)
+                clock[entry] = now
+                for structure in (fused, oracle):
+                    fill(structure, entry, now, random.Random(index))
+        elif busy and op < 0.6:
+            entry = rng.choice(busy)
+            clock[entry] = max(clock[entry], now) + rng.choice((0.0, 1.0, 3.0))
+            for structure in (fused, oracle):
+                write(structure, entry, clock[entry], random.Random(index))
+        elif busy and op < 0.9:
+            entry = busy.pop(rng.randrange(len(busy)))
+            clock[entry] = max(clock[entry], now) + rng.choice((0.0, 1.0))
+            accepted = []
+            for structure in (fused, oracle):
+                structure.release(entry, clock[entry])
+                accepted.append(special(structure, entry, clock[entry],
+                                        random.Random(index)))
+            assert accepted[0] == accepted[1]
+        elif busy:
+            entry = rng.choice(busy)
+            for structure in (fused, oracle):
+                assert not special(structure, entry, now,
+                                   random.Random(index))
+        if index % 97 == 0:
+            assert_same_structure(fused, oracle)
+    counts = fused.metrics().flatten()
+    assert counts["special_writes"] > 0
+    assert counts["discarded_special_writes"] > counts["port_checks"] - \
+        counts["port_free_hits"] > 0
+
+
+def rf_values(rf):
+    return [rf.read(entry) for entry in range(rf.entries)]
+
+
+@pytest.mark.parametrize("entries,width,ports", [(8, 32, 1), (24, 80, 2)])
+def test_fused_register_file_writes_match_three_level(entries, width,
+                                                       ports):
+    pool_rng = random.Random(width)
+    pool = [pool_rng.getrandbits(width) for __ in range(6)]
+
+    def value(rng):
+        return rng.choice(pool) if rng.random() < 0.5 else \
+            rng.getrandbits(width)
+
+    fused = RegisterFile(entries, width, ports)
+    oracle = ThreeLevelRegisterFile(entries, width, ports)
+    lockstep(fused, oracle, entries * width, 4000,
+             fill=lambda rf, entry, now, rng: None,
+             write=lambda rf, entry, now, rng: rf.write(entry, value(rng),
+                                                        now),
+             special=lambda rf, entry, now, rng: rf.write_special(
+                 entry, value(rng), now))
+    assert rf_values(fused) == rf_values(oracle)
+    assert stats_view(fused.finalize()) == stats_view(oracle.finalize())
+    assert_same_structure(fused, oracle)
+
+
+@pytest.mark.parametrize("entries,ports", [(8, 1), (32, 4)])
+def test_fused_scheduler_writes_match_three_level(entries, ports):
+    trace = TraceGenerator(seed=entries).generate("specint2000", length=600)
+    offsets = SCHEDULER_LAYOUT.bit_offsets()
+    patches = [row_patch(offsets, {"flags": flags, "src1_data": data})
+               for flags in (0, 0x3F) for data in (0, 0xFFFFFFFF, 0x5A5A)]
+
+    def fill(sched, slot, now, rng):
+        uop = trace[rng.randrange(len(trace))]
+        mob_id = rng.randrange(64) if uop.uop_class.is_memory else None
+        sched.fill(slot, uop, mob_id, now,
+                   *(rng.randrange(128) for __ in range(3)))
+
+    fused = Scheduler(entries, alloc_ports=ports)
+    oracle = ThreeLevelScheduler(entries, alloc_ports=ports)
+    lockstep(fused, oracle, entries, 4000, fill=fill,
+             write=lambda sched, slot, now, rng: sched.set_ready(
+                 slot, rng.choice((1, 2)), now),
+             special=lambda sched, slot, now, rng: sched.write_patch(
+                 slot, *rng.choice(patches), now))
+    assert fused.values == oracle.values
+    assert stats_view(fused.finalize()) == stats_view(oracle.finalize())
+    assert_same_structure(fused, oracle)
+
+
+class FilledRows(CoreHooks):
+    """Each filled row as the profiler sees it, and composed anew."""
+
+    def __init__(self):
+        self.rows = []
+
+    def on_scheduler_fill(self, sched, slot, uop, now):
+        self.rows.append((sched.values[slot], sched.compose_row(uop, None)))
+
+
+@pytest.mark.parametrize("suite", ["office", "specfp2000"])
+def test_masked_filled_row_is_the_composed_row(suite):
+    keep = ~field_bits("dst_tag", "src1_tag", "src2_tag", "mob_id")
+    trace = TraceGenerator(seed=12).generate(suite, length=1200)
+    hook = FilledRows()
+    TraceDrivenCore(hooks=hook).run(trace)
+    assert len(hook.rows) == 1200
+    assert [filled & keep for filled, __ in hook.rows] == \
+        [composed for __, composed in hook.rows]
+    # The mask matters: most filled rows carry tags or a MOB id.
+    assert sum(filled != composed for filled, composed in hook.rows) > 600
+
+
+def test_uop_class_flags_match_tuple_membership():
+    for kind in UopClass:
+        assert kind.is_memory is (kind in (UopClass.LOAD, UopClass.STORE))
+        assert kind.uses_adder is (
+            kind in (UopClass.ALU, UopClass.LOAD, UopClass.STORE))
+
+
+def float_walk_adder_issue(pool, uop, cycle, duration=1.0):
+    """``AdderPool.issue`` before the pick and the reservoir sample were
+    inlined: ``_select``, then ``_sample``, then ``max()``."""
+    adders, n = pool.adders, len(pool.adders)
+    adder = None
+    if pool.policy is AdderPolicy.PRIORITY:
+        adder = next((a for a in adders if a.busy_until <= cycle), None)
+    else:
+        for offset in range(n):
+            candidate = adders[(pool._rr + offset) % n]
+            if candidate.busy_until <= cycle:
+                pool._rr = (candidate.index + 1) % n
+                adder = candidate
+                break
+    if adder is None:
+        return None
+    adder.busy_until = cycle + duration
+    adder.busy_cycles += duration
+    adder.operations += 1
+    vector = uop.adder_operands()
+    pool._seen[adder.index] += 1
+    samples = pool._samples[adder.index]
+    if len(samples) < pool.sample_capacity:
+        samples.append(vector)
+    else:
+        slot = pool._rng.randrange(pool._seen[adder.index])
+        if slot < pool.sample_capacity:
+            samples[slot] = vector
+    pool._horizon = max(pool._horizon, cycle + duration)
+    return adder.index
+
+
+def float_walk_issue_cycle(core, uop, ready_t):
+    """``_find_issue_cycle`` before it walked int cycles: float cycles
+    from ``ceil(ready_t)`` by two conversions and a ``max()``."""
+    t = float(int(ready_t)) if ready_t == int(ready_t) else float(
+        int(ready_t) + 1)
+    t = max(t, ready_t)
+    while True:
+        cycle = int(t)
+        if core._issue_use.get(cycle, 0) < core.config.issue_width:
+            if uop.uop_class in (UopClass.ALU, UopClass.LOAD,
+                                 UopClass.STORE):
+                if float_walk_adder_issue(core.adders, uop, t) is None:
+                    t += 1.0
+                    continue
+            core._issue_use[cycle] = core._issue_use.get(cycle, 0) + 1
+            return t
+        t += 1.0
+
+
+@pytest.mark.parametrize("policy", list(AdderPolicy))
+def test_issue_search_matches_float_walk(policy):
+    trace = TraceGenerator(seed=13).generate("specint2000", length=1500)
+    config = CoreConfig(issue_width=2, n_adders=2, adder_policy=policy)
+    fused, oracle = TraceDrivenCore(config), TraceDrivenCore(config)
+    rng = random.Random(policy.value)
+    front = 1.0
+    for uop in trace:
+        front += rng.choice((0.0, 0.0, 0.5, 1.0))
+        ready_t = front + rng.choice((0.0, 0.25, 0.75, 4.0))
+        issue_t = fused._find_issue_cycle(uop, ready_t)
+        assert type(issue_t) is float
+        assert issue_t == float_walk_issue_cycle(oracle, uop, ready_t)
+    assert fused._issue_use == oracle._issue_use
+    assert fused.adders.utilization() == oracle.adders.utilization()
+    assert fused.adders._seen == oracle.adders._seen
+    assert min(fused.adders._seen) > fused.adders.sample_capacity
+    assert fused.adders.all_sampled_vectors() == \
+        oracle.adders.all_sampled_vectors()
+
+
+@pytest.mark.parametrize("kind", [UopClass.BRANCH, UopClass.ALU])
+@pytest.mark.parametrize("ready_t,first", [
+    (0.0, 0.0), (3.0, 3.0), (3.25, 4.0), (7.999, 8.0), (12.5, 13.0),
+])
+def test_issue_search_starts_at_ceil_of_ready_time(kind, ready_t, first):
+    core = TraceDrivenCore()
+    uop = Uop(seq=0, uop_class=kind)
+    assert core._find_issue_cycle(uop, ready_t) == first
+    assert core._issue_use == {int(first): 1}

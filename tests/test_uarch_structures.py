@@ -216,6 +216,18 @@ class TestScheduler:
         assert sched.port_use == {2: 1}
         assert sched.field_value(slot, "flags") == 63
 
+    def test_patch_setting_the_valid_bit_rejected(self):
+        sched = Scheduler(entries=2, alloc_ports=1)
+        slot = sched.allocate(0.0)
+        sched.release(slot, 1.0)
+        valid = 1 << SCHEDULER_LAYOUT.bit_offsets()["valid"][0]
+        with pytest.raises(ValueError, match="valid bit"):
+            sched.write_patch(slot, -1, valid, 2.0)
+        assert sched.field_value(slot, "valid") == 0
+        assert not sched.is_busy(slot)
+        assert sched.port_use == {}
+        assert sched.metrics().flatten()["port_checks"] == 0
+
     def test_field_value_range_checked(self):
         sched = Scheduler(entries=1)
         slot = sched.allocate(0.0)
@@ -259,6 +271,23 @@ class TestEntryArray:
         assert stats.special_writes == 1
         assert structure.bias.total_observed_time() == (
             100.0 * structure.entries * structure.bias.width)
+
+    @pytest.mark.parametrize("make,fraction,expected", [
+        (lambda: RegisterFile(entries=4, width=8),
+         lambda stats: stats.free_fraction, 1.0 - 2.0 / 80.0),
+        (lambda: Scheduler(entries=4), lambda stats: stats.occupancy,
+         2.0 / 80.0),
+    ], ids=["regfile", "scheduler"])
+    def test_release_before_allocation_rejected(self, make, fraction,
+                                                expected):
+        structure = make()
+        entry = structure.allocate(10.0)
+        with pytest.raises(ValueError, match=f"entry {entry} released at "
+                                             f"5.0, before .* at 10.0"):
+            structure.release(entry, 5.0)
+        assert structure.is_busy(entry)
+        structure.release(entry, 12.0)
+        assert fraction(structure.finalize(20.0)) == expected
 
     def test_set_ready_checks_slot_and_operand(self):
         sched = Scheduler(entries=2)
