@@ -17,9 +17,10 @@ construction surface on top of :mod:`repro.config`:
   (sweep axes are spec field paths) into the experiment engine and run
   it, returning the usual :class:`~repro.experiments.runner.SweepResult`.
 
-Everything returns the existing typed results; spec-built objects are
-bit-identical to their legacy hand-assembled counterparts (asserted by
-``tests/test_api.py``).
+Everything returns the existing typed results.  A spec-built core is
+bit-identical to a hand-assembled one (``tests/test_api.py``); a
+Penelope processor builds its mechanisms from its ``ProtectionSpec``
+itself and is pinned by ``tests/test_structure_pins.py``.
 
 Quick start::
 
@@ -42,12 +43,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.config.registry import (
-    ADDER_MECHANISMS,
-    CACHE_SCHEMES,
-    RF_PROTECTORS,
-    SCHEDULER_PROTECTORS,
-)
+from repro.config.registry import CACHE_SCHEMES, build_memory_hooks
 from repro.config.specs import (
     MISSING,
     MechanismSpec,
@@ -115,36 +111,16 @@ def build_hooks(protection: Optional[ProtectionSpec] = None, *,
     (:func:`build_penelope` profiles automatically — use it for the
     full flow).
     """
-    from repro.uarch.core import CompositeHooks
-    from repro.uarch.uop import FP_WIDTH, INT_WIDTH
-
     protection = protection if protection is not None else ProtectionSpec()
-    hooks = []
-    for rf_name, width in (("int_rf", INT_WIDTH), ("fp_rf", FP_WIDTH)):
-        mechanism = getattr(protection, rf_name)
-        built = RF_PROTECTORS.build(
-            mechanism.name, mechanism.params,
-            rf_name, width, protection.sample_period,
-            where=f"protection.{rf_name}",
-        )
-        if built is not None:
-            hooks.append(built)
-    scheduler = protection.scheduler
-    if scheduler.name == "derived_policy" and scheduler_policy is None:
+    if (protection.scheduler.name == "derived_policy"
+            and scheduler_policy is None):
         raise SpecError(
             "protection.scheduler: 'derived_policy' needs a "
             "profiling-derived policy; pass scheduler_policy=..., use "
             "'paper_policy', or build through build_penelope() which "
             "profiles automatically"
         )
-    built = SCHEDULER_PROTECTORS.build(
-        scheduler.name, scheduler.params,
-        scheduler_policy, protection.sample_period,
-        where="protection.scheduler",
-    )
-    if built is not None:
-        hooks.append(built)
-    return CompositeHooks(hooks)
+    return build_memory_hooks(protection, scheduler_policy)
 
 
 def build_penelope(spec: Optional[StudySpec] = None, *,
@@ -156,11 +132,10 @@ def build_penelope(spec: Optional[StudySpec] = None, *,
 
     ``spec`` (a :class:`~repro.config.specs.StudySpec`) supplies the
     processor/protection/seed; the keyword arguments override its
-    slots (or the defaults when no spec is given).  Every mechanism is
-    resolved through the component registries, so a default spec builds
-    a processor bit-identical to ``PenelopeProcessor()``.
+    slots (or the defaults when no spec is given).  The processor
+    builds every mechanism from the protection spec, so a default spec
+    builds one identical to ``PenelopeProcessor()``.
     """
-    from repro.core.memory_like import PAPER_SCHEDULER_POLICY
     from repro.core.penelope import PenelopeProcessor
     from repro.nbti.guardband import DEFAULT_GUARDBAND_MODEL
 
@@ -169,51 +144,13 @@ def build_penelope(spec: Optional[StudySpec] = None, *,
         protection = protection if protection is not None else spec.protection
         seed = seed if seed is not None else spec.workload.seed
     processor = processor if processor is not None else ProcessorSpec()
-    protection = protection if protection is not None else ProtectionSpec()
-    seed = seed if seed is not None else 0
-
-    def rf_factory(rf_name: str, width: int):
-        mechanism = getattr(protection, rf_name)
-        return RF_PROTECTORS.build(
-            mechanism.name, mechanism.params,
-            rf_name, width, protection.sample_period,
-            where=f"protection.{rf_name}",
-        )
-
-    def scheduler_factory(policy):
-        mechanism = protection.scheduler
-        return SCHEDULER_PROTECTORS.build(
-            mechanism.name, mechanism.params,
-            policy, protection.sample_period,
-            where="protection.scheduler",
-        )
-
-    def cache_factory(structure: str):
-        return build_scheme(getattr(protection, structure), structure)
-
-    adder_settings = ADDER_MECHANISMS.build(
-        protection.adder.name, protection.adder.params,
-        where="protection.adder",
-    ) or {"pair": (1, 8), "inject": False}
-    invert_ratio = protection.dl0.params.get("ratio", 0.5)
-    # Only 'derived_policy' consumes a profiled policy; pinning the
-    # published one otherwise skips the (ignored) profiling run.
-    scheduler_policy = (None if protection.scheduler.name == "derived_policy"
-                        else PAPER_SCHEDULER_POLICY)
     return PenelopeProcessor(
         config=processor.to_core_config(),
-        scheduler_policy=scheduler_policy,
-        invert_ratio=invert_ratio,
+        protection=protection,
         adder=adder,
         guardband_model=(guardband_model if guardband_model is not None
                          else DEFAULT_GUARDBAND_MODEL),
-        sample_period=protection.sample_period,
-        seed=seed,
-        rf_protector_factory=rf_factory,
-        scheduler_protector_factory=scheduler_factory,
-        cache_scheme_factory=cache_factory,
-        injector_pair=adder_settings["pair"],
-        inject_idle=adder_settings["inject"],
+        seed=seed if seed is not None else 0,
     )
 
 

@@ -253,12 +253,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             grid[key] = values
         base = {"length": args.length, "seed": args.seed}
         if args.backend is not None:
-            from repro.config.registry import KERNEL_BACKENDS
+            from repro.uarch.backends import backend_names
 
-            if args.backend not in KERNEL_BACKENDS.names():
+            if args.backend not in backend_names():
                 raise ValueError(
                     f"unknown kernel backend {args.backend!r}; "
-                    f"choose from {', '.join(KERNEL_BACKENDS.names())}"
+                    f"choose from {', '.join(backend_names())}"
                 )
             base["backend"] = args.backend
         if "suite" in study.defaults:

@@ -1,15 +1,12 @@
 """String-keyed component registries for protection mechanisms.
 
-The repo's mechanisms were constructed through ad-hoc factories — the
-``builders`` dict inside ``repro.experiments.registry._scheme_factory``,
-the hard-wired ``LineFixedScheme``/``ISVRegisterFileProtector`` calls in
-``repro.core.penelope`` and ``cli.py``.  This module replaces them with
-one pattern: each structure kind owns a :class:`ComponentRegistry`
-mapping a mechanism *name* (the string a :class:`~repro.config.specs.
+Each structure kind owns a :class:`ComponentRegistry` mapping a
+mechanism *name* (the string a :class:`~repro.config.specs.
 MechanismSpec` carries) to a factory.  New schemes plug in with
 ``@CACHE_SCHEMES.register("my_scheme")`` and are immediately reachable
-from JSON configs, ``repro run``, the experiment engine, and
-:mod:`repro.api` — no construction code changes.
+from JSON configs, ``repro run``, the experiment engine,
+:class:`~repro.core.penelope.PenelopeProcessor` and :mod:`repro.api` —
+no construction code changes.
 
 Factories take two kinds of arguments:
 
@@ -44,13 +41,15 @@ from typing import (
     TYPE_CHECKING,
 )
 
-from repro.config.specs import SpecError
+from repro.config.specs import ProtectionSpec, SpecError
 
 if TYPE_CHECKING:
     from repro.core.memory_like import (
         ISVRegisterFileProtector,
+        SchedulerPolicy,
         SchedulerProtector,
     )
+    from repro.uarch.core import CompositeHooks
 
 
 class ComponentRegistry:
@@ -149,26 +148,6 @@ class ComponentRegistry:
 
 
 # ----------------------------------------------------------------------
-# Kernel backends — the simulation engines behind the cache-like models
-# ----------------------------------------------------------------------
-KERNEL_BACKENDS = ComponentRegistry("kernel backend")
-
-
-def _register_kernel_backends() -> None:
-    from repro.uarch.backends import backend_names, get_backend
-
-    for backend_name in backend_names():
-        # Bind the name per-iteration; ``get_backend`` resolves lazily so
-        # registering "vectorized" never imports numpy.
-        KERNEL_BACKENDS.register(backend_name)(
-            lambda _name=backend_name: get_backend(_name)
-        )
-
-
-_register_kernel_backends()
-
-
-# ----------------------------------------------------------------------
 # Cache-like structures (DL0, DTLB) — inversion schemes
 # ----------------------------------------------------------------------
 CACHE_SCHEMES = ComponentRegistry("cache inversion scheme")
@@ -201,12 +180,11 @@ RF_PROTECTORS = ComponentRegistry(
 
 
 @RF_PROTECTORS.register("isv")
-def _build_isv(rf_name: str, width: int, sample_period: float,
-               entries_hint: int = 128) -> "ISVRegisterFileProtector":
+def _build_isv(rf_name: str, width: int,
+               sample_period: float) -> "ISVRegisterFileProtector":
     from repro.core.memory_like import ISVRegisterFileProtector
 
-    return ISVRegisterFileProtector(rf_name, width, sample_period,
-                                    entries_hint=entries_hint)
+    return ISVRegisterFileProtector(rf_name, width, sample_period)
 
 
 # ----------------------------------------------------------------------
@@ -240,6 +218,37 @@ def _build_paper_policy(policy: Any,
     )
 
     return SchedulerProtector(PAPER_SCHEDULER_POLICY, sample_period)
+
+
+def build_memory_hooks(
+    protection: ProtectionSpec,
+    scheduler_policy: Optional["SchedulerPolicy"] = None,
+) -> "CompositeHooks":
+    """Core hooks for the register-file and scheduler slots of a spec.
+
+    The one builder of those protectors: :func:`repro.api.build_hooks`
+    and :meth:`~repro.core.penelope.PenelopeProcessor.run_protected`
+    both call it.  The hooks run in the order int_rf, fp_rf, scheduler;
+    ``"none"`` slots are left out.  ``scheduler_policy`` is the scheduler
+    factory's ``policy`` context: ``derived_policy`` given ``None``
+    applies the published Section 4.5 policy.
+    """
+    from repro.uarch.core import CompositeHooks
+    from repro.uarch.uop import FP_WIDTH, INT_WIDTH
+
+    hooks = [
+        RF_PROTECTORS.build(mechanism.name, mechanism.params, rf_name,
+                            width, protection.sample_period,
+                            where=f"protection.{rf_name}")
+        for rf_name, mechanism, width in (
+            ("int_rf", protection.int_rf, INT_WIDTH),
+            ("fp_rf", protection.fp_rf, FP_WIDTH))
+    ]
+    scheduler = protection.scheduler
+    hooks.append(SCHEDULER_PROTECTORS.build(
+        scheduler.name, scheduler.params, scheduler_policy,
+        protection.sample_period, where="protection.scheduler"))
+    return CompositeHooks([hook for hook in hooks if hook is not None])
 
 
 # ----------------------------------------------------------------------
@@ -284,8 +293,8 @@ __all__ = [
     "ADDER_MECHANISMS",
     "CACHE_SCHEMES",
     "ComponentRegistry",
-    "KERNEL_BACKENDS",
     "RF_PROTECTORS",
     "SCHEDULER_PROTECTORS",
+    "build_memory_hooks",
     "registry_for_structure",
 ]

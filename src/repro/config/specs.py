@@ -270,7 +270,7 @@ class ProcessorSpec(Spec):
     dtlb_miss_penalty: int = 20
     seed: int = 0
     #: Kernel backend simulating the cache-like structures; validated
-    #: against ``KERNEL_BACKENDS`` in :mod:`repro.config.registry`.
+    #: against :func:`repro.uarch.backends.backend_names`.
     backend: str = "reference"
 
     def __post_init__(self) -> None:

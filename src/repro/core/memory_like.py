@@ -18,8 +18,8 @@ The protectors plug into :class:`repro.uarch.core.TraceDrivenCore` via
 its :class:`~repro.uarch.core.CoreHooks` observer interface.  They are
 registered by name in :data:`repro.config.registry.RF_PROTECTORS`
 (``isv``) and :data:`repro.config.registry.SCHEDULER_PROTECTORS`
-(``derived_policy``, ``paper_policy``), the registries JSON configs and
-:func:`repro.api.build_hooks` resolve mechanism names through.
+(``derived_policy``, ``paper_policy``) and built by
+:func:`repro.config.registry.build_memory_hooks`.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ class ISVRegisterFileProtector(CoreHooks):
     """
 
     __slots__ = ("rf_name", "rinv", "sample_period", "_last_sample",
-                 "_entries", "_inverted", "_inv_integral", "_total_integral",
+                 "_inverted", "_inv_integral", "_total_integral",
                  "_last_event", "updates_written", "updates_skipped")
 
     def __init__(
@@ -87,7 +87,6 @@ class ISVRegisterFileProtector(CoreHooks):
         rf_name: str,
         width: int,
         sample_period: float = DEFAULT_SAMPLE_PERIOD,
-        entries_hint: int = 128,
     ) -> None:
         if sample_period <= 0.0:
             raise ValueError("sample_period must be positive")
@@ -101,7 +100,6 @@ class ISVRegisterFileProtector(CoreHooks):
         # same estimator without single-entry sampling noise: in the
         # simulation the single entry's phase correlates with the global
         # decision and systematically under-inverts.
-        self._entries = entries_hint
         self._inverted: set = set()
         self._inv_integral = 0.0
         self._total_integral = 0.0
@@ -114,19 +112,17 @@ class ISVRegisterFileProtector(CoreHooks):
                          now: float) -> None:
         if rf.name != self.rf_name:
             return
-        self._entries = rf.entries
         if now - self._last_sample >= self.sample_period:
             self.rinv.update_from_sample(value)
             self._last_sample = now
-        self._integrate(now)
+        self._integrate(now, rf.entries)
         self._inverted.discard(entry)
 
     def on_regfile_release(self, rf: RegisterFile, entry: int,
                            now: float) -> None:
         if rf.name != self.rf_name:
             return
-        self._entries = rf.entries
-        self._integrate(now)
+        self._integrate(now, rf.entries)
         if self._should_invert():
             if rf.write_special(entry, self.rinv.value, now):
                 self.updates_written += 1
@@ -139,11 +135,11 @@ class ISVRegisterFileProtector(CoreHooks):
         """Invert while cumulative inverted residency trails 50%."""
         return self._inv_integral <= 0.5 * self._total_integral
 
-    def _integrate(self, now: float) -> None:
+    def _integrate(self, now: float, entries: int) -> None:
         elapsed = now - self._last_event
         if elapsed > 0.0:
             self._inv_integral += elapsed * len(self._inverted)
-            self._total_integral += elapsed * self._entries
+            self._total_integral += elapsed * entries
             self._last_event = now
 
     @property

@@ -15,20 +15,18 @@ the full guardband (inverting periodically cannot even cover the adder).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Sequence, Tuple
-
+from typing import TYPE_CHECKING, Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.circuits.ladner_fischer import (
     LadnerFischerAdder,
     build_ladner_fischer_adder,
 )
-from repro.core.cache_like import LineFixedScheme, ProtectedCache
+from repro.core.cache_like import ProtectedCache
 from repro.core.combinational import IdleInputInjector
 from repro.core.memory_like import (
-    ISVRegisterFileProtector,
+    PAPER_SCHEDULER_POLICY,
     SchedulerPolicy,
     SchedulerProfiler,
-    SchedulerProtector,
     derive_scheduler_policy,
 )
 from repro.core.metric import (
@@ -41,14 +39,15 @@ from repro.metrics import MetricSet, ordered_sum
 from repro.nbti.guardband import DEFAULT_GUARDBAND_MODEL, GuardbandModel
 from repro.uarch.backends import get_backend
 from repro.uarch.core import (
-    CompositeHooks,
     CoreConfig,
     CoreHooks,
     CoreResult,
     TraceDrivenCore,
 )
 from repro.uarch.trace import Trace
-from repro.uarch.uop import FP_WIDTH, INT_WIDTH
+
+if TYPE_CHECKING:
+    from repro.config.specs import ProtectionSpec
 
 
 @dataclass
@@ -78,12 +77,14 @@ class PenelopeReport:
 class PenelopeProcessor:
     """Builds and evaluates the NBTI-aware processor end to end.
 
-    The mechanisms guarding each structure are pluggable through the
-    four ``*_factory`` parameters (the declarative front door is
-    :func:`repro.api.build_penelope`, which fills them from a
-    :class:`~repro.config.specs.ProtectionSpec`).  Defaults replicate
-    the paper's full Penelope configuration; a factory returning
-    ``None`` leaves its structure unprotected.
+    ``protection`` (a :class:`~repro.config.specs.ProtectionSpec`) names
+    the mechanism guarding each structure; every one is built from it
+    through the component registries of :mod:`repro.config.registry`.
+    The default spec is the paper's full Penelope configuration, and a
+    ``"none"`` slot leaves its structure unprotected.  Only the
+    ``derived_policy`` scheduler mechanism profiles a trace: any other
+    pins the published policy unless ``scheduler_policy`` is given.
+    :func:`repro.api.build_penelope` builds one from a study spec.
 
     Examples
     --------
@@ -98,57 +99,45 @@ class PenelopeProcessor:
     def __init__(
         self,
         config: Optional[CoreConfig] = None,
+        protection: Optional[ProtectionSpec] = None,
         scheduler_policy: Optional[SchedulerPolicy] = None,
-        invert_ratio: float = 0.5,
         adder: Optional[LadnerFischerAdder] = None,
         guardband_model: GuardbandModel = DEFAULT_GUARDBAND_MODEL,
-        sample_period: float = 512.0,
         seed: int = 0,
-        rf_protector_factory=None,
-        scheduler_protector_factory=None,
-        cache_scheme_factory=None,
-        injector_pair: Tuple[int, int] = (1, 8),
-        inject_idle: bool = True,
     ) -> None:
-        """``rf_protector_factory(rf_name, width)``,
-        ``scheduler_protector_factory(policy)`` and
-        ``cache_scheme_factory(structure)`` (``structure`` is ``"dl0"``
-        or ``"dtlb"``) build the per-run mechanism instances; each may
-        return ``None`` to disable that protection."""
+        from repro.config.registry import ADDER_MECHANISMS
+        from repro.config.specs import ProtectionSpec
+
         self.config = config or CoreConfig()
+        self.protection = (protection if protection is not None
+                           else ProtectionSpec())
+        if (scheduler_policy is None
+                and self.protection.scheduler.name != "derived_policy"):
+            scheduler_policy = PAPER_SCHEDULER_POLICY
         self.scheduler_policy = scheduler_policy
-        self.invert_ratio = invert_ratio
         self.guardband_model = guardband_model
-        self.sample_period = sample_period
         self.seed = seed
         self._adder = adder
-        self._rf_factory = (
-            rf_protector_factory if rf_protector_factory is not None
-            else self._default_rf_protector
-        )
-        self._scheduler_factory = (
-            scheduler_protector_factory
-            if scheduler_protector_factory is not None
-            else self._default_scheduler_protector
-        )
-        self._cache_factory = (
-            cache_scheme_factory if cache_scheme_factory is not None
-            else self._default_cache_scheme
-        )
-        self.injector_pair = tuple(injector_pair)
-        self.inject_idle = inject_idle
+        adder_settings = ADDER_MECHANISMS.build(
+            self.protection.adder.name, self.protection.adder.params,
+            where="protection.adder",
+        ) or {"pair": (1, 8), "inject": False}
+        self.injector_pair: Tuple[int, int] = adder_settings["pair"]
+        self.inject_idle: bool = adder_settings["inject"]
+        # Each protected pass builds fresh schemes; building them once
+        # here makes a bad parameter fail before any pass runs.
+        self._cache_schemes()
         #: the most recent :meth:`evaluate` outcome (feeds `metrics()`).
         self.last_report: Optional[PenelopeReport] = None
 
-    # -- default mechanism factories (the paper's configuration) -------
-    def _default_rf_protector(self, rf_name: str, width: int):
-        return ISVRegisterFileProtector(rf_name, width, self.sample_period)
+    def _cache_schemes(self) -> List[Any]:
+        """Fresh DL0 and DTLB schemes (``None`` for an unprotected one)."""
+        from repro.config.registry import CACHE_SCHEMES
 
-    def _default_scheduler_protector(self, policy):
-        return SchedulerProtector(policy, self.sample_period)
-
-    def _default_cache_scheme(self, structure: str):
-        return LineFixedScheme(self.invert_ratio)
+        return [CACHE_SCHEMES.build(mechanism.name, mechanism.params,
+                                    where=f"protection.{structure}")
+                for structure, mechanism in (("dl0", self.protection.dl0),
+                                             ("dtlb", self.protection.dtlb))]
 
     # ------------------------------------------------------------------
     def run_baseline(
@@ -175,23 +164,19 @@ class PenelopeProcessor:
         policy: Optional[SchedulerPolicy] = None,
     ) -> CoreResult:
         """One run with every configured Penelope mechanism engaged."""
-        effective_policy = (
-            policy if policy is not None else self.scheduler_policy
+        from repro.config.registry import build_memory_hooks
+
+        hooks = build_memory_hooks(
+            self.protection,
+            policy if policy is not None else self.scheduler_policy,
         )
-        mechanisms = [
-            self._rf_factory("int_rf", INT_WIDTH),
-            self._rf_factory("fp_rf", FP_WIDTH),
-            self._scheduler_factory(effective_policy),
-        ]
-        hooks = CompositeHooks([m for m in mechanisms if m is not None])
         engine = get_backend(self.config.backend)
-        dl0_scheme = self._cache_factory("dl0")
+        dl0_scheme, dtlb_scheme = self._cache_schemes()
         dl0 = (
             ProtectedCache(engine.make_cache(self.config.dl0), dl0_scheme,
                            seed=self.seed)
             if dl0_scheme is not None else None
         )
-        dtlb_scheme = self._cache_factory("dtlb")
         dtlb = (
             ProtectedCache(engine.make_tlb(self.config.dtlb), dtlb_scheme,
                            seed=self.seed + 1)

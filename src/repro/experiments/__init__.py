@@ -73,7 +73,6 @@ from repro.experiments.runner import (
     SweepIncompleteError,
     SweepResult,
     SweepRunner,
-    run_sweep,
 )
 from repro.experiments.spec import (
     ExperimentPoint,
@@ -103,7 +102,6 @@ __all__ = [
     "SweepIncompleteError",
     "SweepResult",
     "SweepRunner",
-    "run_sweep",
     "ExperimentPoint",
     "SweepSpec",
     "coerce_scalar",

@@ -617,18 +617,23 @@ def run_multiprog_point(params: Mapping[str, Any]) -> MetricSet:
     },
 )
 def run_penelope_point(params: Mapping[str, Any]) -> MetricSet:
+    from repro.config.specs import MechanismSpec, ProtectionSpec
     from repro.core import PenelopeProcessor
     from repro.core.metric import nbti_efficiency
     from repro.uarch.core import CoreConfig
 
-    trace = cached_trace(
-        params["suite"], int(params["length"]), int(params["seed"])
-    )
+    inversion = MechanismSpec("line_fixed",
+                              {"ratio": float(params["invert_ratio"])})
+    # Built before the trace, so a bad parameter fails before synthesis.
     processor = PenelopeProcessor(
         config=CoreConfig(backend=str(params.get("backend", "reference"))),
-        invert_ratio=float(params["invert_ratio"]),
-        sample_period=float(params["sample_period"]),
+        protection=ProtectionSpec(
+            dl0=inversion, dtlb=inversion,
+            sample_period=float(params["sample_period"])),
         seed=int(params["seed"]),
+    )
+    trace = cached_trace(
+        params["suite"], int(params["length"]), int(params["seed"])
     )
     report = processor.evaluate([trace])
     # Eq. (1) as a Derived over its (internal) delay/guardband/TDP

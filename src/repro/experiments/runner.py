@@ -978,18 +978,6 @@ class SweepRunner:
         return path
 
 
-def run_sweep(
-    spec: SweepSpec,
-    store: Union[ShardedResultStore, str, None] = None,
-    workers: int = 1,
-    progress: Optional[Callable[[PointResult], None]] = None,
-    **runner_options: Any,
-) -> SweepResult:
-    """One-call convenience wrapper around :class:`SweepRunner`."""
-    return SweepRunner(store=store, workers=workers,
-                       progress=progress, **runner_options).run(spec)
-
-
 def _auto_batch_size(pending: int, workers: int) -> int:
     """About four lease batches per worker, clamped to [1, 64]."""
     if pending == 0:

@@ -6,9 +6,9 @@
 :class:`~repro.uarch.backends.base.KernelBackend` surface and are
 bit-identical by contract — see DESIGN.md section 10.
 
-Spec-level selection goes through ``KERNEL_BACKENDS`` in
-:mod:`repro.config.registry`; this module is the dependency-light core
-lookup used by :class:`~repro.uarch.core.TraceDrivenCore` itself.
+This module is the one backend lookup: specs and ``repro sweep
+--backend`` validate names against :func:`backend_names`, and
+:class:`~repro.uarch.core.TraceDrivenCore` resolves them here.
 """
 
 from __future__ import annotations

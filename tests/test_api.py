@@ -1,11 +1,13 @@
-"""The repro.api facade: spec-built objects vs legacy construction.
+"""The repro.api facade: spec-built objects vs legacy construction and pins.
 
 The acceptance bar for the declarative layer is *bit-identical* results:
-a spec-built core, Penelope processor, or study sweep must produce
-exactly the numbers the legacy hand-assembled constructors produce —
-including RNG-sensitive paths (inversion-victim choice, ProtectedCache
-seeds).  Every study in the experiments registry is exercised from a
-spec serialised through real JSON.
+a spec-built core, hook set or study sweep must produce exactly the
+numbers the legacy hand-assembled constructors produce — including
+RNG-sensitive paths (inversion-victim choice, ProtectedCache seeds).  A
+Penelope processor builds its mechanisms from its ProtectionSpec
+itself, so it is held to the configuration pins of
+``tests/test_structure_pins.py``.  Every study in the experiments
+registry is exercised from a spec serialised through real JSON.
 """
 
 import pytest
@@ -136,20 +138,25 @@ class TestBuildPenelope:
                 == [(b.name, b.guardband) for b in built.block_costs])
 
     def test_custom_ratio_bit_identical_to_legacy(self, workload):
-        from repro.core import PenelopeProcessor
-
-        legacy = PenelopeProcessor(invert_ratio=0.4, sample_period=256.0,
-                                   seed=9).evaluate(workload)
-        protection = ProtectionSpec(
-            dl0=MechanismSpec("line_fixed", {"ratio": 0.4}),
-            dtlb=MechanismSpec("line_fixed", {"ratio": 0.4}),
-            sample_period=256.0,
+        """The pin holds what the legacy knobs ``invert_ratio=0.4,
+        sample_period=256.0`` gave."""
+        from test_structure_pins import (
+            PENELOPE_PINS,
+            PIN_PROTECTIONS,
+            penelope_pin,
         )
-        built = api.build_penelope(protection=protection,
-                                   seed=9).evaluate(workload)
-        assert legacy.efficiency == built.efficiency
-        assert legacy.combined_cpi == built.combined_cpi
-        assert legacy.int_rf_bias == built.int_rf_bias
+
+        name = "line_fixed_40_period_256"
+        built = api.build_penelope(protection=PIN_PROTECTIONS[name], seed=9)
+        assert penelope_pin(built.evaluate(workload)) == PENELOPE_PINS[name]
+
+    @pytest.mark.parametrize("structure", ["dl0", "dtlb"])
+    def test_bad_scheme_value_fails_at_construction(self, structure):
+        """Not in the first protected pass, after every baseline pass."""
+        protection = ProtectionSpec(**{
+            structure: MechanismSpec("line_fixed", {"ratio": 1.5})})
+        with pytest.raises(SpecError, match=f"protection.{structure}"):
+            api.build_penelope(protection=protection)
 
     def test_from_study_spec_slots(self, workload):
         spec = StudySpec(
@@ -158,7 +165,7 @@ class TestBuildPenelope:
         )
         built = api.build_penelope(spec)
         assert built.seed == 9
-        assert built.sample_period == 512.0
+        assert built.protection.sample_period == 512.0
 
     def test_unprotected_spec_equals_baseline_run(self, workload):
         """All-'none' protection: the protected pass is a plain core."""

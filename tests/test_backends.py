@@ -22,7 +22,6 @@ import random
 
 import pytest
 
-from repro.config.registry import KERNEL_BACKENDS
 from repro.config.specs import ProcessorSpec, SpecError
 from repro.core.cache_like import (
     LineDynamicScheme,
@@ -96,7 +95,6 @@ def snapshot(cache: Cache) -> dict:
 class TestBackendRegistry:
     def test_names_are_stable(self):
         assert backend_names() == ["reference", "vectorized"]
-        assert KERNEL_BACKENDS.names() == ["reference", "vectorized"]
 
     def test_unknown_backend_is_a_spec_error(self):
         with pytest.raises(SpecError, match="unknown kernel backend"):

@@ -232,6 +232,25 @@ class TestRegistries:
         with pytest.raises(ValueError, match="already registered"):
             CACHE_SCHEMES.register("line_fixed")(object)
 
+    def test_isv_accepts_no_parameters(self):
+        with pytest.raises(SpecError, match="entries_hint"):
+            ProtectionSpec(int_rf=MechanismSpec("isv", {"entries_hint": 64}))
+
+    def test_memory_hooks_in_core_call_order(self):
+        from repro.config.registry import build_memory_hooks
+        from repro.core.memory_like import (
+            PAPER_SCHEDULER_POLICY,
+            ISVRegisterFileProtector,
+            SchedulerProtector,
+        )
+
+        int_rf, fp_rf, scheduler = build_memory_hooks(ProtectionSpec()).hooks
+        assert isinstance(int_rf, ISVRegisterFileProtector)
+        assert (int_rf.rf_name, fp_rf.rf_name) == ("int_rf", "fp_rf")
+        assert isinstance(scheduler, SchedulerProtector)
+        # 'derived_policy' given no profiled policy applies the paper's.
+        assert scheduler.policy is PAPER_SCHEDULER_POLICY
+
 
 class TestCoreConfigConversion:
     def test_default_spec_matches_default_core_config(self):

@@ -72,6 +72,16 @@ class TestPenelopeConfiguration:
         report = processor.evaluate(workload)
         assert report.efficiency < report.baseline_efficiency
 
+    @pytest.mark.parametrize("scheduler", ["paper_policy", "none"])
+    def test_only_derived_policy_profiles(self, scheduler):
+        from repro.config import MechanismSpec, ProtectionSpec
+        from repro.core.memory_like import PAPER_SCHEDULER_POLICY
+
+        assert PenelopeProcessor().scheduler_policy is None
+        processor = PenelopeProcessor(protection=ProtectionSpec(
+            scheduler=MechanismSpec(scheduler)))
+        assert processor.scheduler_policy is PAPER_SCHEDULER_POLICY
+
     def test_derive_policy_smoke(self):
         from repro.workloads import TraceGenerator
 

@@ -17,7 +17,6 @@ from repro.experiments import (
     metric_names,
     parse_grid_option,
     point_key,
-    run_sweep,
     study_names,
     summarize,
 )
@@ -260,7 +259,7 @@ class TestRunner:
         assert serial.metrics_by_key() == parallel.metrics_by_key()
 
     def test_results_follow_spec_order(self):
-        outcome = run_sweep(tiny_spec(), workers=2)
+        outcome = SweepRunner(workers=2).run(tiny_spec())
         assert [
             (r.params["ratio"], r.params["suite"]) for r in outcome
         ] == [
@@ -271,7 +270,7 @@ class TestRunner:
     def test_study_defaults_enter_params_and_key(self, tmp_path):
         """Cache keys cover the full bound parameterisation, so the
         defaulted and explicit spellings of a point are one entry."""
-        implicit = run_sweep(tiny_spec()).results
+        implicit = SweepRunner().run(tiny_spec()).results
         assert all(r.params["ways"] == 8 for r in implicit)  # default
 
         explicit_spec = tiny_spec()
@@ -314,12 +313,12 @@ class TestRunner:
 
     def test_unknown_study_raises(self):
         with pytest.raises(KeyError):
-            run_sweep(SweepSpec("no_such_study"))
+            SweepRunner().run(SweepSpec("no_such_study"))
 
     def test_unknown_parameter_rejected(self):
         # A typo'd axis would otherwise sweep identical points.
         with pytest.raises(ValueError, match="ratoi"):
-            run_sweep(SweepSpec("caches", grid={"ratoi": [0.4, 0.6]}))
+            SweepRunner().run(SweepSpec("caches", grid={"ratoi": [0.4, 0.6]}))
 
     def test_rejects_bad_worker_count(self):
         with pytest.raises(ValueError):
@@ -327,7 +326,7 @@ class TestRunner:
 
     def test_progress_callback_sees_every_point(self):
         seen = []
-        run_sweep(tiny_spec(), progress=seen.append)
+        SweepRunner(progress=seen.append).run(tiny_spec())
         assert len(seen) == 4
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -397,10 +396,22 @@ class TestRegistry:
                 {"length": 200, "scheme": "bogus"}
             )
 
+    def test_bad_penelope_ratio_fails_before_synthesis(self, monkeypatch):
+        from repro.config import SpecError
+        from repro.experiments import registry
+
+        def synthesise(*args):
+            pytest.fail("a trace was synthesised for an invalid point")
+
+        monkeypatch.setattr(registry, "cached_trace", synthesise)
+        with pytest.raises(SpecError, match="protection.dl0"):
+            get_study("penelope").execute({"length": 200,
+                                           "invert_ratio": 1.5})
+
 
 class TestSummary:
     def _results(self):
-        return run_sweep(tiny_spec(), workers=1).results
+        return SweepRunner(workers=1).run(tiny_spec()).results
 
     def test_group_and_aggregate(self):
         results = self._results()

@@ -192,15 +192,19 @@ def oracle_multiprog(bound):
 
 
 def oracle_penelope(bound):
+    from repro.config import MechanismSpec, ProtectionSpec
     from repro.core import PenelopeProcessor
     from repro.experiments.registry import cached_trace
 
     trace = cached_trace(
         bound["suite"], int(bound["length"]), int(bound["seed"])
     )
+    inversion = MechanismSpec("line_fixed",
+                              {"ratio": float(bound["invert_ratio"])})
     processor = PenelopeProcessor(
-        invert_ratio=float(bound["invert_ratio"]),
-        sample_period=float(bound["sample_period"]),
+        protection=ProtectionSpec(
+            dl0=inversion, dtlb=inversion,
+            sample_period=float(bound["sample_period"])),
         seed=int(bound["seed"]),
     )
     report = processor.evaluate([trace])

@@ -496,15 +496,15 @@ class TestRunnerObservability:
             self, tmp_path):
         """The differential guarantee: enabling the tracer and event
         log must not change a single metric bit."""
-        from repro.experiments import run_sweep
+        from repro.experiments import SweepRunner
 
         TRACER.disable()
         TRACER.clear()
-        plain = run_sweep(_tiny_spec(), manifest=False)
+        plain = SweepRunner(manifest=False).run(_tiny_spec())
 
         TRACER.enable()
         log = EventLog(path=str(tmp_path / "events.jsonl"))
-        traced_run = run_sweep(_tiny_spec(), manifest=False, log=log)
+        traced_run = SweepRunner(manifest=False, log=log).run(_tiny_spec())
 
         assert len(TRACER) > 0  # tracing actually happened
         assert [r.metrics for r in plain] == \
@@ -513,22 +513,22 @@ class TestRunnerObservability:
             [r.point.key for r in traced_run]
 
     def test_traced_sweep_records_lifecycle_spans(self):
-        from repro.experiments import run_sweep
+        from repro.experiments import SweepRunner
 
         TRACER.enable()
         TRACER.clear()
-        run_sweep(_tiny_spec(), manifest=False)
+        SweepRunner(manifest=False).run(_tiny_spec())
         names = {r["name"] for r in TRACER.records()}
         assert {"sweep.run", "sweep.execute", "study.caches",
                 "cache.replay", "scheme.replay"} <= names
 
     def test_store_backed_sweep_writes_manifest_and_events(
             self, tmp_path):
-        from repro.experiments import run_sweep
+        from repro.experiments import SweepRunner
         from repro.fabric import ShardedResultStore
 
         store = ShardedResultStore(str(tmp_path))
-        outcome = run_sweep(_tiny_spec(), store=store)
+        outcome = SweepRunner(store=store).run(_tiny_spec())
         assert outcome.run_id
         assert outcome.manifest_path == str(tmp_path / "manifest.json")
         manifest = load_manifest(outcome.manifest_path)
@@ -545,7 +545,7 @@ class TestRunnerObservability:
         assert all(e["run_id"] == outcome.run_id for e in events)
 
         # Rerun: all cache hits, manifest reflects the new run.
-        rerun = run_sweep(_tiny_spec(), store=store)
+        rerun = SweepRunner(store=store).run(_tiny_spec())
         assert rerun.cache_hits == 2
         manifest = load_manifest(rerun.manifest_path)
         assert manifest["run_id"] == rerun.run_id
@@ -557,8 +557,8 @@ class TestRunnerObservability:
         hash and parameters, and emit a structured point_error event."""
         from repro.experiments import (
             PointExecutionError,
+            SweepRunner,
             SweepSpec,
-            run_sweep,
         )
 
         spec = SweepSpec(
@@ -567,7 +567,7 @@ class TestRunnerObservability:
             grid={"ratio": [0.4]},
         )
         with pytest.raises(PointExecutionError) as excinfo:
-            run_sweep(spec, store=str(tmp_path))
+            SweepRunner(store=str(tmp_path)).run(spec)
         error = excinfo.value
         assert error.study == "caches"
         assert error.key and len(error.key) == 20
@@ -593,14 +593,14 @@ class TestRunnerObservability:
         assert clone.key == "abc" and clone.params == {"ratio": 0.4}
 
     def test_parallel_traced_sweep_matches_serial(self, tmp_path):
-        from repro.experiments import run_sweep
+        from repro.experiments import SweepRunner
 
         TRACER.disable()
         TRACER.clear()
-        serial = run_sweep(_tiny_spec(), manifest=False)
+        serial = SweepRunner(manifest=False).run(_tiny_spec())
 
         TRACER.enable()
-        parallel = run_sweep(_tiny_spec(), workers=2, manifest=False)
+        parallel = SweepRunner(workers=2, manifest=False).run(_tiny_spec())
         assert [r.metrics for r in serial] == \
             [r.metrics for r in parallel]
         names = {r["name"] for r in TRACER.records()}

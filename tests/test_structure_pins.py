@@ -1,21 +1,29 @@
-"""Structure counters pinned before the register files and the scheduler
-shared one entry base (:class:`repro.uarch.entries.EntryArray`).
+"""Counters and results pinned across refactors of the Penelope path.
 
-The study digests of ``tests/test_pinned_digests.py`` cover these
-counters only in part.  The values below were recorded while each
-structure kept its own free list, port counters, special-write gate and
-``finalize``; the shared base reproduces every one exactly, with and
-without numpy.  ``scheduler.releases`` is the one metric the base added.
+The study digests of ``tests/test_pinned_digests.py`` cover these only
+in part.  Every value below is reproduced exactly, with and without
+numpy.
+
+- The structure counters were recorded while each structure kept its
+  own free list, port counters, special-write gate and ``finalize``,
+  before the register files and the scheduler shared one entry base
+  (:class:`repro.uarch.entries.EntryArray`).  ``scheduler.releases`` is
+  the one metric the base added.
+- The Penelope configuration pins were recorded while
+  :class:`~repro.core.penelope.PenelopeProcessor` took its mechanisms
+  as factory callables plus loose knobs, before it built every one from
+  its :class:`~repro.config.specs.ProtectionSpec`.
 """
 
 import pytest
 
+from repro.config import MechanismSpec, ProtectionSpec
 from repro.core.memory_like import ISVRegisterFileProtector, SchedulerProtector
 from repro.core.penelope import PenelopeProcessor
 from repro.uarch import TraceDrivenCore
 from repro.uarch.core import CompositeHooks
 from repro.uarch.uop import FP_WIDTH, INT_WIDTH
-from repro.workloads import TraceGenerator
+from repro.workloads import TraceGenerator, generate_workload
 
 RF_FIELDS = ("allocations", "releases", "special_writes",
              "discarded_special_writes", "free_fraction",
@@ -117,3 +125,115 @@ def test_core_metrics_flatten():
     flat = core.metrics().flatten()
     assert flat.pop("scheduler.releases") == flat["scheduler.allocations"]
     assert flat == CORE_FLATTEN
+
+
+NONE = MechanismSpec("none")
+
+#: The protection spec of each pinned Penelope configuration.
+PIN_PROTECTIONS = {
+    "default": ProtectionSpec(),
+    "line_fixed_40_period_256": ProtectionSpec(
+        dl0=MechanismSpec("line_fixed", {"ratio": 0.4}),
+        dtlb=MechanismSpec("line_fixed", {"ratio": 0.4}),
+        sample_period=256.0),
+    "adder_none": ProtectionSpec(adder=NONE),
+    "adder_pair_2_7": ProtectionSpec(
+        adder=MechanismSpec("idle_injection", {"pair": (2, 7)})),
+    "paper_policy": ProtectionSpec(scheduler=MechanismSpec("paper_policy")),
+    "unprotected": ProtectionSpec(adder=NONE, int_rf=NONE, fp_rf=NONE,
+                                  scheduler=NONE, dl0=NONE, dtlb=NONE),
+    "set_fixed_line_dynamic": ProtectionSpec(
+        dl0=MechanismSpec("set_fixed", {"ratio": 0.5}),
+        dtlb=MechanismSpec("line_dynamic", {"ratio": 0.6, "warmup": 100,
+                                            "test_window": 100,
+                                            "period": 400})),
+}
+
+#: ``PenelopeProcessor(protection=..., seed=9).evaluate(pin_workload())``
+#: per configuration, as :func:`penelope_pin` lists it: efficiency,
+#: baseline efficiency, combined CPI, adder guardband, the (baseline,
+#: protected) worst bias of the INT and FP register files and of the
+#: scheduler, and each block's guardband.
+PENELOPE_PINS = {
+    "default": (
+        1.550522415896462, 1.7279999999999998, 1.0,
+        0.06900097367305326,
+        (0.9189725708914196, 0.681837013227207),
+        (1.0, 0.8710888116308471),
+        (1.0, 0.760370575221239),
+        (0.06900097367305326, 0.08546132476179454,
+         0.15359197218710494, 0.11373340707964605, 0.02)),
+    "line_fixed_40_period_256": (
+        1.6352030717733965, 1.7279999999999998, 1.0,
+        0.06900097367305326,
+        (0.9189725708914196, 0.6629427155458711),
+        (1.0, 0.9283936472819216),
+        (1.0, 0.760370575221239),
+        (0.06900097367305326, 0.07865937759651362,
+         0.1742217130214918, 0.11373340707964605, 0.02)),
+    "adder_none": (
+        1.739151437523308, 1.7279999999999998, 1.0,
+        0.19859375,
+        (0.9189725708914196, 0.681837013227207),
+        (1.0, 0.8710888116308471),
+        (1.0, 0.760370575221239),
+        (0.19859375, 0.08546132476179454,
+         0.15359197218710494, 0.11373340707964605, 0.02)),
+    "adder_pair_2_7": (
+        1.7419152190322023, 1.7279999999999998, 1.0,
+        0.199228331123259,
+        (0.9189725708914196, 0.681837013227207),
+        (1.0, 0.8710888116308471),
+        (1.0, 0.760370575221239),
+        (0.199228331123259, 0.08546132476179454,
+         0.15359197218710494, 0.11373340707964605, 0.02)),
+    "paper_policy": (
+        1.6616367596842938, 1.7279999999999998, 1.0,
+        0.06900097367305326,
+        (0.9189725708914196, 0.681837013227207),
+        (1.0, 0.8710888116308471),
+        (1.0, 0.9458754740834386),
+        (0.06900097367305326, 0.08546132476179454,
+         0.15359197218710494, 0.18051517067003792, 0.02)),
+    "unprotected": (
+        1.7452799999999995, 1.7279999999999998, 1.0,
+        0.19859375,
+        (0.9189725708914196, 0.9189725708914196),
+        (1.0, 1.0),
+        (1.0, 1.0),
+        (0.19859375, 0.17083012552091106,
+         0.2, 0.2, 0.02)),
+    "set_fixed_line_dynamic": (
+        1.550522415896462, 1.7279999999999998, 1.0,
+        0.06900097367305326,
+        (0.9189725708914196, 0.681837013227207),
+        (1.0, 0.8710888116308471),
+        (1.0, 0.760370575221239),
+        (0.06900097367305326, 0.08546132476179454,
+         0.15359197218710494, 0.11373340707964605, 0.02)),
+}
+
+
+def pin_workload():
+    return generate_workload(traces_per_suite=1, length=1200,
+                             suites=["specint2000", "office"], seed=9)
+
+
+def penelope_pin(report):
+    """The fields of a :class:`~repro.core.penelope.PenelopeReport` that
+    :data:`PENELOPE_PINS` holds, in its order."""
+    return (report.efficiency, report.baseline_efficiency,
+            report.combined_cpi, report.adder_guardband,
+            report.int_rf_bias, report.fp_rf_bias, report.scheduler_bias,
+            tuple(block.guardband for block in report.block_costs))
+
+
+@pytest.fixture(scope="module")
+def workload():
+    return pin_workload()
+
+
+@pytest.mark.parametrize("name", sorted(PENELOPE_PINS))
+def test_penelope_configuration_pins(name, workload):
+    processor = PenelopeProcessor(protection=PIN_PROTECTIONS[name], seed=9)
+    assert penelope_pin(processor.evaluate(workload)) == PENELOPE_PINS[name]
