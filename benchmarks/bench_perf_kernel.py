@@ -43,8 +43,10 @@ TRACE_LENGTH = scaled(20_000, floor=2_000)
 PRE_PR_LINE_FIXED_US = 107.0
 
 #: Protected replay must stay within this factor of the baseline
-#: (pre-overhaul it was 15x; post-overhaul ~2x — 6x leaves headroom
-#: for noisy CI machines while still catching an O(lines) regression).
+#: (pre-overhaul it was 15x; post-overhaul ~1.6-2.0x; with the line
+#: schemes on the scalar kernel ``Cache.replay_inverting`` and SetFixed
+#: on plain replay segments ~1.0x — 6x leaves headroom for noisy CI
+#: machines while still catching an O(lines) regression).
 MAX_PROTECTED_OVERHEAD = 6.0
 
 #: Interval-telemetry collection (chunked replay + periodic MetricSet

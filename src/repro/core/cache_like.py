@@ -30,7 +30,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, List, Mapping, Sequence, Tuple
+from itertools import chain, islice
+from typing import Callable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.metrics import ordered_sum
 from repro.obs.trace import TRACER as _TRACER
@@ -119,6 +120,31 @@ class InversionScheme:
         return False
 
 
+def _replay_segments(scheme: SetFixedScheme | LineDynamicScheme,
+                     addresses: Iterable[int]) -> int:
+    """Feed a stream to ``scheme._replay_segment()`` in the segments
+    ``scheme._next_segment()`` gives (length, event due before it);
+    returns the hits.  As in ``access()``, an event fires only once the
+    next address is pulled: a stream ending on a boundary defers it.
+    """
+    stream, stats, hits = iter(addresses), scheme.cache.stats, 0
+    while True:
+        run, event = scheme._next_segment()
+        segment: Iterable[int] = islice(stream, run)
+        if event is not None:
+            first = next(stream, None)
+            if first is None:
+                return hits
+            event()
+            segment = chain((first,), islice(stream, run - 1))
+        before = stats.accesses
+        hits += scheme._replay_segment(segment)
+        done = stats.accesses - before
+        scheme._accesses += done
+        if done < run:
+            return hits
+
+
 class SetFixedScheme(InversionScheme):
     """Set-granularity inversion with round-robin rotation.
 
@@ -163,6 +189,28 @@ class SetFixedScheme(InversionScheme):
             self._rotate()
         return self.cache.access(self._remap(address))
 
+    def replay(self, addresses: Iterable[int]) -> int:
+        """Rotation-free segments through the plain :meth:`Cache.replay`
+        (exact type only: a subclass keeps the generic path)."""
+        if type(self) is not SetFixedScheme:
+            return super().replay(addresses)
+        return _replay_segments(self, addresses)
+
+    def _next_segment(self) -> Tuple[int, Optional[Callable[[], None]]]:
+        # The access landing on a period multiple rotates before it runs.
+        period = self.rotation_period
+        until = -self._accesses % period or period
+        return (period, self._rotate) if until == 1 else (until - 1, None)
+
+    def _replay_segment(self, segment: Iterable[int]) -> int:
+        # _remap folded into a generator: live set index + whole-line tag.
+        config, live = self.cache.config, self._live
+        line_bytes, sets, n_live = config.line_bytes, config.sets, len(live)
+        return self.cache.replay(
+            (live[address // line_bytes % n_live]
+             + sets * (address // line_bytes)) * line_bytes
+            for address in segment)
+
     def inverted_sets(self) -> List[int]:
         return [
             s for s in range(self.cache.config.sets)
@@ -202,6 +250,8 @@ class SetFixedScheme(InversionScheme):
 
     def _rotate(self) -> None:
         """Advance the inverted window by one set (coarse round-robin)."""
+        if not self._count:
+            return  # no window: leaving and entering would be one set
         sets = self.cache.config.sets
         leaving = self._first_inverted
         entering = (self._first_inverted + self._count) % sets
@@ -315,39 +365,13 @@ class LineFixedScheme(InversionScheme):
         if self.cache.inverted_count() < self.threshold:
             self._invert_one_line(self._min_position)
 
-    def replay(self, addresses) -> int:
-        """Hot-loop specialisation of the generic scheme replay.
-
-        Bit-exact against access()+maintain() per address (the RNG is
-        consumed in the same order); all lookups are hoisted.
-        """
-        cls = type(self)
-        if (cls.maintain is not LineFixedScheme.maintain
-                or cls.access is not InversionScheme.access
-                or cls._invert_one_line
-                is not InversionScheme._invert_one_line):
-            # A subclass changed the per-access behaviour: the inlined
-            # loop below would silently bypass it, so take the generic
-            # access()-per-address path instead.
+    def replay(self, addresses: Iterable[int]) -> int:
+        """One :meth:`Cache.replay_inverting` call (exact type only: a
+        subclass keeps the generic path)."""
+        if type(self) is not LineFixedScheme:
             return super().replay(addresses)
-        cache = self.cache
-        cache_access = cache.access
-        inverted_count = cache.inverted_count
-        invert_candidate = cache.invert_candidate
-        randrange = self.rng.randrange
-        sets = cache.config.sets
-        threshold = self.threshold
-        min_position = self._min_position
-        tries = range(4)
-        hits = 0
-        for address in addresses:
-            if cache_access(address):
-                hits += 1
-            if inverted_count() < threshold:
-                for __ in tries:
-                    if invert_candidate(randrange(sets), min_position):
-                        break
-        return hits
+        return self.cache.replay_inverting(
+            addresses, self.threshold, self._min_position, self.rng)
 
 
 class LineDynamicScheme(InversionScheme):
@@ -423,6 +447,30 @@ class LineDynamicScheme(InversionScheme):
         elif self._active:
             if self.cache.inverted_count() < self._line_target:
                 self._invert_one_line(self._min_position)
+
+    def replay(self, addresses: Iterable[int]) -> int:
+        """Phase segments through :meth:`Cache.replay_inverting` (exact
+        type only: a subclass keeps the generic path)."""
+        if type(self) is not LineDynamicScheme:
+            return super().replay(addresses)
+        return _replay_segments(self, addresses)
+
+    def _next_segment(self) -> Tuple[int, Optional[Callable[[], None]]]:
+        phase = self._accesses % self.period
+        warmup, test_end = self.warmup, self.warmup + self.test_window
+        event = {warmup: self._begin_test, test_end: self._end_test}.get(phase)
+        if phase < warmup:
+            return warmup - phase, event
+        if phase < test_end:
+            return test_end - phase, event
+        return self.period + warmup - phase, event
+
+    def _replay_segment(self, segment: Iterable[int]) -> int:
+        phase = self._accesses % self.period
+        in_test = self.warmup <= phase < self.warmup + self.test_window
+        target = self._line_target if in_test or self._active else 0
+        return self.cache.replay_inverting(
+            segment, target, self._min_position, self.rng, shadow=in_test)
 
     @property
     def active(self) -> bool:
@@ -507,7 +555,8 @@ class ProtectedCache:
         path when it has one (``replay_scheme``, see
         :mod:`repro.uarch.backends.vectorized`); the engine declines —
         returns ``None`` without consuming the stream — for schemes it
-        cannot batch, which fall back to the generic scalar replay."""
+        cannot batch, which run their own ``scheme.replay`` (the line
+        schemes: the scalar kernel :meth:`Cache.replay_inverting`)."""
         fast = getattr(self.cache, "replay_scheme", None)
         if fast is not None:
             hits = fast(self.scheme, addresses)

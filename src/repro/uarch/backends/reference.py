@@ -33,13 +33,14 @@ keeps per-access work O(ways):
 - the per-set LRU is position-indexed (``_lru_order`` / ``_lru_pos``),
   so hit-position lookup is O(1) and promotion shifts at most ``ways``
   slots instead of ``list.remove`` + ``list.index`` scans;
-- :meth:`replay` batches a whole address stream with attribute lookups
-  hoisted out of the loop.
+- :meth:`replay` (and :meth:`replay_inverting`, with the line schemes'
+  top-up) batches a whole address stream, lookups hoisted.
 """
 
 from __future__ import annotations
 
 import enum
+import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
@@ -273,6 +274,76 @@ class Cache:
         if _t is not None:
             _TRACER.end(_t, "cache.replay", cache=self.config.name,
                         accesses=n_hits + n_misses, misses=n_misses)
+        return n_hits
+
+    def replay_inverting(self, addresses: Iterable[int], target: int,
+                         min_position: int, rng: random.Random,
+                         shadow: bool = False) -> int:
+        """:meth:`replay` with the line schemes' top-up after each access:
+        while INVCOUNT is below ``target``, up to four
+        :meth:`invert_candidate` probes of random sets (``shadow``: one
+        :meth:`shadow_candidate` probe while the shadow population is).
+        Sets are drawn as ``rng.randrange(sets)`` draws them on CPython
+        3.10-3.13, so the RNG advances identically.  Returns the hits.
+        """
+        line_bytes, sets, ways = self._line_bytes, self._sets, self._ways
+        all_tags, all_states, all_order = self._tags, self._state, self._lru_order
+        all_pos, all_shadow, stats = self._lru_pos, self._shadow, self.stats
+        hit_positions = stats.hit_way_position
+        touch, fill, invert_line = self._touch, self._fill, self.invert_line
+        valid, invalid = LineState.VALID, LineState.INVALID
+        way_range, tail = range(ways), range(ways - 1, min_position - 1, -1)
+        tries = range(1 if shadow else 4)
+        getrandbits, bits = rng.getrandbits, sets.bit_length()
+        n_hits = n_misses = n_shadow = 0
+        for address in addresses:
+            line = address // line_bytes
+            set_index = line % sets
+            tag = line // sets
+            states = all_states[set_index]
+            tags = all_tags[set_index]
+            for way in way_range:
+                if states[way] is valid and tags[way] == tag:
+                    position = all_pos[set_index][way]
+                    hit_positions[position] = hit_positions.get(position, 0) + 1
+                    n_hits += 1
+                    if all_shadow[set_index][way]:
+                        n_shadow += 1
+                    if position:
+                        touch(set_index, way)
+                    break
+            else:
+                n_misses += 1
+                fill(set_index, tag)
+            if (self._shadow_lines if shadow else self._inverted_lines) >= target:
+                continue
+            for __ in tries:
+                set_index = getrandbits(bits)
+                while set_index >= sets:
+                    set_index = getrandbits(bits)
+                states, order = all_states[set_index], all_order[set_index]
+                if shadow:
+                    marks = all_shadow[set_index]
+                    for position in tail:
+                        way = order[position]
+                        if states[way] is valid and not marks[way]:
+                            marks[way] = True
+                            self._shadow_lines += 1
+                            break
+                elif invalid in states:
+                    invert_line(set_index, states.index(invalid))
+                else:
+                    for position in tail:
+                        if states[order[position]] is valid:
+                            invert_line(set_index, order[position])
+                            break
+                    else:
+                        continue  # no eligible line: try another set
+                break
+        stats.accesses += n_hits + n_misses
+        stats.hits += n_hits
+        stats.misses += n_misses
+        stats.shadow_hits += n_shadow
         return n_hits
 
     def probe(self, address: int) -> bool:

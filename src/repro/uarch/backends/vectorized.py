@@ -37,9 +37,9 @@ replays for the set- and way-granularity schemes, whose rotations are
 deterministic functions of the access counter: the stream is processed
 in segments between rotation boundaries, with the scalar
 ``scheme._rotate()`` applied on the synchronised list state at each
-boundary.  The line-granularity schemes consume the shared RNG on a
-per-access cadence, so they keep the scalar path (see DESIGN.md
-section 10 for the batch-granularity rules).
+boundary.  The line-granularity schemes draw from the shared RNG after
+every access, so the engine declines them and they run the inherited
+scalar kernel :meth:`Cache.replay_inverting` (see DESIGN.md section 10).
 
 Everything stays bit-identical to the reference backend; the
 differential fuzz in ``tests/test_backends.py`` enforces it across
@@ -358,7 +358,7 @@ class _VectorReplayMixin(Cache):
 
         Returns ``None`` — *without* consuming ``addresses`` — when the
         scheme needs the scalar path, so the caller can fall back to
-        the generic ``scheme.replay``.  Exact type checks keep scheme
+        the scheme's own ``scheme.replay``.  Exact type checks keep scheme
         subclasses (which may override per-access behaviour) on the
         scalar path automatically.
         """

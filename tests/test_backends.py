@@ -210,8 +210,9 @@ class TestDifferentialFuzz:
         assert snapshot(cache) == first
 
     def test_declines_unbatchable_schemes_without_consuming(self):
-        """LineFixed replay goes through the generic scalar path; the
-        engine must not eat any addresses when it declines."""
+        """The engine declines line schemes, whose replay runs the
+        inherited scalar kernel ``Cache.replay_inverting``; it must not
+        eat any addresses when it declines."""
         _require_numpy()
         cache = get_backend("vectorized").make_cache(GEOMETRIES[0])
         stream = iter(mixed_stream(17, 500))

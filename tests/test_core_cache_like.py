@@ -71,6 +71,20 @@ class TestSetFixedScheme:
         assert protected.access(a)
         assert protected.access(b)
 
+    def test_ratio_zero_rotation_leaves_live_sets_alone(self):
+        # With no inverted window a rotation's leaving and entering set
+        # are one set: it used to be invalidated and fully inverted.
+        stream = generate_address_stream("office", length=20_000, seed=0)
+        baseline = Cache(CONFIG)
+        baseline.replay(stream)
+        protected = ProtectedCache(Cache(CONFIG),
+                                   SetFixedScheme(0.0, rotation_period=1000))
+        for address in stream:
+            protected.access(address)
+        assert protected.stats.misses == baseline.stats.misses
+        assert protected.stats.inversions == 0
+        assert protected.cache.inverted_count() == 0
+
     def test_rotation_preserves_population(self):
         cache = Cache(CONFIG)
         scheme = SetFixedScheme(0.5, rotation_period=10)

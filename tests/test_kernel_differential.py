@@ -7,8 +7,9 @@ against brute-force oracles:
 
 - counters vs. an O(sets x ways) rescan of the public line state,
 - ``replay()`` vs. an ``access()``-per-address run (hit/miss sequence,
-  stats, counters and final line states),
-- a reset ``ProtectedCache`` vs. a freshly-built one.
+  stats, counters, final line states, scheme state and RNG state),
+- a reset ``ProtectedCache`` vs. a freshly-built one,
+- the batched line-scheme set draw vs. ``random.Random.randrange``.
 
 Streams are random but seeded; every scheme granularity of Section
 3.2.1 is covered.
@@ -25,7 +26,9 @@ from repro.core.cache_like import (
     SetFixedScheme,
     WayFixedScheme,
 )
+from repro.experiments.registry import AnyPositionLineFixedScheme
 from repro.uarch.backends import Cache, CacheConfig, LineState
+from repro.uarch.tlb import TLB, TLBConfig
 
 CONFIG = CacheConfig(name="diff-2K-4w", size_bytes=2 * 1024, ways=4)
 
@@ -38,6 +41,41 @@ SCHEME_FACTORIES = {
         period=1200,
     ),
 }
+
+#: Structures the replay oracle runs every scheme on: CONFIG, a
+#: direct-mapped, a 2-way and an 8-way cache, and a TLB (fed the
+#: stream scaled from lines to pages).
+STRUCTURES = {
+    "4w": lambda: Cache(CONFIG),
+    "1w": lambda: Cache(CacheConfig(name="diff-1K-1w", size_bytes=1024,
+                                    ways=1)),
+    "2w": lambda: Cache(CacheConfig(name="diff-2K-2w", size_bytes=2048,
+                                    ways=2)),
+    "8w": lambda: Cache(CacheConfig(name="diff-4K-8w", size_bytes=4096,
+                                    ways=8)),
+    "tlb": lambda: TLB(TLBConfig(name="diff-TLB-32", entries=32, ways=4)),
+}
+
+#: Extra phase variants the replay oracle runs on CONFIG: LineDynamic
+#: periods with a test boundary on the 3000-address stream's last
+#: address (3000 % 1400 == 200 == warmup, 3000 % 11 == 8 == test end),
+#: and SetFixed rotating every access and every 7.
+PHASE_VARIANTS = {
+    "line_dynamic": (
+        lambda: LineDynamicScheme(ratio=0.6, threshold=0.02, warmup=200,
+                                  test_window=200, period=1400),
+        lambda: LineDynamicScheme(ratio=0.6, threshold=0.5, warmup=3,
+                                  test_window=5, period=11),
+    ),
+    "set_fixed": (
+        lambda: SetFixedScheme(0.5, rotation_period=1),
+        lambda: SetFixedScheme(0.5, rotation_period=7),
+    ),
+}
+
+#: Cut points splitting one stream across several replay calls; 200 and
+#: 1600 are test boundaries of the default LineDynamic (period 1200).
+SPLITS = (1, 200, 1600, 2001)
 
 
 def random_stream(seed: int, length: int = 3000,
@@ -84,6 +122,15 @@ def snapshot(cache: Cache):
     ]
 
 
+def scheme_state(scheme):
+    """The scheme's RNG state and whichever phase state it keeps."""
+    return (scheme.rng.getstate(),) + tuple(
+        getattr(scheme, name, None)
+        for name in ("_accesses", "_active", "activation_history",
+                     "_first_inverted", "_live")
+    )
+
+
 @pytest.mark.parametrize("scheme_name", sorted(SCHEME_FACTORIES))
 @pytest.mark.parametrize("seed", [1, 2, 3])
 class TestCountersMatchOracle:
@@ -102,20 +149,32 @@ class TestCountersMatchOracle:
         assert cache.shadow_count() == oracle_shadow_count(cache)
 
     def test_replay_matches_per_access_run(self, scheme_name, seed):
-        stream = random_stream(seed + 100)
-        one = ProtectedCache(Cache(CONFIG),
-                             SCHEME_FACTORIES[scheme_name](), seed=seed)
-        hit_sequence = [one.access(address) for address in stream]
+        line_stream = random_stream(seed + 100)
+        cases = [(name, make, SCHEME_FACTORIES[scheme_name])
+                 for name, make in STRUCTURES.items()
+                 # Way inversion cannot invert the only way.
+                 if not (scheme_name == "way_fixed" and name == "1w")]
+        cases += [("4w", STRUCTURES["4w"], factory)
+                  for factory in PHASE_VARIANTS.get(scheme_name, ())]
+        for name, make_cache, make_scheme in cases:
+            # A TLB sees each 64-byte line as its own 4 KB page.
+            stream = ([address * 64 for address in line_stream]
+                      if name == "tlb" else line_stream)
+            one = ProtectedCache(make_cache(), make_scheme(), seed=seed)
+            hit_sequence = [one.access(address) for address in stream]
+            for cuts in ((), SPLITS):
+                two = ProtectedCache(make_cache(), make_scheme(), seed=seed)
+                bounds = (0, *cuts, len(stream))
+                replay_hits = sum(two.replay(stream[lo:hi])
+                                  for lo, hi in zip(bounds, bounds[1:]))
 
-        two = ProtectedCache(Cache(CONFIG),
-                             SCHEME_FACTORIES[scheme_name](), seed=seed)
-        replay_hits = two.replay(stream)
-
-        assert replay_hits == sum(hit_sequence)
-        assert one.stats == two.stats
-        assert one.cache.inverted_count() == two.cache.inverted_count()
-        assert one.cache.shadow_count() == two.cache.shadow_count()
-        assert snapshot(one.cache) == snapshot(two.cache)
+                assert replay_hits == sum(hit_sequence), (name, cuts)
+                assert one.stats == two.stats
+                assert one.cache.inverted_count() == \
+                    two.cache.inverted_count()
+                assert one.cache.shadow_count() == two.cache.shadow_count()
+                assert snapshot(one.cache) == snapshot(two.cache)
+                assert scheme_state(one.scheme) == scheme_state(two.scheme)
 
     def test_reset_reproduces_first_run(self, scheme_name, seed):
         stream = random_stream(seed + 200)
@@ -131,6 +190,44 @@ class TestCountersMatchOracle:
         protected.replay(stream)
         assert protected.stats == first_stats
         assert snapshot(protected.cache) == first_state
+
+
+class TestReplayPaths:
+    def test_exact_type_replays_make_no_access_call(self, monkeypatch):
+        """The batched scheme replays never fall back to per-access
+        lookups; a subclass, which may override them, still does."""
+        calls = []
+        access = Cache.access
+
+        def counting_access(cache, address):
+            calls.append(address)
+            return access(cache, address)
+
+        monkeypatch.setattr(Cache, "access", counting_access)
+        stream = random_stream(9)
+        for name in ("line_fixed", "line_dynamic", "set_fixed"):
+            ProtectedCache(Cache(CONFIG), SCHEME_FACTORIES[name](),
+                           seed=1).replay(stream)
+            assert calls == [], name
+        ProtectedCache(Cache(CONFIG), AnyPositionLineFixedScheme(0.5),
+                       seed=1).replay(stream)
+        assert calls == stream
+
+
+class TestSetDraw:
+    def test_getrandbits_redraw_is_randrange(self):
+        """``Cache.replay_inverting`` draws a set as
+        ``getrandbits(n.bit_length())`` redrawn while >= n; that must be
+        exactly ``randrange(n)``, values and final RNG state alike."""
+        for n in range(1, 1025):
+            batched, reference = random.Random(n), random.Random(n)
+            bits = n.bit_length()
+            for __ in range(8):
+                value = batched.getrandbits(bits)
+                while value >= n:
+                    value = batched.getrandbits(bits)
+                assert value == reference.randrange(n), n
+            assert batched.getstate() == reference.getstate(), n
 
 
 class TestBaselineReplay:
