@@ -20,13 +20,36 @@ from __future__ import annotations
 import math
 import random
 import struct
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import List
+from typing import Callable, List
 
 from repro.metrics import ordered_sum
 from repro.uarch.uop import FP_WIDTH, INT_WIDTH
 
 _INT_MASK = (1 << INT_WIDTH) - 1
+
+
+def randbelow(rng: random.Random) -> Callable[[int], int]:
+    """``below(n)``: the draw ``rng.randrange(n)`` makes, for ``n > 0``.
+
+    CPython 3.10-3.13 draw ``randrange(n)`` as ``getrandbits(k)`` with
+    ``k = n.bit_length()``, redrawn while it is >= n; ``choice(seq)``
+    is ``seq[randrange(len(seq))]`` and ``randrange(a, b)`` is ``a +
+    randrange(b - a)``.  ``below`` makes exactly those draws without
+    ``randrange``'s argument handling (``tests/test_synthesis_pins.py``
+    pins the rules on the running interpreter).
+    """
+    getrandbits = rng.getrandbits
+
+    def below(n: int) -> int:
+        bits = n.bit_length()
+        value = getrandbits(bits)
+        while value >= n:
+            value = getrandbits(bits)
+        return value
+
+    return below
 
 
 def encode_x87(value: float) -> int:
@@ -90,42 +113,42 @@ class BiasedIntGenerator:
         for weight in weights:
             acc += weight / total
             self._cdf.append(acc)
-        self._counter = self.rng.randrange(256) * 4
+        self._below = randbelow(self.rng)
+        # A start counter nothing reads; every trace depends on the draw.
+        self._below(256)
 
     def next(self) -> int:
-        draw = self.rng.random()
+        random, below = self.rng.random, self._below
+        draw = random()
         if draw < self._cdf[0]:
             # Loop counters / indices: geometric magnitudes with sparse
             # set bits (ANDed uniforms: each bit is 1 only 25% of the
             # time), word-stride biased so low bits are often 0.  A small
             # negative (two's-complement) tail keeps high bits from being
             # 0 *all* the time, as real index arithmetic does.
-            bits = self.rng.choice((3, 4, 5, 6, 8, 10))
-            value = (self.rng.randrange(1 << bits)
-                     & self.rng.randrange(1 << bits)) * 4
-            if self.rng.random() < 0.08:
+            bits = (3, 4, 5, 6, 8, 10)[below(6)]
+            value = (below(1 << bits) & below(1 << bits)) * 4
+            if random() < 0.08:
                 return (-value - 4) & _INT_MASK
             return value
         if draw < self._cdf[1]:
             # Word-aligned addresses: region base plus a sparse geometric
             # offset (most accesses land near the base of the hot region).
-            bits = self.rng.choice((6, 8, 10, 12, 14, 16))
-            offset = (self.rng.randrange(1 << bits)
-                      & self.rng.randrange(1 << bits)) * 4
+            bits = (6, 8, 10, 12, 14, 16)[below(6)]
+            offset = (below(1 << bits) & below(1 << bits)) * 4
             return (self.region_base + offset) & _INT_MASK
         if draw < self._cdf[2]:
             # Small constants: 0, 1, powers of two, -1-ish masks.
-            choice = self.rng.random()
+            choice = random()
             if choice < 0.5:
-                return self.rng.choice((0, 1, 2, 4, 8))
+                return (0, 1, 2, 4, 8)[below(5)]
             if choice < 0.85:
-                return 1 << self.rng.randrange(12)
+                return 1 << below(12)
             return _INT_MASK  # an all-ones mask now and then
         if draw < self._cdf[3]:
             # Medium magnitudes: 16-bit-ish quantities, sparse set bits.
-            return (self.rng.randrange(1 << 16)
-                    & self.rng.randrange(1 << 16))
-        return self.rng.randrange(1 << INT_WIDTH)
+            return below(1 << 16) & below(1 << 16)
+        return below(1 << INT_WIDTH)
 
 
 @dataclass
@@ -194,6 +217,10 @@ class AddressGenerator:
             raise ValueError("hot_fraction must be within [0, 1]")
         region_bytes = max(self.stride_bytes,
                            self.working_set_bytes // max(self.regions, 1))
+        if region_bytes < 4:
+            raise ValueError(
+                f"hot regions of {region_bytes} bytes are narrower than one "
+                "4-byte word; widen working_set_bytes or stride_bytes")
         self._region_bytes = region_bytes
         self._bases = [
             self.base + i * (region_bytes + 64 * 1024)
@@ -216,33 +243,63 @@ class AddressGenerator:
             acc += weight / total
             self._region_cdf.append(acc)
 
-    def _pick_region(self) -> int:
-        draw = self.rng.random()
-        for region, edge in enumerate(self._region_cdf):
-            if draw < edge:
-                return region
-        return len(self._region_cdf) - 1
-
     def next(self) -> int:
-        if self.rng.random() < self.hot_fraction:
-            region = self._pick_region()
-            if self.rng.random() < 0.9:
-                # Word-by-word stride: consecutive accesses land in the
-                # same cache line most of the time (spatial locality is
-                # what puts 90% of DL0 hits in the MRU way).
-                self._cursors[region] = (
-                    self._cursors[region] + self.stride_bytes
-                ) % self._region_bytes
-                offset = self._cursors[region]
+        return self.take(1)[0]
+
+    def take(self, n: int) -> List[int]:
+        """The next ``n`` addresses, drawn in one loop.
+
+        Each address makes the same draws from ``rng`` however a stream
+        is split into calls, so ``take(a) + take(b)`` is ``take(a + b)``
+        and :meth:`next` is ``take(1)[0]``.  ``randrange`` draws are
+        made as :func:`randbelow` makes them.
+        """
+        random, getrandbits = self.rng.random, self.rng.getrandbits
+        hot_fraction, stride = self.hot_fraction, self.stride_bytes
+        region_bytes, cdf = self._region_bytes, self._region_cdf
+        last_region = len(cdf) - 1
+        bases, cursors = self._bases, self._cursors
+        words = region_bytes // 4
+        word_bits = words.bit_length()
+        cold_base, cold_bytes = self._cold_base, self.cold_bytes
+        cold_cursor = self._cold_cursor
+        addresses: List[int] = []
+        append = addresses.append
+        for __ in range(n):
+            if random() < hot_fraction:
+                # The first region whose CDF edge lies above the draw,
+                # else the last (the edges may round below 1.0).
+                region = bisect_right(cdf, random(), 0, last_region)
+                if random() < 0.9:
+                    # Word-by-word stride: consecutive accesses land in
+                    # the same cache line most of the time (spatial
+                    # locality is what puts 90% of DL0 hits in the MRU
+                    # way).
+                    offset = (cursors[region] + stride) % region_bytes
+                    cursors[region] = offset
+                else:
+                    # A random word: randrange(words) * 4.
+                    offset = getrandbits(word_bits)
+                    while offset >= words:
+                        offset = getrandbits(word_bits)
+                    offset *= 4
+                append(bases[region] + offset)
+            # Cold tail: a monotonic stream (compulsory misses for any
+            # cache size — no reuse a bigger structure could exploit)
+            # with nearby backward jumps that stay within a recent,
+            # small window.
+            elif random() < 0.6:
+                cold_cursor += 64
+                append(cold_base + cold_cursor)
             else:
-                offset = self.rng.randrange(self._region_bytes // 4) * 4
-            return self._bases[region] + offset
-        # Cold tail: a monotonic stream (compulsory misses for any cache
-        # size — no reuse a bigger structure could exploit) with nearby
-        # backward jumps that stay within a recent, small window.
-        if self.rng.random() < 0.6:
-            self._cold_cursor += 64
-            return self._cold_base + self._cold_cursor
-        lookback = min(self._cold_cursor, self.cold_bytes)
-        offset = self.rng.randrange(max(1, lookback // 64)) * 64
-        return self._cold_base + self._cold_cursor - offset
+                # A jump back of randrange(lines) lines.  max(), not
+                # `or 1`: a negative cold_bytes makes the window
+                # negative, and that must still draw below 1.
+                lines = max(1, min(cold_cursor, cold_bytes) // 64)
+                bits = lines.bit_length()
+                offset = getrandbits(bits)
+                while offset >= lines:
+                    offset = getrandbits(bits)
+                append(cold_base + cold_cursor - offset * 64)
+        self._cold_cursor = cold_cursor
+        return addresses

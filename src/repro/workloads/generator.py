@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_right
 from typing import Iterator, List, Optional, Sequence
 
 from repro.uarch.trace import Trace
@@ -23,6 +24,7 @@ from repro.workloads.datagen import (
     AddressGenerator,
     BiasedIntGenerator,
     FPValueGenerator,
+    randbelow,
 )
 from repro.workloads.suites import (
     SuiteProfile,
@@ -38,40 +40,21 @@ ARCH_FP_REGS = 8
 #: Default scaled-down trace length (the paper used 10M instructions).
 DEFAULT_TRACE_LENGTH = 20_000
 
-#: Latencies per uop class (cycles), Core(tm)-era integer pipeline.
-_LATENCY = {
-    UopClass.ALU: 1,
-    UopClass.MUL: 4,
-    UopClass.FP: 5,
-    UopClass.LOAD: 3,
-    UopClass.STORE: 1,
-    UopClass.BRANCH: 1,
-    UopClass.NOP: 1,
-}
-
-#: Issue-port assignment per class (one-hot index in the 5-bit field).
-_PORT = {
-    UopClass.ALU: 0,
-    UopClass.MUL: 1,
-    UopClass.FP: 1,
-    UopClass.LOAD: 2,
-    UopClass.STORE: 3,
-    UopClass.BRANCH: 4,
-    UopClass.NOP: 0,
-}
-
-#: Compact opcode assignment per class; real encodings are implementation
-#: specific (the paper excludes opcode bits from Figure 8 for the same
-#: reason) but a smartly-chosen dense encoding avoids huge imbalance.
-_OPCODE_BASE = {
-    UopClass.ALU: 0x010,
-    UopClass.MUL: 0x120,
-    UopClass.FP: 0x230,
-    UopClass.LOAD: 0x340,
-    UopClass.STORE: 0x450,
-    UopClass.BRANCH: 0x560,
-    UopClass.NOP: 0x001,
-}
+#: Per uop class, in ``SuiteProfile.uop_mix`` order: the class, its
+#: opcode base, its latency (cycles, a Core(tm)-era integer pipeline)
+#: and its issue port (one-hot index in the 5-bit field).  Real opcode
+#: encodings are implementation specific (the paper excludes opcode
+#: bits from Figure 8 for the same reason) but a smartly-chosen dense
+#: encoding avoids huge imbalance.
+_CLASSES = (
+    (UopClass.ALU, 0x010, 1, 0),
+    (UopClass.MUL, 0x120, 4, 1),
+    (UopClass.FP, 0x230, 5, 1),
+    (UopClass.LOAD, 0x340, 3, 2),
+    (UopClass.STORE, 0x450, 1, 3),
+    (UopClass.BRANCH, 0x560, 1, 4),
+    (UopClass.NOP, 0x001, 1, 0),
+)
 
 
 class TraceGenerator:
@@ -98,12 +81,9 @@ class TraceGenerator:
     ) -> Trace:
         """Generate one trace of the given suite."""
         profile = get_profile(suite)
-        trace = Trace(name=f"{suite}-{trace_index:03d}",
-                      suite=profile.name)
-        for uop in self.stream(suite, length=length,
-                               trace_index=trace_index):
-            trace.append(uop)
-        return trace
+        stream = self.stream(suite, length=length, trace_index=trace_index)
+        return Trace(name=f"{suite}-{trace_index:03d}", suite=profile.name,
+                     uops=list(stream))
 
     def stream(
         self,
@@ -176,11 +156,14 @@ def generate_address_stream(
     """A bare load/store address stream for cache-only studies.
 
     The Table 3 evaluation only needs the memory reference stream, which
-    is ~50x cheaper to generate than full uop traces.  Addresses follow
+    is ~18x cheaper to generate than full uop traces.  Addresses follow
     the same per-suite working-set model as :class:`TraceGenerator`.
     """
-    return list(iter_address_stream(suite, length=length, seed=seed,
-                                    trace_index=trace_index))
+    return _addresses(suite, length, seed, trace_index).take(length)
+
+
+#: Addresses per :meth:`AddressGenerator.take` call of a lazy stream.
+_STREAM_CHUNK = 4096
 
 
 def iter_address_stream(
@@ -191,28 +174,28 @@ def iter_address_stream(
 ) -> Iterator[int]:
     """Iterator twin of :func:`generate_address_stream`.
 
-    Yields the bit-identical address sequence without materialising the
-    list, so paper-scale streams replay through
-    :meth:`~repro.uarch.backends.reference.Cache.replay` in bounded memory.
+    Yields the bit-identical address sequence, drawn in chunks of 4096,
+    without materialising the list, so paper-scale streams replay
+    through :meth:`~repro.uarch.backends.reference.Cache.replay` in
+    bounded memory.
     """
+    take = _addresses(suite, length, seed, trace_index).take
+    return itertools.chain.from_iterable(
+        take(min(_STREAM_CHUNK, length - start))
+        for start in range(0, length, _STREAM_CHUNK))
+
+
+def _addresses(suite: str, length: int, seed: int,
+               trace_index: int) -> AddressGenerator:
     if length <= 0:
         raise ValueError("length must be positive")
     profile = get_profile(suite)
-    rng = random.Random(f"addr/{seed}/{suite}/{trace_index}")
-    addresses = AddressGenerator(
-        rng,
+    return AddressGenerator(
+        random.Random(f"addr/{seed}/{suite}/{trace_index}"),
         working_set_bytes=profile.working_set_bytes,
         hot_fraction=profile.hot_fraction,
         regions=profile.regions,
     )
-    return _iter_addresses(addresses, length)
-
-
-def _iter_addresses(addresses: AddressGenerator,
-                    length: int) -> Iterator[int]:
-    next_address = addresses.next
-    for __ in range(length):
-        yield next_address()
 
 
 # ----------------------------------------------------------------------
@@ -237,158 +220,122 @@ def _synthesise_uops(
         hot_fraction=profile.hot_fraction,
         regions=profile.regions,
     )
-    classes = [UopClass.ALU, UopClass.MUL, UopClass.FP, UopClass.LOAD,
-               UopClass.STORE, UopClass.BRANCH, UopClass.NOP]
-    # choices() accumulates plain weights the same way on every call.
-    cum_mix = list(itertools.accumulate(profile.uop_mix))
-
     int_reg_values: List[int] = [int_values.next() for _ in range(ARCH_INT_REGS)]
     fp_reg_values: List[int] = [fp_values.next() for _ in range(ARCH_FP_REGS)]
     recent_int: List[int] = list(range(4))
     recent_fp: List[int] = list(range(2))
     tos = 0
 
-    for seq in range(length):
-        kind = rng.choices(classes, cum_weights=cum_mix)[0]
-        is_fp = kind is UopClass.FP
-        uop = _make_uop(
-            seq, kind, profile, rng,
-            int_values, fp_values, addresses,
-            int_reg_values, fp_reg_values,
-            recent_int, recent_fp, tos,
-        )
-        if is_fp:
-            tos = (tos + rng.choice((0, 1, 7))) % 8
-        yield uop
-
-
-def _pick_source(
-    rng: random.Random, recent: List[int], n_regs: int, locality: float
-) -> int:
-    """A source register: recently-written with ``locality`` probability."""
-    if recent and rng.random() < locality:
-        return rng.choice(recent)
-    return rng.randrange(n_regs)
-
-
-def _remember_dst(recent: List[int], dst: int, depth: int = 6) -> None:
-    recent.append(dst)
-    if len(recent) > depth:
-        recent.pop(0)
-
-
-def _flags_value(rng: random.Random) -> int:
-    """6-bit flags: mostly clear; ZF/CF occasionally set.
-
-    Bits: 0=CF, 1=PF, 2=AF, 3=ZF, 4=SF, 5=OF.  High bits almost never
-    set — the "almost 100% bias for some flags" of Figure 8.
-    """
-    flags = 0
-    if rng.random() < 0.18:
-        flags |= 1 << 3  # ZF
-    if rng.random() < 0.10:
-        flags |= 1 << 0  # CF
-    if rng.random() < 0.12:
-        flags |= 1 << 4  # SF
-    if rng.random() < 0.04:
-        flags |= 1 << 1  # PF
-    # AF/OF practically never set by real code paths.
-    if rng.random() < 0.01:
-        flags |= 1 << 5
-    return flags
-
-
-def _make_uop(
-    seq: int,
-    kind: UopClass,
-    profile: SuiteProfile,
-    rng: random.Random,
-    int_values: BiasedIntGenerator,
-    fp_values: FPValueGenerator,
-    addresses: AddressGenerator,
-    int_reg_values: List[int],
-    fp_reg_values: List[int],
-    recent_int: List[int],
-    recent_fp: List[int],
-    tos: int,
-) -> Uop:
+    # One loop, one draw sequence: randbelow() draws as randrange() and
+    # choice() do, and bisect_right over the accumulated mix as
+    # choices(cum_weights=) does (tests/test_synthesis_pins.py).
+    random, below = rng.random, randbelow(rng)
+    next_int, next_fp, take = int_values.next, fp_values.next, addresses.take
+    cum_mix = list(itertools.accumulate(profile.uop_mix))
+    total_mix, last_class = cum_mix[-1] + 0.0, len(cum_mix) - 1
     locality = profile.dependency_locality
-    is_fp = kind is UopClass.FP
-    has_imm = rng.random() < profile.immediate_fraction
-    immediate = int_values.next() & 0xFFFF if has_imm else 0
+    immediate_fraction = profile.immediate_fraction
+    shift_fraction = profile.shift_fraction
+    # Local names: the loop tests every uop's class several times.
+    FP, BRANCH = UopClass.FP, UopClass.BRANCH
+    ALU, MUL, LOAD, STORE = (UopClass.ALU, UopClass.MUL, UopClass.LOAD,
+                             UopClass.STORE)
 
-    src1: Optional[int] = None
-    src2: Optional[int] = None
-    dst: Optional[int] = None
-    src1_value = 0
-    src2_value = 0
-    result = 0
-    address: Optional[int] = None
-    is_sub = False
-    taken = False
+    for seq in range(length):
+        kind, opcode_base, latency, port = _CLASSES[
+            bisect_right(cum_mix, random() * total_mix, 0, last_class)]
+        has_imm = random() < immediate_fraction
+        immediate = next_int() & 0xFFFF if has_imm else 0
+        src1: Optional[int] = None
+        src2: Optional[int] = None
+        dst: Optional[int] = None
+        address: Optional[int] = None
+        src1_value = src2_value = result = flags = 0
+        is_sub = taken = mispredicted = False
 
-    if kind is UopClass.FP:
-        src1 = _pick_source(rng, recent_fp, ARCH_FP_REGS, locality)
-        src2 = _pick_source(rng, recent_fp, ARCH_FP_REGS, locality)
-        dst = rng.randrange(ARCH_FP_REGS)
-        src1_value = fp_reg_values[src1]
-        src2_value = fp_reg_values[src2]
-        result = fp_values.next()
-        fp_reg_values[dst] = result
-        _remember_dst(recent_fp, dst)
-    elif kind in (UopClass.ALU, UopClass.MUL):
-        src1 = _pick_source(rng, recent_int, ARCH_INT_REGS, locality)
-        src2 = _pick_source(rng, recent_int, ARCH_INT_REGS, locality)
-        dst = rng.randrange(ARCH_INT_REGS)
-        src1_value = int_reg_values[src1]
-        src2_value = int_reg_values[src2]
-        is_sub = kind is UopClass.ALU and rng.random() < profile.sub_fraction
-        result = int_values.next()
-        int_reg_values[dst] = result
-        _remember_dst(recent_int, dst)
-    elif kind is UopClass.LOAD:
-        src1 = _pick_source(rng, recent_int, ARCH_INT_REGS, locality)
-        dst = rng.randrange(ARCH_INT_REGS)
-        src1_value = int_reg_values[src1]
-        address = addresses.next()
-        result = int_values.next()
-        int_reg_values[dst] = result
-        _remember_dst(recent_int, dst)
-    elif kind is UopClass.STORE:
-        src1 = _pick_source(rng, recent_int, ARCH_INT_REGS, locality)
-        src2 = _pick_source(rng, recent_int, ARCH_INT_REGS, locality)
-        src1_value = int_reg_values[src1]
-        src2_value = int_reg_values[src2]
-        address = addresses.next()
-    mispredicted = False
-    if kind is UopClass.BRANCH:
-        src1 = _pick_source(rng, recent_int, ARCH_INT_REGS, locality)
-        src1_value = int_reg_values[src1]
-        taken = rng.random() < profile.taken_rate
-        mispredicted = rng.random() < profile.mispredict_rate
+        # A source is one of the last six destinations with ``locality``
+        # probability, else any register.
+        if kind is FP:
+            src1 = (recent_fp[below(len(recent_fp))]
+                    if random() < locality else below(ARCH_FP_REGS))
+            src2 = (recent_fp[below(len(recent_fp))]
+                    if random() < locality else below(ARCH_FP_REGS))
+            dst = below(ARCH_FP_REGS)
+            src1_value = fp_reg_values[src1]
+            src2_value = fp_reg_values[src2]
+            result = fp_reg_values[dst] = next_fp()
+            recent_fp.append(dst)
+            del recent_fp[:-6]
+        elif kind is ALU or kind is MUL:
+            src1 = (recent_int[below(len(recent_int))]
+                    if random() < locality else below(ARCH_INT_REGS))
+            src2 = (recent_int[below(len(recent_int))]
+                    if random() < locality else below(ARCH_INT_REGS))
+            dst = below(ARCH_INT_REGS)
+            src1_value = int_reg_values[src1]
+            src2_value = int_reg_values[src2]
+            is_sub = kind is ALU and random() < profile.sub_fraction
+            result = int_reg_values[dst] = next_int()
+            recent_int.append(dst)
+            del recent_int[:-6]
+        elif kind is LOAD:
+            src1 = (recent_int[below(len(recent_int))]
+                    if random() < locality else below(ARCH_INT_REGS))
+            dst = below(ARCH_INT_REGS)
+            src1_value = int_reg_values[src1]
+            address = take(1)[0]
+            result = int_reg_values[dst] = next_int()
+            recent_int.append(dst)
+            del recent_int[:-6]
+        elif kind is STORE:
+            src1 = (recent_int[below(len(recent_int))]
+                    if random() < locality else below(ARCH_INT_REGS))
+            src2 = (recent_int[below(len(recent_int))]
+                    if random() < locality else below(ARCH_INT_REGS))
+            src1_value = int_reg_values[src1]
+            src2_value = int_reg_values[src2]
+            address = take(1)[0]
+        elif kind is BRANCH:
+            src1 = (recent_int[below(len(recent_int))]
+                    if random() < locality else below(ARCH_INT_REGS))
+            src1_value = int_reg_values[src1]
+            taken = random() < profile.taken_rate
+            mispredicted = random() < profile.mispredict_rate
 
-    return Uop(
-        seq=seq,
-        uop_class=kind,
-        opcode=(_OPCODE_BASE[kind] + rng.randrange(12)) & 0xFFF,
-        src1=src1,
-        src2=src2,
-        dst=dst,
-        src1_value=src1_value,
-        src2_value=src2_value,
-        result_value=result,
-        immediate=immediate,
-        has_immediate=has_imm,
-        is_fp=is_fp,
-        latency=_LATENCY[kind],
-        port=_PORT[kind],
-        taken=taken,
-        mispredicted=mispredicted,
-        tos=tos if is_fp else 0,
-        flags=_flags_value(rng) if kind in (UopClass.ALU, UopClass.MUL)
-        else 0,
-        shift1=rng.random() < profile.shift_fraction,
-        shift2=rng.random() < profile.shift_fraction,
-        address=address,
-        is_sub=is_sub,
-    )
+        opcode = (opcode_base + below(12)) & 0xFFF
+        if kind is ALU or kind is MUL:
+            # 6-bit flags, mostly clear: ZF (bit 3), CF (0), SF (4), PF
+            # (1) now and then, AF/OF (bit 5) practically never -- the
+            # "almost 100% bias for some flags" of Figure 8.
+            flags = (random() < 0.18) << 3
+            flags |= random() < 0.10
+            flags |= (random() < 0.12) << 4
+            flags |= (random() < 0.04) << 1
+            flags |= (random() < 0.01) << 5
+        uop = Uop(
+            seq=seq,
+            uop_class=kind,
+            opcode=opcode,
+            src1=src1,
+            src2=src2,
+            dst=dst,
+            src1_value=src1_value,
+            src2_value=src2_value,
+            result_value=result,
+            immediate=immediate,
+            has_immediate=has_imm,
+            is_fp=kind is FP,
+            latency=latency,
+            port=port,
+            taken=taken,
+            mispredicted=mispredicted,
+            tos=tos if kind is FP else 0,
+            flags=flags,
+            shift1=random() < shift_fraction,
+            shift2=random() < shift_fraction,
+            address=address,
+            is_sub=is_sub,
+        )
+        if kind is FP:
+            tos = (tos + (0, 1, 7)[below(3)]) % 8
+        yield uop

@@ -22,7 +22,7 @@ copies of ``specint2000`` do not share an address sequence.
 from __future__ import annotations
 
 import random
-from itertools import islice
+from itertools import chain, islice
 from typing import Any, Iterable, Iterator, List, Sequence
 
 from repro.workloads.generator import (
@@ -64,31 +64,33 @@ def interleave(
     if not iterators:
         raise ValueError("need at least one stream to interleave")
     if policy == "round_robin":
-        return _round_robin(iterators, slice_length)
-    return _random_slice(iterators, slice_length, seed)
+        slices = _round_robin(iterators, slice_length)
+    else:
+        slices = _random_slice(iterators, slice_length, seed)
+    return chain.from_iterable(slices)
 
 
 def _round_robin(iterators: List[Iterator[Any]],
-                 slice_length: int) -> Iterator[Any]:
+                 slice_length: int) -> Iterator[List[Any]]:
     live = list(iterators)
     while live:
         survivors = []
         for iterator in live:
             chunk = list(islice(iterator, slice_length))
-            yield from chunk
+            yield chunk
             if len(chunk) == slice_length:
                 survivors.append(iterator)
         live = survivors
 
 
 def _random_slice(iterators: List[Iterator[Any]], slice_length: int,
-                  seed: int) -> Iterator[Any]:
+                  seed: int) -> Iterator[List[Any]]:
     rng = random.Random(f"multiprog/{seed}")
     live = list(iterators)
     while live:
         index = rng.randrange(len(live))
         chunk = list(islice(live[index], slice_length))
-        yield from chunk
+        yield chunk
         if len(chunk) < slice_length:
             live.pop(index)
 

@@ -17,13 +17,22 @@ obviously correct:
 - one call per residency write vs the three-level write path, the
   profiler's masked filled row vs a second composition, the uop-class
   flags vs tuple membership, and the int-cycle issue search (with the
-  inlined adder pick) vs the float walk.
+  inlined adder pick) vs the float walk;
+- the synthesis kernels vs the per-draw helpers they replaced: the uop
+  loop vs ``_make_uop`` and its ``choices``/``choice``/``randrange``
+  calls, ``AddressGenerator.take`` vs one ``next`` per address with a
+  CDF walk, ``BiasedIntGenerator``'s ``randbelow`` draws vs
+  ``choice``/``randrange``, chunked address streams vs a per-address
+  generator, and the slice-list interleavers vs element-wise ones.
+  Uops are compared field by field, types included, and every test
+  compares the final ``getstate()`` too.
 
 Every comparison is exact (``==`` on floats), with and without numpy,
 except on fractional durations, where only float rounding may differ.
 """
 
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -59,8 +68,27 @@ from repro.uarch.entries import EntryArray
 from repro.uarch.ports import AdderPolicy
 from repro.uarch.regfile import RegisterFile
 from repro.uarch.scheduler import Scheduler, row_patch
+from repro.metrics import ordered_sum
 from repro.uarch.uop import SCHEDULER_LAYOUT, Uop, UopClass
-from repro.workloads import TraceGenerator
+from repro.workloads import (
+    AddressGenerator,
+    BiasedIntGenerator,
+    FPValueGenerator,
+    TraceGenerator,
+    generate_address_stream,
+    interleave,
+    iter_address_stream,
+    suite_names,
+)
+from repro.workloads.datagen import randbelow
+from repro.workloads.generator import (
+    ARCH_FP_REGS,
+    ARCH_INT_REGS,
+    _synthesise_uops,
+)
+from repro.workloads.suites import get_profile
+
+INT_MASK = (1 << 32) - 1
 
 
 def floats(vector):
@@ -1107,3 +1135,422 @@ def test_issue_search_starts_at_ceil_of_ready_time(kind, ready_t, first):
     uop = Uop(seq=0, uop_class=kind)
     assert core._find_issue_cycle(uop, ready_t) == first
     assert core._issue_use == {int(first): 1}
+
+
+# ----------------------------------------------------------------------
+# Workload synthesis kernels
+# ----------------------------------------------------------------------
+class HelperIntGenerator(BiasedIntGenerator):
+    """``BiasedIntGenerator`` drawing through ``choice``/``randrange``."""
+
+    def __post_init__(self):
+        weights = [self.counter_weight, self.address_weight,
+                   self.constant_weight, self.medium_weight,
+                   self.random_weight]
+        total = ordered_sum(weights)
+        self._cdf = []
+        acc = 0.0
+        for weight in weights:
+            acc += weight / total
+            self._cdf.append(acc)
+        self._counter = self.rng.randrange(256) * 4
+
+    def next(self):
+        draw = self.rng.random()
+        if draw < self._cdf[0]:
+            bits = self.rng.choice((3, 4, 5, 6, 8, 10))
+            value = (self.rng.randrange(1 << bits)
+                     & self.rng.randrange(1 << bits)) * 4
+            if self.rng.random() < 0.08:
+                return (-value - 4) & INT_MASK
+            return value
+        if draw < self._cdf[1]:
+            bits = self.rng.choice((6, 8, 10, 12, 14, 16))
+            offset = (self.rng.randrange(1 << bits)
+                      & self.rng.randrange(1 << bits)) * 4
+            return (self.region_base + offset) & INT_MASK
+        if draw < self._cdf[2]:
+            choice = self.rng.random()
+            if choice < 0.5:
+                return self.rng.choice((0, 1, 2, 4, 8))
+            if choice < 0.85:
+                return 1 << self.rng.randrange(12)
+            return INT_MASK
+        if draw < self._cdf[3]:
+            return (self.rng.randrange(1 << 16)
+                    & self.rng.randrange(1 << 16))
+        return self.rng.randrange(1 << 32)
+
+
+class HelperAddressGenerator(AddressGenerator):
+    """``AddressGenerator`` before ``take``: one ``next`` per address,
+    its region picked by a walk over the CDF."""
+
+    def _pick_region(self):
+        draw = self.rng.random()
+        for region, edge in enumerate(self._region_cdf):
+            if draw < edge:
+                return region
+        return len(self._region_cdf) - 1
+
+    def next(self):
+        if self.rng.random() < self.hot_fraction:
+            region = self._pick_region()
+            if self.rng.random() < 0.9:
+                self._cursors[region] = (
+                    self._cursors[region] + self.stride_bytes
+                ) % self._region_bytes
+                offset = self._cursors[region]
+            else:
+                offset = self.rng.randrange(self._region_bytes // 4) * 4
+            return self._bases[region] + offset
+        if self.rng.random() < 0.6:
+            self._cold_cursor += 64
+            return self._cold_base + self._cold_cursor
+        lookback = min(self._cold_cursor, self.cold_bytes)
+        offset = self.rng.randrange(max(1, lookback // 64)) * 64
+        return self._cold_base + self._cold_cursor - offset
+
+    def take(self, n):
+        return [self.next() for __ in range(n)]
+
+
+_LATENCY = {UopClass.ALU: 1, UopClass.MUL: 4, UopClass.FP: 5,
+            UopClass.LOAD: 3, UopClass.STORE: 1, UopClass.BRANCH: 1,
+            UopClass.NOP: 1}
+_PORT = {UopClass.ALU: 0, UopClass.MUL: 1, UopClass.FP: 1,
+         UopClass.LOAD: 2, UopClass.STORE: 3, UopClass.BRANCH: 4,
+         UopClass.NOP: 0}
+_OPCODE_BASE = {UopClass.ALU: 0x010, UopClass.MUL: 0x120,
+                UopClass.FP: 0x230, UopClass.LOAD: 0x340,
+                UopClass.STORE: 0x450, UopClass.BRANCH: 0x560,
+                UopClass.NOP: 0x001}
+
+
+def _pick_source(rng, recent, n_regs, locality):
+    if recent and rng.random() < locality:
+        return rng.choice(recent)
+    return rng.randrange(n_regs)
+
+
+def _remember_dst(recent, dst, depth=6):
+    recent.append(dst)
+    if len(recent) > depth:
+        recent.pop(0)
+
+
+def _flags_value(rng):
+    flags = 0
+    if rng.random() < 0.18:
+        flags |= 1 << 3
+    if rng.random() < 0.10:
+        flags |= 1 << 0
+    if rng.random() < 0.12:
+        flags |= 1 << 4
+    if rng.random() < 0.04:
+        flags |= 1 << 1
+    if rng.random() < 0.01:
+        flags |= 1 << 5
+    return flags
+
+
+def _make_uop(seq, kind, profile, rng, int_values, fp_values, addresses,
+              int_reg_values, fp_reg_values, recent_int, recent_fp, tos):
+    locality = profile.dependency_locality
+    is_fp = kind is UopClass.FP
+    has_imm = rng.random() < profile.immediate_fraction
+    immediate = int_values.next() & 0xFFFF if has_imm else 0
+    src1 = src2 = dst = address = None
+    src1_value = src2_value = result = 0
+    is_sub = taken = False
+    if kind is UopClass.FP:
+        src1 = _pick_source(rng, recent_fp, ARCH_FP_REGS, locality)
+        src2 = _pick_source(rng, recent_fp, ARCH_FP_REGS, locality)
+        dst = rng.randrange(ARCH_FP_REGS)
+        src1_value = fp_reg_values[src1]
+        src2_value = fp_reg_values[src2]
+        result = fp_values.next()
+        fp_reg_values[dst] = result
+        _remember_dst(recent_fp, dst)
+    elif kind in (UopClass.ALU, UopClass.MUL):
+        src1 = _pick_source(rng, recent_int, ARCH_INT_REGS, locality)
+        src2 = _pick_source(rng, recent_int, ARCH_INT_REGS, locality)
+        dst = rng.randrange(ARCH_INT_REGS)
+        src1_value = int_reg_values[src1]
+        src2_value = int_reg_values[src2]
+        is_sub = kind is UopClass.ALU and rng.random() < profile.sub_fraction
+        result = int_values.next()
+        int_reg_values[dst] = result
+        _remember_dst(recent_int, dst)
+    elif kind is UopClass.LOAD:
+        src1 = _pick_source(rng, recent_int, ARCH_INT_REGS, locality)
+        dst = rng.randrange(ARCH_INT_REGS)
+        src1_value = int_reg_values[src1]
+        address = addresses.next()
+        result = int_values.next()
+        int_reg_values[dst] = result
+        _remember_dst(recent_int, dst)
+    elif kind is UopClass.STORE:
+        src1 = _pick_source(rng, recent_int, ARCH_INT_REGS, locality)
+        src2 = _pick_source(rng, recent_int, ARCH_INT_REGS, locality)
+        src1_value = int_reg_values[src1]
+        src2_value = int_reg_values[src2]
+        address = addresses.next()
+    mispredicted = False
+    if kind is UopClass.BRANCH:
+        src1 = _pick_source(rng, recent_int, ARCH_INT_REGS, locality)
+        src1_value = int_reg_values[src1]
+        taken = rng.random() < profile.taken_rate
+        mispredicted = rng.random() < profile.mispredict_rate
+    return Uop(
+        seq=seq, uop_class=kind,
+        opcode=(_OPCODE_BASE[kind] + rng.randrange(12)) & 0xFFF,
+        src1=src1, src2=src2, dst=dst, src1_value=src1_value,
+        src2_value=src2_value, result_value=result, immediate=immediate,
+        has_immediate=has_imm, is_fp=is_fp, latency=_LATENCY[kind],
+        port=_PORT[kind], taken=taken, mispredicted=mispredicted,
+        tos=tos if is_fp else 0,
+        flags=_flags_value(rng) if kind in (UopClass.ALU, UopClass.MUL)
+        else 0,
+        shift1=rng.random() < profile.shift_fraction,
+        shift2=rng.random() < profile.shift_fraction,
+        address=address, is_sub=is_sub,
+    )
+
+
+def helper_uops(profile, rng, length):
+    """``_synthesise_uops`` before its kernel: one ``_make_uop`` per uop,
+    the class drawn by ``choices``."""
+    weights = profile.int_value_weights
+    int_values = HelperIntGenerator(
+        rng, counter_weight=weights[0], address_weight=weights[1],
+        constant_weight=weights[2], medium_weight=weights[3],
+        random_weight=weights[4])
+    fp_values = FPValueGenerator(rng)
+    addresses = HelperAddressGenerator(
+        rng, working_set_bytes=profile.working_set_bytes,
+        hot_fraction=profile.hot_fraction, regions=profile.regions)
+    classes = [UopClass.ALU, UopClass.MUL, UopClass.FP, UopClass.LOAD,
+               UopClass.STORE, UopClass.BRANCH, UopClass.NOP]
+    cum_mix = list(itertools.accumulate(profile.uop_mix))
+    int_reg_values = [int_values.next() for _ in range(ARCH_INT_REGS)]
+    fp_reg_values = [fp_values.next() for _ in range(ARCH_FP_REGS)]
+    recent_int = list(range(4))
+    recent_fp = list(range(2))
+    tos = 0
+    for seq in range(length):
+        kind = rng.choices(classes, cum_weights=cum_mix)[0]
+        uop = _make_uop(seq, kind, profile, rng, int_values, fp_values,
+                        addresses, int_reg_values, fp_reg_values,
+                        recent_int, recent_fp, tos)
+        if kind is UopClass.FP:
+            tos = (tos + rng.choice((0, 1, 7))) % 8
+        yield uop
+
+
+def element_round_robin(iterators, slice_length):
+    live = list(iterators)
+    while live:
+        survivors = []
+        for iterator in live:
+            chunk = list(itertools.islice(iterator, slice_length))
+            yield from chunk
+            if len(chunk) == slice_length:
+                survivors.append(iterator)
+        live = survivors
+
+
+def element_random_slice(iterators, slice_length, seed):
+    rng = random.Random(f"multiprog/{seed}")
+    live = list(iterators)
+    while live:
+        index = rng.randrange(len(live))
+        chunk = list(itertools.islice(live[index], slice_length))
+        yield from chunk
+        if len(chunk) < slice_length:
+            live.pop(index)
+
+
+class EdgeRandom(random.Random):
+    """A ``Random`` whose ``random()`` returns one of ``edges`` exactly
+    on a quarter of its draws, so draws land on CDF edges, and whose
+    ``getrandbits`` gives up after ``budget`` calls, so a redraw loop
+    that cannot end fails instead of hanging.  Defining ``getrandbits``
+    keeps ``randrange`` on its ``getrandbits`` rule."""
+
+    edges = (0.5,)
+    budget = 10 ** 6
+
+    def random(self):
+        value = super().random()
+        if value < 0.25:
+            return self.edges[int(value * 4 * len(self.edges))]
+        return value
+
+    def getrandbits(self, k):
+        self.budget -= 1
+        if self.budget < 0:
+            raise RuntimeError("getrandbits budget exhausted")
+        return super().getrandbits(k)
+
+
+def uop_rows(uops):
+    """Every field of every uop, types included (``True`` is not ``1``)."""
+    return [repr(dataclasses.astuple(uop)) for uop in uops]
+
+
+def first_difference(fast, slow):
+    """``(index, fast, slow)`` where two sequences first differ, else
+    None: a short failure report where a full diff would take minutes."""
+    fast, slow = list(fast), list(slow)
+    for index, pair in enumerate(zip(fast, slow)):
+        if pair[0] != pair[1]:
+            return (index,) + pair
+    if len(fast) != len(slow):
+        return min(len(fast), len(slow)), len(fast), len(slow)
+    return None
+
+
+#: Exact binary fractions, so ``random() * total`` can hit every edge.
+EDGE_MIX = (0.25, 0.125, 0.125, 0.25, 0.125, 0.0625, 0.0625)
+
+
+class TestSynthesisKernels:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("suite", suite_names())
+    def test_uop_kernel_matches_helpers(self, suite, seed):
+        profile = get_profile(suite)
+        rng, oracle = (random.Random(f"{seed}/{suite}/0") for __ in "ab")
+        rows = uop_rows(helper_uops(profile, oracle, 1500))
+        assert first_difference(
+            uop_rows(_synthesise_uops(profile, rng, 1500)), rows) is None
+        assert rng.getstate() == oracle.getstate()
+        assert first_difference(
+            uop_rows(TraceGenerator(seed).generate(suite, 1500)),
+            rows) is None
+
+    def test_uop_kernel_on_cdf_edges(self):
+        profile = dataclasses.replace(get_profile("specfp2000"),
+                                      uop_mix=EDGE_MIX)
+        edges = tuple(itertools.accumulate(EDGE_MIX))
+        rng, oracle = EdgeRandom(5), EdgeRandom(5)
+        rng.edges = oracle.edges = edges
+        assert edges[-1] == 1.0
+        assert first_difference(
+            uop_rows(_synthesise_uops(profile, rng, 3000)),
+            uop_rows(helper_uops(profile, oracle, 3000))) is None
+        assert rng.getstate() == oracle.getstate()
+
+    def test_uop_kernel_with_outside_draws(self):
+        profile = get_profile("multimedia")
+        rng, oracle = random.Random(3), random.Random(3)
+        kernel = _synthesise_uops(profile, rng, 2000)
+        helper = helper_uops(profile, oracle, 2000)
+        for piece in (1, 5, 300, 37, 1000, 657):
+            assert first_difference(
+                uop_rows(itertools.islice(kernel, piece)),
+                uop_rows(itertools.islice(helper, piece))) is None
+            assert rng.getrandbits(piece % 33) == \
+                oracle.getrandbits(piece % 33)
+            assert rng.random() == oracle.random()
+        assert next(kernel, None) is next(helper, None) is None
+        assert rng.getstate() == oracle.getstate()
+
+    @pytest.mark.parametrize("seed", [0, 9])
+    def test_int_generator_matches_helper_draws(self, seed):
+        for weights in ((0.35, 0.25, 0.15, 0.15, 0.10), (0, 0, 0, 0, 1),
+                        (1, 1, 1, 1, 1), (0, 0, 3, 1, 0)):
+            rng, oracle = random.Random(seed), random.Random(seed)
+            fast = BiasedIntGenerator(rng, *weights)
+            slow = HelperIntGenerator(oracle, *weights)
+            assert first_difference(
+                [fast.next() for __ in range(3000)],
+                [slow.next() for __ in range(3000)]) is None
+            assert rng.getstate() == oracle.getstate()
+
+    @pytest.mark.parametrize("config", [
+        {},
+        {"regions": 1},
+        {"stride_bytes": 0},
+        {"cold_bytes": 0, "hot_fraction": 0.3},
+        {"cold_bytes": -64, "hot_fraction": 0.3},
+        {"hot_fraction": 0.0},
+        {"hot_fraction": 1.0},
+        {"working_set_bytes": 24 * 1024, "regions": 12, "stride_bytes": 12},
+    ])
+    def test_take_matches_next_per_address(self, config):
+        seed = len(repr(config))
+        rng, oracle = EdgeRandom(seed), EdgeRandom(seed)
+        fast = AddressGenerator(rng, **config)
+        slow = HelperAddressGenerator(oracle, **config)
+        rng.edges = oracle.edges = tuple(fast._region_cdf)
+        for n in (1, 4095, 1, 4097, 700):
+            assert first_difference(fast.take(n), slow.take(n)) is None
+            assert fast.next() == slow.next()
+            assert rng.random() == oracle.random()
+        assert rng.getstate() == oracle.getstate()
+        assert fast._cursors == slow._cursors
+        assert fast._cold_cursor == slow._cold_cursor
+
+    @pytest.mark.parametrize("length", [1, 4095, 4096, 4097, 3 * 4096 + 5])
+    def test_address_streams_match_next_per_address(self, length):
+        profile = get_profile("server")
+        oracle = HelperAddressGenerator(
+            random.Random("addr/4/server/2"),
+            working_set_bytes=profile.working_set_bytes,
+            hot_fraction=profile.hot_fraction, regions=profile.regions)
+        expected = oracle.take(length)
+        assert first_difference(
+            generate_address_stream("server", length, 4, 2), expected) is None
+        assert first_difference(
+            iter_address_stream("server", length, 4, 2), expected) is None
+
+    def test_iter_address_stream_in_uneven_pieces(self):
+        length = 3 * 4096 + 5
+        stream = iter_address_stream("office", length, seed=6)
+        pieces = []
+        for size in itertools.cycle((1, 4095, 2, 37, 5000, 4096)):
+            piece = list(itertools.islice(stream, size))
+            if not piece:
+                break
+            pieces.append(piece)
+        assert [len(piece) for piece in pieces][:4] == [1, 4095, 2, 37]
+        assert first_difference(
+            itertools.chain(*pieces),
+            generate_address_stream("office", length, seed=6)) is None
+
+    @pytest.mark.parametrize("slice_length", [1, 37, 64])
+    @pytest.mark.parametrize("policy", ["round_robin", "random_slice"])
+    def test_interleave_matches_element_wise(self, policy, slice_length):
+        def element_wise(streams):
+            if policy == "round_robin":
+                return element_round_robin(streams, slice_length)
+            return element_random_slice(streams, slice_length, 4)
+
+        def streams():
+            return [iter(range(500)), iter(range(1000, 1131)), iter(()),
+                    iter(range(5000, 5064))]
+
+        assert first_difference(
+            interleave(streams(), policy=policy, slice_length=slice_length,
+                       seed=4), element_wise(streams())) is None
+
+        def unbounded(start):
+            for value in itertools.count(start):
+                assert value - start < 1000, "pulled far ahead of the output"
+                yield value
+
+        merged = interleave([unbounded(0), unbounded(10 ** 6)],
+                            policy=policy, slice_length=slice_length, seed=4)
+        assert first_difference(itertools.islice(merged, 300), itertools.islice(
+            element_wise([unbounded(0), unbounded(10 ** 6)]), 300)) is None
+
+    def test_below_is_randrange(self):
+        bounds = list(range(1, 300)) + [1 << 31, (1 << 32) - 1, 1 << 32,
+                                        10 ** 12, 3 << 70]
+        rng, oracle = random.Random(11), random.Random(11)
+        below = randbelow(rng)
+        for n in bounds:
+            for __ in range(5):
+                assert below(n) == oracle.randrange(n), n
+        assert rng.getstate() == oracle.getstate()

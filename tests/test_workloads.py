@@ -105,6 +105,19 @@ class TestAddressGenerator:
         with pytest.raises(ValueError):
             AddressGenerator(random.Random(0), hot_fraction=1.5)
 
+    def test_hot_region_narrower_than_a_word_rejected(self):
+        # Its random offsets would be drawn below zero words: refused at
+        # construction, not at the first such draw mid-stream.
+        with pytest.raises(ValueError, match="regions of 2 bytes"):
+            AddressGenerator(random.Random(0), working_set_bytes=8,
+                             regions=4, stride_bytes=1)
+
+    def test_one_word_regions_draw(self):
+        gen = AddressGenerator(random.Random(0), working_set_bytes=4,
+                               regions=1, stride_bytes=1, hot_fraction=1.0)
+        assert set(gen.take(400)) == {gen.base, gen.base + 1, gen.base + 2,
+                                      gen.base + 3}
+
 
 class TestSuiteProfiles:
     def test_table1_counts(self):
