@@ -60,6 +60,9 @@ class ComponentRegistry:
         self.kind = kind
         self.context_params = context_params
         self._factories: Dict[str, Callable[..., Any]] = {}
+        #: Each factory's spec-settable parameter names, read from its
+        #: signature once, at registration.
+        self._params: Dict[str, List[str]] = {}
 
     def register(self, name: str) -> Callable:
         """Decorator: register ``factory`` under ``name``."""
@@ -69,6 +72,11 @@ class ComponentRegistry:
             )
 
         def wrap(factory: Callable[..., Any]) -> Callable[..., Any]:
+            self._params[name] = [
+                p.name for p in inspect.signature(factory).parameters.values()
+                if p.name not in self.context_params
+                and p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)
+            ]
             self._factories[name] = factory
             return factory
 
@@ -79,15 +87,9 @@ class ComponentRegistry:
 
     def accepted_params(self, name: str) -> List[str]:
         """The spec-settable parameter names of one mechanism."""
-        factory = self._get(name, where=self.kind)
-        if factory is None:  # "none" takes no parameters
-            return []
-        signature = inspect.signature(factory)
-        return [
-            p.name for p in signature.parameters.values()
-            if p.name not in self.context_params
-            and p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)
-        ]
+        if self._get(name, where=self.kind) is None:
+            return []  # "none" takes no parameters
+        return list(self._params[name])
 
     def validate(self, name: str, params: Mapping[str, Any],
                  where: str = "") -> None:
@@ -101,7 +103,7 @@ class ComponentRegistry:
                     f"{', '.join(sorted(params))}"
                 )
             return
-        accepted = self.accepted_params(name)
+        accepted = self._params[name]
         unknown = sorted(set(params) - set(accepted))
         if unknown:
             raise SpecError(

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import multiprocessing.connection
 import os
 import shutil
 import signal
@@ -80,6 +81,11 @@ EVENTS_NAME = "events.jsonl"
 #: tests and CI's resume-smoke, without racing on pids.
 FAULT_ENV = "REPRO_FABRIC_FAULT"
 FAULT_MARKER = ".fault-fired"
+
+#: A lease-board worker's first wait for a batch another worker holds;
+#: each further wait doubles, up to a quarter of the lease TTL (at most
+#: 0.2 s).
+IDLE_WAIT = 0.005
 
 
 class PointExecutionError(RuntimeError):
@@ -417,16 +423,21 @@ def _drain_board(store: ShardedResultStore, journal: SweepJournal,
     """
     run_id = journal.run_id
     batch_by_id = {b.batch_id: b for b in journal.batches}
+    idle_cap = min(0.2, max(settings.lease_ttl / 4.0, 0.01))
+    idle = IDLE_WAIT
     while True:
         lease = board.acquire(run_id, worker_tag, settings.lease_ttl,
                               settings.max_batch_attempts)
         if lease is None:
             if board.remaining(run_id, settings.max_batch_attempts) == 0:
                 return
-            # Someone else holds a live lease; wake up around the time
-            # it could expire so a death is noticed promptly.
-            time.sleep(min(0.2, max(settings.lease_ttl / 4.0, 0.01)))
+            # Someone else holds a live lease.  Doubling waits notice the
+            # board draining within about the time already waited, and
+            # the cap notices a dead owner's lease expire promptly.
+            time.sleep(idle)
+            idle = min(idle * 2.0, idle_cap)
             continue
+        idle = IDLE_WAIT
         batch = batch_by_id[lease.batch_id]
         if log is not None:
             if lease.stolen:
@@ -856,7 +867,10 @@ class SweepRunner:
                     break
                 if not alive:
                     break
-                time.sleep(0.05)
+                # Wake at once when a worker exits: the last one to go
+                # leaves a drained board behind.
+                multiprocessing.connection.wait(
+                    [proc.sentinel for proc in alive], timeout=0.05)
             finished = True
         finally:
             for proc in procs:

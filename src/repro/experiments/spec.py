@@ -13,6 +13,7 @@ with automatic scalar coercion — see :func:`parse_grid_option`.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 from dataclasses import dataclass, field
@@ -63,8 +64,9 @@ class ExperimentPoint:
     def as_dict(self) -> Dict[str, Any]:
         return dict(self.params)
 
-    @property
+    @functools.cached_property
     def key(self) -> str:
+        """Hashed on first use only: a sweep reads it many times."""
         return point_key(self.study, self.as_dict())
 
     def describe(self, skip: Sequence[str] = ()) -> str:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 from typing import Any
 
 __all__ = ["append_record", "atomic_write_text", "atomic_write_json",
@@ -55,12 +56,15 @@ def atomic_write_text(path: str, text: str) -> None:
     """Replace ``path`` with ``text`` via temp-file + ``os.replace``.
 
     The temp file lives in the target directory so the rename never
-    crosses a filesystem boundary (which would lose atomicity).
+    crosses a filesystem boundary (which would lose atomicity), and is
+    named per process and thread, so concurrent writers of one path
+    (the service's jobs share a pid) never rename each other's file.
     """
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
     tmp = os.path.join(
-        directory, f".{os.path.basename(path)}.{os.getpid()}.tmp"
+        directory, f".{os.path.basename(path)}.{os.getpid()}."
+        f"{threading.get_ident()}.tmp"
     )
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
     try:

@@ -14,6 +14,7 @@ fields / a skipped write — provenance must never take a sweep down.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -24,11 +25,16 @@ import sys
 import time
 from typing import Any, Dict, List, Mapping, Optional
 
+from repro.fabric.io import atomic_write_json
+
 #: Schema tag so later readers can evolve the format.
 MANIFEST_SCHEMA = "repro.manifest/1"
 
 #: Canonical manifest filename, written next to the result store.
 MANIFEST_NAME = "manifest.json"
+
+#: The ``repro`` package directory: git probes the checkout holding it.
+_PACKAGE_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def manifest_path_for(store_path: str) -> str:
@@ -37,7 +43,18 @@ def manifest_path_for(store_path: str) -> str:
 
 
 def git_revision(cwd: Optional[str] = None) -> Optional[Dict[str, Any]]:
-    """``{"revision": ..., "dirty": ...}`` of the working tree, if any."""
+    """``{"revision": ..., "dirty": ...}`` of the work tree holding
+    ``cwd``, by default the one this package was imported from.
+
+    Probed once per directory and process: a process runs the code it
+    imported, so one probe describes every manifest it writes.
+    """
+    found = _probe_git(cwd or _PACKAGE_DIR)
+    return dict(found) if found is not None else None
+
+
+@functools.lru_cache(maxsize=None)
+def _probe_git(cwd: str) -> Optional[Dict[str, Any]]:
     try:
         revision = subprocess.run(
             ["git", "rev-parse", "HEAD"], cwd=cwd, timeout=5,
@@ -138,13 +155,7 @@ def build_manifest(
 
 def write_manifest(path: str, manifest: Mapping[str, Any]) -> None:
     """Atomic write (temp + rename): readers never see a torn manifest."""
-    directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
-    temp = os.path.join(directory, f".{os.path.basename(path)}.{os.getpid()}.tmp")
-    with open(temp, "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True, default=str)
-        handle.write("\n")
-    os.replace(temp, path)
+    atomic_write_json(path, manifest)
 
 
 def load_manifest(path: str) -> Dict[str, Any]:

@@ -228,6 +228,31 @@ class TestRegistries:
         finally:
             del CACHE_SCHEMES._factories[name]
 
+    def test_accepted_params_of_every_registered_mechanism(self):
+        from repro.config.registry import (
+            ADDER_MECHANISMS,
+            RF_PROTECTORS,
+            SCHEDULER_PROTECTORS,
+        )
+
+        pinned = {
+            CACHE_SCHEMES: {
+                "line_dynamic": ["ratio", "threshold", "warmup",
+                                 "test_window", "period"],
+                "line_fixed": ["ratio"],
+                "set_fixed": ["ratio", "rotation_period"],
+                "way_fixed": ["ratio", "rotation_period"],
+            },
+            RF_PROTECTORS: {"isv": []},
+            SCHEDULER_PROTECTORS: {"derived_policy": [],
+                                   "paper_policy": []},
+            ADDER_MECHANISMS: {"idle_injection": ["pair"]},
+        }
+        for registry, expected in pinned.items():
+            assert {name: registry.accepted_params(name)
+                    for name in expected} == expected
+            assert registry.accepted_params("none") == []
+
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
             CACHE_SCHEMES.register("line_fixed")(object)

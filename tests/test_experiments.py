@@ -65,6 +65,20 @@ class TestSpec:
         c = ExperimentPoint.from_dict("regfile", {"x": 1})
         assert len({a.key, b.key, c.key}) == 3
 
+    def test_key_survives_pickling_before_and_after_first_use(self):
+        import pickle
+
+        point = ExperimentPoint.from_dict("caches",
+                                          {"ratio": 0.4, "ways": [2, 4]})
+        unhashed = pickle.loads(pickle.dumps(point))
+        key = point.key
+        hashed = pickle.loads(pickle.dumps(point))
+        assert key == point_key("caches", point.as_dict())
+        for clone in (unhashed, hashed):
+            assert clone == point and hash(clone) == hash(point)
+            assert clone.as_dict() == point.as_dict()
+            assert clone.key == key
+
     def test_rejects_empty_axis_and_unserialisable_param(self):
         with pytest.raises(ValueError):
             SweepSpec("caches", grid={"ratio": []})
@@ -238,6 +252,42 @@ class TestStore:
 
 
 class TestRunner:
+    def test_bookkeeping_is_paid_once_per_point(self, tmp_path,
+                                                monkeypatch):
+        """A store-backed sweep hashes each point's key once, cold or
+        cached, and reads no factory signature: the registries read
+        them at registration."""
+        import inspect
+
+        # Imported first: registering the factories reads their
+        # signatures, and that is not part of a run.
+        import repro.config.registry  # noqa: F401
+        from repro.experiments import spec as spec_module
+
+        calls = {"point_key": 0, "signature": 0}
+
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(spec_module, "point_key",
+                            counted("point_key", spec_module.point_key))
+        monkeypatch.setattr(inspect, "signature",
+                            counted("signature", inspect.signature))
+        spec = SweepSpec("caches", base={"suite": "office", "length": 400},
+                         grid={"seed": list(range(8)),
+                               "ratio": [0.2, 0.4, 0.6, 0.8]})
+        cold = SweepRunner(str(tmp_path), workers=1).run(spec)
+        assert cold.executed == 32
+        assert calls == {"point_key": 32, "signature": 0}
+        calls.update(point_key=0, signature=0)
+        warm = SweepRunner(str(tmp_path), workers=1).run(spec)
+        assert warm.cache_hits == 32
+        assert calls == {"point_key": 32, "signature": 0}
+        assert [r.point.key for r in warm] == [r.point.key for r in cold]
+
     def test_cache_hits_on_rerun(self, tmp_path):
         store = ShardedResultStore(str(tmp_path))
         first = SweepRunner(store=store, workers=1).run(tiny_spec())

@@ -692,6 +692,47 @@ class TestWorkerProcesses:
         assert not [n for n in os.listdir(tmp_path)
                     if n.startswith(".spans-")]
 
+    def test_idle_worker_waits_double_and_end_with_the_board(
+            self, tmp_path, monkeypatch):
+        """A worker with no batch to take while a peer holds the last
+        one polls fast, then backs off to a quarter TTL; it returns on
+        its first look after the board drains."""
+        from types import SimpleNamespace
+
+        from repro.experiments import runner
+
+        point = ExperimentPoint.from_dict("caches", {"ratio": 0.4})
+        journal = SweepJournal(
+            run_id="r1", study="caches", spec_payload={},
+            spec_hash="", store_dir=str(tmp_path),
+            batches=plan_batches([(point.key, point.as_dict())], 1))
+        board = LeaseBoard(str(tmp_path / "leases.sqlite"))
+        board.register("r1", ["b0000"])
+        peer = board.acquire("r1", "peer", ttl=60, max_attempts=3)
+        settings = runner.RunSettings(lease_ttl=0.4)
+        cap = min(0.2, settings.lease_ttl / 4)
+        waits = []
+
+        def sleep(seconds):
+            waits.append(seconds)
+            if len(waits) == 7:
+                assert board.complete("r1", peer.batch_id, "peer")
+
+        monkeypatch.setattr(runner, "time", SimpleNamespace(sleep=sleep))
+        store = ShardedResultStore(str(tmp_path))
+        try:
+            runner._drain_board(store, journal, board, None, settings,
+                                "idle")
+        finally:
+            store.close()
+            board.close()
+        assert len(waits) == 7
+        assert waits[0] <= 0.010
+        for before, after in zip(waits, waits[1:]):
+            assert after == pytest.approx(min(2 * before, cap))
+        assert max(waits) <= cap
+        assert waits[-1] == pytest.approx(cap)
+
 
 # ----------------------------------------------------------------------
 # Concurrent readers (second handles during a run)

@@ -392,6 +392,57 @@ class TestProvenance:
         write_manifest(path, self._manifest(tmp_path))  # overwrite ok
         assert os.listdir(str(tmp_path)) == ["manifest.json"]
 
+    def test_concurrent_writers_never_lose_the_manifest(self, tmp_path):
+        """Jobs of one ``repro serve`` share a pid and a store directory,
+        so jobs finishing together write one manifest path at once."""
+        path = str(tmp_path / "manifest.json")
+        run_ids = ("runA", "runB", "runC", "runD")
+        payloads = [dict(self._manifest(tmp_path), run_id=run_id)
+                    for run_id in run_ids]
+        errors = []
+
+        def write(barrier, manifest):
+            barrier.wait()
+            try:
+                write_manifest(path, manifest)
+            except OSError as exc:
+                errors.append(exc)
+
+        for __ in range(200):
+            barrier = threading.Barrier(len(payloads))
+            threads = [threading.Thread(target=write,
+                                        args=(barrier, manifest))
+                       for manifest in payloads]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            assert load_manifest(path)["run_id"] in run_ids
+        assert errors == []
+        assert os.listdir(str(tmp_path)) == ["manifest.json"]
+
+    def test_manifest_names_the_code_checkout_not_the_cwd(
+            self, tmp_path, monkeypatch):
+        import subprocess
+
+        import repro
+        from repro.experiments import SweepRunner
+
+        package_dir = os.path.dirname(os.path.abspath(repro.__file__))
+        try:
+            head = subprocess.run(
+                ["git", "-C", package_dir, "rev-parse", "HEAD"],
+                capture_output=True, text=True, timeout=10)
+        except OSError:
+            pytest.skip("no git binary")
+        if head.returncode != 0:
+            pytest.skip("the repro package is not in a git work tree")
+        monkeypatch.chdir(tmp_path)
+        outcome = SweepRunner(store=str(tmp_path / "store")).run(
+            _tiny_spec())
+        manifest = load_manifest(outcome.manifest_path)
+        assert manifest["git"]["revision"] == head.stdout.strip()
+
     def test_load_rejects_other_json(self, tmp_path):
         path = tmp_path / "other.json"
         path.write_text('{"traceEvents": []}')

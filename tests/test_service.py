@@ -433,6 +433,43 @@ class TestLiveService:
                     keys += [json.loads(line)["key"] for line in handle]
             assert len(keys) == len(set(keys)) == 2
 
+    def test_worker_process_job_matches_in_process_oracle(self, tmp_path):
+        """A ``workers: 2`` job runs on lease-board worker processes:
+        its rows equal an in-process run without a store, each key is
+        stored once, and the job's manifest names its run."""
+        from repro.obs.provenance import load_manifest
+
+        payload = {"study": "caches", "base": {"length": 400, "seed": 3},
+                   "grid": {"ratio": [0.2, 0.4, 0.6, 0.8],
+                            "suite": ["office", "kernels"]}}
+        oracle = SweepRunner(store=None, workers=1).run(
+            SweepSpec("caches", base=dict(payload["base"]),
+                      grid=dict(payload["grid"])))
+        directory = tmp_path / "svc"
+        with live_service(directory) as (port, __):
+            client = ServiceClient(f"http://127.0.0.1:{port}")
+            job_id = client.submit(payload, workers=2)["job"]
+            status = client.wait(job_id, timeout=120)
+            assert status["state"] == "done" and status["workers"] == 2
+            rows = client.result(job_id)["rows"]
+        assert [(row["key"], row["metrics"]) for row in rows] == [
+            (r.point.key, r.metrics) for r in oracle]
+        assert not any(row["cached"] for row in rows)
+
+        keys = []
+        shard_dir = directory / "shards"
+        for name in os.listdir(shard_dir):
+            with open(shard_dir / name) as handle:
+                keys += [json.loads(line)["key"] for line in handle]
+        assert sorted(keys) == sorted(row["key"] for row in rows)
+
+        manifest = load_manifest(status["manifest"])
+        assert manifest["run_id"] == job_id
+        assert manifest["workers"] == 2
+        assert manifest["totals"]["executed"] == len(rows)
+        assert manifest["fabric"]["counts"] == {
+            "done": manifest["fabric"]["batches"]}
+
     def test_auth_rejects_and_admits(self, tmp_path):
         with live_service(tmp_path / "svc", token="s3cret") as \
                 (port, __):
