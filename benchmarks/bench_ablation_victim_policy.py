@@ -7,33 +7,20 @@ measured hit-position distribution backing the argument (the paper: 90%
 of DL0 hits in the MRU way, 7% in MRU+1).
 """
 
-import random
-
 import pytest
 
 from repro.analysis import format_table
-from repro.core.cache_like import LineFixedScheme, run_cache_study
-from repro.uarch.backends import Cache, CacheConfig, LineState
+from repro.core.cache_like import (
+    AnyPositionLineFixedScheme,
+    LineFixedScheme,
+    run_cache_study,
+)
+from repro.uarch.backends import Cache, CacheConfig
 from repro.workloads import generate_address_stream, suite_names
 
 from conftest import SMOKE, scaled
 
 CONFIG = CacheConfig(name="DL0-16K-8w", size_bytes=16 * 1024, ways=8)
-
-
-class AnyPositionLineFixed(LineFixedScheme):
-    """Naive variant: inverts a random *valid* way, any stack position."""
-
-    def __init__(self, ratio=0.5):
-        super().__init__(ratio)
-        self.name = f"AnyPosition{int(round(ratio * 100))}%"
-
-    def maintain(self):
-        if self.cache.inverted_count() < self.threshold:
-            set_index = self.rng.randrange(self.cache.config.sets)
-            valid = self.cache.valid_ways(set_index)
-            if valid:
-                self.cache.invert_line(set_index, self.rng.choice(valid))
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +33,7 @@ def streams():
 
 def compare(streams):
     lru = run_cache_study(CONFIG, lambda: LineFixedScheme(0.5), streams)
-    naive = run_cache_study(CONFIG, lambda: AnyPositionLineFixed(0.5),
+    naive = run_cache_study(CONFIG, lambda: AnyPositionLineFixedScheme(0.5),
                             streams)
     # Hit-position histogram of a baseline run (the paper's MRU stat).
     cache = Cache(CONFIG)

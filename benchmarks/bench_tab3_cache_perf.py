@@ -135,7 +135,9 @@ def test_tab3_cache_performance(benchmark, streams):
             assert fixed[0] <= fixed[2] + 0.003
         # All losses stay small (the 8KB configs overshoot the paper's
         # 1.6-2.3% because the synthetic streams have a fatter reuse
-        # tail; see EXPERIMENTS.md).
+        # tail; the measured table is benchmarks/results/
+        # tab3_cache_perf.txt, and README's Performance section times
+        # the study).
         assert all(loss < 0.08 for loss in losses.values())
 
     text = format_table(

@@ -2,8 +2,9 @@
 
 Every benchmark regenerates one table or figure of the paper.  Heavy
 artefacts (traces, baseline core runs) are session-scoped; each module
-prints its artefact and also writes it under ``benchmarks/results/`` so
-EXPERIMENTS.md can cite the measured numbers.
+prints its artefact and also writes it under ``benchmarks/results/``,
+where the measured numbers are read; README's Performance section
+cites the timed ones.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from repro.workloads import TraceGenerator, suite_names
 #: executes end to end with scaled-down workloads and its shape
 #: assertions relaxed, so API rot is caught without paying full-size
 #: runs.  Artefacts are diverted to a separate directory so smoke runs
-#: never clobber the full-size results EXPERIMENTS.md cites.
+#: never clobber the full-size results in ``benchmarks/results/``.
 _SMOKE_ENV = os.environ.get("REPRO_BENCH_SMOKE", "") == "1"
 
 #: Workload divisor; >1 shrinks every bench's trace/stream lengths.
@@ -52,7 +53,7 @@ RESULTS_DIR = os.environ.get(
 def write_result(
     name: str, text: str, data: Optional[Dict[str, Any]] = None
 ) -> None:
-    """Persist a rendered artefact for EXPERIMENTS.md.
+    """Persist a rendered artefact under :data:`RESULTS_DIR`.
 
     Alongside the text artefact a machine-readable ``<stem>.json`` is
     written (the rendered text plus whatever structured ``data`` the

@@ -115,7 +115,7 @@ def _run_sweep_and_report(spec, *, workers, store, verbose, group_by,
                           metrics_arg, agg, intro, title,
                           progress_mode=None, quiet=False,
                           trace=False, resume=None,
-                          batch_size=None, lease_ttl=5.0) -> int:
+                          batch_size=None) -> int:
     """Execute an expanded sweep and print plan, progress, summary,
     and footer — shared by ``sweep`` and ``run``."""
     from repro.experiments import SweepRunner, format_summary
@@ -142,7 +142,7 @@ def _run_sweep_and_report(spec, *, workers, store, verbose, group_by,
     runner = SweepRunner(store=store, workers=workers,
                          progress=progress.update,
                          trace_path=trace_json if trace else None,
-                         batch_size=batch_size, lease_ttl=lease_ttl)
+                         batch_size=batch_size)
     progress.begin(
         run_id=resume if resume is not None else runner.run_id,
         store=store.directory if store is not None else None)
@@ -314,7 +314,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             quiet=args.quiet,
             trace=args.trace,
             batch_size=args.batch_size,
-            lease_ttl=args.lease_ttl,
         )
     except SweepIncompleteError as exc:
         # The run stopped with durable state behind it — distinct exit
@@ -365,7 +364,6 @@ def _cmd_sweep_resume(args: argparse.Namespace) -> int:
             trace=args.trace,
             resume=args.resume,
             batch_size=args.batch_size,
-            lease_ttl=args.lease_ttl,
         )
     except SweepIncompleteError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -532,8 +530,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
         return 0
 
 
-def _print_provenance(store_path: str) -> None:
-    """One-line manifest header over stored results, when one exists.
+def _print_provenance(directory: str) -> None:
+    """One-line header from the store's newest manifest, if any.
 
     Best-effort on purpose: a missing or corrupt manifest must never
     block listing the results themselves.
@@ -541,11 +539,11 @@ def _print_provenance(store_path: str) -> None:
     from repro.obs.provenance import (
         describe_manifest,
         load_manifest,
-        manifest_path_for,
+        newest_manifest,
     )
 
-    path = manifest_path_for(store_path)
-    if not os.path.exists(path):
+    path = newest_manifest(directory)
+    if path is None:
         return
     try:
         print(describe_manifest(load_manifest(path)))
@@ -676,7 +674,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         print(f"no stored results for study {args.study!r} in "
               f"{store.directory}", file=sys.stderr)
         return 1
-    _print_provenance(store.path)
+    _print_provenance(store.directory)
     results = [
         PointResult(
             point=ExperimentPoint.from_dict(record.study, record.params),
@@ -736,7 +734,7 @@ def cmd_results(args: argparse.Namespace) -> int:
     if not records:
         print(f"no stored results in {store.directory}")
         return 0
-    _print_provenance(store.path)
+    _print_provenance(store.directory)
     rows = []
     for record in records:
         metrics = ", ".join(
@@ -926,8 +924,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "default, reference)")
     sweep.add_argument("--workers", type=int, default=1,
                        help="1 (default) runs in this process; more "
-                            "starts that many worker processes leasing "
-                            "batches off the store's lease board")
+                            "starts that many worker processes, each "
+                            "fed one batch of points at a time")
     sweep.add_argument("--store", default=None, metavar="DIR",
                        help="result store directory (default: "
                             "benchmarks/results/fabric)")
@@ -947,13 +945,8 @@ def build_parser() -> argparse.ArgumentParser:
              "(re-executes only points the store is missing)")
     sweep.add_argument("--batch-size", type=int, default=None,
                        metavar="N",
-                       help="points per lease batch with --workers > 1 "
+                       help="points per worker batch with --workers > 1 "
                             "(default: ~4 batches per worker)")
-    sweep.add_argument("--lease-ttl", type=float, default=5.0,
-                       metavar="SECONDS",
-                       help="seconds a worker's lease outlives its last "
-                            "heartbeat before a sibling may steal the "
-                            "batch (default: 5)")
     _add_observability_arguments(sweep)
     sweep.set_defaults(func=cmd_sweep)
 

@@ -374,6 +374,24 @@ class LineFixedScheme(InversionScheme):
             addresses, self.threshold, self._min_position, self.rng)
 
 
+class AnyPositionLineFixedScheme(LineFixedScheme):
+    """Naive ablation variant of :class:`LineFixedScheme`: inverts a
+    random valid way at any LRU position (the ``victim_policy`` study)."""
+
+    __slots__ = ()
+
+    def __init__(self, ratio: float = 0.5) -> None:
+        super().__init__(ratio)
+        self.name = f"AnyPosition{int(round(ratio * 100))}%"
+
+    def maintain(self) -> None:
+        if self.cache.inverted_count() < self.threshold:
+            set_index = self.rng.randrange(self.cache.config.sets)
+            valid = self.cache.valid_ways(set_index)
+            if valid:
+                self.cache.invert_line(set_index, self.rng.choice(valid))
+
+
 class LineDynamicScheme(InversionScheme):
     """Line inversion with periodic self-tests (LineDynamic60%).
 

@@ -22,8 +22,8 @@ to live in ``cli.py``, ``benchmarks/bench_ablation_*.py`` and
 - :mod:`repro.experiments.runner` — :class:`SweepRunner`, the one
   sweep engine.  Its planner serves stored points as cache hits,
   dedupes the rest by key and journals every store-backed run; the
-  misses then run in this process (``workers=1``) or on lease-board
-  worker processes.  Results return in spec order, so parallel and
+  misses then run in this process (``workers=1``) or on worker
+  processes it feeds batches to.  Results return in spec order, so parallel and
   serial sweeps are bit-identical, and an interrupted run resumes from
   its journal.
 - :mod:`repro.fabric.store` — the result store it caches into (a

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
-from repro.core.cache_like import LineFixedScheme as _LineFixedScheme
+from repro.core.cache_like import AnyPositionLineFixedScheme
 from repro.metrics import MetricSet
 from repro.obs.trace import TRACER as _TRACER
 from repro.workloads import suite_names
@@ -394,22 +394,6 @@ def run_victim_policy_point(params: Mapping[str, Any]) -> MetricSet:
     ms.ratio("mru_hit_fraction", baseline.stats.mru_hit_fraction(0))
     ms.ratio("mru1_hit_fraction", baseline.stats.mru_hit_fraction(1))
     return ms
-
-
-class AnyPositionLineFixedScheme(_LineFixedScheme):
-    """Naive ablation variant: inverts a random valid way, any position."""
-
-    def __init__(self, ratio: float = 0.5):
-        super().__init__(ratio)
-        self.name = f"AnyPosition{int(round(ratio * 100))}%"
-
-    def maintain(self):
-        # inverted_count() is the cache's O(1) incremental counter.
-        if self.cache.inverted_count() < self.threshold:
-            set_index = self.rng.randrange(self.cache.config.sets)
-            valid = self.cache.valid_ways(set_index)
-            if valid:
-                self.cache.invert_line(set_index, self.rng.choice(valid))
 
 
 # ----------------------------------------------------------------------

@@ -8,12 +8,13 @@
    ``journal-<run_id>.json`` (:mod:`repro.fabric.journal`) before
    executing anything.
 2. **Execute** — ``workers=1`` runs the pending points in this process,
-   in spec order, with no lease board.  ``workers>1`` starts worker
-   processes that lease hash-range batches off the
-   :class:`~repro.fabric.lease.LeaseBoard` in the store directory (a
-   temporary one when ``store=None``), keep each lease alive from a
-   heartbeat thread, and append results to the shards.  A worker that
-   dies loses only its lease: a sibling steals the batch.
+   in spec order.  ``workers>1`` starts worker processes and feeds
+   them hash-range batches, one at a time, over a pipe each: this
+   process holds the queue and each batch's attempts.  A worker stores
+   each point (with a store), then replies once per batch with each
+   point's key, metrics and elapsed time.  When a worker's exit
+   sentinel fires, its batch goes back on the queue for a survivor,
+   which skips the points already stored.
 3. **Resume** — :meth:`SweepRunner.resume` reloads the journal, checks
    its spec hash and plans again against the store, so whatever the
    stopped or killed run stored comes back as cache hits and the
@@ -26,14 +27,13 @@ whichever executor ran them, so parallel and serial sweeps are
 bit-identical (differential-tested).
 
 Observability: every run carries a ``run_id``; store-backed runs append
-to ``events.jsonl`` and write ``manifest.json`` next to the store.
-Each point slot gets exactly one ``point_done`` event: executed points
-are logged by whoever ran them, cached and duplicate slots by the
-planner.  With the tracer on, worker processes write their span rings
-through :mod:`repro.fabric.io` and the parent merges them after join,
-adding one ``sweep.queue_wait`` span per executed point.  None of it
-touches the computation: results are bit-identical with observability
-on or off.
+to ``events.jsonl`` and write ``manifest-<run_id>.json`` next to the
+store.  Each point slot gets exactly one ``point_done`` event: executed
+points are logged by whoever ran them, cached and duplicate slots by
+the planner.  With the tracer on, worker processes send their spans
+with each batch's reply and the parent merges them, adding one
+``sweep.queue_wait`` span per executed point.  None of it touches the
+computation: results are bit-identical with observability on or off.
 """
 
 from __future__ import annotations
@@ -42,25 +42,23 @@ import math
 import multiprocessing
 import multiprocessing.connection
 import os
-import shutil
 import signal
-import tempfile
 import threading
 import time
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.experiments.registry import get_study
 from repro.experiments.spec import ExperimentPoint, SweepSpec
-from repro.fabric.io import atomic_write_text
 from repro.fabric.journal import (
+    BatchPlan,
     SweepJournal,
     journal_path,
     load_journal,
     plan_batches,
 )
-from repro.fabric.lease import LEASES_NAME, Lease, LeaseBoard
 from repro.fabric.store import ShardedResultStore
 from repro.metrics import MetricSet
 from repro.obs.log import EventLog, new_run_id
@@ -70,7 +68,7 @@ from repro.obs.provenance import (
     spec_hash,
     write_manifest,
 )
-from repro.obs.trace import TRACER, load_spans, spans_text
+from repro.obs.trace import TRACER
 
 #: Event-log filename written next to a sweep's result store.
 EVENTS_NAME = "events.jsonl"
@@ -81,11 +79,6 @@ EVENTS_NAME = "events.jsonl"
 #: tests and CI's resume-smoke, without racing on pids.
 FAULT_ENV = "REPRO_FABRIC_FAULT"
 FAULT_MARKER = ".fault-fired"
-
-#: A lease-board worker's first wait for a batch another worker holds;
-#: each further wait doubles, up to a quarter of the lease TTL (at most
-#: 0.2 s).
-IDLE_WAIT = 0.005
 
 
 class PointExecutionError(RuntimeError):
@@ -180,10 +173,9 @@ def execute_point(
 
 @dataclass(frozen=True)
 class RunSettings:
-    """Timeout, retry and lease knobs, shared by both executors and
-    pickled to every worker process."""
+    """Timeout and retry knobs, shared by both executors and pickled to
+    every worker process."""
 
-    lease_ttl: float = 5.0
     max_batch_attempts: int = 3
     point_timeout: Optional[float] = None
     point_retries: int = 1
@@ -227,8 +219,8 @@ def _execute_with_retry(point: ExperimentPoint, settings: RunSettings,
                         **where: Any) -> Tuple[MetricSet, float]:
     """One point under the per-point timeout and bounded retries.
 
-    ``where`` (batch, owner) tags the retry and error events of lease
-    workers.
+    ``where`` (batch, owner) tags the retry and error events of worker
+    processes.
     """
     attempt = 0
     while True:
@@ -382,141 +374,87 @@ def _run_point(point: ExperimentPoint,
     return result
 
 
-@contextmanager
-def _heartbeat(board_path: str, lease: Lease, ttl: float) -> Iterator[None]:
-    """Renew ``lease`` every ``ttl / 3`` for as long as the block runs.
+def _run_batch(points: List[ExperimentPoint], attempt: int,
+               store: Optional[ShardedResultStore],
+               log: Optional[EventLog], settings: RunSettings,
+               **where: Any
+               ) -> Tuple[List[Tuple[str, Dict[str, Any], float]],
+                          Optional[str]]:
+    """One batch in a worker process: ``(results, error)``.
 
-    The heartbeat tracks liveness, not progress: it runs on its own
-    thread with its own board connection, so a point longer than the
-    TTL is never stolen from a live worker.  Setting the stop event
-    wakes the thread at once, so finishing a batch never waits out a
-    heartbeat period.
+    ``results`` holds a ``(key, metrics, elapsed)`` triple per finished
+    point; ``error`` is ``None``, or what ended the batch early.
     """
-    stop = threading.Event()
-
-    def beat() -> None:
-        board = LeaseBoard(board_path)
-        try:
-            while not stop.wait(ttl / 3.0):
-                board.heartbeat(lease.run_id, lease.batch_id, lease.owner,
-                                ttl)
-        finally:
-            board.close()
-
-    thread = threading.Thread(target=beat, name="lease-heartbeat",
-                              daemon=True)
-    thread.start()
+    results: List[Tuple[str, Dict[str, Any], float]] = []
     try:
-        yield
-    finally:
-        stop.set()
-        thread.join()
-
-
-def _drain_board(store: ShardedResultStore, journal: SweepJournal,
-                 board: LeaseBoard, log: Optional[EventLog],
-                 settings: RunSettings, worker_tag: str) -> None:
-    """Lease/execute loop — the body of every worker process.
-
-    Returns when the board has nothing left that can make progress
-    (all done, or all remaining attempts exhausted).
-    """
-    run_id = journal.run_id
-    batch_by_id = {b.batch_id: b for b in journal.batches}
-    idle_cap = min(0.2, max(settings.lease_ttl / 4.0, 0.01))
-    idle = IDLE_WAIT
-    while True:
-        lease = board.acquire(run_id, worker_tag, settings.lease_ttl,
-                              settings.max_batch_attempts)
-        if lease is None:
-            if board.remaining(run_id, settings.max_batch_attempts) == 0:
-                return
-            # Someone else holds a live lease.  Doubling waits notice the
-            # board draining within about the time already waited, and
-            # the cap notices a dead owner's lease expire promptly.
-            time.sleep(idle)
-            idle = min(idle * 2.0, idle_cap)
-            continue
-        idle = IDLE_WAIT
-        batch = batch_by_id[lease.batch_id]
+        for point in points:
+            record = (store.get(point.key)
+                      if attempt > 1 and store is not None else None)
+            if record is not None:
+                # Stored by a worker that died before replying.
+                if log is not None:
+                    log.debug("point_skipped", key=point.key, **where)
+                results.append((point.key, record.metrics, record.elapsed))
+                continue
+            if attempt > 1 and log is not None:
+                log.warning("point_retry", key=point.key, attempt=attempt,
+                            reason="lease re-run", **where)
+            result = _run_point(point, store, log, settings, **where)
+            results.append((point.key, result.metrics, result.elapsed))
+    except Exception as exc:
+        error = f"{type(exc).__name__}: {exc}"
         if log is not None:
-            if lease.stolen:
-                log.warning(
-                    "lease_stolen", batch=batch.batch_id,
-                    owner=worker_tag, prev_owner=lease.prev_owner,
-                    attempts=lease.attempts, points=len(batch),
-                )
-            log.info("batch_leased", batch=batch.batch_id,
-                     owner=worker_tag, attempts=lease.attempts,
-                     points=len(batch), deadline=lease.deadline)
-        try:
-            with _heartbeat(board.path, lease, settings.lease_ttl):
-                for key, params in zip(batch.keys, batch.params):
-                    if store.get(key) is not None:
-                        # Stored by a dead owner of this batch, or by
-                        # another run: resume re-executes only what is
-                        # genuinely missing.
-                        if log is not None:
-                            log.debug("point_skipped", key=key,
-                                      batch=batch.batch_id,
-                                      owner=worker_tag)
-                        continue
-                    if lease.attempts > 1 and log is not None:
-                        log.warning(
-                            "point_retry", key=key, batch=batch.batch_id,
-                            attempt=lease.attempts, owner=worker_tag,
-                            reason="lease re-run",
-                        )
-                    point = ExperimentPoint.from_dict(journal.study,
-                                                      dict(params))
-                    _run_point(point, store, log, settings,
-                               batch=batch.batch_id, owner=worker_tag)
-            board.complete(run_id, batch.batch_id, worker_tag)
-            if log is not None:
-                log.info("batch_done", batch=batch.batch_id,
-                         owner=worker_tag, attempts=lease.attempts)
-        except Exception as exc:
-            board.fail(run_id, batch.batch_id, worker_tag,
-                       f"{type(exc).__name__}: {exc}")
-            if log is not None:
-                log.error("batch_failed", batch=batch.batch_id,
-                          owner=worker_tag, attempts=lease.attempts,
-                          error=f"{type(exc).__name__}: {exc}")
-            # Keep draining other batches; the failed one is either
-            # retried (attempts left) or reported exhausted by the
-            # parent once the board drains.
+            log.error("batch_failed", attempts=attempt, error=error,
+                      **where)
+        return results, error
+    if log is not None:
+        log.info("batch_done", attempts=attempt, **where)
+    return results, None
 
 
-def _worker_main(directory: str, shards: int, run_id: str,
-                 worker_tag: str, settings: RunSettings,
-                 log_path: Optional[str],
-                 spans_path: Optional[str]) -> None:
-    """Entry point of a worker process.
+def _worker_main(conn: Any, parent_end: Any, directory: Optional[str],
+                 shards: int, run_id: str, tag: str, settings: RunSettings,
+                 log_path: Optional[str], traced: bool) -> None:
+    """Entry point of a worker process: run each batch the parent sends.
 
-    Opens its *own* store handle, lease board and event log — the only
-    thing shared with the parent is the store directory.  With
-    ``spans_path`` set it traces its points and writes its span ring
-    there on exit, for the parent to merge.
+    A batch arrives as ``(batch_id, attempt, points)``; ``None`` ends
+    the loop.  The worker stores each point as it finishes, and replies
+    once per batch with ``(results, spans, error)`` (see
+    :func:`_run_batch`; ``spans`` only when traced).  It opens its own
+    store handle and event log, and exits quietly if the parent dies.
     """
-    if spans_path is not None:
+    # A fork-started worker inherits the parent's end of its pipe too:
+    # closed here, the parent's death reads as end-of-file.
+    parent_end.close()
+    if traced:
         # Fork-started workers inherit the parent's ring (drop it);
         # spawn-started ones re-import a disabled tracer.
         TRACER.enable()
         TRACER.clear()
-    store = ShardedResultStore(directory, shards=shards)
-    board = LeaseBoard(os.path.join(directory, LEASES_NAME))
+    store = (ShardedResultStore(directory, shards=shards)
+             if directory is not None else None)
     log = None
     if log_path is not None:
         log = EventLog(path=log_path, run_id=run_id,
                        level=settings.log_level)
     try:
-        _drain_board(store, load_journal(directory, run_id), board, log,
-                     settings, worker_tag)
-    finally:
-        board.close()
-        store.close()
-    if spans_path is not None:
-        atomic_write_text(spans_path, spans_text(TRACER.drain()))
+        for batch_id, attempt, points in iter(conn.recv, None):
+            results, error = _run_batch(points, attempt, store, log,
+                                        settings, batch=batch_id, owner=tag)
+            conn.send((results, TRACER.drain() if traced else None, error))
+    except (EOFError, ConnectionError):
+        pass  # the parent is gone: nobody waits for a reply
+
+
+@dataclass
+class _Worker:
+    """A worker process, the parent's end of its pipe, and the batch it
+    holds (``None`` while idle)."""
+
+    proc: Any
+    conn: Any
+    tag: str
+    batch: Optional[BatchPlan] = None
 
 
 class SweepRunner:
@@ -527,11 +465,11 @@ class SweepRunner:
     store:
         A :class:`~repro.fabric.store.ShardedResultStore`, or a store
         directory path opened as one.  ``None`` disables caching: every
-        point executes, and with ``workers=1`` nothing is written to
-        disk (what benchmarks want so timings stay honest).
+        point executes and nothing is written to disk (what benchmarks
+        want so timings stay honest).
     workers:
         ``1`` runs pending points in this process; more starts that
-        many lease-board worker processes.
+        many worker processes, fed batches by this one.
     progress:
         Optional callback invoked with each finished
         :class:`PointResult` (CLI progress lines).
@@ -542,16 +480,16 @@ class SweepRunner:
     run_id:
         Provenance id; freshly generated when omitted.
     manifest:
-        Write ``manifest.json`` next to the store after the run
-        (ignored without a store).
+        Write ``manifest-<run_id>.json`` next to the store after the
+        run (ignored without a store).
     trace_path:
         Where the caller intends to export this run's trace — recorded
         in the manifest so stored results can name their trace file.
     batch_size:
-        Points per lease batch; default about four batches per worker.
-    lease_ttl / max_batch_attempts / point_timeout / point_retries:
+        Points per worker batch; default about four batches per worker.
+    max_batch_attempts / point_timeout / point_retries:
         See :class:`RunSettings`.  The point timeout and retries apply
-        to both executors; the lease knobs only to worker processes.
+        to both executors; batch attempts only to worker processes.
     """
 
     def __init__(
@@ -564,7 +502,6 @@ class SweepRunner:
         manifest: bool = True,
         trace_path: Optional[str] = None,
         batch_size: Optional[int] = None,
-        lease_ttl: float = 5.0,
         max_batch_attempts: int = 3,
         point_timeout: Optional[float] = None,
         point_retries: int = 1,
@@ -581,7 +518,6 @@ class SweepRunner:
         self.trace_path = trace_path
         self.batch_size = batch_size
         self.settings = RunSettings(
-            lease_ttl=lease_ttl,
             max_batch_attempts=max_batch_attempts,
             point_timeout=point_timeout,
             point_retries=point_retries,
@@ -593,6 +529,10 @@ class SweepRunner:
             log.run_id = self.run_id
         self.log = log
         self._stop = threading.Event()
+        #: Write end of the pipe that wakes the parent of worker
+        #: processes when a stop is requested (``None`` between runs).
+        self._wake: Any = None
+        self._wake_lock = threading.Lock()
 
     def _events_path(self) -> Optional[str]:
         if self.store is None:
@@ -603,13 +543,18 @@ class SweepRunner:
         """Ask a running sweep to stop early (graceful drain).
 
         Thread-safe and idempotent.  The in-process executor stops at
-        the next point boundary; worker processes are terminated at the
-        next poll tick.  The journal stays on disk, so the run raises
+        the next point boundary; worker processes are terminated at
+        once.  The journal stays on disk, so the run raises
         :class:`SweepIncompleteError` and :meth:`resume` (``repro sweep
         --resume RUN_ID``) finishes it bit-identically — this is what
         the sweep service calls on SIGTERM.
         """
-        self._stop.set()
+        with self._wake_lock:
+            if self._stop.is_set():
+                return
+            self._stop.set()
+            if self._wake is not None:
+                self._wake.send_bytes(b"")
 
     # ------------------------------------------------------------------
     def run(self, spec: SweepSpec) -> SweepResult:
@@ -692,7 +637,9 @@ class SweepRunner:
             if self.workers == 1:
                 self._run_inline(pending, deliver)
             else:
-                counts = self._run_processes(spec, pending, journal,
+                batches = (journal.batches if journal is not None
+                           else self._plan(pending)[1])
+                counts = self._run_processes(batches, dict(pending),
                                              deliver)
 
         results: List[PointResult] = []
@@ -738,11 +685,19 @@ class SweepRunner:
         if self.progress is not None:
             self.progress(result)
 
+    def _plan(self, pending: Dict[str, ExperimentPoint]
+              ) -> Tuple[int, List[BatchPlan]]:
+        """``(batch_size, batches)`` for the pending points."""
+        batch_size = self.batch_size or _auto_batch_size(
+            len(pending), self.workers)
+        return batch_size, plan_batches(
+            [(key, point.as_dict()) for key, point in pending.items()],
+            batch_size)
+
     def _write_journal(self, spec: SweepSpec, store: ShardedResultStore,
                        pending: Dict[str, ExperimentPoint],
                        cached: int) -> SweepJournal:
-        batch_size = self.batch_size or _auto_batch_size(
-            len(pending), self.workers)
+        batch_size, batches = self._plan(pending)
         payload = spec.payload()
         journal = SweepJournal(
             run_id=self.run_id,
@@ -750,9 +705,7 @@ class SweepRunner:
             spec_payload=payload,
             spec_hash=spec_hash(payload),
             store_dir=store.directory,
-            batches=plan_batches(
-                [(key, point.as_dict()) for key, point in pending.items()],
-                batch_size),
+            batches=batches,
             cached=cached,
             workers=self.workers,
             batch_size=batch_size,
@@ -774,8 +727,7 @@ class SweepRunner:
                     deliver: Callable[[PointResult], None]) -> None:
         """The pending points in spec order, in this process.
 
-        No lease board: nothing else can claim these points, and a
-        commit per batch would only slow short points down (DESIGN.md
+        No batches: nothing else can claim these points (DESIGN.md
         §9).  A stop request takes effect between points.
         """
         for done, point in enumerate(pending.values()):
@@ -793,155 +745,178 @@ class SweepRunner:
                                self.settings))
 
     # -- workers>1 ------------------------------------------------------
-    def _run_processes(self, spec: SweepSpec,
-                       pending: Dict[str, ExperimentPoint],
-                       journal: Optional[SweepJournal],
+    def _run_processes(self, batches: List[BatchPlan],
+                       waiting: Dict[str, ExperimentPoint],
                        deliver: Callable[[PointResult], None],
                        ) -> Dict[str, int]:
-        """Lease-board worker processes sharing the store directory.
+        """Worker processes fed one batch at a time from this process.
 
-        Returns the board's batch counts for the manifest.
+        This process is their only coordinator: it holds the queue and
+        each batch's attempts, sends a worker its next batch when the
+        last one ends, and re-queues the batch of a worker whose exit
+        sentinel fires.  Returns the batch counts for the manifest.
         """
-        store, scratch = self.store, None
-        if store is None:
-            # Workers share nothing but a store directory: lend them a
-            # private one for the length of the run.
-            scratch = tempfile.mkdtemp(prefix="repro-sweep-")
-            store = ShardedResultStore(scratch)
-            journal = self._write_journal(spec, store, pending, cached=0)
-        assert journal is not None
-        board = LeaseBoard(os.path.join(store.directory, LEASES_NAME))
-        try:
-            self._drive_workers(store, board, journal, dict(pending),
-                                deliver)
-            return board.counts(journal.run_id)
-        finally:
-            board.close()
-            if scratch is not None:
-                store.close()
-                shutil.rmtree(scratch, ignore_errors=True)
-
-    def _drive_workers(self, store: ShardedResultStore, board: LeaseBoard,
-                       journal: SweepJournal,
-                       waiting: Dict[str, ExperimentPoint],
-                       deliver: Callable[[PointResult], None]) -> None:
-        run_id = journal.run_id
-        settings = self.settings
-        board.register(run_id, [b.batch_id for b in journal.batches])
-        done = set(board.done_batches(run_id))
-        count = min(self.workers, max(1, sum(
-            b.batch_id not in done for b in journal.batches)))
-        log_path = self.log.path if self.log is not None else None
-        spans = [os.path.join(store.directory, f".spans-{run_id}-w{i}.jsonl")
-                 if TRACER.enabled else None for i in range(count)]
+        log = self.log
+        max_attempts = self.settings.max_batch_attempts
+        queue = deque(b for b in batches
+                      if not waiting.keys().isdisjoint(b.keys))
+        state = {b.batch_id: "done" for b in batches}
+        state.update((b.batch_id, "pending") for b in queue)
+        attempts: Dict[str, int] = {}
+        owner: Dict[str, str] = {}
+        exhausted: List[Dict[str, str]] = []
         launched = time.time()
-        procs: List[Any] = []
-        exited: set = set()
-        finished = False
+
+        def dispatch(worker: _Worker) -> None:
+            batch = worker.batch = queue.popleft()
+            bid = batch.batch_id
+            attempt = attempts[bid] = attempts.get(bid, 0) + 1
+            if log is not None:
+                if attempt > 1:
+                    log.warning("lease_stolen", batch=bid,
+                                owner=worker.tag, prev_owner=owner[bid],
+                                attempts=attempt, points=len(batch))
+                log.info("batch_leased", batch=bid, owner=worker.tag,
+                         attempts=attempt, points=len(batch))
+            owner[bid] = worker.tag
+            state[bid] = "leased"
+            try:
+                worker.conn.send((bid, attempt, [
+                    waiting[key] for key in batch.keys if key in waiting]))
+            except OSError:
+                pass  # it has died: its sentinel re-queues the batch
+
+        def settle(worker: _Worker, error: Optional[str]) -> None:
+            batch, worker.batch = worker.batch, None
+            assert batch is not None  # a reply answers a dispatch
+            bid = batch.batch_id
+            if error is None:
+                state[bid] = "done"
+                return
+            state[bid] = "failed"
+            if attempts[bid] < max_attempts:
+                queue.append(batch)
+            else:
+                exhausted.append({"batch": bid, "error": error})
+
+        def receive(worker: _Worker) -> bool:
+            """Take a worker's batch reply; ``False`` once it is gone."""
+            try:
+                results, spans, error = worker.conn.recv()
+            except (EOFError, OSError):
+                return False
+            if spans:
+                self._merge_spans(spans, launched)
+            for key, metrics, elapsed in results:
+                point = waiting.pop(key, None)
+                if point is not None:
+                    deliver(PointResult(point=point, metrics=metrics,
+                                        cached=False, elapsed=elapsed))
+            settle(worker, error)
+            return True
+
+        def lose(worker: _Worker) -> None:
+            # What it sent before it exited still counts.
+            while worker.conn.poll() and receive(worker):
+                pass
+            worker.proc.join()
+            code = worker.proc.exitcode
+            if log is not None:
+                log.error("worker_lost", run_id=self.run_id,
+                          worker=worker.proc.pid, exitcode=code,
+                          batch=worker.batch and worker.batch.batch_id)
+            if worker.batch is not None:
+                settle(worker, f"worker {worker.proc.pid} lost "
+                               f"(exit code {code})")
+
+        store = self.store
+        directory = store.directory if store is not None else None
+        shards = store.shards if store is not None else 0
+        log_path = log.path if log is not None else None
+        wake, waker = multiprocessing.Pipe(duplex=False)
+        with self._wake_lock:
+            self._wake = waker
+        workers: List[_Worker] = []
+        live: List[_Worker] = []
+        remaining = len(queue)
         try:
-            for i, spans_path in enumerate(spans):
+            for i in range(min(self.workers, len(queue))):
+                tag = f"{self.run_id}-w{i}"
+                conn, child = multiprocessing.Pipe()
                 proc = multiprocessing.Process(
                     target=_worker_main,
-                    args=(store.directory, store.shards, run_id,
-                          f"{run_id}-w{i}", settings, log_path,
-                          spans_path),
+                    args=(child, conn, directory, shards, self.run_id,
+                          tag, self.settings, log_path, TRACER.enabled),
                     daemon=True,
                 )
                 proc.start()
-                procs.append(proc)
-            while True:
-                self._collect(store, waiting, deliver, store.refresh())
-                self._report_lost(procs, exited, board, run_id)
-                remaining = board.remaining(run_id,
-                                            settings.max_batch_attempts)
-                if remaining == 0:
+                child.close()
+                workers.append(_Worker(proc, conn, tag))
+            live = list(workers)
+            while live and not self._stop.is_set():
+                for worker in live:
+                    if worker.batch is None and queue:
+                        dispatch(worker)
+                if all(worker.batch is None for worker in live):
                     break
-                alive = [p for p in procs if p.is_alive()]
-                if self._stop.is_set():
-                    if self.log is not None:
-                        self.log.warning("run_draining", run_id=run_id,
-                                         remaining=remaining,
-                                         workers=len(alive))
-                    for proc in alive:
-                        proc.terminate()
-                    break
-                if not alive:
-                    break
-                # Wake at once when a worker exits: the last one to go
-                # leaves a drained board behind.
-                multiprocessing.connection.wait(
-                    [proc.sentinel for proc in alive], timeout=0.05)
-            finished = True
+                ready = multiprocessing.connection.wait(
+                    [wake] + [w.conn for w in live]
+                    + [w.proc.sentinel for w in live])
+                for worker in list(live):
+                    if (worker.proc.sentinel in ready
+                            or (worker.conn in ready
+                                and not receive(worker))):
+                        live.remove(worker)
+                        lose(worker)
+            remaining = len(queue) + sum(w.batch is not None for w in live)
+            if remaining and live and log is not None:
+                log.warning("run_draining", run_id=self.run_id,
+                            remaining=remaining, workers=len(live))
+            if not remaining:
+                for worker in live:
+                    try:
+                        worker.conn.send(None)
+                    except OSError:
+                        pass  # exited already; joined below
         finally:
-            for proc in procs:
-                if not finished:
-                    proc.terminate()
-                proc.join(timeout=max(5.0, settings.lease_ttl * 2))
-        if not self._stop.is_set():
-            self._report_lost(procs, exited, board, run_id)
-        self._merge_spans(spans, launched)
-        self._collect(store, waiting, deliver, list(waiting))
-        exhausted = board.exhausted(run_id, settings.max_batch_attempts)
-        remaining = board.remaining(run_id, settings.max_batch_attempts)
-        if exhausted or remaining or waiting:
+            with self._wake_lock:
+                self._wake = None
+            waker.close()
+            wake.close()
+            for worker in workers:
+                if remaining:
+                    worker.proc.terminate()
+                worker.proc.join(timeout=5.0)
+                worker.conn.close()
+        counts: Dict[str, int] = {}
+        for batch_state in state.values():
+            counts[batch_state] = counts.get(batch_state, 0) + 1
+        if remaining or exhausted or waiting:
             raise self._incomplete(
                 f"{remaining} batch(es) unfinished, {len(exhausted)} "
                 f"exhausted {[e['batch'] for e in exhausted]}, "
-                f"{len(waiting)} point(s) not stored",
-                counts=board.counts(run_id), failed=exhausted,
+                f"{len(waiting)} point(s) not run",
+                counts=counts, failed=exhausted,
             )
+        return counts
 
     @staticmethod
-    def _collect(store: ShardedResultStore,
-                 waiting: Dict[str, ExperimentPoint],
-                 deliver: Callable[[PointResult], None],
-                 keys: List[str]) -> None:
-        """Deliver each waiting point among ``keys`` the workers stored."""
-        for key in keys:
-            record = store.get(key) if key in waiting else None
-            if record is not None:
-                deliver(PointResult(
-                    point=waiting.pop(key), metrics=dict(record.metrics),
-                    cached=False, elapsed=record.elapsed,
-                ))
-
-    def _report_lost(self, procs: List[Any], exited: set,
-                     board: LeaseBoard, run_id: str) -> None:
-        for proc in procs:
-            if proc.is_alive() or proc.pid in exited:
-                continue
-            exited.add(proc.pid)
-            if proc.exitcode != 0 and self.log is not None:
-                self.log.error(
-                    "worker_lost", run_id=run_id, worker=proc.pid,
-                    exitcode=proc.exitcode,
-                    last_heartbeat=board.last_heartbeat(run_id),
-                )
-
-    def _merge_spans(self, paths: List[Optional[str]],
+    def _merge_spans(records: List[Dict[str, Any]],
                      launched: float) -> None:
-        """Fold worker span files into this process's ring.
+        """Fold a worker's spans into this process's ring.
 
         Adds one ``sweep.queue_wait`` span per executed point: worker
         pickup minus launch time, comparable across processes because
         spans carry epoch timestamps.
         """
-        for path in paths:
-            if path is None:
-                continue
-            try:
-                records = load_spans(path)
-                os.remove(path)
-            except (OSError, ValueError):
-                continue  # a killed worker writes no span file
-            TRACER.extend(records)
-            for record in records:
-                if record["name"] == "sweep.execute":
-                    TRACER.record_span(
-                        "sweep.queue_wait", launched,
-                        max(0.0, record["ts"] - launched),
-                        key=record["args"].get("key"),
-                    )
+        TRACER.extend(records)
+        for record in records:
+            if record["name"] == "sweep.execute":
+                TRACER.record_span(
+                    "sweep.queue_wait", launched,
+                    max(0.0, record["ts"] - launched),
+                    key=record["args"].get("key"),
+                )
 
     # ------------------------------------------------------------------
     def _write_manifest(self, spec: SweepSpec, outcome: SweepResult,
@@ -955,7 +930,6 @@ class SweepRunner:
             "journal": journal_path(self.store.directory, self.run_id),
             "batches": len(journal.batches),
             "batch_size": journal.batch_size,
-            "lease_ttl": self.settings.lease_ttl,
             "max_batch_attempts": self.settings.max_batch_attempts,
             "resumed": resumed,
         }
@@ -979,7 +953,7 @@ class SweepRunner:
             fabric=plan,
             resumed_from=self.run_id if resumed else None,
         )
-        path = manifest_path_for(self.store.path)
+        path = manifest_path_for(self.store.directory, self.run_id)
         try:
             write_manifest(path, manifest)
         except OSError as exc:
@@ -993,7 +967,7 @@ class SweepRunner:
 
 
 def _auto_batch_size(pending: int, workers: int) -> int:
-    """About four lease batches per worker, clamped to [1, 64]."""
+    """About four batches per worker, clamped to [1, 64]."""
     if pending == 0:
         return 1
     return max(1, min(64, math.ceil(pending / max(workers * 4, 1))))

@@ -1,16 +1,14 @@
-"""Durable state under the sweep engine: store, leases, journal.
+"""Durable state under the sweep engine: store and journal.
 
 :class:`~repro.experiments.runner.SweepRunner` is the one sweep engine;
 this package holds everything it keeps on disk, all of it in one store
-directory:
+directory.  Which batch a worker process holds is not on disk: the
+runner's parent process hands out the batches and tracks them.
 
 * :mod:`repro.fabric.store` — the only writable result store: records
   sharded into JSONL files by key-hash range, which are its only state
   (a lookup reads one shard), ``compact``, and the import of flat
   ``store.jsonl`` files, read only as input.
-* :mod:`repro.fabric.lease` — the board that worker processes lease
-  batches from, with a TTL kept alive by heartbeats; an expired lease is
-  stolen, so a killed worker's batch is re-run, not lost.
 * :mod:`repro.fabric.journal` — the atomic per-run plan behind
   ``repro sweep --resume RUN_ID``.
 * :mod:`repro.fabric.io` — the two crash-safe write idioms every byte
@@ -32,8 +30,6 @@ _EXPORTS = {
     "ShardedResultStore": "repro.fabric.store",
     "StoredResult": "repro.fabric.store",
     "read_flat_store": "repro.fabric.store",
-    "LeaseBoard": "repro.fabric.lease",
-    "Lease": "repro.fabric.lease",
     "SweepJournal": "repro.fabric.journal",
     "BatchPlan": "repro.fabric.journal",
     "load_journal": "repro.fabric.journal",

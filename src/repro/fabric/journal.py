@@ -10,11 +10,10 @@ The journal records the run's identity (``run_id``, the canonical spec
 payload and its hash) and the batch plan (hash-range batches of point
 keys with their fully-bound params).  Every run with a store writes
 one, whichever executor runs it.  Progress deliberately lives
-elsewhere: in the store (which points exist) and, for worker
-processes, in the :class:`~repro.fabric.lease.LeaseBoard` (which
-batches are done) — both change thousands of times per run; the
-journal is written once at plan time, so ``repro sweep --resume
-RUN_ID`` verifies the spec hash and plans the rest against them.
+elsewhere, in the store (which points exist), which changes thousands
+of times per run; the journal is written once at plan time, so
+``repro sweep --resume RUN_ID`` verifies the spec hash and plans the
+rest against the store.
 """
 
 from __future__ import annotations

@@ -256,9 +256,6 @@ class ShardedResultStore:
                                               "shards": shards})
         else:
             self.shards = int(meta["shards"])
-        #: Per shard, the bytes :meth:`refresh` has already looked at.
-        self._marks = {shard: self._size(shard)
-                       for shard in range(self.shards)}
 
     # -- layout ---------------------------------------------------------
     def shard_of(self, key: str) -> int:
@@ -301,28 +298,6 @@ class ShardedResultStore:
         return len(latest)
 
     # -- reading --------------------------------------------------------
-    def refresh(self) -> List[str]:
-        """Keys of the complete lines appended since the last call.
-
-        This handle's watermarks start at the shard sizes seen at open;
-        it is how a sweep's parent notices its workers' results.  A
-        torn final line stays beyond the watermark until it completes.
-        """
-        keys: List[str] = []
-        for shard in range(self.shards):
-            done = self._marks[shard]
-            if self._size(shard) <= done:
-                continue
-            with open(self.shard_path(shard), "rb") as handle:
-                handle.seek(done)
-                tail = handle.read()
-            for line in _complete_lines(tail):
-                record = _parse(line)
-                if record is not None:
-                    keys.append(record.key)
-            self._marks[shard] = done + tail.rfind(b"\n") + 1
-        return keys
-
     def get(self, key: str) -> Optional[StoredResult]:
         """The live record for ``key``: the last complete line holding it.
 
@@ -434,7 +409,6 @@ class ShardedResultStore:
             text = "".join(r.to_json() + "\n" for r in kept)
             atomic_write_text(path, text)
             size = len(text.encode("utf-8"))
-            self._marks[shard] = size
             records_total += len(kept)
             before += len(old_blob)
             after += size
@@ -453,7 +427,6 @@ class ShardedResultStore:
                 os.remove(self.shard_path(shard))
             except OSError:
                 pass
-            self._marks[shard] = 0
 
     def stats(self) -> Dict[str, Any]:
         """Counts from one scan of the shards: records, bytes, and the

@@ -690,7 +690,7 @@ class TraceAllocationRule(Rule):
 #: write in these files silently re-introduces torn-record windows.
 FAB_EXEMPT_FILES = ("fabric/io.py",)
 #: Writers outside ``fabric/`` held to the same discipline: the sweep
-#: runner writes the journal and the worker span files.
+#: runner, which saves each run's journal and manifest.
 FAB_SCOPED_FILES = ("experiments/runner.py",)
 
 _WRITE_MODE_CHARS = frozenset("awx+")

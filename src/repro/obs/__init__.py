@@ -32,7 +32,6 @@ from repro.obs.log import (
 )
 from repro.obs.progress import SweepProgress
 from repro.obs.provenance import (
-    MANIFEST_NAME,
     MANIFEST_SCHEMA,
     build_manifest,
     describe_manifest,
@@ -40,6 +39,7 @@ from repro.obs.provenance import (
     git_revision,
     load_manifest,
     manifest_path_for,
+    newest_manifest,
     spec_hash,
     write_manifest,
 )
@@ -64,7 +64,6 @@ __all__ = [
     "render_event",
     "tail_events",
     "SweepProgress",
-    "MANIFEST_NAME",
     "MANIFEST_SCHEMA",
     "build_manifest",
     "describe_manifest",
@@ -72,6 +71,7 @@ __all__ = [
     "git_revision",
     "load_manifest",
     "manifest_path_for",
+    "newest_manifest",
     "spec_hash",
     "write_manifest",
     "TRACE_ENV",

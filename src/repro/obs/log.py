@@ -176,8 +176,7 @@ def tail_events(
 ) -> Tuple[List[Dict[str, Any]], int]:
     """One incremental poll of an event log: ``(records, new_offset)``.
 
-    The byte-offset watermark discipline of the store's ``refresh``:
-    only complete lines (ending in ``\\n``) are consumed, so a torn
+    Only complete lines (ending in ``\\n``) are consumed, so a torn
     final line — a writer caught mid-append — stays beyond the returned
     offset and is retried on the next poll.  A missing file is an empty
     poll (the sweep may not have started yet); a file *shorter* than

@@ -3,9 +3,9 @@
 A JSONL store row says *what* was measured; the manifest next to it
 says *how*: which code revision, package version, interpreter, host,
 spec, worker count and wall-clock produced the rows.  Every sweep with
-a result store writes ``manifest.json`` into the store's directory
-(last run wins — the store itself stays the complete history), and
-``repro results`` / ``repro report`` surface it as a provenance header.
+a result store writes ``manifest-<run_id>.json`` into the store's
+directory, beside its journal, and ``repro results`` / ``repro report``
+surface the newest one as a provenance header.
 
 Everything here is failure-tolerant: a missing ``git`` binary, a
 non-checkout install, or an unwritable directory degrade to ``None``
@@ -15,6 +15,7 @@ fields / a skipped write — provenance must never take a sweep down.
 from __future__ import annotations
 
 import functools
+import glob
 import hashlib
 import json
 import os
@@ -30,16 +31,25 @@ from repro.fabric.io import atomic_write_json
 #: Schema tag so later readers can evolve the format.
 MANIFEST_SCHEMA = "repro.manifest/1"
 
-#: Canonical manifest filename, written next to the result store.
-MANIFEST_NAME = "manifest.json"
-
 #: The ``repro`` package directory: git probes the checkout holding it.
 _PACKAGE_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def manifest_path_for(store_path: str) -> str:
-    """``manifest.json`` in the result store's directory."""
-    return os.path.join(os.path.dirname(store_path) or ".", MANIFEST_NAME)
+def manifest_path_for(directory: str, run_id: str) -> str:
+    """``manifest-<run_id>.json`` in the store directory."""
+    return os.path.join(directory, f"manifest-{run_id}.json")
+
+
+def newest_manifest(directory: str) -> Optional[str]:
+    """Path of the most recently written manifest in ``directory``."""
+    stamped = []
+    for path in glob.glob(os.path.join(glob.escape(directory),
+                                       "manifest-*.json")):
+        try:
+            stamped.append((os.path.getmtime(path), path))
+        except OSError:
+            continue  # removed since the listing
+    return max(stamped)[1] if stamped else None
 
 
 def git_revision(cwd: Optional[str] = None) -> Optional[Dict[str, Any]]:
@@ -114,8 +124,9 @@ def build_manifest(
     ``points`` entries carry ``key`` / ``params`` / ``cached`` /
     ``elapsed`` per design point (the per-point wall-time record the
     acceptance criteria ask for).  Fabric runs additionally record the
-    batch plan (``fabric``: journal path, batch/lease parameters, steal
-    and retry counts) and, on resume, the prior attempt's run id.
+    batch plan (``fabric``: journal path, batch parameters and, on
+    worker processes, the batch counts by state) and, on resume, the
+    prior attempt's run id.
     """
     executed = [p for p in points if not p.get("cached")]
     slowest = max(executed, key=lambda p: p.get("elapsed", 0.0),

@@ -12,7 +12,7 @@ Routes (all JSON, all under ``/v1``)::
 
 Submit bodies are either a bare spec payload or ``{"spec": …,
 "workers": n}``; ``workers`` picks the executor (1: in the job's
-thread; more: lease-board worker processes), and a ``fabric`` field
+thread; more: worker processes fed by it), and a ``fabric`` field
 from older clients is accepted and ignored.  The lifecycle is
 deliberately boring: one process, one store directory, jobs
 deduplicated by spec hash (HTTP 200 on a dedup hit, 202 on a fresh

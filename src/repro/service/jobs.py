@@ -16,10 +16,10 @@ Threading model (the part that has to be right):
   loop — the asyncio server is single-threaded, which makes concurrent
   identical submits naturally race-free;
 - each job's sweep runs in a ``ThreadPoolExecutor`` slot, opening its
-  *own* store handle over the shared directory (each runner's
-  ``refresh()`` watermarks are its own), under one
+  *own* store handle over the shared directory, under one
   :class:`~repro.experiments.runner.SweepRunner` — in the thread for
-  ``workers=1``, on lease-board worker processes otherwise;
+  ``workers=1``, otherwise on worker processes that the job's thread
+  feeds batches to;
 - the only executor→loop traffic is plain-int counter updates (GIL
   atomic) plus terminal-state flags; the per-job pump task on the loop
   turns those, and the tailed ``events.jsonl``, into hub messages.

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.fabric.journal import list_runs
 
 
 class TestParser:
@@ -408,7 +409,8 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "trace:" in out
 
-        manifest = json.load(open(tmp_path / "store" / "manifest.json"))
+        (path,) = (tmp_path / "store").glob("manifest-*.json")
+        manifest = json.load(open(path))
         assert manifest["schema"] == "repro.manifest/1"
         assert manifest["trace"] == str(tmp_path / "store" / "trace.json")
         chrome = json.load(open(tmp_path / "store" / "trace.json"))
@@ -465,6 +467,13 @@ class TestCommands:
         assert main(["report", "--study", "caches", "--store",
                      store]) == 0
         assert "provenance: run" in capsys.readouterr().out
+        # A later run's manifest heads the listing.
+        assert main(["sweep", "caches", "--grid", "ratio=0.6",
+                     "--suites", "office", "--length", "400",
+                     "--store", store, "--quiet"]) == 0
+        newest = list_runs(store)[-1]
+        assert main(["results", "--store", store]) == 0
+        assert f"provenance: run {newest}" in capsys.readouterr().out
 
     def test_sweep_point_error_exits_cleanly_with_point_name(
             self, capsys):

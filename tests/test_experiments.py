@@ -403,9 +403,8 @@ class TestRunner:
 
     def test_run_study_on_workers_matches_serial_without_temp_dirs(
             self, tmp_path, monkeypatch):
-        """store=None with workers>1 lends the workers a temporary
-        store directory; results match workers=1, which writes nothing,
-        and nothing is left behind."""
+        """store=None writes nothing on any worker count, and results
+        match workers=1."""
         import tempfile
 
         from repro import api
@@ -426,6 +425,22 @@ class TestRunner:
         assert serial.metrics_by_key() == parallel.metrics_by_key()
         assert parallel.executed == 3
         assert os.listdir(tmp_path) == []
+
+    def test_workers_without_store_make_no_directory(self, monkeypatch):
+        """Worker processes send results back over their pipes, so a
+        store=None run needs no directory to share."""
+        import tempfile
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("tempfile.mkdtemp called")
+
+        serial = SweepRunner(store=None, workers=1).run(tiny_spec())
+        monkeypatch.setattr(tempfile, "mkdtemp", refuse)
+        parallel = SweepRunner(store=None, workers=2).run(tiny_spec())
+        assert parallel.executed == 4
+        assert [r.point.key for r in parallel] == [
+            r.point.key for r in serial]
+        assert parallel.metrics_by_key() == serial.metrics_by_key()
 
 
 class TestRegistry:

@@ -1,10 +1,11 @@
-"""Tests for the sweep fabric: the store, leases and journal, and the
-runs of :class:`SweepRunner` that use them.
+"""Tests for the sweep fabric: the store and journal, and the runs of
+:class:`SweepRunner` that use them.
 
-Covers the three layers (sharded store, lease board,
-journal/checkpoint-resume) plus the differential acceptance criteria:
-a killed-and-resumed sweep must be bit-identical to an uninterrupted
-serial run, re-executing only the genuinely missing points.
+Covers the two layers (sharded store, journal/checkpoint-resume), the
+worker processes the runner feeds batches to, plus the differential
+acceptance criteria: a killed-and-resumed sweep must be bit-identical
+to an uninterrupted serial run, re-executing only the genuinely missing
+points.
 """
 
 import json
@@ -26,14 +27,13 @@ from repro.experiments.registry import _STUDIES, register_study
 from repro.experiments.runner import FAULT_ENV
 from repro.experiments.spec import ExperimentPoint
 from repro.fabric import (
-    LeaseBoard,
     ShardedResultStore,
     StoredResult,
     SweepJournal,
     load_journal,
 )
 from repro.fabric.journal import list_runs, plan_batches
-from repro.obs.provenance import load_manifest, manifest_path_for, spec_hash
+from repro.obs.provenance import load_manifest, spec_hash
 from repro.obs.trace import TRACER
 
 TINY_BASE = {"length": 600, "seed": 3}
@@ -131,24 +131,21 @@ class TestShardedStore:
         assert store.get_point(point).elapsed == 0.5
         store.close()
 
-    def test_worker_appends_fold_in_on_refresh(self, tmp_path):
+    def test_worker_appends_visible_to_other_handles(self, tmp_path):
         parent = ShardedResultStore(str(tmp_path))
         worker = ShardedResultStore(str(tmp_path))
         record = make_record(0.3)
         worker.put_record(record)
-        # Visible to the parent's lookups at once, no refresh needed.
+        # Visible to another handle's reads at once.
         assert parent.get(record.key).metrics == record.metrics
         assert record.key in parent
-        # refresh() names the appended key exactly once.
-        assert parent.refresh() == [record.key]
-        assert parent.refresh() == []
-        assert worker.refresh() == [record.key]  # its own watermarks
+        assert [r.key for r in parent.records()] == [record.key]
+        assert len(parent) == 1
 
     def test_torn_shard_line_waits_for_completion(self, tmp_path):
         store = ShardedResultStore(str(tmp_path))
         record = make_record(0.7)
         store.put_record(record)
-        assert store.refresh() == [record.key]
         # Crash mid-append: half a record, no newline, on some shard.
         torn = make_record(0.9)
         line = (torn.to_json() + "\n").encode()
@@ -156,7 +153,7 @@ class TestShardedStore:
         fd = os.open(shard_path, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
         os.write(fd, line[: len(line) // 2])
         os.close(fd)
-        assert store.refresh() == []
+        assert [r.key for r in store.records()] == [record.key]
         assert len(store) == 1  # torn tail not consumed, not an error
         assert store.get(torn.key) is None
         assert store.stats()["skipped_lines"] == 0
@@ -164,7 +161,8 @@ class TestShardedStore:
         fd = os.open(shard_path, os.O_WRONLY | os.O_APPEND)
         os.write(fd, line[len(line) // 2:])
         os.close(fd)
-        assert store.refresh() == [torn.key]
+        assert sorted(r.key for r in store.records()) == sorted(
+            [record.key, torn.key])
         assert len(store) == 2
         assert store.get(torn.key).metrics == torn.metrics
         store.close()
@@ -175,7 +173,7 @@ class TestShardedStore:
                      os.O_WRONLY | os.O_CREAT | os.O_APPEND)
         os.write(fd, b"not json\n")
         os.close(fd)
-        assert store.refresh() == []
+        assert store.records() == []
         assert len(store) == 0
         assert store.stats()["skipped_lines"] == 1
         # The count comes from each scan, not from whichever handle
@@ -320,81 +318,6 @@ class TestShardedStore:
 
 
 # ----------------------------------------------------------------------
-# Lease board
-# ----------------------------------------------------------------------
-class TestLeaseBoard:
-    def board(self, tmp_path):
-        return LeaseBoard(str(tmp_path / "leases.sqlite"))
-
-    def test_acquire_pending_then_none_while_live(self, tmp_path):
-        board = self.board(tmp_path)
-        board.register("r1", ["b0000", "b0001"])
-        first = board.acquire("r1", "w1", ttl=60, max_attempts=3)
-        second = board.acquire("r1", "w1", ttl=60, max_attempts=3)
-        assert first.batch_id == "b0000" and not first.stolen
-        assert first.attempts == 1
-        assert second.batch_id == "b0001"
-        # Both leased and within TTL: nothing claimable, work remains.
-        assert board.acquire("r1", "w2", ttl=60, max_attempts=3) is None
-        assert board.remaining("r1", 3) == 2
-        board.close()
-
-    def test_complete_and_heartbeat(self, tmp_path):
-        board = self.board(tmp_path)
-        board.register("r1", ["b0000"])
-        lease = board.acquire("r1", "w1", ttl=60, max_attempts=3)
-        assert board.heartbeat("r1", lease.batch_id, "w1", ttl=60)
-        assert not board.heartbeat("r1", lease.batch_id, "other", ttl=60)
-        assert board.complete("r1", lease.batch_id, "w1")
-        assert board.remaining("r1", 3) == 0
-        assert board.done_batches("r1") == ["b0000"]
-        assert board.counts("r1") == {"done": 1}
-        board.close()
-
-    def test_expired_lease_is_stolen(self, tmp_path):
-        board = self.board(tmp_path)
-        board.register("r1", ["b0000"])
-        t0 = 1000.0
-        board.acquire("r1", "w1", ttl=10, max_attempts=3, now=t0)
-        # Within TTL: not claimable.
-        assert board.acquire("r1", "w2", ttl=10, max_attempts=3,
-                             now=t0 + 5) is None
-        stolen = board.acquire("r1", "w2", ttl=10, max_attempts=3,
-                               now=t0 + 11)
-        assert stolen is not None and stolen.stolen
-        assert stolen.prev_owner == "w1"
-        assert stolen.attempts == 2
-        # The dead owner's late heartbeat must not revive its claim.
-        assert not board.heartbeat("r1", "b0000", "w1", ttl=10,
-                                   now=t0 + 12)
-        board.close()
-
-    def test_failed_batch_retries_until_exhausted(self, tmp_path):
-        board = self.board(tmp_path)
-        board.register("r1", ["b0000"])
-        for attempt in (1, 2):
-            lease = board.acquire("r1", "w1", ttl=60, max_attempts=2)
-            assert lease.attempts == attempt
-            assert lease.stolen == (attempt > 1)
-            board.fail("r1", "b0000", "w1", f"boom {attempt}")
-        assert board.acquire("r1", "w1", ttl=60, max_attempts=2) is None
-        assert board.remaining("r1", 2) == 0  # cannot make progress
-        exhausted = board.exhausted("r1", 2)
-        assert [e["batch"] for e in exhausted] == ["b0000"]
-        assert "boom 2" in exhausted[0]["error"]
-        board.close()
-
-    def test_register_is_idempotent_for_resume(self, tmp_path):
-        board = self.board(tmp_path)
-        board.register("r1", ["b0000", "b0001"])
-        lease = board.acquire("r1", "w1", ttl=60, max_attempts=3)
-        board.complete("r1", lease.batch_id, "w1")
-        board.register("r1", ["b0000", "b0001"])  # resume re-registers
-        assert board.done_batches("r1") == ["b0000"]  # state kept
-        board.close()
-
-
-# ----------------------------------------------------------------------
 # Journal / batch planning
 # ----------------------------------------------------------------------
 class TestJournal:
@@ -453,7 +376,7 @@ class TestJournal:
 
 
 # ----------------------------------------------------------------------
-# SweepRunner over a store: journal, leases, resume — differential
+# SweepRunner over a store: journal, workers, resume — differential
 # against an uninterrupted serial run without a store
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
@@ -483,8 +406,6 @@ class TestFabricRunner:
         assert_bit_identical(outcome, serial_oracle)
         # Every store-backed run is journaled, even in-process.
         assert list_runs(str(tmp_path)) == [outcome.run_id]
-        # The in-process executor takes no leases.
-        assert not os.path.exists(tmp_path / "leases.sqlite")
 
         # Rerun over the same store: every point a cache hit, values
         # unchanged.
@@ -501,6 +422,27 @@ class TestFabricRunner:
         kinds = event_kinds(str(tmp_path))
         assert "run_start" in kinds and "run_end" in kinds
         assert kinds.count("batch_done") == 4
+        keys = sorted(r.point.key for r in outcome)
+        assert sorted(shard_keys(str(tmp_path))) == keys
+        assert sorted(e["payload"]["key"] for e in events_of(
+            str(tmp_path), "point_done")) == keys
+
+    def test_worker_run_leaves_no_lease_file(self, tmp_path):
+        """The parent hands out the batches: workers share no board."""
+        outcome = SweepRunner(str(tmp_path), workers=2,
+                              batch_size=1).run(tiny_spec())
+        assert outcome.executed == 4
+        assert not os.path.exists(tmp_path / "leases.sqlite")
+
+    def test_sweep_imports_load_no_sqlite(self):
+        """Nothing on the sweep path needs SQLite."""
+        probe = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; import repro.api, repro.experiments, "
+             "repro.client; print('sqlite3' in sys.modules)"],
+            env=cli_env(), capture_output=True, text=True, timeout=120)
+        assert probe.returncode == 0, probe.stderr
+        assert probe.stdout.strip() == "False"
 
     def test_duplicate_grid_values_fan_out(self, tmp_path):
         spec = SweepSpec("caches", base=dict(TINY_BASE),
@@ -551,7 +493,7 @@ class TestFabricRunner:
         assert os.path.exists(os.path.join(directory, ".fault-fired"))
         (run_id,) = list_runs(directory)
 
-        resumed = SweepRunner(directory, workers=2, lease_ttl=0.5)
+        resumed = SweepRunner(directory, workers=2)
         outcome = resumed.resume(run_id)
         assert_bit_identical(outcome, serial_oracle)
         assert outcome.run_id == run_id
@@ -561,8 +503,8 @@ class TestFabricRunner:
 
         kinds = event_kinds(directory)
         assert "run_resumed" in kinds
-        manifest = load_manifest(manifest_path_for(
-            os.path.join(directory, "fabric.json")))
+        manifest = load_manifest(outcome.manifest_path)
+        assert manifest["run_id"] == run_id
         assert manifest["resumed_from"] == run_id
         assert manifest["fabric"]["resumed"] is True
 
@@ -570,12 +512,12 @@ class TestFabricRunner:
             self, tmp_path, monkeypatch, serial_oracle):
         directory = str(tmp_path)
         monkeypatch.setenv(FAULT_ENV, "kill-worker")
-        runner = SweepRunner(directory, workers=2, batch_size=2,
-                             lease_ttl=0.5)
+        runner = SweepRunner(directory, workers=2, batch_size=2)
         outcome = runner.run(tiny_spec())
         # One worker died after its first point, but the run still
-        # completed in one go: the survivor stole the dead worker's
-        # batch, skipped the stored point and re-ran the other.
+        # completed in one go: the parent gave the dead worker's batch
+        # to the survivor, which skipped the stored point and re-ran
+        # the other.
         assert_bit_identical(outcome, serial_oracle)
         kinds = event_kinds(directory)
         assert "worker_lost" in kinds
@@ -616,7 +558,9 @@ class TestPointTimeout:
             )
             with pytest.raises(SweepIncompleteError) as excinfo:
                 runner.run(spec)
-        assert excinfo.value.failed  # batch reported exhausted
+        # The one batch is reported exhausted, by name.
+        assert [f["batch"] for f in excinfo.value.failed] == ["b0000"]
+        assert "exhausted ['b0000']" in str(excinfo.value)
         retried = events_of(str(tmp_path), "point_retry")
         assert any(e["payload"]["reason"] == "timeout" for e in retried)
         errors = events_of(str(tmp_path), "point_error")
@@ -653,19 +597,66 @@ class TestPointTimeout:
 # ----------------------------------------------------------------------
 class TestWorkerProcesses:
     def test_points_longer_than_the_ttl_keep_their_lease(self, tmp_path):
-        """A heartbeat thread keeps a live worker's lease: points of
-        over twice the TTL are neither stolen nor run twice."""
+        """A live worker keeps its batch however long its points run:
+        second-long points are neither stolen nor run twice."""
         with temporary_study("fabric_sleepy"):
             spec = SweepSpec("fabric_sleepy", grid={
                 "duration": [1.2, 1.2001, 1.2002, 1.2003]})
-            outcome = SweepRunner(str(tmp_path), workers=2, batch_size=1,
-                                  lease_ttl=0.5).run(spec)
+            outcome = SweepRunner(str(tmp_path), workers=2,
+                                  batch_size=1).run(spec)
         assert outcome.executed == 4
         kinds = event_kinds(str(tmp_path))
         assert kinds.count("lease_stolen") == 0
         assert kinds.count("point_done") == 4
         keys = shard_keys(str(tmp_path))
         assert sorted(keys) == sorted(set(keys)) and len(keys) == 4
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+    def test_workers_exit_when_the_parent_is_killed(self, tmp_path):
+        """A SIGKILLed parent leaves no worker behind: each finishes its
+        batch, finds its pipe closed and exits."""
+        script = tmp_path / "parent.py"
+        script.write_text(
+            "import multiprocessing, sys, threading, time\n"
+            "from repro.experiments import SweepRunner, SweepSpec\n"
+            "from repro.experiments.registry import register_study\n"
+            "def sleepy(params):\n"
+            "    time.sleep(float(params['duration']))\n"
+            "    return {}\n"
+            "register_study('orphan_sleepy', 'sleeps',\n"
+            "               defaults={'duration': 0.2})(sleepy)\n"
+            "def report():\n"
+            "    while len(multiprocessing.active_children()) < 2:\n"
+            "        time.sleep(0.01)\n"
+            "    print(*[p.pid for p in multiprocessing.active_children()],\n"
+            "          flush=True)\n"
+            "threading.Thread(target=report, daemon=True).start()\n"
+            "spec = SweepSpec('orphan_sleepy', grid={'duration': [\n"
+            "    0.2 + i / 1000 for i in range(20)]})\n"
+            "SweepRunner(sys.argv[1], workers=2, batch_size=1).run(spec)\n")
+        parent = subprocess.Popen(
+            [sys.executable, str(script), str(tmp_path / "store")],
+            env=cli_env(), stdout=subprocess.PIPE, text=True)
+        try:
+            pids = [int(pid) for pid in parent.stdout.readline().split()]
+        finally:
+            parent.kill()
+            parent.wait(timeout=30)
+            parent.stdout.close()
+        assert len(pids) == 2
+
+        def running(pid):
+            try:
+                with open(f"/proc/{pid}/stat") as handle:
+                    state = handle.read().rsplit(")", 1)[1].split()[0]
+            except OSError:
+                return False
+            return state != "Z"
+
+        deadline = time.monotonic() + 30
+        while any(running(pid) for pid in pids):
+            assert time.monotonic() < deadline, "workers outlived the parent"
+            time.sleep(0.05)
 
     def test_traced_workers_ship_one_execute_span_per_point(
             self, tmp_path):
@@ -692,109 +683,107 @@ class TestWorkerProcesses:
         assert not [n for n in os.listdir(tmp_path)
                     if n.startswith(".spans-")]
 
-    def test_idle_worker_waits_double_and_end_with_the_board(
-            self, tmp_path, monkeypatch):
-        """A worker with no batch to take while a peer holds the last
-        one polls fast, then backs off to a quarter TTL; it returns on
-        its first look after the board drains."""
-        from types import SimpleNamespace
-
-        from repro.experiments import runner
-
-        point = ExperimentPoint.from_dict("caches", {"ratio": 0.4})
-        journal = SweepJournal(
-            run_id="r1", study="caches", spec_payload={},
-            spec_hash="", store_dir=str(tmp_path),
-            batches=plan_batches([(point.key, point.as_dict())], 1))
-        board = LeaseBoard(str(tmp_path / "leases.sqlite"))
-        board.register("r1", ["b0000"])
-        peer = board.acquire("r1", "peer", ttl=60, max_attempts=3)
-        settings = runner.RunSettings(lease_ttl=0.4)
-        cap = min(0.2, settings.lease_ttl / 4)
-        waits = []
-
-        def sleep(seconds):
-            waits.append(seconds)
-            if len(waits) == 7:
-                assert board.complete("r1", peer.batch_id, "peer")
-
-        monkeypatch.setattr(runner, "time", SimpleNamespace(sleep=sleep))
-        store = ShardedResultStore(str(tmp_path))
-        try:
-            runner._drain_board(store, journal, board, None, settings,
-                                "idle")
-        finally:
-            store.close()
-            board.close()
-        assert len(waits) == 7
-        assert waits[0] <= 0.010
-        for before, after in zip(waits, waits[1:]):
-            assert after == pytest.approx(min(2 * before, cap))
-        assert max(waits) <= cap
-        assert waits[-1] == pytest.approx(cap)
-
 
 # ----------------------------------------------------------------------
 # Concurrent readers (second handles during a run)
 # ----------------------------------------------------------------------
 class TestReadOnlyIndex:
-    def test_reader_refresh_races_live_writer(self, tmp_path):
+    def test_reader_races_live_writer(self, tmp_path):
         import threading
 
         writer = ShardedResultStore(str(tmp_path))
         reader = ShardedResultStore(str(tmp_path), index_writes=False)
+        records = [make_record(i / 100.0, created=float(i))
+                   for i in range(50)]
         failures = []
         done = threading.Event()
 
         def read_loop():
             try:
                 while not done.is_set():
-                    reader.refresh()
-                    reader.records()
-                    len(reader)
+                    seen = len(reader.records())
+                    # Appends only grow what a reader sees.
+                    assert len(reader) >= seen
+                    reader.get(records[-1].key)
             except Exception as exc:  # pragma: no cover
                 failures.append(exc)
 
         thread = threading.Thread(target=read_loop)
         thread.start()
         try:
-            for i in range(50):
-                writer.put_record(make_record(i / 100.0,
-                                              created=float(i)))
+            for record in records:
+                writer.put_record(record)
         finally:
             done.set()
             thread.join(timeout=30)
+        assert not thread.is_alive()
         assert not failures
-        reader.refresh()
         assert len(reader.records()) == 50
+        assert reader.get(records[-1].key).metrics == records[-1].metrics
         reader.close()
         writer.close()
 
 
+def stop_then_resume(directory, workers):
+    """Stop a run of four 0.2 s points at 0.3 s, then resume it on the
+    same worker count; returns how many points were stored at the
+    stop."""
+    import threading
+
+    with temporary_study("fabric_stoppable"):
+        spec = SweepSpec("fabric_stoppable",
+                         grid={"duration": [0.2, 0.2001, 0.2002, 0.2003]})
+        oracle = SweepRunner(store=None, workers=1).run(spec)
+
+        store = ShardedResultStore(directory)
+        runner = SweepRunner(store, workers=workers)
+        run_id = runner.run_id
+        stopper = threading.Timer(0.3, runner.request_stop)
+        stopper.start()
+        try:
+            with pytest.raises(SweepIncompleteError):
+                runner.run(spec)
+        finally:
+            stopper.cancel()
+        stored = len(store)
+
+        resumed = SweepRunner(store, workers=workers).resume(run_id)
+        assert {r.point.key: r.metrics for r in resumed.results} \
+            == {r.point.key: r.metrics for r in oracle.results}
+        store.close()
+    return stored
+
+
 class TestRequestStop:
     def test_request_stop_journals_then_resume_is_bit_identical(
-            self, tmp_path, serial_oracle):
+            self, tmp_path):
+        assert 0 < stop_then_resume(str(tmp_path), workers=1) < 4
+
+    def test_request_stop_on_worker_processes_then_resume(self, tmp_path):
+        """The parent terminates its workers mid-point and leaves a
+        journal whose resume is bit-identical."""
+        assert 0 < stop_then_resume(str(tmp_path), workers=2) < 4
+        assert "run_draining" in event_kinds(str(tmp_path))
+        keys = shard_keys(str(tmp_path))
+        assert sorted(keys) == sorted(set(keys)) and len(keys) == 4
+
+    def test_request_stop_wakes_a_parent_blocked_on_its_workers(
+            self, tmp_path):
+        """No worker replies during a 30 s point: the stop request
+        itself ends the parent's wait."""
         import threading
 
         with temporary_study("fabric_stoppable"):
             spec = SweepSpec("fabric_stoppable",
-                             grid={"duration": [0.2, 0.2001,
-                                                0.2002, 0.2003]})
-            oracle = SweepRunner(store=None, workers=1).run(spec)
-
-            store = ShardedResultStore(str(tmp_path))
-            runner = SweepRunner(store, workers=1)
-            run_id = runner.run_id
+                             grid={"duration": [30.0, 30.001]})
+            runner = SweepRunner(str(tmp_path), workers=2)
             stopper = threading.Timer(0.3, runner.request_stop)
+            started = time.monotonic()
             stopper.start()
             try:
                 with pytest.raises(SweepIncompleteError):
                     runner.run(spec)
             finally:
                 stopper.cancel()
-            assert 0 < len(store) < 4
-
-            resumed = SweepRunner(store, workers=1).resume(run_id)
-            assert {r.point.key: r.metrics for r in resumed.results} \
-                == {r.point.key: r.metrics for r in oracle.results}
-            store.close()
+        assert time.monotonic() - started < 10.0
+        assert shard_keys(str(tmp_path)) == []

@@ -22,6 +22,7 @@ from repro.obs.provenance import (
     describe_manifest,
     load_manifest,
     manifest_path_for,
+    newest_manifest,
     spec_hash,
     write_manifest,
 )
@@ -456,10 +457,16 @@ class TestProvenance:
         assert a != spec_hash({"study": "caches",
                                "base": {"x": 1, "y": 3}})
 
-    def test_manifest_path_is_next_to_store(self):
-        assert manifest_path_for("/data/run/store.jsonl") == \
-            "/data/run/manifest.json"
-        assert manifest_path_for("store.jsonl") == "./manifest.json"
+    def test_manifest_path_is_next_to_store(self, tmp_path):
+        assert manifest_path_for("/data/run", "abc123") == \
+            "/data/run/manifest-abc123.json"
+        assert newest_manifest(str(tmp_path)) is None
+        old = manifest_path_for(str(tmp_path), "old")
+        new = manifest_path_for(str(tmp_path), "new")
+        write_manifest(new, self._manifest(tmp_path))
+        write_manifest(old, self._manifest(tmp_path))
+        os.utime(old, (1.0, 1.0))
+        assert newest_manifest(str(tmp_path)) == new
 
     def test_describe_manifest_one_liner(self, tmp_path):
         line = describe_manifest(self._manifest(tmp_path))
@@ -581,7 +588,8 @@ class TestRunnerObservability:
         store = ShardedResultStore(str(tmp_path))
         outcome = SweepRunner(store=store).run(_tiny_spec())
         assert outcome.run_id
-        assert outcome.manifest_path == str(tmp_path / "manifest.json")
+        assert outcome.manifest_path == str(
+            tmp_path / f"manifest-{outcome.run_id}.json")
         manifest = load_manifest(outcome.manifest_path)
         assert manifest["run_id"] == outcome.run_id
         assert manifest["study"] == "caches"
@@ -601,6 +609,20 @@ class TestRunnerObservability:
         manifest = load_manifest(rerun.manifest_path)
         assert manifest["run_id"] == rerun.run_id
         assert manifest["totals"]["cache_hits"] == 2
+
+    def test_each_run_keeps_its_own_manifest(self, tmp_path):
+        """Runs sharing a store (a service's jobs) each name their own
+        manifest, and it stays theirs after later runs finish."""
+        from repro.experiments import SweepRunner
+        from repro.fabric import ShardedResultStore
+
+        store = ShardedResultStore(str(tmp_path))
+        first = SweepRunner(store=store).run(_tiny_spec())
+        second = SweepRunner(store=store).run(_tiny_spec())
+        assert first.manifest_path != second.manifest_path
+        assert load_manifest(first.manifest_path)["run_id"] == first.run_id
+        assert load_manifest(second.manifest_path)["run_id"] == \
+            second.run_id
 
     def test_point_error_names_point_and_lands_in_event_log(
             self, tmp_path):
