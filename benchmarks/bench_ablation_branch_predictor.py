@@ -7,14 +7,11 @@ balance improves while prediction accuracy pays a bounded cost.
 
 import random
 
-import pytest
-
 from repro.analysis import format_table
 from repro.uarch.branch_predictor import (
     BimodalPredictor,
     ProtectedBimodalPredictor,
 )
-from repro.workloads import SUITE_PROFILES, TraceGenerator, suite_names
 from repro.uarch.uop import UopClass
 
 from conftest import SMOKE, write_result

@@ -9,8 +9,6 @@ grid is ratio × suite, points run uncached so the timing stays honest,
 and per-ratio rows aggregate with the summary helpers.
 """
 
-import pytest
-
 from repro.analysis import format_table
 from repro.experiments import (
     SweepRunner,

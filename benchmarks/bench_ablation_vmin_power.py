@@ -12,8 +12,6 @@ across points via the per-worker bias cache), and the way-granularity
 data point is one ``caches`` study point.
 """
 
-import pytest
-
 from repro.analysis import format_table
 from repro.experiments import SweepRunner, SweepSpec
 

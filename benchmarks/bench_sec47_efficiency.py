@@ -7,11 +7,7 @@ only).  Paper's Penelope processor: 1.28.
 
 from repro.analysis import format_table
 from repro.api import build_penelope
-from repro.core.metric import (
-    baseline_block_cost,
-    invert_periodically_cost,
-    nbti_efficiency,
-)
+from repro.core.metric import nbti_efficiency
 
 from conftest import SMOKE, write_result
 

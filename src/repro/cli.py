@@ -334,19 +334,20 @@ def _cmd_sweep_resume(args: argparse.Namespace) -> int:
     from repro.experiments import (
         PointExecutionError,
         SweepIncompleteError,
+        SweepSpec,
         get_study,
     )
-    from repro.fabric.journal import load_journal
+    from repro.obs.provenance import load_run_manifest
 
     directory = _store_dir(args.store)
     try:
-        journal = load_journal(directory, args.resume)
-        study = get_study(journal.study)
-        spec = journal.spec()
-        if args.study is not None and args.study != journal.study:
+        spec = SweepSpec.from_payload(
+            load_run_manifest(directory, args.resume)["spec"])
+        study = get_study(spec.study)
+        if args.study is not None and args.study != spec.study:
             raise ValueError(
                 f"--resume {args.resume} was planned for study "
-                f"{journal.study!r}, not {args.study!r}"
+                f"{spec.study!r}, not {args.study!r}"
             )
         return _run_sweep_and_report(
             spec,
@@ -356,8 +357,8 @@ def _cmd_sweep_resume(args: argparse.Namespace) -> int:
             group_by=spec.axis_names(),
             metrics_arg=args.metrics,
             agg=args.agg,
-            intro=f"resume {journal.study!r} run {args.resume}",
-            title=f"sweep {journal.study}: {study.description} "
+            intro=f"resume {spec.study!r} run {args.resume}",
+            title=f"sweep {spec.study}: {study.description} "
                   f"(resumed {args.resume})",
             progress_mode=args.progress,
             quiet=args.quiet,
@@ -533,20 +534,24 @@ def cmd_serve(args: argparse.Namespace) -> int:
 def _print_provenance(directory: str) -> None:
     """One-line header from the store's newest manifest, if any.
 
+    The newest run wrote the newest rows, finished or not: a run that
+    was stopped or killed heads the listing as unfinished.
     Best-effort on purpose: a missing or corrupt manifest must never
     block listing the results themselves.
     """
     from repro.obs.provenance import (
         describe_manifest,
+        list_runs,
         load_manifest,
-        newest_manifest,
+        manifest_path_for,
     )
 
-    path = newest_manifest(directory)
-    if path is None:
+    runs = list_runs(directory)
+    if not runs:
         return
     try:
-        print(describe_manifest(load_manifest(path)))
+        print(describe_manifest(load_manifest(
+            manifest_path_for(directory, runs[-1]))))
     except (OSError, ValueError):
         pass
 
@@ -787,7 +792,8 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
 def cmd_store_info(args: argparse.Namespace) -> int:
     """Describe a sharded store: counts, layout, known runs."""
-    from repro.fabric import ShardedResultStore, list_runs
+    from repro.fabric import ShardedResultStore
+    from repro.obs.provenance import list_runs
 
     directory = _store_dir(args.store)
     try:
@@ -941,7 +947,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="print one progress line per point")
     sweep.add_argument(
         "--resume", default=None, metavar="RUN_ID",
-        help="finish an interrupted run from its journal in the store "
+        help="finish an interrupted run from its manifest in the store "
              "(re-executes only points the store is missing)")
     sweep.add_argument("--batch-size", type=int, default=None,
                        metavar="N",

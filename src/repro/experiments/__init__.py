@@ -21,11 +21,11 @@ to live in ``cli.py``, ``benchmarks/bench_ablation_*.py`` and
   sharing a trace only generate it once.
 - :mod:`repro.experiments.runner` — :class:`SweepRunner`, the one
   sweep engine.  Its planner serves stored points as cache hits,
-  dedupes the rest by key and journals every store-backed run; the
-  misses then run in this process (``workers=1``) or on worker
-  processes it feeds batches to.  Results return in spec order, so parallel and
-  serial sweeps are bit-identical, and an interrupted run resumes from
-  its journal.
+  dedupes the rest by key and writes every store-backed run's
+  manifest before a point runs; the misses then run in this process
+  (``workers=1``) or on worker processes it feeds batches to.  Results
+  return in spec order, so parallel and serial sweeps are
+  bit-identical, and an interrupted run resumes from its manifest.
 - :mod:`repro.fabric.store` — the result store it caches into (a
   sharded directory under ``benchmarks/results/fabric/`` keyed by point
   hash); rerunning an unchanged sweep is pure cache hits.

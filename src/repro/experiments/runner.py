@@ -4,21 +4,23 @@
 
 1. **Plan** — expand and bind the spec (:func:`bind_spec_points`), serve
    points already in the store as cache hits, dedupe the rest by
-   content hash and — for every run that has a store — write
-   ``journal-<run_id>.json`` (:mod:`repro.fabric.journal`) before
-   executing anything.
+   content hash and — for every run that has a store — write the
+   run's ``manifest-<run_id>.json`` (:mod:`repro.obs.provenance`)
+   before executing anything.
 2. **Execute** — ``workers=1`` runs the pending points in this process,
-   in spec order.  ``workers>1`` starts worker processes and feeds
-   them hash-range batches, one at a time, over a pipe each: this
-   process holds the queue and each batch's attempts.  A worker stores
-   each point (with a store), then replies once per batch with each
-   point's key, metrics and elapsed time.  When a worker's exit
-   sentinel fires, its batch goes back on the queue for a survivor,
-   which skips the points already stored.
-3. **Resume** — :meth:`SweepRunner.resume` reloads the journal, checks
-   its spec hash and plans again against the store, so whatever the
-   stopped or killed run stored comes back as cache hits and the
-   resumed sweep is bit-identical to an uninterrupted one.
+   in spec order.  ``workers>1`` starts worker processes, cuts the
+   pending points into hash-range batches (:func:`plan_batches`) and
+   feeds them one at a time, over a pipe each: this process holds the
+   queue and each batch's attempts.  A worker stores each point (with
+   a store), then replies once per batch with each point's key,
+   metrics and elapsed time.  When a worker's exit sentinel fires, its
+   batch goes back on the queue for a survivor, which skips the points
+   already stored.
+3. **Resume** — :meth:`SweepRunner.resume` reads the spec back from the
+   run's manifest, checks its spec hash and plans again against the
+   store, so whatever the stopped or killed run stored comes back as
+   cache hits and the resumed sweep is bit-identical to an
+   uninterrupted one.
 
 Both executors share :meth:`SweepRunner.request_stop`, the per-point
 timeout and retry settings (:class:`RunSettings`), the event log, the
@@ -27,10 +29,10 @@ whichever executor ran them, so parallel and serial sweeps are
 bit-identical (differential-tested).
 
 Observability: every run carries a ``run_id``; store-backed runs append
-to ``events.jsonl`` and write ``manifest-<run_id>.json`` next to the
-store.  Each point slot gets exactly one ``point_done`` event: executed
-points are logged by whoever ran them, cached and duplicate slots by
-the planner.  With the tracer on, worker processes send their spans
+to ``events.jsonl`` and rewrite their manifest at the end with each
+point's timing.  Each point slot gets exactly one ``point_done`` event:
+executed points are logged by whoever ran them, cached and duplicate
+slots by the planner.  With the tracer on, worker processes send their spans
 with each batch's reply and the parent merges them, adding one
 ``sweep.queue_wait`` span per executed point.  None of it touches the
 computation: results are bit-identical with observability on or off.
@@ -48,22 +50,26 @@ import time
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+    Union,
+)
 
 from repro.experiments.registry import get_study
 from repro.experiments.spec import ExperimentPoint, SweepSpec
-from repro.fabric.journal import (
-    BatchPlan,
-    SweepJournal,
-    journal_path,
-    load_journal,
-    plan_batches,
-)
 from repro.fabric.store import ShardedResultStore
 from repro.metrics import MetricSet
 from repro.obs.log import EventLog, new_run_id
 from repro.obs.provenance import (
     build_manifest,
+    load_run_manifest,
     manifest_path_for,
     spec_hash,
     write_manifest,
@@ -446,6 +452,31 @@ def _worker_main(conn: Any, parent_end: Any, directory: Optional[str],
         pass  # the parent is gone: nobody waits for a reply
 
 
+@dataclass(frozen=True)
+class BatchPlan:
+    """One hash-range batch of pending points."""
+
+    batch_id: str
+    keys: Tuple[str, ...]
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+
+def plan_batches(keys: Iterable[str], batch_size: int) -> List[BatchPlan]:
+    """Cut pending point keys into hash-range batches.
+
+    Sorting by content hash *is* the range partition: each batch owns a
+    contiguous slice of key space, so the plan is a pure function of
+    the pending set, whatever the grid order — a resume plans again
+    from the points still missing.
+    """
+    ordered = sorted(keys)
+    return [BatchPlan(f"b{i // batch_size:04d}",
+                      tuple(ordered[i:i + batch_size]))
+            for i in range(0, len(ordered), batch_size)]
+
+
 @dataclass
 class _Worker:
     """A worker process, the parent's end of its pipe, and the batch it
@@ -479,9 +510,6 @@ class SweepRunner:
         store (``events.jsonl``).
     run_id:
         Provenance id; freshly generated when omitted.
-    manifest:
-        Write ``manifest-<run_id>.json`` next to the store after the
-        run (ignored without a store).
     trace_path:
         Where the caller intends to export this run's trace — recorded
         in the manifest so stored results can name their trace file.
@@ -499,7 +527,6 @@ class SweepRunner:
         progress: Optional[Callable[[PointResult], None]] = None,
         log: Optional[EventLog] = None,
         run_id: Optional[str] = None,
-        manifest: bool = True,
         trace_path: Optional[str] = None,
         batch_size: Optional[int] = None,
         max_batch_attempts: int = 3,
@@ -508,13 +535,14 @@ class SweepRunner:
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
+        if batch_size is not None and batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
         if isinstance(store, str):
             store = ShardedResultStore(store)
         self.store = store
         self.workers = workers
         self.progress = progress
         self.run_id = run_id or new_run_id()
-        self.manifest = manifest
         self.trace_path = trace_path
         self.batch_size = batch_size
         self.settings = RunSettings(
@@ -544,7 +572,7 @@ class SweepRunner:
 
         Thread-safe and idempotent.  The in-process executor stops at
         the next point boundary; worker processes are terminated at
-        once.  The journal stays on disk, so the run raises
+        once.  The run's manifest stays on disk, so the run raises
         :class:`SweepIncompleteError` and :meth:`resume` (``repro sweep
         --resume RUN_ID``) finishes it bit-identically — this is what
         the sweep service calls on SIGTERM.
@@ -558,46 +586,43 @@ class SweepRunner:
 
     # ------------------------------------------------------------------
     def run(self, spec: SweepSpec) -> SweepResult:
-        """Plan, journal (with a store) and execute a fresh run."""
-        return self._drive(spec, journal=None)
+        """Plan, record (with a store) and execute a fresh run."""
+        return self._drive(spec, resumed=False)
 
     def resume(self, run_id: str,
                spec: Optional[SweepSpec] = None) -> SweepResult:
-        """Finish an interrupted run from its journal.
+        """Finish an interrupted run from its manifest.
 
-        Verifies the journal's spec hash (and, when a spec is supplied,
-        that it hashes to the same identity) before touching anything:
-        resuming the wrong journal would label stored points with
+        Verifies the manifest's spec hash (and, when a spec is
+        supplied, that it hashes to the same identity) before touching
+        anything: resuming the wrong run would label stored points with
         another run's provenance.
         """
         if self.store is None:
             raise ValueError("resume needs the store the run was "
                              "planned in")
-        journal = load_journal(self.store.directory, run_id)
+        manifest = load_run_manifest(self.store.directory, run_id)
         if spec is None:
-            spec = journal.spec()
+            spec = SweepSpec.from_payload(manifest["spec"])
         else:
             supplied = spec_hash(spec.payload())
-            if supplied != journal.spec_hash:
+            if supplied != manifest["spec_hash"]:
                 raise ValueError(
                     f"spec hash mismatch: run {run_id} was planned for "
-                    f"{journal.spec_hash}, supplied spec hashes to "
+                    f"{manifest['spec_hash']}, supplied spec hashes to "
                     f"{supplied}"
                 )
         self.run_id = run_id
         if self.log is not None:
             self.log.run_id = run_id
-            self.log.info("run_resumed", study=journal.study,
-                          batches=len(journal.batches),
+            self.log.info("run_resumed", study=spec.study,
                           workers=self.workers)
-        return self._drive(spec, journal=journal)
+        return self._drive(spec, resumed=True)
 
     # ------------------------------------------------------------------
-    def _drive(self, spec: SweepSpec,
-               journal: Optional[SweepJournal]) -> SweepResult:
+    def _drive(self, spec: SweepSpec, resumed: bool) -> SweepResult:
         started = time.perf_counter()
         started_wall = time.time()
-        resumed = journal is not None
         _t = TRACER.begin()
         points = bind_spec_points(spec)
         slots: List[Optional[PointResult]] = []
@@ -614,8 +639,8 @@ class SweepRunner:
                     cached=True, elapsed=record.elapsed,
                 ))
         cached = sum(slot is not None for slot in slots)
-        if journal is None and self.store is not None:
-            journal = self._write_journal(spec, self.store, pending, cached)
+        # Before any point runs: a resume reads the spec back from it.
+        self._write_manifest(spec, started_wall, resumed)
         if self.log is not None:
             self.log.info("run_start", study=spec.study,
                           points=len(points), cached=cached,
@@ -632,15 +657,12 @@ class SweepRunner:
             if self.progress is not None:
                 self.progress(result)
 
-        counts = None
+        plan: Dict[str, Any] = {}
         if pending:
             if self.workers == 1:
                 self._run_inline(pending, deliver)
             else:
-                batches = (journal.batches if journal is not None
-                           else self._plan(pending)[1])
-                counts = self._run_processes(batches, dict(pending),
-                                             deliver)
+                plan = self._run_processes(dict(pending), deliver)
 
         results: List[PointResult] = []
         for point, slot in zip(points, slots):
@@ -663,7 +685,7 @@ class SweepRunner:
             run_id=self.run_id,
         )
         outcome.manifest_path = self._write_manifest(
-            spec, outcome, started_wall, journal, counts, resumed)
+            spec, started_wall, resumed, outcome, plan)
         if self.log is not None:
             self.log.info("run_end", study=spec.study,
                           points=len(outcome),
@@ -684,35 +706,6 @@ class SweepRunner:
                           elapsed=result.elapsed)
         if self.progress is not None:
             self.progress(result)
-
-    def _plan(self, pending: Dict[str, ExperimentPoint]
-              ) -> Tuple[int, List[BatchPlan]]:
-        """``(batch_size, batches)`` for the pending points."""
-        batch_size = self.batch_size or _auto_batch_size(
-            len(pending), self.workers)
-        return batch_size, plan_batches(
-            [(key, point.as_dict()) for key, point in pending.items()],
-            batch_size)
-
-    def _write_journal(self, spec: SweepSpec, store: ShardedResultStore,
-                       pending: Dict[str, ExperimentPoint],
-                       cached: int) -> SweepJournal:
-        batch_size, batches = self._plan(pending)
-        payload = spec.payload()
-        journal = SweepJournal(
-            run_id=self.run_id,
-            study=spec.study,
-            spec_payload=payload,
-            spec_hash=spec_hash(payload),
-            store_dir=store.directory,
-            batches=batches,
-            cached=cached,
-            workers=self.workers,
-            batch_size=batch_size,
-            created=time.time(),
-        )
-        journal.save()
-        return journal
 
     def _incomplete(self, reason: str,
                     **details: Any) -> SweepIncompleteError:
@@ -745,23 +738,23 @@ class SweepRunner:
                                self.settings))
 
     # -- workers>1 ------------------------------------------------------
-    def _run_processes(self, batches: List[BatchPlan],
-                       waiting: Dict[str, ExperimentPoint],
+    def _run_processes(self, waiting: Dict[str, ExperimentPoint],
                        deliver: Callable[[PointResult], None],
-                       ) -> Dict[str, int]:
+                       ) -> Dict[str, Any]:
         """Worker processes fed one batch at a time from this process.
 
-        This process is their only coordinator: it holds the queue and
-        each batch's attempts, sends a worker its next batch when the
-        last one ends, and re-queues the batch of a worker whose exit
-        sentinel fires.  Returns the batch counts for the manifest.
+        This process is their only coordinator: it cuts the pending
+        points into batches, holds the queue and each batch's attempts,
+        sends a worker its next batch when the last one ends, and
+        re-queues the batch of a worker whose exit sentinel fires.
+        Returns the batch plan and counts for the manifest.
         """
         log = self.log
         max_attempts = self.settings.max_batch_attempts
-        queue = deque(b for b in batches
-                      if not waiting.keys().isdisjoint(b.keys))
-        state = {b.batch_id: "done" for b in batches}
-        state.update((b.batch_id, "pending") for b in queue)
+        batch_size = self.batch_size or _auto_batch_size(
+            len(waiting), self.workers)
+        queue = deque(plan_batches(waiting, batch_size))
+        state = {b.batch_id: "pending" for b in queue}
         attempts: Dict[str, int] = {}
         owner: Dict[str, str] = {}
         exhausted: List[Dict[str, str]] = []
@@ -898,7 +891,8 @@ class SweepRunner:
                 f"{len(waiting)} point(s) not run",
                 counts=counts, failed=exhausted,
             )
-        return counts
+        return {"batches": len(state), "batch_size": batch_size,
+                "counts": counts}
 
     @staticmethod
     def _merge_spans(records: List[Dict[str, Any]],
@@ -919,46 +913,47 @@ class SweepRunner:
                 )
 
     # ------------------------------------------------------------------
-    def _write_manifest(self, spec: SweepSpec, outcome: SweepResult,
-                        started_wall: float,
-                        journal: Optional[SweepJournal],
-                        counts: Optional[Dict[str, int]],
-                        resumed: bool) -> Optional[str]:
-        if self.store is None or journal is None or not self.manifest:
+    def _write_manifest(self, spec: SweepSpec, started_wall: float,
+                        resumed: bool,
+                        outcome: Optional[SweepResult] = None,
+                        plan: Optional[Dict[str, Any]] = None,
+                        ) -> Optional[str]:
+        """Write ``manifest-<run_id>.json`` (with a store); its path.
+
+        Without ``outcome`` it is the plan-time record a resume reads
+        back, and a failed write raises.  With ``outcome`` (and
+        ``plan``, the worker processes' batches and counts) it adds the
+        per-point record; a failed write is logged and skipped.
+        """
+        if self.store is None:
             return None
-        plan: Dict[str, Any] = {
-            "journal": journal_path(self.store.directory, self.run_id),
-            "batches": len(journal.batches),
-            "batch_size": journal.batch_size,
-            "max_batch_attempts": self.settings.max_batch_attempts,
-            "resumed": resumed,
-        }
-        if counts is not None:
-            plan["counts"] = counts
+        path = manifest_path_for(self.store.directory, self.run_id)
         manifest = build_manifest(
             run_id=self.run_id,
             spec_payload=spec.payload(),
-            points=[{
+            workers=self.workers,
+            started=started_wall,
+            points=None if outcome is None else [{
                 "key": r.point.key,
                 "params": r.point.as_dict(),
                 "cached": r.cached,
                 "elapsed": r.elapsed,
             } for r in outcome.results],
-            workers=self.workers,
-            started=started_wall,
-            finished=time.time(),
+            finished=None if outcome is None else time.time(),
             store_path=self.store.path,
             trace_path=self.trace_path,
             events_path=self._events_path(),
-            fabric=plan,
+            fabric={"max_batch_attempts": self.settings.max_batch_attempts,
+                    "resumed": resumed, **(plan or {})},
             resumed_from=self.run_id if resumed else None,
         )
-        path = manifest_path_for(self.store.directory, self.run_id)
         try:
             write_manifest(path, manifest)
         except OSError as exc:
-            # Provenance must never take the sweep down; the results
-            # themselves are already safely in the store.
+            if outcome is None:
+                raise  # no record to resume from: run nothing
+            # Provenance must never take a finished sweep down; the
+            # results themselves are already safely in the store.
             if self.log is not None:
                 self.log.warning("manifest_error", path=path,
                                  error=str(exc))
@@ -968,6 +963,4 @@ class SweepRunner:
 
 def _auto_batch_size(pending: int, workers: int) -> int:
     """About four batches per worker, clamped to [1, 64]."""
-    if pending == 0:
-        return 1
-    return max(1, min(64, math.ceil(pending / max(workers * 4, 1))))
+    return max(1, min(64, math.ceil(pending / (workers * 4))))

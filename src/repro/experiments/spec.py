@@ -132,9 +132,9 @@ class SweepSpec:
     def payload(self) -> Dict[str, Any]:
         """JSON-ready identity of this spec.
 
-        This exact shape is what gets hashed into manifests and fabric
-        journals (:func:`repro.obs.provenance.spec_hash`), so a resumed
-        run can prove it is replaying the same sweep.
+        This exact shape is what gets hashed into run manifests
+        (:func:`repro.obs.provenance.spec_hash`), so a resumed run can
+        prove it is replaying the same sweep.
         """
         return {
             "study": self.study,

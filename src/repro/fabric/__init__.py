@@ -1,18 +1,18 @@
-"""Durable state under the sweep engine: store and journal.
+"""Durable state under the sweep engine: the result store.
 
 :class:`~repro.experiments.runner.SweepRunner` is the one sweep engine;
-this package holds everything it keeps on disk, all of it in one store
-directory.  Which batch a worker process holds is not on disk: the
-runner's parent process hands out the batches and tracks them.
+everything it keeps on disk lives in one store directory: the shards
+below, ``events.jsonl`` and one ``manifest-<run_id>.json`` per run
+(:mod:`repro.obs.provenance`), which ``repro sweep --resume RUN_ID``
+reads back.  No batch plan is on disk: the runner's parent process
+cuts the pending points into batches, hands them out and tracks them.
 
 * :mod:`repro.fabric.store` — the only writable result store: records
   sharded into JSONL files by key-hash range, which are its only state
   (a lookup reads one shard), ``compact``, and the import of flat
   ``store.jsonl`` files, read only as input.
-* :mod:`repro.fabric.journal` — the atomic per-run plan behind
-  ``repro sweep --resume RUN_ID``.
 * :mod:`repro.fabric.io` — the two crash-safe write idioms every byte
-  above goes through (lint rule FAB001).
+  the engine writes goes through (lint rule FAB001).
 
 Attribute access is lazy (PEP 562): ``import repro.fabric`` loads no
 submodule until one of its names is used.
@@ -30,11 +30,6 @@ _EXPORTS = {
     "ShardedResultStore": "repro.fabric.store",
     "StoredResult": "repro.fabric.store",
     "read_flat_store": "repro.fabric.store",
-    "SweepJournal": "repro.fabric.journal",
-    "BatchPlan": "repro.fabric.journal",
-    "load_journal": "repro.fabric.journal",
-    "journal_path": "repro.fabric.journal",
-    "list_runs": "repro.fabric.journal",
 }
 
 __all__ = sorted(_EXPORTS)

@@ -9,7 +9,7 @@ Every durable byte the fabric writes goes through one of two idioms:
   detect and skip).
 * :func:`atomic_write_text` / :func:`atomic_write_json` — write to a
   temp file in the same directory, then ``os.replace`` over the target.
-  Readers see either the old journal or the new one, never a torn mix.
+  Readers see either the old file or the new one, never a torn mix.
 
 Lint rule FAB001 flags any other write path inside ``repro/fabric/``
 and ``experiments/runner.py``; this module is the sanctioned exception.

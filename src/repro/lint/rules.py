@@ -690,7 +690,7 @@ class TraceAllocationRule(Rule):
 #: write in these files silently re-introduces torn-record windows.
 FAB_EXEMPT_FILES = ("fabric/io.py",)
 #: Writers outside ``fabric/`` held to the same discipline: the sweep
-#: runner, which saves each run's journal and manifest.
+#: runner, which saves each run's manifest through ``fabric.io``.
 FAB_SCOPED_FILES = ("experiments/runner.py",)
 
 _WRITE_MODE_CHARS = frozenset("awx+")
@@ -716,9 +716,9 @@ class FabricWriteRule(Rule):
     id = "FAB001"
     severity = "error"
     description = (
-        "fabric store/journal modules must write through the fabric.io "
-        "helpers (append_record / atomic_write_*): no open() in a "
-        "write mode, no .write()/.writelines() calls"
+        "fabric modules and the sweep runner must write through the "
+        "fabric.io helpers (append_record / atomic_write_*): no open() "
+        "in a write mode, no .write()/.writelines() calls"
     )
 
     def applies(self, ctx: FileContext) -> bool:

@@ -12,7 +12,8 @@ answers *what are the values*; this package answers *when and why*:
   human console renderer;
 - :mod:`repro.obs.provenance` — run manifests recording the git
   revision, package version, interpreter, host, spec hash, worker
-  count and per-point wall times of every sweep;
+  count and per-point wall times of every sweep, written at plan time
+  (what a resume reads) and again at the end;
 - :mod:`repro.obs.progress` — live sweep progress (rate / ETA) in
   line, JSON, or silent renderings.
 
@@ -37,9 +38,10 @@ from repro.obs.provenance import (
     describe_manifest,
     environment_fingerprint,
     git_revision,
+    list_runs,
     load_manifest,
+    load_run_manifest,
     manifest_path_for,
-    newest_manifest,
     spec_hash,
     write_manifest,
 )
@@ -69,9 +71,10 @@ __all__ = [
     "describe_manifest",
     "environment_fingerprint",
     "git_revision",
+    "list_runs",
     "load_manifest",
+    "load_run_manifest",
     "manifest_path_for",
-    "newest_manifest",
     "spec_hash",
     "write_manifest",
     "TRACE_ENV",

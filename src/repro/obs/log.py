@@ -209,23 +209,17 @@ def tail_events(
 class EventTailer:
     """Stateful wrapper over :func:`tail_events` (one watermark).
 
-    ``start_at_end=True`` begins tailing at the file's current size —
-    what a live subscriber wants (the service's WS bridge): only events
-    appended after attach, not the whole multi-run history.
+    A live subscriber passes the ``offset`` it captured when it
+    attached (the service takes the file's size at submit), so it sees
+    only the events appended since, not the whole multi-run history.
     """
 
     def __init__(self, path: str, offset: int = 0,
                  level: Optional[str] = None,
-                 run_id: Optional[str] = None,
-                 start_at_end: bool = False) -> None:
+                 run_id: Optional[str] = None) -> None:
         self.path = path
         self.level = level
         self.run_id = run_id
-        if start_at_end:
-            try:
-                offset = os.path.getsize(path)
-            except OSError:
-                offset = 0
         self.offset = offset
 
     def poll(self) -> List[Dict[str, Any]]:

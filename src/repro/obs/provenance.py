@@ -4,12 +4,16 @@ A JSONL store row says *what* was measured; the manifest next to it
 says *how*: which code revision, package version, interpreter, host,
 spec, worker count and wall-clock produced the rows.  Every sweep with
 a result store writes ``manifest-<run_id>.json`` into the store's
-directory, beside its journal, and ``repro results`` / ``repro report``
-surface the newest one as a provenance header.
+directory twice: at plan time, before any point runs (the record
+``repro sweep --resume RUN_ID`` reads back), and at the end with the
+per-point record and totals.  ``repro results`` / ``repro report``
+surface the newest one as a provenance header, and ``repro store info``
+lists the runs (:func:`list_runs`).
 
-Everything here is failure-tolerant: a missing ``git`` binary, a
-non-checkout install, or an unwritable directory degrade to ``None``
-fields / a skipped write — provenance must never take a sweep down.
+The probes are failure-tolerant: a missing ``git`` binary or a
+non-checkout install degrade to ``None`` fields.  Only the plan-time
+write may fail a sweep, since a run that cannot be resumed must not
+start; the runner logs a failed end-of-run write and goes on.
 """
 
 from __future__ import annotations
@@ -40,8 +44,13 @@ def manifest_path_for(directory: str, run_id: str) -> str:
     return os.path.join(directory, f"manifest-{run_id}.json")
 
 
-def newest_manifest(directory: str) -> Optional[str]:
-    """Path of the most recently written manifest in ``directory``."""
+def list_runs(directory: str) -> List[str]:
+    """Run ids with a manifest in ``directory``, oldest write first.
+
+    The one lister of a store's runs: ``repro store info`` prints it,
+    the newest heads ``repro results``, and ``resume`` names it when a
+    run id is unknown.
+    """
     stamped = []
     for path in glob.glob(os.path.join(glob.escape(directory),
                                        "manifest-*.json")):
@@ -49,7 +58,8 @@ def newest_manifest(directory: str) -> Optional[str]:
             stamped.append((os.path.getmtime(path), path))
         except OSError:
             continue  # removed since the listing
-    return max(stamped)[1] if stamped else None
+    return [os.path.basename(path)[len("manifest-"):-len(".json")]
+            for __, path in sorted(stamped)]
 
 
 def git_revision(cwd: Optional[str] = None) -> Optional[Dict[str, Any]]:
@@ -109,28 +119,26 @@ def build_manifest(
     *,
     run_id: str,
     spec_payload: Mapping[str, Any],
-    points: List[Dict[str, Any]],
     workers: int,
     started: float,
-    finished: float,
+    points: Optional[List[Dict[str, Any]]] = None,
+    finished: Optional[float] = None,
     store_path: Optional[str] = None,
     trace_path: Optional[str] = None,
     events_path: Optional[str] = None,
     fabric: Optional[Mapping[str, Any]] = None,
     resumed_from: Optional[str] = None,
 ) -> Dict[str, Any]:
-    """Assemble the manifest dict for one finished sweep.
+    """Assemble the manifest dict of one sweep.
 
-    ``points`` entries carry ``key`` / ``params`` / ``cached`` /
-    ``elapsed`` per design point (the per-point wall-time record the
-    acceptance criteria ask for).  Fabric runs additionally record the
-    batch plan (``fabric``: journal path, batch parameters and, on
-    worker processes, the batch counts by state) and, on resume, the
-    prior attempt's run id.
+    Without ``finished`` it is the plan-time manifest: the run's
+    identity and spec, ``"finished": None``.  The end-of-run manifest
+    adds ``points``, whose entries carry ``key`` / ``params`` /
+    ``cached`` / ``elapsed`` per design point, and their totals.  The
+    runner records its execution settings in ``fabric`` (on worker
+    processes also the batch plan and the batch counts by state) and,
+    on resume, the prior attempt's run id.
     """
-    executed = [p for p in points if not p.get("cached")]
-    slowest = max(executed, key=lambda p: p.get("elapsed", 0.0),
-                  default=None)
     manifest = {
         "schema": MANIFEST_SCHEMA,
         "run_id": run_id,
@@ -141,22 +149,29 @@ def build_manifest(
         "environment": environment_fingerprint(),
         "workers": workers,
         "started": started,
-        "finished": finished,
         "started_iso": _iso(started),
-        "finished_iso": _iso(finished),
-        "wall_time": finished - started,
-        "points": points,
-        "totals": {
-            "points": len(points),
-            "cache_hits": len(points) - len(executed),
-            "executed": len(executed),
-            "slowest_key": slowest["key"] if slowest else None,
-            "slowest_elapsed": slowest["elapsed"] if slowest else None,
-        },
+        "finished": finished,
         "store": store_path,
         "trace": trace_path,
         "events": events_path,
     }
+    if finished is not None:
+        points = list(points or [])
+        executed = [p for p in points if not p.get("cached")]
+        slowest = max(executed, key=lambda p: p.get("elapsed", 0.0),
+                      default=None)
+        manifest.update({
+            "finished_iso": _iso(finished),
+            "wall_time": finished - started,
+            "points": points,
+            "totals": {
+                "points": len(points),
+                "cache_hits": len(points) - len(executed),
+                "executed": len(executed),
+                "slowest_key": slowest["key"] if slowest else None,
+                "slowest_elapsed": slowest["elapsed"] if slowest else None,
+            },
+        })
     if fabric is not None:
         manifest["fabric"] = dict(fabric)
     if resumed_from is not None:
@@ -181,6 +196,31 @@ def load_manifest(path: str) -> Dict[str, Any]:
     return payload
 
 
+def load_run_manifest(directory: str, run_id: str) -> Dict[str, Any]:
+    """The manifest of ``run_id`` in ``directory``, its spec hash checked.
+
+    What a resume reads.  An unknown run fails naming the known ones; a
+    spec payload that does not hash to the recorded hash fails too, so
+    a hand-edited or mixed-up manifest cannot replay the wrong spec
+    under a run id that claims otherwise.
+    """
+    try:
+        manifest = load_manifest(manifest_path_for(directory, run_id))
+    except FileNotFoundError:
+        known = ", ".join(list_runs(directory)) or "none"
+        raise FileNotFoundError(
+            f"no manifest for run {run_id!r} in {directory} "
+            f"(known runs: {known})"
+        ) from None
+    actual = spec_hash(manifest["spec"])
+    if actual != manifest["spec_hash"]:
+        raise ValueError(
+            f"manifest of run {run_id} is inconsistent: spec payload "
+            f"hashes to {actual}, manifest claims {manifest['spec_hash']}"
+        )
+    return manifest
+
+
 def describe_manifest(manifest: Mapping[str, Any]) -> str:
     """One provenance line for CLI headers."""
     git = manifest.get("git") or {}
@@ -189,17 +229,24 @@ def describe_manifest(manifest: Mapping[str, Any]) -> str:
         revision = f"{revision[:12]}+dirty"
     else:
         revision = revision[:12]
-    totals = manifest.get("totals") or {}
     line = (
         f"provenance: run {manifest.get('run_id', '?')} "
         f"@ {revision} v{(manifest.get('environment') or {}).get('package_version', '?')} "
         f"| {manifest.get('study', '?')} "
-        f"{totals.get('points', '?')} points "
-        f"({totals.get('cache_hits', '?')} cached) "
-        f"in {manifest.get('wall_time', 0.0):.2f}s "
-        f"on {manifest.get('workers', '?')} worker(s) "
-        f"at {manifest.get('finished_iso', '?')}"
     )
+    workers = f"on {manifest.get('workers', '?')} worker(s)"
+    if manifest.get("finished") is None:
+        # Still running, stopped or killed; its rows may be stored.
+        line += (f"unfinished, started {workers} "
+                 f"at {manifest.get('started_iso', '?')}")
+    else:
+        totals = manifest.get("totals") or {}
+        line += (
+            f"{totals.get('points', '?')} points "
+            f"({totals.get('cache_hits', '?')} cached) "
+            f"in {manifest.get('wall_time', 0.0):.2f}s {workers} "
+            f"at {manifest.get('finished_iso', '?')}"
+        )
     if manifest.get("resumed_from"):
         line += f" [resumed from {manifest['resumed_from']}]"
     return line

@@ -17,8 +17,8 @@ stdlib-only asyncio server —
 - :mod:`repro.service.jobs` — spec-hash job dedup and execution via
   ``SweepRunner`` in an executor thread per job;
 - :mod:`repro.service.app` — routing, signal handling, graceful drain:
-  SIGTERM stops every job at a point boundary, journaled for
-  ``repro sweep --resume``.
+  SIGTERM stops every job at a point boundary, its manifest on disk
+  for ``repro sweep --resume``.
 
 Run it with ``repro serve``; talk to it with
 :class:`repro.client.ServiceClient` or plain ``curl``.

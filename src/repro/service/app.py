@@ -17,7 +17,7 @@ from older clients is accepted and ignored.  The lifecycle is
 deliberately boring: one process, one store directory, jobs
 deduplicated by spec hash (HTTP 200 on a dedup hit, 202 on a fresh
 launch), SIGTERM → stop accepting, stop every running job at a point
-boundary with its journal on disk, drain, exit 0.
+boundary with its manifest on disk, drain, exit 0.
 """
 
 from __future__ import annotations

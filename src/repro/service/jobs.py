@@ -2,7 +2,7 @@
 
 A *job* is one submitted StudySpec/SweepSpec resolved to the engine's
 :class:`~repro.experiments.spec.SweepSpec`.  Jobs are identified by
-their run_id (so journals, manifests, and event-log records line up
+their run_id (so manifests and event-log records line up
 with the job id a client holds) and deduplicated by spec hash: two
 clients POSTing the same spec — concurrently or hours apart — attach
 to one execution sharing one result-store write per point.  Point-level
@@ -220,7 +220,7 @@ class JobManager:
             job._runner = runner
             if self.draining:
                 # The drain may have looked for runners before this one
-                # existed; it still leaves a journal to resume from.
+                # existed; it still leaves a manifest to resume from.
                 runner.request_stop()
             outcome = runner.run(job.spec)
             job.results = _result_rows(outcome)
@@ -283,7 +283,7 @@ class JobManager:
 
         Every running job is asked to stop — at its next point boundary,
         or by terminating its worker processes — and waited for up to
-        ``grace`` seconds.  Each leaves its journal behind, so ``repro
+        ``grace`` seconds.  Each leaves its manifest behind, so ``repro
         sweep --resume`` finishes it bit-identically later.  Counts what
         happened so the caller can log it.
         """

@@ -37,7 +37,7 @@ from repro.uarch.mob import MemoryOrderBuffer
 from repro.uarch.ports import AdderPolicy, AdderPool
 from repro.uarch.regfile import RegisterFile, RegisterFileStats
 from repro.uarch.scheduler import Scheduler, SchedulerStats
-from repro.uarch.tlb import TLB, TLBConfig
+from repro.uarch.tlb import TLBConfig
 from repro.uarch.uop import FP_WIDTH, INT_WIDTH, Uop
 
 

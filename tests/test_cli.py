@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
-from repro.fabric.journal import list_runs
+from repro.obs.provenance import list_runs
 
 
 class TestParser:
@@ -508,6 +508,8 @@ class TestCommands:
              "300", "--no-store", "--metrics", "mean_losss"],
             ["sweep", "caches", "--grid", "ratoi=0.4,0.6", "--suites",
              "office", "--no-store"],
+            ["sweep", "caches", "--batch-size", "0", "--suites",
+             "office", "--length", "300", "--no-store"],
         ]
         for argv in cases:
             assert main(argv) == 2, argv

@@ -12,7 +12,7 @@ from repro.core.cache_like import (
     performance_loss,
     run_cache_study,
 )
-from repro.uarch.backends import Cache, CacheConfig, LineState
+from repro.uarch.backends import Cache, CacheConfig
 from repro.workloads import generate_address_stream
 
 CONFIG = CacheConfig(name="DL0-8K-4w", size_bytes=8 * 1024, ways=4)

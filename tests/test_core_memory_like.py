@@ -13,7 +13,6 @@ from repro.core.memory_like import (
 )
 from repro.core.policy import Technique
 from repro.uarch import TraceDrivenCore
-from repro.uarch.core import CompositeHooks
 from repro.uarch.uop import INT_WIDTH, SCHEDULER_LAYOUT
 from repro.workloads import TraceGenerator
 

@@ -1,7 +1,7 @@
-"""Tests for the sweep fabric: the store and journal, and the runs of
-:class:`SweepRunner` that use them.
+"""Tests for the sweep fabric: the store and the run manifests, and the
+runs of :class:`SweepRunner` that use them.
 
-Covers the two layers (sharded store, journal/checkpoint-resume), the
+Covers the two layers (sharded store, manifest/checkpoint-resume), the
 worker processes the runner feeds batches to, plus the differential
 acceptance criteria: a killed-and-resumed sweep must be bit-identical
 to an uninterrupted serial run, re-executing only the genuinely missing
@@ -24,16 +24,17 @@ from repro.experiments import (
     SweepSpec,
 )
 from repro.experiments.registry import _STUDIES, register_study
-from repro.experiments.runner import FAULT_ENV
+from repro.experiments.runner import FAULT_ENV, plan_batches
 from repro.experiments.spec import ExperimentPoint
-from repro.fabric import (
-    ShardedResultStore,
-    StoredResult,
-    SweepJournal,
-    load_journal,
+from repro.fabric import ShardedResultStore, StoredResult
+from repro.obs.provenance import (
+    build_manifest,
+    list_runs,
+    load_manifest,
+    load_run_manifest,
+    manifest_path_for,
+    write_manifest,
 )
-from repro.fabric.journal import list_runs, plan_batches
-from repro.obs.provenance import load_manifest, spec_hash
 from repro.obs.trace import TRACER
 
 TINY_BASE = {"length": 600, "seed": 3}
@@ -318,65 +319,85 @@ class TestShardedStore:
 
 
 # ----------------------------------------------------------------------
-# Journal / batch planning
+# The run manifest a resume reads
 # ----------------------------------------------------------------------
-class TestJournal:
-    def test_plan_batches_sorts_by_key(self):
-        pending = [(p.key, p.as_dict()) for p in tiny_spec().expand()]
-        batches = plan_batches(pending, batch_size=3)
-        assert [b.batch_id for b in batches] == ["b0000", "b0001"]
-        assert [len(b) for b in batches] == [3, 1]
-        keys = [k for b in batches for k in b.keys]
-        assert keys == sorted(keys)  # hash-range partition
-        # Replanning a shuffled pending set yields identical batches.
-        again = plan_batches(list(reversed(pending)), batch_size=3)
-        assert [b.keys for b in again] == [b.keys for b in batches]
+def plan_time_manifest(directory, run_id, spec):
+    """Write the manifest a run records before its first point."""
+    manifest = build_manifest(run_id=run_id, spec_payload=spec.payload(),
+                              workers=2, started=123.0)
+    write_manifest(manifest_path_for(directory, run_id), manifest)
+    return manifest
+
+
+class TestRunManifest:
+    def test_failed_plan_time_write_runs_no_point(self, tmp_path,
+                                                  monkeypatch):
+        """A run that could not record itself must not start: nothing
+        would let it be resumed."""
+        import repro.experiments.runner as runner_module
+
+        def refuse(path, manifest):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(runner_module, "write_manifest", refuse)
+        with pytest.raises(OSError, match="No space"):
+            SweepRunner(str(tmp_path), workers=1).run(tiny_spec())
+        assert len(ShardedResultStore(str(tmp_path))) == 0
+        # Not even run_start was logged.
+        assert not os.path.exists(tmp_path / "events.jsonl")
+        assert list_runs(str(tmp_path)) == []
+
+    def test_failed_end_of_run_write_keeps_results(self, tmp_path,
+                                                   monkeypatch,
+                                                   serial_oracle):
+        import repro.experiments.runner as runner_module
+
+        write = runner_module.write_manifest
+
+        def refuse_at_end(path, manifest):
+            if manifest["finished"] is not None:
+                raise OSError(28, "No space left on device")
+            write(path, manifest)
+
+        monkeypatch.setattr(runner_module, "write_manifest", refuse_at_end)
+        outcome = SweepRunner(str(tmp_path), workers=1).run(tiny_spec())
+        assert_bit_identical(outcome, serial_oracle)
+        assert outcome.manifest_path is None
+        (error,) = events_of(str(tmp_path), "manifest_error")
+        assert "No space" in error["payload"]["error"]
+        assert "run_end" in event_kinds(str(tmp_path))
+        # The plan-time record stays: the run is listed, unfinished.
+        assert list_runs(str(tmp_path)) == [outcome.run_id]
+        assert load_run_manifest(str(tmp_path),
+                                 outcome.run_id)["finished"] is None
 
     def test_round_trip_and_verify(self, tmp_path):
         spec = tiny_spec()
-        payload = spec.payload()
-        pending = [(p.key, p.as_dict()) for p in spec.expand()]
-        journal = SweepJournal(
-            run_id="runX", study=spec.study, spec_payload=payload,
-            spec_hash=spec_hash(payload), store_dir=str(tmp_path),
-            batches=plan_batches(pending, 2), cached=0, workers=2,
-            batch_size=2, created=123.0,
-        )
-        journal.save()
-        loaded = load_journal(str(tmp_path), "runX")
-        assert loaded.run_id == "runX"
-        assert loaded.pending_points == 4
-        assert loaded.spec().payload() == payload
-        assert loaded.batch("b0001").keys == journal.batches[1].keys
-        with pytest.raises(KeyError):
-            loaded.batch("b9999")
+        written = plan_time_manifest(str(tmp_path), "runX", spec)
+        loaded = load_run_manifest(str(tmp_path), "runX")
+        assert loaded == written
+        assert loaded["run_id"] == "runX"
+        assert loaded["finished"] is None
+        assert "points" not in loaded and "totals" not in loaded
+        assert SweepSpec.from_payload(loaded["spec"]).payload() == \
+            spec.payload()
 
-    def test_tampered_journal_rejected(self, tmp_path):
-        spec = tiny_spec()
-        payload = spec.payload()
-        journal = SweepJournal(
-            run_id="runX", study=spec.study, spec_payload=payload,
-            spec_hash="0" * 20, store_dir=str(tmp_path), batches=[],
-        )
-        journal.save()
+    def test_tampered_manifest_rejected(self, tmp_path):
+        manifest = plan_time_manifest(str(tmp_path), "runX", tiny_spec())
+        manifest["spec_hash"] = "0" * 20
+        write_manifest(manifest_path_for(str(tmp_path), "runX"), manifest)
         with pytest.raises(ValueError, match="inconsistent"):
-            load_journal(str(tmp_path), "runX")
+            load_run_manifest(str(tmp_path), "runX")
 
     def test_unknown_run_lists_known_runs(self, tmp_path):
-        spec = tiny_spec()
-        payload = spec.payload()
-        SweepJournal(
-            run_id="known", study=spec.study, spec_payload=payload,
-            spec_hash=spec_hash(payload), store_dir=str(tmp_path),
-            batches=[],
-        ).save()
+        plan_time_manifest(str(tmp_path), "known", tiny_spec())
         with pytest.raises(FileNotFoundError, match="known"):
-            load_journal(str(tmp_path), "absent")
+            load_run_manifest(str(tmp_path), "absent")
         assert list_runs(str(tmp_path)) == ["known"]
 
 
 # ----------------------------------------------------------------------
-# SweepRunner over a store: journal, workers, resume — differential
+# SweepRunner over a store: manifest, workers, resume — differential
 # against an uninterrupted serial run without a store
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
@@ -404,14 +425,28 @@ class TestFabricRunner:
         outcome = SweepRunner(str(tmp_path), workers=1).run(tiny_spec())
         assert outcome.executed == 4 and outcome.cache_hits == 0
         assert_bit_identical(outcome, serial_oracle)
-        # Every store-backed run is journaled, even in-process.
+        # Every store-backed run leaves its manifest, and no other
+        # record of the run.
         assert list_runs(str(tmp_path)) == [outcome.run_id]
+        assert not [n for n in os.listdir(tmp_path)
+                    if n.startswith("journal-")]
 
         # Rerun over the same store: every point a cache hit, values
         # unchanged.
         again = SweepRunner(str(tmp_path), workers=1).run(tiny_spec())
         assert again.cache_hits == 4 and again.executed == 0
         assert_bit_identical(again, serial_oracle)
+
+    def test_plan_batches_sorts_by_key(self):
+        keys = [p.key for p in tiny_spec().expand()]
+        batches = plan_batches(keys, batch_size=3)
+        assert [b.batch_id for b in batches] == ["b0000", "b0001"]
+        assert [len(b) for b in batches] == [3, 1]
+        planned = [k for b in batches for k in b.keys]
+        assert planned == sorted(keys)  # hash-range partition
+        # Replanning a shuffled pending set yields identical batches.
+        again = plan_batches(list(reversed(keys)), batch_size=3)
+        assert again == batches
 
     def test_spawned_workers_match_sweep_runner(self, tmp_path,
                                                 serial_oracle):
@@ -462,7 +497,7 @@ class TestFabricRunner:
         assert fabric["counts"] == {"done": 2}
         assert fabric["resumed"] is False
         assert "resumed_from" not in manifest
-        assert os.path.exists(fabric["journal"])
+        assert "journal" not in fabric
         assert manifest["totals"]["points"] == 4
 
     def test_resume_rejects_mismatched_spec(self, tmp_path):
@@ -491,7 +526,11 @@ class TestFabricRunner:
             capture_output=True, timeout=120)
         assert crashed.returncode == -9, crashed.stderr.decode()
         assert os.path.exists(os.path.join(directory, ".fault-fired"))
+        # The plan-time manifest is the killed run's only record.
         (run_id,) = list_runs(directory)
+        assert load_run_manifest(directory, run_id)["finished"] is None
+        assert not [n for n in os.listdir(directory)
+                    if n.startswith("journal-")]
 
         resumed = SweepRunner(directory, workers=2)
         outcome = resumed.resume(run_id)
@@ -507,6 +546,46 @@ class TestFabricRunner:
         assert manifest["run_id"] == run_id
         assert manifest["resumed_from"] == run_id
         assert manifest["fabric"]["resumed"] is True
+        assert manifest["finished"] is not None
+        # Planned again from the three missing points alone.
+        assert manifest["fabric"]["counts"] == {
+            "done": manifest["fabric"]["batches"]}
+        assert manifest["fabric"]["batches"] * \
+            manifest["fabric"]["batch_size"] >= 3
+
+    def test_killed_run_heads_results_as_unfinished(self, tmp_path,
+                                                    capsys):
+        """A killed run wrote the store's newest rows: `repro results`
+        names it, unfinished, as their provenance, and `repro store
+        info` lists the same runs."""
+        from repro.cli import main
+
+        directory = str(tmp_path)
+        argv = ["sweep", "caches", "--store", directory, "--workers", "1",
+                "--quiet", "--suites", "office", "--length", "600",
+                "--seed", "3"]
+        assert main(argv + ["--grid", "ratio=0.4"]) == 0
+        (finished,) = list_runs(directory)
+        crashed = subprocess.run(
+            [sys.executable, "-m", "repro.cli"] + argv
+            + ["--grid", "ratio=0.5,0.6"],
+            env=cli_env(**{FAULT_ENV: "kill-worker"}),
+            capture_output=True, timeout=120)
+        assert crashed.returncode == -9, crashed.stderr.decode()
+        runs = list_runs(directory)
+        assert runs[0] == finished and len(runs) == 2
+        killed = runs[1]
+        capsys.readouterr()
+
+        assert main(["results", "--store", directory]) == 0
+        header = capsys.readouterr().out.splitlines()[0]
+        assert header.startswith(f"provenance: run {killed} ")
+        assert "unfinished" in header
+        assert main(["store", "info", "--store", directory]) == 0
+        out = capsys.readouterr().out
+        assert "runs: 2" in out
+        listed = out.split("runs: 2\n", 1)[1].split()
+        assert listed == runs
 
     def test_surviving_worker_steals_killed_workers_batch(
             self, tmp_path, monkeypatch, serial_oracle):
@@ -746,6 +825,7 @@ def stop_then_resume(directory, workers):
         finally:
             stopper.cancel()
         stored = len(store)
+        assert list_runs(directory) == [run_id]
 
         resumed = SweepRunner(store, workers=workers).resume(run_id)
         assert {r.point.key: r.metrics for r in resumed.results} \
@@ -761,7 +841,7 @@ class TestRequestStop:
 
     def test_request_stop_on_worker_processes_then_resume(self, tmp_path):
         """The parent terminates its workers mid-point and leaves a
-        journal whose resume is bit-identical."""
+        manifest whose resume is bit-identical."""
         assert 0 < stop_then_resume(str(tmp_path), workers=2) < 4
         assert "run_draining" in event_kinds(str(tmp_path))
         keys = shard_keys(str(tmp_path))

@@ -441,7 +441,7 @@ class TestObs001:
 class TestFab001:
     def test_flags_append_mode_open_in_fabric(self, tmp_path):
         report = lint_snippet(
-            tmp_path, "fabric/journal.py",
+            tmp_path, "fabric/store.py",
             "def save(path, line):\n"
             "    with open(path, 'a') as handle:\n"
             "        handle.write(line)\n",
@@ -451,7 +451,7 @@ class TestFab001:
         assert "append_record" in report.findings[0].message
 
     def test_flags_write_mode_keyword_and_writelines(self, tmp_path):
-        # The sweep runner writes the journal: held to the same rule.
+        # The sweep runner writes run manifests: held to the same rule.
         report = lint_snippet(
             tmp_path, "experiments/runner.py",
             "def dump(path, lines):\n"

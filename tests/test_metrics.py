@@ -10,12 +10,10 @@ from repro.metrics import (
     Counter,
     Derived,
     Distribution,
-    Gauge,
     IntervalTelemetry,
     MetricSet,
     MetricSource,
     Ratio,
-    Text,
     delta_values,
     kind_of_value,
     payload_deltas,

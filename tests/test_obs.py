@@ -20,9 +20,9 @@ from repro.obs.provenance import (
     MANIFEST_SCHEMA,
     build_manifest,
     describe_manifest,
+    list_runs,
     load_manifest,
     manifest_path_for,
-    newest_manifest,
     spec_hash,
     write_manifest,
 )
@@ -460,19 +460,26 @@ class TestProvenance:
     def test_manifest_path_is_next_to_store(self, tmp_path):
         assert manifest_path_for("/data/run", "abc123") == \
             "/data/run/manifest-abc123.json"
-        assert newest_manifest(str(tmp_path)) is None
+        assert list_runs(str(tmp_path)) == []
         old = manifest_path_for(str(tmp_path), "old")
         new = manifest_path_for(str(tmp_path), "new")
         write_manifest(new, self._manifest(tmp_path))
         write_manifest(old, self._manifest(tmp_path))
         os.utime(old, (1.0, 1.0))
-        assert newest_manifest(str(tmp_path)) == new
+        # Oldest write first: the newest run heads `repro results`.
+        assert list_runs(str(tmp_path)) == ["old", "new"]
 
     def test_describe_manifest_one_liner(self, tmp_path):
         line = describe_manifest(self._manifest(tmp_path))
         assert line.startswith("provenance: run runid1234567")
         assert "caches 2 points (1 cached)" in line
         assert "2 worker(s)" in line
+        planned = build_manifest(run_id="runid1234567",
+                                 spec_payload={"study": "caches"},
+                                 workers=1, started=1690000000.0)
+        line = describe_manifest(planned)
+        assert line.startswith("provenance: run runid1234567")
+        assert "caches unfinished" in line and "points" not in line
 
 
 class _FakePoint:
@@ -558,11 +565,11 @@ class TestRunnerObservability:
 
         TRACER.disable()
         TRACER.clear()
-        plain = SweepRunner(manifest=False).run(_tiny_spec())
+        plain = SweepRunner().run(_tiny_spec())
 
         TRACER.enable()
         log = EventLog(path=str(tmp_path / "events.jsonl"))
-        traced_run = SweepRunner(manifest=False, log=log).run(_tiny_spec())
+        traced_run = SweepRunner(log=log).run(_tiny_spec())
 
         assert len(TRACER) > 0  # tracing actually happened
         assert [r.metrics for r in plain] == \
@@ -575,7 +582,7 @@ class TestRunnerObservability:
 
         TRACER.enable()
         TRACER.clear()
-        SweepRunner(manifest=False).run(_tiny_spec())
+        SweepRunner().run(_tiny_spec())
         names = {r["name"] for r in TRACER.records()}
         assert {"sweep.run", "sweep.execute", "study.caches",
                 "cache.replay", "scheme.replay"} <= names
@@ -670,10 +677,10 @@ class TestRunnerObservability:
 
         TRACER.disable()
         TRACER.clear()
-        serial = SweepRunner(manifest=False).run(_tiny_spec())
+        serial = SweepRunner().run(_tiny_spec())
 
         TRACER.enable()
-        parallel = SweepRunner(workers=2, manifest=False).run(_tiny_spec())
+        parallel = SweepRunner(workers=2).run(_tiny_spec())
         assert [r.metrics for r in serial] == \
             [r.metrics for r in parallel]
         names = {r["name"] for r in TRACER.records()}

@@ -1,7 +1,6 @@
 """Tests for the synthetic workload generators."""
 
 import random
-import struct
 
 import pytest
 
