@@ -166,6 +166,16 @@ def _require_positive(where: str, **values: Any) -> None:
             )
 
 
+def _require_non_negative(where: str, **values: Any) -> None:
+    for name, value in values.items():
+        if not isinstance(value, (int, float)) or isinstance(value, bool) \
+                or value < 0:
+            raise SpecError(
+                f"{where}: {name} must be a non-negative number, "
+                f"got {value!r}"
+            )
+
+
 # ----------------------------------------------------------------------
 # Structure geometry
 # ----------------------------------------------------------------------
@@ -286,6 +296,12 @@ class ProcessorSpec(Spec):
             regfile_write_ports=self.regfile_write_ports,
             n_adders=self.n_adders,
             mob_entries=self.mob_entries,
+        )
+        _require_non_negative(
+            "processor spec",
+            redirect_penalty=self.redirect_penalty,
+            dl0_miss_penalty=self.dl0_miss_penalty,
+            dtlb_miss_penalty=self.dtlb_miss_penalty,
         )
         choices = [p.value for p in AdderPolicy]
         if self.adder_policy not in choices:

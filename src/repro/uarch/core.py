@@ -25,8 +25,9 @@ the substrate stays mechanism-free.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
+from math import ceil
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.metrics import MetricSet
@@ -144,10 +145,20 @@ class CoreConfig:
     backend: str = "reference"
 
     def __post_init__(self) -> None:
-        if self.alloc_width <= 0 or self.issue_width <= 0:
-            raise ValueError("pipeline widths must be positive")
-        if self.scheduler_entries <= 0:
-            raise ValueError("scheduler_entries must be positive")
+        # run() indexes its ROB ring modulo rob_entries and retires at
+        # most retire_width uops a cycle; a negative penalty would put
+        # an event before its cause.
+        for name in ("alloc_width", "issue_width", "retire_width",
+                     "rob_entries", "scheduler_entries"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be positive, got {value!r}")
+        for name in ("redirect_penalty", "dl0_miss_penalty",
+                     "dtlb_miss_penalty"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError(f"{name} must not be negative, got "
+                                 f"{value!r}")
 
 
 @dataclass(slots=True)
@@ -195,8 +206,8 @@ class TraceDrivenCore:
         "adders",
         "dl0",
         "dtlb",
-        "_ready",
-        "_mapping",
+        "_ready_times",
+        "_rename",
         "_issue_use",
     )
 
@@ -232,10 +243,12 @@ class TraceDrivenCore:
         engine = get_backend(cfg.backend)
         self.dl0 = dl0 if dl0 is not None else engine.make_cache(cfg.dl0)
         self.dtlb = dtlb if dtlb is not None else engine.make_tlb(cfg.dtlb)
-        #: architectural register namespace -> ready time of last writer
-        self._ready: Dict[Tuple[bool, int], float] = {}
-        #: architectural register namespace -> current physical mapping
-        self._mapping: Dict[Tuple[bool, int], int] = {}
+        #: per register namespace (int, fp): architectural register ->
+        #: ready time of its last writer
+        self._ready_times: Tuple[Dict[int, float], Dict[int, float]] = ({}, {})
+        #: per register namespace (int, fp): architectural register ->
+        #: current physical mapping
+        self._rename: Tuple[Dict[int, int], Dict[int, int]] = ({}, {})
         #: sliding window of per-cycle issued-uop counts for issue-width
         #: contention; cycles older than the allocation front are pruned
         #: by :meth:`run`, so its size stays bounded by the run-ahead
@@ -260,8 +273,9 @@ class TraceDrivenCore:
             unit_reset = getattr(unit, "reset", None)
             if unit_reset is not None:
                 unit_reset()
-        self._ready.clear()
-        self._mapping.clear()
+        for ready_times, rename in zip(self._ready_times, self._rename):
+            ready_times.clear()
+            rename.clear()
         self._issue_use.clear()
 
     # ------------------------------------------------------------------
@@ -298,36 +312,60 @@ class TraceDrivenCore:
         :meth:`~repro.workloads.generator.TraceGenerator.stream` or
         :func:`~repro.uarch.traceio.stream_trace` generators — and is
         consumed exactly once, so the whole replay is bounded-memory.
+
+        The loop does the scheduler's and the register files' entry
+        bookkeeping itself, on their own free heaps, busy flags, port
+        counters and counters, exactly as their per-event methods
+        (``allocate``, ``fill``, ``set_ready``, ``release``, ``write``)
+        do it; each uop's events are complete before its hooks run and
+        before the next uop is pulled.  Rows are still composed only by
+        :meth:`Scheduler.compose_row`, and every value still enters
+        through ``bias.set_value`` (DESIGN.md §1).
         """
         _t = _TRACER.begin()
         self.reset()
         # Hoisted hot-loop state: the per-uop loop below runs for every
-        # trace uop, so config fields, structures and bound methods are
-        # bound to locals once.
+        # trace uop, so config fields, the structures' containers (made
+        # anew by reset()) and bound methods are bound to locals once.
         config = self.config
         alloc_width = config.alloc_width
+        issue_width = config.issue_width
         retire_width = config.retire_width
         redirect_penalty = config.redirect_penalty
         dtlb_miss_penalty = config.dtlb_miss_penalty
         dl0_miss_penalty = config.dl0_miss_penalty
         rob = config.rob_entries
-        scheduler = self.scheduler
-        set_ready = scheduler.set_ready
-        sched_next_free = scheduler.next_free_time
         on_fill, on_sched_release, on_rf_write, on_rf_release = (
             _bind(self.hooks, name) for name in (
                 "on_scheduler_fill", "on_scheduler_release",
                 "on_regfile_write", "on_regfile_release"))
+        scheduler = self.scheduler
+        sched_free = scheduler._free
+        sched_busy = scheduler._busy
+        sched_busy_since = scheduler._busy_since
+        sched_ports = scheduler.port_use
+        sched_values = scheduler.values
+        sched_set_value = scheduler.bias.set_value
+        compose_row = scheduler.compose_row
+        clear_valid = ~scheduler._valid_bit
+        ready1_bit = scheduler._ready_bits[1]
+        ready2_bit = scheduler._ready_bits[2]
+        mob_bits = scheduler._mob_bits
         int_rf, fp_rf = self.int_rf, self.fp_rf
+        # One tuple per register namespace: the register file, its
+        # containers and its rename and ready-time maps.
+        int_side, fp_side = (
+            (rf, rf._free, rf._busy, rf._busy_since, rf.port_use,
+             rf.bias.set_value, rename, ready_times)
+            for rf, rename, ready_times in zip(
+                (int_rf, fp_rf), self._rename, self._ready_times))
         mob_allocate = self.mob.allocate
+        adder_issue = self.adders.issue
         dtlb_translate = self.dtlb.translate
         dl0_access = self.dl0.access
-        ready_times = self._ready
-        mapping = self._mapping
-        port_use = (self._issue_use, scheduler.port_use, int_rf.port_use,
-                    fp_rf.port_use)
+        issue_use = self._issue_use
+        port_use = (issue_use, sched_ports, int_rf.port_use, fp_rf.port_use)
         prune_at = 1024.0
-        find_issue_cycle = self._find_issue_cycle
 
         alloc_cycle = 0.0
         allocs_this_cycle = 0
@@ -351,21 +389,22 @@ class TraceDrivenCore:
             if allocs_this_cycle >= alloc_width:
                 alloc_cycle += 1.0
                 allocs_this_cycle = 0
+            (rf, rf_free, rf_busy, rf_busy_since, rf_ports, rf_set_value,
+             rename, ready_times) = fp_side if uop.is_fp else int_side
             # Stall until the scheduler and the register file have room.
-            is_fp = uop.is_fp
-            rf = fp_rf if is_fp else int_rf
-            alloc_t = sched_next_free()
-            if alloc_t is None:
+            if not sched_free:
                 raise RuntimeError("scheduler free list exhausted permanently")
+            alloc_t = sched_free[0][0]
             if alloc_cycle > alloc_t:
                 alloc_t = alloc_cycle
-            if uop.dst is not None:
-                rf_free = rf.next_free_time()
-                if rf_free is None:
+            dst = uop.dst
+            if dst is not None:
+                if not rf_free:
                     raise RuntimeError(f"{rf.name} exhausted: trace holds "
                                        f"too many live values")
-                if rf_free > alloc_t:
-                    alloc_t = rf_free
+                rf_free_t = rf_free[0][0]
+                if rf_free_t > alloc_t:
+                    alloc_t = rf_free_t
             if index >= rob:
                 # The ROB entry of the (index - rob)-th uop must retire
                 # before this uop can allocate.
@@ -386,49 +425,101 @@ class TraceDrivenCore:
                         del use[cycle]
                 prune_at = alloc_cycle + 1024.0
 
-            slot = scheduler.allocate(alloc_t)
-            assert slot is not None  # the stall above guaranteed room
-            is_memory = uop.uop_class.is_memory
+            # The stall above guaranteed an entry free at alloc_t in
+            # each heap: take it (Scheduler.allocate, RegisterFile.allocate).
+            slot = heappop(sched_free)[2]
+            sched_busy[slot] = True
+            sched_busy_since[slot] = alloc_t
+            scheduler._allocations += 1
+            if alloc_t > scheduler._horizon:
+                scheduler._horizon = alloc_t
+            uop_class = uop.uop_class
+            is_memory = uop_class.is_memory
             mob_id = mob_allocate() if is_memory else None
-            dst_entry: Optional[int] = None
-            if uop.dst is not None:
-                dst_entry = rf.allocate(alloc_t)
-                assert dst_entry is not None
+            dst_entry = 0
+            if dst is not None:
+                dst_entry = heappop(rf_free)[2]
+                rf_busy[dst_entry] = True
+                rf_busy_since[dst_entry] = alloc_t
+                rf._allocations += 1
+                if alloc_t > rf._horizon:
+                    rf._horizon = alloc_t
             src1 = uop.src1
             src2 = uop.src2
-            src1_tag = mapping.get((is_fp, src1), 0) if src1 is not None else 0
-            src2_tag = mapping.get((is_fp, src2), 0) if src2 is not None else 0
-            scheduler.fill(slot, uop, mob_id, alloc_t, dst_entry or 0,
-                           src1_tag, src2_tag)
+            src1_tag = rename.get(src1, 0) if src1 is not None else 0
+            src2_tag = rename.get(src2, 0) if src2 is not None else 0
+            # Scheduler.fill: a stale MOB id stays when the uop has none.
+            row = compose_row(uop, mob_id, dst_entry, src1_tag, src2_tag)
+            if mob_id is None:
+                row |= sched_values[slot] & mob_bits
+            cycle = int(alloc_t)
+            sched_ports[cycle] = sched_ports.get(cycle, 0) + 1
+            sched_set_value(slot, row, alloc_t)
             for callback in on_fill:
                 callback(scheduler, slot, uop, alloc_t)
 
             # --- source readiness ---------------------------------------
+            # An operand is ready at allocation at the earliest, the uop
+            # the cycle after.
             ready_t = alloc_t + 1.0
             ready1 = ready2 = None
             if src1 is not None:
-                ready1 = max(alloc_t, ready_times.get((is_fp, src1), 0.0))
-                ready_t = max(ready_t, ready1)
+                ready1 = ready_times.get(src1, alloc_t)
+                if ready1 < alloc_t:
+                    ready1 = alloc_t
+                elif ready1 > ready_t:
+                    ready_t = ready1
             if src2 is not None:
-                ready2 = max(alloc_t, ready_times.get((is_fp, src2), 0.0))
-                ready_t = max(ready_t, ready2)
+                ready2 = ready_times.get(src2, alloc_t)
+                if ready2 < alloc_t:
+                    ready2 = alloc_t
+                elif ready2 > ready_t:
+                    ready_t = ready2
             # Apply in time order, ready1 first on a tie: a slot's residency
             # intervals must close monotonically even when src2 is first.
             if ready1 is not None:
                 if ready2 is not None and ready2 < ready1:
-                    set_ready(slot, 2, ready2)
+                    sched_set_value(slot, sched_values[slot] | ready2_bit,
+                                    ready2)
                     ready2 = None
-                set_ready(slot, 1, ready1)
+                sched_set_value(slot, sched_values[slot] | ready1_bit, ready1)
             if ready2 is not None:
-                set_ready(slot, 2, ready2)
+                sched_set_value(slot, sched_values[slot] | ready2_bit, ready2)
 
             # --- issue ---------------------------------------------------
-            issue_t = find_issue_cycle(uop, ready_t)
-            scheduler.release(slot, issue_t + 1.0)
+            # The first cycle from ready_t with an issue slot and, for an
+            # adder uop, an adder.
+            cycle = ceil(ready_t)
+            if uop_class.uses_adder:
+                while True:
+                    used = issue_use.get(cycle, 0)
+                    if (used < issue_width
+                            and adder_issue(uop, float(cycle)) is not None):
+                        break
+                    cycle += 1
+            else:
+                used = issue_use.get(cycle, 0)
+                while used >= issue_width:
+                    cycle += 1
+                    used = issue_use.get(cycle, 0)
+            issue_use[cycle] = used + 1
+            # Scheduler.release: the slot frees the cycle after issue; its
+            # payload stays, with the valid bit dropped.
+            release_t = cycle + 1.0
+            sched_busy[slot] = False
+            scheduler._busy_time += release_t - alloc_t
+            counter = scheduler._counter + 1
+            scheduler._counter = counter
+            heappush(sched_free, (release_t, counter, slot))
+            scheduler._releases += 1
+            if release_t > scheduler._horizon:
+                scheduler._horizon = release_t
+            sched_set_value(slot, sched_values[slot] & clear_valid, release_t)
             for callback in on_sched_release:
-                callback(scheduler, slot, issue_t + 1.0)
+                callback(scheduler, slot, release_t)
 
             # --- execute -------------------------------------------------
+            issue_t = float(cycle)
             latency = float(uop.latency)
             if is_memory:
                 assert uop.address is not None
@@ -457,18 +548,34 @@ class TraceDrivenCore:
             retire_ring[index % rob] = retire_t
 
             # --- writeback / retire -------------------------------------
-            if uop.dst is not None and dst_entry is not None:
-                rf.write(dst_entry, uop.result_value, complete_t)
+            if dst is not None:
+                # RegisterFile.write: book a write port, store the value.
+                value = uop.result_value
+                cycle = int(complete_t)
+                rf_ports[cycle] = rf_ports.get(cycle, 0) + 1
+                rf_set_value(dst_entry, value, complete_t)
                 for callback in on_rf_write:
-                    callback(rf, dst_entry, uop.result_value, complete_t)
-                namespace = (is_fp, uop.dst)
-                previous = mapping.get(namespace)
+                    callback(rf, dst_entry, value, complete_t)
+                previous = rename.get(dst)
                 if previous is not None:
-                    rf.release(previous, retire_t)
+                    # RegisterFile.release of the previous mapping; the
+                    # method itself raises, naming the entry, should the
+                    # entry be free or the release precede its allocation.
+                    since = rf_busy_since[previous]
+                    if retire_t < since or not rf_busy[previous]:
+                        rf.release(previous, retire_t)
+                    rf_busy[previous] = False
+                    rf._busy_time += retire_t - since
+                    counter = rf._counter + 1
+                    rf._counter = counter
+                    heappush(rf_free, (retire_t, counter, previous))
+                    rf._releases += 1
+                    if retire_t > rf._horizon:
+                        rf._horizon = retire_t
                     for callback in on_rf_release:
                         callback(rf, previous, retire_t)
-                mapping[namespace] = dst_entry
-                ready_times[namespace] = complete_t
+                rename[dst] = dst_entry
+                ready_times[dst] = complete_t
 
             # --- mispredict redirect ------------------------------------
             if uop.mispredicted:
@@ -493,19 +600,3 @@ class TraceDrivenCore:
             adder_utilization=self.adders.utilization(cycles),
             adder_samples=tuple(self.adders.all_sampled_vectors()),
         )
-
-    # ------------------------------------------------------------------
-    def _find_issue_cycle(self, uop: Uop, ready_t: float) -> float:
-        """First cycle >= ``ready_t`` with an issue slot (and adder)."""
-        issue_use = self._issue_use
-        issue_width = self.config.issue_width
-        adder_issue = self.adders.issue if uop.uop_class.uses_adder else None
-        cycle = math.ceil(ready_t)
-        while True:
-            used = issue_use.get(cycle, 0)
-            if used < issue_width and (
-                    adder_issue is None
-                    or adder_issue(uop, float(cycle)) is not None):
-                issue_use[cycle] = used + 1
-                return float(cycle)
-            cycle += 1

@@ -38,6 +38,12 @@ class EntryArray:
     call per residency write).  :meth:`_write` is the write through a
     port, which it books first; :meth:`_write_special` is the
     mechanism's gate, busy and port checks and booking in one body.
+
+    :meth:`TraceDrivenCore.run <repro.uarch.core.TraceDrivenCore.run>`
+    does the workload interface's bookkeeping in its own loop, on these
+    same containers and counters; the methods here are the reference
+    it is tested against (``tests/test_core_loop_differential.py``), so
+    a change to what an event does belongs in both.
     """
 
     __slots__ = ("name", "entries", "width", "ports", "bias", "port_use",

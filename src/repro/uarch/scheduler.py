@@ -98,6 +98,12 @@ class Scheduler(EntryArray):
     (valid and opcode bits included), unlike
     :meth:`SchedulerStats.worst_bias`, which follows Figure 8 in
     omitting the opcode field.
+
+    The trace-driven core makes the writes of :meth:`fill`,
+    :meth:`set_ready` and :meth:`release` in its own loop, with rows
+    from :meth:`compose_row` and values through ``bias.set_value``;
+    these methods are the reference it is tested against (see
+    :class:`~repro.uarch.entries.EntryArray`).
     """
 
     __slots__ = ("layout", "_offsets", "_at", "_mask", "_valid_bit",

@@ -121,6 +121,25 @@ class TestValidation:
         with pytest.raises(SpecError, match="alloc_width"):
             ProcessorSpec(alloc_width=0)
 
+    @pytest.mark.parametrize("name", [
+        "redirect_penalty", "dl0_miss_penalty", "dtlb_miss_penalty",
+    ])
+    def test_negative_penalty_names_the_field(self, name):
+        with pytest.raises(SpecError, match=f"{name} must be a non-negative"):
+            ProcessorSpec(**{name: -10})
+        payload = {"study": "penelope", "processor": {name: -10}}
+        with pytest.raises(SpecError, match=name):
+            StudySpec.from_json(json.dumps(payload))
+
+    def test_zero_penalties_are_legal(self):
+        zero = dict.fromkeys(
+            ("redirect_penalty", "dl0_miss_penalty", "dtlb_miss_penalty"), 0)
+        config = ProcessorSpec(**zero).to_core_config()
+        assert all(getattr(config, name) == 0 for name in zero)
+        spec = StudySpec.from_json(json.dumps({"study": "penelope",
+                                               "processor": zero}))
+        assert spec.processor == ProcessorSpec(**zero)
+
     def test_unknown_mechanism_lists_registered(self):
         with pytest.raises(SpecError,
                            match="line_fixed.*none|none.*line_fixed"):

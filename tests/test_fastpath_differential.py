@@ -88,6 +88,8 @@ from repro.workloads.generator import (
 )
 from repro.workloads.suites import get_profile
 
+from test_core_loop_differential import PerEventCore, core_result_view
+
 INT_MASK = (1 << 32) - 1
 
 
@@ -612,19 +614,6 @@ def test_value_counting_profiler_matches_per_bit_counts(monkeypatch,
 # ----------------------------------------------------------------------
 # (e) Profiling fused into the first baseline run
 # ----------------------------------------------------------------------
-def core_result_view(result):
-    return (
-        result.uops, result.cycles,
-        floats(result.int_rf.bias_to_zero), result.int_rf.worst_bias,
-        floats(result.fp_rf.bias_to_zero), result.fp_rf.worst_bias,
-        result.scheduler.occupancy, result.scheduler.allocations,
-        floats(result.scheduler.flattened_bias(include_opcode=True)),
-        (result.dl0.hits, result.dl0.misses),
-        (result.dtlb.hits, result.dtlb.misses),
-        result.adder_utilization, result.adder_samples,
-    )
-
-
 def report_view(report):
     return (
         [core_result_view(r) for r in report.baseline + report.protected],
@@ -1088,7 +1077,9 @@ def float_walk_adder_issue(pool, uop, cycle, duration=1.0):
 
 def float_walk_issue_cycle(core, uop, ready_t):
     """``_find_issue_cycle`` before it walked int cycles: float cycles
-    from ``ceil(ready_t)`` by two conversions and a ``max()``."""
+    from ``ceil(ready_t)`` by two conversions and a ``max()``.  The
+    int-cycle search is the per-event core's; the core loop inlines it
+    and ``test_core_loop_differential.py`` holds the two loops equal."""
     t = float(int(ready_t)) if ready_t == int(ready_t) else float(
         int(ready_t) + 1)
     t = max(t, ready_t)
@@ -1109,7 +1100,7 @@ def float_walk_issue_cycle(core, uop, ready_t):
 def test_issue_search_matches_float_walk(policy):
     trace = TraceGenerator(seed=13).generate("specint2000", length=1500)
     config = CoreConfig(issue_width=2, n_adders=2, adder_policy=policy)
-    fused, oracle = TraceDrivenCore(config), TraceDrivenCore(config)
+    fused, oracle = PerEventCore(config), PerEventCore(config)
     rng = random.Random(policy.value)
     front = 1.0
     for uop in trace:
@@ -1131,7 +1122,7 @@ def test_issue_search_matches_float_walk(policy):
     (0.0, 0.0), (3.0, 3.0), (3.25, 4.0), (7.999, 8.0), (12.5, 13.0),
 ])
 def test_issue_search_starts_at_ceil_of_ready_time(kind, ready_t, first):
-    core = TraceDrivenCore()
+    core = PerEventCore()
     uop = Uop(seq=0, uop_class=kind)
     assert core._find_issue_cycle(uop, ready_t) == first
     assert core._issue_use == {int(first): 1}

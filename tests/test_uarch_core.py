@@ -264,3 +264,39 @@ class TestConfigValidation:
             CoreConfig(alloc_width=0)
         with pytest.raises(ValueError):
             CoreConfig(scheduler_entries=0)
+
+    @pytest.mark.parametrize("name,value", [
+        ("rob_entries", 0), ("rob_entries", -3), ("retire_width", 0),
+    ])
+    def test_rejects_empty_rob_and_retire_width(self, name, value):
+        # Unchecked, these died on the first uop (ZeroDivisionError,
+        # IndexError) or ran silently.
+        with pytest.raises(ValueError, match=f"{name} must be positive"):
+            CoreConfig(**{name: value})
+
+    @pytest.mark.parametrize("name", [
+        "redirect_penalty", "dl0_miss_penalty", "dtlb_miss_penalty",
+    ])
+    def test_rejects_negative_penalties(self, name, small_trace):
+        with pytest.raises(ValueError, match=f"{name} must not be negative"):
+            CoreConfig(**{name: -1})
+        result = TraceDrivenCore(CoreConfig(**{name: 0})).run(small_trace)
+        assert result.uops == len(small_trace)
+
+
+class TestErrorPaths:
+    def test_register_file_exhaustion(self, small_trace):
+        # 24 architectural int registers cannot all be mapped onto 8.
+        with pytest.raises(RuntimeError,
+                           match="^int_rf exhausted: trace holds too many"):
+            TraceDrivenCore(CoreConfig(int_regs=8)).run(small_trace)
+
+    def test_oversize_result_value(self):
+        trace = tiny_trace([
+            Uop(seq=0, uop_class=UopClass.ALU, src1=1, dst=2,
+                result_value=7),
+            Uop(seq=1, uop_class=UopClass.ALU, src1=2, dst=3,
+                result_value=1 << 32),
+        ])
+        with pytest.raises(ValueError, match="does not fit in 32 bits"):
+            TraceDrivenCore().run(trace)
