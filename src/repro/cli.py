@@ -506,7 +506,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    """Run the sweep service (HTTP + WebSocket, DESIGN.md §11)."""
+    """Run the sweep service (plain HTTP, DESIGN.md §11)."""
     import asyncio
 
     from repro.service import SweepService
@@ -1113,10 +1113,12 @@ def build_parser() -> argparse.ArgumentParser:
     serve = commands.add_parser(
         "serve",
         help="run the sweep service: submit/stream/query specs over "
-             "HTTP + WebSocket",
+             "plain HTTP",
         epilog="examples: repro serve --port 8765; "
                "REPRO_SERVICE_TOKEN=s3cret repro serve "
-               "--token-env REPRO_SERVICE_TOKEN",
+               "--token-env REPRO_SERVICE_TOKEN; follow a job's "
+               "Server-Sent Events with curl -N "
+               "http://127.0.0.1:8765/v1/jobs/JOB/events",
     )
     serve.add_argument("--host", default="127.0.0.1",
                        help="bind address (default: 127.0.0.1)")

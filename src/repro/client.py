@@ -1,10 +1,10 @@
 """Client for the sweep service: submit / status / stream / result.
 
-Stdlib-only, mirroring the server: plain ``http.client`` for the REST
-surface and a raw-socket WebSocket client (masked frames, ping replies)
-reusing the same :mod:`repro.service.ws` framing the server is built
-on.  Synchronous by design — tests, CI smokes and notebook-style
-scripts drive it from ordinary threads::
+Stdlib-only and independent of the server package: plain
+``http.client`` for every call, including a job's event stream, which
+is Server-Sent Events (one ``data: <json>`` line per message) that any
+HTTP client can read.  Synchronous by design — tests, CI smokes and
+notebook-style scripts drive it from ordinary threads::
 
     from repro.client import ServiceClient
 
@@ -21,13 +21,10 @@ from __future__ import annotations
 
 import http.client
 import json
-import os
-import socket
 import time
+from contextlib import contextmanager
 from typing import Any, Dict, Iterator, Mapping, Optional
 from urllib.parse import quote, urlsplit
-
-from repro.service import ws
 
 __all__ = ["ServiceClient", "ServiceError"]
 
@@ -77,30 +74,34 @@ class ServiceClient:
             headers["Authorization"] = f"Bearer {self.token}"
         return headers
 
-    def _request(self, method: str, path: str,
-                 payload: Any = None) -> Dict[str, Any]:
+    @contextmanager
+    def _response(self, method: str, path: str, payload: Any = None,
+                  timeout: Optional[float] = None
+                  ) -> Iterator[http.client.HTTPResponse]:
+        """One request's 2xx response; any other status raises."""
         conn = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout)
+            self.host, self.port, timeout=timeout or self.timeout)
         try:
             body = (json.dumps(payload).encode("utf-8")
                     if payload is not None else None)
             conn.request(method, path, body=body,
                          headers=self._headers())
-            response = conn.getresponse()
-            data = response.read()
-            try:
-                parsed = json.loads(data) if data else {}
-            except ValueError:
-                parsed = {"error": data.decode("utf-8", "replace")}
-            if response.status >= 400:
-                raise ServiceError(
-                    response.status,
-                    str(parsed.get("error", "request failed")))
-            if not isinstance(parsed, dict):
-                raise ServiceError(502, "non-object JSON response")
-            return parsed
+            with conn.getresponse() as response:
+                if response.status >= 400:
+                    error = _parse(response.read()).get(
+                        "error", "request failed")
+                    raise ServiceError(response.status, str(error))
+                yield response
         finally:
             conn.close()
+
+    def _request(self, method: str, path: str,
+                 payload: Any = None) -> Dict[str, Any]:
+        with self._response(method, path, payload) as response:
+            parsed = _parse(response.read())
+        if not isinstance(parsed, dict):
+            raise ServiceError(502, "non-object JSON response")
+        return parsed
 
     def healthz(self) -> Dict[str, Any]:
         return self._request("GET", "/v1/healthz")
@@ -156,7 +157,7 @@ class ServiceClient:
                     f"{timeout}s")
             time.sleep(poll)
 
-    # -- WebSocket ------------------------------------------------------
+    # -- event stream ---------------------------------------------------
     def stream(self, job_id: str,
                timeout: Optional[float] = None
                ) -> Iterator[Dict[str, Any]]:
@@ -164,95 +165,35 @@ class ServiceClient:
 
         Messages are the server's JSON objects: ``hello``, ``event``
         (one ``events.jsonl`` record each), ``telemetry`` (an
-        ``IntervalTelemetry`` snapshot), and a final ``job`` status.
-        Pings are answered transparently.
+        ``IntervalTelemetry`` snapshot), and a final ``job`` status —
+        or ``dropped`` if the server cut this subscriber off for
+        falling behind.  A read that waits longer than ``timeout``
+        raises ``ServiceError(504)``.
         """
-        path = f"/v1/ws/jobs/{quote(job_id)}"
-        sock = socket.create_connection(
-            (self.host, self.port), timeout or self.timeout)
-        try:
-            request, key = ws.client_handshake(
-                f"{self.host}:{self.port}", path, token=self.token)
-            sock.sendall(request)
-            status, headers, leftover = _read_http_head(sock)
-            if status != 101:
-                raise ServiceError(status, "websocket upgrade refused")
-            expected = ws.accept_key(key)
-            if headers.get("sec-websocket-accept") != expected:
-                raise ServiceError(502, "bad Sec-WebSocket-Accept")
-            yield from self._frames(sock, leftover)
-        finally:
-            sock.close()
-
-    def _frames(self, sock: socket.socket, leftover: bytes = b""
-                ) -> Iterator[Dict[str, Any]]:
-        decoder = ws.FrameDecoder(require_mask=False)
-        assembler = ws.MessageAssembler()
-        first = True
-        while True:
-            if first:
-                # Frame bytes often ride the same TCP segment as the
-                # 101 head; they were split off there, not lost.
-                data, first = leftover, False
-                if not data:
-                    continue
-            else:
+        path = f"/v1/jobs/{quote(job_id)}/events"
+        with self._response("GET", path, timeout=timeout) as response:
+            while True:
                 try:
-                    data = sock.recv(65536)
-                except socket.timeout as exc:
+                    line = response.readline()
+                except TimeoutError as exc:
                     raise ServiceError(
-                        504, "stream timed out waiting for frames"
+                        504, "stream timed out waiting for events"
                     ) from exc
-                if not data:
+                if not line:
                     return
-            for frame in decoder.feed(data):
-                for opcode, payload in assembler.feed(frame):
-                    if opcode == ws.OP_TEXT:
-                        try:
-                            message = json.loads(
-                                payload.decode("utf-8"))
-                        except ValueError:
-                            continue
-                        if isinstance(message, dict):
-                            yield message
-                    elif opcode == ws.OP_PING:
-                        sock.sendall(ws.encode_frame(
-                            ws.OP_PONG, payload,
-                            mask_key=os.urandom(4)))
-                    elif opcode == ws.OP_CLOSE:
-                        try:
-                            sock.sendall(ws.encode_frame(
-                                ws.OP_CLOSE, payload[:2],
-                                mask_key=os.urandom(4)))
-                        except OSError:
-                            pass
-                        return
+                if not line.startswith(b"data:"):
+                    continue
+                try:
+                    message = json.loads(line[len(b"data:"):])
+                except ValueError:
+                    continue
+                if isinstance(message, dict):
+                    yield message
 
 
-def _read_http_head(sock: socket.socket
-                    ) -> tuple[int, Dict[str, str], bytes]:
-    """Read up to the blank line.
-
-    Returns ``(status, lower-cased headers, leftover)`` — leftover
-    being any frame bytes the kernel delivered in the same read as the
-    response head.
-    """
-    data = b""
-    while b"\r\n\r\n" not in data:
-        chunk = sock.recv(4096)
-        if not chunk:
-            raise ServiceError(502, "connection closed during upgrade")
-        data += chunk
-        if len(data) > 64 * 1024:
-            raise ServiceError(502, "oversized upgrade response")
-    head_bytes, leftover = data.split(b"\r\n\r\n", 1)
-    head = head_bytes.decode("latin-1")
-    lines = head.split("\r\n")
-    parts = lines[0].split()
-    status = int(parts[1]) if len(parts) > 1 else 0
-    headers: Dict[str, str] = {}
-    for line in lines[1:]:
-        name, sep, value = line.partition(":")
-        if sep:
-            headers[name.strip().lower()] = value.strip()
-    return status, headers, leftover
+def _parse(data: bytes) -> Any:
+    """A body as JSON; text that is not JSON becomes ``{"error": …}``."""
+    try:
+        return json.loads(data) if data else {}
+    except ValueError:
+        return {"error": data.decode("utf-8", "replace")}

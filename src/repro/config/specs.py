@@ -166,13 +166,19 @@ def _require_positive(where: str, **values: Any) -> None:
             )
 
 
-def _require_non_negative(where: str, **values: Any) -> None:
+def _require_int(where: str, least: int, **values: Any) -> None:
+    """Counts and cycle penalties: whole numbers of at least ``least``.
+
+    A fractional penalty would put events between cycles, where bias
+    accounting no longer regroups exactly (DESIGN.md "Bias
+    accounting").
+    """
     for name, value in values.items():
-        if not isinstance(value, (int, float)) or isinstance(value, bool) \
-                or value < 0:
+        if not isinstance(value, int) or isinstance(value, bool) \
+                or value < least:
+            kind = "positive" if least > 0 else "non-negative"
             raise SpecError(
-                f"{where}: {name} must be a non-negative number, "
-                f"got {value!r}"
+                f"{where}: {name} must be a {kind} integer, got {value!r}"
             )
 
 
@@ -194,8 +200,8 @@ class CacheGeometrySpec(Spec):
     line_bytes: int = 64
 
     def __post_init__(self) -> None:
-        _require_positive("cache geometry", size_kb=self.size_kb,
-                          ways=self.ways, line_bytes=self.line_bytes)
+        _require_int("cache geometry", 1, size_kb=self.size_kb,
+                     ways=self.ways, line_bytes=self.line_bytes)
         size_bytes = self.size_kb * 1024
         if size_bytes % (self.ways * self.line_bytes):
             raise SpecError(
@@ -228,8 +234,8 @@ class TLBGeometrySpec(Spec):
     page_bytes: int = 4096
 
     def __post_init__(self) -> None:
-        _require_positive("TLB geometry", entries=self.entries,
-                          ways=self.ways, page_bytes=self.page_bytes)
+        _require_int("TLB geometry", 1, entries=self.entries,
+                     ways=self.ways, page_bytes=self.page_bytes)
         if self.entries % self.ways:
             raise SpecError(
                 f"impossible TLB geometry: {self.entries} entries are not "
@@ -284,8 +290,8 @@ class ProcessorSpec(Spec):
     backend: str = "reference"
 
     def __post_init__(self) -> None:
-        _require_positive(
-            "processor spec",
+        _require_int(
+            "processor spec", 1,
             alloc_width=self.alloc_width,
             issue_width=self.issue_width,
             retire_width=self.retire_width,
@@ -297,8 +303,8 @@ class ProcessorSpec(Spec):
             n_adders=self.n_adders,
             mob_entries=self.mob_entries,
         )
-        _require_non_negative(
-            "processor spec",
+        _require_int(
+            "processor spec", 0,
             redirect_penalty=self.redirect_penalty,
             dl0_miss_penalty=self.dl0_miss_penalty,
             dtlb_miss_penalty=self.dtlb_miss_penalty,
@@ -458,9 +464,9 @@ class WorkloadSpec(Spec):
                 f"unknown suite(s) {', '.join(map(repr, bad))}; "
                 f"available: {', '.join(known)}"
             )
-        _require_positive("workload spec", length=self.length,
-                          traces_per_suite=self.traces_per_suite,
-                          slice_length=self.slice_length)
+        _require_int("workload spec", 1, length=self.length,
+                     traces_per_suite=self.traces_per_suite,
+                     slice_length=self.slice_length)
         choices = ("none",) + tuple(INTERLEAVE_POLICIES)
         if self.interleave not in choices:
             raise SpecError(
@@ -528,7 +534,7 @@ class StudySpec(Spec):
                 f"value, got {_type_name(self.overrides)}"
             )
         _set(self, "overrides", _freeze_value(dict(self.overrides)))
-        _require_positive("study spec", workers=self.workers)
+        _require_int("study spec", 1, workers=self.workers)
 
 
 # ----------------------------------------------------------------------

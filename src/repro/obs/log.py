@@ -244,8 +244,8 @@ def read_events(
 
     ``follow=True`` returns an *iterator* instead: existing records
     first, then new ones as they are appended (``tail -f`` semantics,
-    shared by ``repro trace events --follow`` and the service's WS
-    bridge).  The optional ``stop`` callable is checked between polls.
+    shared by ``repro trace events --follow`` and the service's event
+    stream).  The optional ``stop`` callable is checked between polls.
     """
     if follow:
         return _follow_events(path, level, run_id, poll_interval, stop)

@@ -1,4 +1,4 @@
-"""Sweep service: submit/stream/query StudySpecs over HTTP + WebSocket.
+"""Sweep service: submit/stream/query StudySpecs over plain HTTP.
 
 The multi-frontend layer over the sweep engine (DESIGN.md §11): many
 concurrent clients share one content-hash-deduped
@@ -6,14 +6,13 @@ concurrent clients share one content-hash-deduped
 stdlib-only asyncio server —
 
 - :mod:`repro.service.http` — hand-rolled HTTP/1.1 request parsing and
-  response rendering;
-- :mod:`repro.service.ws` — RFC 6455 WebSocket framing (handshake,
-  encoder, incremental decoder, fragment reassembly) as pure
-  bytes-in/bytes-out functions;
+  response rendering, including the Server-Sent Events lines of a
+  job's event stream;
 - :mod:`repro.service.auth` — static bearer-token auth with
   constant-time comparison;
 - :mod:`repro.service.hub` — bounded fan-out of job messages to any
-  number of WS subscribers (slow consumers are dropped, never block);
+  number of stream subscribers (slow consumers are dropped, never
+  block);
 - :mod:`repro.service.jobs` — spec-hash job dedup and execution via
   ``SweepRunner`` in an executor thread per job;
 - :mod:`repro.service.app` — routing, signal handling, graceful drain:
@@ -21,7 +20,8 @@ stdlib-only asyncio server —
   for ``repro sweep --resume``.
 
 Run it with ``repro serve``; talk to it with
-:class:`repro.client.ServiceClient` or plain ``curl``.
+:class:`repro.client.ServiceClient` or plain ``curl`` (``curl -N`` for
+a job's stream).
 """
 
 from repro.service.app import SweepService

@@ -1,14 +1,14 @@
-"""The sweep service: asyncio HTTP+WebSocket frontend over one store.
+"""The sweep service: an asyncio HTTP frontend over one store.
 
-Routes (all JSON, all under ``/v1``)::
+Routes (all under ``/v1``, all JSON but the event stream)::
 
     GET  /v1/healthz            liveness + drain state (no auth)
     POST /v1/jobs               submit a StudySpec/SweepSpec payload
     GET  /v1/jobs               list jobs
     GET  /v1/jobs/{id}          one job's status
     GET  /v1/jobs/{id}/result   terminal rows (409 until done)
+    GET  /v1/jobs/{id}/events   live stream (text/event-stream)
     GET  /v1/results            store query (?key=… | ?study=…&limit=…)
-    GET  /v1/ws/jobs/{id}       WebSocket: telemetry + event stream
 
 Submit bodies are either a bare spec payload or ``{"spec": …,
 "workers": n}``; ``workers`` picks the executor (1: in the job's
@@ -18,6 +18,12 @@ deliberately boring: one process, one store directory, jobs
 deduplicated by spec hash (HTTP 200 on a dedup hit, 202 on a fresh
 launch), SIGTERM → stop accepting, stop every running job at a point
 boundary with its manifest on disk, drain, exit 0.
+
+The event stream is Server-Sent Events: one ``data: <json>`` line per
+message — ``hello``, the hub's ``event`` and ``telemetry`` messages,
+then the terminal ``job`` status — and the server closes when the job
+ends.  A subscriber the hub drops for falling behind gets one
+``{"type": "dropped"}`` in place of the ``job`` message.
 """
 
 from __future__ import annotations
@@ -26,25 +32,23 @@ import asyncio
 import json
 import os
 import signal
-from typing import Any, Optional
+from typing import Optional
 
 from repro.config.specs import SpecError
 from repro.obs.log import EventLog, new_run_id
-from repro.service import ws
 from repro.service.auth import TokenAuth
 from repro.service.http import (
     HTTPError,
     Request,
+    event_data,
     json_response,
     read_request,
+    render_response,
 )
-from repro.service.hub import CLOSE
-from repro.service.jobs import DONE, JobManager
+from repro.service.hub import CLOSE, Subscription
+from repro.service.jobs import DONE, Job, JobManager
 
 __all__ = ["SweepService"]
-
-#: Close code sent to subscribers dropped for falling behind.
-WS_CLOSE_SLOW = 1013
 
 
 class SweepService:
@@ -166,12 +170,11 @@ class SweepService:
     async def _handle_connection(
             self, reader: asyncio.StreamReader,
             writer: asyncio.StreamWriter) -> None:
-        keep_open = False
         try:
             request = await read_request(reader)
             if request is None:
                 return
-            keep_open = await self._dispatch(request, reader, writer)
+            await self._dispatch(request, reader, writer)
         except HTTPError as exc:
             await self._send(writer, json_response(
                 exc.status, {"error": exc.message}))
@@ -187,12 +190,11 @@ class SweepService:
             except (ConnectionError, OSError):
                 pass
         finally:
-            if not keep_open:
-                writer.close()
-                try:
-                    await writer.wait_closed()
-                except (ConnectionError, OSError):
-                    pass
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except (ConnectionError, OSError):
+                pass
 
     async def _send(self, writer: asyncio.StreamWriter,
                     payload: bytes) -> None:
@@ -201,8 +203,8 @@ class SweepService:
 
     async def _dispatch(self, request: Request,
                         reader: asyncio.StreamReader,
-                        writer: asyncio.StreamWriter) -> bool:
-        """Route one request; True when the connection stays open."""
+                        writer: asyncio.StreamWriter) -> None:
+        """Route and answer one request."""
         assert self.manager is not None
         path = request.path.rstrip("/") or "/"
         if request.method == "GET" and path == "/v1/healthz":
@@ -211,32 +213,30 @@ class SweepService:
                 "draining": self.manager.draining,
                 "jobs": len(self.manager.jobs()),
             }))
-            return False
+            return
         if not self.auth.check(request.headers):
             if self.log is not None:
                 self.log.warning("auth_denied", path=path)
             await self._send(writer, json_response(
                 401, {"error": "missing or invalid bearer token"}))
-            return False
+            return
         if request.method == "POST" and path == "/v1/jobs":
             await self._send(writer, self._submit(request))
-            return False
-        if request.method == "GET" and path == "/v1/jobs":
+        elif request.method == "GET" and path == "/v1/jobs":
             await self._send(writer, json_response(200, {
                 "jobs": [job.status()
                          for job in self.manager.jobs()],
             }))
-            return False
-        if request.method == "GET" and path.startswith("/v1/jobs/"):
+        elif request.method == "GET" and path.startswith("/v1/jobs/") \
+                and path.endswith("/events"):
+            await self._events(reader, writer, self._job(
+                path[len("/v1/jobs/"):-len("/events")]))
+        elif request.method == "GET" and path.startswith("/v1/jobs/"):
             await self._send(writer, self._job_query(path))
-            return False
-        if request.method == "GET" and path == "/v1/results":
+        elif request.method == "GET" and path == "/v1/results":
             await self._send(writer, self._results(request))
-            return False
-        if request.method == "GET" and path.startswith("/v1/ws/jobs/"):
-            return await self._websocket(request, reader, writer,
-                                         path[len("/v1/ws/jobs/"):])
-        raise HTTPError(404, f"no route for {request.method} {path}")
+        else:
+            raise HTTPError(404, f"no route for {request.method} {path}")
 
     # -- HTTP handlers --------------------------------------------------
     def _submit(self, request: Request) -> bytes:
@@ -264,16 +264,20 @@ class SweepService:
             **job.status(),
         })
 
-    def _job_query(self, path: str) -> bytes:
+    def _job(self, job_id: str) -> Job:
         assert self.manager is not None
+        job = self.manager.get(job_id)
+        if job is None or "/" in job_id:
+            raise HTTPError(404, f"unknown job {job_id!r}")
+        return job
+
+    def _job_query(self, path: str) -> bytes:
         tail = path[len("/v1/jobs/"):]
         if tail.endswith("/result"):
             job_id, want_result = tail[:-len("/result")], True
         else:
             job_id, want_result = tail, False
-        job = self.manager.get(job_id)
-        if job is None or "/" in job_id:
-            raise HTTPError(404, f"unknown job {job_id!r}")
+        job = self._job(job_id)
         if not want_result:
             return json_response(200, job.status())
         if job.state != DONE:
@@ -301,92 +305,60 @@ class SweepService:
             raise HTTPError(404, f"no stored result for key {key!r}")
         return json_response(200, {"records": rows})
 
-    # -- WebSocket ------------------------------------------------------
-    async def _websocket(self, request: Request,
-                         reader: asyncio.StreamReader,
-                         writer: asyncio.StreamWriter,
-                         job_id: str) -> bool:
-        assert self.manager is not None
-        job = self.manager.get(job_id)
-        if job is None:
-            raise HTTPError(404, f"unknown job {job_id!r}")
-        try:
-            response = ws.handshake_response(request.headers)
-        except ws.HandshakeError as exc:
-            raise HTTPError(400, str(exc)) from exc
-        await self._send(writer, response)
+    # -- event stream ---------------------------------------------------
+    async def _events(self, reader: asyncio.StreamReader,
+                      writer: asyncio.StreamWriter, job: Job) -> None:
+        """Stream one job's hub messages until it ends or the client goes.
+
+        The client sends nothing after its request, so a read that
+        returns is its hang-up: the subscription is released then, not
+        at the next write into a dead socket.
+        """
         if self.log is not None:
-            self.log.info("ws_subscribe", job=job_id)
+            self.log.info("stream_subscribe", job=job.run_id)
         sub = job.hub.subscribe()
+        tasks = (asyncio.create_task(self._stream(writer, job, sub)),
+                 asyncio.create_task(_hang_up(reader)))
         try:
-            await ws.send_text(writer, json.dumps({
-                "type": "hello",
-                "job": job.run_id,
-                "run_id": job.run_id,
-                "state": job.state,
-                "study": job.spec.study,
-                "total": job.total,
-            }, sort_keys=True))
-            sender = asyncio.create_task(self._ws_send(writer, sub))
-            receiver = asyncio.create_task(
-                self._ws_receive(reader, writer))
-            done, pending = await asyncio.wait(
-                {sender, receiver},
-                return_when=asyncio.FIRST_COMPLETED)
-            for task in pending:
-                task.cancel()
-            for task in pending:
-                try:
-                    await task
-                except (asyncio.CancelledError, ConnectionError,
-                        OSError):
-                    pass
-        except (ConnectionError, OSError):
-            pass
+            await asyncio.wait(tasks, return_when=asyncio.FIRST_COMPLETED)
         finally:
             job.hub.unsubscribe(sub)
+            for task in tasks:
+                task.cancel()
+            for task in tasks:
+                try:
+                    await task
+                except (asyncio.CancelledError, ConnectionError, OSError):
+                    pass
             if sub.dropped and self.log is not None:
-                self.log.warning("ws_dropped", job=job_id)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-        return True
+                self.log.warning("stream_dropped", job=job.run_id)
 
-    async def _ws_send(self, writer: asyncio.StreamWriter,
-                       sub: Any) -> None:
-        """Queue → frames; ends at the hub's close sentinel."""
+    async def _stream(self, writer: asyncio.StreamWriter, job: Job,
+                      sub: Subscription) -> None:
+        """The head and ``hello``, then the queue up to the hub's close
+        sentinel."""
+        head = render_response(200, None, content_type="text/event-stream")
+        await self._send(writer, head + event_data({
+            "type": "hello",
+            "job": job.run_id,
+            "run_id": job.run_id,
+            "state": job.state,
+            "study": job.spec.study,
+            "total": job.total,
+        }))
         while True:
             message = await sub.queue.get()
             if message is CLOSE:
                 break
-            await ws.send_text(writer, json.dumps(
-                message, sort_keys=True, default=str))
-        code = WS_CLOSE_SLOW if sub.dropped else 1000
-        reason = "subscriber too slow" if sub.dropped else "stream end"
-        await ws.send_close(writer, code, reason)
+            await self._send(writer, event_data(message))
+        if sub.dropped:
+            await self._send(writer, event_data({"type": "dropped"}))
 
-    async def _ws_receive(self, reader: asyncio.StreamReader,
-                          writer: asyncio.StreamWriter) -> None:
-        """Client frames: answer pings, honour close, ignore data."""
-        decoder = ws.FrameDecoder(require_mask=True)
-        assembler = ws.MessageAssembler()
-        while True:
-            data = await reader.read(4096)
-            if not data:
-                return
-            try:
-                frames = decoder.feed(data)
-            except ws.WSProtocolError as exc:
-                await ws.send_close(writer, exc.code, str(exc))
-                return
-            for frame in frames:
-                for opcode, payload in assembler.feed(frame):
-                    if opcode == ws.OP_PING:
-                        await ws.send_frame(writer, ws.OP_PONG,
-                                            payload)
-                    elif opcode == ws.OP_CLOSE:
-                        code, __ = ws.parse_close(payload)
-                        await ws.send_close(writer, code or 1000)
-                        return
+
+async def _hang_up(reader: asyncio.StreamReader) -> None:
+    """Return once the client closes its end (its bytes are ignored)."""
+    try:
+        while await reader.read(4096):
+            pass
+    except (ConnectionError, OSError):
+        pass

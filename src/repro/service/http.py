@@ -5,8 +5,9 @@ Exactly the subset the sweep service needs — request line, headers,
 so the parser is unit-testable over ``asyncio.StreamReader`` pairs.
 Every response carries ``Connection: close``: one request per
 connection keeps the server free of keep-alive timer bookkeeping, and
-the WebSocket upgrade path (the only long-lived connection) bypasses
-this module entirely after the 101.
+it is what lets a job's event stream (the only long-lived response)
+go without a length: its body is ``data: <json>`` lines in the
+Server-Sent Events format, and it ends when the server closes.
 """
 
 from __future__ import annotations
@@ -14,12 +15,13 @@ from __future__ import annotations
 import asyncio
 import json
 from http import HTTPStatus
-from typing import Any, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional
 from urllib.parse import parse_qs, unquote, urlsplit
 
 __all__ = [
     "HTTPError",
     "Request",
+    "event_data",
     "json_response",
     "read_request",
     "render_response",
@@ -126,11 +128,13 @@ async def read_request(reader: asyncio.StreamReader
     )
 
 
-def render_response(status: int, body: bytes = b"",
-                    content_type: str = "application/json",
-                    extra_headers: Tuple[Tuple[str, str], ...] = (),
-                    ) -> bytes:
-    """Serialize one complete ``Connection: close`` response."""
+def render_response(status: int, body: Optional[bytes] = b"",
+                    content_type: str = "application/json") -> bytes:
+    """Serialize one ``Connection: close`` response.
+
+    ``body=None`` renders only the head of a stream: no
+    ``Content-Length``, so the body runs until the server closes.
+    """
     try:
         reason = HTTPStatus(status).phrase
     except ValueError:
@@ -139,16 +143,24 @@ def render_response(status: int, body: bytes = b"",
         f"HTTP/1.1 {status} {reason}",
         "Server: repro-sweep-service",
         f"Content-Type: {content_type}",
-        f"Content-Length: {len(body)}",
+        ("Cache-Control: no-cache" if body is None
+         else f"Content-Length: {len(body)}"),
         "Connection: close",
     ]
-    lines += [f"{name}: {value}" for name, value in extra_headers]
     head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
-    return head + body
+    return head + (body or b"")
+
+
+def _json(payload: Any) -> str:
+    # Sorted keys: byte-stable for tests/curl.
+    return json.dumps(payload, sort_keys=True, default=str)
 
 
 def json_response(status: int, payload: Any) -> bytes:
-    """A JSON response (sorted keys: byte-stable for tests/curl)."""
-    body = (json.dumps(payload, sort_keys=True, default=str)
-            + "\n").encode("utf-8")
-    return render_response(status, body)
+    """A JSON response."""
+    return render_response(status, (_json(payload) + "\n").encode("utf-8"))
+
+
+def event_data(payload: Any) -> bytes:
+    """One Server-Sent Event: a ``data:`` line of JSON, then a blank line."""
+    return f"data: {_json(payload)}\n\n".encode("utf-8")

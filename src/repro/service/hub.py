@@ -1,8 +1,9 @@
-"""Bounded fan-out of job messages to WebSocket subscribers.
+"""Bounded fan-out of job messages to event-stream subscribers.
 
 One :class:`Hub` per job bridges the executor thread running the sweep
-(and the event-log tailer) to any number of WS subscribers.  Two rules
-keep a slow or dead consumer from ever touching the run:
+(and the event-log tailer) to any number of subscribers of
+``GET /v1/jobs/{id}/events``.  Two rules keep a slow or dead consumer
+from ever touching the run:
 
 1. **Bounded queues.**  Each subscription is a bounded
    ``asyncio.Queue``; ``publish`` uses ``put_nowait`` only.  The
@@ -11,9 +12,9 @@ keep a slow or dead consumer from ever touching the run:
    consumer fell behind by the whole buffer; rather than silently
    skipping records (a gap a client can't detect), the subscription is
    marked dropped, its queue is cleared, and it is handed a close
-   sentinel — the WS handler then closes with code 1013 ("try again
-   later") and the client knows to reconnect/resync via
-   ``GET /v1/jobs/{id}``.
+   sentinel — the stream handler then sends one ``{"type":
+   "dropped"}`` message and closes, and the client knows to
+   reconnect/resync via ``GET /v1/jobs/{id}``.
 
 A bounded replay backlog lets subscribers who attach mid-run still see
 the run from ``run_start`` — the acceptance contract for streams is
@@ -30,7 +31,7 @@ from typing import Any, Deque, Dict, List, Optional
 __all__ = ["CLOSE", "Hub", "Subscription"]
 
 #: Queue sentinel: the hub is finished with this subscriber (either the
-#: job ended or the subscriber was dropped); the WS handler closes.
+#: job ended or the subscriber was dropped); the stream handler closes.
 CLOSE = object()
 
 BACKLOG = 512

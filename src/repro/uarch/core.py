@@ -147,18 +147,22 @@ class CoreConfig:
     def __post_init__(self) -> None:
         # run() indexes its ROB ring modulo rob_entries and retires at
         # most retire_width uops a cycle; a negative penalty would put
-        # an event before its cause.
-        for name in ("alloc_width", "issue_width", "retire_width",
-                     "rob_entries", "scheduler_entries"):
-            value = getattr(self, name)
-            if value < 1:
-                raise ValueError(f"{name} must be positive, got {value!r}")
-        for name in ("redirect_penalty", "dl0_miss_penalty",
-                     "dtlb_miss_penalty"):
-            value = getattr(self, name)
-            if value < 0:
-                raise ValueError(f"{name} must not be negative, got "
-                                 f"{value!r}")
+        # an event before its cause, and a fractional one between two
+        # cycles, where bias accounting no longer regroups exactly.
+        for least, names in (
+                (1, ("alloc_width", "issue_width", "retire_width",
+                     "rob_entries", "int_regs", "fp_regs",
+                     "scheduler_entries", "regfile_write_ports",
+                     "n_adders", "mob_entries")),
+                (0, ("redirect_penalty", "dl0_miss_penalty",
+                     "dtlb_miss_penalty"))):
+            for name in names:
+                value = getattr(self, name)
+                if not isinstance(value, int) or isinstance(value, bool) \
+                        or value < least:
+                    kind = "positive" if least else "non-negative"
+                    raise ValueError(
+                        f"{name} must be a {kind} integer, got {value!r}")
 
 
 @dataclass(slots=True)

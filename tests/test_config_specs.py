@@ -121,13 +121,43 @@ class TestValidation:
         with pytest.raises(SpecError, match="alloc_width"):
             ProcessorSpec(alloc_width=0)
 
-    @pytest.mark.parametrize("name", [
-        "redirect_penalty", "dl0_miss_penalty", "dtlb_miss_penalty",
+    @pytest.mark.parametrize("name,value", [
+        pytest.param("redirect_penalty", -10, id="redirect_penalty"),
+        pytest.param("dl0_miss_penalty", -10, id="dl0_miss_penalty"),
+        pytest.param("dtlb_miss_penalty", -10, id="dtlb_miss_penalty"),
+        # Fractional penalties made bias results depend on the fold size.
+        ("dl0_miss_penalty", 0.3),
+        ("dtlb_miss_penalty", 20.1),
+        ("redirect_penalty", 6.0),
     ])
-    def test_negative_penalty_names_the_field(self, name):
+    def test_negative_penalty_names_the_field(self, name, value):
         with pytest.raises(SpecError, match=f"{name} must be a non-negative"):
-            ProcessorSpec(**{name: -10})
-        payload = {"study": "penelope", "processor": {name: -10}}
+            ProcessorSpec(**{name: value})
+        payload = {"study": "penelope", "processor": {name: value}}
+        with pytest.raises(SpecError, match=name):
+            StudySpec.from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize("path,value", [
+        ("processor.rob_entries", 2.5),
+        ("processor.int_regs", 100.5),
+        ("processor.alloc_width", 2.5),
+        ("processor.n_adders", True),
+        ("processor.dl0.ways", 2.0),
+        ("processor.dtlb.entries", 128.0),
+        ("workload.length", 100.5),
+        ("workers", 2.0),
+    ])
+    def test_non_integer_count_names_the_field(self, path, value):
+        name = path.rpartition(".")[2]
+        with pytest.raises(SpecError, match=f"{name} must be a positive "
+                                            f"integer"):
+            with_path(StudySpec(study="penelope"), path, value)
+        payload = {"study": "penelope"}
+        *parents, __ = path.split(".")
+        level = payload
+        for parent in parents:
+            level = level.setdefault(parent, {})
+        level[name] = value
         with pytest.raises(SpecError, match=name):
             StudySpec.from_json(json.dumps(payload))
 

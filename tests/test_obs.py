@@ -691,7 +691,7 @@ class TestRunnerObservability:
 
 
 # ----------------------------------------------------------------------
-# Incremental event tailing (the WS bridge / --follow substrate)
+# Incremental event tailing (the event stream / --follow substrate)
 # ----------------------------------------------------------------------
 class TestEventTailing:
     def _write(self, path, *lines, newline=True):

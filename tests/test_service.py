@@ -1,9 +1,9 @@
-"""Tests for the sweep service (HTTP + WebSocket frontend).
+"""Tests for the sweep service (HTTP frontend, Server-Sent Events).
 
 Three layers, matching the module split:
 
-- pure-bytes protocol units (RFC 6455 framing, HTTP parsing, auth,
-  hub backpressure) — no sockets, no event loop where avoidable;
+- protocol units (HTTP parsing, auth, hub backpressure) — no sockets,
+  no event loop where avoidable;
 - a live server on an ephemeral port driven by the real
   :class:`repro.client.ServiceClient` over real TCP;
 - the ISSUE acceptance criteria: concurrent identical submits share
@@ -14,8 +14,12 @@ Three layers, matching the module split:
 
 import asyncio
 import concurrent.futures
+import http.client
 import json
 import os
+import socket
+import subprocess
+import sys
 import threading
 import time
 from contextlib import contextmanager
@@ -26,7 +30,6 @@ from repro.client import ServiceClient, ServiceError
 from repro.experiments import SweepRunner, SweepSpec
 from repro.experiments.registry import _STUDIES, register_study
 from repro.service import SweepService, TokenAuth
-from repro.service import ws
 from repro.service.hub import CLOSE, Hub
 from repro.service.http import HTTPError, read_request
 
@@ -35,132 +38,6 @@ TINY_PAYLOAD = {
     "base": {"length": 600, "seed": 3},
     "grid": {"ratio": [0.4, 0.6]},
 }
-
-
-# ----------------------------------------------------------------------
-# WebSocket framing (pure bytes)
-# ----------------------------------------------------------------------
-class TestWSFraming:
-    def test_accept_key_rfc_vector(self):
-        # The worked example from RFC 6455 §1.3.
-        assert ws.accept_key("dGhlIHNhbXBsZSBub25jZQ==") == \
-            "s3pPLMBiTxaQ9kYGzzhZRbK+xOo="
-
-    def test_handshake_response_contains_accept(self):
-        response = ws.handshake_response({
-            "upgrade": "websocket",
-            "sec-websocket-key": "dGhlIHNhbXBsZSBub25jZQ==",
-        })
-        assert b"101 Switching Protocols" in response
-        assert b"s3pPLMBiTxaQ9kYGzzhZRbK+xOo=" in response
-
-    def test_handshake_requires_upgrade_and_key(self):
-        with pytest.raises(ws.HandshakeError):
-            ws.handshake_response({"sec-websocket-key": "x"})
-        with pytest.raises(ws.HandshakeError):
-            ws.handshake_response({"upgrade": "websocket"})
-
-    @pytest.mark.parametrize("size", [0, 5, 125, 126, 200,
-                                      (1 << 16) - 1, 1 << 16, 70_000])
-    def test_encode_decode_round_trip_all_length_forms(self, size):
-        payload = bytes(i & 0xFF for i in range(size))
-        frames = ws.FrameDecoder().feed(
-            ws.encode_frame(ws.OP_BINARY, payload))
-        assert frames == [ws.Frame(True, ws.OP_BINARY, payload)]
-
-    def test_masked_round_trip_and_involution(self):
-        payload = b"masked message"
-        key = b"\x01\x02\x03\x04"
-        assert ws.mask_bytes(ws.mask_bytes(payload, key), key) == payload
-        frames = ws.FrameDecoder(require_mask=True).feed(
-            ws.encode_frame(ws.OP_TEXT, payload, mask_key=key))
-        assert frames == [ws.Frame(True, ws.OP_TEXT, payload)]
-
-    def test_server_rejects_unmasked_client_frame(self):
-        decoder = ws.FrameDecoder(require_mask=True)
-        with pytest.raises(ws.WSProtocolError) as err:
-            decoder.feed(ws.encode_frame(ws.OP_TEXT, b"hi"))
-        assert err.value.code == 1002
-
-    def test_incremental_feed_byte_by_byte(self):
-        wire = ws.encode_frame(ws.OP_TEXT, b"x" * 300)
-        decoder = ws.FrameDecoder()
-        frames = []
-        for i in range(len(wire)):
-            frames += decoder.feed(wire[i:i + 1])
-        assert frames == [ws.Frame(True, ws.OP_TEXT, b"x" * 300)]
-
-    def test_two_frames_in_one_chunk(self):
-        wire = (ws.encode_frame(ws.OP_TEXT, b"one")
-                + ws.encode_frame(ws.OP_TEXT, b"two"))
-        frames = ws.FrameDecoder().feed(wire)
-        assert [f.payload for f in frames] == [b"one", b"two"]
-
-    def test_fragmented_message_reassembles(self):
-        assembler = ws.MessageAssembler()
-        out = assembler.feed(ws.Frame(False, ws.OP_TEXT, b"hel"))
-        assert out == []
-        out = assembler.feed(ws.Frame(False, ws.OP_CONT, b"lo "))
-        assert out == []
-        out = assembler.feed(ws.Frame(True, ws.OP_CONT, b"world"))
-        assert out == [(ws.OP_TEXT, b"hello world")]
-
-    def test_control_frames_interleave_fragments(self):
-        assembler = ws.MessageAssembler()
-        assembler.feed(ws.Frame(False, ws.OP_TEXT, b"par"))
-        out = assembler.feed(ws.Frame(True, ws.OP_PING, b"now"))
-        assert out == [(ws.OP_PING, b"now")]
-        out = assembler.feed(ws.Frame(True, ws.OP_CONT, b"tial"))
-        assert out == [(ws.OP_TEXT, b"partial")]
-
-    def test_continuation_without_start_rejected(self):
-        with pytest.raises(ws.WSProtocolError):
-            ws.MessageAssembler().feed(
-                ws.Frame(True, ws.OP_CONT, b"orphan"))
-
-    def test_new_data_frame_inside_fragment_rejected(self):
-        assembler = ws.MessageAssembler()
-        assembler.feed(ws.Frame(False, ws.OP_TEXT, b"one"))
-        with pytest.raises(ws.WSProtocolError):
-            assembler.feed(ws.Frame(True, ws.OP_TEXT, b"two"))
-
-    def test_fragmented_control_frame_rejected(self):
-        wire = bytearray(ws.encode_frame(ws.OP_PING, b"hi"))
-        wire[0] &= 0x7F  # clear FIN on a control frame
-        with pytest.raises(ws.WSProtocolError) as err:
-            ws.FrameDecoder().feed(bytes(wire))
-        assert err.value.code == 1002
-
-    def test_rsv_bits_rejected(self):
-        wire = bytearray(ws.encode_frame(ws.OP_TEXT, b"hi"))
-        wire[0] |= 0x40
-        with pytest.raises(ws.WSProtocolError) as err:
-            ws.FrameDecoder().feed(bytes(wire))
-        assert err.value.code == 1002
-
-    def test_unknown_opcode_rejected(self):
-        wire = bytearray(ws.encode_frame(ws.OP_TEXT, b"hi"))
-        wire[0] = 0x80 | 0x3
-        with pytest.raises(ws.WSProtocolError):
-            ws.FrameDecoder().feed(bytes(wire))
-
-    def test_oversized_payload_closes_1009(self):
-        decoder = ws.FrameDecoder(max_payload=16)
-        with pytest.raises(ws.WSProtocolError) as err:
-            decoder.feed(ws.encode_frame(ws.OP_BINARY, b"z" * 17))
-        assert err.value.code == 1009
-
-    def test_close_payload_round_trip(self):
-        assert ws.parse_close(ws.close_payload(1013, "slow")) == \
-            (1013, "slow")
-        # Empty close payload is legal: 1005 "no status received".
-        assert ws.parse_close(b"") == (1005, "")
-
-    def test_control_frame_encode_limits(self):
-        with pytest.raises(ValueError):
-            ws.encode_frame(ws.OP_PING, b"z" * 126)
-        with pytest.raises(ValueError):
-            ws.encode_frame(ws.OP_CLOSE, b"", fin=False)
 
 
 # ----------------------------------------------------------------------
@@ -488,7 +365,7 @@ class TestLiveService:
             job = client.submit(TINY_PAYLOAD)
             assert client.wait(job["job"], timeout=60)["state"] == \
                 "done"
-            # The WS upgrade path enforces the same token.
+            # The event stream enforces the same token.
             with pytest.raises(ServiceError) as err:
                 next(iter(ServiceClient(url).stream(job["job"])))
             assert err.value.status == 401
@@ -581,6 +458,231 @@ class TestLiveService:
                 assert client.healthz()["draining"] is True
                 service.manager.draining = False
                 client.wait(job["job"], timeout=60)
+
+
+# ----------------------------------------------------------------------
+# The event stream over a real socket, without the bundled client
+# ----------------------------------------------------------------------
+def _on_loop(service, call):
+    """Run ``call()`` on the service's event loop; its result."""
+    async def run():
+        return call()
+
+    return asyncio.run_coroutine_threadsafe(
+        run(), service.manager._loop).result(timeout=10)
+
+
+def _open_stream(port, job_id):
+    """A raw socket that has sent ``GET /v1/jobs/{id}/events``."""
+    sock = socket.create_connection(("127.0.0.1", port), timeout=60)
+    sock.sendall(f"GET /v1/jobs/{job_id}/events HTTP/1.1\r\n"
+                 f"Host: 127.0.0.1\r\n\r\n".encode())
+    return sock
+
+
+def _read_until(sock, marker):
+    """Receive until ``marker`` is in the bytes read so far."""
+    data = b""
+    while marker not in data:
+        chunk = sock.recv(65536)
+        assert chunk, f"stream closed before {marker!r}: {data!r}"
+        data += chunk
+    return data
+
+
+def _read_to_close(sock, data=b""):
+    while True:
+        chunk = sock.recv(65536)
+        if not chunk:
+            return data
+        data += chunk
+
+
+def _events(body):
+    """The messages of an event-stream body, checking its framing."""
+    chunks = body.split("\n\n")
+    assert chunks[-1] == "", "a stream ends with a blank line"
+    messages = []
+    for chunk in chunks[:-1]:
+        assert chunk.startswith("data: ") and "\n" not in chunk, chunk
+        messages.append(json.loads(chunk[len("data: "):]))
+    return messages
+
+
+def _logged(directory, event):
+    with open(directory / "events.jsonl") as handle:
+        return [record for record in map(json.loads, handle)
+                if record["event"] == event]
+
+
+class TestEventStream:
+    def test_plain_http_consumer_reads_hello_first_and_job_last(
+            self, tmp_path):
+        with live_service(tmp_path / "svc") as (port, __):
+            job_id = ServiceClient(f"http://127.0.0.1:{port}").submit(
+                TINY_PAYLOAD)["job"]
+            conn = http.client.HTTPConnection("127.0.0.1", port,
+                                              timeout=60)
+            try:
+                conn.request("GET", f"/v1/jobs/{job_id}/events")
+                with conn.getresponse() as response:
+                    assert response.status == 200
+                    assert response.getheader("Content-Type") == \
+                        "text/event-stream"
+                    assert response.getheader("Connection") == "close"
+                    assert response.getheader("Content-Length") is None
+                    body = response.read().decode()  # to the close
+            finally:
+                conn.close()
+        messages = _events(body)
+        types = [message["type"] for message in messages]
+        assert types[0] == "hello" and messages[0]["job"] == job_id
+        assert types[-1] == "job" and messages[-1]["state"] == "done"
+        kinds = [message["record"]["event"] for message in messages
+                 if message["type"] == "event"]
+        assert kinds.index("run_start") < kinds.index("run_end")
+        assert "telemetry" in types
+
+    def test_unknown_job_is_a_json_404_before_any_stream(self, tmp_path):
+        with live_service(tmp_path / "svc") as (port, __):
+            conn = http.client.HTTPConnection("127.0.0.1", port,
+                                              timeout=60)
+            try:
+                conn.request("GET", "/v1/jobs/no-such-job/events")
+                with conn.getresponse() as response:
+                    assert response.status == 404
+                    assert response.getheader("Content-Type") == \
+                        "application/json"
+                    assert json.loads(response.read()) == {
+                        "error": "unknown job 'no-such-job'"}
+            finally:
+                conn.close()
+            with pytest.raises(ServiceError) as err:
+                next(iter(ServiceClient(f"http://127.0.0.1:{port}")
+                          .stream("no-such-job")))
+            assert err.value.status == 404
+
+    def test_stream_read_timeout_is_a_504(self, tmp_path):
+        with sleepy_study() as study:
+            with live_service(tmp_path / "svc") as (port, __):
+                client = ServiceClient(f"http://127.0.0.1:{port}")
+                job_id = client.submit(
+                    {"study": study, "grid": {"duration": [2.0]}})["job"]
+                types = []
+                with pytest.raises(ServiceError) as err:
+                    for message in client.stream(job_id, timeout=0.5):
+                        types.append(message["type"])
+                assert err.value.status == 504
+                assert types[0] == "hello" and "job" not in types
+                client.wait(job_id, timeout=60)
+
+    def test_websocket_route_is_gone(self, tmp_path):
+        with live_service(tmp_path / "svc") as (port, __):
+            client = ServiceClient(f"http://127.0.0.1:{port}")
+            job_id = client.submit(TINY_PAYLOAD)["job"]
+            with pytest.raises(ServiceError) as err:
+                client._request("GET", f"/v1/ws/jobs/{job_id}")
+            assert err.value.status == 404
+            client.wait(job_id, timeout=60)
+
+    def test_subscriber_that_falls_behind_gets_dropped_not_job(
+            self, tmp_path):
+        """A subscriber whose queue overflows gets one ``dropped``
+        message and no ``job``; the run goes on undisturbed."""
+        directory = tmp_path / "svc"
+        with sleepy_study() as study:
+            with live_service(directory) as (port, service):
+                client = ServiceClient(f"http://127.0.0.1:{port}")
+                job_id = client.submit(
+                    {"study": study, "grid": {"duration": [1.0]}})["job"]
+                job = service.manager.get(job_id)
+                # A hub with room for eight queued messages.
+                _on_loop(service, lambda: setattr(
+                    job, "hub", Hub(service.manager._loop,
+                                    backlog=4, queue_size=8)))
+                sock = _open_stream(port, job_id)
+                try:
+                    data = _read_until(sock, b'"hello"')
+                    # Nine messages in one loop callback: the stream
+                    # handler cannot take any before the queue is full.
+                    _on_loop(service, lambda: [
+                        job.hub.publish({"type": "event", "record": {
+                            "event": "burst", "n": n}})
+                        for n in range(9)])
+                    data = _read_to_close(sock, data)
+                finally:
+                    sock.close()
+                head, __, body = data.partition(b"\r\n\r\n")
+                assert head.startswith(b"HTTP/1.1 200 ")
+                types = [message["type"]
+                         for message in _events(body.decode())]
+                assert types[0] == "hello"
+                assert types[-1] == "dropped"
+                assert "job" not in types
+                assert job.hub.drops == 1
+                assert client.wait(job_id, timeout=60)["state"] == "done"
+                # A subscriber that keeps up still gets the terminal job.
+                assert [m["type"] for m in client.stream(job_id)][-1] \
+                    == "job"
+        assert [record["payload"]["job"] for record in
+                _logged(directory, "stream_dropped")] == [job_id]
+
+    def test_client_vanishing_mid_stream_is_released_at_once(
+            self, tmp_path):
+        """A client that hangs up right after ``hello`` leaves the hub
+        while the job's only point runs, when nothing is published that
+        a handler could fail to write; another subscriber still gets
+        the terminal ``job`` message."""
+        directory = tmp_path / "svc"
+        with sleepy_study() as study:
+            with live_service(directory) as (port, service):
+                url = f"http://127.0.0.1:{port}"
+                job_id = ServiceClient(url).submit(
+                    {"study": study, "grid": {"duration": [3.0]}})["job"]
+                job = service.manager.get(job_id)
+                point_started = threading.Event()
+
+                def follow():
+                    types = []
+                    for message in ServiceClient(url).stream(job_id):
+                        types.append(message["type"])
+                        if message["type"] == "event" and message[
+                                "record"]["event"] == "worker_heartbeat":
+                            point_started.set()
+                    return types
+
+                with concurrent.futures.ThreadPoolExecutor(1) as pool:
+                    second = pool.submit(follow)
+                    # From here until the point ends, the job publishes
+                    # nothing.
+                    assert point_started.wait(10)
+                    sock = _open_stream(port, job_id)
+                    try:
+                        _read_until(sock, b'"hello"')
+                        assert len(job.hub._subs) == 2
+                    finally:
+                        sock.close()
+                    deadline = time.monotonic() + 1.0
+                    while len(job.hub._subs) > 1:
+                        assert time.monotonic() < deadline, \
+                            "hang-up not noticed"
+                        time.sleep(0.01)
+                    assert job.done == 0 and job.state == "running"
+                    types = second.result(timeout=60)
+        assert types[0] == "hello" and types[-1] == "job"
+        assert len(_logged(directory, "stream_subscribe")) == 2
+        assert not _logged(directory, "request_error")
+
+    def test_client_import_loads_no_server(self):
+        code = ("import sys, repro.client\n"
+                "print(sorted(m for m in sys.modules if m == 'asyncio'"
+                " or m.startswith('repro.service')))")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [os.path.abspath("src"),
+                          os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
 
 # ----------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.uarch import CoreConfig, TraceDrivenCore
+from repro.uarch import CoreConfig, TraceDrivenCore, bitbias
 from repro.uarch.core import CompositeHooks, CoreHooks
 from repro.uarch.trace import Trace
 from repro.uarch.uop import Uop, UopClass
@@ -267,21 +267,48 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("name,value", [
         ("rob_entries", 0), ("rob_entries", -3), ("retire_width", 0),
+        # Unchecked, a fractional ROB or register count died mid-run
+        # with a TypeError and a fractional width ran silently.
+        ("rob_entries", 2.5), ("int_regs", 100.5), ("alloc_width", 2.5),
+        ("mob_entries", 0), ("n_adders", True),
     ])
     def test_rejects_empty_rob_and_retire_width(self, name, value):
         # Unchecked, these died on the first uop (ZeroDivisionError,
         # IndexError) or ran silently.
-        with pytest.raises(ValueError, match=f"{name} must be positive"):
+        with pytest.raises(ValueError,
+                           match=f"{name} must be a positive integer"):
             CoreConfig(**{name: value})
 
-    @pytest.mark.parametrize("name", [
-        "redirect_penalty", "dl0_miss_penalty", "dtlb_miss_penalty",
+    @pytest.mark.parametrize("name,value", [
+        pytest.param("redirect_penalty", -1, id="redirect_penalty"),
+        pytest.param("dl0_miss_penalty", -1, id="dl0_miss_penalty"),
+        pytest.param("dtlb_miss_penalty", -1, id="dtlb_miss_penalty"),
+        ("dl0_miss_penalty", 0.3), ("dtlb_miss_penalty", 20.1),
     ])
-    def test_rejects_negative_penalties(self, name, small_trace):
-        with pytest.raises(ValueError, match=f"{name} must not be negative"):
-            CoreConfig(**{name: -1})
+    def test_rejects_negative_penalties(self, name, value, small_trace):
+        with pytest.raises(ValueError,
+                           match=f"{name} must be a non-negative integer"):
+            CoreConfig(**{name: value})
         result = TraceDrivenCore(CoreConfig(**{name: 0})).run(small_trace)
         assert result.uops == len(small_trace)
+
+    @pytest.mark.parametrize("penalties", [
+        {}, {"dl0_miss_penalty": 7, "dtlb_miss_penalty": 21},
+    ])
+    def test_integer_penalties_keep_bias_independent_of_fold_size(
+            self, penalties, monkeypatch):
+        # Whole-cycle event times are what lets bias accounting regroup
+        # exactly; fractional penalties (0.3, 20.1) changed these biases
+        # between fold sizes 256 and 4 before they were rejected.
+        trace = TraceGenerator(seed=1).generate("specint2000", length=2000)
+        config = CoreConfig(**penalties)
+        biases = []
+        for fold in (bitbias.FOLD_KEYS, 4):
+            monkeypatch.setattr(bitbias, "FOLD_KEYS", fold)
+            result = TraceDrivenCore(config).run(trace)
+            biases.append((list(result.int_rf.bias_to_zero),
+                           list(result.scheduler.flattened_bias())))
+        assert biases[0] == biases[1]
 
 
 class TestErrorPaths:
