@@ -161,14 +161,15 @@ class ServiceClient:
     def stream(self, job_id: str,
                timeout: Optional[float] = None
                ) -> Iterator[Dict[str, Any]]:
-        """Yield the job's live messages until the server closes.
+        """Yield the job's messages until the server closes.
 
-        Messages are the server's JSON objects: ``hello``, ``event``
-        (one ``events.jsonl`` record each), ``telemetry`` (an
-        ``IntervalTelemetry`` snapshot), and a final ``job`` status —
-        or ``dropped`` if the server cut this subscriber off for
-        falling behind.  A read that waits longer than ``timeout``
-        raises ``ServiceError(504)``.
+        Messages are the server's JSON objects: ``hello``,
+        ``telemetry`` (the job's ``total``/``done``/``cache_hits``/
+        ``executed`` counters, first and whenever ``done`` moves),
+        ``event`` (one record of the job's run from ``events.jsonl``
+        each, ``run_start`` to ``run_end``, however late the stream is
+        opened), and a final ``job`` status.  A read that waits longer
+        than ``timeout`` raises ``ServiceError(504)``.
         """
         path = f"/v1/jobs/{quote(job_id)}/events"
         with self._response("GET", path, timeout=timeout) as response:

@@ -168,6 +168,12 @@ def _parse_event_line(line: bytes, floor: int,
     return record
 
 
+#: How far one :func:`tail_events` call reads: it stops at the first
+#: line end at or past this many bytes, so a reader far behind a long
+#: log holds about one chunk of it at a time, never the whole tail.
+TAIL_CHUNK = 256 * 1024
+
+
 def tail_events(
     path: str,
     offset: int = 0,
@@ -176,11 +182,14 @@ def tail_events(
 ) -> Tuple[List[Dict[str, Any]], int]:
     """One incremental poll of an event log: ``(records, new_offset)``.
 
-    Only complete lines (ending in ``\\n``) are consumed, so a torn
-    final line — a writer caught mid-append — stays beyond the returned
-    offset and is retried on the next poll.  A missing file is an empty
-    poll (the sweep may not have started yet); a file *shorter* than
-    the watermark (rotated/truncated) restarts from byte zero.
+    Reads whole lines from ``offset`` until :data:`TAIL_CHUNK` bytes are
+    consumed or the file ends, so an offset that moved by the chunk or
+    more means more lines may be waiting.  Only complete lines (ending
+    in ``\\n``) are consumed, so a torn final line — a writer caught
+    mid-append — stays beyond the returned offset and is retried on the
+    next poll.  A missing file is an empty poll (the sweep may not have
+    started yet); a file *shorter* than the watermark
+    (rotated/truncated) restarts from byte zero.
     """
     floor = LEVELS[level] if level else 0
     try:
@@ -191,18 +200,19 @@ def tail_events(
         offset = 0
     if size == offset:
         return [], offset
-    with open(path, "rb") as handle:
-        handle.seek(offset)
-        tail = handle.read()
     records: List[Dict[str, Any]] = []
     consumed = 0
-    for raw in tail.splitlines(keepends=True):
-        if not raw.endswith(b"\n"):
-            break  # torn final line: leave for the next poll
-        consumed += len(raw)
-        record = _parse_event_line(raw, floor, run_id)
-        if record is not None:
-            records.append(record)
+    with open(path, "rb") as handle:
+        handle.seek(offset)
+        for raw in handle:
+            if not raw.endswith(b"\n"):
+                break  # torn final line: leave for the next poll
+            consumed += len(raw)
+            record = _parse_event_line(raw, floor, run_id)
+            if record is not None:
+                records.append(record)
+            if consumed >= TAIL_CHUNK:
+                break
     return records, offset + consumed
 
 
@@ -212,6 +222,8 @@ class EventTailer:
     A live subscriber passes the ``offset`` it captured when it
     attached (the service takes the file's size at submit), so it sees
     only the events appended since, not the whole multi-run history.
+    ``behind`` is true when the last poll stopped at
+    :data:`TAIL_CHUNK`: poll again before waiting for new lines.
     """
 
     def __init__(self, path: str, offset: int = 0,
@@ -221,11 +233,14 @@ class EventTailer:
         self.level = level
         self.run_id = run_id
         self.offset = offset
+        self.behind = False
 
     def poll(self) -> List[Dict[str, Any]]:
         """Records appended since the last poll (watermark advances)."""
+        start = self.offset
         records, self.offset = tail_events(
             self.path, self.offset, self.level, self.run_id)
+        self.behind = self.offset - start >= TAIL_CHUNK
         return records
 
 
@@ -240,16 +255,21 @@ def read_events(
     """Load an event-log file, optionally filtered by level / run id.
 
     Corrupt lines are skipped (the same tolerance as the result store:
-    a crashed writer must not take the whole log down with it).
+    a crashed writer must not take the whole log down with it).  The
+    file is read a :data:`TAIL_CHUNK` at a time, to its end.
 
     ``follow=True`` returns an *iterator* instead: existing records
     first, then new ones as they are appended (``tail -f`` semantics,
-    shared by ``repro trace events --follow`` and the service's event
-    stream).  The optional ``stop`` callable is checked between polls.
+    as ``repro trace events --follow`` shows them).  The optional
+    ``stop`` callable is checked whenever the reader has caught up,
+    before it waits ``poll_interval`` for more.
     """
     if follow:
         return _follow_events(path, level, run_id, poll_interval, stop)
-    records, __ = tail_events(path, 0, level, run_id)
+    tailer = EventTailer(path, level=level, run_id=run_id)
+    records = tailer.poll()
+    while tailer.behind:
+        records += tailer.poll()
     return records
 
 
@@ -260,6 +280,8 @@ def _follow_events(path: str, level: Optional[str],
     tailer = EventTailer(path, level=level, run_id=run_id)
     while True:
         yield from tailer.poll()
+        if tailer.behind:
+            continue
         if stop is not None and stop():
             return
         time.sleep(poll_interval)

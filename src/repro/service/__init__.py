@@ -10,14 +10,12 @@ stdlib-only asyncio server —
   job's event stream;
 - :mod:`repro.service.auth` — static bearer-token auth with
   constant-time comparison;
-- :mod:`repro.service.hub` — bounded fan-out of job messages to any
-  number of stream subscribers (slow consumers are dropped, never
-  block);
 - :mod:`repro.service.jobs` — spec-hash job dedup and execution via
   ``SweepRunner`` in an executor thread per job;
-- :mod:`repro.service.app` — routing, signal handling, graceful drain:
-  SIGTERM stops every job at a point boundary, its manifest on disk
-  for ``repro sweep --resume``.
+- :mod:`repro.service.app` — routing, a job's event stream (its run's
+  records read straight from the store's ``events.jsonl``), signal
+  handling, graceful drain: SIGTERM stops every job at a point
+  boundary, its manifest on disk for ``repro sweep --resume``.
 
 Run it with ``repro serve``; talk to it with
 :class:`repro.client.ServiceClient` or plain ``curl`` (``curl -N`` for
@@ -26,11 +24,9 @@ a job's stream).
 
 from repro.service.app import SweepService
 from repro.service.auth import TokenAuth
-from repro.service.hub import Hub
 from repro.service.jobs import Job, JobManager
 
 __all__ = [
-    "Hub",
     "Job",
     "JobManager",
     "SweepService",

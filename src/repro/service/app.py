@@ -20,10 +20,11 @@ launch), SIGTERM → stop accepting, stop every running job at a point
 boundary with its manifest on disk, drain, exit 0.
 
 The event stream is Server-Sent Events: one ``data: <json>`` line per
-message — ``hello``, the hub's ``event`` and ``telemetry`` messages,
-then the terminal ``job`` status — and the server closes when the job
-ends.  A subscriber the hub drops for falling behind gets one
-``{"type": "dropped"}`` in place of the ``job`` message.
+message — ``hello``, ``telemetry`` (the job's counters), one ``event``
+per record of the job's run read from ``events.jsonl``, then the
+terminal ``job`` status — and the server closes when the job ends.
+The log file is the stream's only buffer, so a stream opened late,
+even after the job finished, carries the whole run.
 """
 
 from __future__ import annotations
@@ -32,10 +33,10 @@ import asyncio
 import json
 import os
 import signal
-from typing import Optional
+from typing import Optional, Set
 
 from repro.config.specs import SpecError
-from repro.obs.log import EventLog, new_run_id
+from repro.obs.log import EventLog, EventTailer, new_run_id
 from repro.service.auth import TokenAuth
 from repro.service.http import (
     HTTPError,
@@ -45,10 +46,16 @@ from repro.service.http import (
     read_request,
     render_response,
 )
-from repro.service.hub import CLOSE, Subscription
-from repro.service.jobs import DONE, Job, JobManager
+from repro.service.jobs import DONE, TERMINAL_STATES, Job, JobManager
 
 __all__ = ["SweepService"]
+
+#: Seconds between a stream's polls of the event log.
+POLL_INTERVAL = 0.05
+
+#: Seconds a stop gives the open streams, once their jobs have ended,
+#: to send each job's final status.
+STREAM_GRACE = 1.0
 
 
 class SweepService:
@@ -79,6 +86,7 @@ class SweepService:
         self.log: Optional[EventLog] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._stop: Optional[asyncio.Event] = None
+        self._streams: Set[asyncio.Task] = set()
 
     # -- lifecycle ------------------------------------------------------
     async def start(self) -> int:
@@ -148,14 +156,24 @@ class SweepService:
         return 0
 
     async def shutdown(self) -> None:
-        """Stop accepting, drain jobs, close everything."""
+        """Stop accepting, drain jobs, close everything.
+
+        Jobs are stopped before the open connections are waited for: a
+        job's stream stays open until the job ends, and since Python
+        3.12.1 ``Server.wait_closed`` waits for every connection.  The
+        streams get up to :data:`STREAM_GRACE` to send their jobs'
+        final status first, on every Python version.
+        """
         assert self.manager is not None and self.log is not None
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
         self.log.info("service_drain",
                       jobs=len(self.manager.jobs()))
         summary = await self.manager.drain(grace=self.drain_grace)
+        if self._streams:
+            await asyncio.wait(self._streams, timeout=STREAM_GRACE)
+        if self._server is not None:
+            await self._server.wait_closed()
         self.log.info("service_stop", **summary)
         self.manager.close()
         if not self.quiet:
@@ -308,21 +326,21 @@ class SweepService:
     # -- event stream ---------------------------------------------------
     async def _events(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter, job: Job) -> None:
-        """Stream one job's hub messages until it ends or the client goes.
+        """Stream one job's messages until it ends or the client goes.
 
         The client sends nothing after its request, so a read that
-        returns is its hang-up: the subscription is released then, not
-        at the next write into a dead socket.
+        returns is its hang-up: the stream is stopped then, not at its
+        next write into a dead socket.
         """
         if self.log is not None:
             self.log.info("stream_subscribe", job=job.run_id)
-        sub = job.hub.subscribe()
-        tasks = (asyncio.create_task(self._stream(writer, job, sub)),
-                 asyncio.create_task(_hang_up(reader)))
+        stream = asyncio.create_task(self._stream(writer, job))
+        self._streams.add(stream)
+        stream.add_done_callback(self._streams.discard)
+        tasks = (stream, asyncio.create_task(_hang_up(reader)))
         try:
             await asyncio.wait(tasks, return_when=asyncio.FIRST_COMPLETED)
         finally:
-            job.hub.unsubscribe(sub)
             for task in tasks:
                 task.cancel()
             for task in tasks:
@@ -330,14 +348,24 @@ class SweepService:
                     await task
                 except (asyncio.CancelledError, ConnectionError, OSError):
                     pass
-            if sub.dropped and self.log is not None:
-                self.log.warning("stream_dropped", job=job.run_id)
 
-    async def _stream(self, writer: asyncio.StreamWriter, job: Job,
-                      sub: Subscription) -> None:
-        """The head and ``hello``, then the queue up to the hub's close
-        sentinel."""
+    async def _stream(self, writer: asyncio.StreamWriter, job: Job) -> None:
+        """The head and ``hello``, then the job's run read from the log.
+
+        ``events.jsonl`` is read from the offset taken at submit,
+        filtered to the job's run id, every :data:`POLL_INTERVAL` (at
+        once again, after a yield, while a poll stops at the chunk
+        bound), with a ``telemetry`` message first and whenever
+        ``done`` moves.  The
+        runner logs ``run_end`` before the job's state turns terminal,
+        so the first poll that starts after that reads the run to its
+        end, and the ``job`` status follows it.
+        """
+        assert self.manager is not None
         head = render_response(200, None, content_type="text/event-stream")
+        tailer = EventTailer(self.manager.events_path,
+                             offset=job.tail_from, run_id=job.run_id)
+        done = job.done
         await self._send(writer, head + event_data({
             "type": "hello",
             "job": job.run_id,
@@ -345,14 +373,34 @@ class SweepService:
             "state": job.state,
             "study": job.spec.study,
             "total": job.total,
-        }))
+        }) + _telemetry(job, done))
         while True:
-            message = await sub.queue.get()
-            if message is CLOSE:
+            ended = job.state in TERMINAL_STATES
+            out = [event_data({"type": "event", "record": record})
+                   for record in tailer.poll()]
+            if job.done != done:
+                done = job.done
+                out.append(_telemetry(job, done))
+            if out:
+                await self._send(writer, b"".join(out))
+            if ended and not tailer.behind:
                 break
-            await self._send(writer, event_data(message))
-        if sub.dropped:
-            await self._send(writer, event_data({"type": "dropped"}))
+            # Between chunks only yield: a stream far behind a long log
+            # must not hold the loop while it catches up.
+            await asyncio.sleep(0 if tailer.behind else POLL_INTERVAL)
+        await self._send(writer, event_data({"type": "job", **job.status()}))
+
+
+def _telemetry(job: Job, done: int) -> bytes:
+    """The job's four counters as one ``telemetry`` message."""
+    return event_data({
+        "type": "telemetry",
+        "job": job.run_id,
+        "label": done,
+        "values": {"total": job.total, "done": done,
+                   "cache_hits": job.cache_hits,
+                   "executed": job.executed},
+    })
 
 
 async def _hang_up(reader: asyncio.StreamReader) -> None:

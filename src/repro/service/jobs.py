@@ -1,4 +1,4 @@
-"""Job lifecycle for the sweep service: dedup, execute, stream.
+"""Job lifecycle for the sweep service: dedup and execute.
 
 A *job* is one submitted StudySpec/SweepSpec resolved to the engine's
 :class:`~repro.experiments.spec.SweepSpec`.  Jobs are identified by
@@ -12,17 +12,18 @@ specs overlapping in grid points share work.
 
 Threading model (the part that has to be right):
 
-- all job bookkeeping (submit, status, subscribe) runs on the event
-  loop — the asyncio server is single-threaded, which makes concurrent
-  identical submits naturally race-free;
+- all job bookkeeping (submit, status) runs on the event loop — the
+  asyncio server is single-threaded, which makes concurrent identical
+  submits naturally race-free;
 - each job's sweep runs in a ``ThreadPoolExecutor`` slot, opening its
   *own* store handle over the shared directory, under one
   :class:`~repro.experiments.runner.SweepRunner` — in the thread for
   ``workers=1``, otherwise on worker processes that the job's thread
   feeds batches to;
 - the only executor→loop traffic is plain-int counter updates (GIL
-  atomic) plus terminal-state flags; the per-job pump task on the loop
-  turns those, and the tailed ``events.jsonl``, into hub messages.
+  atomic) and the job's fields, the terminal ``state`` assigned last;
+  the run's records reach a stream through ``events.jsonl`` itself,
+  which the stream reads from the offset taken at submit.
 """
 
 from __future__ import annotations
@@ -42,11 +43,8 @@ from repro.experiments.runner import (
 )
 from repro.experiments.spec import SweepSpec
 from repro.fabric.store import ShardedResultStore
-from repro.metrics.stats import MetricSet
-from repro.metrics.telemetry import IntervalTelemetry
-from repro.obs.log import EventLog, EventTailer, new_run_id
+from repro.obs.log import EventLog, new_run_id
 from repro.obs.provenance import spec_hash
-from repro.service.hub import Hub
 
 __all__ = ["Job", "JobManager", "TERMINAL_STATES"]
 
@@ -58,20 +56,20 @@ INCOMPLETE = "incomplete"
 
 TERMINAL_STATES = (DONE, ERROR, INCOMPLETE)
 
-PUMP_INTERVAL = 0.05
-
 
 class Job:
-    """One deduplicated sweep execution and its streaming state."""
+    """One deduplicated sweep execution and its progress counters."""
 
     def __init__(self, run_id: str, spec: SweepSpec, digest: str,
-                 workers: int, directory: str,
-                 loop: asyncio.AbstractEventLoop) -> None:
+                 workers: int, directory: str, tail_from: int) -> None:
         self.run_id = run_id
         self.spec = spec
         self.spec_hash = digest
         self.workers = workers
         self.directory = directory
+        #: Size of ``events.jsonl`` when the job was submitted: its
+        #: stream reads the run's records from here.
+        self.tail_from = tail_from
         self.state = QUEUED
         self.error: Optional[str] = None
         self.created = time.time()
@@ -84,16 +82,7 @@ class Job:
         self.executed = 0
         self.manifest_path: Optional[str] = None
         self.results: List[Dict[str, Any]] = []
-        self.hub = Hub(loop)
         self._runner: Optional[SweepRunner] = None
-        # Job-level telemetry: read-backed stats over the live counters,
-        # snapshotted by the pump whenever progress moved.
-        metrics = MetricSet()
-        metrics.gauge("total", read=lambda: self.total)
-        metrics.counter("done", read=lambda: self.done)
-        metrics.counter("cache_hits", read=lambda: self.cache_hits)
-        metrics.counter("executed", read=lambda: self.executed)
-        self.telemetry = IntervalTelemetry(metrics, every=1)
 
     # ------------------------------------------------------------------
     def note_point(self, result: Any) -> None:
@@ -122,7 +111,6 @@ class Job:
             "finished": self.finished,
             "error": self.error,
             "manifest": self.manifest_path,
-            "telemetry_snapshots": len(self.telemetry.snapshots),
         }
         if self.state == INCOMPLETE:
             payload["resume"] = (f"repro sweep --resume {self.run_id} "
@@ -131,7 +119,7 @@ class Job:
 
 
 class JobManager:
-    """Submit, deduplicate, execute and stream sweep jobs."""
+    """Submit, deduplicate and execute sweep jobs."""
 
     def __init__(self, directory: str, max_jobs: int = 2,
                  default_workers: int = 1,
@@ -149,7 +137,6 @@ class JobManager:
         self._jobs: Dict[str, Job] = {}
         self._by_hash: Dict[str, str] = {}
         self._futures: Dict[str, asyncio.Future] = {}
-        self._pumps: Dict[str, asyncio.Task] = {}
         self.draining = False
         # The loop-thread query handle over the shared store directory.
         self.store = ShardedResultStore(self.directory)
@@ -175,13 +162,19 @@ class JobManager:
                 return job, True
             # A failed attempt does not poison the spec forever:
             # fall through and run it afresh.
+        # The event-log offset is taken *before* the job thread can
+        # write run_start, so the job's stream starts at its run.
+        try:
+            tail_from = os.path.getsize(self.events_path)
+        except OSError:
+            tail_from = 0
         job = Job(
             run_id=new_run_id(),
             spec=spec,
             digest=digest,
             workers=max(1, workers or self.default_workers),
             directory=self.directory,
-            loop=self._loop,
+            tail_from=tail_from,
         )
         self._jobs[job.run_id] = job
         self._by_hash[digest] = job.run_id
@@ -189,18 +182,8 @@ class JobManager:
             self.log.info("job_submitted", job=job.run_id,
                           study=job.spec.study, points=job.total,
                           spec_hash=digest, workers=job.workers)
-        # Capture the event-log watermark *before* the job thread can
-        # write run_start: the pump must not start tailing "at the end"
-        # of a file the runner already appended to.
-        try:
-            tail_from = os.path.getsize(self.events_path)
-        except OSError:
-            tail_from = 0
-        future = self._loop.run_in_executor(
+        self._futures[job.run_id] = self._loop.run_in_executor(
             self._executor, self._run_job, job)
-        self._futures[job.run_id] = future
-        self._pumps[job.run_id] = self._loop.create_task(
-            self._pump(job, tail_from))
         return job, False
 
     def get(self, run_id: str) -> Optional[Job]:
@@ -225,46 +208,19 @@ class JobManager:
             outcome = runner.run(job.spec)
             job.results = _result_rows(outcome)
             job.manifest_path = outcome.manifest_path
-            job.state = DONE
+            state = DONE
         except SweepIncompleteError as exc:
             job.error = str(exc)
-            job.state = INCOMPLETE
+            state = INCOMPLETE
         except Exception as exc:  # surfaced via status, never raised
             job.error = f"{type(exc).__name__}: {exc}"
-            job.state = ERROR
+            state = ERROR
         finally:
-            job.finished = time.time()
             job._runner = None
+            job.finished = time.time()
             store.close()
-
-    # -- streaming (event loop) -----------------------------------------
-    async def _pump(self, job: Job, tail_from: int = 0) -> None:
-        """Bridge the event log and counters into the job's hub.
-
-        Tails ``events.jsonl`` from the moment of submission (filtered
-        to this job's run_id — the file is shared by every run in the
-        directory) and snapshots telemetry whenever progress moved.
-        One pump per job, any number of hub subscribers.
-        """
-        tailer = EventTailer(self.events_path, offset=tail_from,
-                             run_id=job.run_id)
-        job.hub.publish(_telemetry_message(job))
-        last_done = job.done
-        while True:
-            for record in tailer.poll():
-                job.hub.publish({"type": "event", "record": record})
-            if job.done != last_done:
-                last_done = job.done
-                job.hub.publish(_telemetry_message(job))
-            if job.state in TERMINAL_STATES:
-                # One final poll: the runner wrote run_end before the
-                # state flipped, but possibly after our last read.
-                for record in tailer.poll():
-                    job.hub.publish({"type": "event", "record": record})
-                job.hub.publish(_telemetry_message(job))
-                job.hub.close({"type": "job", **job.status()})
-                return
-            await asyncio.sleep(PUMP_INTERVAL)
+        # Last: whoever sees a terminal state sees the whole job.
+        job.state = state
 
     # -- queries --------------------------------------------------------
     def query_results(self, key: Optional[str] = None,
@@ -297,12 +253,6 @@ class JobManager:
         pending = [f for f in self._futures.values() if not f.done()]
         if pending:
             await asyncio.wait(pending, timeout=grace)
-        for task in self._pumps.values():
-            if not task.done():
-                try:
-                    await asyncio.wait_for(task, timeout=2.0)
-                except asyncio.TimeoutError:
-                    task.cancel()
         self._executor.shutdown(wait=False)
         unfinished = [j.run_id for j in self._jobs.values()
                       if j.state not in TERMINAL_STATES]
@@ -310,16 +260,6 @@ class JobManager:
 
     def close(self) -> None:
         self.store.close()
-
-
-def _telemetry_message(job: Job) -> Dict[str, Any]:
-    snapshot = job.telemetry.record(label=job.done)
-    return {
-        "type": "telemetry",
-        "job": job.run_id,
-        "label": snapshot.label,
-        "values": dict(snapshot.values),
-    }
 
 
 def _result_rows(outcome: SweepResult) -> List[Dict[str, Any]]:

@@ -733,6 +733,37 @@ class TestEventTailing:
         # ...so completing it yields the whole record, exactly once.
         assert [r["event"] for r in records] == ["torn"]
 
+    def test_tail_events_reads_a_chunk_at_a_time(self, tmp_path,
+                                                 monkeypatch):
+        from repro.obs import log as obs_log
+
+        monkeypatch.setattr(obs_log, "TAIL_CHUNK", 200)
+        path = str(tmp_path / "events.jsonl")
+        lines = [json.dumps({"event": f"e{n}", "pad": "x" * 40})
+                 for n in range(31)]
+        self._write(path, *lines)
+        width = len(lines[0]) + 1
+        records, offset = obs_log.tail_events(path)
+        # Whole lines, up to the first line end at or past the chunk.
+        assert offset == -(-200 // width) * width
+        assert [r["event"] for r in records] == [
+            f"e{n}" for n in range(offset // width)]
+        tailer = obs_log.EventTailer(path)
+        seen, polls = tailer.poll(), 1
+        while tailer.behind:
+            seen += tailer.poll()
+            polls += 1
+        assert [r["event"] for r in seen] == [f"e{n}" for n in range(31)]
+        assert polls == -(-31 // (offset // width))
+        assert read_events(path) == seen
+        # Following catches up chunk by chunk without waiting between.
+        assert list(read_events(path, follow=True, poll_interval=60,
+                                stop=lambda: True)) == seen
+        # A line longer than the chunk is read whole, in one poll.
+        self._write(path, json.dumps({"event": "long", "pad": "y" * 999}))
+        assert [r["event"] for r in tailer.poll()] == ["long"]
+        assert tailer.offset == os.path.getsize(path)
+
     def test_missing_file_yields_nothing(self, tmp_path):
         from repro.obs.log import EventTailer, tail_events
 

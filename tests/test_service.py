@@ -2,13 +2,14 @@
 
 Three layers, matching the module split:
 
-- protocol units (HTTP parsing, auth, hub backpressure) — no sockets,
-  no event loop where avoidable;
+- protocol units (HTTP parsing, auth) and the job manager — no
+  sockets, no event loop where avoidable;
 - a live server on an ephemeral port driven by the real
   :class:`repro.client.ServiceClient` over real TCP;
-- the ISSUE acceptance criteria: concurrent identical submits share
-  one execution and one store write per point, every stream sees
-  run_start + ≥1 telemetry + run_end, and a drained job resumes
+- the service's contracts: concurrent identical submits share one
+  execution and one store write per point, every stream, however late
+  it is opened, carries hello, ≥1 telemetry, the run's records from
+  run_start to run_end and the job's status, and a drained job resumes
   bit-identically.
 """
 
@@ -29,8 +30,8 @@ import pytest
 from repro.client import ServiceClient, ServiceError
 from repro.experiments import SweepRunner, SweepSpec
 from repro.experiments.registry import _STUDIES, register_study
-from repro.service import SweepService, TokenAuth
-from repro.service.hub import CLOSE, Hub
+from repro.obs import log as obs_log
+from repro.service import SweepService, TokenAuth, jobs
 from repro.service.http import HTTPError, read_request
 
 TINY_PAYLOAD = {
@@ -109,60 +110,6 @@ class TestHTTPParsing:
 
 
 # ----------------------------------------------------------------------
-# Hub backpressure
-# ----------------------------------------------------------------------
-class TestHub:
-    def test_backlog_replays_to_late_subscriber(self):
-        async def go():
-            hub = Hub(asyncio.get_running_loop())
-            hub.publish({"n": 0})
-            hub.publish({"n": 1})
-            sub = hub.subscribe()
-            assert await sub.queue.get() == {"n": 0}
-            assert await sub.queue.get() == {"n": 1}
-
-        asyncio.run(go())
-
-    def test_slow_subscriber_dropped_not_blocking(self):
-        async def go():
-            hub = Hub(asyncio.get_running_loop(),
-                      backlog=4, queue_size=4)
-            slow = hub.subscribe()
-            for i in range(10):
-                hub.publish({"n": i})
-            assert slow.dropped
-            assert hub.drops == 1
-            # The stale buffer was cleared: CLOSE arrives immediately.
-            assert await slow.queue.get() is CLOSE
-            # A fresh subscriber (queue > backlog, the real config)
-            # still works; publish never raised.
-            hub._queue_size = 8
-            fresh = hub.subscribe()
-            hub.publish({"n": 10})
-            for __ in range(4):  # replayed (bounded) backlog first
-                await fresh.queue.get()
-            assert await fresh.queue.get() == {"n": 10}
-
-        asyncio.run(go())
-
-    def test_close_publishes_terminal_then_sentinel(self):
-        async def go():
-            hub = Hub(asyncio.get_running_loop())
-            sub = hub.subscribe()
-            hub.close({"type": "job", "state": "done"})
-            assert await sub.queue.get() == \
-                {"type": "job", "state": "done"}
-            assert await sub.queue.get() is CLOSE
-            # Late subscribers of a closed hub get history + CLOSE.
-            late = hub.subscribe()
-            assert await late.queue.get() == \
-                {"type": "job", "state": "done"}
-            assert await late.queue.get() is CLOSE
-
-        asyncio.run(go())
-
-
-# ----------------------------------------------------------------------
 # Live server fixtures
 # ----------------------------------------------------------------------
 @contextmanager
@@ -173,20 +120,16 @@ def live_service(directory, **kwargs):
     box = {}
 
     async def main():
+        box["loop"] = asyncio.get_running_loop()
         box["port"] = await service.start()
         started.set()
         await service._stop.wait()
         await service.shutdown()
 
-    def run():
-        loop = asyncio.new_event_loop()
-        box["loop"] = loop
-        try:
-            loop.run_until_complete(main())
-        finally:
-            loop.close()
-
-    thread = threading.Thread(target=run, daemon=True)
+    # asyncio.run, as under ``repro serve``: connections still open
+    # when the service returns are cancelled, which closes them.
+    thread = threading.Thread(target=asyncio.run, args=(main(),),
+                              daemon=True)
     thread.start()
     assert started.wait(10), "service failed to start"
     try:
@@ -212,6 +155,76 @@ def sleepy_study(name="service_sleepy"):
         yield name
     finally:
         _STUDIES.pop(name, None)
+
+
+def _broken_point(params):
+    raise RuntimeError(f"broken point {params['n']}")
+
+
+@contextmanager
+def broken_study(name="service_broken"):
+    register_study(name, "always raises; lets tests fail a job",
+                   defaults={"n": 0})(_broken_point)
+    try:
+        yield name
+    finally:
+        _STUDIES.pop(name, None)
+
+
+class TestJobManager:
+    def test_a_job_turns_terminal_last(self, tmp_path, monkeypatch):
+        """Whoever sees a done, error or incomplete job sees its
+        ``finished`` time, its runner released and its error."""
+        seen = []
+
+        class RecordingJob(jobs.Job):
+            def __setattr__(self, name, value):
+                if name == "state":
+                    seen.append((self.run_id, value,
+                                 getattr(self, "finished", None),
+                                 getattr(self, "_runner", None),
+                                 getattr(self, "error", None)))
+                super().__setattr__(name, value)
+
+        monkeypatch.setattr(jobs, "Job", RecordingJob)
+
+        async def settle(job):
+            while job.state not in jobs.TERMINAL_STATES:
+                await asyncio.sleep(0.01)
+
+        async def run_three(done_payload, error_payload, stop_payload):
+            manager = jobs.JobManager(str(tmp_path / "svc"))
+            try:
+                done, __ = manager.submit(done_payload)
+                failed, __ = manager.submit(error_payload)
+                await settle(done)
+                await settle(failed)
+                stopped, __ = manager.submit(stop_payload)
+                while stopped.done < 1:
+                    await asyncio.sleep(0.01)
+                await manager.drain()
+            finally:
+                manager.close()
+            return done, failed, stopped
+
+        with sleepy_study() as sleepy, broken_study() as broken:
+            done, failed, stopped = asyncio.run(asyncio.wait_for(
+                run_three(TINY_PAYLOAD,
+                          {"study": broken, "grid": {"n": [1]}},
+                          {"study": sleepy, "grid": {
+                              "duration": [0.2, 0.2001, 0.2002, 0.2003]}}),
+                timeout=60))
+        assert (done.state, failed.state, stopped.state) == (
+            "done", "error", "incomplete")
+        terminal = [entry for entry in seen
+                    if entry[1] in jobs.TERMINAL_STATES]
+        assert sorted((run_id, state) for run_id, state, *__ in terminal) \
+            == sorted((job.run_id, job.state)
+                      for job in (done, failed, stopped))
+        for run_id, state, finished, runner, error in terminal:
+            assert finished is not None, (run_id, state)
+            assert runner is None, (run_id, state)
+            assert (error is None) == (state == "done"), (state, error)
 
 
 class TestLiveService:
@@ -445,6 +458,35 @@ class TestLiveService:
             assert rows == {r.point.key: r.metrics
                             for r in oracle.results}
 
+    def test_stop_ends_jobs_before_waiting_for_open_streams(self, tmp_path):
+        """A stop that arrives while a client streams a running job
+        stops the job at its next point boundary, then the stream ends
+        with the ``incomplete`` job and the service exits."""
+        with sleepy_study() as study:
+            payload = {"study": study, "grid": {
+                "duration": [0.5 + n / 1e4 for n in range(6)]}}
+            with live_service(tmp_path / "svc") as (port, service):
+                client = ServiceClient(f"http://127.0.0.1:{port}")
+                job_id = client.submit(payload)["job"]
+                sock = _open_stream(port, job_id)
+                data = _read_until(sock, b'"hello"')
+                deadline = time.monotonic() + 30
+                while client.status(job_id)["done"] < 1:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.02)
+                # Context exit stops the service with the stream open.
+            try:
+                data = _read_to_close(sock, data)
+            finally:
+                sock.close()
+        final = service.manager.get(job_id)
+        assert final.state == "incomplete"
+        assert 1 <= final.done < 6
+        messages = _events(data.partition(b"\r\n\r\n")[2].decode())
+        assert messages[0]["type"] == "hello"
+        assert messages[-1]["type"] == "job"
+        assert messages[-1]["state"] == "incomplete"
+
     def test_drain_rejects_new_submits(self, tmp_path):
         with sleepy_study() as study:
             with live_service(tmp_path / "svc") as (port, service):
@@ -513,6 +555,33 @@ def _logged(directory, event):
     with open(directory / "events.jsonl") as handle:
         return [record for record in map(json.loads, handle)
                 if record["event"] == event]
+
+
+def _run_records(directory, run_id):
+    """A run's records as ``events.jsonl`` holds them, in file order."""
+    with open(directory / "events.jsonl") as handle:
+        return [record for record in map(json.loads, handle)
+                if record["run_id"] == run_id]
+
+
+def _streams(service):
+    """How many stream handlers are running on the service's loop."""
+    return _on_loop(service, lambda: sum(
+        task.get_coro().__qualname__ == "SweepService._stream"
+        for task in asyncio.all_tasks()))
+
+
+def _big_caches_job(points):
+    """A ``caches`` job of ``points`` short points (seeds 0..points-1)."""
+    return {"study": "caches", "base": {"length": 200},
+            "grid": {"seed": list(range(points))}}
+
+
+def _stream_parts(messages):
+    """``(types, records)`` of a stream's messages."""
+    return ([message["type"] for message in messages],
+            [message["record"] for message in messages
+             if message["type"] == "event"])
 
 
 class TestEventStream:
@@ -585,53 +654,170 @@ class TestEventStream:
             assert err.value.status == 404
             client.wait(job_id, timeout=60)
 
-    def test_subscriber_that_falls_behind_gets_dropped_not_job(
+    def test_stream_opened_after_the_job_carries_the_whole_run(
             self, tmp_path):
-        """A subscriber whose queue overflows gets one ``dropped``
-        message and no ``job``; the run goes on undisturbed."""
+        """A stream opened after a 400-point job finished carries all
+        802 of its records, ``run_start`` first and ``run_end`` last,
+        then the job's status."""
         directory = tmp_path / "svc"
+        with live_service(directory) as (port, __):
+            client = ServiceClient(f"http://127.0.0.1:{port}")
+            job_id = client.submit(_big_caches_job(400))["job"]
+            assert client.wait(job_id, timeout=120)["state"] == "done"
+            types, records = _stream_parts(list(client.stream(job_id)))
+        assert len(records) == 802
+        assert records == _run_records(directory, job_id)
+        assert records[0]["event"] == "run_start"
+        assert records[-1]["event"] == "run_end"
+        assert types[0] == "hello" and types[-1] == "job"
+        assert types[-2] == "event" and "telemetry" in types
+
+    def test_consumer_that_reads_nothing_until_the_end_gets_everything(
+            self, tmp_path):
+        """A raw consumer that reads nothing while its job runs holds
+        the run back not at all, and then gets every record and the
+        terminal ``job``."""
+        directory = tmp_path / "svc"
+        with live_service(directory) as (port, __):
+            client = ServiceClient(f"http://127.0.0.1:{port}")
+            job_id = client.submit(_big_caches_job(300))["job"]
+            sock = socket.socket()
+            # A small receive window: the server's writes back up.
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.settimeout(60)
+            sock.connect(("127.0.0.1", port))
+            sock.sendall(f"GET /v1/jobs/{job_id}/events HTTP/1.1\r\n"
+                         f"Host: 127.0.0.1\r\n\r\n".encode())
+            try:
+                status = client.wait(job_id, timeout=120)
+                data = _read_to_close(sock)
+            finally:
+                sock.close()
+        assert status["state"] == "done" and status["done"] == 300
+        head, __, body = data.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200 ")
+        messages = _events(body.decode())
+        types, records = _stream_parts(messages)
+        assert records == _run_records(directory, job_id)
+        assert len(records) == 602
+        assert types[0] == "hello" and types[-1] == "job"
+        assert messages[-1]["state"] == "done"
+
+    def test_small_chunks_still_carry_every_record_in_order(
+            self, tmp_path, monkeypatch):
+        """With the log read ~1 KB at a time, a late stream and
+        ``read_events`` still return every record of the run, in
+        order."""
+        monkeypatch.setattr(obs_log, "TAIL_CHUNK", 1024)
+        directory = tmp_path / "svc"
+        with live_service(directory) as (port, __):
+            client = ServiceClient(f"http://127.0.0.1:{port}")
+            job_id = client.submit(_big_caches_job(40))["job"]
+            assert client.wait(job_id, timeout=120)["state"] == "done"
+            types, records = _stream_parts(list(client.stream(job_id)))
+        expected = _run_records(directory, job_id)
+        assert len(expected) == 82
+        assert records == expected
+        assert types[-1] == "job"
+        assert obs_log.read_events(str(directory / "events.jsonl"),
+                                   run_id=job_id) == expected
+        everything = obs_log.read_events(str(directory / "events.jsonl"))
+        with open(directory / "events.jsonl") as handle:
+            assert everything == [json.loads(line) for line in handle]
+
+    def test_catching_up_yields_to_the_loop_between_polls(
+            self, tmp_path, monkeypatch):
+        """A late stream that has many chunks of other runs' records to
+        read lets the event loop run between any two of its polls."""
+        monkeypatch.setattr(obs_log, "TAIL_CHUNK", 1024)
+        directory = tmp_path / "svc"
+        events_path = str(directory / "events.jsonl")
+        real_tail = obs_log.tail_events
+        ticks = []
+
+        with live_service(directory) as (port, service):
+            client = ServiceClient(f"http://127.0.0.1:{port}")
+            job_id = client.submit(_big_caches_job(4))["job"]
+            assert client.wait(job_id, timeout=60)["state"] == "done"
+            other = obs_log.EventLog(path=events_path, run_id="other-run")
+            for n in range(100):
+                other.info("filler", n=n, pad="x" * 200)
+            loop = service.manager._loop
+            ran = [False]
+
+            def tail(path, *args, **kwargs):
+                if path == events_path:
+                    # Did the loop run anything since the last poll?
+                    ticks.append(ran[0])
+                    ran[0] = False
+                    loop.call_soon(ran.__setitem__, 0, True)
+                return real_tail(path, *args, **kwargs)
+
+            monkeypatch.setattr(obs_log, "tail_events", tail)
+            types, records = _stream_parts(list(client.stream(job_id)))
+        assert records == _run_records(directory, job_id)
+        assert types[-1] == "job"
+        assert len(ticks) > 20
+        assert all(ticks[1:])
+
+    def test_torn_final_line_is_polled_at_the_interval(
+            self, tmp_path, monkeypatch):
+        """A torn last line in ``events.jsonl`` is retried once per
+        poll interval, not in a busy loop; once whole, the stream
+        carries it, and it still ends with ``job``."""
+        directory = tmp_path / "svc"
+        events_path = str(directory / "events.jsonl")
+        polls = []
+        real_tail = obs_log.tail_events
+
+        def counting_tail(path, *args, **kwargs):
+            if path == events_path:
+                polls.append(time.monotonic())
+            return real_tail(path, *args, **kwargs)
+
+        monkeypatch.setattr(obs_log, "tail_events", counting_tail)
         with sleepy_study() as study:
-            with live_service(directory) as (port, service):
-                client = ServiceClient(f"http://127.0.0.1:{port}")
-                job_id = client.submit(
-                    {"study": study, "grid": {"duration": [1.0]}})["job"]
-                job = service.manager.get(job_id)
-                # A hub with room for eight queued messages.
-                _on_loop(service, lambda: setattr(
-                    job, "hub", Hub(service.manager._loop,
-                                    backlog=4, queue_size=8)))
-                sock = _open_stream(port, job_id)
-                try:
-                    data = _read_until(sock, b'"hello"')
-                    # Nine messages in one loop callback: the stream
-                    # handler cannot take any before the queue is full.
-                    _on_loop(service, lambda: [
-                        job.hub.publish({"type": "event", "record": {
-                            "event": "burst", "n": n}})
-                        for n in range(9)])
-                    data = _read_to_close(sock, data)
-                finally:
-                    sock.close()
-                head, __, body = data.partition(b"\r\n\r\n")
-                assert head.startswith(b"HTTP/1.1 200 ")
-                types = [message["type"]
-                         for message in _events(body.decode())]
-                assert types[0] == "hello"
-                assert types[-1] == "dropped"
-                assert "job" not in types
-                assert job.hub.drops == 1
-                assert client.wait(job_id, timeout=60)["state"] == "done"
-                # A subscriber that keeps up still gets the terminal job.
-                assert [m["type"] for m in client.stream(job_id)][-1] \
-                    == "job"
-        assert [record["payload"]["job"] for record in
-                _logged(directory, "stream_dropped")] == [job_id]
+            with live_service(directory) as (port, __):
+                url = f"http://127.0.0.1:{port}"
+                job_id = ServiceClient(url).submit(
+                    {"study": study, "grid": {"duration": [2.0]}})["job"]
+                point_started = threading.Event()
+
+                def follow():
+                    messages = []
+                    for message in ServiceClient(url).stream(job_id):
+                        messages.append(message)
+                        if message["type"] == "event" and message[
+                                "record"]["event"] == "worker_heartbeat":
+                            point_started.set()
+                    return messages
+
+                with concurrent.futures.ThreadPoolExecutor(1) as pool:
+                    stream = pool.submit(follow)
+                    # The job writes nothing more until its point ends.
+                    assert point_started.wait(10)
+                    line = json.dumps({
+                        "event": "torn_then_whole", "level": "info",
+                        "payload": {}, "run_id": job_id, "ts": 0.0})
+                    with open(events_path, "a") as handle:
+                        handle.write(line[:20])
+                    torn_at = time.monotonic()
+                    time.sleep(0.5)
+                    with open(events_path, "a") as handle:
+                        handle.write(line[20:] + "\n")
+                    messages = stream.result(timeout=60)
+        window = [t for t in polls if torn_at <= t < torn_at + 0.5]
+        assert 3 <= len(window) <= 15, len(window)
+        types, records = _stream_parts(messages)
+        assert "torn_then_whole" in [r["event"] for r in records]
+        assert records == _run_records(directory, job_id)
+        assert types[-1] == "job" and messages[-1]["state"] == "done"
 
     def test_client_vanishing_mid_stream_is_released_at_once(
             self, tmp_path):
-        """A client that hangs up right after ``hello`` leaves the hub
-        while the job's only point runs, when nothing is published that
-        a handler could fail to write; another subscriber still gets
+        """A client that hangs up right after ``hello`` has its stream
+        stopped while the job's only point runs, when nothing is logged
+        that a handler could fail to write; another stream still gets
         the terminal ``job`` message."""
         directory = tmp_path / "svc"
         with sleepy_study() as study:
@@ -653,17 +839,17 @@ class TestEventStream:
 
                 with concurrent.futures.ThreadPoolExecutor(1) as pool:
                     second = pool.submit(follow)
-                    # From here until the point ends, the job publishes
+                    # From here until the point ends, the job logs
                     # nothing.
                     assert point_started.wait(10)
                     sock = _open_stream(port, job_id)
                     try:
                         _read_until(sock, b'"hello"')
-                        assert len(job.hub._subs) == 2
+                        assert _streams(service) == 2
                     finally:
                         sock.close()
                     deadline = time.monotonic() + 1.0
-                    while len(job.hub._subs) > 1:
+                    while _streams(service) > 1:
                         assert time.monotonic() < deadline, \
                             "hang-up not noticed"
                         time.sleep(0.01)
