@@ -15,18 +15,20 @@
    a store), then replies once per batch with each point's key,
    metrics and elapsed time.  When a worker's exit sentinel fires, its
    batch goes back on the queue for a survivor, which skips the points
-   already stored.
+   already stored, at most :data:`MAX_BATCH_ATTEMPTS` times in all.
 3. **Resume** — :meth:`SweepRunner.resume` reads the spec back from the
    run's manifest, checks its spec hash and plans again against the
    store, so whatever the stopped or killed run stored comes back as
    cache hits and the resumed sweep is bit-identical to an
    uninterrupted one.
 
-Both executors share :meth:`SweepRunner.request_stop`, the per-point
-timeout and retry settings (:class:`RunSettings`), the event log, the
-spans and the provenance manifest.  Results come back in spec order
-whichever executor ran them, so parallel and serial sweeps are
-bit-identical (differential-tested).
+Both executors share :meth:`SweepRunner.request_stop`, the event log,
+the spans and the provenance manifest, and they fail alike: each point
+runs once, and a point whose study raises ends the run with the
+:class:`PointExecutionError` that names it (a study is a deterministic
+function of its parameters, so a second attempt would raise again).
+Results come back in spec order whichever executor ran them, so
+parallel and serial sweeps are bit-identical (differential-tested).
 
 Observability: every run carries a ``run_id``; store-backed runs append
 to ``events.jsonl`` and rewrite their manifest at the end with each
@@ -48,14 +50,12 @@ import signal
 import threading
 import time
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import (
     Any,
     Callable,
     Dict,
     Iterable,
-    Iterator,
     List,
     Optional,
     Tuple,
@@ -85,6 +85,11 @@ EVENTS_NAME = "events.jsonl"
 #: tests and CI's resume-smoke, without racing on pids.
 FAULT_ENV = "REPRO_FABRIC_FAULT"
 FAULT_MARKER = ".fault-fired"
+
+#: Times a batch goes out to worker processes before a run gives it up:
+#: each worker death that strands it re-queues it, so a batch that
+#: kills every worker it reaches still ends the run.
+MAX_BATCH_ATTEMPTS = 3
 
 
 class PointExecutionError(RuntimeError):
@@ -175,92 +180,6 @@ def execute_point(
     except Exception as exc:
         raise PointExecutionError.wrap(point, exc) from exc
     return point.key, metric_set, time.perf_counter() - started
-
-
-@dataclass(frozen=True)
-class RunSettings:
-    """Timeout and retry knobs, shared by both executors and pickled to
-    every worker process."""
-
-    max_batch_attempts: int = 3
-    point_timeout: Optional[float] = None
-    point_retries: int = 1
-    log_level: str = "info"
-
-
-class _PointTimeout(Exception):
-    pass
-
-
-@contextmanager
-def _alarm(seconds: Optional[float]) -> Iterator[None]:
-    """Raise ``_PointTimeout`` after ``seconds`` of wall clock.
-
-    SIGALRM-based, so it only arms in a main thread on POSIX; elsewhere
-    (the sweep service runs jobs in threads) the timeout is advisory
-    rather than wrong.
-    """
-    if (
-        not seconds
-        or not hasattr(signal, "SIGALRM")
-        or threading.current_thread() is not threading.main_thread()
-    ):
-        yield
-        return
-
-    def _handler(signum, frame):
-        raise _PointTimeout()
-
-    old = signal.signal(signal.SIGALRM, _handler)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, old)
-
-
-def _execute_with_retry(point: ExperimentPoint, settings: RunSettings,
-                        log: Optional[EventLog],
-                        **where: Any) -> Tuple[MetricSet, float]:
-    """One point under the per-point timeout and bounded retries.
-
-    ``where`` (batch, owner) tags the retry and error events of worker
-    processes.
-    """
-    attempt = 0
-    while True:
-        try:
-            with _alarm(settings.point_timeout):
-                __, metric_set, elapsed = execute_point(point)
-            return metric_set, elapsed
-        except (_PointTimeout, PointExecutionError) as exc:
-            attempt += 1
-            # The alarm usually fires *inside* execute_point, which
-            # wraps every study exception — look through to the cause
-            # so timeouts are classified (and messaged) as timeouts.
-            timed_out = (isinstance(exc, _PointTimeout)
-                         or isinstance(exc.__cause__, _PointTimeout))
-            reason = "timeout" if timed_out else "error"
-            if attempt <= settings.point_retries:
-                if log is not None:
-                    log.warning("point_retry", key=point.key,
-                                attempt=attempt, reason=reason,
-                                error=str(exc), **where)
-                continue
-            if log is not None:
-                log.error("point_error", key=point.key, study=point.study,
-                          params=point.as_dict(), reason=reason,
-                          attempts=attempt, error=str(exc),
-                          worker=os.getpid(), **where)
-            if timed_out:
-                raise PointExecutionError(
-                    f"point {point.key} timed out after "
-                    f"{settings.point_timeout}s x{attempt} attempts",
-                    key=point.key, study=point.study,
-                    params=point.as_dict(),
-                ) from exc
-            raise
 
 
 def _maybe_fault(directory: str) -> None:
@@ -354,12 +273,21 @@ class SweepResult:
 
 def _run_point(point: ExperimentPoint,
                store: Optional[ShardedResultStore],
-               log: Optional[EventLog], settings: RunSettings,
-               **where: Any) -> PointResult:
-    """Execute, store and log one point — the step both executors share."""
+               log: Optional[EventLog], **where: Any) -> PointResult:
+    """Execute, store and log one point — the step both executors share.
+
+    A point that raises is logged once (``point_error``; ``where``, the
+    batch and owner, tags a worker process's) and re-raised.
+    """
     _t = TRACER.begin()
-    metric_set, elapsed = _execute_with_retry(point, settings, log,
-                                              **where)
+    try:
+        __, metric_set, elapsed = execute_point(point)
+    except PointExecutionError as exc:
+        if log is not None:
+            log.error("point_error", key=point.key, study=point.study,
+                      params=point.as_dict(), error=str(exc),
+                      worker=os.getpid(), **where)
+        raise
     if _t is not None:
         TRACER.end(_t, "sweep.execute", key=point.key,
                    study=point.study, worker=os.getpid())
@@ -382,14 +310,14 @@ def _run_point(point: ExperimentPoint,
 
 def _run_batch(points: List[ExperimentPoint], attempt: int,
                store: Optional[ShardedResultStore],
-               log: Optional[EventLog], settings: RunSettings,
-               **where: Any
+               log: Optional[EventLog], **where: Any
                ) -> Tuple[List[Tuple[str, Dict[str, Any], float]],
-                          Optional[str]]:
+                          Optional[Exception]]:
     """One batch in a worker process: ``(results, error)``.
 
     ``results`` holds a ``(key, metrics, elapsed)`` triple per finished
-    point; ``error`` is ``None``, or what ended the batch early.
+    point; ``error`` is ``None``, or the exception that ended the batch
+    early (the parent raises it).
     """
     results: List[Tuple[str, Dict[str, Any], float]] = []
     try:
@@ -405,22 +333,22 @@ def _run_batch(points: List[ExperimentPoint], attempt: int,
             if attempt > 1 and log is not None:
                 log.warning("point_retry", key=point.key, attempt=attempt,
                             reason="lease re-run", **where)
-            result = _run_point(point, store, log, settings, **where)
+            result = _run_point(point, store, log, **where)
             results.append((point.key, result.metrics, result.elapsed))
     except Exception as exc:
-        error = f"{type(exc).__name__}: {exc}"
         if log is not None:
-            log.error("batch_failed", attempts=attempt, error=error,
-                      **where)
-        return results, error
+            log.error("batch_failed", attempts=attempt,
+                      error=f"{type(exc).__name__}: {exc}", **where)
+        return results, exc
     if log is not None:
         log.info("batch_done", attempts=attempt, **where)
     return results, None
 
 
 def _worker_main(conn: Any, parent_end: Any, directory: Optional[str],
-                 shards: int, run_id: str, tag: str, settings: RunSettings,
-                 log_path: Optional[str], traced: bool) -> None:
+                 shards: int, run_id: str, tag: str,
+                 log_path: Optional[str], log_level: str,
+                 traced: bool) -> None:
     """Entry point of a worker process: run each batch the parent sends.
 
     A batch arrives as ``(batch_id, attempt, points)``; ``None`` ends
@@ -441,12 +369,11 @@ def _worker_main(conn: Any, parent_end: Any, directory: Optional[str],
              if directory is not None else None)
     log = None
     if log_path is not None:
-        log = EventLog(path=log_path, run_id=run_id,
-                       level=settings.log_level)
+        log = EventLog(path=log_path, run_id=run_id, level=log_level)
     try:
         for batch_id, attempt, points in iter(conn.recv, None):
             results, error = _run_batch(points, attempt, store, log,
-                                        settings, batch=batch_id, owner=tag)
+                                        batch=batch_id, owner=tag)
             conn.send((results, TRACER.drain() if traced else None, error))
     except (EOFError, ConnectionError):
         pass  # the parent is gone: nobody waits for a reply
@@ -515,9 +442,14 @@ class SweepRunner:
         in the manifest so stored results can name their trace file.
     batch_size:
         Points per worker batch; default about four batches per worker.
-    max_batch_attempts / point_timeout / point_retries:
-        See :class:`RunSettings`.  The point timeout and retries apply
-        to both executors; batch attempts only to worker processes.
+
+    Each pending point runs once.  If its study raises, the run ends
+    with the :class:`PointExecutionError` that names it, on either
+    executor (worker processes still busy are terminated), and the
+    points finished before it stay stored.  Only a worker's death runs
+    anything again: its batch goes to a survivor, up to
+    :data:`MAX_BATCH_ATTEMPTS` times, after which the run raises
+    :class:`SweepIncompleteError`.
     """
 
     def __init__(
@@ -529,9 +461,6 @@ class SweepRunner:
         run_id: Optional[str] = None,
         trace_path: Optional[str] = None,
         batch_size: Optional[int] = None,
-        max_batch_attempts: int = 3,
-        point_timeout: Optional[float] = None,
-        point_retries: int = 1,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -545,12 +474,6 @@ class SweepRunner:
         self.run_id = run_id or new_run_id()
         self.trace_path = trace_path
         self.batch_size = batch_size
-        self.settings = RunSettings(
-            max_batch_attempts=max_batch_attempts,
-            point_timeout=point_timeout,
-            point_retries=point_retries,
-            log_level=log.level if log is not None else "info",
-        )
         if log is None and store is not None:
             log = EventLog(path=self._events_path(), run_id=self.run_id)
         elif log is not None:
@@ -734,8 +657,7 @@ class SweepRunner:
             if self.log is not None:
                 self.log.info("worker_heartbeat", worker=os.getpid(),
                               key=point.key, point=point.describe())
-            deliver(_run_point(point, self.store, self.log,
-                               self.settings))
+            deliver(_run_point(point, self.store, self.log))
 
     # -- workers>1 ------------------------------------------------------
     def _run_processes(self, waiting: Dict[str, ExperimentPoint],
@@ -746,11 +668,12 @@ class SweepRunner:
         This process is their only coordinator: it cuts the pending
         points into batches, holds the queue and each batch's attempts,
         sends a worker its next batch when the last one ends, and
-        re-queues the batch of a worker whose exit sentinel fires.
-        Returns the batch plan and counts for the manifest.
+        re-queues the batch of a worker whose exit sentinel fires.  An
+        error in a reply stops the workers, as :meth:`request_stop`
+        does, and is raised here.  Returns the batch plan and counts
+        for the manifest.
         """
         log = self.log
-        max_attempts = self.settings.max_batch_attempts
         batch_size = self.batch_size or _auto_batch_size(
             len(waiting), self.workers)
         queue = deque(plan_batches(waiting, batch_size))
@@ -758,6 +681,7 @@ class SweepRunner:
         attempts: Dict[str, int] = {}
         owner: Dict[str, str] = {}
         exhausted: List[Dict[str, str]] = []
+        failure: Optional[Exception] = None
         launched = time.time()
 
         def dispatch(worker: _Worker) -> None:
@@ -779,21 +703,9 @@ class SweepRunner:
             except OSError:
                 pass  # it has died: its sentinel re-queues the batch
 
-        def settle(worker: _Worker, error: Optional[str]) -> None:
-            batch, worker.batch = worker.batch, None
-            assert batch is not None  # a reply answers a dispatch
-            bid = batch.batch_id
-            if error is None:
-                state[bid] = "done"
-                return
-            state[bid] = "failed"
-            if attempts[bid] < max_attempts:
-                queue.append(batch)
-            else:
-                exhausted.append({"batch": bid, "error": error})
-
         def receive(worker: _Worker) -> bool:
             """Take a worker's batch reply; ``False`` once it is gone."""
+            nonlocal failure
             try:
                 results, spans, error = worker.conn.recv()
             except (EOFError, OSError):
@@ -805,7 +717,12 @@ class SweepRunner:
                 if point is not None:
                     deliver(PointResult(point=point, metrics=metrics,
                                         cached=False, elapsed=elapsed))
-            settle(worker, error)
+            batch, worker.batch = worker.batch, None
+            assert batch is not None  # a reply answers a dispatch
+            if error is None:
+                state[batch.batch_id] = "done"
+            elif failure is None:
+                failure = error
             return True
 
         def lose(worker: _Worker) -> None:
@@ -814,18 +731,25 @@ class SweepRunner:
                 pass
             worker.proc.join()
             code = worker.proc.exitcode
+            batch = worker.batch
             if log is not None:
                 log.error("worker_lost", run_id=self.run_id,
                           worker=worker.proc.pid, exitcode=code,
-                          batch=worker.batch and worker.batch.batch_id)
-            if worker.batch is not None:
-                settle(worker, f"worker {worker.proc.pid} lost "
-                               f"(exit code {code})")
+                          batch=batch and batch.batch_id)
+            if batch is None:
+                return
+            state[batch.batch_id] = "failed"
+            if attempts[batch.batch_id] < MAX_BATCH_ATTEMPTS:
+                queue.append(batch)
+            else:
+                exhausted.append({"batch": batch.batch_id, "error": (
+                    f"worker {worker.proc.pid} lost (exit code {code})")})
 
         store = self.store
         directory = store.directory if store is not None else None
         shards = store.shards if store is not None else 0
         log_path = log.path if log is not None else None
+        log_level = log.level if log is not None else "info"
         wake, waker = multiprocessing.Pipe(duplex=False)
         with self._wake_lock:
             self._wake = waker
@@ -839,14 +763,14 @@ class SweepRunner:
                 proc = multiprocessing.Process(
                     target=_worker_main,
                     args=(child, conn, directory, shards, self.run_id,
-                          tag, self.settings, log_path, TRACER.enabled),
+                          tag, log_path, log_level, TRACER.enabled),
                     daemon=True,
                 )
                 proc.start()
                 child.close()
                 workers.append(_Worker(proc, conn, tag))
             live = list(workers)
-            while live and not self._stop.is_set():
+            while live and failure is None and not self._stop.is_set():
                 for worker in live:
                     if worker.batch is None and queue:
                         dispatch(worker)
@@ -881,6 +805,8 @@ class SweepRunner:
                     worker.proc.terminate()
                 worker.proc.join(timeout=5.0)
                 worker.conn.close()
+        if failure is not None:
+            raise failure
         counts: Dict[str, int] = {}
         for batch_state in state.values():
             counts[batch_state] = counts.get(batch_state, 0) + 1
@@ -943,7 +869,7 @@ class SweepRunner:
             store_path=self.store.path,
             trace_path=self.trace_path,
             events_path=self._events_path(),
-            fabric={"max_batch_attempts": self.settings.max_batch_attempts,
+            fabric={"max_batch_attempts": MAX_BATCH_ATTEMPTS,
                     "resumed": resumed, **(plan or {})},
             resumed_from=self.run_id if resumed else None,
         )

@@ -87,6 +87,8 @@ class SweepService:
         self._server: Optional[asyncio.AbstractServer] = None
         self._stop: Optional[asyncio.Event] = None
         self._streams: Set[asyncio.Task] = set()
+        #: Connection handlers still waiting for their request.
+        self._unread: Set[asyncio.Task] = set()
 
     # -- lifecycle ------------------------------------------------------
     async def start(self) -> int:
@@ -158,15 +160,20 @@ class SweepService:
     async def shutdown(self) -> None:
         """Stop accepting, drain jobs, close everything.
 
-        Jobs are stopped before the open connections are waited for: a
-        job's stream stays open until the job ends, and since Python
-        3.12.1 ``Server.wait_closed`` waits for every connection.  The
-        streams get up to :data:`STREAM_GRACE` to send their jobs'
-        final status first, on every Python version.
+        Since Python 3.12.1 ``Server.wait_closed`` waits for every open
+        connection, so nothing may be left waiting on a client: the
+        connections still unread are closed with the listening socket,
+        and jobs stop before the wait, as a job's stream stays open
+        until the job ends.  The streams get up to :data:`STREAM_GRACE`
+        to send their jobs' final status first, on every Python version.
         """
         assert self.manager is not None and self.log is not None
         if self._server is not None:
             self._server.close()
+        for handler in self._unread:
+            handler.cancel()
+        if self._unread:
+            await asyncio.wait(self._unread)
         self.log.info("service_drain",
                       jobs=len(self.manager.jobs()))
         summary = await self.manager.drain(grace=self.drain_grace)
@@ -188,8 +195,24 @@ class SweepService:
     async def _handle_connection(
             self, reader: asyncio.StreamReader,
             writer: asyncio.StreamWriter) -> None:
+        assert self._stop is not None
+        if self._stop.is_set():
+            # Accepted as the stop came: close it without an await, so
+            # the loop's end cannot catch this handler mid-way.
+            writer.close()
+            return
+        handler = asyncio.current_task()
+        assert handler is not None
+        self._unread.add(handler)
         try:
-            request = await read_request(reader)
+            try:
+                request = await read_request(reader)
+            except asyncio.CancelledError:
+                # Shutdown closes the connections still unread; ending
+                # normally keeps 3.11 from logging the handler as failed.
+                return
+            finally:
+                self._unread.discard(handler)
             if request is None:
                 return
             await self._dispatch(request, reader, writer)

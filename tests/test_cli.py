@@ -484,6 +484,21 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "error:" in err and "suite=bogus" in err
 
+    def test_sweep_point_error_is_the_same_on_every_executor(self, capsys):
+        # One bad grid value: both executors stop at it, exit 2 and
+        # print the same line naming it.
+        argv = ["sweep", "caches", "--grid", "ratio=0.5,1.5", "--suites",
+                "office", "--length", "300", "--no-store"]
+        errors = []
+        for workers in ("1", "2"):
+            assert main(argv + ["--workers", workers]) == 2, workers
+            errors.append([line for line in
+                           capsys.readouterr().err.splitlines()
+                           if line.startswith("error:")])
+        assert errors[0] == errors[1]
+        (line,) = errors[1]
+        assert "ratio=1.5" in line and "SpecError" in line
+
     def test_sweep_unknown_study(self, capsys):
         assert main(["sweep", "bogus", "--suites", "office",
                      "--no-store"]) == 2

@@ -24,7 +24,11 @@ from repro.experiments import (
     SweepSpec,
 )
 from repro.experiments.registry import _STUDIES, register_study
-from repro.experiments.runner import FAULT_ENV, plan_batches
+from repro.experiments.runner import (
+    FAULT_ENV,
+    bind_spec_points,
+    plan_batches,
+)
 from repro.experiments.spec import ExperimentPoint
 from repro.fabric import ShardedResultStore, StoredResult
 from repro.obs.provenance import (
@@ -609,7 +613,7 @@ class TestFabricRunner:
 
 
 # ----------------------------------------------------------------------
-# Per-point timeout and bounded retry
+# Studies registered for one test (worker processes fork with them)
 # ----------------------------------------------------------------------
 def _sleepy_study(params):
     time.sleep(float(params["duration"]))
@@ -617,58 +621,60 @@ def _sleepy_study(params):
 
 
 @contextmanager
-def temporary_study(name):
-    register_study(name, "sleeps for the timeout tests",
-                   defaults={"duration": 30.0})(_sleepy_study)
+def temporary_study(name, run=_sleepy_study, defaults=None):
+    register_study(name, "registered for one test",
+                   defaults=defaults or {"duration": 30.0})(run)
     try:
         yield
     finally:
         _STUDIES.pop(name, None)
 
 
-class TestPointTimeout:
-    def test_timeout_retries_then_exhausts_batch(self, tmp_path):
-        with temporary_study("fabric_sleepy"):
-            spec = SweepSpec("fabric_sleepy",
-                             grid={"duration": [30.0]})
-            runner = SweepRunner(
-                str(tmp_path), workers=2, point_timeout=0.05,
-                point_retries=1, max_batch_attempts=1,
-            )
-            with pytest.raises(SweepIncompleteError) as excinfo:
-                runner.run(spec)
-        # The one batch is reported exhausted, by name.
-        assert [f["batch"] for f in excinfo.value.failed] == ["b0000"]
-        assert "exhausted ['b0000']" in str(excinfo.value)
-        retried = events_of(str(tmp_path), "point_retry")
-        assert any(e["payload"]["reason"] == "timeout" for e in retried)
-        errors = events_of(str(tmp_path), "point_error")
-        assert errors and errors[0]["payload"]["reason"] == "timeout"
-        failed = events_of(str(tmp_path), "batch_failed")
-        assert failed and "timed out" in failed[0]["payload"]["error"]
+def _failing_study(params):
+    """Appends ``x`` to the ``calls`` file on every call; ``x == 3``
+    always raises."""
+    with open(params["calls"], "a") as handle:
+        handle.write(f"{params['x']}\n")
+    if params["x"] == 3:
+        raise ValueError("x == 3 never works")
+    return {"x": params["x"]}
 
-    def test_in_process_timeout_names_the_point(self, tmp_path):
-        with temporary_study("fabric_sleepy"):
-            spec = SweepSpec("fabric_sleepy",
-                             grid={"duration": [30.0]})
-            runner = SweepRunner(str(tmp_path), workers=1,
-                                 point_timeout=0.05, point_retries=1)
-            with pytest.raises(PointExecutionError, match="timed out"):
-                runner.run(spec)
-        retried = events_of(str(tmp_path), "point_retry")
-        assert [e["payload"]["reason"] for e in retried] == ["timeout"]
-        (error,) = events_of(str(tmp_path), "point_error")
-        assert error["payload"]["reason"] == "timeout"
 
-    def test_fast_points_unaffected_by_timeout(self, tmp_path):
-        with temporary_study("fabric_sleepy"):
-            spec = SweepSpec("fabric_sleepy",
-                             grid={"duration": [0.0, 0.001]})
-            runner = SweepRunner(str(tmp_path), workers=1,
-                                 point_timeout=10.0)
-            outcome = runner.run(spec)
-        assert outcome.executed == 2
-        assert [r.metrics["slept"] for r in outcome] == [0.0, 0.001]
+def _deadly_study(params):
+    """``x == 0`` kills the worker process that runs it."""
+    if params["x"] == 0:
+        os._exit(3)
+    return {"x": params["x"]}
+
+
+class TestPointFailure:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failing_point_runs_once_and_ends_the_run(self, tmp_path,
+                                                      workers):
+        """A point whose study raises is not run again, on either
+        executor: the run raises the error naming it, and what finished
+        first stays stored."""
+        calls = tmp_path / "calls.txt"
+        directory = str(tmp_path / "store")
+        with temporary_study("fabric_failing", _failing_study,
+                             {"x": 0, "calls": ""}):
+            spec = SweepSpec("fabric_failing", base={"calls": str(calls)},
+                             grid={"x": list(range(8))})
+            points = bind_spec_points(spec)
+            runner = SweepRunner(directory, workers=workers, batch_size=2)
+            with pytest.raises(PointExecutionError) as excinfo:
+                runner.run(spec)
+        bad = points[3]
+        assert excinfo.value.key == bad.key
+        assert excinfo.value.params == bad.as_dict()
+        assert calls.read_text().split().count("3") == 1
+        keys = shard_keys(directory)
+        assert bad.key not in keys
+        assert sorted(keys) == sorted(set(keys))
+        if workers == 1:
+            assert sorted(keys) == sorted(p.key for p in points[:3])
+        assert len(events_of(directory, "point_error")) == 1
+        assert not events_of(directory, "point_retry")
 
 
 # ----------------------------------------------------------------------
@@ -689,6 +695,27 @@ class TestWorkerProcesses:
         assert kinds.count("point_done") == 4
         keys = shard_keys(str(tmp_path))
         assert sorted(keys) == sorted(set(keys)) and len(keys) == 4
+
+    def test_batch_that_kills_every_worker_is_given_up(self, tmp_path):
+        """A batch whose point kills each worker it reaches goes out
+        three times, then the run stops naming it, with every other
+        point stored."""
+        directory = str(tmp_path)
+        with temporary_study("fabric_deadly", _deadly_study, {"x": 0}):
+            spec = SweepSpec("fabric_deadly", grid={"x": list(range(6))})
+            deadly, *others = bind_spec_points(spec)
+            (batch,) = [b.batch_id for b in plan_batches(
+                [p.key for p in [deadly] + others], 1)
+                if deadly.key in b.keys]
+            runner = SweepRunner(directory, workers=3, batch_size=1)
+            with pytest.raises(SweepIncompleteError) as excinfo:
+                runner.run(spec)
+        assert [f["batch"] for f in excinfo.value.failed] == [batch]
+        assert f"exhausted ['{batch}']" in str(excinfo.value)
+        assert len(events_of(directory, "worker_lost")) == 3
+        assert len(events_of(directory, "lease_stolen")) == 2
+        assert sorted(shard_keys(directory)) == sorted(
+            p.key for p in others)
 
     @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
     def test_workers_exit_when_the_parent_is_killed(self, tmp_path):

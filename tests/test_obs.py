@@ -631,34 +631,40 @@ class TestRunnerObservability:
         assert load_manifest(second.manifest_path)["run_id"] == \
             second.run_id
 
+    @pytest.mark.parametrize("workers", [1, 2])
     def test_point_error_names_point_and_lands_in_event_log(
-            self, tmp_path):
-        """Satellite: a failing study must name the point's content
-        hash and parameters, and emit a structured point_error event."""
+            self, tmp_path, workers):
+        """A failing study must name the point's content hash and
+        parameters, and emit one structured point_error event: the same
+        error on either executor, the point run once."""
         from repro.experiments import (
             PointExecutionError,
             SweepRunner,
             SweepSpec,
         )
+        from repro.experiments.runner import bind_spec_points
 
         spec = SweepSpec(
             "caches",
             base={"length": 400, "seed": 0, "suite": "bogus"},
             grid={"ratio": [0.4]},
         )
+        (point,) = bind_spec_points(spec)
         with pytest.raises(PointExecutionError) as excinfo:
-            SweepRunner(store=str(tmp_path)).run(spec)
+            SweepRunner(store=str(tmp_path), workers=workers).run(spec)
         error = excinfo.value
         assert error.study == "caches"
-        assert error.key and len(error.key) == 20
+        assert error.key == point.key and len(error.key) == 20
         assert error.key in str(error)
         assert "suite=bogus" in str(error)
-        assert error.params["suite"] == "bogus"
-        events = read_events(str(tmp_path / "events.jsonl"),
-                             level="error")
-        (point_error,) = events
-        assert point_error["event"] == "point_error"
+        assert error.params == point.as_dict()
+        events = read_events(str(tmp_path / "events.jsonl"))
+        kinds = [event["event"] for event in events]
+        assert "point_retry" not in kinds and "lease_stolen" not in kinds
+        (point_error,) = [e for e in events if e["event"] == "point_error"]
+        assert point_error["level"] == "error"
         assert point_error["payload"]["key"] == error.key
+        assert point_error["payload"]["params"] == point.as_dict()
 
     def test_point_execution_error_survives_pickling(self):
         import pickle

@@ -17,6 +17,7 @@ import asyncio
 import concurrent.futures
 import http.client
 import json
+import logging
 import os
 import socket
 import subprocess
@@ -113,8 +114,9 @@ class TestHTTPParsing:
 # Live server fixtures
 # ----------------------------------------------------------------------
 @contextmanager
-def live_service(directory, **kwargs):
-    """A SweepService on an ephemeral port in a background thread."""
+def live_service(directory, drain_within=30.0, **kwargs):
+    """A SweepService on an ephemeral port in a background thread,
+    which must end within ``drain_within`` seconds of the stop."""
     service = SweepService(str(directory), port=0, quiet=True, **kwargs)
     started = threading.Event()
     box = {}
@@ -136,7 +138,7 @@ def live_service(directory, **kwargs):
         yield box["port"], service
     finally:
         box["loop"].call_soon_threadsafe(service.request_stop)
-        thread.join(timeout=30)
+        thread.join(timeout=drain_within)
         assert not thread.is_alive(), "service failed to drain"
 
 
@@ -486,6 +488,42 @@ class TestLiveService:
         assert messages[0]["type"] == "hello"
         assert messages[-1]["type"] == "job"
         assert messages[-1]["state"] == "incomplete"
+
+    def test_stop_with_an_idle_connection_open(self, tmp_path, caplog):
+        """A client that connected and sent nothing does not hold the
+        stop up: the service ends within 2 s, and asyncio logs no
+        error."""
+        caplog.set_level(logging.WARNING, logger="asyncio")
+        idle = None
+        try:
+            with live_service(tmp_path / "svc", drain_within=2.0) as \
+                    (port, __):
+                idle = socket.create_connection(("127.0.0.1", port),
+                                                timeout=10)
+                # Connections are accepted in order: once this request
+                # is answered, the idle one waits for its request.
+                ServiceClient(f"http://127.0.0.1:{port}").healthz()
+        finally:
+            if idle is not None:
+                idle.close()
+        assert not [record for record in caplog.records
+                    if record.name == "asyncio"
+                    and record.levelno >= logging.ERROR]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failing_point_ends_the_job_in_error(self, tmp_path, workers):
+        """A point that raises ends its job ``error`` on either
+        executor, naming the point, with nothing offered to resume."""
+        payload = {"study": "caches",
+                   "base": {"length": 300, "suite": "office"},
+                   "grid": {"ratio": [0.5, 1.5]}}
+        with live_service(tmp_path / "svc") as (port, __):
+            client = ServiceClient(f"http://127.0.0.1:{port}")
+            job_id = client.submit(payload, workers=workers)["job"]
+            status = client.wait(job_id, timeout=60)
+        assert status["state"] == "error"
+        assert "ratio=1.5" in status["error"]
+        assert "resume" not in status
 
     def test_drain_rejects_new_submits(self, tmp_path):
         with sleepy_study() as study:
