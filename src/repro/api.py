@@ -298,13 +298,10 @@ def run_study(spec: StudySpec, *, store=None, workers: Optional[int] = None,
               progress: Optional[Callable] = None):
     """Run a :class:`StudySpec` through the experiment engine.
 
-    Returns the engine's :class:`~repro.experiments.runner.SweepResult`.
-    Each point result exposes both metric views: ``result.metrics`` is
-    the legacy flat dict (what the store persists, key-for-key
-    bit-identical to pre-metrics releases) and ``result.metric_tree``
-    is the typed :class:`~repro.metrics.stats.MetricSet` (Ratio /
-    Derived stats intact on fresh executions, value-typed on cache
-    hits).  ``store=None`` disables result caching (pass a
+    Returns the engine's :class:`~repro.experiments.runner.SweepResult`;
+    each point result's ``metrics`` is the study's flat dict, the same
+    value whether it was executed here, on a worker process or served
+    from the store.  ``store=None`` disables result caching (pass a
     :class:`~repro.fabric.store.ShardedResultStore` or a store
     directory to enable it); ``workers`` defaults to ``spec.workers``.
     """

@@ -29,13 +29,8 @@ from repro.core.memory_like import (
     SchedulerProfiler,
     derive_scheduler_policy,
 )
-from repro.core.metric import (
-    BlockCost,
-    ProcessorCost,
-    baseline_block_cost,
-    nbti_efficiency,
-)
-from repro.metrics import MetricSet, ordered_sum
+from repro.core.metric import BlockCost, ProcessorCost, baseline_block_cost
+from repro.metrics import ordered_sum
 from repro.nbti.guardband import DEFAULT_GUARDBAND_MODEL, GuardbandModel
 from repro.uarch.backends import get_backend
 from repro.uarch.core import (
@@ -127,8 +122,6 @@ class PenelopeProcessor:
         # Each protected pass builds fresh schemes; building them once
         # here makes a bad parameter fail before any pass runs.
         self._cache_schemes()
-        #: the most recent :meth:`evaluate` outcome (feeds `metrics()`).
-        self.last_report: Optional[PenelopeReport] = None
 
     def _cache_schemes(self) -> List[Any]:
         """Fresh DL0 and DTLB schemes (``None`` for an unprotected one)."""
@@ -251,7 +244,7 @@ class PenelopeProcessor:
             blocks=[baseline_block_cost(b.name) for b in block_costs],
             combined_cpi=1.0,
         )
-        report = PenelopeReport(
+        return PenelopeReport(
             baseline=baseline,
             protected=protected,
             block_costs=block_costs,
@@ -263,70 +256,11 @@ class PenelopeProcessor:
             scheduler_bias=(sched_base, sched_prot),
             combined_cpi=combined_cpi,
         )
-        self.last_report = report
-        return report
-
-    # ------------------------------------------------------------------
-    # Telemetry (MetricSource)
-    # ------------------------------------------------------------------
-    def reset(self) -> None:
-        """Forget the last evaluation (the MetricSource contract).
-
-        The processor itself is stateless across :meth:`evaluate`
-        calls — every run builds fresh cores and mechanisms — so the
-        only per-run state is the report backing :meth:`metrics`.
-        """
-        self.last_report = None
-
-    def metrics(self) -> MetricSet:
-        """Metric tree of the most recent :meth:`evaluate` outcome.
-
-        Eq. (1) is wired as a :class:`~repro.metrics.stats.Derived`
-        stat over the processor's ``delay``/``guardband``/``tdp``
-        gauges (internal inputs), at whole-processor, baseline, and
-        per-block level, so any consumer can re-derive NBTIefficiency
-        from the tree alone.
-        """
-        report = self.last_report
-        if report is None:
-            raise RuntimeError(
-                "PenelopeProcessor.metrics() needs an evaluate() run "
-                "first: the tree reports the last evaluation"
-            )
-        ms = MetricSet()
-        _cost_metrics(ms, report.processor)
-        ms.gauge("combined_cpi", report.combined_cpi)
-        ms.gauge("adder_guardband", report.adder_guardband)
-        _cost_metrics(ms.child("baseline"), report.baseline_processor)
-        blocks = ms.child("blocks")
-        for cost in report.block_costs:
-            _cost_metrics(blocks.child(cost.name), cost)
-        for name, (base, prot) in (
-            ("int_rf", report.int_rf_bias),
-            ("fp_rf", report.fp_rf_bias),
-            ("scheduler", report.scheduler_bias),
-        ):
-            bias = ms.child(name)
-            bias.gauge("base_worst_bias", base)
-            bias.gauge("protected_worst_bias", prot)
-        return ms
 
 
 # ----------------------------------------------------------------------
 # Aggregation helpers
 # ----------------------------------------------------------------------
-def _cost_metrics(ms: MetricSet, cost) -> MetricSet:
-    """Eq. (1) inputs as internal gauges + the Derived efficiency."""
-    ms.gauge("delay", cost.delay, internal=True)
-    ms.gauge("guardband", cost.guardband, internal=True)
-    ms.gauge("tdp", cost.tdp, internal=True)
-    ms.derived("efficiency", nbti_efficiency,
-               args=("delay", "guardband", "tdp"),
-               help="eq. (1): (delay*(1+guardband))^3 * TDP")
-    return ms
-
-
-
 def _merged_bias(results: Sequence[CoreResult],
                  bias_of: Callable[[CoreResult], Any]) -> float:
     """Worst per-bit bias aggregated over traces (cycle-weighted);

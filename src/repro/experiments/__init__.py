@@ -14,11 +14,10 @@ to live in ``cli.py``, ``benchmarks/bench_ablation_*.py`` and
   ``regfile``, ``penelope``, ``invert_ratio``, ``vmin_power``,
   ``victim_policy``, ``multiprog``) map a point's parameters onto the
   existing entry points (``TraceDrivenCore``, ``run_cache_study``,
-  ``PenelopeProcessor``) and return typed
-  :class:`~repro.metrics.stats.MetricSet` trees whose ``flatten()`` is
-  the legacy flat metric dict (bit-identical — store rows and point
-  hashes are unchanged).  Workloads are memoised per worker so points
-  sharing a trace only generate it once.
+  ``PenelopeProcessor``) and return the flat metric dict the store
+  keeps, so a point is one value whichever executor or cache produced
+  it.  Workloads are memoised per worker so points sharing a trace
+  only generate it once.
 - :mod:`repro.experiments.runner` — :class:`SweepRunner`, the one
   sweep engine.  Its planner serves stored points as cache hits,
   dedupes the rest by key and writes every store-backed run's

@@ -1,23 +1,18 @@
 """Named study factories: map an experiment point to measurements.
 
 Each study is a module-level function (picklable, so sweeps can fan out
-over ``multiprocessing`` workers) that takes the point's parameter dict
-and returns a typed :class:`~repro.metrics.stats.MetricSet` of
-JSON-serialisable measurements.  Studies wrap the repo's existing entry
-points — :class:`~repro.uarch.core.TraceDrivenCore`,
+over worker processes) that takes the point's parameter dict and
+returns a flat dict of JSON-serialisable measurements: the very dict
+the result store keeps, worker processes reply with and
+:mod:`repro.experiments.summary` types on read, so a point has one
+value whichever executor or cache produced it.  Studies wrap the repo's
+existing entry points — :class:`~repro.uarch.core.TraceDrivenCore`,
 :func:`~repro.core.cache_like.run_cache_study`, and
 :class:`~repro.core.penelope.PenelopeProcessor` — they add no modelling
-of their own.
-
-Study metric sets are flat (no nested namespaces) and value-backed (no
-live ``read`` closures), so :meth:`~repro.metrics.stats.MetricSet.
-flatten` reproduces the PR 1–4 flat metric dicts key-for-key and
-value-for-value (differential-tested in
-``tests/test_metrics_differential.py``) — existing store rows and point
-hashes stay valid — and the sets pickle across ``multiprocessing``
-workers.  Derived quantities (eq. (1)'s NBTIefficiency, the expected
-steady-state bias, the multiprogram CPI loss) are
-:class:`~repro.metrics.stats.Derived` stats over their sibling inputs.
+of their own.  Their keys and values match the earliest flat dicts
+key-for-key and value-for-value (differential-tested in
+``tests/test_metrics_differential.py``), so stored rows and point
+hashes stay valid.
 
 Generated traces and address streams are memoised per worker process
 (:func:`cached_trace` / :func:`cached_address_stream`), so points that
@@ -27,11 +22,9 @@ share a workload axis only pay generation once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.cache_like import AnyPositionLineFixedScheme
-from repro.metrics import MetricSet
 from repro.obs.trace import TRACER as _TRACER
 from repro.workloads import suite_names
 
@@ -131,7 +124,7 @@ class StudyDefinition:
     name: str
     description: str
     defaults: Mapping[str, Any]
-    run: Callable[[Mapping[str, Any]], Union[MetricSet, Dict[str, Any]]]
+    run: Callable[[Mapping[str, Any]], Dict[str, Any]]
     spec_paths: Optional[Mapping[str, str]] = None
 
     def __post_init__(self) -> None:
@@ -144,21 +137,9 @@ class StudyDefinition:
         return bound
 
     def execute(self, params: Mapping[str, Any]) -> Dict[str, Any]:
-        """The study's flat metric dict (the legacy/store row view)."""
-        return self.execute_metrics(params).flatten()
-
-    def execute_metrics(self, params: Mapping[str, Any]) -> MetricSet:
-        """The study's typed metric tree.
-
-        Registered study functions return :class:`MetricSet`s; a plain
-        dict (externally registered legacy study) is lifted into one
-        with value-derived stat kinds.
-        """
+        """The study's flat metric dict at ``params`` over its defaults."""
         with _TRACER.span(f"study.{self.name}"):
-            result = self.run(self.bind(params))
-        if not isinstance(result, MetricSet):
-            result = MetricSet.from_flat(result)
-        return result
+            return self.run(self.bind(params))
 
 
 _STUDIES: Dict[str, StudyDefinition] = {}
@@ -289,7 +270,7 @@ def _scheme_factory(params: Mapping[str, Any], created: List[Any]):
         "backend": "processor.backend",
     },
 )
-def run_caches_point(params: Mapping[str, Any]) -> MetricSet:
+def run_caches_point(params: Mapping[str, Any]) -> Dict[str, Any]:
     from repro.core.cache_like import run_cache_study
 
     created: List[Any] = []
@@ -303,17 +284,18 @@ def run_caches_point(params: Mapping[str, Any]) -> MetricSet:
         seed=int(params["seed"]) + _suite_index(params["suite"]),
         backend=str(params.get("backend", "reference")),
     )
-    ms = MetricSet()
-    ms.text("scheme_name", study.scheme_name)
-    ms.gauge("mean_loss", study.mean_loss)
-    ms.ratio("inverted_ratio", study.mean_inverted_ratio)
-    ms.ratio("baseline_miss_rate", study.baseline_miss_rate)
-    ms.ratio("scheme_miss_rate", study.scheme_miss_rate)
+    metrics: Dict[str, Any] = {
+        "scheme_name": study.scheme_name,
+        "mean_loss": study.mean_loss,
+        "inverted_ratio": study.mean_inverted_ratio,
+        "baseline_miss_rate": study.baseline_miss_rate,
+        "scheme_miss_rate": study.scheme_miss_rate,
+    }
     if created and hasattr(created[-1], "activation_history"):
-        ms.text("activations", "".join(
+        metrics["activations"] = "".join(
             "A" if d else "-" for d in created[-1].activation_history
-        ))
-    return ms
+        )
+    return metrics
 
 
 @register_study(
@@ -337,19 +319,16 @@ def run_caches_point(params: Mapping[str, Any]) -> MetricSet:
         "backend": "processor.backend",
     },
 )
-def run_invert_ratio_point(params: Mapping[str, Any]) -> MetricSet:
-    ms = run_caches_point({**params, "scheme": "line_fixed"})
+def run_invert_ratio_point(params: Mapping[str, Any]) -> Dict[str, Any]:
+    metrics = run_caches_point({**params, "scheme": "line_fixed"})
     # Steady-state worst-cell bias when a fraction `inverted_ratio` of
     # cells holds inverted (complementary) contents of `data_bias`-biased
-    # data: derived from the achieved-ratio sibling.
-    ms.derived("expected_bias",
-               partial(_expected_bias, float(params["data_bias"])),
-               args=("inverted_ratio",))
-    return ms
-
-
-def _expected_bias(data_bias: float, achieved: float) -> float:
-    return data_bias * (1.0 - achieved) + (1.0 - data_bias) * achieved
+    # data.
+    data_bias = float(params["data_bias"])
+    achieved = metrics["inverted_ratio"]
+    metrics["expected_bias"] = (data_bias * (1.0 - achieved)
+                                + (1.0 - data_bias) * achieved)
+    return metrics
 
 
 @register_study(
@@ -370,8 +349,16 @@ def _expected_bias(data_bias: float, achieved: float) -> float:
         "backend": "processor.backend",
     },
 )
-def run_victim_policy_point(params: Mapping[str, Any]) -> MetricSet:
-    from repro.core.cache_like import LineFixedScheme, run_cache_study
+def run_victim_policy_point(params: Mapping[str, Any]) -> Dict[str, Any]:
+    """Both victim policies against one baseline replay of the stream;
+    each loss is what ``run_cache_study`` returns for that one stream."""
+    from repro.core.cache_like import (
+        DL0_ACCESSES_PER_UOP,
+        DL0_EFFECTIVE_PENALTY,
+        LineFixedScheme,
+        ProtectedCache,
+        performance_loss,
+    )
     from repro.uarch.backends import get_backend
 
     config = _cache_config(params)
@@ -380,20 +367,24 @@ def run_victim_policy_point(params: Mapping[str, Any]) -> MetricSet:
     )
     seed = int(params["seed"]) + _suite_index(params["suite"])
     ratio = float(params["ratio"])
-    backend = str(params.get("backend", "reference"))
-    lru = run_cache_study(config, lambda: LineFixedScheme(ratio),
-                          [stream], seed=seed, backend=backend)
-    naive = run_cache_study(config,
-                            lambda: AnyPositionLineFixedScheme(ratio),
-                            [stream], seed=seed, backend=backend)
-    baseline = get_backend(backend).make_cache(config)
+    engine = get_backend(str(params.get("backend", "reference")))
+    baseline = engine.make_cache(config)
     baseline.replay(stream)
-    ms = MetricSet()
-    ms.gauge("lru_loss", lru.mean_loss)
-    ms.gauge("naive_loss", naive.mean_loss)
-    ms.ratio("mru_hit_fraction", baseline.stats.mru_hit_fraction(0))
-    ms.ratio("mru1_hit_fraction", baseline.stats.mru_hit_fraction(1))
-    return ms
+
+    def loss(scheme) -> float:
+        protected = ProtectedCache(engine.make_cache(config), scheme,
+                                   seed=seed)
+        protected.replay(stream)
+        return performance_loss(baseline.stats.miss_rate,
+                                protected.stats.miss_rate,
+                                DL0_ACCESSES_PER_UOP, DL0_EFFECTIVE_PENALTY)
+
+    return {
+        "lru_loss": loss(LineFixedScheme(ratio)),
+        "naive_loss": loss(AnyPositionLineFixedScheme(ratio)),
+        "mru_hit_fraction": baseline.stats.mru_hit_fraction(0),
+        "mru1_hit_fraction": baseline.stats.mru_hit_fraction(1),
+    }
 
 
 # ----------------------------------------------------------------------
@@ -415,17 +406,17 @@ def run_victim_policy_point(params: Mapping[str, Any]) -> MetricSet:
         "backend": "processor.backend",
     },
 )
-def run_regfile_point(params: Mapping[str, Any]) -> MetricSet:
+def run_regfile_point(params: Mapping[str, Any]) -> Dict[str, Any]:
     base_bias, isv_bias, free_fraction = cached_rf_biases(
         params["suite"], int(params["length"]), int(params["seed"]),
         float(params["sample_period"]),
         backend=str(params.get("backend", "reference")),
     )
-    ms = MetricSet()
-    ms.gauge("base_worst_bias", base_bias)
-    ms.gauge("isv_worst_bias", isv_bias)
-    ms.ratio("free_fraction", free_fraction)
-    return ms
+    return {
+        "base_worst_bias": base_bias,
+        "isv_worst_bias": isv_bias,
+        "free_fraction": free_fraction,
+    }
 
 
 @register_study(
@@ -447,7 +438,7 @@ def run_regfile_point(params: Mapping[str, Any]) -> MetricSet:
         "backend": "processor.backend",
     },
 )
-def run_vmin_power_point(params: Mapping[str, Any]) -> MetricSet:
+def run_vmin_power_point(params: Mapping[str, Any]) -> Dict[str, Any]:
     from repro.nbti.power import ArrayPowerModel
 
     base_bias, isv_bias, __ = cached_rf_biases(
@@ -457,18 +448,16 @@ def run_vmin_power_point(params: Mapping[str, Any]) -> MetricSet:
     )
     model = ArrayPowerModel()
     target = float(params["target"])
-    ms = MetricSet()
-    ms.gauge("base_bias", base_bias)
-    ms.gauge("isv_bias", isv_bias)
-    ms.gauge("base_vmin", model.vmin(base_bias))
-    ms.gauge("isv_vmin", model.vmin(isv_bias))
-    ms.gauge("base_power", model.power_at_scaled_voltage(base_bias,
-                                                         target))
-    ms.gauge("isv_power", model.power_at_scaled_voltage(isv_bias,
-                                                        target))
-    ms.gauge("savings", model.savings_from_balancing(base_bias, isv_bias,
-                                                     target))
-    return ms
+    return {
+        "base_bias": base_bias,
+        "isv_bias": isv_bias,
+        "base_vmin": model.vmin(base_bias),
+        "isv_vmin": model.vmin(isv_bias),
+        "base_power": model.power_at_scaled_voltage(base_bias, target),
+        "isv_power": model.power_at_scaled_voltage(isv_bias, target),
+        "savings": model.savings_from_balancing(base_bias, isv_bias,
+                                                target),
+    }
 
 
 # ----------------------------------------------------------------------
@@ -511,7 +500,7 @@ def run_vmin_power_point(params: Mapping[str, Any]) -> MetricSet:
         "backend": "processor.backend",
     },
 )
-def run_multiprog_point(params: Mapping[str, Any]) -> MetricSet:
+def run_multiprog_point(params: Mapping[str, Any]) -> Dict[str, Any]:
     """N programs time-sharing one protected cache, fully streamed.
 
     Unlike the single-program studies, nothing is materialised: the
@@ -558,25 +547,21 @@ def run_multiprog_point(params: Mapping[str, Any]) -> MetricSet:
     protected.replay(multiprog_address_stream(suites, **stream_kwargs))
     scheme_rate = protected.stats.miss_rate
 
-    ms = MetricSet()
-    ms.text("scheme_name", created[-1].name)
-    ms.counter("n_programs", len(suites))
-    ms.ratio("baseline_miss_rate", base_rate)
-    ms.ratio("scheme_miss_rate", scheme_rate)
-    # The CPI loss is a formula over the two miss-rate siblings
-    # (eq.-style Derived; evaluates to performance_loss() exactly).
-    ms.derived("mean_loss",
-               partial(performance_loss,
-                       accesses_per_uop=DL0_ACCESSES_PER_UOP,
-                       effective_penalty=DL0_EFFECTIVE_PENALTY),
-               args=("baseline_miss_rate", "scheme_miss_rate"))
-    ms.ratio("inverted_ratio",
-             protected.cache.inverted_count() / config.lines)
+    metrics: Dict[str, Any] = {
+        "scheme_name": created[-1].name,
+        "n_programs": len(suites),
+        "baseline_miss_rate": base_rate,
+        "scheme_miss_rate": scheme_rate,
+        "mean_loss": performance_loss(base_rate, scheme_rate,
+                                      DL0_ACCESSES_PER_UOP,
+                                      DL0_EFFECTIVE_PENALTY),
+        "inverted_ratio": protected.cache.inverted_count() / config.lines,
+    }
     if hasattr(created[-1], "activation_history"):
-        ms.text("activations", "".join(
+        metrics["activations"] = "".join(
             "A" if d else "-" for d in created[-1].activation_history
-        ))
-    return ms
+        )
+    return metrics
 
 
 # ----------------------------------------------------------------------
@@ -600,10 +585,9 @@ def run_multiprog_point(params: Mapping[str, Any]) -> MetricSet:
         "backend": "processor.backend",
     },
 )
-def run_penelope_point(params: Mapping[str, Any]) -> MetricSet:
+def run_penelope_point(params: Mapping[str, Any]) -> Dict[str, Any]:
     from repro.config.specs import MechanismSpec, ProtectionSpec
     from repro.core import PenelopeProcessor
-    from repro.core.metric import nbti_efficiency
     from repro.uarch.core import CoreConfig
 
     inversion = MechanismSpec("line_fixed",
@@ -620,26 +604,11 @@ def run_penelope_point(params: Mapping[str, Any]) -> MetricSet:
         params["suite"], int(params["length"]), int(params["seed"])
     )
     report = processor.evaluate([trace])
-    # Eq. (1) as a Derived over its (internal) delay/guardband/TDP
-    # inputs — bit-identical to report.efficiency, since ProcessorCost
-    # evaluates the very same nbti_efficiency() call.
-    ms = MetricSet()
-    ms.gauge("delay", report.processor.delay, internal=True)
-    ms.gauge("guardband", report.processor.guardband, internal=True)
-    ms.gauge("tdp", report.processor.tdp, internal=True)
-    ms.derived("efficiency", nbti_efficiency,
-               args=("delay", "guardband", "tdp"))
-    ms.gauge("baseline_delay", report.baseline_processor.delay,
-             internal=True)
-    ms.gauge("baseline_guardband", report.baseline_processor.guardband,
-             internal=True)
-    ms.gauge("baseline_tdp", report.baseline_processor.tdp,
-             internal=True)
-    ms.derived("baseline_efficiency", nbti_efficiency,
-               args=("baseline_delay", "baseline_guardband",
-                     "baseline_tdp"))
-    ms.gauge("combined_cpi", report.combined_cpi)
-    ms.gauge("adder_guardband", report.adder_guardband)
-    ms.gauge("int_rf_base_bias", report.int_rf_bias[0])
-    ms.gauge("int_rf_isv_bias", report.int_rf_bias[1])
-    return ms
+    return {
+        "efficiency": report.efficiency,
+        "baseline_efficiency": report.baseline_efficiency,
+        "combined_cpi": report.combined_cpi,
+        "adder_guardband": report.adder_guardband,
+        "int_rf_base_bias": report.int_rf_bias[0],
+        "int_rf_isv_bias": report.int_rf_bias[1],
+    }

@@ -65,7 +65,6 @@ from typing import (
 from repro.experiments.registry import get_study
 from repro.experiments.spec import ExperimentPoint, SweepSpec
 from repro.fabric.store import ShardedResultStore
-from repro.metrics import MetricSet
 from repro.obs.log import EventLog, new_run_id
 from repro.obs.provenance import (
     build_manifest,
@@ -163,23 +162,22 @@ def bind_spec_points(spec: SweepSpec) -> List[ExperimentPoint]:
 
 def execute_point(
     point: ExperimentPoint,
-) -> Tuple[str, MetricSet, float]:
+) -> Tuple[str, Dict[str, Any], float]:
     """Run one point; the step both executors share.
 
-    Returns the study's typed :class:`MetricSet`; callers needing the
-    legacy flat dict take ``metric_set.flatten()``.  Study errors
-    surface as :class:`PointExecutionError` naming the point's content
-    hash and parameters.
+    Returns ``(key, metrics, elapsed)``: ``metrics`` is the study's flat
+    dict, the very value the store keeps and a worker process replies
+    with.  Study errors surface as :class:`PointExecutionError` naming
+    the point's content hash and parameters.
     """
     started = time.perf_counter()
     try:
-        metric_set = get_study(point.study).execute_metrics(
-            point.as_dict())
+        metrics = get_study(point.study).execute(point.as_dict())
     except PointExecutionError:
         raise
     except Exception as exc:
         raise PointExecutionError.wrap(point, exc) from exc
-    return point.key, metric_set, time.perf_counter() - started
+    return point.key, metrics, time.perf_counter() - started
 
 
 def _maybe_fault(directory: str) -> None:
@@ -208,26 +206,10 @@ class PointResult:
     metrics: Dict[str, Any]
     cached: bool
     elapsed: float
-    #: The typed stat tree of a point executed in this process; ``None``
-    #: for store cache hits and worker-process results (the store only
-    #: keeps the flat view).
-    metric_set: Optional[MetricSet] = None
 
     @property
     def params(self) -> Dict[str, Any]:
         return self.point.as_dict()
-
-    @property
-    def metric_tree(self) -> MetricSet:
-        """The typed tree view of this point's metrics.
-
-        Fresh in-process executions return the study's own set
-        (Ratio/Derived stats intact); other results are lifted from the
-        flat row with value-derived kinds, so both views always exist.
-        """
-        if self.metric_set is not None:
-            return self.metric_set
-        return MetricSet.from_flat(self.metrics)
 
     def value(self, name: str, default: Any = None) -> Any:
         return self.metrics.get(name, default)
@@ -281,7 +263,7 @@ def _run_point(point: ExperimentPoint,
     """
     _t = TRACER.begin()
     try:
-        __, metric_set, elapsed = execute_point(point)
+        __, metrics, elapsed = execute_point(point)
     except PointExecutionError as exc:
         if log is not None:
             log.error("point_error", key=point.key, study=point.study,
@@ -291,9 +273,8 @@ def _run_point(point: ExperimentPoint,
     if _t is not None:
         TRACER.end(_t, "sweep.execute", key=point.key,
                    study=point.study, worker=os.getpid())
-    result = PointResult(point=point, metrics=metric_set.flatten(),
-                         cached=False, elapsed=elapsed,
-                         metric_set=metric_set)
+    result = PointResult(point=point, metrics=metrics, cached=False,
+                         elapsed=elapsed)
     if store is not None:
         _t = TRACER.begin()
         store.put(point, result.metrics, elapsed)
@@ -598,7 +579,6 @@ class SweepRunner:
                     slot = PointResult(
                         point=point, metrics=dict(slot.metrics),
                         cached=True, elapsed=slot.elapsed,
-                        metric_set=slot.metric_set,
                     )
                     self._report(slot)
             results.append(slot)

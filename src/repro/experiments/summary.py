@@ -5,15 +5,15 @@ with mean/min/max, and renders through
 :func:`repro.analysis.format_table` so sweep output matches the rest of
 the repo's artefacts.
 
-Aggregation dispatches on *stat type* (the
-:func:`repro.metrics.kind_of_value` vocabulary, shared with the typed
-:class:`~repro.metrics.stats.MetricSet` trees the studies now emit)
+Aggregation dispatches on *stat type* — each value of a study's flat
+result dict typed on read by :func:`repro.metrics.kind_of_value` —
 rather than ad-hoc numeric-ness guessing: numeric kinds (counter,
-gauge, ratio, derived) reduce arithmetically; text kinds pass through
-when every point in the group agrees and otherwise render an explicit
-``(mixed)`` cell — a multi-point group can no longer silently drop a
-string column.  Kinds are derived from the JSON-round-tripped values,
-so cached and freshly executed sweeps summarise identically.
+gauge, ratio) reduce arithmetically; text kinds pass through when every
+point in the group agrees and otherwise render an explicit ``(mixed)``
+cell — a multi-point group can no longer silently drop a string
+column.  A point's dict is the same whether this process, a worker
+process or the store produced it, so cached and freshly executed
+sweeps summarise identically.
 """
 
 from __future__ import annotations

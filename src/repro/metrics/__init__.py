@@ -1,10 +1,11 @@
-"""Unified metrics & telemetry: one typed stat tree for every result.
+"""Metrics & telemetry: the typed stat trees of the live structures.
 
 - :mod:`repro.metrics.stats` — the stat vocabulary (:class:`Counter`,
-  :class:`Gauge`, :class:`Ratio`, :class:`Distribution`, :class:`Text`,
-  :class:`Derived`), the hierarchical :class:`MetricSet` with dotted
-  paths / ``flatten()`` / ``snapshot()``, and the :class:`MetricSource`
-  protocol every stat-bearing component implements.
+  :class:`Gauge`, :class:`Ratio`, :class:`Distribution`, :class:`Text`),
+  the hierarchical :class:`MetricSet` with dotted paths /
+  ``flatten()`` / ``snapshot()``, the :class:`MetricSource` protocol
+  every stat-bearing structure implements, and :func:`kind_of_value`,
+  which types a study's flat result dict on read.
 - :mod:`repro.metrics.telemetry` — :class:`IntervalTelemetry`,
   bounded-memory interval snapshots over streaming runs, with a
   JSON-artefact round trip for ``repro report --intervals``.
@@ -26,7 +27,6 @@ Quick start::
 from repro.metrics.stats import (
     CUMULATIVE_KINDS,
     Counter,
-    Derived,
     Distribution,
     Gauge,
     MetricSet,
@@ -49,7 +49,6 @@ from repro.metrics.telemetry import (
 __all__ = [
     "CUMULATIVE_KINDS",
     "Counter",
-    "Derived",
     "Distribution",
     "Gauge",
     "IntervalTelemetry",

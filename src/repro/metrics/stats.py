@@ -1,9 +1,9 @@
-"""Typed, hierarchical statistics: the repo's one metric vocabulary.
+"""Typed, hierarchical statistics: the vocabulary of live telemetry.
 
-Every stat-bearing component used to invent its own result shape —
-``CacheStats`` dataclasses, ``RegisterFileStats`` snapshots, flat study
-dicts, strings poked out of ``PointResult.params``.  This module defines
-the shared vocabulary all of them now speak:
+Every stat-bearing structure used to invent its own result shape —
+``CacheStats`` dataclasses, ``RegisterFileStats`` snapshots.  This
+module defines the shared vocabulary their ``metrics()`` trees now
+speak:
 
 - :class:`Counter` — a monotonically accumulating count (accesses,
   inversions).  Interval deltas subtract.
@@ -16,23 +16,20 @@ the shared vocabulary all of them now speak:
   Interval deltas subtract per key.
 - :class:`Text` — a non-numeric annotation (scheme name, activation
   string).
-- :class:`Derived` — a formula over sibling stats; eq. (1)'s
-  NBTIefficiency is a ``Derived`` over ``delay``/``guardband``/``tdp``
-  gauges (see ``repro.experiments.registry`` and
-  ``repro.core.penelope``).
 
 Stats live in a :class:`MetricSet` — a tree addressed by dotted paths
-(``penelope.dl0.inverted_frac``) that can :meth:`~MetricSet.flatten` to
-the flat JSON-serialisable dicts the result store
-(:mod:`repro.fabric.store`) has always persisted, and :meth:`~MetricSet.snapshot` for
-the bounded-memory interval telemetry in
-:mod:`repro.metrics.telemetry`.
+(``dl0.inverted_frac``) that can :meth:`~MetricSet.flatten` to a flat
+``{path: value}`` dict, and :meth:`~MetricSet.snapshot` for the
+bounded-memory interval telemetry in :mod:`repro.metrics.telemetry`.
+Study results are not trees: a study returns the flat dict the result
+store keeps (:mod:`repro.experiments.registry`), typed on read by
+:func:`kind_of_value`.
 
-A stat reads its value either from a plain stored value (study
-outputs — picklable, so sweep workers can ship them back) or through a
-zero-argument ``read`` callable bound to the owning component (live
-component telemetry — snapshots always see current counters, and
-building the tree adds nothing to the hot path).
+A stat reads its value either from a plain stored value (a tree built
+from values, e.g. in tests) or through a zero-argument ``read`` callable
+bound to the owning component (live component telemetry — snapshots
+always see current counters, and building the tree adds nothing to the
+hot path).
 
 Producers implement the :class:`MetricSource` protocol — ``metrics()
 -> MetricSet`` — which every stat-bearing structure in ``repro.uarch``
@@ -51,7 +48,6 @@ from typing import (
     Mapping,
     Optional,
     Protocol,
-    Sequence,
     Tuple,
     Union,
     runtime_checkable,
@@ -60,7 +56,7 @@ from typing import (
 SEPARATOR = "."
 
 #: Stat kinds whose values aggregate arithmetically (mean/min/max).
-NUMERIC_KINDS = frozenset({"counter", "gauge", "ratio", "derived"})
+NUMERIC_KINDS = frozenset({"counter", "gauge", "ratio"})
 
 #: Kinds whose interval delta subtracts (scalar for counters, per-key
 #: for distributions).  This is THE authority consulted by
@@ -106,7 +102,7 @@ class Stat:
 
     kind = "stat"
 
-    __slots__ = ("help", "internal", "_value", "_read", "_owner", "_name")
+    __slots__ = ("help", "_value", "_read", "_owner", "_name")
 
     def __init__(
         self,
@@ -114,15 +110,11 @@ class Stat:
         *,
         read: Optional[ReadFn] = None,
         help: str = "",
-        internal: bool = False,
     ) -> None:
         if value is not None and read is not None:
             raise ValueError("pass either a stored value or a read "
                              "callable, not both")
         self.help = help
-        #: Internal stats feed Derived formulas and snapshots but are
-        #: excluded from flatten() (they are inputs, not results).
-        self.internal = internal
         self._value = value
         self._read = read
         self._owner: Optional["MetricSet"] = None
@@ -161,10 +153,10 @@ class Counter(Stat):
     __slots__ = ()
 
     def __init__(self, value: Any = None, *, read: Optional[ReadFn] = None,
-                 help: str = "", internal: bool = False) -> None:
+                 help: str = "") -> None:
         if value is None and read is None:
             value = 0
-        super().__init__(value, read=read, help=help, internal=internal)
+        super().__init__(value, read=read, help=help)
 
     def add(self, amount: Union[int, float] = 1) -> None:
         if self._read is not None:
@@ -181,10 +173,10 @@ class Gauge(Stat):
     __slots__ = ()
 
     def __init__(self, value: Any = None, *, read: Optional[ReadFn] = None,
-                 help: str = "", internal: bool = False) -> None:
+                 help: str = "") -> None:
         if value is None and read is None:
             value = 0.0
-        super().__init__(value, read=read, help=help, internal=internal)
+        super().__init__(value, read=read, help=help)
 
 
 class Text(Stat):
@@ -194,10 +186,10 @@ class Text(Stat):
     __slots__ = ()
 
     def __init__(self, value: Any = None, *, read: Optional[ReadFn] = None,
-                 help: str = "", internal: bool = False) -> None:
+                 help: str = "") -> None:
         if value is None and read is None:
             value = ""
-        super().__init__(value, read=read, help=help, internal=internal)
+        super().__init__(value, read=read, help=help)
 
 
 Ref = Union[str, ReadFn]
@@ -211,9 +203,8 @@ class Ratio(Stat):
     value is ``num / den``; a zero denominator reports ``zero`` — 0.0
     by default, matching the legacy ``CacheStats`` properties, but
     e.g. the port-availability fractions keep their legacy "no checks
-    means all free" convention with ``zero=1.0``.  Aggregated study
-    outputs (a mean over streams) may instead carry a precomputed
-    ``value``.
+    means all free" convention with ``zero=1.0``.  A ratio may instead
+    carry a precomputed ``value`` or a ``read`` callable.
     """
 
     kind = "ratio"
@@ -228,7 +219,6 @@ class Ratio(Stat):
         zero: float = 0.0,
         read: Optional[ReadFn] = None,
         help: str = "",
-        internal: bool = False,
     ) -> None:
         has_refs = numerator is not None or denominator is not None
         if has_refs and (numerator is None or denominator is None):
@@ -240,7 +230,7 @@ class Ratio(Stat):
         if (value is not None or read is not None) and has_refs:
             raise ValueError("a Ratio takes either a value/read or "
                              "numerator+denominator, not both")
-        super().__init__(value, read=read, help=help, internal=internal)
+        super().__init__(value, read=read, help=help)
         self.numerator = numerator
         self.denominator = denominator
         self.zero = zero
@@ -284,61 +274,14 @@ class Distribution(Stat):
     __slots__ = ()
 
     def __init__(self, value: Any = None, *, read: Optional[ReadFn] = None,
-                 help: str = "", internal: bool = False) -> None:
+                 help: str = "") -> None:
         if value is None and read is None:
             value = {}
-        super().__init__(value, read=read, help=help, internal=internal)
+        super().__init__(value, read=read, help=help)
 
     def value(self) -> Dict[Any, Any]:
         raw = super().value()
         return dict(raw) if raw is not None else {}
-
-
-class Derived(Stat):
-    """A formula over sibling stats, evaluated on read.
-
-    ``formula`` is called with the current values of ``args`` (sibling
-    names, dotted paths relative to the owning set).  Eq. (1) becomes::
-
-        ms.gauge("delay", 1.0, internal=True)
-        ms.gauge("guardband", 0.02, internal=True)
-        ms.gauge("tdp", 1.0, internal=True)
-        ms.derived("efficiency", nbti_efficiency,
-                   args=("delay", "guardband", "tdp"))
-
-    Keep ``formula`` picklable (a module-level function or a
-    ``functools.partial`` of one) so sweep workers can ship the set
-    across processes.
-    """
-
-    kind = "derived"
-    __slots__ = ("formula", "args")
-
-    def __init__(
-        self,
-        formula: Callable[..., Any],
-        args: Sequence[str] = (),
-        *,
-        help: str = "",
-        internal: bool = False,
-    ) -> None:
-        super().__init__(None, help=help, internal=internal)
-        self.formula = formula
-        self.args = tuple(args)
-
-    def value(self) -> Any:
-        if self._owner is None:
-            raise RuntimeError(
-                f"derived stat {self._name!r} is not attached to a "
-                f"MetricSet"
-            )
-        return self.formula(
-            *(self._owner.get(arg).value() for arg in self.args)
-        )
-
-    def schema(self, prefix: str = "") -> Dict[str, Any]:
-        return {"kind": self.kind,
-                "args": [prefix + arg for arg in self.args]}
 
 
 # ----------------------------------------------------------------------
@@ -383,44 +326,29 @@ class MetricSet:
         return stat
 
     def counter(self, name: str, value: Any = None, *,
-                read: Optional[ReadFn] = None, help: str = "",
-                internal: bool = False) -> Counter:
-        return self.add(name, Counter(value, read=read, help=help,
-                                      internal=internal))
+                read: Optional[ReadFn] = None, help: str = "") -> Counter:
+        return self.add(name, Counter(value, read=read, help=help))
 
     def gauge(self, name: str, value: Any = None, *,
-              read: Optional[ReadFn] = None, help: str = "",
-              internal: bool = False) -> Gauge:
-        return self.add(name, Gauge(value, read=read, help=help,
-                                    internal=internal))
+              read: Optional[ReadFn] = None, help: str = "") -> Gauge:
+        return self.add(name, Gauge(value, read=read, help=help))
 
     def ratio(self, name: str, value: Any = None, *,
               numerator: Optional[Ref] = None,
               denominator: Optional[Ref] = None, zero: float = 0.0,
-              read: Optional[ReadFn] = None, help: str = "",
-              internal: bool = False) -> Ratio:
+              read: Optional[ReadFn] = None, help: str = "") -> Ratio:
         return self.add(name, Ratio(value, numerator=numerator,
                                     denominator=denominator, zero=zero,
-                                    read=read, help=help,
-                                    internal=internal))
+                                    read=read, help=help))
 
     def distribution(self, name: str, value: Any = None, *,
-                     read: Optional[ReadFn] = None, help: str = "",
-                     internal: bool = False) -> Distribution:
-        return self.add(name, Distribution(value, read=read, help=help,
-                                           internal=internal))
+                     read: Optional[ReadFn] = None,
+                     help: str = "") -> Distribution:
+        return self.add(name, Distribution(value, read=read, help=help))
 
     def text(self, name: str, value: Any = None, *,
-             read: Optional[ReadFn] = None, help: str = "",
-             internal: bool = False) -> Text:
-        return self.add(name, Text(value, read=read, help=help,
-                                   internal=internal))
-
-    def derived(self, name: str, formula: Callable[..., Any],
-                args: Sequence[str] = (), *, help: str = "",
-                internal: bool = False) -> Derived:
-        return self.add(name, Derived(formula, args, help=help,
-                                      internal=internal))
+             read: Optional[ReadFn] = None, help: str = "") -> Text:
+        return self.add(name, Text(value, read=read, help=help))
 
     def child(self, name: str,
               child: Optional["MetricSet"] = None) -> "MetricSet":
@@ -465,30 +393,14 @@ class MetricSet:
     def paths(self) -> List[str]:
         return [path for path, __ in self.walk()]
 
-    def children(self) -> Dict[str, "MetricSet"]:
-        return dict(self._children)
-
     # -- views ----------------------------------------------------------
-    def flatten(self, include_internal: bool = False) -> Dict[str, Any]:
-        """Flat ``{dotted path: current value}`` dict.
+    def flatten(self) -> Dict[str, Any]:
+        """Flat ``{dotted path: current value}`` dict, depth-first."""
+        return {path: stat.value() for path, stat in self.walk()}
 
-        This is the JSONL-row view the result store persists; study sets keep their stats at the
-        top level, so their flatten() output is key-for-key identical
-        to the legacy flat dicts (differential-tested).
-        """
-        return {
-            path: stat.value()
-            for path, stat in self.walk()
-            if include_internal or not stat.internal
-        }
-
-    def kinds(self, include_internal: bool = True) -> Dict[str, str]:
+    def kinds(self) -> Dict[str, str]:
         """``{dotted path: stat kind}`` over the whole tree."""
-        return {
-            path: stat.kind
-            for path, stat in self.walk()
-            if include_internal or not stat.internal
-        }
+        return {path: stat.kind for path, stat in self.walk()}
 
     def schema(self) -> Dict[str, Dict[str, Any]]:
         """JSON-safe ``{path: type descriptor}`` for offline delta
@@ -500,7 +412,7 @@ class MetricSet:
         return out
 
     def snapshot(self, label: Any = None) -> "MetricSnapshot":
-        """Point-in-time copy of every value (internal stats included)."""
+        """Point-in-time copy of every value."""
         return MetricSnapshot(
             values={path: stat.value() for path, stat in self.walk()},
             label=label,
@@ -512,33 +424,6 @@ class MetricSet:
         """Typed interval delta between two snapshots of this set."""
         return delta_values(self.schema(), current.values,
                             previous.values if previous else None)
-
-    # -- reconstruction -------------------------------------------------
-    @classmethod
-    def from_flat(cls, flat: Mapping[str, Any]) -> "MetricSet":
-        """Rebuild a tree from a flat dict (e.g. a cached store row).
-
-        Kinds are recovered with :func:`kind_of_value`, so the round
-        trip is deterministic for cached and fresh results alike.
-        """
-        root = cls()
-        for path, value in flat.items():
-            parts = path.split(SEPARATOR)
-            node = root
-            for part in parts[:-1]:
-                existing = node._children.get(part)
-                node = existing if existing is not None else node.child(part)
-            kind = kind_of_value(value)
-            name = parts[-1]
-            if kind == "counter":
-                node.counter(name, value)
-            elif kind == "gauge":
-                node.gauge(name, value)
-            elif kind == "distribution":
-                node.distribution(name, dict(value))
-            else:
-                node.text(name, value)
-        return root
 
 
 class MetricSnapshot:
@@ -603,8 +488,8 @@ class MetricSource(Protocol):
     Implemented by every stat-bearing structure in the repo:
     ``Cache``/``TLB``/``ProtectedCache``, ``RegisterFile``,
     ``Scheduler``, ``MemoryOrderBuffer``, ``BitBiasAccumulator``,
-    ``BimodalPredictor``/``ProtectedBimodalPredictor``,
-    ``TraceDrivenCore`` and ``PenelopeProcessor``.
+    ``BimodalPredictor``/``ProtectedBimodalPredictor`` and
+    ``TraceDrivenCore``.
     """
 
     def metrics(self) -> MetricSet:

@@ -221,7 +221,7 @@ class TestDifferentialFuzz:
 
 
 class TestStudyDifferential:
-    """Acceptance criterion: every registered study's flatten() is
+    """Acceptance criterion: every registered study's metric dict is
     bit-identical under ``"reference"`` and ``"vectorized"``."""
 
     def _point(self, name):
@@ -242,8 +242,8 @@ class TestStudyDifferential:
     def test_flatten_identity(self, name):
         _require_numpy()
         study, params = self._point(name)
-        ref = study.run({**params, "backend": "reference"}).flatten()
-        vec = study.run({**params, "backend": "vectorized"}).flatten()
+        ref = study.execute({**params, "backend": "reference"})
+        vec = study.execute({**params, "backend": "vectorized"})
         assert ref == vec, name
 
     def test_all_studies_covered(self):

@@ -308,6 +308,28 @@ class TestRunner:
         ]
         assert serial.metrics_by_key() == parallel.metrics_by_key()
 
+    def test_a_point_is_one_value_whatever_ran_it(self, tmp_path):
+        """In this process, on worker processes or from the store, a
+        point's result is one value: only ``cached`` and ``elapsed``
+        tell the three apart."""
+        import dataclasses
+
+        spec = SweepSpec("caches", base={"suite": "office", "length": 300},
+                         grid={"ratio": [0.4, 0.5],
+                               "scheme": ["line_fixed", "line_dynamic"]})
+
+        def values(outcome):
+            return [dataclasses.replace(r, cached=False, elapsed=0.0)
+                    for r in outcome]
+
+        inline = SweepRunner(store=None, workers=1).run(spec)
+        on_workers = SweepRunner(store=None, workers=2).run(spec)
+        store = ShardedResultStore(str(tmp_path))
+        SweepRunner(store=store, workers=1).run(spec)
+        hits = SweepRunner(store=store, workers=1).run(spec)
+        assert len(inline) == 4 and hits.cache_hits == 4
+        assert values(inline) == values(on_workers) == values(hits)
+
     def test_results_follow_spec_order(self):
         outcome = SweepRunner(workers=2).run(tiny_spec())
         assert [

@@ -1,14 +1,12 @@
 """Unit tests for the unified metrics & telemetry API."""
 
 import json
-import pickle
 
 import pytest
 
 from repro.analysis import format_interval_report
 from repro.metrics import (
     Counter,
-    Derived,
     Distribution,
     IntervalTelemetry,
     MetricSet,
@@ -107,26 +105,6 @@ class TestStatTypes:
         with pytest.raises(ValueError):
             Ratio(0.5, numerator="a", denominator="b")  # both styles
 
-    def test_derived_formula_over_siblings(self):
-        from repro.core.metric import nbti_efficiency
-
-        ms = MetricSet()
-        ms.gauge("delay", 1.0, internal=True)
-        ms.gauge("guardband", 0.20, internal=True)
-        ms.gauge("tdp", 1.0, internal=True)
-        ms.derived("efficiency", nbti_efficiency,
-                   args=("delay", "guardband", "tdp"))
-        assert ms.get("efficiency").value() == pytest.approx(1.728)
-        # internal inputs stay out of the flat view
-        assert list(ms.flatten()) == ["efficiency"]
-        assert set(ms.flatten(include_internal=True)) == {
-            "efficiency", "delay", "guardband", "tdp"}
-
-    def test_detached_derived_raises(self):
-        stat = Derived(lambda x: x, args=("x",))
-        with pytest.raises(RuntimeError):
-            stat.value()
-
     def test_distribution_copies(self):
         histogram = {0: 5, 1: 2}
         stat = Distribution(histogram)
@@ -175,15 +153,6 @@ class TestMetricSet:
         with pytest.raises(KeyError):
             self._tree().get("nowhere.at.all")
 
-    def test_from_flat_round_trip(self):
-        flat = {"hits": 3, "dl0.misses": 1, "dl0.rate": 0.25,
-                "scheme": "LineFixed50%"}
-        rebuilt = MetricSet.from_flat(flat)
-        assert rebuilt.flatten() == flat
-        assert rebuilt.get("hits").kind == "counter"
-        assert rebuilt.get("dl0.rate").kind == "gauge"
-        assert rebuilt.get("scheme").kind == "text"
-
     def test_snapshot_and_typed_delta(self):
         ms = MetricSet()
         ms.counter("n", 10)
@@ -230,7 +199,6 @@ class TestMetricSet:
 
 class TestComponentSources:
     def test_every_stat_bearing_component_is_a_metric_source(self):
-        from repro.core import PenelopeProcessor
         from repro.core.cache_like import LineFixedScheme, ProtectedCache
         from repro.uarch.bitbias import BitBiasAccumulator
         from repro.uarch.branch_predictor import (
@@ -253,7 +221,6 @@ class TestComponentSources:
             BimodalPredictor(entries=64),
             ProtectedBimodalPredictor(BimodalPredictor(entries=64)),
             TraceDrivenCore(),
-            PenelopeProcessor(),
         ]
         for source in sources:
             assert isinstance(source, MetricSource), source
@@ -289,30 +256,6 @@ class TestComponentSources:
         flat = protected.metrics().flatten()
         assert flat["scheme"] == "LineFixed50%"
         assert flat["inverted_frac"] == pytest.approx(0.5)
-
-    def test_penelope_metrics_require_an_evaluation(self):
-        from repro.core import PenelopeProcessor
-
-        processor = PenelopeProcessor()
-        with pytest.raises(RuntimeError):
-            processor.metrics()
-
-    def test_penelope_efficiency_is_derived_from_eq1_inputs(self):
-        from repro.core import PenelopeProcessor
-        from repro.workloads import generate_workload
-
-        workload = generate_workload(traces_per_suite=1, length=600,
-                                     suites=["specint2000"])
-        processor = PenelopeProcessor()
-        report = processor.evaluate(workload)
-        tree = processor.metrics()
-        assert tree.get("efficiency").kind == "derived"
-        assert tree.get("efficiency").value() == report.efficiency
-        assert (tree.get("baseline.efficiency").value()
-                == report.baseline_efficiency)
-        blocks = {name for name in tree.children()["blocks"].children()}
-        assert {"adder", "int_rf", "fp_rf", "scheduler",
-                "dl0+dtlb"} == blocks
 
 
 class TestIntervalTelemetry:
@@ -422,44 +365,3 @@ class TestIntervalTelemetry:
         assert text.startswith("misses")
         with pytest.raises(ValueError):
             format_interval_report(payload, metrics=["bogus"])
-
-
-class TestStudyMetricSets:
-    def test_execute_metrics_returns_typed_tree(self):
-        from repro.experiments import get_study
-
-        tree = get_study("caches").execute_metrics({"length": 300})
-        assert tree.get("scheme_name").kind == "text"
-        assert tree.get("inverted_ratio").kind == "ratio"
-        assert tree.get("mean_loss").kind == "gauge"
-
-    def test_study_sets_pickle_for_pool_workers(self):
-        from repro.experiments import get_study
-
-        for study, params in (
-            ("caches", {"length": 300}),
-            ("invert_ratio", {"length": 300}),
-            ("penelope", {"length": 300}),
-            ("multiprog", {"length": 300}),
-        ):
-            tree = get_study(study).execute_metrics(params)
-            clone = pickle.loads(pickle.dumps(tree))
-            assert clone.flatten() == tree.flatten(), study
-
-    def test_point_results_expose_tree_and_flat_views(self, tmp_path):
-        from repro.experiments import SweepRunner, SweepSpec
-        from repro.fabric import ShardedResultStore
-
-        spec = SweepSpec("caches", base={"length": 300},
-                         grid={"ratio": [0.4, 0.5]})
-        store = ShardedResultStore(str(tmp_path))
-        fresh = SweepRunner(store=store).run(spec)
-        for result in fresh:
-            assert result.metric_set is not None
-            assert result.metric_tree.flatten() == result.metrics
-            assert result.metric_tree.get("inverted_ratio").kind == "ratio"
-        # cache hits rebuild the tree from the flat row
-        cached = SweepRunner(store=store).run(spec)
-        for result in cached:
-            assert result.cached and result.metric_set is None
-            assert result.metric_tree.flatten() == result.metrics

@@ -1,9 +1,14 @@
-"""Pinned result digests of the register-file, Vmin and Penelope studies.
+"""Pinned result digests of six studies: the single-suite cache studies
+(``caches``, ``invert_ratio``, ``victim_policy``), the register-file
+and Vmin studies, and the whole-processor Penelope study.
 
-Each digest is the sha256 of a point's flattened metrics as canonical
-JSON (sorted keys, exact float reprs).  They were recorded before the
-bit-sliced aging, by-value bias accounting, table-driven repair and
-fused profiling pass went in, with and without numpy; any speed-up of
+Each digest is the sha256 of a point's metric dict as canonical JSON
+(sorted keys, exact float reprs).  The register-file, Vmin and Penelope
+digests were recorded before the bit-sliced aging, by-value bias
+accounting, table-driven repair and fused profiling pass went in; the
+cache-study digests before the studies returned plain dicts and
+``victim_policy`` replayed its baseline once.  Each holds with and
+without numpy, on every supported Python; any speed-up or refactor of
 these layers must leave every one unchanged.  Regenerate only for a
 change that is *meant* to alter simulated results.
 """
@@ -18,6 +23,24 @@ from repro.experiments import get_study
 LENGTH = 1500
 
 PINNED = {
+    ("caches", "specint2000", 0): "c689df1c82e7ede493c05280bfccc30621e7e19a4f4f287b872199a01429b4bf",
+    ("caches", "specint2000", 1): "08c0adb4deb15c7fe15a1467037d4c18e8a32161f0bb919262d47546780f9089",
+    ("caches", "office", 0): "05a654935b3e12f2df2fd46c973a8ede40e66126d4cf4c68ac12c834b7f5218e",
+    ("caches", "office", 1): "5f689a9160e62eb9d502476f2d1856ae64599e92b01318f3c95f73b2ae0d7fa1",
+    ("caches", "multimedia", 0): "e5b4762f6df21e418a39fbb437849cca761d3a33b1bb89bdd1e9a01adfb1de4b",
+    ("caches", "multimedia", 1): "26b6689ce4ba5006532847a08fffd1d77760f7ec2d4ed6e661e599efeeba118e",
+    ("invert_ratio", "specint2000", 0): "9a9853467aeca14df003212d89d4c4968c7c409d0ef4af2c91104f84f437064e",
+    ("invert_ratio", "specint2000", 1): "9c2071e4b1d395b912314366893a49f5205e17125b6bd5cb136edef8d4819fb9",
+    ("invert_ratio", "office", 0): "81974959a1fa20462139195fe0979a0a7cccf9fdcab776f36f1959d3e4f3c81d",
+    ("invert_ratio", "office", 1): "2e646fd843e29f84c0fb60f42892766386688bdac88b3ef6d7f6d5d7418eee3d",
+    ("invert_ratio", "multimedia", 0): "2dd045c5b766d7f6b3589ecca194000c52baf8203ce114836ac3584cc8ab8380",
+    ("invert_ratio", "multimedia", 1): "41999e8929d7b4f21262c23b8171cfa1f1abe9a5abb479db2ae51b7e4269dec6",
+    ("victim_policy", "specint2000", 0): "8eaf0431e05b59b2a835a7a5430cd12471338c30a172cf1c9a3396727608b560",
+    ("victim_policy", "specint2000", 1): "d9a2120a709905e06b54f2e99b3e5c2532d5c46d0c1cf5896800f3ce153ce7f0",
+    ("victim_policy", "office", 0): "4ef1da8f22b52cf39bb56469f237684a1f6f2869aca9fe795d5e691a41a614ad",
+    ("victim_policy", "office", 1): "0010486b834bf5451f7feef6b43271defb9d41b7b3740cd269de2db54ceec8da",
+    ("victim_policy", "multimedia", 0): "24fe290e33900c4275a8d2d309f70b8bd50ef6df7e0dd0667b4cd0d63af07391",
+    ("victim_policy", "multimedia", 1): "65ff35205d97273bda6c73d01ded7035bafe7039641839ddfb4a025e44d7379c",
     ("regfile", "specint2000", 0): "cf45a668ed76be948540dccdaff76978da958757dbf7a0a8c1021bd5abe64eb2",
     ("regfile", "specint2000", 1): "e17975d5f66282dfe66bbdede0fd97e19cf0e80e77f9ef32b7cc3a9424a9008d",
     ("regfile", "office", 0): "b5581d2c4dcd66039f5cf175530c85accb169313002ca0a6d301db6f9671faae",
