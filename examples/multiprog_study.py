@@ -15,7 +15,7 @@ Everything streams: no address list is ever materialised, so the same
 script scales to paper-length traces.  Driven through the declarative
 API — the workload's ``interleave``/``slice_length`` fields feed the
 ``multiprog`` study's policy knobs; ``examples/multiprog_study.json``
-is the equivalent config for ``repro run``.
+is the equivalent config for ``repro sweep --config``.
 
 Run:  python examples/multiprog_study.py [--workers N]
 """

@@ -33,7 +33,7 @@ Quick start::
     )
     outcome = api.run_study(spec)
 
-or, from JSON (the ``repro run --config`` path)::
+or, from JSON (the ``repro sweep --config`` path)::
 
     spec = api.load_study_spec("study.json")
     outcome = api.run_study(spec)

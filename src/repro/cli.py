@@ -14,7 +14,7 @@ Examples
     python -m repro.cli sweep --resume RUN_ID
     python -m repro.cli results --study caches
     python -m repro.cli show-config --study penelope > study.json
-    python -m repro.cli run --config study.json --verbose
+    python -m repro.cli sweep --config study.json --progress line
 """
 
 from __future__ import annotations
@@ -27,23 +27,6 @@ from typing import List, Optional
 from repro import __version__
 from repro.analysis import format_series, format_table
 from repro.workloads import suite_names
-
-
-def _add_observability_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--trace", action="store_true",
-        help="record execution spans; writes spans.jsonl and a "
-             "Perfetto-loadable trace.json next to the store",
-    )
-    parser.add_argument(
-        "--progress", default=None, choices=("line", "json", "none"),
-        help="per-point progress rendering (default: line when "
-             "--verbose, else none)",
-    )
-    parser.add_argument(
-        "--quiet", action="store_true",
-        help="suppress plan, progress, summary and footer output",
-    )
 
 
 def cmd_physics(args: argparse.Namespace) -> int:
@@ -105,55 +88,240 @@ def _store_dir(path: Optional[str]) -> str:
 
 
 def _open_store(path: Optional[str]):
-    """The result store at ``--store`` (raises ValueError on a flat file)."""
+    """The result store at ``--store`` (ValueError if it names a file)."""
     from repro.fabric.store import ShardedResultStore
 
     return ShardedResultStore(_store_dir(path))
 
 
-def _run_sweep_and_report(spec, *, workers, store, verbose, group_by,
-                          metrics_arg, agg, intro, title,
-                          progress_mode=None, quiet=False,
-                          trace=False, resume=None,
-                          batch_size=None) -> int:
-    """Execute an expanded sweep and print plan, progress, summary,
-    and footer — shared by ``sweep`` and ``run``."""
+#: Trace / address-stream length of a grid-flag sweep without --length.
+DEFAULT_LENGTH = 6000
+
+
+def _grid_sweep(args: argparse.Namespace):
+    """The ``SweepSpec`` a study name and the grid flags describe."""
+    from repro.experiments import SweepSpec, get_study, parse_grid_option
+
+    if args.study is None:
+        raise ValueError(
+            "pass a study to sweep, --config FILE or --resume RUN_ID; "
+            "see `repro sweep --help` for the registered studies")
+    study = get_study(args.study)
+    grid = {}
+    for option in args.grid or []:
+        key, values = parse_grid_option(option)
+        if key in grid:
+            raise ValueError(
+                f"grid axis {key!r} given twice; list every value "
+                f"in one option: --grid {key}=v1,v2"
+            )
+        grid[key] = values
+    base = {"length": DEFAULT_LENGTH if args.length is None else args.length,
+            "seed": 0 if args.seed is None else args.seed}
+    if args.backend is not None:
+        from repro.uarch.backends import backend_names
+
+        if args.backend not in backend_names():
+            raise ValueError(
+                f"unknown kernel backend {args.backend!r}; "
+                f"choose from {', '.join(backend_names())}"
+            )
+        base["backend"] = args.backend
+    if "suite" in study.defaults:
+        if "suite" in grid:
+            if args.suites is not None:
+                raise ValueError(
+                    "--suites conflicts with --grid suite=...; "
+                    "use one of them"
+                )
+        else:
+            grid["suite"] = list(args.suites or suite_names())
+    elif "suites" in study.defaults:
+        if "suites" in grid:
+            # --grid suites=a,b would sweep one SINGLE-program
+            # point per value — silently dropping the interference
+            # this study exists to measure.
+            raise ValueError(
+                f"study {args.study!r} takes the whole program set "
+                f"as one point; --grid suites=... would sweep "
+                f"single-program points instead — pass the "
+                f"programs via --suites"
+            )
+        if args.suites is not None:
+            # The whole suite list is ONE point parameter (the
+            # programs sharing the cache), not a per-suite axis.
+            base["suites"] = list(args.suites)
+    return SweepSpec(args.study, base=base, grid=grid)
+
+
+def _grid_flags_given(args: argparse.Namespace) -> List[str]:
+    """The grid flags on the command line: what only a study name uses."""
+    return [flag for flag, value in (
+        ("--grid", args.grid),
+        ("--suites", args.suites),
+        ("--length", args.length),
+        ("--seed", args.seed),
+    ) if value is not None]
+
+
+def _config_sweep(args: argparse.Namespace):
+    """``(SweepSpec, workers)`` of the StudySpec file ``--config`` names."""
+    import dataclasses
+
+    from repro import api
+
+    conflicts = [flag for flag, value in (
+        ("--resume", args.resume),
+        (f"study {args.study!r}", args.study),
+    ) if value is not None] + _grid_flags_given(args)
+    if conflicts:
+        raise ValueError(
+            f"--config conflicts with {', '.join(conflicts)}: the "
+            f"config file holds the whole study; edit it instead")
+    try:
+        spec = api.load_study_spec(args.config)
+    except OSError as exc:
+        raise ValueError(
+            f"cannot read {args.config!r}: {exc.strerror}") from None
+    if args.backend is not None:
+        spec = dataclasses.replace(
+            spec,
+            processor=dataclasses.replace(spec.processor,
+                                          backend=args.backend),
+        )
+    return api.study_sweep_spec(spec), spec.workers
+
+
+def _resumed_sweep(args: argparse.Namespace):
+    """The ``SweepSpec`` the manifest of run ``--resume`` recorded."""
+    from repro.experiments import SweepSpec
+    from repro.obs.provenance import load_run_manifest
+
+    conflicts = _grid_flags_given(args) + (
+        ["--backend"] if args.backend is not None else [])
+    if conflicts:
+        raise ValueError(
+            f"--resume conflicts with {', '.join(conflicts)}: the run's "
+            f"manifest holds the whole spec")
+    spec = SweepSpec.from_payload(
+        load_run_manifest(_store_dir(args.store), args.resume)["spec"])
+    if args.study is not None and args.study != spec.study:
+        raise ValueError(
+            f"--resume {args.resume} was planned for study "
+            f"{spec.study!r}, not {args.study!r}"
+        )
+    return spec
+
+
+def cmd_sweep(args: argparse.Namespace) -> int:
+    """Run one sweep and report it.
+
+    The spec comes from exactly one source: a study name and the grid
+    flags, a StudySpec file (``--config``), or the manifest of a run in
+    the store (``--resume``).  Everything after it is one path.
+    """
+    from repro.experiments import (
+        PointExecutionError,
+        SweepIncompleteError,
+        get_study,
+    )
+
+    try:
+        workers = args.workers
+        if args.config is not None:
+            spec, file_workers = _config_sweep(args)
+            if workers is None:
+                workers = file_workers
+            intro = f"study {spec.study!r} from {args.config}"
+            label, suffix = f"study {spec.study}", ""
+        elif args.resume is not None:
+            spec = _resumed_sweep(args)
+            intro = f"resume {spec.study!r} run {args.resume}"
+            label, suffix = (f"sweep {spec.study}",
+                             f" (resumed {args.resume})")
+        else:
+            spec = _grid_sweep(args)
+            intro = f"sweep {spec.study!r}"
+            label, suffix = f"sweep {spec.study}", ""
+        study = get_study(spec.study)
+
+        # Group keys are fully known before execution (defaults + base
+        # + grid); rejecting typos here saves the whole sweep's compute.
+        group_by = (args.group_by.split(",") if args.group_by
+                    else spec.axis_names())
+        known_params = set(study.defaults) | set(spec.base) | set(spec.grid)
+        bad_keys = [k for k in group_by if k not in known_params]
+        if bad_keys:
+            raise ValueError(
+                f"unknown --group-by key(s) {', '.join(bad_keys)}; "
+                f"available: {', '.join(sorted(known_params))}"
+            )
+
+        store = None if args.no_store else _open_store(args.store)
+        return _run_sweep_and_report(
+            spec, args,
+            workers=1 if workers is None else workers,
+            store=store,
+            group_by=group_by,
+            intro=intro,
+            title=f"{label}: {study.description}{suffix}",
+        )
+    except SweepIncompleteError as exc:
+        # The run stopped with durable state behind it — distinct exit
+        # code so scripts can branch straight to `sweep --resume`.
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except (FileNotFoundError, ValueError, KeyError,
+            PointExecutionError) as exc:
+        # Bad grid syntax or config, unknown scheme value, unknown
+        # suite passed via --grid suite=..., workers < 1, an unknown
+        # run id, a study raising inside a point (PointExecutionError
+        # names the point and params), ...
+        message = exc.args[0] if exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
+        return 2
+
+
+def _run_sweep_and_report(spec, args: argparse.Namespace, *, workers,
+                          store, group_by, intro, title) -> int:
+    """Execute a sweep and print plan, progress, summary and footer."""
     from repro.experiments import SweepRunner, format_summary
+    from repro.obs.log import new_run_id
     from repro.obs.progress import SweepProgress
 
-    # --quiet beats everything; otherwise an explicit --progress mode
-    # beats the legacy --verbose spelling (which means "line").
-    mode = ("none" if quiet
-            else progress_mode or ("line" if verbose else "none"))
+    mode = "none" if args.quiet else args.progress or "none"
     progress = SweepProgress(spec.size, mode=mode)
-    # Trace artefacts land in the store directory (the run's natural
-    # output directory), or the default one for --no-store runs.
-    # `is not None`, not truthiness: an empty store is falsy (it has
-    # __len__), but its directory is still where artefacts belong.
+    # A resume keeps its run's id.  Trace artefacts are named after it
+    # and land in the store directory (the run's natural output
+    # directory), or the default one for --no-store runs, so runs that
+    # share a directory keep a trace each.  `is not None`, not
+    # truthiness: an empty store is falsy (it has __len__), but its
+    # directory is still where artefacts belong.
+    run_id = args.resume or new_run_id()
     obs_dir = store.directory if store is not None else _store_dir(None)
-    trace_json = os.path.join(obs_dir, "trace.json")
-    spans_path = os.path.join(obs_dir, "spans.jsonl")
-    if trace:
+    trace_json = os.path.join(obs_dir, f"trace-{run_id}.json")
+    spans_path = os.path.join(obs_dir, f"spans-{run_id}.jsonl")
+    if args.trace:
         from repro.obs.trace import TRACER
 
+        TRACER.clear()
         TRACER.enable()
-    human = not quiet and mode != "json"
+    human = not args.quiet and mode != "json"
 
     runner = SweepRunner(store=store, workers=workers,
-                         progress=progress.update,
-                         trace_path=trace_json if trace else None,
-                         batch_size=batch_size)
-    progress.begin(
-        run_id=resume if resume is not None else runner.run_id,
-        store=store.directory if store is not None else None)
+                         progress=progress.update, run_id=run_id,
+                         trace_path=trace_json if args.trace else None,
+                         batch_size=args.batch_size)
+    progress.begin(run_id=run_id,
+                   store=store.directory if store is not None else None)
     if human:
         print(f"{intro}: {spec.size} points over axes "
               f"{', '.join(spec.axis_names())} ({workers} worker"
               f"{'s' if workers != 1 else ''})")
-    outcome = (runner.resume(resume) if resume is not None
+    outcome = (runner.resume(args.resume) if args.resume is not None
                else runner.run(spec))
 
-    if trace:
+    if args.trace:
         from repro.obs.trace import (
             TRACER,
             export_chrome_trace,
@@ -167,7 +335,7 @@ def _run_sweep_and_report(spec, *, workers, store, verbose, group_by,
             print(f"trace: {events} events -> {trace_json} "
                   f"(raw spans: {spans_path})")
 
-    metrics = metrics_arg.split(",") if metrics_arg else ()
+    metrics = args.metrics.split(",") if args.metrics else ()
     if outcome.results and metrics:
         from repro.experiments import metric_names
 
@@ -191,12 +359,12 @@ def _run_sweep_and_report(spec, *, workers, store, verbose, group_by,
             "manifest": outcome.manifest_path,
         }, sort_keys=True))
         return 0
-    if quiet:
+    if args.quiet:
         return 0
     print(format_summary(
         outcome.results, group_by=group_by,
         metrics=metrics,
-        agg=agg,
+        agg=args.agg,
         title=title,
     ))
     print(f"{len(outcome)} points in {outcome.wall_time:.2f}s: "
@@ -210,246 +378,28 @@ def _run_sweep_and_report(spec, *, workers, store, verbose, group_by,
     return 0
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.experiments import (
-        PointExecutionError,
-        SweepIncompleteError,
-        SweepSpec,
-        get_study,
-        parse_grid_option,
-    )
-
-    if args.resume is not None:
-        return _cmd_sweep_resume(args)
-
-    # Positional and --study are two spellings of the same thing
-    # (`repro sweep caches` / `repro sweep --study caches`).
-    study_name = args.study if args.study is not None else args.study_opt
-    if (args.study is not None and args.study_opt is not None
-            and args.study != args.study_opt):
-        print(f"error: positional study {args.study!r} conflicts with "
-              f"--study {args.study_opt!r}; pass one of them",
-              file=sys.stderr)
-        return 2
-    if study_name is None:
-        print("error: pass a study to sweep (positional or --study); "
-              "see `repro sweep --help` for the registered studies",
-              file=sys.stderr)
-        return 2
-    try:
-        study = get_study(study_name)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
-    try:
-        grid = {}
-        for option in args.grid or []:
-            key, values = parse_grid_option(option)
-            if key in grid:
-                raise ValueError(
-                    f"grid axis {key!r} given twice; list every value "
-                    f"in one option: --grid {key}=v1,v2"
-                )
-            grid[key] = values
-        base = {"length": args.length, "seed": args.seed}
-        if args.backend is not None:
-            from repro.uarch.backends import backend_names
-
-            if args.backend not in backend_names():
-                raise ValueError(
-                    f"unknown kernel backend {args.backend!r}; "
-                    f"choose from {', '.join(backend_names())}"
-                )
-            base["backend"] = args.backend
-        if "suite" in study.defaults:
-            if "suite" in grid:
-                if args.suites is not None:
-                    raise ValueError(
-                        "--suites conflicts with --grid suite=...; "
-                        "use one of them"
-                    )
-            else:
-                grid["suite"] = list(args.suites or suite_names())
-        elif "suites" in study.defaults:
-            if "suites" in grid:
-                # --grid suites=a,b would sweep one SINGLE-program
-                # point per value — silently dropping the interference
-                # this study exists to measure.
-                raise ValueError(
-                    f"study {study_name!r} takes the whole program set "
-                    f"as one point; --grid suites=... would sweep "
-                    f"single-program points instead — pass the "
-                    f"programs via --suites"
-                )
-            if args.suites is not None:
-                # The whole suite list is ONE point parameter (the
-                # programs sharing the cache), not a per-suite axis.
-                base["suites"] = list(args.suites)
-        spec = SweepSpec(study_name, base=base, grid=grid)
-
-        # Group keys are fully known before execution (defaults + base
-        # + grid); rejecting typos here saves the whole sweep's compute.
-        group_by = (args.group_by.split(",") if args.group_by
-                    else spec.axis_names())
-        known_params = set(study.defaults) | set(base) | set(grid)
-        bad_keys = [k for k in group_by if k not in known_params]
-        if bad_keys:
-            raise ValueError(
-                f"unknown --group-by key(s) {', '.join(bad_keys)}; "
-                f"available: {', '.join(sorted(known_params))}"
-            )
-
-        store = None if args.no_store else _open_store(args.store)
-        return _run_sweep_and_report(
-            spec,
-            workers=args.workers,
-            store=store,
-            verbose=args.verbose,
-            group_by=group_by,
-            metrics_arg=args.metrics,
-            agg=args.agg,
-            intro=f"sweep {study_name!r}",
-            title=f"sweep {study_name}: {study.description}",
-            progress_mode=args.progress,
-            quiet=args.quiet,
-            trace=args.trace,
-            batch_size=args.batch_size,
-        )
-    except SweepIncompleteError as exc:
-        # The run stopped with durable state behind it — distinct exit
-        # code so scripts can branch straight to `sweep --resume`.
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, KeyError, PointExecutionError) as exc:
-        # Bad grid syntax, unknown scheme value, unknown suite passed
-        # via --grid suite=..., workers < 1, a study raising inside a
-        # point (PointExecutionError names the point and params), ...
-        message = exc.args[0] if exc.args else exc
-        print(f"error: {message}", file=sys.stderr)
-        return 2
-
-
-def _cmd_sweep_resume(args: argparse.Namespace) -> int:
-    """``repro sweep --resume RUN_ID``: finish an interrupted run."""
-    from repro.experiments import (
-        PointExecutionError,
-        SweepIncompleteError,
-        SweepSpec,
-        get_study,
-    )
-    from repro.obs.provenance import load_run_manifest
-
-    directory = _store_dir(args.store)
-    try:
-        spec = SweepSpec.from_payload(
-            load_run_manifest(directory, args.resume)["spec"])
-        study = get_study(spec.study)
-        if args.study is not None and args.study != spec.study:
-            raise ValueError(
-                f"--resume {args.resume} was planned for study "
-                f"{spec.study!r}, not {args.study!r}"
-            )
-        return _run_sweep_and_report(
-            spec,
-            workers=args.workers,
-            store=_open_store(directory),
-            verbose=args.verbose,
-            group_by=spec.axis_names(),
-            metrics_arg=args.metrics,
-            agg=args.agg,
-            intro=f"resume {spec.study!r} run {args.resume}",
-            title=f"sweep {spec.study}: {study.description} "
-                  f"(resumed {args.resume})",
-            progress_mode=args.progress,
-            quiet=args.quiet,
-            trace=args.trace,
-            resume=args.resume,
-            batch_size=args.batch_size,
-        )
-    except SweepIncompleteError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (FileNotFoundError, ValueError, KeyError,
-            PointExecutionError) as exc:
-        message = exc.args[0] if exc.args else exc
-        print(f"error: {message}", file=sys.stderr)
-        return 2
-
-
-def cmd_run(args: argparse.Namespace) -> int:
-    """Run a serialized StudySpec (JSON) through the experiment engine."""
-    from repro import api
-    from repro.config import SpecError
-    from repro.experiments import (
-        PointExecutionError,
-        SweepIncompleteError,
-        get_study,
-    )
-
-    try:
-        spec = api.load_study_spec(args.config)
-    except OSError as exc:
-        print(f"error: cannot read {args.config!r}: {exc.strerror}",
-              file=sys.stderr)
-        return 2
-    except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        if args.backend is not None:
-            import dataclasses
-
-            spec = dataclasses.replace(
-                spec,
-                processor=dataclasses.replace(
-                    spec.processor, backend=args.backend
-                ),
-            )
-        study = get_study(spec.study)
-        sweep = api.study_sweep_spec(spec)
-        store = None if args.no_store else _open_store(args.store)
-        return _run_sweep_and_report(
-            sweep,
-            workers=args.workers if args.workers else spec.workers,
-            store=store,
-            verbose=args.verbose,
-            group_by=sweep.axis_names(),
-            metrics_arg=args.metrics,
-            agg=args.agg,
-            intro=f"study {spec.study!r} from {args.config}",
-            title=f"study {spec.study}: {study.description}",
-            progress_mode=args.progress,
-            quiet=args.quiet,
-            trace=args.trace,
-        )
-    except SweepIncompleteError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (SpecError, ValueError, KeyError,
-            PointExecutionError) as exc:
-        message = exc.args[0] if exc.args else exc
-        print(f"error: {message}", file=sys.stderr)
-        return 2
-
-
 def cmd_trace(args: argparse.Namespace) -> int:
     """Work with recorded observability artefacts.
 
-    ``repro trace export OUT`` converts a raw span file (what
-    ``repro sweep --trace`` writes next to the store) into Chrome
-    trace-event JSON loadable in Perfetto / ``chrome://tracing``;
-    ``repro trace events`` renders the structured event log as human
-    lines.
+    ``repro trace export OUT --spans FILE`` converts a raw span file
+    (``repro sweep --trace`` writes ``spans-<run_id>.jsonl`` next to
+    the store) into Chrome trace-event JSON loadable in Perfetto /
+    ``chrome://tracing``; ``repro trace events`` renders the structured
+    event log as human lines.
     """
     if args.action == "export":
         from repro.obs.trace import export_chrome_trace, load_spans
 
         if not args.output:
             print("error: pass an output path: repro trace export "
-                  "run.trace.json", file=sys.stderr)
+                  "run.trace.json --spans FILE", file=sys.stderr)
             return 2
-        spans_path = args.spans or os.path.join(
-            _store_dir(None), "spans.jsonl")
+        spans_path = args.spans
+        if not spans_path:
+            print("error: pass the span file to export: --spans "
+                  "spans-<run_id>.jsonl (a traced sweep writes one per "
+                  "run next to its store)", file=sys.stderr)
+            return 2
         try:
             records = load_spans(spans_path)
         except OSError as exc:
@@ -844,33 +794,6 @@ def cmd_store_compact(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_store_migrate(args: argparse.Namespace) -> int:
-    """Import a flat JSONL store into a sharded store."""
-    from repro.fabric import ShardedResultStore
-
-    if not os.path.exists(args.source):
-        print(f"error: flat store {args.source!r} does not exist",
-              file=sys.stderr)
-        return 2
-    try:
-        store = ShardedResultStore(args.dest, shards=args.shards)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        imported = store.import_flat_store(args.source)
-        total = len(store)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    finally:
-        store.close()
-    print(f"migrated {imported} records from {args.source} "
-          f"to {store.directory}")
-    print(f"records: {total}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -898,8 +821,8 @@ def build_parser() -> argparse.ArgumentParser:
     # the experiments-subsystem import; a CLI test keeps it in sync.
     sweep = commands.add_parser(
         "sweep",
-        help="expand a parameter grid and run it through the "
-             "experiment engine",
+        help="run a study's parameter grid, a JSON StudySpec or an "
+             "interrupted run through the experiment engine",
         epilog="registered studies: caches, invert_ratio, multiprog, "
                "penelope, regfile, victim_policy, vmin_power",
     )
@@ -907,10 +830,9 @@ def build_parser() -> argparse.ArgumentParser:
     # same `error: unknown study ...` shape as other sweep errors.
     sweep.add_argument("study", nargs="?", default=None,
                        help="registered study to sweep")
-    sweep.add_argument("--study", dest="study_opt", default=None,
-                       metavar="NAME",
-                       help="alternative spelling of the positional "
-                            "study argument")
+    sweep.add_argument("--config", default=None, metavar="FILE",
+                       help="run a JSON StudySpec instead of a study "
+                            "and grid flags (see `repro show-config`)")
     sweep.add_argument(
         "--grid", action="append", metavar="KEY=V1,V2",
         help="one grid axis; repeatable (e.g. --grid ratio=0.4,0.5)",
@@ -921,17 +843,21 @@ def build_parser() -> argparse.ArgumentParser:
         help="suite axis of the grid (default: all Table 1 suites; "
              "conflicts with --grid suite=...)",
     )
-    sweep.add_argument("--length", type=int, default=6000,
-                       help="trace / address-stream length per point")
-    sweep.add_argument("--seed", type=int, default=0)
+    sweep.add_argument("--length", type=int, default=None,
+                       help="trace / address-stream length per point "
+                            f"(default: {DEFAULT_LENGTH})")
+    sweep.add_argument("--seed", type=int, default=None,
+                       help="workload seed (default: 0)")
     sweep.add_argument("--backend", default=None, metavar="NAME",
                        help="kernel backend for every point (reference "
                             "or vectorized; default: the study's "
-                            "default, reference)")
-    sweep.add_argument("--workers", type=int, default=1,
-                       help="1 (default) runs in this process; more "
-                            "starts that many worker processes, each "
-                            "fed one batch of points at a time")
+                            "default, reference, or the config's "
+                            "processor.backend)")
+    sweep.add_argument("--workers", type=int, default=None,
+                       help="1 (default, or the config's `workers`) "
+                            "runs in this process; more starts that "
+                            "many worker processes, each fed one batch "
+                            "of points at a time")
     sweep.add_argument("--store", default=None, metavar="DIR",
                        help="result store directory (default: "
                             "benchmarks/results/fabric)")
@@ -943,8 +869,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="metrics to show (default: all)")
     sweep.add_argument("--agg", default="mean",
                        choices=("mean", "min", "max"))
-    sweep.add_argument("--verbose", action="store_true",
-                       help="print one progress line per point")
     sweep.add_argument(
         "--resume", default=None, metavar="RUN_ID",
         help="finish an interrupted run from its manifest in the store "
@@ -953,37 +877,20 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="N",
                        help="points per worker batch with --workers > 1 "
                             "(default: ~4 batches per worker)")
-    _add_observability_arguments(sweep)
-    sweep.set_defaults(func=cmd_sweep)
-
-    run = commands.add_parser(
-        "run",
-        help="run a declarative study config (JSON StudySpec) through "
-             "the experiment engine",
-        epilog="write a starting config with: repro show-config "
-               "--study caches > study.json",
+    sweep.add_argument(
+        "--trace", action="store_true",
+        help="record execution spans; writes spans-<run_id>.jsonl and "
+             "a Perfetto-loadable trace-<run_id>.json next to the store",
     )
-    run.add_argument("--config", required=True, metavar="PATH",
-                     help="JSON StudySpec file (see `repro show-config`)")
-    run.add_argument("--backend", default=None, metavar="NAME",
-                     help="override the spec's processor.backend "
-                          "(reference or vectorized)")
-    run.add_argument("--workers", type=int, default=0,
-                     help="worker processes (default: the spec's "
-                          "`workers` field)")
-    run.add_argument("--store", default=None, metavar="DIR",
-                     help="result store directory (default: "
-                          "benchmarks/results/fabric)")
-    run.add_argument("--no-store", action="store_true",
-                     help="disable the result cache for this run")
-    run.add_argument("--metrics", default=None, metavar="M1,M2",
-                     help="metrics to show (default: all)")
-    run.add_argument("--agg", default="mean",
-                     choices=("mean", "min", "max"))
-    run.add_argument("--verbose", action="store_true",
-                     help="print one progress line per point")
-    _add_observability_arguments(run)
-    run.set_defaults(func=cmd_run)
+    sweep.add_argument(
+        "--progress", default=None, choices=("line", "json", "none"),
+        help="per-point progress rendering (default: none)",
+    )
+    sweep.add_argument(
+        "--quiet", action="store_true",
+        help="suppress plan, progress, summary and footer output",
+    )
+    sweep.set_defaults(func=cmd_sweep)
 
     show_config = commands.add_parser(
         "show-config",
@@ -991,10 +898,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     show_config.add_argument("--study", default="penelope",
                              help="registered study (default: penelope)")
-    show_config.add_argument(
-        "--defaults", action="store_true",
-        help="accepted for clarity; defaults are all this command prints",
-    )
     show_config.set_defaults(func=cmd_show_config)
 
     bench_smoke = commands.add_parser(
@@ -1024,7 +927,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="export recorded spans as Chrome trace JSON, or render "
              "the structured event log",
         epilog="examples: repro sweep caches --trace; repro trace "
-               "export run.trace.json; repro trace events --limit 20",
+               "export run.trace.json --spans DIR/spans-RUN_ID.jsonl; "
+               "repro trace events --limit 20",
     )
     trace.add_argument("action", choices=("export", "events"),
                        help="export: spans -> Chrome trace JSON; "
@@ -1032,8 +936,9 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("output", nargs="?", default=None,
                        help="Chrome trace JSON output path (export)")
     trace.add_argument("--spans", default=None, metavar="FILE",
-                       help="raw span file (default: spans.jsonl next "
-                            "to the default store)")
+                       help="raw span file to export (a traced sweep "
+                            "writes spans-<run_id>.jsonl next to its "
+                            "store)")
     trace.add_argument("--events", default=None, metavar="FILE",
                        help="event log file (default: events.jsonl "
                             "next to the default store)")
@@ -1155,10 +1060,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     store_cmd = commands.add_parser(
         "store",
-        help="inspect, maintain and import result stores",
-        epilog="examples: repro store info; repro store migrate "
-               "benchmarks/results/store.jsonl benchmarks/results/fabric; "
-               "repro store compact",
+        help="inspect and maintain result stores",
+        epilog="examples: repro store info; repro store compact",
     )
     store_actions = store_cmd.add_subparsers(dest="store_action",
                                              required=True)
@@ -1175,18 +1078,6 @@ def build_parser() -> argparse.ArgumentParser:
                                help="result store directory (default: "
                                     "benchmarks/results/fabric)")
     store_compact.set_defaults(func=cmd_store_compact)
-    store_migrate = store_actions.add_parser(
-        "migrate",
-        help="import a flat JSONL store into a sharded store")
-    store_migrate.add_argument("source", metavar="FLAT_JSONL",
-                               help="flat store file to import")
-    store_migrate.add_argument("dest", metavar="DIR",
-                               help="sharded store directory to create "
-                                    "or extend")
-    store_migrate.add_argument("--shards", type=int, default=16,
-                               help="shard count for a new store "
-                                    "(default: 16)")
-    store_migrate.set_defaults(func=cmd_store_migrate)
     return parser
 
 

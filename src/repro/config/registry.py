@@ -4,7 +4,7 @@ Each structure kind owns a :class:`ComponentRegistry` mapping a
 mechanism *name* (the string a :class:`~repro.config.specs.
 MechanismSpec` carries) to a factory.  New schemes plug in with
 ``@CACHE_SCHEMES.register("my_scheme")`` and are immediately reachable
-from JSON configs, ``repro run``, the experiment engine,
+from JSON configs, ``repro sweep --config``, the experiment engine,
 :class:`~repro.core.penelope.PenelopeProcessor` and :mod:`repro.api` —
 no construction code changes.
 

@@ -22,8 +22,9 @@ into a CPI loss with an overlap-discounted miss penalty.
 Schemes are registered by name in
 :data:`repro.config.registry.CACHE_SCHEMES` (``set_fixed``,
 ``way_fixed``, ``line_fixed``, ``line_dynamic``), which is how JSON
-configs, ``repro run`` and :func:`repro.api.build_scheme` construct
-them; register new subclasses there to make them sweepable by name.
+configs, ``repro sweep --config`` and :func:`repro.api.build_scheme`
+construct them; register new subclasses there to make them sweepable
+by name.
 """
 
 from __future__ import annotations

@@ -57,7 +57,7 @@ Studies can equivalently be driven from a declarative, serialisable
 :class:`~repro.config.specs.StudySpec` whose sweep axes are spec field
 paths — each study's ``spec_paths`` binding maps them onto the flat
 parameters above, so both spellings share point hashes and the result
-store (see :func:`repro.api.run_study` and ``repro run --config``).
+store (see :func:`repro.api.run_study` and ``repro sweep --config``).
 """
 
 from repro.experiments.registry import (

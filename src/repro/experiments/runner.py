@@ -328,8 +328,7 @@ def _run_batch(points: List[ExperimentPoint], attempt: int,
 
 def _worker_main(conn: Any, parent_end: Any, directory: Optional[str],
                  shards: int, run_id: str, tag: str,
-                 log_path: Optional[str], log_level: str,
-                 traced: bool) -> None:
+                 log_path: Optional[str], traced: bool) -> None:
     """Entry point of a worker process: run each batch the parent sends.
 
     A batch arrives as ``(batch_id, attempt, points)``; ``None`` ends
@@ -348,9 +347,8 @@ def _worker_main(conn: Any, parent_end: Any, directory: Optional[str],
         TRACER.clear()
     store = (ShardedResultStore(directory, shards=shards)
              if directory is not None else None)
-    log = None
-    if log_path is not None:
-        log = EventLog(path=log_path, run_id=run_id, level=log_level)
+    log = (EventLog(log_path, run_id=run_id)
+           if log_path is not None else None)
     try:
         for batch_id, attempt, points in iter(conn.recv, None):
             results, error = _run_batch(points, attempt, store, log,
@@ -412,10 +410,6 @@ class SweepRunner:
     progress:
         Optional callback invoked with each finished
         :class:`PointResult` (CLI progress lines).
-    log:
-        Structured :class:`~repro.obs.log.EventLog`.  When ``None`` and
-        a store is present, a file-only log is created next to the
-        store (``events.jsonl``).
     run_id:
         Provenance id; freshly generated when omitted.
     trace_path:
@@ -438,7 +432,6 @@ class SweepRunner:
         store: Union[ShardedResultStore, str, None] = None,
         workers: int = 1,
         progress: Optional[Callable[[PointResult], None]] = None,
-        log: Optional[EventLog] = None,
         run_id: Optional[str] = None,
         trace_path: Optional[str] = None,
         batch_size: Optional[int] = None,
@@ -455,11 +448,11 @@ class SweepRunner:
         self.run_id = run_id or new_run_id()
         self.trace_path = trace_path
         self.batch_size = batch_size
-        if log is None and store is not None:
-            log = EventLog(path=self._events_path(), run_id=self.run_id)
-        elif log is not None:
-            log.run_id = self.run_id
-        self.log = log
+        #: The run's event log, ``events.jsonl`` next to the store
+        #: (``None`` without one).
+        self.log = (EventLog(os.path.join(store.directory, EVENTS_NAME),
+                             run_id=self.run_id)
+                    if store is not None else None)
         self._stop = threading.Event()
         #: Write end of the pipe that wakes the parent of worker
         #: processes when a stop is requested (``None`` between runs).
@@ -729,7 +722,6 @@ class SweepRunner:
         directory = store.directory if store is not None else None
         shards = store.shards if store is not None else 0
         log_path = log.path if log is not None else None
-        log_level = log.level if log is not None else "info"
         wake, waker = multiprocessing.Pipe(duplex=False)
         with self._wake_lock:
             self._wake = waker
@@ -743,7 +735,7 @@ class SweepRunner:
                 proc = multiprocessing.Process(
                     target=_worker_main,
                     args=(child, conn, directory, shards, self.run_id,
-                          tag, log_path, log_level, TRACER.enabled),
+                          tag, log_path, TRACER.enabled),
                     daemon=True,
                 )
                 proc.start()

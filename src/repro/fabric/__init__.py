@@ -7,10 +7,9 @@ below, ``events.jsonl`` and one ``manifest-<run_id>.json`` per run
 reads back.  No batch plan is on disk: the runner's parent process
 cuts the pending points into batches, hands them out and tracks them.
 
-* :mod:`repro.fabric.store` — the only writable result store: records
-  sharded into JSONL files by key-hash range, which are its only state
-  (a lookup reads one shard), ``compact``, and the import of flat
-  ``store.jsonl`` files, read only as input.
+* :mod:`repro.fabric.store` — the result store: records sharded into
+  JSONL files by key-hash range, which are its only state (a lookup
+  reads one shard), and ``compact``.
 * :mod:`repro.fabric.io` — the two crash-safe write idioms every byte
   the engine writes goes through (lint rule FAB001).
 
@@ -29,7 +28,6 @@ _EXPORTS = {
     "canonical_json": "repro.fabric.io",
     "ShardedResultStore": "repro.fabric.store",
     "StoredResult": "repro.fabric.store",
-    "read_flat_store": "repro.fabric.store",
 }
 
 __all__ = sorted(_EXPORTS)

@@ -1,4 +1,4 @@
-"""The result store: JSONL shards, and the only writable format.
+"""The result store: a directory of JSONL shards.
 
 Layout of a store directory::
 
@@ -23,11 +23,6 @@ shards.  Only complete lines (ending in ``\\n``) count: a torn
 in-flight append stays invisible.  The last record per key wins, so
 reruns are idempotent; ``compact`` rewrites each shard keeping only
 that record (atomic temp+rename per shard).
-
-Flat single-file ``store.jsonl`` stores are read only as input:
-``repro store migrate`` imports one (:meth:`ShardedResultStore.
-import_flat_store`) through :func:`read_flat_store`, which skips a torn
-final line and rejects corruption anywhere else.
 """
 
 from __future__ import annotations
@@ -35,7 +30,6 @@ from __future__ import annotations
 import json
 import os
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -65,7 +59,6 @@ __all__ = [
     "ShardedResultStore",
     "StoredResult",
     "default_store_path",
-    "read_flat_store",
 ]
 
 STORE_SCHEMA = "repro.fabric-store/1"
@@ -128,38 +121,6 @@ class StoredResult:
             elapsed=payload.get("elapsed", 0.0),
             created=payload.get("created", 0.0),
         )
-
-
-def read_flat_store(path: str) -> List[StoredResult]:
-    """Every record of a flat ``store.jsonl`` file, in file order.
-
-    A torn *final* line (a crash mid-append) is skipped with a warning —
-    the only corruption the append discipline can produce.  An invalid
-    line anywhere else means the file was damaged by something other
-    than a crash, so raise a ``ValueError`` naming the file and line
-    rather than silently dropping records.
-    """
-    with open(path, encoding="utf-8") as handle:
-        lines = handle.readlines()
-    records: List[StoredResult] = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            records.append(StoredResult.from_json(line))
-        except ValueError as exc:
-            if lineno == len(lines):
-                warnings.warn(
-                    f"{path}: skipping torn final line {lineno} ({exc})",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                continue
-            raise ValueError(
-                f"{path}:{lineno}: corrupt store record ({exc})"
-            ) from exc
-    return records
 
 
 def _plain(params: Mapping[str, Any]) -> Dict[str, Any]:
@@ -241,9 +202,7 @@ class ShardedResultStore:
         self.directory = os.path.abspath(directory)
         if os.path.isfile(self.directory):
             raise ValueError(
-                f"{self.directory} is a file, not a store directory; "
-                f"flat JSONL stores are import-only: repro store "
-                f"migrate {self.directory} DIR"
+                f"{self.directory} is a file, not a store directory"
             )
         self.path = os.path.join(self.directory, META_NAME)
         self.shard_dir = os.path.join(self.directory, "shards")
@@ -289,13 +248,6 @@ class ShardedResultStore:
                 return handle.read()
         except FileNotFoundError:
             return b""
-
-    # -- migration ------------------------------------------------------
-    def import_flat_store(self, flat_path: str) -> int:
-        """Copy every live record of a flat JSONL store into the shards."""
-        latest = {r.key: r for r in read_flat_store(flat_path)}
-        self.put_many(_in_order(latest.values()))
-        return len(latest)
 
     # -- reading --------------------------------------------------------
     def get(self, key: str) -> Optional[StoredResult]:
@@ -376,16 +328,6 @@ class ShardedResultStore:
     def put_record(self, record: StoredResult) -> None:
         append_record(self.shard_path(self.shard_of(record.key)),
                       (record.to_json() + "\n").encode("utf-8"))
-
-    def put_many(self, records: List[StoredResult]) -> None:
-        """Bulk append: one ``os.write`` per shard instead of per record
-        (migration path)."""
-        by_shard: Dict[int, List[StoredResult]] = {}
-        for record in records:
-            by_shard.setdefault(self.shard_of(record.key), []).append(record)
-        for shard, group in sorted(by_shard.items()):
-            blob = "".join(r.to_json() + "\n" for r in group)
-            append_record(self.shard_path(shard), blob.encode("utf-8"))
 
     # -- maintenance ----------------------------------------------------
     def compact(self) -> CompactStats:

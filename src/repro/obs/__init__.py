@@ -46,15 +46,12 @@ from repro.obs.provenance import (
     write_manifest,
 )
 from repro.obs.trace import (
-    TRACE_ENV,
     TRACER,
     Tracer,
     export_chrome_trace,
-    get_tracer,
     load_spans,
     save_spans,
     to_chrome_trace,
-    traced,
 )
 
 __all__ = [
@@ -77,13 +74,10 @@ __all__ = [
     "manifest_path_for",
     "spec_hash",
     "write_manifest",
-    "TRACE_ENV",
     "TRACER",
     "Tracer",
     "export_chrome_trace",
-    "get_tracer",
     "load_spans",
     "save_spans",
     "to_chrome_trace",
-    "traced",
 ]

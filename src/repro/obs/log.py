@@ -13,20 +13,18 @@ partial lines; a threaded test asserts this.  ``span_id`` is filled
 from the calling thread's innermost open tracer span, which is how a
 log line links back to the execution trace.
 
-The console renderer (:func:`render_event`) is the human view of the
-same stream — what the CLI shows instead of ad-hoc ``print``\\ s — and
-``repro trace events`` replays a stored stream through it.
+The renderer (:func:`render_event`) is the human view of the same
+stream: ``repro trace events`` replays a stored stream through it.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import sys
 import time
 import uuid
 from typing import (
-    Any, Callable, Dict, IO, Iterator, List, Optional, Tuple, Union,
+    Any, Callable, Dict, Iterator, List, Optional, Tuple, Union,
 )
 
 from repro.obs.trace import TRACER
@@ -65,47 +63,30 @@ def _compact(value: Any) -> str:
 
 
 class EventLog:
-    """Leveled, structured event sink: JSONL file and/or console.
+    """Structured event sink: appends every event to a JSONL file.
 
     Parameters
     ----------
     path:
-        JSONL destination; ``None`` keeps the log console-only (or
-        fully inert when ``console`` is also off).
+        JSONL destination.
     run_id:
         Stamped into every record so multi-run files stay separable.
-    level:
-        Minimum severity that is recorded.
-    console:
-        When true, every recorded event is also rendered human-readably
-        to ``stream`` (default ``sys.stderr``).
+
+    Every level is written; readers filter (``repro trace events
+    --level``), so a run's log holds everything that happened in it.
     """
 
-    def __init__(self, path: Optional[str] = None,
-                 run_id: Optional[str] = None, level: str = "info",
-                 console: bool = False,
-                 stream: Optional[IO[str]] = None) -> None:
-        if level not in LEVELS:
-            raise ValueError(
-                f"unknown level {level!r}; choose from "
-                f"{', '.join(sorted(LEVELS, key=LEVELS.get))}"
-            )
+    def __init__(self, path: str, run_id: Optional[str] = None) -> None:
         self.path = path
         self.run_id = run_id or new_run_id()
-        self.level = level
-        self.console = console
-        self.stream = stream
-        if path:
-            directory = os.path.dirname(path)
-            if directory:
-                os.makedirs(directory, exist_ok=True)
+        directory = os.path.dirname(path)
+        if directory:
+            os.makedirs(directory, exist_ok=True)
 
     # ------------------------------------------------------------------
     def emit(self, event: str, level: str = "info",
-             **payload: Any) -> Optional[Dict[str, Any]]:
-        """Record one event; returns the record, or ``None`` if filtered."""
-        if LEVELS.get(level, 0) < LEVELS[self.level]:
-            return None
+             **payload: Any) -> Dict[str, Any]:
+        """Append one event; returns the record written."""
         record = {
             "ts": time.time(),
             "run_id": self.run_id,
@@ -114,25 +95,22 @@ class EventLog:
             "event": event,
             "payload": payload,
         }
-        if self.path:
-            # One O_APPEND fd + one os.write per record (the PR 4 store
-            # pattern): concurrent writers append whole lines atomically.
-            data = (json.dumps(record, sort_keys=True, default=str)
-                    + "\n").encode("utf-8")
-            fd = os.open(self.path,
-                         os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-            try:
-                written = os.write(fd, data)
-            finally:
-                os.close(fd)
-            if written != len(data):
-                raise OSError(
-                    f"short write to {self.path}: {written} of "
-                    f"{len(data)} bytes"
-                )
-        if self.console:
-            print(render_event(record),
-                  file=self.stream or sys.stderr)
+        # One O_APPEND fd + one os.write per record, as the result
+        # store appends: concurrent writers append whole lines
+        # atomically.
+        data = (json.dumps(record, sort_keys=True, default=str)
+                + "\n").encode("utf-8")
+        fd = os.open(self.path,
+                     os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
+        try:
+            written = os.write(fd, data)
+        finally:
+            os.close(fd)
+        if written != len(data):
+            raise OSError(
+                f"short write to {self.path}: {written} of "
+                f"{len(data)} bytes"
+            )
         return record
 
     # Severity shorthands ------------------------------------------------
@@ -189,8 +167,12 @@ def tail_events(
     mid-append — stays beyond the returned offset and is retried on the
     next poll.  A missing file is an empty poll (the sweep may not have
     started yet); a file *shorter* than the watermark
-    (rotated/truncated) restarts from byte zero.
+    (rotated/truncated) restarts from byte zero.  A ``level`` outside
+    :data:`LEVELS` is a ValueError.
     """
+    if level and level not in LEVELS:
+        raise ValueError(f"unknown level {level!r}; choose from "
+                         f"{', '.join(LEVELS)}")
     floor = LEVELS[level] if level else 0
     try:
         size = os.path.getsize(path)

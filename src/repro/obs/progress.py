@@ -5,9 +5,9 @@ PointResult` through its ``progress`` callback; :class:`SweepProgress`
 turns that stream into one of three renderings:
 
 - ``line``  — one human line per point with running rate and ETA
-  (what ``repro sweep --verbose`` shows);
+  (what ``repro sweep --progress line`` shows);
 - ``json``  — one JSON object per point (machine consumers tail this);
-- ``none``  — silent (``--quiet`` / default non-verbose runs).
+- ``none``  — silent (the default, and ``--quiet``).
 
 Worker *heartbeats* (which process picked up which point, and when)
 travel separately through the structured event log — this module is
@@ -51,10 +51,7 @@ class SweepProgress:
         self._clock = clock
         self._started = clock()
         self.done = 0
-        self.cached = 0
-        self.slowest: Optional[Any] = None
         self.run_id: Optional[str] = None
-        self.store_path: Optional[str] = None
 
     # ------------------------------------------------------------------
     def begin(self, run_id: Optional[str] = None,
@@ -67,7 +64,6 @@ class SweepProgress:
         both only from the final summary.
         """
         self.run_id = run_id
-        self.store_path = store
         if self.mode != "json":
             return
         print(json.dumps({
@@ -81,11 +77,6 @@ class SweepProgress:
     def update(self, result: Any) -> None:
         """Consume one finished point (the runner's progress callback)."""
         self.done += 1
-        if result.cached:
-            self.cached += 1
-        elif (self.slowest is None
-              or result.elapsed > self.slowest.elapsed):
-            self.slowest = result
         if self.mode == "none":
             return
         elapsed = max(self._clock() - self._started, 1e-9)
@@ -110,18 +101,3 @@ class SweepProgress:
         print(f"  [{self.done:3d}/{self.total}] {tag:>7}  "
               f"{result.point.describe()}  | {pace}",
               file=self.stream or sys.stdout)
-
-    # ------------------------------------------------------------------
-    def summary(self, wall_time: float) -> str:
-        """End-of-run digest: totals, cache hits, slowest point."""
-        parts = [
-            f"{self.done} points in {wall_time:.2f}s: "
-            f"{self.cached} cache hits, {self.done - self.cached} executed"
-        ]
-        if self.slowest is not None:
-            parts.append(
-                f"slowest point: {self.slowest.point.describe()} "
-                f"({self.slowest.elapsed:.2f}s, "
-                f"key {self.slowest.point.key[:10]})"
-            )
-        return "\n".join(parts)

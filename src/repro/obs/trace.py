@@ -44,13 +44,7 @@ import os
 import threading
 import time
 from collections import deque
-from functools import wraps
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
-
-#: Setting this environment variable to a non-empty value enables the
-#: process-global tracer at import time (how spawn-started workers and
-#: ad-hoc scripts opt in without code changes).
-TRACE_ENV = "REPRO_TRACE"
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 #: Default ring capacity: enough for ~10k sweep points' worth of spans
 #: while staying a few MB at worst.
@@ -238,29 +232,7 @@ class Tracer:
 
 
 #: The process-global tracer every instrumented module shares.
-TRACER = Tracer(enabled=bool(os.environ.get(TRACE_ENV)))
-
-
-def get_tracer() -> Tracer:
-    return TRACER
-
-
-def traced(name: Optional[str] = None, **attrs: Any) -> Callable:
-    """Decorator tracing every call of a function as one span."""
-
-    def decorate(func: Callable) -> Callable:
-        span_name = name or func.__qualname__
-
-        @wraps(func)
-        def wrapper(*args: Any, **kwargs: Any):
-            if not TRACER.enabled:
-                return func(*args, **kwargs)
-            with TRACER.span(span_name, **attrs):
-                return func(*args, **kwargs)
-
-        return wrapper
-
-    return decorate
+TRACER = Tracer()
 
 
 # ----------------------------------------------------------------------

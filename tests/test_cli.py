@@ -16,7 +16,7 @@ class TestParser:
             "sweep": ["sweep", "caches"],
             "results": ["results"],
             "bench-smoke": ["bench-smoke", "--scale", "50"],
-            "run": ["run", "--config", "study.json"],
+            "sweep-config": ["sweep", "--config", "study.json"],
             "show-config": ["show-config", "--study", "caches"],
             "report": ["report", "--study", "caches"],
             "trace": ["trace", "export", "out.trace.json"],
@@ -41,10 +41,13 @@ class TestParser:
     @pytest.mark.parametrize("argv", [
         ["regfile"], ["caches"], ["penelope"],
         ["sweep", "caches", "--fabric"], ["serve", "--fabric"],
+        ["run", "--config", "x"], ["sweep", "--study", "caches"],
+        ["sweep", "caches", "--verbose"], ["show-config", "--defaults"],
+        ["store", "migrate", "a", "b"],
     ])
     def test_removed_commands_and_flags(self, argv, capsys):
-        # `repro sweep` covers the studies; the executor follows from
-        # --workers alone.
+        # `repro sweep` covers the studies and configs; the executor
+        # follows from --workers alone; each option has one spelling.
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv)
         capsys.readouterr()
@@ -101,7 +104,7 @@ class TestCommands:
         store = str(tmp_path / "store")
         argv = ["sweep", "caches", "--grid", "ratio=0.4,0.6",
                 "--suites", "office", "kernels", "--length", "600",
-                "--store", store, "--verbose"]
+                "--store", store, "--progress", "line"]
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert "4 points" in out
@@ -248,8 +251,8 @@ class TestCommands:
         assert main(["show-config", "--study", "bogus"]) == 2
         assert "unknown study" in capsys.readouterr().err
 
-    def test_run_config_end_to_end(self, capsys, tmp_path):
-        """show-config output, edited, drives a sweep through `run`."""
+    def test_sweep_config_end_to_end(self, capsys, tmp_path):
+        """show-config output, edited, drives `sweep --config`."""
         from repro.config import StudySpec, with_path
 
         assert main(["show-config", "--study", "caches"]) == 0
@@ -261,8 +264,8 @@ class TestCommands:
         config.write_text(spec.to_json())
         store = str(tmp_path / "store")
 
-        argv = ["run", "--config", str(config), "--store", store,
-                "--verbose"]
+        argv = ["sweep", "--config", str(config), "--store", store,
+                "--progress", "line"]
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert "2 points" in out
@@ -280,24 +283,24 @@ class TestCommands:
                      "--store", store]) == 0
         assert "2 cache hits, 0 executed" in capsys.readouterr().out
 
-    def test_run_bad_inputs_exit_cleanly(self, capsys, tmp_path):
+    def test_sweep_config_bad_inputs_exit_cleanly(self, capsys, tmp_path):
         missing = tmp_path / "missing.json"
-        assert main(["run", "--config", str(missing)]) == 2
+        assert main(["sweep", "--config", str(missing)]) == 2
         assert "error:" in capsys.readouterr().err
 
         bad_json = tmp_path / "bad.json"
         bad_json.write_text("{not json")
-        assert main(["run", "--config", str(bad_json)]) == 2
+        assert main(["sweep", "--config", str(bad_json)]) == 2
         assert "invalid JSON" in capsys.readouterr().err
 
         bad_key = tmp_path / "bad_key.json"
         bad_key.write_text('{"study": "caches", "procesor": {}}')
-        assert main(["run", "--config", str(bad_key)]) == 2
+        assert main(["sweep", "--config", str(bad_key)]) == 2
         assert "procesor" in capsys.readouterr().err
 
         unknown_study = tmp_path / "unknown.json"
         unknown_study.write_text('{"study": "bogus"}')
-        assert main(["run", "--config", str(unknown_study),
+        assert main(["sweep", "--config", str(unknown_study),
                      "--no-store"]) == 2
         assert "unknown study" in capsys.readouterr().err
 
@@ -305,20 +308,20 @@ class TestCommands:
         bad_axis.write_text(
             '{"study": "caches", '
             '"sweep": {"protection.l2.ratio": [0.5]}}')
-        assert main(["run", "--config", str(bad_axis),
+        assert main(["sweep", "--config", str(bad_axis),
                      "--no-store"]) == 2
         assert "sweepable" in capsys.readouterr().err
 
         bad_metrics = tmp_path / "ok.json"
         bad_metrics.write_text(
             '{"study": "caches", "workload": {"length": 500}}')
-        assert main(["run", "--config", str(bad_metrics), "--no-store",
+        assert main(["sweep", "--config", str(bad_metrics), "--no-store",
                      "--metrics", "mean_losss"]) == 2
         assert "unknown metric" in capsys.readouterr().err
 
         null_section = tmp_path / "null.json"
         null_section.write_text('{"study": "caches", "workload": null}')
-        assert main(["run", "--config", str(null_section)]) == 2
+        assert main(["sweep", "--config", str(null_section)]) == 2
         assert "not null" in capsys.readouterr().err
 
         # An edit the study cannot honour must error, not no-op.
@@ -326,25 +329,80 @@ class TestCommands:
         unconsumed.write_text(
             '{"study": "regfile", '
             '"protection": {"dl0": {"name": "set_fixed"}}}')
-        assert main(["run", "--config", str(unconsumed),
+        assert main(["sweep", "--config", str(unconsumed),
                      "--no-store"]) == 2
         assert "does not consume" in capsys.readouterr().err
 
-    def test_sweep_study_option_alias(self, capsys, tmp_path):
-        store = str(tmp_path / "store")
-        assert main(["sweep", "--study", "caches", "--grid",
-                     "ratio=0.4", "--suites", "office", "--length",
-                     "400", "--store", store]) == 0
-        out = capsys.readouterr().out
-        assert "1 points" in out and "1 executed" in out
+    def test_sweep_config_matches_run_study(self, capsys, tmp_path):
+        """A config's points through the CLI are `api.run_study`'s, and
+        without --workers its `workers` field picks the executor."""
+        import json
 
-        # Positional and --study conflict when they disagree...
-        assert main(["sweep", "caches", "--study", "regfile",
-                     "--no-store"]) == 2
-        assert "conflicts" in capsys.readouterr().err
-        # ...and omitting both is an error, not a crash.
+        from repro import api
+        from repro.config import StudySpec
+        from repro.fabric import ShardedResultStore
+
+        spec = StudySpec.from_dict({
+            "study": "caches", "workers": 2,
+            "workload": {"suites": ["office", "kernels"], "length": 400},
+            "sweep": {"protection.dl0.params.ratio": [0.4, 0.6]},
+        })
+        config = tmp_path / "study.json"
+        config.write_text(spec.to_json())
+        store = tmp_path / "store"
+        assert main(["sweep", "--config", str(config), "--store",
+                     str(store), "--quiet"]) == 0
+        (manifest,) = store.glob("manifest-*.json")
+        assert json.loads(manifest.read_text())["workers"] == 2
+        oracle = api.run_study(spec, workers=1).metrics_by_key()
+        stored = {record.key: record.metrics for record in
+                  ShardedResultStore(str(store)).records()}
+        assert stored == oracle and len(oracle) == 4
+
+    def test_sweep_takes_its_spec_from_one_source(self, capsys,
+                                                  tmp_path):
+        config = tmp_path / "study.json"
+        config.write_text('{"study": "caches"}')
+        for extra, conflict in (
+                (["--resume", "abc123"], "--resume"),
+                (["caches"], "study 'caches'"),
+                (["--grid", "ratio=0.4"], "--grid"),
+                (["--suites", "office"], "--suites"),
+                (["--length", "400"], "--length"),
+                (["--seed", "1"], "--seed")):
+            argv = ["sweep", "--config", str(config), "--no-store", *extra]
+            assert main(argv) == 2, extra
+            err = capsys.readouterr().err
+            assert "--config conflicts with" in err, extra
+            assert conflict in err, extra
+        # Without any source it is an error, not a crash.
         assert main(["sweep", "--no-store"]) == 2
         assert "pass a study" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [
+        ["--grid", "ratio=0.9"],
+        ["--suites", "kernels"],
+        ["--length", "999"],
+        ["--seed", "1"],
+        ["--backend", "vectorized"],
+    ])
+    def test_resume_refuses_spec_flags(self, capsys, tmp_path, extra):
+        """The manifest holds the whole spec: a flag that would change
+        it exits 2 naming the flag instead of being ignored."""
+        store = tmp_path / "store"
+        assert main(["sweep", "caches", "--grid", "ratio=0.4",
+                     "--suites", "office", "--length", "300",
+                     "--store", str(store), "--quiet"]) == 0
+        (run_id,) = list_runs(str(store))
+        assert main(["sweep", "--resume", run_id, "--store",
+                     str(store), *extra]) == 2
+        captured = capsys.readouterr()
+        assert f"--resume conflicts with {extra[0]}" in captured.err
+        assert captured.out == ""
+        assert list_runs(str(store)) == [run_id]
+        # Without the flag the same resume runs.
+        assert main(["sweep", "--resume", run_id, "--store",
+                     str(store), "--quiet"]) == 0
 
     def test_sweep_quiet_suppresses_output(self, capsys, tmp_path):
         store = str(tmp_path / "store")
@@ -399,7 +457,7 @@ class TestCommands:
 
         store = str(tmp_path / "store")
         try:
-            assert main(["sweep", "--study", "caches", "--trace",
+            assert main(["sweep", "caches", "--trace",
                          "--grid", "ratio=0.4,0.6", "--suites",
                          "office", "--length", "400", "--store",
                          store]) == 0
@@ -411,16 +469,18 @@ class TestCommands:
 
         (path,) = (tmp_path / "store").glob("manifest-*.json")
         manifest = json.load(open(path))
+        run_id = manifest["run_id"]
         assert manifest["schema"] == "repro.manifest/1"
-        assert manifest["trace"] == str(tmp_path / "store" / "trace.json")
-        chrome = json.load(open(tmp_path / "store" / "trace.json"))
+        trace_json = tmp_path / "store" / f"trace-{run_id}.json"
+        assert manifest["trace"] == str(trace_json)
+        chrome = json.load(open(trace_json))
         names = {e["name"] for e in chrome["traceEvents"]}
         assert {"sweep.run", "sweep.execute", "study.caches",
                 "cache.replay", "scheme.replay"} <= names
 
         exported = str(tmp_path / "out.trace.json")
         assert main(["trace", "export", exported, "--spans",
-                     str(tmp_path / "store" / "spans.jsonl")]) == 0
+                     str(tmp_path / "store" / f"spans-{run_id}.jsonl")]) == 0
         assert "Perfetto" in capsys.readouterr().out
         assert json.load(open(exported))["traceEvents"]
 
@@ -429,9 +489,62 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "run_start" in out and "point_done" in out
 
+    def test_runs_sharing_a_store_keep_a_trace_each(self, capsys,
+                                                      tmp_path):
+        """Each manifest names its own trace file, and that file holds
+        exactly the points its run executed."""
+        import json
+
+        from repro.obs.trace import TRACER
+
+        store = tmp_path / "store"
+        try:
+            for ratio in ("0.4", "0.6"):
+                assert main(["sweep", "caches", "--trace", "--grid",
+                             f"ratio={ratio}", "--suites", "office",
+                             "--length", "300", "--store", str(store),
+                             "--quiet"]) == 0
+        finally:
+            TRACER.disable()
+            TRACER.clear()
+        manifests = [json.loads(path.read_text())
+                     for path in store.glob("manifest-*.json")]
+        assert len({m["trace"] for m in manifests}) == 2
+        for manifest in manifests:
+            executed = {p["key"] for p in manifest["points"]
+                        if not p["cached"]}
+            assert len(executed) == 1
+            events = json.load(open(manifest["trace"]))["traceEvents"]
+            assert {e["args"]["key"] for e in events
+                    if e["name"] == "sweep.execute"} == executed
+
+    def test_trace_events_renders_from_level(self, capsys, tmp_path):
+        """`trace events` is the console view of the log, and its
+        `--level` is the one level filter."""
+        from repro.obs.log import EventLog
+
+        path = str(tmp_path / "events.jsonl")
+        log = EventLog(path=path)
+        log.debug("point_skipped", key="k1")
+        log.info("run_start", study="caches", points=4)
+        log.warning("worker_lost", pid=7)
+        assert main(["trace", "events", "--events", path]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[2] for line in lines] == [
+            "point_skipped", "run_start", "worker_lost"]
+        assert "INFO" in lines[1]
+        assert "study=caches" in lines[1] and "points=4" in lines[1]
+        assert main(["trace", "events", "--events", path,
+                     "--level", "info"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[2] for line in lines] == [
+            "run_start", "worker_lost"]
+
     def test_trace_bad_inputs_exit_cleanly(self, capsys, tmp_path):
         assert main(["trace", "export"]) == 2
         assert "output path" in capsys.readouterr().err
+        assert main(["trace", "export", str(tmp_path / "o.json")]) == 2
+        assert "--spans" in capsys.readouterr().err
         assert main(["trace", "export", str(tmp_path / "o.json"),
                      "--spans", str(tmp_path / "missing.jsonl")]) == 2
         assert "cannot read" in capsys.readouterr().err
@@ -444,8 +557,7 @@ class TestCommands:
                      str(tmp_path / "missing.jsonl")]) == 2
         assert "cannot read" in capsys.readouterr().err
 
-    def test_flat_store_file_is_refused_with_migrate_hint(
-            self, capsys, tmp_path):
+    def test_store_that_names_a_file_is_refused(self, capsys, tmp_path):
         flat = tmp_path / "store.jsonl"
         flat.write_text("")
         for argv in (["results", "--store", str(flat)],
@@ -453,7 +565,9 @@ class TestCommands:
                      ["sweep", "caches", "--suites", "office",
                       "--store", str(flat)]):
             assert main(argv) == 2, argv
-            assert "repro store migrate" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert "is a file, not a store directory" in err, argv
+            assert "migrate" not in err, argv
 
     def test_results_and_report_show_provenance_header(self, capsys,
                                                        tmp_path):

@@ -20,11 +20,7 @@ from repro.experiments import (
     study_names,
     summarize,
 )
-from repro.fabric.store import (
-    ShardedResultStore,
-    StoredResult,
-    read_flat_store,
-)
+from repro.fabric.store import ShardedResultStore, StoredResult
 
 #: A grid small enough to execute many times per test run.
 TINY_BASE = {"length": 600, "seed": 3}
@@ -99,19 +95,6 @@ class TestSpec:
             parse_grid_option("empty=")
 
 
-def flat_record(ratio, metrics):
-    point = ExperimentPoint.from_dict("caches", {"ratio": ratio})
-    return StoredResult(key=point.key, study="caches",
-                        params=point.as_dict(), metrics=dict(metrics),
-                        elapsed=0.5)
-
-
-def write_flat(path, records):
-    with open(path, "a") as handle:
-        for record in records:
-            handle.write(record.to_json() + "\n")
-
-
 def shard_lines(store):
     lines = []
     for shard in range(store.shards):
@@ -124,64 +107,7 @@ def shard_lines(store):
 
 
 class TestStore:
-    """The flat import reader and the store's write path."""
-
-    def test_round_trip(self, tmp_path):
-        flat = str(tmp_path / "store.jsonl")
-        write_flat(flat, [flat_record(0.5, {"mean_loss": 0.01})])
-        store = ShardedResultStore(str(tmp_path / "store"))
-        assert store.import_flat_store(flat) == 1
-        store.close()
-
-        reloaded = ShardedResultStore(str(tmp_path / "store"))
-        assert len(reloaded) == 1
-        record = reloaded.get(flat_record(0.5, {}).key)
-        assert record.metrics == {"mean_loss": 0.01}
-        assert record.params == {"ratio": 0.5}
-        assert record.elapsed == 0.5
-        reloaded.close()
-
-    def test_last_record_wins(self, tmp_path):
-        flat = str(tmp_path / "store.jsonl")
-        write_flat(flat, [flat_record(0.5, {"mean_loss": 0.01}),
-                          flat_record(0.5, {"mean_loss": 0.02})])
-        store = ShardedResultStore(str(tmp_path / "store"))
-        assert store.import_flat_store(flat) == 1
-        assert len(store) == 1
-        assert store.get(flat_record(0.5, {}).key).metrics == {
-            "mean_loss": 0.02
-        }
-        store.close()
-
-    def test_torn_final_line_warns_and_is_skipped(self, tmp_path):
-        path = str(tmp_path / "store.jsonl")
-        record = flat_record(0.5, {"mean_loss": 0.01})
-        write_flat(path, [record])
-        # Simulate a crash mid-append: the final line is truncated
-        # partway through the record.
-        with open(path, "r+") as handle:
-            full = handle.read()
-            extra = record.to_json()
-            handle.write(extra[: len(extra) // 2])
-        with pytest.warns(RuntimeWarning, match="torn final line"):
-            records = read_flat_store(path)
-        assert [r.metrics for r in records] == [{"mean_loss": 0.01}]
-        assert full in open(path).read()
-
-    def test_mid_file_corruption_raises_with_location(self, tmp_path):
-        path = str(tmp_path / "store.jsonl")
-        write_flat(path, [flat_record(0.4, {"mean_loss": 0.01}),
-                          flat_record(0.6, {"mean_loss": 0.02})])
-        lines = open(path).read().splitlines()
-        lines[0] = "not json"
-        with open(path, "w") as handle:
-            handle.write("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=r"store\.jsonl:1: corrupt"):
-            read_flat_store(path)
-        # Importing it into a store: same error.
-        store = ShardedResultStore(str(tmp_path / "store"))
-        with pytest.raises(ValueError, match=r"store\.jsonl:1: corrupt"):
-            store.import_flat_store(path)
+    """The store's record parser and its write path."""
 
     @pytest.mark.parametrize("line,match", [
         ("null", "not an object"),
@@ -192,17 +118,6 @@ class TestStore:
     def test_from_json_rejects_malformed_records(self, line, match):
         with pytest.raises(ValueError, match=match):
             StoredResult.from_json(line)
-
-    def test_duplicates_counted_last_wins(self, tmp_path):
-        path = str(tmp_path / "store.jsonl")
-        write_flat(path, [flat_record(0.5, {"mean_loss": 0.01}),
-                          flat_record(0.5, {"mean_loss": 0.02})])
-        records = read_flat_store(path)
-        assert len(records) - len({r.key for r in records}) == 1
-        store = ShardedResultStore(str(tmp_path / "store"))
-        assert store.import_flat_store(path) == 1
-        assert store.get(records[0].key).metrics == {"mean_loss": 0.02}
-        store.close()
 
     def test_concurrent_appends_never_interleave(self, tmp_path):
         """put() is one O_APPEND write per record: hammering one store

@@ -82,12 +82,6 @@ def shard_keys(directory):
     return keys
 
 
-def write_flat_store(path, records):
-    with open(path, "a") as handle:
-        for record in records:
-            handle.write(record.to_json() + "\n")
-
-
 # ----------------------------------------------------------------------
 # Sharded store
 # ----------------------------------------------------------------------
@@ -209,38 +203,12 @@ class TestShardedStore:
         assert total_lines == 2
         store.close()
 
-    def test_flat_store_in_directory_is_import_only(self, tmp_path):
-        flat = tmp_path / "store.jsonl"
-        first = make_record(0.5, {"mean_loss": 0.01})
-        write_flat_store(str(flat), [first])
-        before = flat.read_text()
-
-        # Opening the directory leaves the flat file alone, however
-        # often it is reopened.
-        for __ in range(2):
-            store = ShardedResultStore(str(tmp_path))
-            assert len(store) == 0
-            store.close()
-        assert flat.read_text() == before
-        assert shard_keys(str(tmp_path)) == []
-
-        # repro store migrate's import path brings its records in.
-        store = ShardedResultStore(str(tmp_path))
-        assert store.import_flat_store(str(flat)) == 1
-        assert store.get(first.key).metrics == {"mean_loss": 0.01}
-        assert shard_keys(str(tmp_path)) == [first.key]
-        store.close()
-
-    def test_flat_file_is_import_only(self, tmp_path):
-        flat = str(tmp_path / "flat.jsonl")
-        write_flat_store(flat, [make_record(0.5)])
-        # A flat file is never opened as a store, only imported.
-        with pytest.raises(ValueError, match="import-only"):
-            ShardedResultStore(flat)
-        store = ShardedResultStore(str(tmp_path / "newdir"))
-        assert store.import_flat_store(flat) == 1
-        assert store.get(make_record(0.5).key) is not None
-        store.close()
+    def test_a_file_is_not_a_store(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        path.write_text(make_record(0.5).to_json() + "\n")
+        with pytest.raises(ValueError,
+                           match="is a file, not a store directory"):
+            ShardedResultStore(str(path))
 
     def test_rejects_foreign_schema(self, tmp_path):
         (tmp_path / "fabric.json").write_text('{"schema": "nope/9"}')
@@ -610,6 +578,23 @@ class TestFabricRunner:
         assert [e["payload"]["reason"] for e in retried] == ["lease re-run"]
         keys = shard_keys(directory)
         assert sorted(keys) == sorted(set(keys)) and len(keys) == 4
+
+    def test_rerun_batch_logs_the_point_it_skips(self, tmp_path,
+                                                 monkeypatch):
+        """Every event reaches the log: the survivor's ``point_skipped``
+        names the point the dead worker stored before it died."""
+        directory = str(tmp_path)
+        monkeypatch.setenv(FAULT_ENV, "kill-worker")
+        SweepRunner(directory, workers=2, batch_size=2).run(tiny_spec())
+        (lost,) = [e["payload"] for e in events_of(directory,
+                                                   "worker_lost")]
+        (stored,) = [e["payload"]["key"]
+                     for e in events_of(directory, "point_done")
+                     if e["payload"].get("worker") == lost["worker"]]
+        (skipped,) = events_of(directory, "point_skipped")
+        assert skipped["level"] == "debug"
+        assert skipped["payload"]["key"] == stored
+        assert skipped["payload"]["batch"] == lost["batch"]
 
 
 # ----------------------------------------------------------------------

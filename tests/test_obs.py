@@ -33,7 +33,6 @@ from repro.obs.trace import (
     load_spans,
     save_spans,
     to_chrome_trace,
-    traced,
 )
 
 
@@ -70,18 +69,6 @@ class TestTracerDisabled:
         t.instant("never")
         t.record_span("never", 0.0, 1.0)
         assert len(t) == 0
-
-    def test_traced_decorator_passthrough(self):
-        calls = []
-
-        @traced("decorated.fn")
-        def fn(x):
-            calls.append(x)
-            return x * 2
-
-        assert fn(21) == 42
-        assert calls == [21]
-        assert len(TRACER) == 0
 
 
 class TestTracerEnabled:
@@ -167,19 +154,6 @@ class TestTracerEnabled:
         parent.extend(shipped)
         assert {r["name"] for r in parent.records()} == {"local",
                                                          "remote"}
-
-    def test_traced_decorator_records(self):
-        t = TRACER
-        t.enable()
-        t.clear()
-
-        @traced()
-        def sample_function():
-            return 7
-
-        assert sample_function() == 7
-        (record,) = t.records()
-        assert "sample_function" in record["name"]
 
 
 class TestChromeTraceExport:
@@ -272,26 +246,23 @@ class TestEventLog:
         assert outside["span_id"] is None
 
     def test_level_filtering(self, tmp_path):
+        """The log writes every level; a reader's level drops the rest."""
         path = str(tmp_path / "events.jsonl")
-        log = EventLog(path=path, level="warning")
-        assert log.debug("noise") is None
-        assert log.info("noise") is None
-        assert log.warning("kept") is not None
-        assert log.error("kept_too") is not None
-        assert [e["event"] for e in read_events(path)] == ["kept",
-                                                           "kept_too"]
+        log = EventLog(path=path)
+        log.debug("noise")
+        log.info("chatter")
+        log.warning("kept")
+        log.error("kept_too")
+        assert [e["event"] for e in read_events(path)] == [
+            "noise", "chatter", "kept", "kept_too"]
+        assert [e["event"] for e in read_events(path, level="warning")] \
+            == ["kept", "kept_too"]
 
-    def test_rejects_unknown_level(self):
-        with pytest.raises(ValueError, match="unknown level"):
-            EventLog(level="loud")
-
-    def test_console_rendering(self, tmp_path):
-        stream = io.StringIO()
-        log = EventLog(console=True, stream=stream)
-        log.info("run_start", study="caches", points=4)
-        line = stream.getvalue()
-        assert "INFO" in line and "run_start" in line
-        assert "study=caches" in line and "points=4" in line
+    def test_rejects_unknown_level(self, tmp_path):
+        path = str(tmp_path / "events.jsonl")
+        EventLog(path=path).info("run_start")
+        with pytest.raises(ValueError, match="unknown level 'loud'"):
+            read_events(path, level="loud")
 
     def test_render_event_is_compact(self):
         line = render_event({
@@ -529,17 +500,7 @@ class TestSweepProgress:
         progress.update(_FakeResult(cached=True))
         progress.update(_FakeResult(elapsed=1.5))
         assert stream.getvalue() == ""
-        assert progress.done == 2 and progress.cached == 1
-
-    def test_summary_names_slowest_point(self):
-        progress = SweepProgress(2, mode="none")
-        progress.update(_FakeResult(label="ratio=0.4", elapsed=0.1))
-        progress.update(_FakeResult(key="slowkey123", label="ratio=0.6",
-                                    elapsed=2.0))
-        summary = progress.summary(wall_time=2.5)
-        assert "2 points in 2.50s" in summary
-        assert "slowest point: ratio=0.6" in summary
-        assert "slowkey123" in summary
+        assert progress.done == 2
 
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError, match="unknown progress mode"):
@@ -568,10 +529,10 @@ class TestRunnerObservability:
         plain = SweepRunner().run(_tiny_spec())
 
         TRACER.enable()
-        log = EventLog(path=str(tmp_path / "events.jsonl"))
-        traced_run = SweepRunner(log=log).run(_tiny_spec())
+        traced_run = SweepRunner(store=str(tmp_path)).run(_tiny_spec())
 
         assert len(TRACER) > 0  # tracing actually happened
+        assert read_events(str(tmp_path / "events.jsonl"))  # and logging
         assert [r.metrics for r in plain] == \
             [r.metrics for r in traced_run]
         assert [r.point.key for r in plain] == \
