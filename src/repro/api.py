@@ -376,9 +376,10 @@ def sweep_from_payload(payload: Any):
     their ``base``/``grid`` keys; anything else is parsed as a
     :class:`StudySpec` and expanded via :func:`study_sweep_spec`.
 
-    Raises :class:`~repro.config.specs.SpecError` (or ``KeyError`` for
-    an unknown study) on malformed payloads — callers map those to
-    client errors.
+    Raises :class:`~repro.config.specs.SpecError` or another
+    ``ValueError`` (a grid that is not an object of arrays), or
+    ``KeyError`` for an unknown study, on malformed payloads — callers
+    map those to client errors.
     """
     from collections.abc import Mapping as ABCMapping
 

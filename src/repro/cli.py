@@ -457,8 +457,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     """Run the sweep service (plain HTTP, DESIGN.md §11)."""
-    import asyncio
-
     from repro.service import SweepService
 
     token = args.token
@@ -476,7 +474,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         quiet=args.quiet,
     )
     try:
-        return asyncio.run(service.run())
+        return service.run()
     except KeyboardInterrupt:
         return 0
 

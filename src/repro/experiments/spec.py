@@ -146,12 +146,25 @@ class SweepSpec:
 
     @classmethod
     def from_payload(cls, payload: Mapping[str, Any]) -> "SweepSpec":
-        """Inverse of :meth:`payload` (modulo the derived ``size``)."""
+        """Inverse of :meth:`payload` (modulo the derived ``size``).
+
+        Each grid axis must be a JSON array: ``list("office")`` would
+        sweep six one-letter suites.
+        """
+        grid = payload.get("grid", {})
+        if not isinstance(grid, Mapping):
+            raise ValueError(
+                f"grid must be a JSON object of axis -> values, got "
+                f"{type(grid).__name__}")
+        for axis, values in grid.items():
+            if not isinstance(values, (list, tuple)):
+                raise ValueError(
+                    f"grid axis {axis!r} must be a JSON array of values, "
+                    f"got {type(values).__name__}")
         return cls(
             study=payload["study"],
             base=dict(payload.get("base", {})),
-            grid={axis: list(values)
-                  for axis, values in payload.get("grid", {}).items()},
+            grid={axis: list(values) for axis, values in grid.items()},
         )
 
 

@@ -12,25 +12,26 @@ specs overlapping in grid points share work.
 
 Threading model (the part that has to be right):
 
-- all job bookkeeping (submit, status) runs on the event loop — the
-  asyncio server is single-threaded, which makes concurrent identical
-  submits naturally race-free;
+- submits arrive on the server's connection threads; the dedup check
+  and the job's registration happen under one ``threading.Lock``, so
+  two simultaneous identical submits resolve to one execution, and no
+  job is registered once the drain has begun;
 - each job's sweep runs in a ``ThreadPoolExecutor`` slot, opening its
   *own* store handle over the shared directory, under one
   :class:`~repro.experiments.runner.SweepRunner` — in the thread for
   ``workers=1``, otherwise on worker processes that the job's thread
   feeds batches to;
-- the only executor→loop traffic is plain-int counter updates (GIL
-  atomic) and the job's fields, the terminal ``state`` assigned last;
-  the run's records reach a stream through ``events.jsonl`` itself,
-  which the stream reads from the offset taken at submit.
+- a job's thread shares only plain-int counter updates (GIL atomic)
+  and the job's fields, the terminal ``state`` assigned last; the
+  run's records reach a stream through ``events.jsonl`` itself, which
+  the stream reads from the offset taken at submit.
 """
 
 from __future__ import annotations
 
-import asyncio
 import concurrent.futures
 import os
+import threading
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -46,7 +47,7 @@ from repro.fabric.store import ShardedResultStore
 from repro.obs.log import EventLog, new_run_id
 from repro.obs.provenance import spec_hash
 
-__all__ = ["Job", "JobManager", "TERMINAL_STATES"]
+__all__ = ["DrainingError", "Job", "JobManager", "TERMINAL_STATES"]
 
 QUEUED = "queued"
 RUNNING = "running"
@@ -55,6 +56,10 @@ ERROR = "error"
 INCOMPLETE = "incomplete"
 
 TERMINAL_STATES = (DONE, ERROR, INCOMPLETE)
+
+
+class DrainingError(RuntimeError):
+    """The service is draining and takes no new job."""
 
 
 class Job:
@@ -123,22 +128,22 @@ class JobManager:
 
     def __init__(self, directory: str, max_jobs: int = 2,
                  default_workers: int = 1,
-                 log: Optional[EventLog] = None,
-                 loop: Optional[asyncio.AbstractEventLoop] = None,
-                 ) -> None:
+                 log: Optional[EventLog] = None) -> None:
         self.directory = os.path.abspath(directory)
         os.makedirs(self.directory, exist_ok=True)
         self.events_path = os.path.join(self.directory, EVENTS_NAME)
         self.default_workers = default_workers
         self.log = log
-        self._loop = loop or asyncio.get_event_loop()
         self._executor = concurrent.futures.ThreadPoolExecutor(
             max_workers=max_jobs, thread_name_prefix="repro-job")
+        #: Guards ``_jobs``, ``_by_hash``, ``_futures`` and ``draining``.
+        self._lock = threading.Lock()
         self._jobs: Dict[str, Job] = {}
         self._by_hash: Dict[str, str] = {}
-        self._futures: Dict[str, asyncio.Future] = {}
+        self._futures: Dict[str, concurrent.futures.Future] = {}
         self.draining = False
-        # The loop-thread query handle over the shared store directory.
+        # The query handle the connection threads share over the store
+        # directory.
         self.store = ShardedResultStore(self.directory)
 
     # -- submission -----------------------------------------------------
@@ -146,51 +151,55 @@ class JobManager:
                workers: Optional[int] = None) -> Tuple[Job, bool]:
         """Resolve, dedupe and (if new) launch a job.
 
-        Returns ``(job, deduplicated)``.  Must be called on the event
-        loop: loop serialization is what makes two simultaneous
-        identical submits resolve to one execution.
+        Returns ``(job, deduplicated)``; raises :class:`DrainingError`
+        once the drain has begun.  Safe from any thread: the lookup and
+        the registration are one step under the manager's lock.
         """
-        if self.draining:
-            raise RuntimeError("service is draining; not accepting jobs")
         spec = api.sweep_from_payload(payload)
         digest = spec_hash(spec.payload())
-        known = self._by_hash.get(digest)
-        if known is not None:
-            job = self._jobs[known]
-            if job.state != ERROR:
-                job.submissions += 1
-                return job, True
-            # A failed attempt does not poison the spec forever:
-            # fall through and run it afresh.
-        # The event-log offset is taken *before* the job thread can
-        # write run_start, so the job's stream starts at its run.
-        try:
-            tail_from = os.path.getsize(self.events_path)
-        except OSError:
-            tail_from = 0
-        job = Job(
-            run_id=new_run_id(),
-            spec=spec,
-            digest=digest,
-            workers=max(1, workers or self.default_workers),
-            directory=self.directory,
-            tail_from=tail_from,
-        )
-        self._jobs[job.run_id] = job
-        self._by_hash[digest] = job.run_id
-        if self.log is not None:
-            self.log.info("job_submitted", job=job.run_id,
-                          study=job.spec.study, points=job.total,
-                          spec_hash=digest, workers=job.workers)
-        self._futures[job.run_id] = self._loop.run_in_executor(
-            self._executor, self._run_job, job)
+        with self._lock:
+            if self.draining:
+                raise DrainingError(
+                    "service is draining; not accepting jobs")
+            known = self._by_hash.get(digest)
+            if known is not None:
+                job = self._jobs[known]
+                if job.state != ERROR:
+                    job.submissions += 1
+                    return job, True
+                # A failed attempt does not poison the spec forever:
+                # fall through and run it afresh.
+            # The event-log offset is taken *before* the job thread can
+            # write run_start, so the job's stream starts at its run.
+            try:
+                tail_from = os.path.getsize(self.events_path)
+            except OSError:
+                tail_from = 0
+            job = Job(
+                run_id=new_run_id(),
+                spec=spec,
+                digest=digest,
+                workers=max(1, workers or self.default_workers),
+                directory=self.directory,
+                tail_from=tail_from,
+            )
+            self._jobs[job.run_id] = job
+            self._by_hash[digest] = job.run_id
+            if self.log is not None:
+                self.log.info("job_submitted", job=job.run_id,
+                              study=job.spec.study, points=job.total,
+                              spec_hash=digest, workers=job.workers)
+            self._futures[job.run_id] = self._executor.submit(
+                self._run_job, job)
         return job, False
 
     def get(self, run_id: str) -> Optional[Job]:
         return self._jobs.get(run_id)
 
     def jobs(self) -> List[Job]:
-        return sorted(self._jobs.values(), key=lambda j: j.created)
+        with self._lock:
+            jobs = list(self._jobs.values())
+        return sorted(jobs, key=lambda j: j.created)
 
     # -- execution (executor thread) ------------------------------------
     def _run_job(self, job: Job) -> None:
@@ -234,7 +243,7 @@ class JobManager:
         return [_record_row(record) for record in rows[:max(0, limit)]]
 
     # -- drain ----------------------------------------------------------
-    async def drain(self, grace: float = 30.0) -> Dict[str, Any]:
+    def drain(self, grace: float = 30.0) -> Dict[str, Any]:
         """Stop accepting work; wind down what is running.
 
         Every running job is asked to stop — at its next point boundary,
@@ -243,16 +252,16 @@ class JobManager:
         sweep --resume`` finishes it bit-identically later.  Counts what
         happened so the caller can log it.
         """
-        self.draining = True
+        with self._lock:
+            self.draining = True
+        # No job is registered from here on.
         stopped = 0
         for job in self._jobs.values():
             runner = job._runner
             if runner is not None:
                 runner.request_stop()
                 stopped += 1
-        pending = [f for f in self._futures.values() if not f.done()]
-        if pending:
-            await asyncio.wait(pending, timeout=grace)
+        concurrent.futures.wait(self._futures.values(), timeout=grace)
         self._executor.shutdown(wait=False)
         unfinished = [j.run_id for j in self._jobs.values()
                       if j.state not in TERMINAL_STATES]

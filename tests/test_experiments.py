@@ -81,6 +81,24 @@ class TestSpec:
         with pytest.raises(TypeError):
             point_key("caches", {"bad": object()})
 
+    @pytest.mark.parametrize("grid, match", [
+        ({"suite": "office"}, "grid axis 'suite' must be a JSON array"),
+        ({"ratio": [0.4], "suite": {"office": 1}},
+         "grid axis 'suite' must be a JSON array"),
+        ({"ratio": 0.4}, "grid axis 'ratio' must be a JSON array"),
+        ([0.4, 0.6], "grid must be a JSON object"),
+    ])
+    def test_payload_grid_holds_arrays(self, grid, match):
+        """A payload's grid axis is a JSON array: a string is not split
+        into its characters, nor an object taken for its keys."""
+        from repro import api
+
+        payload = {"study": "caches", "grid": grid}
+        with pytest.raises(ValueError, match=match):
+            SweepSpec.from_payload(payload)
+        with pytest.raises(ValueError, match=match):
+            api.sweep_from_payload(payload)
+
     def test_grid_option_parsing(self):
         assert parse_grid_option("ways=4,8") == ("ways", [4, 8])
         assert parse_grid_option("ratio=0.4,0.5") == ("ratio",

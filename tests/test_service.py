@@ -2,10 +2,10 @@
 
 Three layers, matching the module split:
 
-- protocol units (HTTP parsing, auth) and the job manager — no
-  sockets, no event loop where avoidable;
+- auth and the job manager — no sockets;
 - a live server on an ephemeral port driven by the real
-  :class:`repro.client.ServiceClient` over real TCP;
+  :class:`repro.client.ServiceClient`, or by raw bytes, over real TCP
+  (the request parsing and its limits are tested this way);
 - the service's contracts: concurrent identical submits share one
   execution and one store write per point, every stream, however late
   it is opened, carries hello, ≥1 telemetry, the run's records from
@@ -13,11 +13,9 @@ Three layers, matching the module split:
   bit-identically.
 """
 
-import asyncio
 import concurrent.futures
 import http.client
 import json
-import logging
 import os
 import socket
 import subprocess
@@ -32,8 +30,7 @@ from repro.client import ServiceClient, ServiceError
 from repro.experiments import SweepRunner, SweepSpec
 from repro.experiments.registry import _STUDIES, register_study
 from repro.obs import log as obs_log
-from repro.service import SweepService, TokenAuth, jobs
-from repro.service.http import HTTPError, read_request
+from repro.service import SweepService, TokenAuth, app, jobs
 
 TINY_PAYLOAD = {
     "study": "caches",
@@ -62,84 +59,31 @@ class TestTokenAuth:
 
 
 # ----------------------------------------------------------------------
-# HTTP parsing
-# ----------------------------------------------------------------------
-def _parse_request(wire):
-    async def go():
-        reader = asyncio.StreamReader()
-        reader.feed_data(wire)
-        reader.feed_eof()
-        return await read_request(reader)
-
-    return asyncio.run(go())
-
-
-class TestHTTPParsing:
-    def test_get_with_query(self):
-        request = _parse_request(
-            b"GET /v1/results?key=abc&limit=5 HTTP/1.1\r\n"
-            b"Host: x\r\n\r\n")
-        assert request.method == "GET"
-        assert request.path == "/v1/results"
-        assert request.param("key") == "abc"
-        assert request.param("limit") == "5"
-        assert request.param("missing", "d") == "d"
-
-    def test_post_with_body(self):
-        body = json.dumps({"study": "caches"}).encode()
-        request = _parse_request(
-            b"POST /v1/jobs HTTP/1.1\r\n"
-            b"Content-Type: application/json\r\n"
-            + f"Content-Length: {len(body)}\r\n\r\n".encode() + body)
-        assert request.json() == {"study": "caches"}
-
-    def test_clean_eof_returns_none(self):
-        assert _parse_request(b"") is None
-
-    def test_bad_version_rejected(self):
-        with pytest.raises(HTTPError) as err:
-            _parse_request(b"GET / HTTP/2.0\r\nHost: x\r\n\r\n")
-        assert err.value.status == 505
-
-    def test_bad_json_body_rejected(self):
-        request = _parse_request(
-            b"POST /v1/jobs HTTP/1.1\r\n"
-            b"Content-Length: 8\r\n\r\n{not json"[:60])
-        with pytest.raises(HTTPError) as err:
-            request.json()
-        assert err.value.status == 400
-
-
-# ----------------------------------------------------------------------
 # Live server fixtures
 # ----------------------------------------------------------------------
 @contextmanager
 def live_service(directory, drain_within=30.0, **kwargs):
-    """A SweepService on an ephemeral port in a background thread,
-    which must end within ``drain_within`` seconds of the stop."""
+    """A SweepService on an ephemeral port, serving from its own
+    threads, whose stop must end within ``drain_within`` seconds."""
     service = SweepService(str(directory), port=0, quiet=True, **kwargs)
-    started = threading.Event()
-    box = {}
-
-    async def main():
-        box["loop"] = asyncio.get_running_loop()
-        box["port"] = await service.start()
-        started.set()
-        await service._stop.wait()
-        await service.shutdown()
-
-    # asyncio.run, as under ``repro serve``: connections still open
-    # when the service returns are cancelled, which closes them.
-    thread = threading.Thread(target=asyncio.run, args=(main(),),
-                              daemon=True)
-    thread.start()
-    assert started.wait(10), "service failed to start"
+    port = service.start()
     try:
-        yield box["port"], service
+        yield port, service
     finally:
-        box["loop"].call_soon_threadsafe(service.request_stop)
+        errors = []
+
+        def stop():
+            try:
+                service.shutdown()
+            except BaseException as exc:
+                errors.append(exc)
+
+        thread = threading.Thread(target=stop, daemon=True)
+        thread.start()
         thread.join(timeout=drain_within)
         assert not thread.is_alive(), "service failed to drain"
+        if errors:
+            raise errors[0]
 
 
 def _sleepy_point(params):
@@ -173,6 +117,170 @@ def broken_study(name="service_broken"):
         _STUDIES.pop(name, None)
 
 
+def _exchange(port, wire):
+    """Send raw request bytes; ``(status, headers, JSON body)`` of the
+    answer, read to the server's close."""
+    with socket.create_connection(("127.0.0.1", port), timeout=60) as sock:
+        sock.sendall(wire)
+        data = _read_to_close(sock)
+    head, __, body = data.partition(b"\r\n\r\n")
+    status_line, *lines = head.decode("latin-1").split("\r\n")
+    version, status, __ = status_line.split(" ", 2)
+    assert version == "HTTP/1.1", status_line
+    headers = {}
+    for line in lines:
+        name, __, value = line.partition(":")
+        headers[name.strip().lower()] = value.strip()
+    return int(status), headers, json.loads(body)
+
+
+def _get(target, *header_lines):
+    """A ``GET`` request's bytes with extra raw header lines."""
+    return "".join([f"GET {target} HTTP/1.1\r\n", "Host: 127.0.0.1\r\n",
+                    *(f"{line}\r\n" for line in header_lines),
+                    "\r\n"]).encode("latin-1")
+
+
+def _post(target, body, *header_lines):
+    """A ``POST`` request's bytes: ``body`` with its Content-Length."""
+    return _get(target, f"Content-Length: {len(body)}",
+                *header_lines).replace(b"GET ", b"POST ", 1) + body
+
+
+class TestRequestParsing:
+    """Every request is read over a live socket; whatever is refused is
+    answered with its status and a JSON ``{"error": …}`` body."""
+
+    def test_query_parameters(self, tmp_path):
+        with live_service(tmp_path / "svc") as (port, __):
+            client = ServiceClient(f"http://127.0.0.1:{port}")
+            client.wait(client.submit(TINY_PAYLOAD)["job"], timeout=60)
+            status, __, body = _exchange(
+                port, _get("/v1/results?key=abc&limit=5"))
+            assert (status, body) == (
+                404, {"error": "no stored result for key 'abc'"})
+            status, __, body = _exchange(port, _get("/v1/results"))
+            assert status == 200 and len(body["records"]) == 2
+            # The last value of a repeated parameter wins.
+            status, __, body = _exchange(
+                port, _get("/v1/results?study=caches&limit=5&limit=1"))
+            assert status == 200 and len(body["records"]) == 1
+            status, __, body = _exchange(port, _get("/v1/results?limit=x"))
+            assert (status, body) == (
+                400, {"error": "limit must be an integer"})
+
+    def test_post_with_body(self, tmp_path):
+        with live_service(tmp_path / "svc") as (port, __):
+            status, headers, body = _exchange(port, _post(
+                "/v1/jobs", json.dumps({"spec": TINY_PAYLOAD}).encode(),
+                "Content-Type: application/json"))
+            assert status == 202
+            assert headers["content-type"] == "application/json"
+            assert headers["connection"] == "close"
+            assert body["total"] == 2 and body["deduplicated"] is False
+            ServiceClient(f"http://127.0.0.1:{port}").wait(
+                body["job"], timeout=60)
+
+    def test_connection_closed_before_a_request_is_not_answered(
+            self, tmp_path):
+        with live_service(tmp_path / "svc") as (port, __):
+            with socket.create_connection(("127.0.0.1", port),
+                                          timeout=60) as sock:
+                sock.shutdown(socket.SHUT_WR)
+                assert _read_to_close(sock) == b""
+            assert ServiceClient(f"http://127.0.0.1:{port}").healthz()[
+                "status"] == "ok"
+        assert not _logged(tmp_path / "svc", "request_error")
+
+    def test_bad_json_body_rejected(self, tmp_path):
+        with live_service(tmp_path / "svc") as (port, __):
+            status, __, body = _exchange(
+                port, _post("/v1/jobs", b"{not jso"))
+        assert status == 400
+        assert body["error"].startswith("invalid JSON body: ")
+
+    @pytest.mark.parametrize("wire, status, error", [
+        (b"GET /v1/healthz HTTP/2.0\r\nHost: x\r\n\r\n",
+         505, "unsupported version 'HTTP/2.0'"),
+        (b"GET /v1/healthz HTTP/0.9\r\n\r\n",
+         505, "unsupported version 'HTTP/0.9'"),
+        (b"GET /v1/healthz\r\n\r\n", 400, "malformed request line"),
+        (b"GARBAGE\r\n\r\n", 400, "malformed request line"),
+        (b"GET /v1/healthz HTTP/1.1 extra\r\n\r\n",
+         400, "malformed request line"),
+        (_get("/v1/healthz", "Content-Length: abc"),
+         400, "bad Content-Length"),
+        (_post("/v1/jobs", b"", "Transfer-Encoding: chunked"),
+         501, "chunked request bodies not supported"),
+        # The over-limit length alone: no body is sent.
+        (_get("/v1/jobs", f"Content-Length: {16 * 1024 * 1024 + 1}"),
+         413, f"body over {16 * 1024 * 1024} bytes"),
+        (_get("/v1/healthz", "Content-Length: -1"),
+         413, f"body over {16 * 1024 * 1024} bytes"),
+        (_get("/v1/healthz", *(f"X-Header-{n}: {n}" for n in range(64))),
+         431, "too many headers"),
+        (_get("/v1/healthz", "X-Long: " + "a" * 17000),
+         431, "header line too long"),
+        (b"GET /" + b"a" * 17000 + b" HTTP/1.1\r\n\r\n",
+         431, "header line too long"),
+    ], ids=["http2", "http09", "two-words", "one-word", "four-words",
+            "bad-length", "chunked", "body-too-big", "negative-length",
+            "65-headers", "long-header", "long-request-line"])
+    def test_input_limits(self, tmp_path, wire, status, error):
+        with live_service(tmp_path / "svc") as (port, __):
+            answered, headers, body = _exchange(port, wire)
+            assert (answered, body) == (status, {"error": error})
+            assert headers["content-type"] == "application/json"
+            # The service still answers the next client.
+            assert ServiceClient(f"http://127.0.0.1:{port}").healthz()[
+                "status"] == "ok"
+
+    @pytest.mark.parametrize("wire, error", [
+        (b"GET /v1/healthz HTTP/1.1", "truncated request"),
+        (_get("/v1/jobs", "Content-Length: 10") + b"{}", "truncated body"),
+        (_get("/v1/healthz", "NoColonHere"), "malformed header"),
+    ], ids=["request-line", "body", "header-without-name"])
+    def test_truncated_or_malformed_request_is_a_400(
+            self, tmp_path, wire, error):
+        """The client half-closes after sending ``wire``."""
+        with live_service(tmp_path / "svc") as (port, __):
+            with socket.create_connection(("127.0.0.1", port),
+                                          timeout=60) as sock:
+                sock.sendall(wire)
+                sock.shutdown(socket.SHUT_WR)
+                data = _read_to_close(sock)
+        head, __, body = data.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert json.loads(body)["error"].startswith(error)
+
+    @pytest.mark.parametrize("wire, status, error", [
+        (b"GET /v1/healthz HTTP/1.x\r\n\r\n",
+         400, "Bad request version ('HTTP/1.x')"),
+        (_get("/v1/healthz", *(f"X-Header-{n}: {n}" for n in range(101))),
+         431, "Too many headers"),
+    ], ids=["bad-minor-version", "101-headers"])
+    def test_what_the_standard_library_refuses_is_a_json_error(
+            self, tmp_path, wire, status, error):
+        """The standard library's own parse refuses these before the
+        service's checks: they are answered as HTTP/1.1 JSON errors
+        too, even a request line it had taken for HTTP/0.9."""
+        with live_service(tmp_path / "svc") as (port, __):
+            answered, headers, body = _exchange(port, wire)
+        assert (answered, body) == (status, {"error": error})
+        assert headers["content-type"] == "application/json"
+
+    def test_requests_inside_the_limits_are_served(self, tmp_path):
+        """64 header lines (``Host`` included) and a 16000-byte header
+        line are inside the limits."""
+        with live_service(tmp_path / "svc") as (port, __):
+            for wire in (
+                    _get("/v1/healthz",
+                         *(f"X-Header-{n}: {n}" for n in range(63))),
+                    _get("/v1/healthz", "X-Long: " + "a" * 16000)):
+                status, __, body = _exchange(port, wire)
+                assert status == 200 and body["status"] == "ok"
+
+
 class TestJobManager:
     def test_a_job_turns_terminal_last(self, tmp_path, monkeypatch):
         """Whoever sees a done, error or incomplete job sees its
@@ -189,33 +297,29 @@ class TestJobManager:
                 super().__setattr__(name, value)
 
         monkeypatch.setattr(jobs, "Job", RecordingJob)
+        deadline = time.monotonic() + 60
 
-        async def settle(job):
-            while job.state not in jobs.TERMINAL_STATES:
-                await asyncio.sleep(0.01)
-
-        async def run_three(done_payload, error_payload, stop_payload):
-            manager = jobs.JobManager(str(tmp_path / "svc"))
-            try:
-                done, __ = manager.submit(done_payload)
-                failed, __ = manager.submit(error_payload)
-                await settle(done)
-                await settle(failed)
-                stopped, __ = manager.submit(stop_payload)
-                while stopped.done < 1:
-                    await asyncio.sleep(0.01)
-                await manager.drain()
-            finally:
-                manager.close()
-            return done, failed, stopped
+        def settle(ready):
+            while not ready():
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
 
         with sleepy_study() as sleepy, broken_study() as broken:
-            done, failed, stopped = asyncio.run(asyncio.wait_for(
-                run_three(TINY_PAYLOAD,
-                          {"study": broken, "grid": {"n": [1]}},
-                          {"study": sleepy, "grid": {
-                              "duration": [0.2, 0.2001, 0.2002, 0.2003]}}),
-                timeout=60))
+            manager = jobs.JobManager(str(tmp_path / "svc"))
+            try:
+                done, __ = manager.submit(TINY_PAYLOAD)
+                failed, __ = manager.submit(
+                    {"study": broken, "grid": {"n": [1]}})
+                for job in (done, failed):
+                    settle(lambda: job.state in jobs.TERMINAL_STATES)
+                stopped, __ = manager.submit({"study": sleepy, "grid": {
+                    "duration": [0.2, 0.2001, 0.2002, 0.2003]}})
+                settle(lambda: stopped.done >= 1)
+                manager.drain()
+                with pytest.raises(jobs.DrainingError):
+                    manager.submit(TINY_PAYLOAD)
+            finally:
+                manager.close()
         assert (done.state, failed.state, stopped.state) == (
             "done", "error", "incomplete")
         terminal = [entry for entry in seen
@@ -227,6 +331,36 @@ class TestJobManager:
             assert finished is not None, (run_id, state)
             assert runner is None, (run_id, state)
             assert (error is None) == (state == "done"), (state, error)
+
+
+    def test_concurrent_submits_register_one_job_per_spec(self, tmp_path):
+        """Eight threads submitting three specs at once, switching every
+        microsecond: one job per spec, and not one submission lost."""
+        switch = sys.getswitchinterval()
+        with sleepy_study() as study:
+            payloads = [{"study": study, "grid": {"duration": [0.0],
+                                                  "ratio": [ratio]}}
+                        for ratio in (0.1, 0.2, 0.3)]
+            manager = jobs.JobManager(str(tmp_path / "svc"))
+            barrier = threading.Barrier(8)
+
+            def submit(n):
+                barrier.wait(timeout=10)
+                return [manager.submit(payloads[(n + k) % 3])[0].run_id
+                        for k in range(30)]
+
+            sys.setswitchinterval(1e-6)
+            try:
+                with concurrent.futures.ThreadPoolExecutor(8) as pool:
+                    ids = [run_id for chunk in pool.map(submit, range(8))
+                           for run_id in chunk]
+            finally:
+                sys.setswitchinterval(switch)
+                manager.drain()
+                manager.close()
+        assert len(ids) == 240 and len(set(ids)) == 3
+        assert [job.submissions for job in manager.jobs()] == [80] * 3
+        assert [job.state for job in manager.jobs()] == ["done"] * 3
 
 
 class TestLiveService:
@@ -404,6 +538,42 @@ class TestLiveService:
                 client._request("GET", "/v2/nope")
             assert err.value.status == 404
 
+    @pytest.mark.parametrize("grid, axis", [
+        ({"suite": "office"}, "suite"),
+        ({"ratio": [0.4], "suite": {"office": 1}}, "suite"),
+        ({"ratio": 0.4}, "ratio"),
+    ])
+    def test_grid_axis_that_is_not_an_array_is_refused(
+            self, tmp_path, grid, axis):
+        """A grid axis must be a JSON array: a string is not split into
+        its characters, nor an object taken for its keys."""
+        with live_service(tmp_path / "svc") as (port, service):
+            client = ServiceClient(f"http://127.0.0.1:{port}")
+            with pytest.raises(ServiceError) as err:
+                client.submit({"study": "caches", "grid": grid})
+            assert err.value.status == 400
+            assert f"grid axis {axis!r}" in err.value.message
+            assert client.jobs()["jobs"] == []
+
+    def test_grid_that_is_not_an_object_is_refused(self, tmp_path):
+        with live_service(tmp_path / "svc") as (port, __):
+            with pytest.raises(ServiceError) as err:
+                ServiceClient(f"http://127.0.0.1:{port}").submit(
+                    {"study": "caches", "grid": [0.4, 0.6]})
+        assert err.value.status == 400
+        assert "grid must be a JSON object" in err.value.message
+
+    @pytest.mark.parametrize("workers", [True, False, 0, 2.0, "2"])
+    def test_workers_must_be_a_positive_integer(self, tmp_path, workers):
+        with live_service(tmp_path / "svc") as (port, __):
+            client = ServiceClient(f"http://127.0.0.1:{port}")
+            with pytest.raises(ServiceError) as err:
+                client._request("POST", "/v1/jobs", {
+                    "spec": TINY_PAYLOAD, "workers": workers})
+            assert (err.value.status, err.value.message) == (
+                400, "workers must be a positive integer")
+            assert client.jobs()["jobs"] == []
+
     def test_result_conflicts_until_done(self, tmp_path):
         with sleepy_study() as study:
             payload = {"study": study,
@@ -489,11 +659,10 @@ class TestLiveService:
         assert messages[-1]["type"] == "job"
         assert messages[-1]["state"] == "incomplete"
 
-    def test_stop_with_an_idle_connection_open(self, tmp_path, caplog):
+    def test_stop_with_an_idle_connection_open(self, tmp_path, capfd):
         """A client that connected and sent nothing does not hold the
-        stop up: the service ends within 2 s, and asyncio logs no
-        error."""
-        caplog.set_level(logging.WARNING, logger="asyncio")
+        stop up: the service ends within 2 s, and nothing is written to
+        stderr, for that connection or any request."""
         idle = None
         try:
             with live_service(tmp_path / "svc", drain_within=2.0) as \
@@ -502,13 +671,40 @@ class TestLiveService:
                                                 timeout=10)
                 # Connections are accepted in order: once this request
                 # is answered, the idle one waits for its request.
-                ServiceClient(f"http://127.0.0.1:{port}").healthz()
+                client = ServiceClient(f"http://127.0.0.1:{port}")
+                client.healthz()
+                with pytest.raises(ServiceError):
+                    client.status("no-such-job")
         finally:
             if idle is not None:
                 idle.close()
-        assert not [record for record in caplog.records
-                    if record.name == "asyncio"
-                    and record.levelno >= logging.ERROR]
+        assert capfd.readouterr().err == ""
+
+    def test_a_silent_connection_is_closed_after_the_read_timeout(
+            self, tmp_path, monkeypatch):
+        """A connection that never sends its request is closed after the
+        read timeout, unanswered; a stream is not: it outlives that
+        timeout while its job runs."""
+        monkeypatch.setattr(app._Handler, "timeout", 0.3)
+        with sleepy_study() as study:
+            with live_service(tmp_path / "svc") as (port, __):
+                client = ServiceClient(f"http://127.0.0.1:{port}")
+                job_id = client.submit(
+                    {"study": study, "grid": {"duration": [1.0]}})["job"]
+                sock = _open_stream(port, job_id)
+                with socket.create_connection(("127.0.0.1", port),
+                                              timeout=10) as idle:
+                    started = time.monotonic()
+                    assert idle.recv(1024) == b""
+                    assert 0.2 < time.monotonic() - started < 5
+                try:
+                    data = _read_to_close(sock)
+                finally:
+                    sock.close()
+        messages = _events(data.partition(b"\r\n\r\n")[2].decode())
+        assert messages[0]["type"] == "hello"
+        assert messages[-1]["type"] == "job"
+        assert messages[-1]["state"] == "done"
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failing_point_ends_the_job_in_error(self, tmp_path, workers):
@@ -539,19 +735,25 @@ class TestLiveService:
                 service.manager.draining = False
                 client.wait(job["job"], timeout=60)
 
+    def test_submit_that_meets_the_drain_is_a_503(self, tmp_path,
+                                                  monkeypatch):
+        """A submit that passed the draining check as the drain began
+        is refused by the manager, and answered 503 all the same."""
+        with live_service(tmp_path / "svc") as (port, service):
+            def draining(*args, **kwargs):
+                raise jobs.DrainingError("draining")
+
+            monkeypatch.setattr(service.manager, "submit", draining)
+            with pytest.raises(ServiceError) as err:
+                ServiceClient(f"http://127.0.0.1:{port}").submit(
+                    TINY_PAYLOAD)
+        assert (err.value.status, err.value.message) == (
+            503, "service is draining")
+
 
 # ----------------------------------------------------------------------
 # The event stream over a real socket, without the bundled client
 # ----------------------------------------------------------------------
-def _on_loop(service, call):
-    """Run ``call()`` on the service's event loop; its result."""
-    async def run():
-        return call()
-
-    return asyncio.run_coroutine_threadsafe(
-        run(), service.manager._loop).result(timeout=10)
-
-
 def _open_stream(port, job_id):
     """A raw socket that has sent ``GET /v1/jobs/{id}/events``."""
     sock = socket.create_connection(("127.0.0.1", port), timeout=60)
@@ -600,13 +802,6 @@ def _run_records(directory, run_id):
     with open(directory / "events.jsonl") as handle:
         return [record for record in map(json.loads, handle)
                 if record["run_id"] == run_id]
-
-
-def _streams(service):
-    """How many stream handlers are running on the service's loop."""
-    return _on_loop(service, lambda: sum(
-        task.get_coro().__qualname__ == "SweepService._stream"
-        for task in asyncio.all_tasks()))
 
 
 def _big_caches_job(points):
@@ -763,40 +958,42 @@ class TestEventStream:
         with open(directory / "events.jsonl") as handle:
             assert everything == [json.loads(line) for line in handle]
 
-    def test_catching_up_yields_to_the_loop_between_polls(
+    def test_other_requests_are_answered_while_a_stream_catches_up(
             self, tmp_path, monkeypatch):
         """A late stream that has many chunks of other runs' records to
-        read lets the event loop run between any two of its polls."""
+        read does not hold up the service: a ``GET /v1/healthz`` sent
+        from inside that catch-up is answered, and the stream still
+        carries exactly the run's records."""
         monkeypatch.setattr(obs_log, "TAIL_CHUNK", 1024)
         directory = tmp_path / "svc"
         events_path = str(directory / "events.jsonl")
         real_tail = obs_log.tail_events
-        ticks = []
+        polls, answered = [], []
 
-        with live_service(directory) as (port, service):
-            client = ServiceClient(f"http://127.0.0.1:{port}")
+        with live_service(directory) as (port, __):
+            url = f"http://127.0.0.1:{port}"
+            client = ServiceClient(url)
             job_id = client.submit(_big_caches_job(4))["job"]
             assert client.wait(job_id, timeout=60)["state"] == "done"
             other = obs_log.EventLog(path=events_path, run_id="other-run")
             for n in range(100):
                 other.info("filler", n=n, pad="x" * 200)
-            loop = service.manager._loop
-            ran = [False]
 
             def tail(path, *args, **kwargs):
                 if path == events_path:
-                    # Did the loop run anything since the last poll?
-                    ticks.append(ran[0])
-                    ran[0] = False
-                    loop.call_soon(ran.__setitem__, 0, True)
+                    polls.append(path)
+                    if len(polls) == 5:
+                        # The stream's thread waits for this answer.
+                        answered.append(len(polls))
+                        assert ServiceClient(url, timeout=10).healthz()[
+                            "status"] == "ok"
                 return real_tail(path, *args, **kwargs)
 
             monkeypatch.setattr(obs_log, "tail_events", tail)
             types, records = _stream_parts(list(client.stream(job_id)))
         assert records == _run_records(directory, job_id)
         assert types[-1] == "job"
-        assert len(ticks) > 20
-        assert all(ticks[1:])
+        assert answered == [5] and len(polls) > 20
 
     def test_torn_final_line_is_polled_at_the_interval(
             self, tmp_path, monkeypatch):
@@ -883,11 +1080,11 @@ class TestEventStream:
                     sock = _open_stream(port, job_id)
                     try:
                         _read_until(sock, b'"hello"')
-                        assert _streams(service) == 2
+                        assert service.open_streams == 2
                     finally:
                         sock.close()
                     deadline = time.monotonic() + 1.0
-                    while _streams(service) > 1:
+                    while service.open_streams > 1:
                         assert time.monotonic() < deadline, \
                             "hang-up not noticed"
                         time.sleep(0.01)
@@ -899,7 +1096,8 @@ class TestEventStream:
 
     def test_client_import_loads_no_server(self):
         code = ("import sys, repro.client\n"
-                "print(sorted(m for m in sys.modules if m == 'asyncio'"
+                "print(sorted(m for m in sys.modules if m in ('asyncio',"
+                " 'http.server', 'socketserver')"
                 " or m.startswith('repro.service')))")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [os.path.abspath("src"),
@@ -912,30 +1110,40 @@ class TestEventStream:
 # ----------------------------------------------------------------------
 # `repro serve` end to end (subprocess, SIGTERM)
 # ----------------------------------------------------------------------
+@contextmanager
+def serve_subprocess(tmp_path):
+    """``repro serve --port 0 --quiet`` in a child process: ``(proc,
+    url)`` once its ready file is written."""
+    ready = tmp_path / "ready.json"
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [os.path.abspath("src"),
+                                 os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve",
+         "--port", "0", "--store", str(tmp_path / "store"),
+         "--ready-file", str(ready), "--quiet"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        deadline = time.monotonic() + 30
+        while not ready.exists():
+            assert proc.poll() is None, proc.stderr.read().decode()
+            assert time.monotonic() < deadline
+            time.sleep(0.05)
+        yield proc, json.loads(ready.read_text())["url"]
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
+        proc.stderr.close()
+
+
 class TestServeCLI:
     def test_serve_subprocess_smoke(self, tmp_path):
         import signal
-        import subprocess
-        import sys
 
-        ready = tmp_path / "ready.json"
-        env = dict(os.environ,
-                   PYTHONPATH=os.pathsep.join(
-                       filter(None, [os.path.abspath("src"),
-                                     os.environ.get("PYTHONPATH")])))
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.cli", "serve",
-             "--port", "0", "--store", str(tmp_path / "store"),
-             "--ready-file", str(ready), "--quiet"],
-            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-        try:
-            deadline = time.monotonic() + 30
-            while not ready.exists():
-                assert proc.poll() is None, \
-                    proc.stderr.read().decode()
-                assert time.monotonic() < deadline
-                time.sleep(0.05)
-            url = json.loads(ready.read_text())["url"]
+        with serve_subprocess(tmp_path) as (proc, url):
             client = ServiceClient(url)
             job = client.submit(TINY_PAYLOAD)
             assert client.wait(job["job"], timeout=60)[
@@ -943,7 +1151,22 @@ class TestServeCLI:
             assert client.submit(TINY_PAYLOAD)["deduplicated"] is True
             proc.send_signal(signal.SIGTERM)
             assert proc.wait(timeout=30) == 0
-        finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait()
+
+    @pytest.mark.parametrize("delay", [0.0, 0.2])
+    def test_sigterm_with_an_idle_connection_exits_quietly(
+            self, tmp_path, delay):
+        """SIGTERM with a raw connection open that never sent a byte:
+        exit 0 within 2 s, nothing on stderr.  Right after the connect,
+        the stop meets a connection just being accepted."""
+        import signal
+
+        with serve_subprocess(tmp_path) as (proc, url):
+            port = int(url.rsplit(":", 1)[1])
+            with socket.create_connection(("127.0.0.1", port),
+                                          timeout=10):
+                time.sleep(delay)
+                proc.send_signal(signal.SIGTERM)
+                started = time.monotonic()
+                assert proc.wait(timeout=10) == 0
+                assert time.monotonic() - started < 2.0
+            assert proc.stderr.read() == b""
