@@ -459,6 +459,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
     """Run the sweep service (plain HTTP, DESIGN.md §11)."""
     from repro.service import SweepService
 
+    if args.max_jobs < 1:
+        print("error: --max-jobs must be >= 1", file=sys.stderr)
+        return 2
+    if not 0 <= args.port <= 65535:
+        print("error: --port must be in 0-65535", file=sys.stderr)
+        return 2
     token = args.token
     if token is None and args.token_env:
         token = os.environ.get(args.token_env) or None

@@ -60,7 +60,11 @@ from repro.core.cache_like import (
     run_cache_study,
     performance_loss,
 )
-from repro.core.penelope import PenelopeProcessor, PenelopeReport
+from repro.core.penelope import (
+    PenelopeBaseline,
+    PenelopeProcessor,
+    PenelopeReport,
+)
 from repro.core.resizing import (
     ResizingPlan,
     apply_resizing,
@@ -112,6 +116,7 @@ __all__ = [
     "CacheStudyResult",
     "run_cache_study",
     "performance_loss",
+    "PenelopeBaseline",
     "PenelopeProcessor",
     "PenelopeReport",
 ]

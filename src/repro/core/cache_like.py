@@ -37,7 +37,7 @@ from typing import Callable, Iterable, List, Mapping, Optional, Sequence, Tuple
 from repro.metrics import ordered_sum
 from repro.obs.trace import TRACER as _TRACER
 from repro.uarch.backends import get_backend
-from repro.uarch.backends import Cache, CacheConfig, LineState
+from repro.uarch.backends import Cache, CacheConfig, CacheStats, LineState
 
 #: Default fraction of lines kept inverted (perfect balancing needs 50%).
 DEFAULT_INVERT_RATIO = 0.5
@@ -634,6 +634,17 @@ def performance_loss(
     return accesses_per_uop * delta * effective_penalty / base_cpi
 
 
+def replay_baseline(config: CacheConfig, addresses: Iterable[int],
+                    backend: str = "reference") -> CacheStats:
+    """Replay ``addresses`` through an unprotected cache of ``config``.
+
+    Returns the replay's counters alone, so a sweep's stage memo can
+    share them between points without holding the cache."""
+    cache = get_backend(backend).make_cache(config)
+    cache.replay(addresses)
+    return cache.stats
+
+
 @dataclass(frozen=True, slots=True)
 class CacheStudyResult:
     """Average performance loss of one (config, scheme) pair."""
@@ -674,6 +685,7 @@ def run_cache_study(
     base_cpi: float = 0.8,
     seed: int = 0,
     backend: str = "reference",
+    baselines: Optional[Sequence[CacheStats]] = None,
 ) -> CacheStudyResult:
     """Replay streams through baseline and protected caches.
 
@@ -690,6 +702,9 @@ def run_cache_study(
         Kernel backend name building the cache engines
         (:func:`repro.uarch.backends.get_backend`); results are
         bit-identical across backends by contract.
+    baselines:
+        Each stream's :func:`replay_baseline`, when the caller has them
+        already (a sweep's stage memo); ``None`` replays each stream.
     """
     engine = get_backend(backend)
     losses: List[float] = []
@@ -703,9 +718,9 @@ def run_cache_study(
         "baseline" if scheme_factory is None else scheme_factory().name
     )
     for stream_index, stream in enumerate(address_streams):
-        baseline = engine.make_cache(config)
-        baseline.replay(stream)
-        base_rate = baseline.stats.miss_rate
+        base_rate = (replay_baseline(config, stream, backend)
+                     if baselines is None
+                     else baselines[stream_index]).miss_rate
 
         if scheme_factory is None:
             scheme_rate = base_rate

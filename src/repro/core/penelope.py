@@ -69,6 +69,22 @@ class PenelopeReport:
         return self.baseline_processor.efficiency
 
 
+@dataclass(frozen=True)
+class PenelopeBaseline:
+    """The protection-independent half of :meth:`PenelopeProcessor.evaluate`.
+
+    What the protected half reads of the unprotected runs: their
+    results, the scheduler policy (derived from the first run's profile
+    unless the processor fixes one) and the adder guardband that aging
+    on their idle samples gives.  Points that differ only in protection
+    share one (DESIGN.md "Stages"), so nothing may mutate it.
+    """
+
+    results: Tuple[CoreResult, ...]
+    policy: SchedulerPolicy
+    adder_guardband: float
+
+
 class PenelopeProcessor:
     """Builds and evaluates the NBTI-aware processor end to end.
 
@@ -181,6 +197,17 @@ class PenelopeProcessor:
     # ------------------------------------------------------------------
     def evaluate(self, workload: Sequence[Trace]) -> PenelopeReport:
         """Run baseline and protected passes and combine block costs."""
+        return self.evaluate_protected(workload,
+                                       self.evaluate_baseline(workload))
+
+    def evaluate_baseline(self, workload: Sequence[Trace]
+                          ) -> PenelopeBaseline:
+        """The baseline half of :meth:`evaluate`: the unprotected passes,
+        the scheduler policy and the adder guardband.
+
+        It reads the core config, the adder and scheduler mechanisms and
+        the workload, and no other protection setting.
+        """
         if not workload:
             raise ValueError("workload must contain at least one trace")
         policy = self.scheduler_policy
@@ -194,7 +221,6 @@ class PenelopeProcessor:
             policy = derive_scheduler_policy(
                 profiler, baseline[0].scheduler.occupancy
             )
-        protected = [self.run_protected(trace, policy) for trace in workload]
 
         # -- adder: idle injection at the measured utilisation ----------
         adder = self._adder or build_ladner_fischer_adder()
@@ -211,9 +237,24 @@ class PenelopeProcessor:
                                      self.guardband_model)
         adder_report = injector.age(vectors[:256], min(1.0, utilization),
                                     inject=self.inject_idle)
-        adder_guardband = self.guardband_model.guardband_for_duty(
-            adder_report.worst_narrow_duty
+        return PenelopeBaseline(
+            results=tuple(baseline),
+            policy=policy,
+            adder_guardband=self.guardband_model.guardband_for_duty(
+                adder_report.worst_narrow_duty
+            ),
         )
+
+    def evaluate_protected(self, workload: Sequence[Trace],
+                           baseline: PenelopeBaseline) -> PenelopeReport:
+        """The protected half of :meth:`evaluate`, against ``baseline``
+        (what :meth:`evaluate_baseline` gave for the same workload)."""
+        if not workload:
+            raise ValueError("workload must contain at least one trace")
+        base = list(baseline.results)
+        protected = [self.run_protected(trace, baseline.policy)
+                     for trace in workload]
+        adder_guardband = baseline.adder_guardband
 
         # -- storage blocks: bias -> guardband ---------------------------
         int_base, int_prot, fp_base, fp_prot, sched_base, sched_prot = (
@@ -221,7 +262,7 @@ class PenelopeProcessor:
             for bias_of in (lambda res: res.int_rf.bias_to_zero,
                             lambda res: res.fp_rf.bias_to_zero,
                             lambda res: res.scheduler.flattened_bias())
-            for results in (baseline, protected))
+            for results in (base, protected))
 
         gb = self.guardband_model.guardband_for_bias
         block_costs = [
@@ -237,7 +278,7 @@ class PenelopeProcessor:
                       tdp=1.01),
         ]
 
-        combined_cpi = _combined_cpi(baseline, protected)
+        combined_cpi = _combined_cpi(base, protected)
         processor = ProcessorCost(blocks=block_costs,
                                   combined_cpi=combined_cpi)
         baseline_processor = ProcessorCost(
@@ -245,7 +286,7 @@ class PenelopeProcessor:
             combined_cpi=1.0,
         )
         return PenelopeReport(
-            baseline=baseline,
+            baseline=base,
             protected=protected,
             block_costs=block_costs,
             processor=processor,

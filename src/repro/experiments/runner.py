@@ -9,9 +9,10 @@
    before executing anything.
 2. **Execute** — ``workers=1`` runs the pending points in this process,
    in spec order.  ``workers>1`` starts worker processes, cuts the
-   pending points into hash-range batches (:func:`plan_batches`) and
-   feeds them one at a time, over a pipe each: this process holds the
-   queue and each batch's attempts.  A worker stores each point (with
+   pending points into batches along their stages (:func:`plan_batches`:
+   the points that share a stage go to one worker) and feeds them one
+   at a time, over a pipe each: this process holds the queue and each
+   batch's attempts.  A worker stores each point (with
    a store), then replies once per batch with each point's key,
    metrics and elapsed time.  When a worker's exit sentinel fires, its
    batch goes back on the queue for a survivor, which skips the points
@@ -64,6 +65,7 @@ from typing import (
 
 from repro.experiments.registry import get_study
 from repro.experiments.spec import ExperimentPoint, SweepSpec
+from repro.fabric.io import canonical_json
 from repro.fabric.store import ShardedResultStore
 from repro.obs.log import EventLog, new_run_id
 from repro.obs.provenance import (
@@ -360,7 +362,7 @@ def _worker_main(conn: Any, parent_end: Any, directory: Optional[str],
 
 @dataclass(frozen=True)
 class BatchPlan:
-    """One hash-range batch of pending points."""
+    """One batch of pending points, cut along their stages."""
 
     batch_id: str
     keys: Tuple[str, ...]
@@ -369,18 +371,49 @@ class BatchPlan:
         return len(self.keys)
 
 
-def plan_batches(keys: Iterable[str], batch_size: int) -> List[BatchPlan]:
-    """Cut pending point keys into hash-range batches.
+def _stage_groups(points: Iterable[ExperimentPoint]) -> List[List[str]]:
+    """Point keys grouped by stage, in (stage key, point key) order.
 
-    Sorting by content hash *is* the range partition: each batch owns a
-    contiguous slice of key space, so the plan is a pure function of
-    the pending set, whatever the grid order — a resume plans again
-    from the points still missing.
+    A point's stage key is the values of the parameters its study
+    declares as its stage (``register_study(stage=...)``, DESIGN.md
+    "Stages"), so the points that share a stage form one group.  A
+    study that declares none shares nothing: each point is a group.
     """
-    ordered = sorted(keys)
-    return [BatchPlan(f"b{i // batch_size:04d}",
-                      tuple(ordered[i:i + batch_size]))
-            for i in range(0, len(ordered), batch_size)]
+    groups: Dict[str, List[str]] = {}
+    for point in points:
+        study = get_study(point.study)
+        shared = (study.stage_key(point.as_dict()) if study.stage
+                  else point.key)
+        groups.setdefault(canonical_json(shared), []).append(point.key)
+    return [sorted(groups[stage]) for stage in sorted(groups)]
+
+
+def plan_batches(points: Iterable[ExperimentPoint],
+                 batch_size: int) -> List[BatchPlan]:
+    """Cut pending points into batches along their stages.
+
+    A batch takes whole stage groups (:func:`_stage_groups`) while they
+    fit in ``batch_size`` points, and a larger group is cut into batches
+    of ``batch_size``, so the points that share a stage go to one
+    worker.  The order is (stage key, point key): the plan is a pure
+    function of the pending set, whatever the grid order — a resume
+    plans again from the points still missing.
+    """
+    cuts: List[List[str]] = []
+    batch: List[str] = []
+    for group in _stage_groups(points):
+        if len(batch) + len(group) > batch_size:
+            if batch:
+                cuts.append(batch)
+            while len(group) > batch_size:
+                cuts.append(group[:batch_size])
+                group = group[batch_size:]
+            batch = []
+        batch += group
+    if batch:
+        cuts.append(batch)
+    return [BatchPlan(f"b{index:04d}", tuple(keys))
+            for index, keys in enumerate(cuts)]
 
 
 @dataclass
@@ -649,7 +682,7 @@ class SweepRunner:
         log = self.log
         batch_size = self.batch_size or _auto_batch_size(
             len(waiting), self.workers)
-        queue = deque(plan_batches(waiting, batch_size))
+        queue = deque(plan_batches(waiting.values(), batch_size))
         state = {b.batch_id: "pending" for b in queue}
         attempts: Dict[str, int] = {}
         owner: Dict[str, str] = {}

@@ -9,7 +9,17 @@ from __future__ import annotations
 import pytest
 
 from repro.circuits import build_ladner_fischer_adder
+from repro.experiments import registry
 from repro.workloads import TraceGenerator
+
+
+@pytest.fixture(autouse=True)
+def cold_stages():
+    """Each test starts from an empty stage memo, as a fresh process
+    does: what a sweep computes (and traces) must not depend on which
+    tests ran before it in this process, or in the one a worker was
+    forked from."""
+    registry._STAGES.clear()
 
 
 @pytest.fixture(scope="session")

@@ -23,7 +23,7 @@ from repro.experiments import (
     SweepRunner,
     SweepSpec,
 )
-from repro.experiments.registry import _STUDIES, register_study
+from repro.experiments.registry import _STUDIES, get_study, register_study
 from repro.experiments.runner import (
     FAULT_ENV,
     bind_spec_points,
@@ -31,6 +31,7 @@ from repro.experiments.runner import (
 )
 from repro.experiments.spec import ExperimentPoint
 from repro.fabric import ShardedResultStore, StoredResult
+from repro.fabric.io import canonical_json
 from repro.obs.provenance import (
     build_manifest,
     list_runs,
@@ -409,16 +410,28 @@ class TestFabricRunner:
         assert again.cache_hits == 4 and again.executed == 0
         assert_bit_identical(again, serial_oracle)
 
-    def test_plan_batches_sorts_by_key(self):
-        keys = [p.key for p in tiny_spec().expand()]
-        batches = plan_batches(keys, batch_size=3)
+    def test_plan_batches_sorts_by_stage_then_key(self):
+        points = bind_spec_points(tiny_spec())
+        study = get_study("caches")
+        stage = {p.key: canonical_json(study.stage_key(p.as_dict()))
+                 for p in points}
+        suite = {p.key: p.as_dict()["suite"] for p in points}
+        batches = plan_batches(points, batch_size=3)
+        # Each suite's two ratios share a stage; a batch takes whole
+        # stage groups while they fit.
         assert [b.batch_id for b in batches] == ["b0000", "b0001"]
-        assert [len(b) for b in batches] == [3, 1]
+        assert [len(b) for b in batches] == [2, 2]
+        assert all(len({suite[k] for k in b.keys}) == 1 for b in batches)
         planned = [k for b in batches for k in b.keys]
-        assert planned == sorted(keys)  # hash-range partition
+        assert planned == sorted(stage, key=lambda k: (stage[k], k))
         # Replanning a shuffled pending set yields identical batches.
-        again = plan_batches(list(reversed(keys)), batch_size=3)
+        again = plan_batches(list(reversed(points)), batch_size=3)
         assert again == batches
+        # A group larger than the batch size is cut into full batches.
+        assert [len(b) for b in plan_batches(points, batch_size=1)] \
+            == [1, 1, 1, 1]
+        assert [b.keys for b in plan_batches(points, batch_size=4)] \
+            == [tuple(planned)]
 
     def test_spawned_workers_match_sweep_runner(self, tmp_path,
                                                 serial_oracle):
@@ -690,8 +703,7 @@ class TestWorkerProcesses:
             spec = SweepSpec("fabric_deadly", grid={"x": list(range(6))})
             deadly, *others = bind_spec_points(spec)
             (batch,) = [b.batch_id for b in plan_batches(
-                [p.key for p in [deadly] + others], 1)
-                if deadly.key in b.keys]
+                [deadly] + others, 1) if deadly.key in b.keys]
             runner = SweepRunner(directory, workers=3, batch_size=1)
             with pytest.raises(SweepIncompleteError) as excinfo:
                 runner.run(spec)

@@ -356,6 +356,14 @@ class TestJobManager:
                            for run_id in chunk]
             finally:
                 sys.setswitchinterval(switch)
+            try:
+                # A drain stops what still runs: let the jobs end first.
+                deadline = time.monotonic() + 60
+                while any(job.state not in jobs.TERMINAL_STATES
+                          for job in manager.jobs()):
+                    assert time.monotonic() < deadline
+                    time.sleep(0.01)
+            finally:
                 manager.drain()
                 manager.close()
         assert len(ids) == 240 and len(set(ids)) == 3
@@ -1151,6 +1159,18 @@ class TestServeCLI:
             assert client.submit(TINY_PAYLOAD)["deduplicated"] is True
             proc.send_signal(signal.SIGTERM)
             assert proc.wait(timeout=30) == 0
+
+    @pytest.mark.parametrize("flag,value", [("--max-jobs", "0"),
+                                            ("--port", "99999")])
+    def test_bad_argument_exits_2_naming_the_flag(self, tmp_path, capsys,
+                                                  flag, value):
+        from repro.cli import main
+
+        store = tmp_path / "store"
+        assert main(["serve", "--store", str(store), "--quiet",
+                     flag, value]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {flag} ")
+        assert not store.exists()
 
     @pytest.mark.parametrize("delay", [0.0, 0.2])
     def test_sigterm_with_an_idle_connection_exits_quietly(

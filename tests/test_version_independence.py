@@ -41,12 +41,14 @@ def test_penelope_tdp_adds_left_to_right():
 @pytest.mark.parametrize("study,suite,seed", sorted(PINNED))
 def test_pinned_digest_with_compensated_sum(monkeypatch, study, suite,
                                             seed):
-    # Cold memos, so synthesis and every cached study input run under
-    # the compensated sum too.
-    for name in ("_TRACE_CACHE", "_STREAM_CACHE", "_RF_BIAS_CACHE"):
-        monkeypatch.setattr(registry, name, type(getattr(registry, name))())
+    # A fresh stage memo, so synthesis and every stage run under the
+    # compensated sum too.
+    stages = registry.StageMemo()
+    monkeypatch.setattr(registry, "_STAGES", stages)
     monkeypatch.setattr(builtins, "sum", compensated_sum)
     metrics = get_study(study).execute(
         {"suite": suite, "seed": seed, "length": LENGTH})
     monkeypatch.undo()
+    # The point went through that memo: it ran cold.
+    assert len(stages) > 0
     assert metrics_digest(metrics) == PINNED[(study, suite, seed)]
